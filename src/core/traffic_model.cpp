@@ -56,15 +56,27 @@ struct FlowFragment {
   double self = 0.0;  ///< Σ flow·frac of the merged source sub-streams
 };
 
-/// Scratch state for one destination's flow-propagation pass, reused across
-/// the destinations of one shard so each worker allocates O(nodes +
-/// channels) once.
+/// One seed of a destination column: `src` injects `flow` carrying QNA
+/// self-mass `self` (see FlowFragment).  Signed in the delta passes.
+struct Seed {
+  int src = 0;
+  double flow = 0.0;
+  double self = 0.0;
+};
+
+/// Scratch state for one destination's column pass, reused across columns
+/// so each worker allocates O(nodes + channels) once.
 struct DestinationPass {
+  struct Frame {
+    int node;
+    int next_candidate;
+  };
   /// Per node: flow fragments accumulated this pass.
   std::vector<std::vector<FlowFragment>> in_flows;
   std::vector<char> visited;
   std::vector<int> order;           ///< DFS postorder of the route DAG toward dst
   std::vector<NodeRoutes> routes;   ///< valid for visited nodes only
+  std::vector<Frame> stack;         ///< DFS stack, empty between calls
 
   explicit DestinationPass(int num_nodes)
       : in_flows(static_cast<std::size_t>(num_nodes)),
@@ -80,16 +92,51 @@ struct DestinationPass {
   }
 };
 
-/// Private accumulators of one destination shard.  Each shard owns a full
-/// copy of the per-channel totals; the reduction adds them back together in
-/// fixed shard order so the result cannot depend on scheduling.
-struct ShardAccum {
+/// Per-channel flow totals of a set of destination columns, plus the demand
+/// accounting of their seeds.  Each dense shard owns one (the reduction adds
+/// them back together in fixed shard order so the result cannot depend on
+/// scheduling); a dense resident keeps one as the state its deltas update.
+struct ColumnSums {
   std::vector<double> rate;    ///< per channel
   std::vector<double> self;    ///< per channel, QNA self-mass (see FlowFragment)
   std::vector<double> onward;  ///< flat (channel, continuation port) flows
   double weighted_distance = 0.0;
   double total_weight = 0.0;       ///< Σ pair weights seen (all demand)
   double unroutable_weight = 0.0;  ///< Σ pair weights with no surviving path
+
+  void reset(int num_channels, int num_onward) {
+    rate.assign(static_cast<std::size_t>(num_channels), 0.0);
+    self.assign(static_cast<std::size_t>(num_channels), 0.0);
+    onward.assign(static_cast<std::size_t>(num_onward), 0.0);
+    weighted_distance = 0.0;
+    total_weight = 0.0;
+    unroutable_weight = 0.0;
+  }
+
+  void add(const ColumnSums& o) {
+    for (std::size_t i = 0; i < rate.size(); ++i) rate[i] += o.rate[i];
+    for (std::size_t i = 0; i < self.size(); ++i) self[i] += o.self[i];
+    for (std::size_t i = 0; i < onward.size(); ++i) onward[i] += o.onward[i];
+    weighted_distance += o.weighted_distance;
+    total_weight += o.total_weight;
+    unroutable_weight += o.unroutable_weight;
+  }
+};
+
+/// The per-physical-channel column sink: contributions land in `sums`,
+/// continuation flows at their flat (channel, port) slot.
+struct DenseSink {
+  ColumnSums& sums;
+  const std::vector<int>& onward_off;
+
+  void rate(int ch, double flow, double self) {
+    sums.rate[static_cast<std::size_t>(ch)] += flow;
+    sums.self[static_cast<std::size_t>(ch)] += self;
+  }
+  void onward(int in_ch, int /*out_ch*/, int port, double flow) {
+    sums.onward[static_cast<std::size_t>(
+        onward_off[static_cast<std::size_t>(in_ch)] + port)] += flow;
+  }
 };
 
 /// Iterative DFS from `start` following route(node, dst) edges, appending
@@ -99,10 +146,6 @@ struct ShardAccum {
 /// acyclic).
 void dfs_route_dag(const topo::Topology& topo, const topo::ChannelTable& ct,
                    int start, int dst, DestinationPass& pass) {
-  struct Frame {
-    int node;
-    int next_candidate;
-  };
   if (pass.visited[static_cast<std::size_t>(start)]) return;
   const auto visit = [&](int node) {
     pass.visited[static_cast<std::size_t>(node)] = 1;
@@ -120,37 +163,97 @@ void dfs_route_dag(const topo::Topology& topo, const topo::ChannelTable& ct,
       WORMNET_ENSURES(nr.neighbor[static_cast<std::size_t>(i)] != topo::kNoNode);
     }
   };
-  std::vector<Frame> stack;
-  stack.push_back({start, 0});
+  pass.stack.push_back({start, 0});
   visit(start);
-  while (!stack.empty()) {
-    Frame& top = stack.back();
+  while (!pass.stack.empty()) {
+    DestinationPass::Frame& top = pass.stack.back();
     const NodeRoutes& nr = pass.routes[static_cast<std::size_t>(top.node)];
     if (top.next_candidate >= nr.count) {
       pass.order.push_back(top.node);
-      stack.pop_back();
+      pass.stack.pop_back();
       continue;
     }
     const int nbr = nr.neighbor[static_cast<std::size_t>(top.next_candidate++)];
     if (pass.visited[static_cast<std::size_t>(nbr)]) continue;
     visit(nbr);
-    stack.push_back({nbr, 0});
+    pass.stack.push_back({nbr, 0});
   }
 }
 
-/// The flow-propagation sweep over one destination's route DAG, shared by
-/// the dense shard pass and the delta-retune pass (which differ only in
-/// where the accumulations land and what seeded the DAG).  Walks
-/// `pass.order` in reverse (topological order: a node's in-flows are
-/// complete before it splits them across its route candidates) and emits
-/// every accumulation through the two policy callbacks, in the exact order
-/// the historical in-line loop performed them — the policies are inlined,
-/// so shard builds stay bitwise-identical to the pre-refactor code:
-///   add_rate(ch, flow, self)       — per-channel rate / QNA self-mass
-///   add_onward(in_ch, port, flow)  — per-(channel, continuation port) flow
-template <typename AddRate, typename AddOnward>
-void propagate_flows(int d, DestinationPass& pass, AddRate&& add_rate,
-                     AddOnward&& add_onward) {
+/// Sparse seeding: for a fixed-destination spec, each destination's sources
+/// in ascending order (the order the full scan visits them); empty — scan
+/// every source — for any other spec.
+std::vector<std::vector<int>> fixed_destination_sources(
+    const traffic::TrafficSpec& spec, int procs) {
+  std::vector<std::vector<int>> sources;
+  if (spec.fixed_destination(0, procs) < 0) return sources;
+  sources.resize(static_cast<std::size_t>(procs));
+  for (int s = 0; s < procs; ++s) {
+    sources[static_cast<std::size_t>(spec.fixed_destination(s, procs))]
+        .push_back(s);
+  }
+  return sources;
+}
+
+/// The one seed rule: fill `seeds` with destination d's column.  Every
+/// source with weight w toward d injects factor·w; the (s → d) sub-stream is
+/// the destination split of s's injection process, fraction
+/// frac = w / injection_weight of it, hence self = factor·(w·frac).  Demand
+/// toward an unreachable destination (faulted fabrics) is dropped at the
+/// source and counted in `sums` — the model degrades instead of asserting.
+///
+/// `factor` is 1 for the dense build, the orbit size for the collapsed
+/// build, and ∓1 for the fault delta's retract / re-add passes; ±1 is exact,
+/// so dense and fault columns reproduce the unscaled products bit for bit.
+/// `dest_sources` (see fixed_destination_sources) yields the same seeds in
+/// the same order as the full scan — which skips w <= 0 anyway — without
+/// its O(N) cost per destination.
+void seed_column(const topo::Topology& view, const traffic::TrafficSpec& spec,
+                 int d, double factor,
+                 const std::vector<std::vector<int>>& dest_sources,
+                 ColumnSums& sums, std::vector<Seed>& seeds) {
+  const int procs = view.num_processors();
+  seeds.clear();
+  const auto seed = [&](int s) {
+    const double w = spec.pair_weight(s, d, procs);
+    if (w <= 0.0) return;
+    sums.total_weight += factor * w;
+    if (!view.reachable(s, d)) {
+      sums.unroutable_weight += factor * w;
+      return;
+    }
+    sums.weighted_distance += factor * w * view.distance(s, d);
+    const double frac = w / spec.injection_weight(s, procs);
+    seeds.push_back({s, factor * w, factor * (w * frac)});
+  };
+  if (!dest_sources.empty()) {
+    for (int s : dest_sources[static_cast<std::size_t>(d)]) seed(s);
+  } else {
+    for (int s = 0; s < procs; ++s) {
+      if (s != d) seed(s);
+    }
+  }
+}
+
+/// The column pass: the flow DP of destination `d` over `view`'s route DAG.
+/// Every consumer — the dense shard, the collapsed orbit builder, the
+/// pattern delta and the fault delta — runs its columns through here; they
+/// differ only in their seeds and their sink.  DFSes the DAG from each seed,
+/// then walks the postorder in reverse (topological order: a node's in-flows
+/// are complete before it splits them across its route candidates) and
+/// reports every accumulation to the inlined sink, in a fixed order:
+///   sink.rate(ch, flow, self)               — per-channel rate / self-mass
+///   sink.onward(in_ch, out_ch, port, flow)  — per-(channel, continuation)
+/// Leaves `pass` reset for the next column.
+template <typename Sink>
+void propagate_column(const topo::Topology& view, const topo::ChannelTable& ct,
+                      int d, const std::vector<Seed>& seeds,
+                      DestinationPass& pass, Sink& sink) {
+  for (const Seed& s : seeds) {
+    pass.in_flows[static_cast<std::size_t>(s.src)].push_back(
+        {topo::kNoChannel, s.flow, s.self});
+    dfs_route_dag(view, ct, s.src, d, pass);
+  }
   for (auto it = pass.order.rbegin(); it != pass.order.rend(); ++it) {
     const int node = *it;
     const auto& inputs = pass.in_flows[static_cast<std::size_t>(node)];
@@ -179,10 +282,10 @@ void propagate_flows(int d, DestinationPass& pass, AddRate&& add_rate,
       const int port = nr.port[static_cast<std::size_t>(i)];
       const int ch = nr.channel[static_cast<std::size_t>(i)];
       WORMNET_ENSURES(ch != topo::kNoChannel);
-      add_rate(ch, total * p, total_self * p * p);
+      sink.rate(ch, total * p, total_self * p * p);
       for (const FlowFragment& in : inputs) {
         if (in.in_ch == topo::kNoChannel) continue;
-        add_onward(in.in_ch, port, in.flow * p);
+        sink.onward(in.in_ch, ch, port, in.flow * p);
       }
       const int nbr = nr.neighbor[static_cast<std::size_t>(i)];
       if (nbr == d) continue;  // ejection channel: consumed at the destination
@@ -190,68 +293,7 @@ void propagate_flows(int d, DestinationPass& pass, AddRate&& add_rate,
           {ch, total * p, total_self * p * p});
     }
   }
-}
-
-/// One shard's work: run the flow-propagation pass for every destination in
-/// [dst_lo, dst_hi), accumulating into the shard's private buffers.
-/// `dest_sources`, when non-null, lists each destination's positive-weight
-/// sources in ascending order — the seeds land in the same order with the
-/// same values as the full scan (which skips w <= 0 anyway), so the sparse
-/// path is bitwise-identical to the dense one, just without the O(N) scan
-/// per destination that dominates fixed-permutation builds.
-void run_shard(const topo::Topology& topo, const topo::ChannelTable& ct,
-               const traffic::TrafficSpec& spec,
-               const std::vector<int>& onward_off,
-               const std::vector<std::vector<int>>* dest_sources, int dst_lo,
-               int dst_hi, ShardAccum& acc) {
-  const int procs = topo.num_processors();
-  acc.rate.assign(static_cast<std::size_t>(ct.size()), 0.0);
-  acc.self.assign(static_cast<std::size_t>(ct.size()), 0.0);
-  acc.onward.assign(static_cast<std::size_t>(onward_off.back()), 0.0);
-  acc.weighted_distance = 0.0;
-  acc.total_weight = 0.0;
-  acc.unroutable_weight = 0.0;
-
-  DestinationPass pass(topo.num_nodes());
-  for (int d = dst_lo; d < dst_hi; ++d) {
-    // Seed the pass: every source with weight toward d injects its flow.
-    // The (s → d) sub-stream is the destination split of s's injection
-    // process: fraction w / injection_weight of it, hence self = w · frac.
-    // Demand toward an unreachable destination (faulted fabrics) is dropped
-    // at the source and counted — the model degrades instead of asserting.
-    const auto seed = [&](int s) {
-      const double w = spec.pair_weight(s, d, procs);
-      if (w <= 0.0) return;
-      acc.total_weight += w;
-      if (!topo.reachable(s, d)) {
-        acc.unroutable_weight += w;
-        return;
-      }
-      acc.weighted_distance += w * topo.distance(s, d);
-      const double frac = w / spec.injection_weight(s, procs);
-      pass.in_flows[static_cast<std::size_t>(s)].push_back(
-          {topo::kNoChannel, w, w * frac});
-      dfs_route_dag(topo, ct, s, d, pass);
-    };
-    if (dest_sources != nullptr) {
-      for (int s : (*dest_sources)[static_cast<std::size_t>(d)]) seed(s);
-    } else {
-      for (int s = 0; s < procs; ++s) {
-        if (s != d) seed(s);
-      }
-    }
-    propagate_flows(
-        d, pass,
-        [&](int ch, double flow, double self) {
-          acc.rate[static_cast<std::size_t>(ch)] += flow;
-          acc.self[static_cast<std::size_t>(ch)] += self;
-        },
-        [&](int in_ch, int port, double flow) {
-          acc.onward[static_cast<std::size_t>(
-              onward_off[static_cast<std::size_t>(in_ch)] + port)] += flow;
-        });
-    pass.reset();
-  }
+  pass.reset();
 }
 
 /// Output-bundle membership: bundle_of[channel] is a dense id unique per
@@ -274,8 +316,123 @@ void label_bundles(const topo::Topology& topo, const topo::ChannelTable& ct,
   }
 }
 
-/// The symmetry-collapsed builder: one flow-propagation pass per destination
-/// ORBIT, scaled by the orbit size, accumulated per channel CLASS.  With
+/// Add the queueing station of channel `rep` — or of the class it stands
+/// for, `members` channels carrying `rate` / `self` in total — to `net`,
+/// labelled `prefix` + "ch<node>:<port>"; returns its id.  Servers, lanes,
+/// link attributes and the terminal flag come from the representative
+/// (exact: a class pins them constant across its members).
+int add_station(GeneralModel& net, const topo::Topology& topo,
+                const topo::ChannelTable& ct,
+                const std::vector<int>& bundle_size, int rep, double members,
+                double rate, double self, const std::string& prefix) {
+  const topo::DirectedChannel& dc = ct.at(rep);
+  ChannelClass c;
+  c.label = prefix + "ch" + std::to_string(dc.src_node) + ":" +
+            std::to_string(dc.src_port);
+  c.servers = bundle_size[static_cast<std::size_t>(rep)];
+  c.lanes = ct.lanes(rep);
+  c.bandwidth = ct.bandwidth(rep);
+  c.link_latency = ct.link_latency(rep);
+  c.buffer_depth = ct.buffer_depth(rep);
+  c.rate_per_link = rate / members;
+  c.terminal = topo.is_processor(dc.dst_node);
+  // QNA burstiness retention.  Injection channels carry their source's
+  // UNDIVIDED process — the destination split is logical, not physical,
+  // so the fragment-level merge (which would treat the per-destination
+  // sub-streams as independent and mostly Poissonify them) is overridden
+  // with the exact value 1.  Downstream, the fragment-level sum is the
+  // QNA split/merge approximation; min() guards the ≤ 1 invariant
+  // against last-ulp float drift.
+  if (topo.is_processor(dc.src_node)) {
+    c.self_frac = 1.0;
+  } else if (rate > 0.0) {
+    c.self_frac = std::min(1.0, self / rate);
+  }
+  const int id = net.graph.add_channel(c);
+  net.labels[c.label] = id;
+  return id;
+}
+
+/// The injection channels of every processor that injects (positive
+/// injection weight), in processor order.  At least one must.
+std::vector<int> injection_channels(const topo::Topology& topo,
+                                    const topo::ChannelTable& ct,
+                                    const traffic::TrafficSpec& spec) {
+  const int procs = topo.num_processors();
+  std::vector<int> out;
+  for (int p = 0; p < procs; ++p) {
+    if (spec.injection_weight(p, procs) <= 0.0) continue;
+    const int inj = ct.from(p, 0);
+    WORMNET_ENSURES(inj != topo::kNoChannel);
+    out.push_back(inj);
+  }
+  WORMNET_EXPECTS(!out.empty());
+  return out;
+}
+
+/// The tail both assemblies share: traffic-weighted D̄ over the `injecting`
+/// processors, the unroutable demand share, name and solver options — then
+/// the graph must validate.
+void finish_model(GeneralModel& net, const ColumnSums& sums, int injecting,
+                  std::string name, const SolveOptions& opts) {
+  net.mean_distance = sums.weighted_distance / injecting;
+  net.unroutable_fraction =
+      sums.total_weight > 0.0 ? sums.unroutable_weight / sums.total_weight
+                              : 0.0;
+  net.model_name = std::move(name);
+  net.opts = opts;
+  const std::string problems = net.graph.validate();
+  WORMNET_ENSURES(problems.empty());
+}
+
+/// The collapsed builder's column sink: contributions fold onto channel
+/// CLASSES — per-class rate / self-mass, the (class → class) continuation
+/// flows, and which transition orbits occurred, keyed (from-class,
+/// to-class, into-the-return-bundle?).
+struct ClassSink {
+  const std::vector<int>& class_of;
+  const std::vector<int>& bundle_of;
+  const std::vector<int>& rev_bundle;  ///< per channel: its return bundle
+  std::size_t ncls;
+  std::vector<double> cls_rate;
+  std::vector<double> cls_self;
+  std::vector<double> trans;  ///< ncls × ncls continuation flows
+  std::vector<unsigned char> seen_trans;
+
+  ClassSink(const std::vector<int>& classes, const std::vector<int>& bundles,
+            const std::vector<int>& rev, int num_classes)
+      : class_of(classes),
+        bundle_of(bundles),
+        rev_bundle(rev),
+        ncls(static_cast<std::size_t>(num_classes)),
+        cls_rate(ncls, 0.0),
+        cls_self(ncls, 0.0),
+        trans(ncls * ncls, 0.0),
+        seen_trans(ncls * ncls * 2, 0) {}
+
+  std::size_t pair(int ci, int co) const {
+    return static_cast<std::size_t>(ci) * ncls + static_cast<std::size_t>(co);
+  }
+  std::size_t orbit(int ci, int co, bool to_return) const {
+    return pair(ci, co) * 2 + (to_return ? 1 : 0);
+  }
+  void rate(int ch, double flow, double self) {
+    const auto co = static_cast<std::size_t>(class_of[static_cast<std::size_t>(ch)]);
+    cls_rate[co] += flow;
+    cls_self[co] += self;
+  }
+  void onward(int in_ch, int out_ch, int /*port*/, double flow) {
+    const int ci = class_of[static_cast<std::size_t>(in_ch)];
+    const int co = class_of[static_cast<std::size_t>(out_ch)];
+    trans[pair(ci, co)] += flow;
+    seen_trans[orbit(ci, co,
+                     bundle_of[static_cast<std::size_t>(out_ch)] ==
+                         rev_bundle[static_cast<std::size_t>(in_ch)])] = 1;
+  }
+};
+
+/// The symmetry-collapsed builder: one column pass per destination ORBIT,
+/// seeded at the orbit size, accumulated per channel CLASS.  With
 /// classes that are true orbits of a routing-preserving group fixing the
 /// spec's pins, Σ_{ch∈C} rate_d(ch) is the same for every destination d in
 /// one orbit (the group maps the pass for d to the pass for g·d while
@@ -321,89 +478,19 @@ GeneralModel build_collapsed(const topo::Topology& topo,
         bundle_of[static_cast<std::size_t>(ct.reverse(ch))];
   }
 
-  std::vector<double> cls_rate(static_cast<std::size_t>(ncls), 0.0);
-  std::vector<double> cls_self(static_cast<std::size_t>(ncls), 0.0);
-  std::vector<double> trans(
-      static_cast<std::size_t>(ncls) * static_cast<std::size_t>(ncls), 0.0);
-  // Transition orbits observed during the passes, keyed (from-class,
-  // to-class, into-the-return-bundle?).
-  std::vector<unsigned char> seen_trans(
-      static_cast<std::size_t>(ncls) * static_cast<std::size_t>(ncls) * 2, 0);
-  double dist_sum = 0.0;
-  double total_weight = 0.0;
-  double unroutable_weight = 0.0;
-
+  ClassSink sink(sym.channel_class, bundle_of, rev_bundle, ncls);
+  ColumnSums sums;  // demand accounting only: the flows land in `sink`
+  const std::vector<std::vector<int>> scan_all;
   DestinationPass pass(topo.num_nodes());
+  std::vector<Seed> seeds;
   for (int o = 0; o < norb; ++o) {
+    // Orbit transitivity extends the representative's column — unroutable
+    // pairs included — to the whole orbit: exact for true routing
+    // symmetries.
     const int d = orbit_rep[static_cast<std::size_t>(o)];
-    const double scale = orbit_size[static_cast<std::size_t>(o)];
-    for (int s = 0; s < procs; ++s) {
-      if (s == d) continue;
-      const double w = spec.pair_weight(s, d, procs);
-      if (w <= 0.0) continue;
-      total_weight += scale * w;
-      if (!topo.reachable(s, d)) {
-        // Orbit transitivity extends the representative's unroutable pairs
-        // to the whole orbit — exact for true routing symmetries.
-        unroutable_weight += scale * w;
-        continue;
-      }
-      dist_sum += scale * w * topo.distance(s, d);
-      const double frac = w / spec.injection_weight(s, procs);
-      pass.in_flows[static_cast<std::size_t>(s)].push_back(
-          {topo::kNoChannel, w, w * frac});
-      dfs_route_dag(topo, ct, s, d, pass);
-    }
-    // Same propagation as the dense run_shard, accumulating per class.
-    for (auto it = pass.order.rbegin(); it != pass.order.rend(); ++it) {
-      const int node = *it;
-      const auto& inputs = pass.in_flows[static_cast<std::size_t>(node)];
-      if (inputs.empty()) continue;
-      WORMNET_ENSURES(node != d);
-      const NodeRoutes& nr = pass.routes[static_cast<std::size_t>(node)];
-      if (nr.count == 0)
-        throw std::runtime_error(
-            "build_traffic_model: flow toward destination " +
-            std::to_string(d) + " dead-ends at node " + std::to_string(node) +
-            " (no route candidates; disconnected or malformed topology — run "
-            "topo::check_connectivity)");
-      double total = 0.0;
-      double total_self = 0.0;
-      for (const FlowFragment& in : inputs) {
-        total += in.flow;
-        total_self += in.self;
-      }
-      for (int i = 0; i < nr.count; ++i) {
-        const double p = nr.split[static_cast<std::size_t>(i)];
-        if (p <= 0.0) continue;
-        const int ch = nr.channel[static_cast<std::size_t>(i)];
-        WORMNET_ENSURES(ch != topo::kNoChannel);
-        const int co = sym.channel_class[static_cast<std::size_t>(ch)];
-        cls_rate[static_cast<std::size_t>(co)] += scale * total * p;
-        cls_self[static_cast<std::size_t>(co)] += scale * total_self * p * p;
-        for (const FlowFragment& in : inputs) {
-          if (in.in_ch == topo::kNoChannel) continue;
-          const int ci = sym.channel_class[static_cast<std::size_t>(in.in_ch)];
-          trans[static_cast<std::size_t>(ci) * static_cast<std::size_t>(ncls) +
-                static_cast<std::size_t>(co)] += scale * in.flow * p;
-          const int tag =
-              bundle_of[static_cast<std::size_t>(ch)] ==
-                      rev_bundle[static_cast<std::size_t>(in.in_ch)]
-                  ? 1
-                  : 0;
-          seen_trans[(static_cast<std::size_t>(ci) *
-                          static_cast<std::size_t>(ncls) +
-                      static_cast<std::size_t>(co)) *
-                         2 +
-                     static_cast<std::size_t>(tag)] = 1;
-        }
-        const int nbr = nr.neighbor[static_cast<std::size_t>(i)];
-        if (nbr == d) continue;
-        pass.in_flows[static_cast<std::size_t>(nbr)].push_back(
-            {ch, total * p, total_self * p * p});
-      }
-    }
-    pass.reset();
+    seed_column(topo, spec, d, orbit_size[static_cast<std::size_t>(o)],
+                scan_all, sums, seeds);
+    propagate_column(topo, ct, d, seeds, pass, sink);
   }
 
   // Class representatives and member counts; a class must be one queueing
@@ -435,32 +522,12 @@ GeneralModel build_collapsed(const topo::Topology& topo,
   for (int c = 0; c < ncls; ++c) {
     const int rep = cls_rep[static_cast<std::size_t>(c)];
     WORMNET_EXPECTS(rep >= 0);  // every class id must have members
-    const topo::DirectedChannel& dc = ct.at(rep);
-    ChannelClass cls;
-    cls.label = "cls" + std::to_string(c) + "@ch" + std::to_string(dc.src_node) +
-                ":" + std::to_string(dc.src_port);
-    cls.servers = bundle_size[static_cast<std::size_t>(rep)];
-    cls.lanes = ct.lanes(rep);
-    // Link attributes from the representative — exact, because the EXPECTS
-    // above pinned them constant across the class (and topology_symmetry
-    // already fell back to dense when a declared class mixed attributes).
-    cls.bandwidth = ct.bandwidth(rep);
-    cls.link_latency = ct.link_latency(rep);
-    cls.buffer_depth = ct.buffer_depth(rep);
-    cls.rate_per_link =
-        cls_rate[static_cast<std::size_t>(c)] / cls_count[static_cast<std::size_t>(c)];
-    cls.terminal = topo.is_processor(dc.dst_node);
-    // Same QNA pinning as the dense builder: injection channels carry their
-    // source's undivided process.
-    if (topo.is_processor(dc.src_node)) {
-      cls.self_frac = 1.0;
-    } else if (cls_rate[static_cast<std::size_t>(c)] > 0.0) {
-      cls.self_frac = std::min(1.0, cls_self[static_cast<std::size_t>(c)] /
-                                        cls_rate[static_cast<std::size_t>(c)]);
-    }
-    const int id = net.graph.add_channel(cls);
+    const int id = add_station(
+        net, topo, ct, bundle_size, rep, cls_count[static_cast<std::size_t>(c)],
+        sink.cls_rate[static_cast<std::size_t>(c)],
+        sink.cls_self[static_cast<std::size_t>(c)],
+        "cls" + std::to_string(c) + "@");
     WORMNET_ENSURES(id == c);
-    net.labels[cls.label] = id;
   }
 
   // Transitions.  weight(C→C') folds the dense per-channel weights; the
@@ -478,7 +545,7 @@ GeneralModel build_collapsed(const topo::Topology& topo,
   std::vector<int> seen_bundles;
   for (int ci = 0; ci < ncls; ++ci) {
     if (net.graph.at(ci).terminal) continue;
-    const double total = cls_rate[static_cast<std::size_t>(ci)];
+    const double total = sink.cls_rate[static_cast<std::size_t>(ci)];
     if (total <= 0.0) continue;
     const int rep = cls_rep[static_cast<std::size_t>(ci)];
     const int node = ct.at(rep).dst_node;
@@ -495,20 +562,13 @@ GeneralModel build_collapsed(const topo::Topology& topo,
       }
       seen_bundles.push_back(b);
       const int cj = sym.channel_class[static_cast<std::size_t>(out_ch)];
-      const int tag = b == ret ? 1 : 0;
-      if (seen_trans[(static_cast<std::size_t>(ci) *
-                          static_cast<std::size_t>(ncls) +
-                      static_cast<std::size_t>(cj)) *
-                         2 +
-                     static_cast<std::size_t>(tag)]) {
+      if (sink.seen_trans[sink.orbit(ci, cj, b == ret)]) {
         if (fanout[static_cast<std::size_t>(cj)] == 0) touched.push_back(cj);
         ++fanout[static_cast<std::size_t>(cj)];
       }
     }
     for (int cj = 0; cj < ncls; ++cj) {
-      const double flow = trans[static_cast<std::size_t>(ci) *
-                                    static_cast<std::size_t>(ncls) +
-                                static_cast<std::size_t>(cj)];
+      const double flow = sink.trans[sink.pair(ci, cj)];
       if (flow <= 0.0) continue;
       const double weight = std::min(1.0, flow / total);
       const int k = std::max(1, fanout[static_cast<std::size_t>(cj)]);
@@ -520,31 +580,20 @@ GeneralModel build_collapsed(const topo::Topology& topo,
   // One injection entry per injection class, weighted by how many
   // processors it stands for — the weighted latency average then equals the
   // dense per-processor uniform average.
+  const std::vector<int> inj = injection_channels(topo, ct, spec);
   std::vector<double> inj_weight(static_cast<std::size_t>(ncls), 0.0);
-  int injecting = 0;
-  for (int p = 0; p < procs; ++p) {
-    if (spec.injection_weight(p, procs) <= 0.0) continue;
-    const int inj = ct.from(p, 0);
-    WORMNET_ENSURES(inj != topo::kNoChannel);
+  for (int ch : inj) {
     inj_weight[static_cast<std::size_t>(
-        sym.channel_class[static_cast<std::size_t>(inj)])] += 1.0;
-    ++injecting;
+        sym.channel_class[static_cast<std::size_t>(ch)])] += 1.0;
   }
-  WORMNET_EXPECTS(injecting > 0);
   for (int c = 0; c < ncls; ++c) {
     if (inj_weight[static_cast<std::size_t>(c)] <= 0.0) continue;
     net.injection_classes.push_back(c);
     net.injection_class_weights.push_back(inj_weight[static_cast<std::size_t>(c)]);
   }
-  net.mean_distance = dist_sum / injecting;
-  net.unroutable_fraction =
-      total_weight > 0.0 ? unroutable_weight / total_weight : 0.0;
   net.channel_class_of = sym.channel_class;
-  net.model_name = "traffic-sym(" + topo.name() + ", " + spec.name() + ")";
-  net.opts = opts;
-
-  const std::string problems = net.graph.validate();
-  WORMNET_ENSURES(problems.empty());
+  finish_model(net, sums, static_cast<int>(inj.size()),
+               "traffic-sym(" + topo.name() + ", " + spec.name() + ")", opts);
   return net;
 }
 
@@ -554,22 +603,21 @@ GeneralModel build_collapsed(const topo::Topology& topo,
 struct CollapsePlan {
   bool use_collapsed = false;       ///< symmetric quotient applies
   topo::SymmetryClasses sym;        ///< valid when use_collapsed
-  bool sparse_seed = false;         ///< fixed-destination source lists apply
-  std::vector<std::vector<int>> dest_sources;  ///< valid when sparse_seed
+  /// Dense seeding (see fixed_destination_sources); empty: scan.
+  std::vector<std::vector<int>> dest_sources;
 };
 
 /// Collapse strategy: symmetric quotient first (a user-declared partition
-/// wins over the topology's own hooks), sparse seeding second, dense last.
-/// Precondition failure when Symmetric was demanded but nothing declares a
-/// quotient.
+/// wins over the topology's own hooks), dense — sparse-seeded for
+/// fixed-destination specs — otherwise.  Precondition failure when
+/// Symmetric was demanded but nothing declares a quotient.
 CollapsePlan plan_collapse(const topo::Topology& topo,
                            const topo::ChannelTable& ct,
                            const traffic::TrafficSpec& spec,
                            const TrafficBuildOptions& build) {
   const int procs = topo.num_processors();
   CollapsePlan plan;
-  if (build.collapse == CollapseMode::Dense) return plan;
-  if (build.collapse != CollapseMode::Sparse) {
+  if (build.collapse != CollapseMode::Dense) {
     bool have = false;
     if (build.user_classes != nullptr) {
       plan.sym = *build.user_classes;
@@ -591,15 +639,7 @@ CollapsePlan plan_collapse(const topo::Topology& topo,
     // The quotient was demanded outright but nothing declares one.
     WORMNET_EXPECTS(build.collapse != CollapseMode::Symmetric);
   }
-  if (spec.fixed_destination(0, procs) >= 0) {
-    plan.dest_sources.assign(static_cast<std::size_t>(procs), {});
-    for (int s = 0; s < procs; ++s) {
-      const int d = spec.fixed_destination(s, procs);
-      // Ascending s per destination: identical seed order to the scan.
-      plan.dest_sources[static_cast<std::size_t>(d)].push_back(s);
-    }
-    plan.sparse_seed = true;
-  }
+  plan.dest_sources = fixed_destination_sources(spec, procs);
   return plan;
 }
 
@@ -611,12 +651,7 @@ struct DenseFlowState {
   std::vector<int> onward_off;   ///< flat (channel, continuation port) offsets
   std::vector<int> bundle_of;    ///< output-bundle id per channel
   std::vector<int> bundle_size;  ///< m of that bundle
-  std::vector<double> rate;      ///< per channel, unit injection
-  std::vector<double> self;      ///< per channel, QNA self-mass
-  std::vector<double> onward;    ///< flat continuation flows
-  double weighted_distance = 0.0;
-  double total_weight = 0.0;       ///< Σ pair weights (all demand)
-  double unroutable_weight = 0.0;  ///< Σ pair weights dropped at the source
+  ColumnSums flow;               ///< every column's sums, unit injection
 };
 
 /// Run the sharded per-destination passes for the whole spec, filling
@@ -624,7 +659,7 @@ struct DenseFlowState {
 void propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
                      const traffic::TrafficSpec& spec,
                      const TrafficBuildOptions& build,
-                     const std::vector<std::vector<int>>* dest_sources,
+                     const std::vector<std::vector<int>>& dest_sources,
                      DenseFlowState& st) {
   const int procs = topo.num_processors();
   const int num_channels = ct.size();
@@ -646,12 +681,20 @@ void propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
   // parallel speedup at 16× while keeping the private-accumulator memory
   // (one rate+onward copy per shard) and the reduction cost negligible.
   const int num_shards = std::min(procs, 16);
-  std::vector<ShardAccum> accs(static_cast<std::size_t>(num_shards));
+  std::vector<ColumnSums> accs(static_cast<std::size_t>(num_shards));
   const auto shard_job = [&](std::int64_t j) {
+    // One shard: the columns of destinations [lo, hi), into private sums.
     const int lo = static_cast<int>(j) * procs / num_shards;
     const int hi = (static_cast<int>(j) + 1) * procs / num_shards;
-    run_shard(topo, ct, spec, st.onward_off, dest_sources, lo, hi,
-              accs[static_cast<std::size_t>(j)]);
+    ColumnSums& acc = accs[static_cast<std::size_t>(j)];
+    acc.reset(num_channels, st.onward_off.back());
+    DenseSink sink{acc, st.onward_off};
+    DestinationPass pass(topo.num_nodes());
+    std::vector<Seed> seeds;
+    for (int d = lo; d < hi; ++d) {
+      seed_column(topo, spec, d, 1.0, dest_sources, acc, seeds);
+      propagate_column(topo, ct, d, seeds, pass, sink);
+    }
   };
   // threads = 0 ("auto") also runs serially below the cutoff: at those sizes
   // the fork/join overhead exceeds the whole build, and the fixed-shard
@@ -670,21 +713,8 @@ void propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
 
   // Deterministic reduction: shard partials added back in shard (i.e.
   // ascending destination-range) order.
-  st.rate.assign(static_cast<std::size_t>(num_channels), 0.0);
-  st.self.assign(static_cast<std::size_t>(num_channels), 0.0);
-  st.onward.assign(static_cast<std::size_t>(st.onward_off.back()), 0.0);
-  st.weighted_distance = 0.0;
-  st.total_weight = 0.0;
-  st.unroutable_weight = 0.0;
-  for (const ShardAccum& acc : accs) {
-    for (std::size_t i = 0; i < st.rate.size(); ++i) st.rate[i] += acc.rate[i];
-    for (std::size_t i = 0; i < st.self.size(); ++i) st.self[i] += acc.self[i];
-    for (std::size_t i = 0; i < st.onward.size(); ++i)
-      st.onward[i] += acc.onward[i];
-    st.weighted_distance += acc.weighted_distance;
-    st.total_weight += acc.total_weight;
-    st.unroutable_weight += acc.unroutable_weight;
-  }
+  st.flow.reset(num_channels, st.onward_off.back());
+  for (const ColumnSums& acc : accs) st.flow.add(acc);
 
   label_bundles(topo, ct, st.bundle_of, st.bundle_size);
 }
@@ -697,43 +727,18 @@ GeneralModel assemble_dense(const topo::Topology& topo,
                             const traffic::TrafficSpec& spec,
                             const SolveOptions& opts,
                             const DenseFlowState& st) {
-  const int procs = topo.num_processors();
   const int num_channels = ct.size();
-  const std::vector<double>& rate = st.rate;
-  const std::vector<double>& self = st.self;
-  const std::vector<double>& onward = st.onward;
+  const std::vector<double>& rate = st.flow.rate;
+  const std::vector<double>& onward = st.flow.onward;
   const std::vector<int>& onward_off = st.onward_off;
   const std::vector<int>& bundle_of = st.bundle_of;
-  const std::vector<int>& bundle_size = st.bundle_size;
 
   GeneralModel net;
   for (int ch = 0; ch < num_channels; ++ch) {
-    const topo::DirectedChannel& dc = ct.at(ch);
-    ChannelClass c;
-    c.label = "ch" + std::to_string(dc.src_node) + ":" + std::to_string(dc.src_port);
-    c.servers = bundle_size[static_cast<std::size_t>(ch)];
-    c.lanes = ct.lanes(ch);
-    c.bandwidth = ct.bandwidth(ch);
-    c.link_latency = ct.link_latency(ch);
-    c.buffer_depth = ct.buffer_depth(ch);
-    c.rate_per_link = rate[static_cast<std::size_t>(ch)];
-    c.terminal = topo.is_processor(dc.dst_node);
-    // QNA burstiness retention.  Injection channels carry their source's
-    // UNDIVIDED process — the destination split is logical, not physical,
-    // so the fragment-level merge (which would treat the per-destination
-    // sub-streams as independent and mostly Poissonify them) is overridden
-    // with the exact value 1.  Downstream, the fragment-level sum is the
-    // QNA split/merge approximation; min() guards the ≤ 1 invariant
-    // against last-ulp float drift.
-    if (topo.is_processor(dc.src_node)) {
-      c.self_frac = 1.0;
-    } else if (c.rate_per_link > 0.0) {
-      c.self_frac = std::min(
-          1.0, self[static_cast<std::size_t>(ch)] / c.rate_per_link);
-    }
-    const int id = net.graph.add_channel(c);
+    const int id = add_station(net, topo, ct, st.bundle_size, ch, 1.0,
+                               rate[static_cast<std::size_t>(ch)],
+                               st.flow.self[static_cast<std::size_t>(ch)], "");
     WORMNET_ENSURES(id == ch);  // 1:1 channel table <-> class ids
-    net.labels[c.label] = id;
   }
 
   // Small fixed-capacity (bundle → flow) map: a node's continuation ports
@@ -773,30 +778,19 @@ GeneralModel assemble_dense(const topo::Topology& topo,
       const double flow = onward[static_cast<std::size_t>(base + port)];
       if (flow <= 0.0) continue;
       const int next_ch = ct.from(node, port);
-      const double weight = flow / total;
-      const double route_prob =
-          bundle_total(bundle_of[static_cast<std::size_t>(next_ch)]) / total;
+      // min(): after a delta the re-associated Σ onward can overshoot the
+      // rate by an ulp; bit-inert whenever the ratio is ≤ 1.
+      const double weight = std::min(1.0, flow / total);
+      const double route_prob = std::min(
+          1.0, bundle_total(bundle_of[static_cast<std::size_t>(next_ch)]) /
+                   total);
       net.graph.add_transition(ch, next_ch, weight, route_prob);
     }
   }
 
-  int injecting = 0;
-  for (int p = 0; p < procs; ++p) {
-    if (spec.injection_weight(p, procs) <= 0.0) continue;
-    const int inj = ct.from(p, 0);
-    WORMNET_ENSURES(inj != topo::kNoChannel);
-    net.injection_classes.push_back(inj);
-    ++injecting;
-  }
-  WORMNET_EXPECTS(injecting > 0);
-  net.mean_distance = st.weighted_distance / injecting;
-  net.unroutable_fraction =
-      st.total_weight > 0.0 ? st.unroutable_weight / st.total_weight : 0.0;
-  net.model_name = "traffic(" + topo.name() + ", " + spec.name() + ")";
-  net.opts = opts;
-
-  const std::string problems = net.graph.validate();
-  WORMNET_ENSURES(problems.empty());
+  net.injection_classes = injection_channels(topo, ct, spec);
+  finish_model(net, st.flow, static_cast<int>(net.injection_classes.size()),
+               "traffic(" + topo.name() + ", " + spec.name() + ")", opts);
   return net;
 }
 
@@ -817,8 +811,7 @@ GeneralModel build_traffic_model(const topo::Topology& topo,
     return build_collapsed(topo, ct, spec, plan.sym, opts);
 
   DenseFlowState st;
-  propagate_dense(topo, ct, spec, build,
-                  plan.sparse_seed ? &plan.dest_sources : nullptr, st);
+  propagate_dense(topo, ct, spec, build, plan.dest_sources, st);
   return assemble_dense(topo, ct, spec, opts, st);
 }
 
@@ -857,18 +850,19 @@ namespace {
 /// flows below 1e-9 messages/cycle at unit injection are physically
 /// negligible by construction.
 void snap_residues(DenseFlowState& st) {
-  for (std::size_t ch = 0; ch < st.rate.size(); ++ch) {
-    double& r = st.rate[ch];
+  ColumnSums& f = st.flow;
+  for (std::size_t ch = 0; ch < f.rate.size(); ++ch) {
+    double& r = f.rate[ch];
     if (std::abs(r) < 1e-9) r = 0.0;
     WORMNET_ENSURES(r >= 0.0);  // beyond-residue negatives are a real bug
     const double eps = 1e-9 * (1.0 + r);
-    double& s = st.self[ch];
+    double& s = f.self[ch];
     if (s < 0.0) {
       WORMNET_ENSURES(s > -eps);
       s = 0.0;
     }
     for (int k = st.onward_off[ch]; k < st.onward_off[ch + 1]; ++k) {
-      double& v = st.onward[static_cast<std::size_t>(k)];
+      double& v = f.onward[static_cast<std::size_t>(k)];
       if (std::abs(v) < eps) v = 0.0;
       WORMNET_ENSURES(v >= 0.0);
     }
@@ -876,11 +870,11 @@ void snap_residues(DenseFlowState& st) {
   // A channel whose rate vanished keeps no self-mass or continuation flows
   // (assembly would skip them behind the rate > 0 guard; keep the retained
   // state itself consistent so later deltas start clean).
-  for (std::size_t ch = 0; ch < st.rate.size(); ++ch) {
-    if (st.rate[ch] > 0.0) continue;
-    st.self[ch] = 0.0;
+  for (std::size_t ch = 0; ch < f.rate.size(); ++ch) {
+    if (f.rate[ch] > 0.0) continue;
+    f.self[ch] = 0.0;
     for (int k = st.onward_off[ch]; k < st.onward_off[ch + 1]; ++k) {
-      st.onward[static_cast<std::size_t>(k)] = 0.0;
+      f.onward[static_cast<std::size_t>(k)] = 0.0;
     }
   }
 }
@@ -961,8 +955,7 @@ struct RetunableTrafficModel::Impl {
       is_collapsed = true;
       state = DenseFlowState{};
     } else {
-      propagate_dense(rt, ct, new_spec, build,
-                      plan.sparse_seed ? &plan.dest_sources : nullptr, state);
+      propagate_dense(rt, ct, new_spec, build, plan.dest_sources, state);
       net = assemble_dense(rt, ct, new_spec, opts, state);
       is_collapsed = false;
     }
@@ -1080,12 +1073,7 @@ RetuneReport RetunableTrafficModel::retune_traffic(
     injw_old[static_cast<std::size_t>(s)] = old_spec.injection_weight(s, procs);
     injw_new[static_cast<std::size_t>(s)] = new_spec.injection_weight(s, procs);
   }
-  struct DeltaSeed {
-    int src;
-    double dflow;
-    double dself;
-  };
-  std::vector<std::vector<DeltaSeed>> seeds(static_cast<std::size_t>(procs));
+  std::vector<std::vector<Seed>> seeds(static_cast<std::size_t>(procs));
   long changed = 0;
   double d_total = 0.0;       // Σ (w_new − w_old) over all pairs
   double d_unroutable = 0.0;  // same, over pairs with no surviving path
@@ -1131,42 +1119,30 @@ RetuneReport RetunableTrafficModel::retune_traffic(
     return report;
   }
 
-  im.state.total_weight += d_total;
-  im.state.unroutable_weight += d_unroutable;
+  DenseFlowState& st = im.state;
+  st.flow.total_weight += d_total;
+  st.flow.unroutable_weight += d_unroutable;
   if (changed > 0) {
     DestinationPass pass(im.topo->num_nodes());
-    DenseFlowState& st = im.state;
+    DenseSink sink{st.flow, st.onward_off};
     for (int d = 0; d < procs; ++d) {
-      const auto& dseeds = seeds[static_cast<std::size_t>(d)];
+      const std::vector<Seed>& dseeds = seeds[static_cast<std::size_t>(d)];
       if (dseeds.empty()) continue;
-      for (const DeltaSeed& sd : dseeds) {
-        if (sd.dflow != 0.0) {
-          st.weighted_distance += sd.dflow * rt.distance(sd.src, d);
+      for (const Seed& sd : dseeds) {
+        if (sd.flow != 0.0) {
+          st.flow.weighted_distance += sd.flow * rt.distance(sd.src, d);
         }
-        pass.in_flows[static_cast<std::size_t>(sd.src)].push_back(
-            {topo::kNoChannel, sd.dflow, sd.dself});
-        dfs_route_dag(rt, im.ct, sd.src, d, pass);
       }
-      propagate_flows(
-          d, pass,
-          [&](int ch, double flow, double self) {
-            st.rate[static_cast<std::size_t>(ch)] += flow;
-            st.self[static_cast<std::size_t>(ch)] += self;
-          },
-          [&](int in_ch, int port, double flow) {
-            st.onward[static_cast<std::size_t>(
-                st.onward_off[static_cast<std::size_t>(in_ch)] + port)] += flow;
-          });
-      pass.reset();
+      propagate_column(rt, im.ct, d, dseeds, pass, sink);
       ++report.passes;
     }
-    snap_residues(im.state);
+    snap_residues(st);
   }
 
   // Cheap O(channels + transitions) tail: re-derive the model from the
   // updated flow state (also refreshes the spec-dependent name, injection
   // classes and mean distance).
-  im.net = assemble_dense(rt, im.ct, new_spec, im.opts, im.state);
+  im.net = assemble_dense(rt, im.ct, new_spec, im.opts, st);
   im.is_collapsed = false;
   im.spec = new_spec;
   im.apply_tunes();
@@ -1240,48 +1216,29 @@ RetuneReport RetunableTrafficModel::retune_faults(
   // a full rebuild's one pass per column, and availability sweeps rely on
   // the cost class staying Retune for every scenario.
   const topo::Topology& old_rt = im.routing_topo();
+  const topo::Topology& new_rt =
+      new_view ? static_cast<const topo::Topology&>(*new_view) : *im.topo;
   DenseFlowState& st = im.state;
+  const std::vector<std::vector<int>> dest_sources =
+      fixed_destination_sources(im.spec, procs);
   DestinationPass pass(im.topo->num_nodes());
-  const auto run_delta = [&](const topo::Topology& view, int d, double sign) {
-    bool seeded = false;
-    for (int s = 0; s < procs; ++s) {
-      if (s == d) continue;
-      const double w = im.spec.pair_weight(s, d, procs);
-      if (w <= 0.0) continue;
-      if (!view.reachable(s, d)) {
-        if (sign > 0.0) st.unroutable_weight += w;
-        else st.unroutable_weight -= w;
-        continue;
-      }
-      st.weighted_distance += sign * w * view.distance(s, d);
-      const double frac = w / im.spec.injection_weight(s, procs);
-      pass.in_flows[static_cast<std::size_t>(s)].push_back(
-          {topo::kNoChannel, sign * w, sign * (w * frac)});
-      dfs_route_dag(view, im.ct, s, d, pass);
-      seeded = true;
-    }
-    if (!seeded) return;
-    propagate_flows(
-        d, pass,
-        [&](int ch, double flow, double self) {
-          st.rate[static_cast<std::size_t>(ch)] += flow;
-          st.self[static_cast<std::size_t>(ch)] += self;
-        },
-        [&](int in_ch, int port, double flow) {
-          st.onward[static_cast<std::size_t>(
-              st.onward_off[static_cast<std::size_t>(in_ch)] + port)] += flow;
-        });
-    ++report.passes;
-  };
+  std::vector<Seed> seeds;
+  DenseSink sink{st.flow, st.onward_off};
+  // Total demand is fault-invariant (only its unroutable share moves): keep
+  // it bit for bit instead of letting retract + re-add re-associate it.
+  const double total_weight = st.flow.total_weight;
   for (int d = 0; d < procs; ++d) {
     if (!is_affected[static_cast<std::size_t>(d)]) continue;
     ++report.changed_pairs;  // here: changed destination COLUMNS
-    run_delta(old_rt, d, -1.0);
-    pass.reset();
-    if (new_view) run_delta(*new_view, d, +1.0);
-    else run_delta(*im.topo, d, +1.0);
-    pass.reset();
+    for (const auto& [view, sign] :
+         {std::pair{&old_rt, -1.0}, std::pair{&new_rt, 1.0}}) {
+      seed_column(*view, im.spec, d, sign, dest_sources, st.flow, seeds);
+      if (seeds.empty()) continue;
+      propagate_column(*view, im.ct, d, seeds, pass, sink);
+      ++report.passes;
+    }
   }
+  st.flow.total_weight = total_weight;
   snap_residues(st);
 
   im.fault_set = std::move(faults);

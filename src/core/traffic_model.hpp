@@ -17,6 +17,22 @@
 // exponentially in the fat-tree's redundant up-phase (2^(l-1) minimal paths
 // per pair at LCA level l).
 //
+// That per-destination "column pass" is written once, seeded by one rule
+// (pair weight → reachability → injection split), and has four consumers
+// that differ only in their seeds and where the flows land:
+//   * the dense build — one column per destination, seeds at weight w, flows
+//     into per-channel sums (sharded, see TrafficBuildOptions);
+//   * the symmetry-collapsed build — one column per destination orbit, seeds
+//     scaled by the orbit size, flows folded onto channel classes;
+//   * the pattern delta (RetunableTrafficModel::retune_traffic) — signed
+//     seeds from the old/new spec diff;
+//   * the fault delta (RetunableTrafficModel::retune_faults) — each affected
+//     column retracted (seeds × −1) under the old routing and re-added under
+//     the new.
+// Fixed-destination specs (bit-complement, transpose, permutations) seed
+// from per-destination source lists instead of scanning all N sources: the
+// same seeds in the same order, so the result is bitwise-identical.
+//
 // The resulting GeneralModel matches the uniform builders under
 // TrafficSpec::uniform() (tested to machine precision) and plugs into the
 // sweep engine like any other NetworkModel.
@@ -74,17 +90,12 @@ enum class CollapseMode {
   /// class ids coincide with topo::ChannelTable ids).
   Dense,
   /// Best available: symmetric quotient when topology and spec both declare
-  /// the symmetry (and the quotient is genuinely smaller), else sparse
-  /// seeding for fixed-destination patterns, else Dense.  Never changes the
-  /// model semantics — only its size or build cost.
+  /// the symmetry (and the quotient is genuinely smaller), else Dense.
+  /// Never changes the model semantics — only its size or build cost.
   Auto,
   /// Demand the symmetric quotient; precondition failure when the topology
   /// or spec declares none (supply user_classes for irregular topologies).
   Symmetric,
-  /// Dense classes but per-destination source-list seeding — bitwise
-  /// identical to Dense, skips the O(N) source scan per destination for
-  /// permutation-style patterns.
-  Sparse,
 };
 
 /// Concurrency and collapse knobs for build_traffic_model.
@@ -111,7 +122,7 @@ struct TrafficBuildOptions {
   /// the call; sizes must match (num_processors, ChannelTable channels).
   /// Taken on trust — validate with check_collapsed_parity at small N.
   const topo::SymmetryClasses* user_classes = nullptr;
-  /// Auto falls back to the dense/sparse path when the declared quotient
+  /// Auto falls back to the dense path when the declared quotient
   /// has more classes than this (the O(classes²) transition accumulator
   /// stops being "flat memory" long before it stops being correct).
   int max_symmetry_classes = 2048;

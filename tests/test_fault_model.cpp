@@ -298,6 +298,9 @@ void expect_model_parity(const core::GeneralModel& got,
     EXPECT_NEAR(got.graph.at(id).rate_per_link, w,
                 1e-12 * std::max(1.0, std::abs(w)))
         << tag << " channel " << id;
+    EXPECT_NEAR(got.graph.at(id).self_frac, want.graph.at(id).self_frac,
+                1e-12)
+        << tag << " channel " << id;
   }
   EXPECT_NEAR(got.unroutable_fraction, want.unroutable_fraction, 1e-12) << tag;
   EXPECT_NEAR(got.mean_distance, want.mean_distance,
@@ -512,6 +515,69 @@ void fuzz_one(const topo::Topology& base, const traffic::TrafficSpec& spec,
                   est.status == core::SolveStatus::Infeasible)
           << tag << " frac " << frac
           << ": non-finite latency with status " << to_string(est.status);
+    }
+  }
+}
+
+TEST(FaultRetune, NonUniformResidentsMatchColdFaultedBuilds) {
+  // The fault delta on skewed (hotspot) and fixed-destination residents —
+  // the latter seed their columns from per-destination source lists.  The
+  // retract + re-add must land on the cold faulted build, the heal on the
+  // healthy build, and a pattern retune on the faulted resident on the cold
+  // faulted build of the new pattern.
+  const topo::ButterflyFatTree ft = bft2();
+  const topo::Hypercube hc(3);
+  core::SolveOptions opts;
+  opts.worm_flits = 16.0;
+  for (const topo::Topology* t : {static_cast<const topo::Topology*>(&ft),
+                                  static_cast<const topo::Topology*>(&hc)}) {
+    const int n = t->num_processors();
+    // Transpose needs a square processor count; the 8-node cube takes
+    // bit-complement, the other fixed-destination pattern, instead.
+    const traffic::TrafficSpec fixed =
+        traffic::TrafficSpec::transpose().check(n).empty()
+            ? traffic::TrafficSpec::transpose()
+            : traffic::TrafficSpec::bit_complement();
+    // The fixed map with sources 0 and 2 trading destinations, as a 0/1
+    // matrix (transpose's diagonal fix-up repeats destinations, so it is no
+    // permutation).
+    traffic::TrafficMatrix rewired(n);
+    for (int s = 0; s < n; ++s) {
+      const int src = s == 0 ? 2 : s == 2 ? 0 : s;
+      rewired.set(s, fixed.fixed_destination(src, n), 1.0);
+    }
+    const std::vector<std::pair<traffic::TrafficSpec, traffic::TrafficSpec>>
+        cells{{traffic::TrafficSpec::hotspot(0.2),
+               traffic::TrafficSpec::hotspot(0.2, n - 1)},
+              {fixed, traffic::TrafficSpec::matrix(rewired)}};
+    auto fs = std::make_shared<topo::FaultSet>(*t);
+    const std::pair<int, int> link = failable_links(*t).front();
+    fs->fail_link(link.first, link.second);
+    const topo::FaultedTopology view(*t, *fs);
+
+    for (const auto& [spec, moved] : cells) {
+      ASSERT_EQ(moved.check(n), "");
+      const std::string tag = t->name() + "/" + spec.name();
+      core::RetunableTrafficModel resident(*t, spec, opts);
+      const core::RetuneReport rep = resident.retune_faults(fs);
+      EXPECT_FALSE(rep.rebuilt) << tag;
+      EXPECT_GT(rep.passes, 0) << tag;
+      expect_model_parity(resident.model(),
+                          core::build_traffic_model(view, spec, opts), opts,
+                          tag + " faulted");
+
+      EXPECT_FALSE(resident.retune_faults(nullptr).rebuilt) << tag;
+      expect_model_parity(resident.model(),
+                          core::build_traffic_model(*t, spec, opts), opts,
+                          tag + " healed");
+
+      // (A moved hotspot on the 8-node cube touches over N²/4 pairs, so the
+      // planner rebuilds there — on the faulted view, all the same.)
+      resident.retune_faults(fs);
+      resident.retune_traffic(moved);
+      expect_model_parity(resident.model(),
+                          core::build_traffic_model(view, moved, opts), opts,
+                          tag + " faulted, retuned to " + moved.name());
     }
   }
 }

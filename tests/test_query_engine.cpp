@@ -13,12 +13,14 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/traffic_model.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
+#include "util/rng.hpp"
 
 namespace wormnet::harness {
 namespace {
@@ -130,6 +132,46 @@ TEST(RetunableTrafficModel, RetuneChainEndsWhereColdBuildDoes) {
   const auto cold = core::build_traffic_model(
       hc, traffic::TrafficSpec::hotspot(0.05 + 0.03 * 8, 8));
   expect_parity(rm.model(), cold, 0.002, "chain");
+}
+
+/// Job-locality traffic: every processor sends uniformly to the other
+/// members of its job (owner[p] is p's job id).
+traffic::TrafficSpec job_local(const std::vector<int>& owner) {
+  const int n = static_cast<int>(owner.size());
+  traffic::TrafficMatrix m(n);
+  for (int s = 0; s < n; ++s) {
+    int peers = 0;
+    for (int d = 0; d < n; ++d) peers += d != s && owner[d] == owner[s];
+    for (int d = 0; d < n; ++d)
+      if (d != s && owner[d] == owner[s]) m.set(s, d, 1.0 / peers);
+  }
+  return traffic::TrafficSpec::matrix(std::move(m));
+}
+
+TEST(RetunableTrafficModel, JobLocalityChainStaysAValidModel) {
+  // Chained deltas on a 1/7-weighted matrix: re-associated sums leave the
+  // Σ onward flow of a channel an ulp above its rate (retune 965 with this
+  // seed), which used to trip the route_prob ≤ 1 precondition.  The chain
+  // must run to the end and still land on the cold build.
+  const topo::ButterflyFatTree ft(3);
+  std::vector<int> owner(64);
+  for (int p = 0; p < 64; ++p) owner[static_cast<std::size_t>(p)] = p / 8;
+  core::RetunableTrafficModel rm(ft, job_local(owner));
+  util::Rng rng(1);
+  for (int step = 1; step <= 1000; ++step) {
+    for (int swap = 0; swap < 2; ++swap) {
+      std::size_t a = 0;
+      std::size_t b = 0;
+      do {
+        a = rng.uniform_int(64);
+        b = rng.uniform_int(64);
+      } while (owner[a] == owner[b]);
+      std::swap(owner[a], owner[b]);
+    }
+    ASSERT_FALSE(rm.retune_traffic(job_local(owner)).rebuilt) << step;
+  }
+  expect_parity(rm.model(), core::build_traffic_model(ft, job_local(owner)),
+                0.002, "job-locality chain");
 }
 
 // ---------------------------------------------------------------------------

@@ -285,10 +285,12 @@ TEST(CollapseStrategy, AutoPicksTheRightPath) {
 }
 
 TEST(CollapseStrategy, SparseSeedingIsBitwiseDense) {
-  // Fixed-destination patterns take the sparse seeding path under Auto (no
-  // symmetry claims them) and under explicit Sparse; both must be BITWISE
-  // the dense model — seeding order is identical, only the O(N) zero-weight
-  // source scan per destination is skipped.
+  // Fixed-destination patterns seed from per-destination source lists under
+  // Dense and Auto alike (no symmetry claims them).  The result must be
+  // BITWISE the full-scan model — seeding order is identical, only the O(N)
+  // zero-weight source scan per destination is skipped.  The full-scan
+  // reference is the same permutation written as a 0/1 matrix (not a
+  // fixed-destination spec): its pair weights and row sums are exactly 1.
   const topo::ButterflyFatTree ft(2);
   const topo::Mesh mesh(3, 2);
   std::vector<int> shift(static_cast<std::size_t>(mesh.num_processors()));
@@ -302,17 +304,23 @@ TEST(CollapseStrategy, SparseSeedingIsBitwiseDense) {
   };
   const std::vector<Cell> cells{
       {&ft, traffic::TrafficSpec::bit_complement(), CollapseMode::Auto},
-      {&ft, traffic::TrafficSpec::transpose(), CollapseMode::Sparse},
+      {&ft, traffic::TrafficSpec::transpose(), CollapseMode::Dense},
       {&mesh, traffic::TrafficSpec::permutation(shift), CollapseMode::Auto},
   };
   for (const Cell& cell : cells) {
+    const int n = cell.topo->num_processors();
+    ASSERT_GE(cell.spec.fixed_destination(0, n), 0);
+    traffic::TrafficMatrix m(n);
+    for (int s = 0; s < n; ++s) m.set(s, cell.spec.fixed_destination(s, n), 1.0);
+    const traffic::TrafficSpec scan_spec = traffic::TrafficSpec::matrix(m);
+    ASSERT_LT(scan_spec.fixed_destination(0, n), 0);
+
     TrafficBuildOptions build;
     build.collapse = cell.mode;
     const GeneralModel sparse =
         build_traffic_model(*cell.topo, cell.spec, {}, build);
-    const GeneralModel dense = build_traffic_model(*cell.topo, cell.spec);
-    const std::string tag = dense.model_name;
-    EXPECT_EQ(sparse.model_name, dense.model_name);
+    const GeneralModel dense = build_traffic_model(*cell.topo, scan_spec);
+    const std::string tag = sparse.model_name;
     EXPECT_TRUE(sparse.channel_class_of.empty()) << tag;
     ASSERT_EQ(sparse.graph.size(), dense.graph.size()) << tag;
     EXPECT_EQ(sparse.mean_distance, dense.mean_distance) << tag;
