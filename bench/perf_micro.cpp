@@ -375,11 +375,13 @@ void BM_QueryEngineFaultRetune(benchmark::State& state) {
   // The fault delta axis at N = 256: a resident dense model alternates
   // between an N−1 up-link failure and the healthy fabric via
   // retune_faults.  The FaultedTopology decorator keeps the channel table
-  // index-aligned, so only the destination columns whose routing changed
-  // re-propagate — compare BM_TrafficModelBuildFatTree/4, the cold
-  // FaultedTopology rebuild each availability scenario would otherwise
-  // cost (the N−1 sweep in harness::QueryEngine::availability_n_minus_1
-  // asks this question once per failable link).
+  // index-aligned, and in each destination column whose routing changed
+  // only the flow downstream of the changed nodes re-propagates (nodes/op:
+  // route-DAG nodes walked) — compare BM_TrafficModelBuildFatTreeSerial/4,
+  // the single-threaded cold FaultedTopology rebuild each availability
+  // scenario would otherwise cost (the N−1 sweep in
+  // harness::QueryEngine::availability_n_minus_1 asks this question once per
+  // failable link).  CI's perf-smoke fails when this row is not faster.
   topo::ButterflyFatTree ft(4);
   core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::hotspot(0.2, 3));
   auto faults = std::make_shared<topo::FaultSet>(ft);
@@ -387,13 +389,17 @@ void BM_QueryEngineFaultRetune(benchmark::State& state) {
   const std::shared_ptr<const topo::FaultSet> scenarios[2] = {faults, nullptr};
   std::size_t i = 0;
   long passes = 0;
+  long nodes = 0;
   for (auto _ : state) {
     const auto report = rm.retune_faults(scenarios[i ^= 1]);
     passes += report.passes;
+    nodes += report.nodes_visited;
     benchmark::DoNotOptimize(rm.model().mean_distance);
   }
   state.counters["passes/op"] = benchmark::Counter(
       static_cast<double>(passes), benchmark::Counter::kAvgIterations);
+  state.counters["nodes/op"] = benchmark::Counter(
+      static_cast<double>(nodes), benchmark::Counter::kAvgIterations);
   state.SetLabel("N=" + std::to_string(ft.num_processors()) +
                  " N-1 up-link delta");
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -56,10 +57,14 @@ struct FlowFragment {
   double self = 0.0;  ///< Σ flow·frac of the merged source sub-streams
 };
 
-/// One seed of a destination column: `src` injects `flow` carrying QNA
-/// self-mass `self` (see FlowFragment).  Signed in the delta passes.
+/// One seed of a destination column: `flow` carrying QNA self-mass `self`
+/// (see FlowFragment) enters the route DAG at `node` over `in_ch`.  A source
+/// injection enters at its processor with in_ch = kNoChannel; the fault
+/// delta also seeds mid-DAG, at frontier nodes, with the channel the
+/// fragment arrived on.  Signed in the delta passes.
 struct Seed {
-  int src = 0;
+  int node = 0;
+  int in_ch = topo::kNoChannel;
   double flow = 0.0;
   double self = 0.0;
 };
@@ -123,11 +128,24 @@ struct ColumnSums {
   }
 };
 
+/// Column sinks also bound the region a pass walks: enters(node) admits flow
+/// into a node, holds(node) keeps a node's in-flows (reported through
+/// hold()) instead of splitting them.  The accumulating sinks walk the whole
+/// route DAG; only the fault delta's first-hit pass (FrontierSink) bounds it.
+struct WholeDag {
+  static bool enters(int /*node*/) { return true; }
+  static bool holds(int /*node*/) { return false; }
+  static void hold(int /*node*/, const FlowFragment& /*in*/) {}
+};
+
 /// The per-physical-channel column sink: contributions land in `sums`,
 /// continuation flows at their flat (channel, port) slot.
-struct DenseSink {
+struct DenseSink : WholeDag {
   ColumnSums& sums;
   const std::vector<int>& onward_off;
+
+  DenseSink(ColumnSums& s, const std::vector<int>& off)
+      : sums(s), onward_off(off) {}
 
   void rate(int ch, double flow, double self) {
     sums.rate[static_cast<std::size_t>(ch)] += flow;
@@ -139,17 +157,23 @@ struct DenseSink {
   }
 };
 
-/// Iterative DFS from `start` following route(node, dst) edges, appending
-/// the postorder to `pass.order` and caching each visited node's routing in
-/// `pass.routes`.  Reverse postorder is a topological order of the route
-/// DAG (candidates strictly decrease the distance to dst, so the graph is
-/// acyclic).
+/// Iterative DFS from `start` following route(node, dst) edges into nodes
+/// the sink admits, appending the postorder to `pass.order` and caching each
+/// visited node's routing in `pass.routes` (held nodes are leaves).  Reverse
+/// postorder is a topological order of the route DAG (candidates strictly
+/// decrease the distance to dst, so the graph is acyclic).
+template <typename Sink>
 void dfs_route_dag(const topo::Topology& topo, const topo::ChannelTable& ct,
-                   int start, int dst, DestinationPass& pass) {
+                   int start, int dst, DestinationPass& pass,
+                   const Sink& sink) {
   if (pass.visited[static_cast<std::size_t>(start)]) return;
   const auto visit = [&](int node) {
     pass.visited[static_cast<std::size_t>(node)] = 1;
     NodeRoutes& nr = pass.routes[static_cast<std::size_t>(node)];
+    if (sink.holds(node)) {
+      nr.count = 0;
+      return;
+    }
     const topo::RouteOptions opts = topo.route(node, dst);
     nr.count = opts.size();
     if (nr.count == 0) return;  // dst itself: consume, nothing to cache
@@ -174,7 +198,8 @@ void dfs_route_dag(const topo::Topology& topo, const topo::ChannelTable& ct,
       continue;
     }
     const int nbr = nr.neighbor[static_cast<std::size_t>(top.next_candidate++)];
-    if (pass.visited[static_cast<std::size_t>(nbr)]) continue;
+    if (pass.visited[static_cast<std::size_t>(nbr)] || !sink.enters(nbr))
+      continue;
     visit(nbr);
     pass.stack.push_back({nbr, 0});
   }
@@ -195,16 +220,23 @@ std::vector<std::vector<int>> fixed_destination_sources(
   return sources;
 }
 
+/// The seed of source `s` toward `d` at unit factor: weight w injects w, and
+/// the (s → d) sub-stream is the destination split of s's injection process,
+/// fraction frac = w / injection_weight of it, hence self = w·frac.  The
+/// fault delta seeds its upstream sources through here too.
+Seed source_seed(const traffic::TrafficSpec& spec, int s, double w,
+                 int procs) {
+  const double frac = w / spec.injection_weight(s, procs);
+  return {s, topo::kNoChannel, w, w * frac};
+}
+
 /// The one seed rule: fill `seeds` with destination d's column.  Every
-/// source with weight w toward d injects factor·w; the (s → d) sub-stream is
-/// the destination split of s's injection process, fraction
-/// frac = w / injection_weight of it, hence self = factor·(w·frac).  Demand
+/// source with weight w toward d injects factor·w (see source_seed).  Demand
 /// toward an unreachable destination (faulted fabrics) is dropped at the
 /// source and counted in `sums` — the model degrades instead of asserting.
 ///
-/// `factor` is 1 for the dense build, the orbit size for the collapsed
-/// build, and ∓1 for the fault delta's retract / re-add passes; ±1 is exact,
-/// so dense and fault columns reproduce the unscaled products bit for bit.
+/// `factor` is 1 for the dense build and the orbit size for the collapsed
+/// build; 1 is exact, so dense columns reproduce the unscaled products.
 /// `dest_sources` (see fixed_destination_sources) yields the same seeds in
 /// the same order as the full scan — which skips w <= 0 anyway — without
 /// its O(N) cost per destination.
@@ -223,8 +255,8 @@ void seed_column(const topo::Topology& view, const traffic::TrafficSpec& spec,
       return;
     }
     sums.weighted_distance += factor * w * view.distance(s, d);
-    const double frac = w / spec.injection_weight(s, procs);
-    seeds.push_back({s, factor * w, factor * (w * frac)});
+    const Seed unit = source_seed(spec, s, w, procs);
+    seeds.push_back({s, topo::kNoChannel, factor * unit.flow, factor * unit.self});
   };
   if (!dest_sources.empty()) {
     for (int s : dest_sources[static_cast<std::size_t>(d)]) seed(s);
@@ -238,26 +270,33 @@ void seed_column(const topo::Topology& view, const traffic::TrafficSpec& spec,
 /// The column pass: the flow DP of destination `d` over `view`'s route DAG.
 /// Every consumer — the dense shard, the collapsed orbit builder, the
 /// pattern delta and the fault delta — runs its columns through here; they
-/// differ only in their seeds and their sink.  DFSes the DAG from each seed,
-/// then walks the postorder in reverse (topological order: a node's in-flows
-/// are complete before it splits them across its route candidates) and
-/// reports every accumulation to the inlined sink, in a fixed order:
+/// differ only in their seeds and their sink.  DFSes the DAG from each seed
+/// (a source, or a mid-DAG frontier node), then walks the postorder in
+/// reverse (topological order: a node's in-flows are complete before it
+/// splits them across its route candidates) and reports every accumulation
+/// to the inlined sink, in a fixed order:
 ///   sink.rate(ch, flow, self)               — per-channel rate / self-mass
 ///   sink.onward(in_ch, out_ch, port, flow)  — per-(channel, continuation)
-/// Leaves `pass` reset for the next column.
+///   sink.hold(node, fragment)               — in-flows of a held node
+/// Flow only enters nodes the sink admits (see WholeDag).  Returns the
+/// number of nodes walked and leaves `pass` reset for the next column.
 template <typename Sink>
-void propagate_column(const topo::Topology& view, const topo::ChannelTable& ct,
+long propagate_column(const topo::Topology& view, const topo::ChannelTable& ct,
                       int d, const std::vector<Seed>& seeds,
                       DestinationPass& pass, Sink& sink) {
   for (const Seed& s : seeds) {
-    pass.in_flows[static_cast<std::size_t>(s.src)].push_back(
-        {topo::kNoChannel, s.flow, s.self});
-    dfs_route_dag(view, ct, s.src, d, pass);
+    pass.in_flows[static_cast<std::size_t>(s.node)].push_back(
+        {s.in_ch, s.flow, s.self});
+    dfs_route_dag(view, ct, s.node, d, pass, sink);
   }
   for (auto it = pass.order.rbegin(); it != pass.order.rend(); ++it) {
     const int node = *it;
     const auto& inputs = pass.in_flows[static_cast<std::size_t>(node)];
     if (inputs.empty()) continue;  // d itself, or an unfed DFS visit
+    if (sink.holds(node)) {
+      for (const FlowFragment& in : inputs) sink.hold(node, in);
+      continue;
+    }
     WORMNET_ENSURES(node != d);    // flows into d are consumed, never split
     const NodeRoutes& nr = pass.routes[static_cast<std::size_t>(node)];
     // A node holding flow toward d with no route candidates would silently
@@ -289,11 +328,14 @@ void propagate_column(const topo::Topology& view, const topo::ChannelTable& ct,
       }
       const int nbr = nr.neighbor[static_cast<std::size_t>(i)];
       if (nbr == d) continue;  // ejection channel: consumed at the destination
+      if (!sink.enters(nbr)) continue;
       pass.in_flows[static_cast<std::size_t>(nbr)].push_back(
           {ch, total * p, total_self * p * p});
     }
   }
+  const long walked = static_cast<long>(pass.order.size());
   pass.reset();
+  return walked;
 }
 
 /// Output-bundle membership: bundle_of[channel] is a dense id unique per
@@ -389,7 +431,7 @@ void finish_model(GeneralModel& net, const ColumnSums& sums, int injecting,
 /// CLASSES — per-class rate / self-mass, the (class → class) continuation
 /// flows, and which transition orbits occurred, keyed (from-class,
 /// to-class, into-the-return-bundle?).
-struct ClassSink {
+struct ClassSink : WholeDag {
   const std::vector<int>& class_of;
   const std::vector<int>& bundle_of;
   const std::vector<int>& rev_bundle;  ///< per channel: its return bundle
@@ -444,7 +486,8 @@ GeneralModel build_collapsed(const topo::Topology& topo,
                              const topo::ChannelTable& ct,
                              const traffic::TrafficSpec& spec,
                              const topo::SymmetryClasses& sym,
-                             const SolveOptions& opts) {
+                             const SolveOptions& opts,
+                             long* nodes_visited = nullptr) {
   const int procs = topo.num_processors();
   const int num_channels = ct.size();
   const int ncls = sym.num_channel_classes;
@@ -483,6 +526,7 @@ GeneralModel build_collapsed(const topo::Topology& topo,
   const std::vector<std::vector<int>> scan_all;
   DestinationPass pass(topo.num_nodes());
   std::vector<Seed> seeds;
+  long walked = 0;
   for (int o = 0; o < norb; ++o) {
     // Orbit transitivity extends the representative's column — unroutable
     // pairs included — to the whole orbit: exact for true routing
@@ -490,8 +534,9 @@ GeneralModel build_collapsed(const topo::Topology& topo,
     const int d = orbit_rep[static_cast<std::size_t>(o)];
     seed_column(topo, spec, d, orbit_size[static_cast<std::size_t>(o)],
                 scan_all, sums, seeds);
-    propagate_column(topo, ct, d, seeds, pass, sink);
+    walked += propagate_column(topo, ct, d, seeds, pass, sink);
   }
+  if (nodes_visited != nullptr) *nodes_visited += walked;
 
   // Class representatives and member counts; a class must be one queueing
   // station, so structural disagreement inside a class is a hard error even
@@ -655,8 +700,8 @@ struct DenseFlowState {
 };
 
 /// Run the sharded per-destination passes for the whole spec, filling
-/// `st` (replacing any previous contents).
-void propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
+/// `st` (replacing any previous contents).  Returns the nodes walked.
+long propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
                      const traffic::TrafficSpec& spec,
                      const TrafficBuildOptions& build,
                      const std::vector<std::vector<int>>& dest_sources,
@@ -682,6 +727,7 @@ void propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
   // (one rate+onward copy per shard) and the reduction cost negligible.
   const int num_shards = std::min(procs, 16);
   std::vector<ColumnSums> accs(static_cast<std::size_t>(num_shards));
+  std::vector<long> walked(static_cast<std::size_t>(num_shards), 0);
   const auto shard_job = [&](std::int64_t j) {
     // One shard: the columns of destinations [lo, hi), into private sums.
     const int lo = static_cast<int>(j) * procs / num_shards;
@@ -693,7 +739,8 @@ void propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
     std::vector<Seed> seeds;
     for (int d = lo; d < hi; ++d) {
       seed_column(topo, spec, d, 1.0, dest_sources, acc, seeds);
-      propagate_column(topo, ct, d, seeds, pass, sink);
+      walked[static_cast<std::size_t>(j)] +=
+          propagate_column(topo, ct, d, seeds, pass, sink);
     }
   };
   // threads = 0 ("auto") also runs serially below the cutoff: at those sizes
@@ -717,6 +764,9 @@ void propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
   for (const ColumnSums& acc : accs) st.flow.add(acc);
 
   label_bundles(topo, ct, st.bundle_of, st.bundle_size);
+  long total = 0;
+  for (const long w : walked) total += w;
+  return total;
 }
 
 /// Assemble the per-physical-channel GeneralModel from a propagated flow
@@ -867,6 +917,11 @@ void snap_residues(DenseFlowState& st) {
       WORMNET_ENSURES(v >= 0.0);
     }
   }
+  // Likewise the unroutable demand: a fault delta that cuts pairs off and
+  // heals them again adds and removes the same pair weights in different
+  // orders, and a residue there would flag a healthy model Disconnected.
+  if (std::abs(f.unroutable_weight) < 1e-9) f.unroutable_weight = 0.0;
+  WORMNET_ENSURES(f.unroutable_weight >= 0.0);
   // A channel whose rate vanished keeps no self-mass or continuation flows
   // (assembly would skip them behind the rate > 0 guard; keep the retained
   // state itself consistent so later deltas start clean).
@@ -877,6 +932,202 @@ void snap_residues(DenseFlowState& st) {
       f.onward[static_cast<std::size_t>(k)] = 0.0;
     }
   }
+}
+
+/// One side of a fault delta: the routing view and, when that side is
+/// degraded, its fault decorator (null: the healthy base, where every node
+/// reaches every destination and no node is a frontier candidate).
+struct FaultSide {
+  const topo::Topology* routing;
+  const topo::FaultedTopology* faulted;
+
+  const std::vector<int>& candidates(int d) const {
+    static const std::vector<int> kNone;
+    return faulted != nullptr ? faulted->frontier_candidates(d) : kNone;
+  }
+  bool can_reach(int node, int d) const {
+    return faulted == nullptr || faulted->can_reach(node, d);
+  }
+};
+
+/// Per-node region of one fault-delta column (kOutside between columns).
+enum Region : char { kOutside = 0, kUpstream, kFrontier, kDead };
+
+/// The fault delta's first-hit sink: flow moves only through the upstream
+/// region and stops at the frontier, where the fragments it delivers are
+/// identical under both views.  Nothing accumulates: upstream of the
+/// frontier both views contribute the same flows.
+struct FrontierSink {
+  const std::vector<char>& region;
+  std::vector<Seed>& held;
+
+  bool enters(int node) const {
+    const char r = region[static_cast<std::size_t>(node)];
+    return r == kUpstream || r == kFrontier;
+  }
+  bool holds(int node) const {
+    return region[static_cast<std::size_t>(node)] == kFrontier;
+  }
+  void hold(int node, const FlowFragment& in) {
+    held.push_back({node, in.in_ch, in.flow, in.self});
+  }
+  static void rate(int /*ch*/, double /*flow*/, double /*self*/) {}
+  static void onward(int /*in_ch*/, int /*out_ch*/, int /*port*/,
+                     double /*flow*/) {}
+};
+
+/// Scratch of the fault delta, reused across its columns.
+struct FrontierScratch {
+  std::vector<char> region;     ///< per node
+  std::vector<int> marked;      ///< nodes whose region is set this column
+  std::vector<int> candidates;  ///< union of both sides' candidates
+  std::vector<int> walk;        ///< frontier, then the upstream walk
+  std::vector<int> sources;     ///< upstream processors
+  std::vector<Seed> upstream, held, retract, readd;
+  DestinationPass pass;
+
+  explicit FrontierScratch(int num_nodes)
+      : region(static_cast<std::size_t>(num_nodes), kOutside),
+        pass(num_nodes) {}
+  void set(int node, Region r) {
+    region[static_cast<std::size_t>(node)] = r;
+    marked.push_back(node);
+  }
+};
+
+/// True when `a` and `b` route a worm at `node` toward `d` identically:
+/// same candidate ports in the same order, same split.
+bool same_routing(const topo::Topology& a, const topo::Topology& b, int node,
+                  int d) {
+  const topo::RouteOptions ra = a.route(node, d);
+  const topo::RouteOptions rb = b.route(node, d);
+  if (ra.size() != rb.size()) return false;
+  for (int i = 0; i < ra.size(); ++i)
+    if (ra[i] != rb[i]) return false;
+  if (ra.size() == 0) return true;
+  const std::array<double, 4> sa = a.route_split(node, d, ra);
+  const std::array<double, 4> sb = b.route_split(node, d, rb);
+  return std::equal(sa.begin(), sa.begin() + ra.size(), sb.begin());
+}
+
+/// The fault delta of destination column `d`: move `sums` from the column's
+/// contribution under `from` to its contribution under `to`, touching only
+/// what the routing change can reach.
+///  1. The frontier C: the candidates (either side's) whose routing or
+///     reachability differs.  Outside the candidates both sides route as
+///     the base does, so C is every node whose routing changed.  Sources
+///     whose distance or reachability moved get their demand accounting
+///     corrected here; no other source's can move.
+///  2. The upstream walk: backwards over unchanged routing from C, stopping
+///     at C — the nodes whose flow reaches C first.  Their sources' seeds
+///     run forward to C without sinking anything: the first-hit fragments
+///     at C, identical under both views (routing upstream of C is).
+///  3. The fragments — plus the seeds of frontier sources whose
+///     reachability flipped — run downstream from C: ×−1 under `from`,
+///     ×+1 under `to`.  Flow that never reaches C contributes the same
+///     under both views and is never walked.
+/// Walk orders are fixed functions of (views, d).  Returns the nodes
+/// walked by the column passes.
+long fault_column_delta(const FaultSide& from, const FaultSide& to,
+                        const topo::ChannelTable& ct,
+                        const traffic::TrafficSpec& spec, int d,
+                        DenseFlowState& st, FrontierScratch& fs) {
+  const int procs = from.routing->num_processors();
+  const std::vector<int>& ca = from.candidates(d);
+  const std::vector<int>& cb = to.candidates(d);
+  fs.candidates.clear();
+  std::set_union(ca.begin(), ca.end(), cb.begin(), cb.end(),
+                 std::back_inserter(fs.candidates));
+  fs.marked.clear();
+  fs.walk.clear();
+  for (const int v : fs.candidates) {
+    if (v == d) continue;
+    const bool ra = from.can_reach(v, d);
+    const bool rb = to.can_reach(v, d);
+    if (!ra && !rb) {
+      fs.set(v, kDead);
+      continue;
+    }
+    if (v < procs) {
+      const double w = spec.pair_weight(v, d, procs);
+      const int da = ra ? from.routing->distance(v, d) : -1;
+      const int db = rb ? to.routing->distance(v, d) : -1;
+      if (w > 0.0 && da != db) {
+        if (ra) st.flow.weighted_distance -= w * da;
+        else st.flow.unroutable_weight -= w;
+        if (rb) st.flow.weighted_distance += w * db;
+        else st.flow.unroutable_weight += w;
+      }
+    }
+    if (ra != rb || !same_routing(*from.routing, *to.routing, v, d)) {
+      fs.set(v, kFrontier);
+      fs.walk.push_back(v);
+    }
+  }
+  if (fs.walk.empty()) {
+    for (const int v : fs.marked) fs.region[static_cast<std::size_t>(v)] = kOutside;
+    return 0;
+  }
+
+  // Upstream walk.  Processors have no in-flows to walk past (only d
+  // receives, and d never forwards); an unmarked switch is reachable under
+  // both views, so route() is defined there and agrees between them.
+  const std::size_t frontier_size = fs.walk.size();
+  fs.sources.clear();
+  for (std::size_t head = 0; head < fs.walk.size(); ++head) {
+    const int x = fs.walk[head];
+    if (x < procs) continue;
+    for (int q = 0; q < from.routing->num_ports(x); ++q) {
+      const int ch = ct.into(x, q);
+      if (ch == topo::kNoChannel) continue;
+      const topo::DirectedChannel& c = ct.at(ch);
+      const int u = c.src_node;
+      if (u == d || fs.region[static_cast<std::size_t>(u)] != kOutside) continue;
+      if (u >= procs && !from.routing->route(u, d).contains(c.src_port))
+        continue;
+      fs.set(u, kUpstream);
+      fs.walk.push_back(u);
+      if (u < procs) fs.sources.push_back(u);
+    }
+  }
+
+  long walked = 0;
+  std::sort(fs.sources.begin(), fs.sources.end());
+  fs.upstream.clear();
+  for (const int s : fs.sources) {
+    const double w = spec.pair_weight(s, d, procs);
+    if (w > 0.0) fs.upstream.push_back(source_seed(spec, s, w, procs));
+  }
+  fs.held.clear();
+  if (!fs.upstream.empty()) {
+    FrontierSink hits{fs.region, fs.held};
+    walked += propagate_column(*from.routing, ct, d, fs.upstream, fs.pass, hits);
+  }
+
+  fs.retract.clear();
+  fs.readd.clear();
+  for (const Seed& h : fs.held) {
+    fs.retract.push_back({h.node, h.in_ch, -h.flow, -h.self});
+    fs.readd.push_back(h);
+  }
+  for (std::size_t i = 0; i < frontier_size; ++i) {
+    const int v = fs.walk[i];
+    if (v >= procs) continue;
+    const double w = spec.pair_weight(v, d, procs);
+    if (w <= 0.0) continue;
+    const Seed sd = source_seed(spec, v, w, procs);
+    if (from.can_reach(v, d))
+      fs.retract.push_back({v, topo::kNoChannel, -sd.flow, -sd.self});
+    if (to.can_reach(v, d)) fs.readd.push_back(sd);
+  }
+  DenseSink sink(st.flow, st.onward_off);
+  if (!fs.retract.empty())
+    walked += propagate_column(*from.routing, ct, d, fs.retract, fs.pass, sink);
+  if (!fs.readd.empty())
+    walked += propagate_column(*to.routing, ct, d, fs.readd, fs.pass, sink);
+
+  for (const int v : fs.marked) fs.region[static_cast<std::size_t>(v)] = kOutside;
+  return walked;
 }
 
 }  // namespace
@@ -945,22 +1196,24 @@ struct RetunableTrafficModel::Impl {
   }
 
   /// Cold build for `new_spec` along the planned strategy, replacing the
-  /// resident model and flow state.
-  void rebuild_cold(const traffic::TrafficSpec& new_spec,
+  /// resident model and flow state.  Returns the nodes its passes walked.
+  long rebuild_cold(const traffic::TrafficSpec& new_spec,
                     const CollapsePlan& plan) {
     WORMNET_SPAN("resident_rebuild_cold", "build");
     const topo::Topology& rt = routing_topo();
+    long walked = 0;
     if (plan.use_collapsed) {
-      net = build_collapsed(rt, ct, new_spec, plan.sym, opts);
+      net = build_collapsed(rt, ct, new_spec, plan.sym, opts, &walked);
       is_collapsed = true;
       state = DenseFlowState{};
     } else {
-      propagate_dense(rt, ct, new_spec, build, plan.dest_sources, state);
+      walked = propagate_dense(rt, ct, new_spec, build, plan.dest_sources, state);
       net = assemble_dense(rt, ct, new_spec, opts, state);
       is_collapsed = false;
     }
     spec = new_spec;
     apply_tunes();
+    return walked;
   }
 };
 
@@ -1046,7 +1299,8 @@ RetuneReport RetunableTrafficModel::retune_traffic(
     // The PR 6 composition: the new spec still respects the symmetry, so
     // "retune" is one pass per destination orbit against O(classes) state —
     // not a dense rebuild, whatever mode the resident was in before.
-    im.net = build_collapsed(rt, im.ct, new_spec, plan.sym, im.opts);
+    im.net = build_collapsed(rt, im.ct, new_spec, plan.sym, im.opts,
+                             &report.nodes_visited);
     im.is_collapsed = true;
     im.state = DenseFlowState{};
     im.spec = new_spec;
@@ -1057,7 +1311,7 @@ RetuneReport RetunableTrafficModel::retune_traffic(
   }
   if (im.is_collapsed) {
     // Collapsed → dense mode switch: no dense flow state to delta against.
-    im.rebuild_cold(new_spec, plan);
+    report.nodes_visited = im.rebuild_cold(new_spec, plan);
     report.rebuilt = true;
     return report;
   }
@@ -1104,7 +1358,8 @@ RetuneReport RetunableTrafficModel::retune_traffic(
       const double dflow = w_new - w_old;
       const double dself = self_new - self_old;
       if (dflow == 0.0 && dself == 0.0) continue;
-      seeds[static_cast<std::size_t>(d)].push_back({s, dflow, dself});
+      seeds[static_cast<std::size_t>(d)].push_back(
+          {s, topo::kNoChannel, dflow, dself});
       ++changed;
     }
   }
@@ -1114,7 +1369,7 @@ RetuneReport RetunableTrafficModel::retune_traffic(
   // pass with nearly every seed — at that point the sharded cold rebuild is
   // both faster and residue-free.
   if (changed > static_cast<long>(procs) * procs / 4) {
-    im.rebuild_cold(new_spec, plan);
+    report.nodes_visited = im.rebuild_cold(new_spec, plan);
     report.rebuilt = true;
     return report;
   }
@@ -1130,10 +1385,10 @@ RetuneReport RetunableTrafficModel::retune_traffic(
       if (dseeds.empty()) continue;
       for (const Seed& sd : dseeds) {
         if (sd.flow != 0.0) {
-          st.flow.weighted_distance += sd.flow * rt.distance(sd.src, d);
+          st.flow.weighted_distance += sd.flow * rt.distance(sd.node, d);
         }
       }
-      propagate_column(rt, im.ct, d, dseeds, pass, sink);
+      report.nodes_visited += propagate_column(rt, im.ct, d, dseeds, pass, sink);
       ++report.passes;
     }
     snap_residues(st);
@@ -1208,37 +1463,26 @@ RetuneReport RetunableTrafficModel::retune_faults(
     return report;
   }
 
-  // Dense fault delta: per affected destination, NEGATE the column under the
-  // outgoing view's routing (the DP is linear in its seeds, so negative
-  // seeds reproduce the original contributions sign-flipped exactly), then
-  // re-add it under the incoming view's.  Never escalates to a rebuild —
-  // the work is bounded by 2 passes per affected column, the same order as
-  // a full rebuild's one pass per column, and availability sweeps rely on
-  // the cost class staying Retune for every scenario.
-  const topo::Topology& old_rt = im.routing_topo();
-  const topo::Topology& new_rt =
-      new_view ? static_cast<const topo::Topology&>(*new_view) : *im.topo;
+  // Dense fault delta: per affected destination, a frontier-bounded
+  // retract-and-re-add (fault_column_delta) — the DP is linear in its seeds,
+  // and everything upstream of the nodes whose routing changed contributes
+  // identically under both views.  Never escalates to a rebuild:
+  // availability sweeps rely on the cost class staying Retune for every
+  // scenario.  Total demand is fault-invariant; only its unroutable share
+  // and the distances of the sources whose routes moved change.
+  const FaultSide from{&im.routing_topo(), im.faulted.get()};
+  const FaultSide to{new_view ? static_cast<const topo::Topology*>(new_view.get())
+                              : im.topo,
+                     new_view.get()};
   DenseFlowState& st = im.state;
-  const std::vector<std::vector<int>> dest_sources =
-      fixed_destination_sources(im.spec, procs);
-  DestinationPass pass(im.topo->num_nodes());
-  std::vector<Seed> seeds;
-  DenseSink sink{st.flow, st.onward_off};
-  // Total demand is fault-invariant (only its unroutable share moves): keep
-  // it bit for bit instead of letting retract + re-add re-associate it.
-  const double total_weight = st.flow.total_weight;
+  FrontierScratch scratch(im.topo->num_nodes());
   for (int d = 0; d < procs; ++d) {
     if (!is_affected[static_cast<std::size_t>(d)]) continue;
     ++report.changed_pairs;  // here: changed destination COLUMNS
-    for (const auto& [view, sign] :
-         {std::pair{&old_rt, -1.0}, std::pair{&new_rt, 1.0}}) {
-      seed_column(*view, im.spec, d, sign, dest_sources, st.flow, seeds);
-      if (seeds.empty()) continue;
-      propagate_column(*view, im.ct, d, seeds, pass, sink);
-      ++report.passes;
-    }
+    report.passes += 2;      // one retract and one re-add per column
+    report.nodes_visited +=
+        fault_column_delta(from, to, im.ct, im.spec, d, st, scratch);
   }
-  st.flow.total_weight = total_weight;
   snap_residues(st);
 
   im.fault_set = std::move(faults);

@@ -26,9 +26,13 @@
 //     scaled by the orbit size, flows folded onto channel classes;
 //   * the pattern delta (RetunableTrafficModel::retune_traffic) — signed
 //     seeds from the old/new spec diff;
-//   * the fault delta (RetunableTrafficModel::retune_faults) — each affected
-//     column retracted (seeds × −1) under the old routing and re-added under
-//     the new.
+//   * the fault delta (RetunableTrafficModel::retune_faults) — per affected
+//     column, only the flow downstream of its FRONTIER, the nodes whose
+//     routing changed.  One bounded pass carries the sources feeding the
+//     frontier up to their first hit on it (the same under both routings,
+//     so nothing is accumulated); those fragments then seed the pass
+//     mid-DAG, retracted (× −1) along the old routes and re-added along the
+//     new.  Flow that never reaches the frontier is never walked.
 // Fixed-destination specs (bit-complement, transpose, permutations) seed
 // from per-destination source lists instead of scanning all N sources: the
 // same seeds in the same order, so the result is bitwise-identical.
@@ -178,11 +182,17 @@ struct RetuneReport {
   /// Served by the PR 6 symmetric-quotient path: one pass per destination
   /// ORBIT — O(classes) state — instead of per destination.
   bool collapsed = false;
-  /// Destination (or destination-orbit) passes actually run.
+  /// Destination (or destination-orbit) passes actually run; a fault delta
+  /// counts two per affected column (its retract and its re-add).
   int passes = 0;
   /// (src, dst) pairs whose weight or injection split changed between the
-  /// old and new spec (dense path only; 0 on the collapsed path).
+  /// old and new spec (dense path only; 0 on the collapsed path).  A fault
+  /// delta counts affected destination columns here.
   long changed_pairs = 0;
+  /// Route-DAG nodes walked by the column passes behind this report — the
+  /// observable work: every node a pass visited, summed over passes (a
+  /// fault delta's upstream first-hit walk plus both downstream walks).
+  long nodes_visited = 0;
 };
 
 /// A resident traffic-aware model retunable IN PLACE along the what-if axes
@@ -243,18 +253,29 @@ class RetunableTrafficModel {
 
   /// Fault delta: move the resident to the degraded routing state described
   /// by `faults` (null or empty = healthy).  The decorated topology keeps
-  /// the base's channel structure, so a dense resident is served IN PLACE:
-  /// for each destination column whose routing differs between the outgoing
-  /// and incoming fault views, the old column is re-propagated with negated
-  /// seeds under the OLD routing and re-added under the NEW — O(affected
-  /// columns) passes, never a rebuild (RetuneReport::changed_pairs counts
-  /// affected columns here).  Collapsed residents rebuild dense on entering
-  /// a degraded state (faults void the symmetry) and may re-collapse on
-  /// returning to healthy.  Demand toward destinations unreachable under
-  /// the faults is dropped at the source and surfaces as
-  /// GeneralModel::unroutable_fraction.  The fault set must have been built
-  /// against this resident's topology; it is retained (shared) until the
-  /// next retune_faults call.
+  /// the base's channel structure, so a dense resident is served IN PLACE,
+  /// one frontier delta per destination column whose routing differs
+  /// between the outgoing and incoming fault views:
+  ///  * the frontier is every node whose route()/route_split() or
+  ///    reachability differs between the views — found among the views'
+  ///    topo::FaultedTopology::frontier_candidates, outside which both
+  ///    route as the base does;
+  ///  * a backward walk over the unchanged routing finds the nodes feeding
+  ///    the frontier, and their sources' flow is carried forward to its
+  ///    first hit on it — identical under both views;
+  ///  * those fragments (plus sources whose reachability flipped) are
+  ///    propagated from the frontier downstream, negated under the OLD
+  ///    routing and re-added under the NEW; demand accounting moves only for
+  ///    sources whose distance or reachability changed.
+  /// Never a rebuild.  The report counts affected columns in changed_pairs,
+  /// two passes per column, and the nodes the passes walked in
+  /// nodes_visited — the work, a fraction of the full columns.  Collapsed
+  /// residents rebuild dense on entering a degraded state (faults void the
+  /// symmetry) and may re-collapse on returning to healthy.  Demand toward
+  /// destinations unreachable under the faults is dropped at the source and
+  /// surfaces as GeneralModel::unroutable_fraction.  The fault set must have
+  /// been built against this resident's topology; it is retained (shared)
+  /// until the next retune_faults call.
   RetuneReport retune_faults(std::shared_ptr<const topo::FaultSet> faults);
 
   /// The active fault set (nullptr = healthy).

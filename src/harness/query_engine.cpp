@@ -144,6 +144,7 @@ struct QueryEngine::Impl {
       v.report.collapsed = v.report.collapsed || tr.collapsed;
       v.report.passes += tr.passes;
       v.report.changed_pairs += tr.changed_pairs;
+      v.report.nodes_visited += tr.nodes_visited;
       if (v.basis != QueryCost::Rebuild)
         v.basis = tr.rebuilt ? QueryCost::Rebuild : QueryCost::Retune;
     }

@@ -22,9 +22,10 @@
 //  * arrival delta  → set_injection_process, O(channels);
 //  * fault delta    → core::RetunableTrafficModel::retune_faults — the
 //    FaultedTopology decorator keeps the channel structure stable, so only
-//    the destination columns whose routing changed re-propagate (dense
-//    residents never rebuild for a fault; collapsed residents rebuild dense
-//    once on entering a degraded state and say so).
+//    the destination columns whose routing changed are touched, and in each
+//    only the flow downstream of the nodes whose routing changed
+//    re-propagates (dense residents never rebuild for a fault; collapsed
+//    residents rebuild dense once on entering a degraded state and say so).
 // Queries sharing the same delta set share ONE prepared model variant;
 // repeated (variant, metric, λ₀) questions — within a batch or across
 // batches — are served from a result cache and reported as Memoized.

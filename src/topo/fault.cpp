@@ -1,6 +1,7 @@
 #include "topo/fault.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 #include <sstream>
 #include <stdexcept>
@@ -117,22 +118,38 @@ FaultedTopology::FaultedTopology(const Topology& base, const FaultSet& faults)
   const int nodes = base.num_nodes();
   affected_index_.assign(static_cast<std::size_t>(procs), -1);
 
-  // Flattened port -> bundle-id map (the one-bundle restriction on detours).
-  port_bundle_offset_.assign(static_cast<std::size_t>(nodes) + 1, 0);
+  // Flat per-(node, port) neighbor / failed-link / bundle tables: the BFS
+  // and route() read these instead of a virtual call per edge.
+  port_offset_.assign(static_cast<std::size_t>(nodes) + 1, 0);
   for (int n = 0; n < nodes; ++n)
-    port_bundle_offset_[static_cast<std::size_t>(n) + 1] =
-        port_bundle_offset_[static_cast<std::size_t>(n)] + base.num_ports(n);
-  port_bundle_.assign(
-      static_cast<std::size_t>(port_bundle_offset_[static_cast<std::size_t>(nodes)]),
-      -1);
+    port_offset_[static_cast<std::size_t>(n) + 1] =
+        port_offset_[static_cast<std::size_t>(n)] + base.num_ports(n);
+  const auto slots =
+      static_cast<std::size_t>(port_offset_[static_cast<std::size_t>(nodes)]);
+  nbr_.assign(slots, kNoNode);
+  dead_.assign(slots, 0);
+  port_bundle_.assign(slots, -1);
   for (int n = 0; n < nodes; ++n) {
+    const int off = port_offset_[static_cast<std::size_t>(n)];
+    for (int p = 0; p < base.num_ports(n); ++p) {
+      const int v = base.neighbor(n, p);
+      nbr_[static_cast<std::size_t>(off + p)] = v;
+      if (v != kNoNode && faults.link_failed(n, p))
+        dead_[static_cast<std::size_t>(off + p)] = 1;
+    }
     const auto bundles = base.output_bundles(n);
     for (std::size_t b = 0; b < bundles.size(); ++b)
       for (int i = 0; i < bundles[b].count; ++i)
-        port_bundle_[static_cast<std::size_t>(
-            port_bundle_offset_[static_cast<std::size_t>(n)] + bundles[b][i])] =
+        port_bundle_[static_cast<std::size_t>(off + bundles[b][i])] =
             static_cast<int>(b);
   }
+  for (const auto& [node, port] : faults.failed_links()) {
+    failed_ends_.push_back(node);
+    failed_ends_.push_back(base.neighbor(node, port));
+  }
+  std::sort(failed_ends_.begin(), failed_ends_.end());
+  failed_ends_.erase(std::unique(failed_ends_.begin(), failed_ends_.end()),
+                     failed_ends_.end());
 
   // A destination is affected iff a failed link sits on some base minimal
   // route toward it: one of the link's directed channels is a route()
@@ -156,52 +173,180 @@ FaultedTopology::FaultedTopology(const Topology& base, const FaultSet& faults)
     }
   }
 
-  // One backward survivor BFS per affected destination: dist[v] = channels
-  // from v to consumption at d over in-service links (the ejection channel
-  // counts, matching Topology::distance's convention), -1 = unreachable.
-  dist_tables_.resize(affected_.size());
-  std::vector<int> frontier;
-  for (std::size_t i = 0; i < affected_.size(); ++i) {
-    const int d = affected_[i];
-    std::vector<int>& dist = dist_tables_[i];
-    dist.assign(static_cast<std::size_t>(nodes), -1);
-    dist[static_cast<std::size_t>(d)] = 0;
-    frontier.assign(1, d);
-    std::size_t head = 0;
-    while (head < frontier.size()) {
-      const int v = frontier[head++];
-      // A processor other than d never transits traffic; its single link was
-      // already relaxed from the switch side, so skipping it is free.
-      if (v < procs && v != d) continue;
-      const int dv = dist[static_cast<std::size_t>(v)];
-      for (int q = 0; q < base.num_ports(v); ++q) {
-        const int u = base.neighbor(v, q);
-        if (u == kNoNode || faults.link_failed(v, q)) continue;
-        if (dist[static_cast<std::size_t>(u)] >= 0) continue;
-        dist[static_cast<std::size_t>(u)] = dv + 1;
-        frontier.push_back(u);
-      }
-    }
-    for (int s = 0; s < procs; ++s)
-      if (s != d && dist[static_cast<std::size_t>(s)] < 0) ++unreachable_pairs_;
-  }
+  frontiers_.resize(affected_.size());
+  std::vector<int> dist;
+  std::vector<int> queue;
+  std::vector<char> mark(static_cast<std::size_t>(nodes), 0);
+  for (std::size_t i = 0; i < affected_.size(); ++i)
+    build_frontier(affected_[i], frontiers_[i], dist, queue, mark);
 
-  // Mean survivor distance over reachable ordered pairs: the base total
-  // corrected column-by-column for the affected destinations.
+  // Unreachable pairs and the mean survivor distance over reachable ordered
+  // pairs: the base total corrected for the processors whose distance
+  // changed.  Only those can differ (an unchanged processor's −base +base
+  // pair is exact), and all of them are in the frontier tables, so this is
+  // the full per-pair correction in the same order.
   const double pairs = static_cast<double>(procs) * (procs - 1);
   double total = base.mean_distance() * pairs;
   for (std::size_t i = 0; i < affected_.size(); ++i) {
     const int d = affected_[i];
-    const std::vector<int>& dist = dist_tables_[i];
-    for (int s = 0; s < procs; ++s) {
+    for (const auto& [s, ds] : frontiers_[i].dist) {
+      if (s >= procs) break;  // ascending: processors come first
       if (s == d) continue;
-      total -= static_cast<double>(base.distance(s, d));
-      if (dist[static_cast<std::size_t>(s)] >= 0)
-        total += static_cast<double>(dist[static_cast<std::size_t>(s)]);
+      const int bs = base.distance(s, d);
+      if (ds == bs) continue;
+      total -= static_cast<double>(bs);
+      if (ds >= 0) {
+        total += static_cast<double>(ds);
+      } else {
+        ++unreachable_pairs_;
+      }
     }
   }
   const double live_pairs = pairs - static_cast<double>(unreachable_pairs_);
   mean_distance_ = live_pairs > 0.0 ? total / live_pairs : 0.0;
+}
+
+void FaultedTopology::build_frontier(int d, Frontier& f,
+                                     std::vector<int>& dist,
+                                     std::vector<int>& queue,
+                                     std::vector<char>& mark) const {
+  const int procs = num_processors();
+  const int nodes = num_nodes();
+  const auto ports = [&](int v) {
+    return std::pair{port_offset_[static_cast<std::size_t>(v)],
+                     port_offset_[static_cast<std::size_t>(v) + 1]};
+  };
+  // A processor other than d never transits traffic.
+  const auto transits = [&](int v) { return v >= procs || v == d; };
+
+  // 1. Healthy backward BFS: dist[v] = channels from v to consumption at d
+  //    (the ejection channel counts, matching Topology::distance's
+  //    convention).  Processors other than d are reached from their switch
+  //    and relax nothing further.
+  dist.assign(static_cast<std::size_t>(nodes), -1);
+  dist[static_cast<std::size_t>(d)] = 0;
+  queue.assign(1, d);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const int v = queue[head];
+    if (!transits(v)) continue;
+    const int dv = dist[static_cast<std::size_t>(v)];
+    const auto [lo, hi] = ports(v);
+    for (int k = lo; k < hi; ++k) {
+      const int u = nbr_[static_cast<std::size_t>(k)];
+      if (u == kNoNode || dist[static_cast<std::size_t>(u)] >= 0) continue;
+      dist[static_cast<std::size_t>(u)] = dv + 1;
+      queue.push_back(u);
+    }
+  }
+
+  // 2. Decremental repair.  Removing links only lengthens distances, and a
+  //    node keeps its distance iff an in-service link leads to a transiting
+  //    neighbor one step closer that kept its own.  Check the failed links'
+  //    endpoints in increasing healthy distance; a node that lost every such
+  //    parent is `lost`, and its children one step farther become suspects.
+  using Entry = std::pair<int, int>;  // (distance, node), popped smallest first
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  // `mark` (all 0 between calls): 1 = suspect, 2 = lost.  `queue` now
+  // records the suspects so the marks can be cleared at the end.
+  queue.clear();
+  std::vector<int> lost;
+  const auto suspect = [&](int v) {
+    if (v == d || mark[static_cast<std::size_t>(v)] != 0) return;
+    if (dist[static_cast<std::size_t>(v)] < 0) return;  // base-unreachable
+    mark[static_cast<std::size_t>(v)] = 1;
+    queue.push_back(v);
+    heap.emplace(dist[static_cast<std::size_t>(v)], v);
+  };
+  for (const int v : failed_ends_) suspect(v);
+  while (!heap.empty()) {
+    const auto [level, v] = heap.top();
+    heap.pop();
+    bool kept = false;
+    const auto [lo, hi] = ports(v);
+    for (int k = lo; k < hi && !kept; ++k) {
+      const int u = nbr_[static_cast<std::size_t>(k)];
+      kept = u != kNoNode && !dead_[static_cast<std::size_t>(k)] &&
+             transits(u) && mark[static_cast<std::size_t>(u)] != 2 &&
+             dist[static_cast<std::size_t>(u)] == level - 1;
+    }
+    if (kept) continue;
+    mark[static_cast<std::size_t>(v)] = 2;
+    lost.push_back(v);
+    if (!transits(v)) continue;
+    for (int k = lo; k < hi; ++k) {
+      const int w = nbr_[static_cast<std::size_t>(k)];
+      if (w != kNoNode && dist[static_cast<std::size_t>(w)] == level + 1)
+        suspect(w);
+    }
+  }
+
+  //    Re-derive the lost nodes' distances: unit-weight Dijkstra seeded from
+  //    the kept boundary (whose distances are final); a lost node no kept
+  //    node reaches stays -1, unreachable.
+  for (const int v : lost) dist[static_cast<std::size_t>(v)] = -1;
+  for (const int v : lost) {
+    int best = -1;
+    const auto [lo, hi] = ports(v);
+    for (int k = lo; k < hi; ++k) {
+      const int u = nbr_[static_cast<std::size_t>(k)];
+      if (u == kNoNode || dead_[static_cast<std::size_t>(k)] || !transits(u) ||
+          mark[static_cast<std::size_t>(u)] == 2)
+        continue;
+      const int du = dist[static_cast<std::size_t>(u)];
+      if (du >= 0 && (best < 0 || du + 1 < best)) best = du + 1;
+    }
+    if (best >= 0) heap.emplace(best, v);
+  }
+  while (!heap.empty()) {
+    const auto [dv, v] = heap.top();
+    heap.pop();
+    if (dist[static_cast<std::size_t>(v)] >= 0) continue;  // already final
+    dist[static_cast<std::size_t>(v)] = dv;
+    if (!transits(v)) continue;
+    const auto [lo, hi] = ports(v);
+    for (int k = lo; k < hi; ++k) {
+      const int w = nbr_[static_cast<std::size_t>(k)];
+      if (w != kNoNode && !dead_[static_cast<std::size_t>(k)] &&
+          mark[static_cast<std::size_t>(w)] == 2 &&
+          dist[static_cast<std::size_t>(w)] < 0)
+        heap.emplace(dv + 1, w);
+    }
+  }
+
+  // 3. Frontier candidates: the lost nodes, their neighbours, and the failed
+  //    links' endpoints.  Outside this set every node keeps its distance and
+  //    sees only kept neighbours over in-service links, so its survivor
+  //    candidates are its base-minimal ports.
+  const auto add_neighbours = [&](std::vector<int>& set) {
+    const std::size_t members = set.size();
+    for (std::size_t i = 0; i < members; ++i) {
+      const auto [lo, hi] = ports(set[i]);
+      for (int k = lo; k < hi; ++k) {
+        const int w = nbr_[static_cast<std::size_t>(k)];
+        if (w != kNoNode) set.push_back(w);
+      }
+    }
+  };
+  const auto sort_unique = [](std::vector<int>& set) {
+    std::sort(set.begin(), set.end());
+    set.erase(std::unique(set.begin(), set.end()), set.end());
+  };
+  f.candidates = lost;
+  add_neighbours(f.candidates);
+  f.candidates.insert(f.candidates.end(), failed_ends_.begin(),
+                      failed_ends_.end());
+  sort_unique(f.candidates);
+
+  // 4. Keep the distances route() reads at the candidates — theirs and
+  //    their neighbours' (a superset of every changed distance).
+  std::vector<int> read = f.candidates;
+  add_neighbours(read);
+  sort_unique(read);
+  f.dist.clear();
+  f.dist.reserve(read.size());
+  for (const int v : read)
+    f.dist.emplace_back(v, dist[static_cast<std::size_t>(v)]);
+  for (const int v : queue) mark[static_cast<std::size_t>(v)] = 0;
 }
 
 std::string FaultedTopology::name() const {
@@ -215,21 +360,39 @@ bool FaultedTopology::reachable(int src_proc, int dst_proc) const {
   WORMNET_EXPECTS(src_proc >= 0 && src_proc < num_processors());
   WORMNET_EXPECTS(dst_proc >= 0 && dst_proc < num_processors());
   if (src_proc == dst_proc) return true;
-  if (!destination_affected(dst_proc)) return true;
-  return dist_to(dst_proc)[static_cast<std::size_t>(src_proc)] >= 0;
+  return can_reach(src_proc, dst_proc);
+}
+
+bool FaultedTopology::can_reach(int node, int dest) const {
+  if (!destination_affected(dest)) return true;
+  const int* dn = frontier_distance(node, dest);
+  return dn == nullptr || *dn >= 0;
+}
+
+const int* FaultedTopology::frontier_distance(int node, int dest) const {
+  const std::vector<std::pair<int, int>>& dist = frontier(dest).dist;
+  const auto it = std::lower_bound(
+      dist.begin(), dist.end(), node,
+      [](const std::pair<int, int>& e, int n) { return e.first < n; });
+  return it != dist.end() && it->first == node ? &it->second : nullptr;
 }
 
 RouteOptions FaultedTopology::route(int node, int dest) const {
   WORMNET_EXPECTS(dest >= 0 && dest < num_processors());
-  if (!destination_affected(dest)) return base_->route(node, dest);
+  if (!destination_affected(dest) || !frontier_candidate(node, dest))
+    return base_->route(node, dest);
   RouteOptions out;
   if (node == dest) return out;
   if (node < num_processors()) {
     out.add(0);  // injection channels never fail
     return out;
   }
-  const std::vector<int>& dist = dist_to(dest);
-  const int dn = dist[static_cast<std::size_t>(node)];
+  const auto dist_of = [&](int v) {
+    const int* dv = frontier_distance(v, dest);
+    WORMNET_ENSURES(dv != nullptr);  // candidates and their neighbours
+    return *dv;
+  };
+  const int dn = dist_of(node);
   // The DP and the simulator only stand worms at nodes that can still reach
   // their destination (unroutable demand is dropped at the source).
   WORMNET_EXPECTS(dn > 0);
@@ -238,15 +401,16 @@ RouteOptions FaultedTopology::route(int node, int dest) const {
   // arbitration group (the simulator's single-bundle invariant; lowest port
   // first keeps model and simulator deterministic and identical).
   int bundle = -1;
-  const int off = port_bundle_offset_[static_cast<std::size_t>(node)];
-  for (int p = 0; p < num_ports(node); ++p) {
-    const int v = base_->neighbor(node, p);
-    if (v == kNoNode || faults_->link_failed(node, p)) continue;
+  const int off = port_offset_[static_cast<std::size_t>(node)];
+  const int end = port_offset_[static_cast<std::size_t>(node) + 1];
+  for (int k = off; k < end; ++k) {
+    const int v = nbr_[static_cast<std::size_t>(k)];
+    if (v == kNoNode || dead_[static_cast<std::size_t>(k)]) continue;
     if (v < num_processors() && v != dest) continue;  // never enter a wrong PE
-    if (dist[static_cast<std::size_t>(v)] != dn - 1) continue;
-    const int b = port_bundle_[static_cast<std::size_t>(off + p)];
+    if (dist_of(v) != dn - 1) continue;
+    const int b = port_bundle_[static_cast<std::size_t>(k)];
     if (bundle < 0) bundle = b;
-    if (b == bundle && out.size() < 4) out.add(p);
+    if (b == bundle && out.size() < 4) out.add(k - off);
   }
   WORMNET_ENSURES(out.size() > 0);
   return out;
@@ -254,11 +418,24 @@ RouteOptions FaultedTopology::route(int node, int dest) const {
 
 std::array<double, 4> FaultedTopology::route_split(
     int node, int dest, const RouteOptions& opts) const {
-  // Unaffected destinations keep the base policy bit-identically; detoured
+  // Outside the frontier the base policy holds bit-identically; detoured
   // candidates get the uniform adaptive split (the base policy's bias was
   // derived for its own candidate set).
-  if (!destination_affected(dest)) return base_->route_split(node, dest, opts);
+  if (!destination_affected(dest) || !frontier_candidate(node, dest))
+    return base_->route_split(node, dest, opts);
   return Topology::route_split(node, dest, opts);
+}
+
+bool FaultedTopology::frontier_candidate(int node, int dest) const {
+  const std::vector<int>& cands = frontier(dest).candidates;
+  return std::binary_search(cands.begin(), cands.end(), node);
+}
+
+const std::vector<int>& FaultedTopology::frontier_candidates(int dest) const {
+  WORMNET_EXPECTS(dest >= 0 && dest < num_processors());
+  static const std::vector<int> kNone;
+  if (!destination_affected(dest)) return kNone;
+  return frontier(dest).candidates;
 }
 
 int FaultedTopology::distance(int src_proc, int dst_proc) const {
@@ -266,9 +443,10 @@ int FaultedTopology::distance(int src_proc, int dst_proc) const {
   WORMNET_EXPECTS(dst_proc >= 0 && dst_proc < num_processors());
   if (src_proc == dst_proc) return 0;
   if (!destination_affected(dst_proc)) return base_->distance(src_proc, dst_proc);
-  const int d = dist_to(dst_proc)[static_cast<std::size_t>(src_proc)];
-  WORMNET_EXPECTS(d >= 0);  // precondition: reachable(src, dst)
-  return d;
+  const int* d = frontier_distance(src_proc, dst_proc);
+  if (d == nullptr) return base_->distance(src_proc, dst_proc);
+  WORMNET_EXPECTS(*d >= 0);  // precondition: reachable(src, dst)
+  return *d;
 }
 
 double FaultedTopology::mean_distance() const { return mean_distance_; }

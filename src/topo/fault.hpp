@@ -13,12 +13,19 @@
 //
 //  * destinations whose base minimal routes never touch a failed element
 //    keep the base routing function verbatim (bit-identical fast path);
-//  * affected destinations route by survivor BFS distance — at each node the
-//    candidates are the in-service ports making strictly-minimal progress in
-//    the survivor graph, restricted to one output bundle so the simulator's
+//  * affected destinations route by survivor BFS distance at their FRONTIER
+//    CANDIDATES — the nodes whose survivor distance changed, their
+//    neighbours, and the endpoints of failed links.  There the candidates
+//    are the in-service ports making strictly-minimal progress in the
+//    survivor graph, restricted to one output bundle so the simulator's
 //    single-bundle arbitration invariant holds (fat-tree worms detour over
 //    the surviving parent link; mesh/hypercube worms take live minimal
-//    detours);
+//    detours).  Everywhere else the base routing is returned verbatim, so a
+//    fault changes routing only inside the candidate set, for any base
+//    topology — the locality the fault delta (core::RetunableTrafficModel::
+//    retune_faults) re-propagates from.  On the shipped topologies, whose
+//    base routes are the lowest-bundle minimal ports, this is the survivor
+//    routing at every node;
 //  * pairs with no surviving path are reported — reachable() answers false,
 //    first_unreachable_pair() names a witness — instead of asserting inside
 //    the flow-propagation DP.
@@ -94,9 +101,12 @@ class FaultSet {
 
 /// The degraded view of `base` under `faults`.  Same nodes, ports, links and
 /// output bundles (stable channel structure); fault-aware route() /
-/// distance() / reachable() / link_ok().  Construction runs one backward
-/// survivor BFS per affected destination, so the object is immutable and
-/// thread-safe afterwards.  Base and faults must outlive the decorator.
+/// distance() / reachable() / link_ok().  Construction runs, per affected
+/// destination, one backward BFS over flat per-port tables followed by a
+/// decremental repair that re-derives only the distances the failures
+/// lengthened, and keeps just the frontier's distances (every other node
+/// kept its healthy one); the object is immutable and thread-safe
+/// afterwards.  Base and faults must outlive the decorator.
 class FaultedTopology final : public Topology {
  public:
   FaultedTopology(const Topology& base, const FaultSet& faults);
@@ -173,19 +183,52 @@ class FaultedTopology final : public Topology {
   /// Fraction of ordered distinct processor pairs with no surviving path.
   double unreachable_pair_fraction() const;
 
+  /// The nodes where routing toward `dest` may differ from the base, in
+  /// ascending order: every node whose survivor distance to `dest` changed
+  /// (unreachable ones included), their neighbours, and both endpoints of
+  /// every failed link.  Empty for unaffected destinations.  route() and
+  /// route_split() return the base answer at every other node.
+  const std::vector<int>& frontier_candidates(int dest) const;
+  /// True when a worm standing at `node` can still reach processor `dest`
+  /// over in-service links (always true for unaffected destinations).
+  /// route(node, dest) requires it.
+  bool can_reach(int node, int dest) const;
+
  private:
-  const std::vector<int>& dist_to(int dest) const {
-    return dist_tables_[static_cast<std::size_t>(
+  /// One affected destination's routing change: its frontier candidates
+  /// and the survivor distance of every candidate and candidate neighbour
+  /// (-1: unreachable) — the only distances route() reads.  Every node
+  /// outside `dist` kept its healthy distance (the changed ones are
+  /// candidates), so nothing else is stored.
+  struct Frontier {
+    std::vector<int> candidates;            // ascending
+    std::vector<std::pair<int, int>> dist;  // (node, distance), ascending
+  };
+  const Frontier& frontier(int dest) const {
+    return frontiers_[static_cast<std::size_t>(
         affected_index_[static_cast<std::size_t>(dest)])];
   }
+  /// The stored survivor distance of `node` toward affected `dest`; nullptr
+  /// when the node is outside the frontier's table (distance unchanged).
+  const int* frontier_distance(int node, int dest) const;
+  /// True when `node` is a frontier candidate of affected destination `dest`.
+  bool frontier_candidate(int node, int dest) const;
+  /// Survivor BFS toward `dest` into `f`.  `dist`, `queue` and `mark` (all
+  /// 0, left so) are scratch reused across destinations.
+  void build_frontier(int dest, Frontier& f, std::vector<int>& dist,
+                      std::vector<int>& queue, std::vector<char>& mark) const;
 
   const Topology* base_;
   const FaultSet* faults_;
   std::vector<int> affected_;        // affected destination processors
-  std::vector<int> affected_index_;  // proc -> index into dist_tables_, -1
-  std::vector<std::vector<int>> dist_tables_;  // survivor dist, -1 unreachable
-  std::vector<int> port_bundle_;        // flattened [node][port] -> bundle id
-  std::vector<int> port_bundle_offset_; // per-node offset into port_bundle_
+  std::vector<int> affected_index_;  // proc -> index into frontiers_, -1
+  std::vector<Frontier> frontiers_;
+  // Flat per-(node, port) tables, indexed port_offset_[node] + port.
+  std::vector<int> port_offset_;
+  std::vector<int> nbr_;          // base neighbor, kNoNode when unconnected
+  std::vector<char> dead_;        // 1 when the link is failed
+  std::vector<int> port_bundle_;  // output-bundle id
+  std::vector<int> failed_ends_;  // both endpoints of every failed link
   long unreachable_pairs_ = 0;
   double mean_distance_ = 0.0;
 };
