@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   core::FatTreeModelOptions with{.levels = levels,
                                  .worm_flits = static_cast<double>(worm)};
   core::FatTreeModelOptions without = with;
-  without.blocking_correction = false;
+  without.ablation.blocking_correction = false;
 
   core::FatTreeModel model_with(with), model_without(without);
   harness::SweepEngine engine;

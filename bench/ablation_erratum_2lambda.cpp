@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   core::FatTreeModelOptions corrected{.levels = levels,
                                       .worm_flits = static_cast<double>(worm)};
   core::FatTreeModelOptions typo = corrected;
-  typo.erratum_2lambda = false;
+  typo.ablation.erratum_2lambda = false;
 
   core::FatTreeModel model_ok(corrected), model_typo(typo);
   harness::SweepEngine engine;

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   core::FatTreeModelOptions full{.levels = levels,
                                  .worm_flits = static_cast<double>(worm)};
   core::FatTreeModelOptions split = full;
-  split.multi_server = false;
+  split.ablation.multi_server = false;
 
   core::FatTreeModel model_full(full), model_split(split);
   harness::SweepEngine engine;

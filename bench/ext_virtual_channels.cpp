@@ -64,11 +64,11 @@ int main(int argc, char** argv) {
       // be recycled — flush the engine's address-keyed memo cache.
       engine.clear_cache();
       topo::ButterflyFatTree ft(static_cast<int>(levels));
-      std::vector<int> lanes;
-      for (std::int64_t l : lane_list) lanes.push_back(static_cast<int>(l));
-      const std::vector<harness::FamilyMember> family = engine.sweep_lanes(
-          [&](int L) {
-            ft.set_uniform_lanes(L);
+      std::vector<double> lanes;
+      for (std::int64_t l : lane_list) lanes.push_back(static_cast<double>(l));
+      const std::vector<harness::FamilyMember> family = engine.sweep_family(
+          [&](double L) {
+            ft.set_uniform_lanes(static_cast<int>(L));
             return std::make_unique<core::GeneralModel>(
                 core::build_traffic_model(ft, pc.spec, opts));
           },

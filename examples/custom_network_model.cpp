@@ -73,7 +73,7 @@ int main() {
 
   // --- Ablation: what if we ignored the pooling of the two middle links?
   core::GeneralModel naive = net;
-  naive.opts.multi_server = false;
+  naive.opts.ablation.multi_server = false;
   const double sat_naive = engine.saturation_rate(naive);
   std::printf("\nwith the two-server pool modeled as independent M/G/1 links,"
               " predicted saturation drops from %.5f to %.5f (-%.1f%%)\n",

@@ -34,15 +34,15 @@ int main(int argc, char** argv) {
   opts.worm_flits = static_cast<double>(worm);
   const traffic::TrafficSpec spec = traffic::TrafficSpec::hotspot(hotspot);
 
-  std::vector<int> lanes;
-  for (auto l : lane_ints) lanes.push_back(static_cast<int>(l));
+  std::vector<double> lanes;
+  for (auto l : lane_ints) lanes.push_back(static_cast<double>(l));
 
   // The lane axis: one pattern-aware model per lane count, each swept at
   // fractions of its OWN saturation.
   harness::SweepEngine engine;
-  const std::vector<harness::FamilyMember> family = engine.sweep_lanes(
-      [&](int L) {
-        ft.set_uniform_lanes(L);
+  const std::vector<harness::FamilyMember> family = engine.sweep_family(
+      [&](double L) {
+        ft.set_uniform_lanes(static_cast<int>(L));
         return std::make_unique<core::GeneralModel>(
             core::build_traffic_model(ft, spec, opts));
       },

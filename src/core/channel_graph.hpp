@@ -34,8 +34,8 @@
 #include <string>
 #include <vector>
 
+#include "queueing/channel_solver.hpp"
 #include "util/assert.hpp"
-#include "util/math.hpp"
 
 namespace wormnet::core {
 
@@ -46,36 +46,24 @@ struct Transition {
   double route_prob = 0.0;///< R(i|j) toward the specific output bundle
 };
 
-/// One class of statistically identical directed channels.
-struct ChannelClass {
+/// One class of statistically identical directed channels.  The queueing
+/// attributes (servers, lanes, bandwidth, buffer depth, link latency, C_a²)
+/// are the kernel's queueing::ChannelAttributes, so a class is passed to
+/// queueing::ChannelSolver as is.
+struct ChannelClass : queueing::ChannelAttributes {
   std::string label;          ///< human-readable tag for reports/tests
-  int servers = 1;            ///< m of the output bundle this class is served by
-  int lanes = 1;              ///< L, virtual channels multiplexed per physical link
   double rate_per_link = 0.0; ///< λ per physical link at unit injection rate
   bool terminal = false;      ///< true for ejection channels (x̄ = s_f)
-  /// C_a², the squared coefficient of variation of this channel's arrival
-  /// stream, consumed by the solver's Allen–Cunneen G/G/m wait.  1 is the
-  /// paper's Poisson assumption; the traffic-model builder propagates
-  /// injection burstiness here via GeneralModel::set_injection_ca2.
-  double ca2 = 1.0;
   /// Structural burstiness retention in [0, 1]: the rate-weighted mean,
   /// over the sub-streams merging into this channel, of each sub-stream's
   /// fraction of its source's original injection process.  QNA merge/split
-  /// algebra makes the channel's SCV affine in the injection SCV,
+  /// algebra makes the channel's SCV `ca2` affine in the injection SCV,
   ///     C_a²(ch) = 1 + (C_inj² − 1) · self_frac,
   /// so retuning a built model to a new arrival process is O(channels)
-  /// (see core::build_traffic_model).  0 — full Poissonification — for
-  /// hand-built graphs, which therefore ignore injection burstiness.
+  /// (see core::build_traffic_model and GeneralModel::set_injection_ca2).
+  /// 0 — full Poissonification — for hand-built graphs, which therefore
+  /// ignore injection burstiness.
   double self_frac = 0.0;
-  /// Link bandwidth b in flits/cycle (a service-time scale: s_f flits drain
-  /// in s_f/b cycles).  1 is the paper's uniform network.
-  double bandwidth = 1.0;
-  /// Extra per-hop pipeline latency in cycles on top of the one-cycle hop.
-  double link_latency = 0.0;
-  /// Per-lane flit-buffer depth B (util::kInfiniteBufferDepth = the paper's
-  /// unbounded buffering).  Finite B discounts the Eq. 9/10 blocking credit
-  /// by B/(B+b) and caps the effective drain rate at b·B/(B+b).
-  int buffer_depth = util::kInfiniteBufferDepth;
   std::vector<Transition> next;
 };
 

@@ -73,7 +73,7 @@ FatTreeEvaluation FatTreeModel::evaluate_detail(double lambda0) const {
   WORMNET_EXPECTS(lambda0 >= 0.0);
   const int n = opts_.levels;
   const double sf = opts_.worm_flits;
-  const ChannelSolver solver(sf, opts_.ablation());
+  const ChannelSolver solver(sf, opts_.ablation);
 
   FatTreeEvaluation ev;
   ev.lambda0 = lambda0;
@@ -91,8 +91,11 @@ FatTreeEvaluation FatTreeModel::evaluate_detail(double lambda0) const {
     ev.lambda_up[static_cast<std::size_t>(l)] = rate_up(l, lambda0);
   auto lam = [&](int l) { return ev.lambda_up[static_cast<std::size_t>(l)]; };
 
-  const int m = opts_.parents;
   const int lanes = opts_.lanes;
+  // Down channels and the injection channel are single links; up bundles at
+  // level >= 1 pool the m parent links.  Every link carries `lanes` lanes.
+  const queueing::ChannelAttributes single{.lanes = lanes};
+  const queueing::ChannelAttributes bundle{.servers = opts_.parents, .lanes = lanes};
   // Lane-multiplexing excess of the level-l channel (zero at lanes == 1).
   auto ex = [&](int l) { return solver.lane_excess(lanes, lam(l)); };
 
@@ -100,16 +103,16 @@ FatTreeEvaluation FatTreeModel::evaluate_detail(double lambda0) const {
   // Down channels are single-server; their waits come from the kernel's
   // M/G/1 path (Eq. 17/19), lane-extended to M/G/L when lanes > 1.
   ev.x_down[0] = solver.terminal_service() + ex(0);  // Eq. 16
-  ev.w_down[0] = solver.bundle_wait(1, lanes, lam(0), ev.x_down[0]);  // Eq. 17
+  ev.w_down[0] = solver.bundle_wait(single, lam(0), ev.x_down[0]);  // Eq. 17
   for (int l = 1; l < n; ++l) {
     // Eq. 18: continue down one of 4 children, R = 1/4.
-    const double p = solver.blocking_factor(1, lanes, lam(l), lam(l - 1), 0.25);
+    const double p = solver.blocking_factor(single, lam(l), lam(l - 1), 0.25);
     ev.x_down[static_cast<std::size_t>(l)] =
         ev.x_down[static_cast<std::size_t>(l - 1)] +
         ChannelSolver::wait_term(p, ev.w_down[static_cast<std::size_t>(l - 1)]) +
         ex(l);
     ev.w_down[static_cast<std::size_t>(l)] = solver.bundle_wait(
-        1, lanes, lam(l), ev.x_down[static_cast<std::size_t>(l)]);  // Eq. 19
+        single, lam(l), ev.x_down[static_cast<std::size_t>(l)]);  // Eq. 19
   }
 
   // --- Up chain, Eq. 20–24, resolved from the top downward.  Up bundles at
@@ -119,7 +122,7 @@ FatTreeEvaluation FatTreeModel::evaluate_detail(double lambda0) const {
     // Eq. 20: after the top-most up channel ⟨n-1, n⟩ a message descends to
     // one of 3 siblings; λ⟨n-1,n⟩ = λ⟨n,n-1⟩ makes the factor exactly 2/3.
     const int l = n - 1;
-    const double p = solver.blocking_factor(1, lanes, lam(l), lam(l), 1.0 / 3.0);
+    const double p = solver.blocking_factor(single, lam(l), lam(l), 1.0 / 3.0);
     ev.x_up[static_cast<std::size_t>(l)] =
         ev.x_down[static_cast<std::size_t>(l)] +
         ChannelSolver::wait_term(p, ev.w_down[static_cast<std::size_t>(l)]) + ex(l);
@@ -127,18 +130,18 @@ FatTreeEvaluation FatTreeModel::evaluate_detail(double lambda0) const {
   if (n >= 2) {
     const int top = n - 1;
     ev.w_up[static_cast<std::size_t>(top)] = solver.bundle_wait(
-        m, lanes, lam(top), ev.x_up[static_cast<std::size_t>(top)]);  // Eq. 21
+        bundle, lam(top), ev.x_up[static_cast<std::size_t>(top)]);  // Eq. 21
   }
   for (int l = n - 1; l >= 1; --l) {
     // Eq. 22 for channel ⟨l-1, l⟩.
     const double pu = up_probability(l);
     const double pd = 1.0 - pu;  // Eq. 13
-    const double block_up = solver.blocking_factor(m, lanes, lam(l - 1), lam(l), pu);
+    const double block_up = solver.blocking_factor(bundle, lam(l - 1), lam(l), pu);
     const double up_term =
         ev.x_up[static_cast<std::size_t>(l)] +
         ChannelSolver::wait_term(block_up, ev.w_up[static_cast<std::size_t>(l)]);
     const double block_down =
-        solver.blocking_factor(1, lanes, lam(l - 1), lam(l - 1), pd / 3.0);
+        solver.blocking_factor(single, lam(l - 1), lam(l - 1), pd / 3.0);
     const double down_term =
         ev.x_down[static_cast<std::size_t>(l - 1)] +
         ChannelSolver::wait_term(block_down, ev.w_down[static_cast<std::size_t>(l - 1)]);
@@ -146,21 +149,20 @@ FatTreeEvaluation FatTreeModel::evaluate_detail(double lambda0) const {
         pu * up_term + pd * down_term + ex(l - 1);
     if (l - 1 >= 1) {
       ev.w_up[static_cast<std::size_t>(l - 1)] = solver.bundle_wait(
-          m, lanes, lam(l - 1), ev.x_up[static_cast<std::size_t>(l - 1)]);  // Eq. 23
+          bundle, lam(l - 1), ev.x_up[static_cast<std::size_t>(l - 1)]);  // Eq. 23
     }
   }
   // Eq. 24: the injection channel has no redundant twin — M/G/1 (M/G/L with
   // lane latches).
-  ev.w_up[0] = solver.bundle_wait(1, lanes, lam(0), ev.x_up[0]);
+  ev.w_up[0] = solver.bundle_wait(single, lam(0), ev.x_up[0]);
 
   // Utilizations (diagnostics; also the stability verdict): lane occupancy
   // of the m·L latches when lanes > 1.
   for (int l = 0; l < n; ++l) {
-    const int servers = (l >= 1) ? m : 1;
     ev.rho_up[static_cast<std::size_t>(l)] = solver.bundle_utilization(
-        servers, lanes, lam(l), ev.x_up[static_cast<std::size_t>(l)]);
+        l >= 1 ? bundle : single, lam(l), ev.x_up[static_cast<std::size_t>(l)]);
     ev.rho_down[static_cast<std::size_t>(l)] = solver.bundle_utilization(
-        1, lanes, lam(l), ev.x_down[static_cast<std::size_t>(l)]);
+        single, lam(l), ev.x_down[static_cast<std::size_t>(l)]);
   }
 
   ev.inj_wait = ev.w_up[0];

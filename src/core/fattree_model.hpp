@@ -38,9 +38,6 @@ namespace wormnet::core {
 struct FatTreeModelOptions {
   int levels = 3;                  ///< n; N = 4^n processors
   double worm_flits = 16.0;        ///< s_f, worm length in flits
-  bool multi_server = true;        ///< model up-link pairs as M/G/2 (paper novelty 1)
-  bool blocking_correction = true; ///< apply Eq. 9/10 (paper novelty 2)
-  bool erratum_2lambda = true;     ///< corrected Eq. 21/23 (2λ in the M/G/2)
 
   /// Parent links per switch.  2 is the paper's butterfly fat-tree; other
   /// values model the GeneralizedFatTree through the M/G/m kernel — the
@@ -54,14 +51,9 @@ struct FatTreeModelOptions {
   /// channel blocks only when all L lanes are held); 1 reproduces the paper.
   int lanes = 1;
 
-  /// Honor `lanes` in the blocking recurrence (the ablation switch for the
-  /// virtual-channel extension; no effect when lanes == 1).
-  bool virtual_channels = true;
-
-  /// The switches the ChannelSolver kernel consumes.
-  queueing::AblationOptions ablation() const {
-    return {multi_server, blocking_correction, erratum_2lambda, virtual_channels};
-  }
+  /// The paper's three ablation switches (M/G/2 pooling of the up-link
+  /// pair, the Eq. 9/10 blocking discount, the erratum's 2λ).
+  queueing::AblationOptions ablation{};
 };
 
 /// Full per-level evaluation at one injection rate.
@@ -108,7 +100,7 @@ class FatTreeModel final : public NetworkModel {
   // NetworkModel interface.
   std::string name() const override;
   double worm_flits() const override { return opts_.worm_flits; }
-  queueing::AblationOptions ablation() const override { return opts_.ablation(); }
+  queueing::AblationOptions ablation() const override { return opts_.ablation; }
   LatencyEstimate evaluate(double lambda0) const override;
 
  private:

@@ -17,44 +17,6 @@ namespace {
 
 using queueing::ChannelSolver;
 
-/// Lane multiplicity as the queueing layer sees it: on a slow or
-/// credit-limited link (drain_floor > 0) extra lanes neither add capacity
-/// nor shorten the head-of-line wait — equal-length worms time-sharing a
-/// bandwidth-limited link finish no sooner on average than in FIFO order —
-/// so waits, blocking and occupancy treat the channel as single-lane and
-/// the sharing stretch lives in lane_share_factor instead.  Unit links
-/// keep their true lane count (floor 0 — including the whole default
-/// path, bit for bit).
-int model_lanes(const ChannelSolver& solver, const ChannelClass& cls) {
-  return solver.drain_floor(cls.bandwidth, cls.buffer_depth) > 0.0 ? 1
-                                                                   : cls.lanes;
-}
-
-/// W̄ of the bundle serving class `j` at the solve's injection scale, at the
-/// class's arrival SCV (the bursty-arrivals extension; ca2 == 1 reproduces
-/// the paper's Poisson wait bit for bit).
-double bundle_wait(const ChannelSolver& solver, const ChannelClass& cls,
-                   double xbar, double injection_scale) {
-  return solver.bundle_wait(cls.servers, model_lanes(solver, cls),
-                            cls.rate_per_link * injection_scale, xbar, cls.ca2);
-}
-
-/// Eq. 9/10 factor for a transition from class `from` into class `to`,
-/// discounted by the target's lane multiplicity (an L-lane channel blocks
-/// only when all L lanes are held) and by the target's finite buffer credit
-/// B/(B+b) (heterogeneous extension; exactly 1 at B = ∞).  Rates at unit
-/// injection scale: the λ_in/λ_out ratio is scale-invariant.
-double blocking_factor(const ChannelSolver& solver, const ChannelClass& from,
-                       const ChannelClass& to, const Transition& t) {
-  // True lane count here, not model_lanes: an L-lane slow link still lets
-  // an arriving worm slip past a blocked one (head-of-line relief is about
-  // lane availability, not link capacity), so the /L discount stands even
-  // where the wait and occupancy treat the link as single-lane.
-  return solver.blocking_factor(to.servers, to.lanes, from.rate_per_link,
-                                to.rate_per_link, t.route_prob, to.bandwidth,
-                                to.buffer_depth);
-}
-
 /// One evaluation of Eq. 11 for class `i` given current service times, plus
 /// the heterogeneous-link terms of channel i itself: the lane-multiplexing
 /// stretch and pipeline latency add to the composed time, while the
@@ -62,13 +24,14 @@ double blocking_factor(const ChannelSolver& solver, const ChannelClass& from,
 /// through consecutive slow links at the bottleneck rate, so the drain
 /// stretch of a path is the max over its channels, never the sum (see
 /// ChannelSolver::drain_floor).  All terms vanish in the paper's uniform
-/// single-lane network — the exact recurrence.
+/// single-lane network — the exact recurrence.  Blocking factors take rates
+/// at unit injection scale: the λ_in/λ_out ratio is scale-invariant.
 double compose_service_time(const ChannelSolver& solver, const ChannelGraph& graph,
                             int i, const std::vector<double>& x,
                             const std::vector<double>& waits,
                             double injection_scale) {
   const ChannelClass& cls = graph.at(i);
-  double excess = solver.hop_excess(cls.link_latency);
+  double excess = cls.link_latency;  // 0 on the paper's hop
   double xi;
   if (cls.terminal) {
     xi = solver.terminal_service();
@@ -76,21 +39,20 @@ double compose_service_time(const ChannelSolver& solver, const ChannelGraph& gra
     xi = 0.0;
     for (const Transition& t : cls.next) {
       const ChannelClass& target = graph.at(t.target);
-      const double p = blocking_factor(solver, cls, target, t);
+      const double p = solver.blocking_factor(target, cls.rate_per_link,
+                                              target.rate_per_link, t.route_prob);
       const double wait_term =
           ChannelSolver::wait_term(p, waits[static_cast<std::size_t>(t.target)]);
       xi += t.weight * (x[static_cast<std::size_t>(t.target)] + wait_term);
     }
   }
-  const double floor = solver.drain_floor(cls.bandwidth, cls.buffer_depth);
+  const double floor = solver.drain_floor(cls);
   if (floor > 0.0) {
     // Non-default link: lane sharing stretches the bottleneck drain itself,
     // and the stretched floor max-composes like the plain one.  The u ≥ 1
     // guard inside the factor (+inf) is what saturates a tapered tier.
     const double shared =
-        floor * solver.lane_share_factor(
-                    cls.lanes, cls.rate_per_link * injection_scale,
-                    cls.bandwidth, cls.buffer_depth);
+        floor * solver.lane_share_factor(cls, cls.rate_per_link * injection_scale);
     if (shared > xi) xi = shared;  // channel i itself is the path bottleneck
   } else {
     excess += solver.lane_excess(cls.lanes, cls.rate_per_link * injection_scale);
@@ -106,7 +68,7 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
   WORMNET_EXPECTS(opts.injection_scale >= 0.0);
   WORMNET_EXPECTS(graph.validate().empty());
 
-  const ChannelSolver solver(opts.worm_flits, opts.ablation());
+  const ChannelSolver solver(opts.worm_flits, opts.ablation);
   const double scale = opts.injection_scale;
 
   const int n = graph.size();
@@ -114,6 +76,12 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
   result.channels.assign(static_cast<std::size_t>(n), {});
   std::vector<double> x(static_cast<std::size_t>(n), opts.worm_flits);
   std::vector<double> waits(static_cast<std::size_t>(n), 0.0);
+  // W̄ of class id's bundle at its current x̄ and the solve's injection scale.
+  const auto wait_at = [&](int id) {
+    const ChannelClass& cls = graph.at(id);
+    return solver.bundle_wait(cls, cls.rate_per_link * scale,
+                              x[static_cast<std::size_t>(id)]);
+  };
 
   const std::vector<int> order = graph.reverse_topological_order();
   if (!order.empty()) {
@@ -125,8 +93,7 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
       // then evaluate the wait of this class's bundle at that final x̄.
       x[static_cast<std::size_t>(id)] =
           compose_service_time(solver, graph, id, x, waits, scale);
-      waits[static_cast<std::size_t>(id)] =
-          bundle_wait(solver, graph.at(id), x[static_cast<std::size_t>(id)], scale);
+      waits[static_cast<std::size_t>(id)] = wait_at(id);
     }
     result.iterations = 1;
     result.converged = true;
@@ -137,8 +104,7 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
     for (int it = 0; it < opts.max_iterations; ++it) {
       double max_delta = 0.0;
       for (int id = 0; id < n; ++id) {
-        waits[static_cast<std::size_t>(id)] =
-            bundle_wait(solver, graph.at(id), x[static_cast<std::size_t>(id)], scale);
+        waits[static_cast<std::size_t>(id)] = wait_at(id);
       }
       for (int id = 0; id < n; ++id) {
         const double next = compose_service_time(solver, graph, id, x, waits, scale);
@@ -157,30 +123,28 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
     }
     result.telemetry.max_residual = last_delta;
     for (int id = 0; id < n; ++id) {
-      waits[static_cast<std::size_t>(id)] =
-          bundle_wait(solver, graph.at(id), x[static_cast<std::size_t>(id)], scale);
+      waits[static_cast<std::size_t>(id)] = wait_at(id);
     }
   }
 
   for (int id = 0; id < n; ++id) {
+    const ChannelClass& cls = graph.at(id);
     ChannelSolution& sol = result.channels[static_cast<std::size_t>(id)];
     sol.service_time = x[static_cast<std::size_t>(id)];
     sol.wait = waits[static_cast<std::size_t>(id)];
-    sol.utilization = solver.bundle_utilization(
-        graph.at(id).servers, model_lanes(solver, graph.at(id)),
-        graph.at(id).rate_per_link * scale, sol.service_time);
+    sol.utilization =
+        solver.bundle_utilization(cls, cls.rate_per_link * scale, sol.service_time);
     sol.cb2 = solver.cb2(sol.service_time);
-    // Report the SCV the wait was actually evaluated at: with the
-    // bursty_arrivals ablation off the kernel used the Poisson value, not
-    // the graph's tuned one.
-    sol.ca2 = opts.ablation().bursty_arrivals ? graph.at(id).ca2 : 1.0;
+    sol.ca2 = cls.ca2;
     // Blocking decomposition (diagnostic): the transition-weighted Eq. 9/10
     // factor — rates are scale-invariant, so this needs no re-solve.
-    const ChannelClass& cls = graph.at(id);
     if (!cls.terminal) {
       double pblock = 0.0;
-      for (const Transition& t : cls.next)
-        pblock += t.weight * blocking_factor(solver, cls, graph.at(t.target), t);
+      for (const Transition& t : cls.next) {
+        const ChannelClass& target = graph.at(t.target);
+        pblock += t.weight * solver.blocking_factor(target, cls.rate_per_link,
+                                                    target.rate_per_link, t.route_prob);
+      }
       sol.blocking = pblock;
     }
     if (std::isfinite(sol.utilization) &&
@@ -220,9 +184,7 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
           tel.first_saturated_class = id;
           const ChannelClass& cls = graph.at(id);
           tel.saturation_cause =
-              solver.drain_floor(cls.bandwidth, cls.buffer_depth) > 0.0
-                  ? "drain-capacity"
-                  : "divergent-wait";
+              solver.drain_floor(cls) > 0.0 ? "drain-capacity" : "divergent-wait";
           break;
         }
       }
@@ -354,12 +316,9 @@ namespace {
 
 /// Fold the load-independent intra-batch serialization wait into a finished
 /// estimate (the exact M^[X]/G/1 decomposition; see
-/// GeneralModel::injection_batch_residual).  Off when the bursty_arrivals
-/// ablation is off — the term belongs to the same extension.
-LatencyEstimate apply_batch_residual(LatencyEstimate est, double residual,
-                                     bool bursty_arrivals) {
-  if (residual <= 0.0 || !bursty_arrivals || !std::isfinite(est.inj_service))
-    return est;
+/// GeneralModel::injection_batch_residual); 0 for batchless processes.
+LatencyEstimate apply_batch_residual(LatencyEstimate est, double residual) {
+  if (residual <= 0.0 || !std::isfinite(est.inj_service)) return est;
   const double extra = residual * est.inj_service;
   est.inj_wait += extra;
   est.latency += extra;
@@ -416,18 +375,11 @@ std::uint64_t GeneralModel::content_digest() const {
 }
 
 SolveResult GeneralModel::solve(double lambda0) const {
-  SolveOptions run = opts;
-  run.injection_scale = lambda0;
-  return solve_general_model(graph, run);
+  return model_solve(*this, lambda0, opts);
 }
 
 LatencyEstimate GeneralModel::evaluate(double lambda0) const {
-  return apply_unroutable(
-      apply_batch_residual(
-          estimate_latency(solve(lambda0), injection_classes,
-                           injection_class_weights, mean_distance),
-          injection_batch_residual, opts.bursty_arrivals),
-      unroutable_fraction);
+  return model_latency(*this, lambda0, opts);
 }
 
 SolveResult model_solve(const GeneralModel& net, double lambda0, SolveOptions base) {
@@ -442,7 +394,7 @@ LatencyEstimate model_latency(const GeneralModel& net, double lambda0,
       apply_batch_residual(
           estimate_latency(res, net.injection_classes,
                            net.injection_class_weights, net.mean_distance),
-          net.injection_batch_residual, base.bursty_arrivals),
+          net.injection_batch_residual),
       net.unroutable_fraction);
 }
 

@@ -21,7 +21,8 @@
 //
 // The ablation switches (queueing::AblationOptions) reproduce the paper's
 // two claimed novelties and the published erratum, so benches can quantify
-// each ingredient's contribution.
+// each ingredient's contribution.  The extensions (lanes, arrival SCVs,
+// link attributes) are per-class inputs on the graph, not switches.
 #pragma once
 
 #include <map>
@@ -38,23 +39,10 @@ namespace wormnet::core {
 struct SolveOptions {
   double worm_flits = 16.0;        ///< s_f, worm length in flits
   double injection_scale = 1.0;    ///< λ₀ multiplier applied to all unit rates
-  bool multi_server = true;        ///< paper novelty (1)
-  bool blocking_correction = true; ///< paper novelty (2)
-  bool erratum_2lambda = true;     ///< corrected Eq. 21/23 (total bundle rate)
-  bool virtual_channels = true;    ///< honor per-channel lane counts (extension)
-  bool bursty_arrivals = true;     ///< honor per-channel C_a² (extension)
-  /// Honor per-channel bandwidth / link latency / buffer depth (extension);
-  /// inert — bit-for-bit — on the default uniform attributes.
-  bool finite_buffers = true;
+  queueing::AblationOptions ablation{};  ///< the paper's three ablation switches
   int max_iterations = 500;        ///< fixed-point cap for cyclic graphs
   double tolerance = 1e-12;        ///< fixed-point convergence threshold
   double damping = 0.5;            ///< fixed-point damping factor in (0, 1]
-
-  /// The switches the ChannelSolver kernel consumes.
-  queueing::AblationOptions ablation() const {
-    return {multi_server, blocking_correction, erratum_2lambda, virtual_channels,
-            bursty_arrivals, finite_buffers};
-  }
 };
 
 /// Per-class solution values.
@@ -235,7 +223,7 @@ class GeneralModel final : public NetworkModel {
   // NetworkModel interface.
   std::string name() const override { return model_name; }
   double worm_flits() const override { return opts.worm_flits; }
-  queueing::AblationOptions ablation() const override { return opts.ablation(); }
+  queueing::AblationOptions ablation() const override { return opts.ablation; }
   double arrival_ca2() const override { return injection_ca2; }
   double arrival_batch_residual() const override {
     return injection_batch_residual;

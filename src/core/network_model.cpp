@@ -22,11 +22,9 @@ std::uint64_t NetworkModel::content_digest() const {
   // on top — see the header contract.
   const queueing::AblationOptions abl = ablation();
   std::uint64_t h = util::hash_bytes(name());
-  h = util::hash_mix(h, (static_cast<std::uint64_t>(abl.multi_server) << 4) |
-                           (static_cast<std::uint64_t>(abl.blocking_correction) << 3) |
-                           (static_cast<std::uint64_t>(abl.erratum_2lambda) << 2) |
-                           (static_cast<std::uint64_t>(abl.virtual_channels) << 1) |
-                           static_cast<std::uint64_t>(abl.bursty_arrivals));
+  h = util::hash_mix(h, (static_cast<std::uint64_t>(abl.multi_server) << 2) |
+                           (static_cast<std::uint64_t>(abl.blocking_correction) << 1) |
+                           static_cast<std::uint64_t>(abl.erratum_2lambda));
   h = util::hash_mix_double(h, worm_flits());
   h = util::hash_mix_double(h, arrival_ca2());
   h = util::hash_mix_double(h, arrival_batch_residual());

@@ -170,47 +170,26 @@ std::vector<FamilyMember> SweepEngine::sweep_family(
   return family;
 }
 
-std::vector<FamilyMember> SweepEngine::sweep_lanes(
-    const LaneModelFactory& make, const std::vector<int>& lane_counts,
-    const std::vector<double>& saturation_fractions) {
-  std::vector<double> parameters;
-  parameters.reserve(lane_counts.size());
-  for (int lanes : lane_counts) {
-    WORMNET_EXPECTS(lanes >= 1);
-    parameters.push_back(static_cast<double>(lanes));
-  }
-  return sweep_family(
-      [&make](double parameter) { return make(static_cast<int>(parameter)); },
-      parameters, saturation_fractions);
-}
-
 std::vector<FamilyMember> SweepEngine::sweep_burstiness(
     const ArrivalModelFactory& make,
     const std::vector<arrivals::ArrivalSpec>& processes,
     const std::vector<double>& saturation_fractions) {
-  // Same structure and lifetime contract as sweep_family; the family axis
-  // is the process's (rate-invariant) C_a².
-  std::vector<FamilyMember> family;
-  family.reserve(processes.size());
+  // The family axis is the process's (rate-invariant) effective C_a².
+  std::vector<double> parameters;
+  parameters.reserve(processes.size());
   for (const arrivals::ArrivalSpec& process : processes) {
     WORMNET_EXPECTS(process.check().empty());
     // Bernoulli's SCV depends on λ₀, which varies point-by-point inside a
     // member's own sweep — it has no single position on this axis, and the
     // rate-invariant default below would silently read as Poisson.
     WORMNET_EXPECTS(process.kind() != arrivals::Kind::Bernoulli);
-    FamilyMember member;
-    member.parameter = process.effective_ca2();
-    member.model = make(process);
-    WORMNET_EXPECTS(member.model != nullptr);
-    member.saturation_rate = saturation_rate(*member.model);
-    std::vector<double> lambdas;
-    lambdas.reserve(saturation_fractions.size());
-    for (double f : saturation_fractions)
-      lambdas.push_back(member.saturation_rate * f);
-    member.points = sweep_lambda(*member.model, lambdas);
-    family.push_back(std::move(member));
+    parameters.push_back(process.effective_ca2());
   }
-  return family;
+  // sweep_family builds members one at a time in parameter order, so the
+  // i-th factory call is the i-th process (two processes may share a C_a²).
+  std::size_t next = 0;
+  return sweep_family([&](double) { return make(processes[next++]); }, parameters,
+                      saturation_fractions);
 }
 
 double SweepEngine::saturation_rate(const core::NetworkModel& model) {

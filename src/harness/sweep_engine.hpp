@@ -77,11 +77,6 @@ struct FamilyMember {
 using ModelFactory =
     std::function<std::unique_ptr<core::NetworkModel>(double parameter)>;
 
-/// Builds the family member model at one virtual-channel (lane) count — e.g.
-/// `[&](int L) { ft.set_uniform_lanes(L); return build_traffic_model(...); }`.
-using LaneModelFactory =
-    std::function<std::unique_ptr<core::NetworkModel>(int lanes)>;
-
 /// Builds the family member model tuned to one arrival process — e.g.
 /// `[&](const arrivals::ArrivalSpec& p) {
 ///    auto m = std::make_unique<core::GeneralModel>(base);
@@ -136,14 +131,6 @@ class SweepEngine {
   std::vector<FamilyMember> sweep_family(const ModelFactory& make,
                                          const std::vector<double>& parameters,
                                          const std::vector<double>& saturation_fractions);
-
-  /// Lane-count axis: sweep_family over virtual-channel multiplicities (the
-  /// capacity-planning axis the multi-lane extension opens).  Each member's
-  /// `parameter` is its lane count; the factory decides how lanes enter the
-  /// model (set_uniform_lanes + rebuild, or FatTreeModelOptions::lanes).
-  std::vector<FamilyMember> sweep_lanes(const LaneModelFactory& make,
-                                        const std::vector<int>& lane_counts,
-                                        const std::vector<double>& saturation_fractions);
 
   /// Burstiness axis: sweep_family over arrival processes (the bursty-
   /// arrivals extension's capacity-planning axis).  Each member's model is

@@ -4,9 +4,36 @@
 
 #include "queueing/queueing.hpp"
 #include "util/assert.hpp"
-#include "util/math.hpp"
 
 namespace wormnet::queueing {
+
+namespace {
+
+/// True for the paper's unit-bandwidth, unbounded-buffer link — the one
+/// whose drain never floors a worm's holding time.
+bool unit_link(const ChannelAttributes& ch) {
+  return ch.bandwidth == 1.0 && ch.buffer_depth == util::kInfiniteBufferDepth;
+}
+
+/// Lane multiplicity as the queue sees it: a slow or credit-limited link
+/// queues as single-lane (see ChannelSolver::bundle_wait).
+int queue_lanes(const ChannelAttributes& ch) {
+  WORMNET_EXPECTS(ch.servers >= 1);
+  WORMNET_EXPECTS(ch.lanes >= 1);
+  return unit_link(ch) ? ch.lanes : 1;
+}
+
+/// b_eff = b·B/(B + b): after B flits at the native rate, credit return
+/// costs one stall cycle.  Exactly b at B = ∞ (no arithmetic applied).
+double effective_bandwidth(const ChannelAttributes& ch) {
+  WORMNET_EXPECTS(ch.bandwidth > 0.0);
+  WORMNET_EXPECTS(ch.buffer_depth >= 1);
+  if (ch.buffer_depth == util::kInfiniteBufferDepth) return ch.bandwidth;
+  const double depth = static_cast<double>(ch.buffer_depth);
+  return ch.bandwidth * depth / (depth + ch.bandwidth);
+}
+
+}  // namespace
 
 ChannelSolver::ChannelSolver(double worm_flits, AblationOptions ablation)
     : worm_flits_(worm_flits), ablation_(ablation) {
@@ -17,144 +44,80 @@ double ChannelSolver::cb2(double xbar) const {
   return wormhole_cb2(xbar, worm_flits_);
 }
 
-double ChannelSolver::bundle_wait(int servers, double lambda_link, double xbar) const {
-  WORMNET_EXPECTS(servers >= 1);
-  if (!ablation_.multi_server || servers == 1) {
-    // Each physical link treated as an independent M/G/1 at its own rate.
-    return mg1_wait_wormhole(lambda_link, xbar, worm_flits_);
-  }
-  // Corrected form (the erratum at Eq. 21/23): the m-server queue sees the
-  // bundle's total rate.  The uncorrected published formula used the
-  // per-link rate.
-  const double lambda_arg =
-      ablation_.erratum_2lambda ? lambda_link * servers : lambda_link;
-  return wormhole_wait(servers, lambda_arg, xbar, worm_flits_);
-}
-
-double ChannelSolver::bundle_wait(int servers, int lanes, double lambda_link,
-                                  double xbar) const {
-  WORMNET_EXPECTS(servers >= 1);
-  WORMNET_EXPECTS(lanes >= 1);
-  if (!ablation_.virtual_channels || lanes == 1)
-    return bundle_wait(servers, lambda_link, xbar);
+double ChannelSolver::bundle_wait(const ChannelAttributes& ch,
+                                  double lambda_link, double xbar) const {
+  const int lanes = queue_lanes(ch);
+  double wait;
   if (!ablation_.multi_server) {
-    // Each physical link an independent queue, but its L lane latches are L
-    // servers of that queue.
-    return wormhole_wait(lanes, lambda_link, xbar, worm_flits_);
+    // Each physical link an independent queue whose L lane latches are its
+    // servers — plain M/G/1 at L = 1.
+    wait = wormhole_wait(lanes, lambda_link, xbar, worm_flits_);
+  } else {
+    // Corrected form (the erratum at Eq. 21/23): the m-server queue sees
+    // the bundle's total rate.  The uncorrected published formula used the
+    // per-link rate.
+    const double lambda_arg =
+        ablation_.erratum_2lambda ? lambda_link * ch.servers : lambda_link;
+    wait = wormhole_wait(ch.servers * lanes, lambda_arg, xbar, worm_flits_);
   }
-  const double lambda_arg =
-      ablation_.erratum_2lambda ? lambda_link * servers : lambda_link;
-  return wormhole_wait(servers * lanes, lambda_arg, xbar, worm_flits_);
-}
-
-double ChannelSolver::bundle_wait(int servers, int lanes, double lambda_link,
-                                  double xbar, double ca2) const {
-  const double base = bundle_wait(servers, lanes, lambda_link, xbar);
-  if (!ablation_.bursty_arrivals) return base;
   // scaled_wait_gg owns the guard rules (ca2 == 1 bit identity, 0/inf
   // passthrough) shared with the standalone wormhole_wait_gg kernel.
-  return scaled_wait_gg(base, ca2, cb2(xbar));
+  return scaled_wait_gg(wait, ch.ca2, cb2(xbar));
 }
 
-double ChannelSolver::bundle_utilization(int servers, double lambda_link,
-                                         double xbar) const {
-  WORMNET_EXPECTS(servers >= 1);
-  return utilization(lambda_link * servers, xbar, servers);
-}
-
-double ChannelSolver::bundle_utilization(int servers, int lanes,
+double ChannelSolver::bundle_utilization(const ChannelAttributes& ch,
                                          double lambda_link, double xbar) const {
-  WORMNET_EXPECTS(servers >= 1);
-  WORMNET_EXPECTS(lanes >= 1);
-  if (!ablation_.virtual_channels || lanes == 1)
-    return bundle_utilization(servers, lambda_link, xbar);
-  return utilization(lambda_link * servers, xbar, servers * lanes);
+  return utilization(lambda_link * ch.servers, xbar, ch.servers * queue_lanes(ch));
+}
+
+double ChannelSolver::blocking_factor(const ChannelAttributes& to,
+                                      double lambda_in_link,
+                                      double lambda_out_link,
+                                      double route_prob) const {
+  WORMNET_EXPECTS(to.servers >= 1);
+  WORMNET_EXPECTS(to.lanes >= 1);
+  double p = 1.0;  // ablated, or vacuous: no load on the target
+  if (ablation_.blocking_correction && lambda_out_link > 0.0) {
+    double r = route_prob;
+    if (to.buffer_depth != util::kInfiniteBufferDepth) {
+      WORMNET_EXPECTS(to.buffer_depth >= 1);
+      WORMNET_EXPECTS(to.bandwidth > 0.0);
+      const double depth = static_cast<double>(to.buffer_depth);
+      r *= depth / (depth + to.bandwidth);  // θ = b_eff / b
+    }
+    if (!ablation_.multi_server && to.servers > 1) r /= to.servers;
+    p = util::clamp01(1.0 - (lambda_in_link / lambda_out_link) * r);
+  }
+  return to.lanes == 1 ? p : p / static_cast<double>(to.lanes);
 }
 
 double ChannelSolver::lane_excess(int lanes, double lambda_link) const {
   WORMNET_EXPECTS(lanes >= 1);
   WORMNET_EXPECTS(lambda_link >= 0.0);
-  if (!ablation_.virtual_channels || lanes == 1) return 0.0;
+  if (lanes == 1) return 0.0;
   const double u = lambda_link * worm_flits_;
   if (u >= 1.0) return std::numeric_limits<double>::infinity();
   const double share = u * (1.0 - 1.0 / static_cast<double>(lanes));
   return (1.0 / (1.0 - share) - 1.0) * worm_flits_;
 }
 
-double ChannelSolver::effective_bandwidth(double bandwidth,
-                                          int buffer_depth) const {
-  WORMNET_EXPECTS(bandwidth > 0.0);
-  WORMNET_EXPECTS(buffer_depth >= 1);
-  if (buffer_depth == util::kInfiniteBufferDepth) return bandwidth;
-  const double depth = static_cast<double>(buffer_depth);
-  return bandwidth * depth / (depth + bandwidth);
+double ChannelSolver::drain_floor(const ChannelAttributes& ch) const {
+  if (unit_link(ch)) return 0.0;  // the paper's channel has no floor
+  return worm_flits_ / effective_bandwidth(ch);
 }
 
-double ChannelSolver::hop_excess(double link_latency) const {
-  if (!ablation_.finite_buffers) return 0.0;
-  WORMNET_EXPECTS(link_latency >= 0.0);
-  return link_latency;  // 0.0 on the default — the paper's hop
-}
-
-double ChannelSolver::drain_floor(double bandwidth, int buffer_depth) const {
-  if (!ablation_.finite_buffers) return 0.0;
-  if (bandwidth == 1.0 && buffer_depth == util::kInfiniteBufferDepth)
-    return 0.0;  // uniform default — the paper's channel has no floor
-  return worm_flits_ / effective_bandwidth(bandwidth, buffer_depth);
-}
-
-double ChannelSolver::lane_share_factor(int lanes, double lambda_link,
-                                        double bandwidth,
-                                        int buffer_depth) const {
-  WORMNET_EXPECTS(lanes >= 1);
+double ChannelSolver::lane_share_factor(const ChannelAttributes& ch,
+                                        double lambda_link) const {
+  WORMNET_EXPECTS(ch.lanes >= 1);
   WORMNET_EXPECTS(lambda_link >= 0.0);
   // Occupancy against the EFFECTIVE capacity: a tapered or credit-limited
   // link saturates at λ·s_f = b_eff regardless of lane count — this guard,
   // not the wait divergence, is what moves the model's saturation point.
-  const double b_eff = effective_bandwidth(bandwidth, buffer_depth);
-  const double u = lambda_link * worm_flits_ / b_eff;
+  const double u = lambda_link * worm_flits_ / effective_bandwidth(ch);
   if (u >= 1.0) return std::numeric_limits<double>::infinity();
-  if (!ablation_.virtual_channels || lanes == 1) return 1.0;
-  const double share = u * (1.0 - 1.0 / static_cast<double>(lanes));
+  if (ch.lanes == 1) return 1.0;
+  const double share = u * (1.0 - 1.0 / static_cast<double>(ch.lanes));
   return 1.0 / (1.0 - share);
-}
-
-double ChannelSolver::blocking_factor(int servers, double lambda_in_link,
-                                      double lambda_out_link,
-                                      double route_prob) const {
-  WORMNET_EXPECTS(servers >= 1);
-  if (!ablation_.blocking_correction) return 1.0;
-  if (lambda_out_link <= 0.0) return 1.0;  // vacuous: no contention either way
-  double r = route_prob;
-  if (!ablation_.multi_server && servers > 1) r /= servers;
-  return util::clamp01(1.0 - (lambda_in_link / lambda_out_link) * r);
-}
-
-double ChannelSolver::blocking_factor(int servers, int lanes,
-                                      double lambda_in_link,
-                                      double lambda_out_link,
-                                      double route_prob) const {
-  WORMNET_EXPECTS(lanes >= 1);
-  const double p =
-      blocking_factor(servers, lambda_in_link, lambda_out_link, route_prob);
-  if (!ablation_.virtual_channels || lanes == 1) return p;
-  return p / static_cast<double>(lanes);
-}
-
-double ChannelSolver::blocking_factor(int servers, int lanes,
-                                      double lambda_in_link,
-                                      double lambda_out_link,
-                                      double route_prob, double bandwidth,
-                                      int buffer_depth) const {
-  double r = route_prob;
-  if (ablation_.finite_buffers &&
-      buffer_depth != util::kInfiniteBufferDepth) {
-    WORMNET_EXPECTS(buffer_depth >= 1);
-    WORMNET_EXPECTS(bandwidth > 0.0);
-    const double depth = static_cast<double>(buffer_depth);
-    r *= depth / (depth + bandwidth);  // θ = b_eff / b
-  }
-  return blocking_factor(servers, lanes, lambda_in_link, lambda_out_link, r);
 }
 
 double ChannelSolver::wait_term(double blocking, double wait) {

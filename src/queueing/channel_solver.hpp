@@ -7,21 +7,30 @@
 // this kernel: they decide WHICH channels feed which, while the kernel owns
 // HOW a channel's wait, utilization and blocking discount are computed.
 //
-// The kernel bundles three ingredients, each behind its ablation switch:
-//  * bundle_wait       — W̄ of an m-link output bundle: M/G/1 (Eq. 6) for
-//                        m = 1, Hokstad's M/G/2 (Eq. 8) for m = 2 with the
-//                        published erratum's 2λ correction at Eq. 21/23,
-//                        and the generalized M/G/m kernel for m > 2;
-//  * blocking_factor   — the wormhole blocking-probability correction
-//                        P(i|j) of Eq. 9/10 in per-link-rate form;
-//  * wait_term         — the guarded p·W̄ product (0·∞ must be 0: a zero
-//                        blocking probability means "never waits here" even
-//                        past saturation).
+// One call per quantity, each over the channel's ChannelAttributes:
+//  * bundle_wait        — W̄ of an m-link output bundle: M/G/1 (Eq. 6) for
+//                         m = 1, Hokstad's M/G/2 (Eq. 8) for m = 2 with the
+//                         published erratum's 2λ correction at Eq. 21/23,
+//                         and the generalized M/G/m kernel for m > 2;
+//  * bundle_utilization — ρ of that bundle (the stability verdict);
+//  * blocking_factor    — the wormhole blocking-probability correction
+//                         P(i|j) of Eq. 9/10 in per-link-rate form;
+// plus the guarded p·W̄ product (wait_term) and the per-hop stretch terms
+// the drivers add while composing service times.
+//
+// The paper's two novelties and its erratum are the only switches
+// (AblationOptions).  The extensions — virtual-channel lanes, bursty
+// arrival SCVs, link bandwidth, link latency and finite buffers — are
+// channel INPUTS, and each degrades to the paper's model through its input:
+// at L = 1, C_a² = 1, b = 1, latency 0 and B = ∞ every extension term
+// returns early, so the published numbers are reproduced bit for bit.
 //
 // All rates passed to the kernel are PER PHYSICAL LINK; the kernel applies
 // the m-server total-rate correction internally so callers cannot disagree
 // about the erratum.
 #pragma once
+
+#include "util/math.hpp"
 
 namespace wormnet::queueing {
 
@@ -38,33 +47,30 @@ struct AblationOptions {
   /// The erratum at Eq. 21/23: evaluate the M/G/m wait at the bundle's
   /// TOTAL rate m·λ.  Off: the per-link rate as originally typeset.
   bool erratum_2lambda = true;
-  /// Extension: honor virtual-channel (lane) multiplicities.  An L-lane
-  /// channel blocks an incoming worm only when all L lanes are held, which
-  /// the model approximates as an L-fold reduction of the Eq. 9/10 blocking
-  /// probability.  Off: lane counts are ignored (every channel treated as
-  /// the paper's single lane).  With L = 1 everywhere the switch has no
-  /// effect, so the paper's published numbers are reproduced bit-for-bit.
-  bool virtual_channels = true;
-  /// Extension: honor per-channel arrival-stream SCVs (C_a²) through the
-  /// Allen–Cunneen G/G/m correction (C_a² + C_b²)/2 — the bursty-arrivals
-  /// subsystem's entry into the wait recurrence.  Off: C_a² ≡ 1 (the
-  /// paper's Poisson assumption 1).  With C_a² = 1 everywhere the switch
-  /// has no effect, so Poisson runs reproduce the published numbers
-  /// bit-for-bit.
-  bool bursty_arrivals = true;
-  /// Extension: honor per-channel link attributes — bandwidth (a service-
-  /// time scale), extra link latency, and finite per-lane buffer depth.
-  /// Bandwidth b and depth B combine into the effective drain rate
-  ///     b_eff = b·B / (B + b)
-  /// (B native-rate flits, then one credit-stall cycle: B flits per
-  /// B/b + 1 cycles), which stretches the per-hop holding time, feeds the
-  /// lane-occupancy stability check, and enters the Eq. 9/10 blocking
-  /// factor as the credit term B/(B + b) on R(i|j).  Off: attributes are
-  /// ignored (the paper's uniform unit-bandwidth, unbuffered-credit
-  /// network).  With b = 1, B = ∞, latency 0 everywhere the switch has no
-  /// effect — every term degenerates through exact ·1.0 / /1.0 identities,
-  /// so the published numbers are reproduced bit-for-bit.
-  bool finite_buffers = true;
+};
+
+/// The queueing-relevant attributes of one channel (or channel class).
+/// The defaults are the paper's channel: one server, one lane, unit
+/// bandwidth, no extra latency, unbounded buffering, Poisson arrivals.
+struct ChannelAttributes {
+  /// m, the number of physical links arbitrated as one multi-server output
+  /// bundle (the fat-tree's redundant parent pair has m = 2).
+  int servers = 1;
+  /// L, virtual channels (lanes) multiplexed per physical link.  An L-lane
+  /// channel blocks an incoming worm only when all L lanes are held.
+  int lanes = 1;
+  /// Link bandwidth b in flits/cycle (a service-time scale: s_f flits drain
+  /// in s_f/b cycles).
+  double bandwidth = 1.0;
+  /// Per-lane flit-buffer depth B (util::kInfiniteBufferDepth = unbounded).
+  /// Finite B discounts the Eq. 9/10 blocking credit by B/(B+b) and caps
+  /// the effective drain rate at b·B/(B+b).
+  int buffer_depth = util::kInfiniteBufferDepth;
+  /// Extra per-hop pipeline latency in cycles on top of the one-cycle hop.
+  double link_latency = 0.0;
+  /// C_a², the squared coefficient of variation of the channel's arrival
+  /// stream, entering the wait through the Allen–Cunneen G/G/m correction.
+  double ca2 = 1.0;
 };
 
 /// Stateless-per-evaluation solver for one channel class; holds the worm
@@ -84,40 +90,55 @@ class ChannelSolver {
   /// Squared coefficient of variation of channel service time, Eq. 5.
   double cb2(double xbar) const;
 
-  /// Mean wait W̄ of an m-link bundle whose PER-LINK message rate is
-  /// `lambda_link` and whose per-message service time is `xbar`.
-  /// Dispatches on m and the ablation switches:
-  ///   m == 1 or multi_server off  → M/G/1 at the per-link rate (Eq. 6);
-  ///   m >= 2, erratum on          → M/G/m at the total rate m·λ (Eq. 8/21/23);
-  ///   m >= 2, erratum off         → M/G/m at the per-link rate (as typeset).
-  double bundle_wait(int servers, double lambda_link, double xbar) const;
+  /// Mean wait W̄ of the bundle serving channel `ch`, whose PER-LINK
+  /// message rate is `lambda_link` and whose per-message service time is
+  /// `xbar`.  The lane-acquisition queue of an m-link bundle with L lanes
+  /// per link is M/G/(m·L) (the wait diverges at lane occupancy λ·x̄ = m·L):
+  ///   multi_server on,  erratum on  → M/G/(m·L) at the total rate m·λ
+  ///                                   (Eq. 6/8/21/23 at L = 1);
+  ///   multi_server on,  erratum off → M/G/(m·L) at the per-link rate
+  ///                                   (as typeset);
+  ///   multi_server off              → each link an independent M/G/L at
+  ///                                   its own rate (M/G/1, Eq. 6, at L = 1).
+  /// A slow or credit-limited link (drain_floor > 0) queues as single-lane:
+  /// extra lanes neither add capacity nor shorten the head-of-line wait
+  /// there — equal-length worms time-sharing a bandwidth-limited link
+  /// finish no sooner on average than in FIFO order — so its sharing
+  /// stretch lives in lane_share_factor instead.  Finally the Allen–Cunneen
+  /// correction W_{G/G/m} ≈ W_{M/G/m}·(C_a² + C_b²)/(1 + C_b²) applies the
+  /// channel's arrival SCV; C_a² = 1 returns the Poisson wait bit for bit.
+  double bundle_wait(const ChannelAttributes& ch, double lambda_link,
+                     double xbar) const;
 
-  /// Lane-aware wait: an m-link bundle whose links carry L lanes each holds
-  /// up to m·L worms at once, so the lane-acquisition queue is M/G/(m·L) at
-  /// the bundle's physical message rate (the wait diverges at lane
-  /// occupancy λ·x̄ = m·L, not at m).  Degenerates to the single-lane form
-  /// when L == 1 or the virtual_channels switch is off.
-  double bundle_wait(int servers, int lanes, double lambda_link, double xbar) const;
-
-  /// Bursty-arrivals wait: the lane-aware bundle wait for an arrival stream
-  /// whose inter-arrival SCV is `ca2`, via the Allen–Cunneen correction
-  ///     W_{G/G/m} ≈ W_{M/G/m} · (C_a² + C_b²)/(1 + C_b²).
-  /// Degenerates — bit for bit — to the Poisson form above when ca2 == 1 or
-  /// the bursty_arrivals switch is off.
-  double bundle_wait(int servers, int lanes, double lambda_link, double xbar,
-                     double ca2) const;
-
-  /// Utilization ρ of the bundle, always at the true total rate m·λ (the
+  /// Utilization ρ of the bundle serving `ch`: the fraction of its m·L lane
+  /// latches held, λ·m·x̄ / (m·L), always at the true total rate m·λ (the
   /// ablations change the wait formula, not the physics of utilization).
-  double bundle_utilization(int servers, double lambda_link, double xbar) const;
-
-  /// Lane-aware occupancy: the fraction of the bundle's m·L lane latches
-  /// held, λ·m·x̄ / (m·L).  This is the stability metric for a lane
-  /// channel — an L-lane link legitimately holds several stretched worms at
-  /// once.  Degenerates to bundle_utilization when L == 1 or the
-  /// virtual_channels switch is off.
-  double bundle_utilization(int servers, int lanes, double lambda_link,
+  /// An L-lane link legitimately holds several stretched worms at once; a
+  /// slow link counts as single-lane, as in bundle_wait.
+  double bundle_utilization(const ChannelAttributes& ch, double lambda_link,
                             double xbar) const;
+
+  /// Blocking-probability correction P(i|j) of Eq. 9/10 in per-link form,
+  /// for a worm entering the TARGET channel `to`:
+  ///     P = (1 − (λ_in / λ_out) · R(i|j) · θ) / L,   clamped into [0, 1]
+  /// before the lane division.  With per-link rates the m of Eq. 10
+  /// cancels; when the multi-server treatment is ablated the worm commits
+  /// to one specific link out of m uniformly, so R divides by m.  The
+  /// correction is 1 (before /L) when ablated or when the target carries no
+  /// load.  Two extension discounts, each exactly inert at its default:
+  ///  * lanes — a worm waits only when every one of the target's L lanes is
+  ///    held, modeled as the single-lane probability divided by L (the
+  ///    lanes are statistically identical, so each additional lane is an
+  ///    independent escape from the head-of-line wait).  The TRUE lane
+  ///    count applies even on slow links: head-of-line relief is about lane
+  ///    availability, not link capacity;
+  ///  * buffers — the target's finite per-lane depth B keeps only B flits
+  ///    of an arriving worm moving before credit backpressure couples it to
+  ///    the downstream drain, so the "the worm ahead is my own traffic"
+  ///    credit R(i|j) is discounted by θ = B/(B + b) — exactly the
+  ///    effective-bandwidth ratio b_eff/b (θ ≡ 1 at B = ∞).
+  double blocking_factor(const ChannelAttributes& to, double lambda_in_link,
+                         double lambda_out_link, double route_prob) const;
 
   /// Multiplexing stretch of an L-lane channel: lanes share the link's one
   /// flit/cycle, so a worm's s_f flits cross it in V·s_f cycles with
@@ -125,41 +146,25 @@ class ChannelSolver {
   /// (round-robin sharing against the other lanes' bandwidth demand;
   /// V ≤ L, the physical L-way interleave bound).  Returns the EXCESS
   /// holding time (V − 1)·s_f to add to the channel's composed service
-  /// time; 0 when L == 1 or the switch is off; +inf when U ≥ 1 (the link's
-  /// physical bandwidth is exceeded — infeasible regardless of lanes).
+  /// time; 0 when L == 1; +inf when U ≥ 1 (the link's physical bandwidth is
+  /// exceeded — infeasible regardless of lanes).
   double lane_excess(int lanes, double lambda_link) const;
 
-  // -- Heterogeneous-link forms (finite_buffers switch) ---------------------
-
-  /// Effective drain rate of a channel with bandwidth `b` flits/cycle and
-  /// per-lane buffer depth B: b_eff = b·B/(B + b) — after B flits at the
-  /// native rate, credit return costs one stall cycle, so B flits take
-  /// B/b + 1 cycles.  Exactly `b` at B = ∞ (no arithmetic applied), and
-  /// B/(B+1) for a unit-bandwidth link.  Pure helper: not ablation-gated
-  /// (callers gate).
-  double effective_bandwidth(double bandwidth, int buffer_depth) const;
-
-  /// Deterministic per-hop EXCESS holding time of a heterogeneous channel:
-  /// the extra pipeline cycles the link's latency adds to the head's
-  /// progress (and hence to how long every upstream channel is held).
-  /// Exactly 0 when the finite_buffers switch is off or the latency is the
-  /// default 0.  The slow-drain stretch deliberately does NOT live here —
-  /// it composes by max, not by sum (see drain_floor).
-  double hop_excess(double link_latency) const;
-
   /// Deterministic drain FLOOR of a heterogeneous channel: a worm holds the
-  /// channel at least s_f / b_eff cycles — its flits cannot cross faster
-  /// than the link's effective rate.  A wormhole worm advances rigidly, so
-  /// crossing several slow links it pipelines through all of them at the
-  /// BOTTLENECK rate: the stretch of a path is max over its channels, not
-  /// the sum (an additive per-hop stretch overcounts every slow hop after
-  /// the first — badly, for a tapered tree whose up and down tiers are both
-  /// slow).  Composition is therefore x̄_i = max(downstream composition,
-  /// drain_floor(i)): the downstream term already carries the slower-than-me
-  /// bottlenecks, and the floor re-asserts channel i's own drain when i IS
-  /// the bottleneck.  Returns 0 (max-identity, bit-inert) when the
-  /// finite_buffers switch is off or the attributes are the defaults.
-  double drain_floor(double bandwidth, int buffer_depth) const;
+  /// channel at least s_f / b_eff cycles, where
+  ///     b_eff = b·B / (B + b)
+  /// is the effective drain rate (B native-rate flits, then one
+  /// credit-stall cycle: B flits per B/b + 1 cycles; b_eff = b at B = ∞).
+  /// A wormhole worm advances rigidly, so crossing several slow links it
+  /// pipelines through all of them at the BOTTLENECK rate: the stretch of a
+  /// path is max over its channels, not the sum (an additive per-hop
+  /// stretch overcounts every slow hop after the first — badly, for a
+  /// tapered tree whose up and down tiers are both slow).  Composition is
+  /// therefore x̄_i = max(downstream composition, drain_floor(i)): the
+  /// downstream term already carries the slower-than-me bottlenecks, and
+  /// the floor re-asserts channel i's own drain when i IS the bottleneck.
+  /// Returns 0 (max-identity, bit-inert) at b = 1, B = ∞.
+  double drain_floor(const ChannelAttributes& ch) const;
 
   /// Heterogeneous lane-sharing factor V ≥ 1 of a slow channel: L lanes
   /// round-robin the link's b_eff, so a worm's drain slows by
@@ -172,39 +177,8 @@ class ChannelSolver {
   /// help latency on a tapered tier the way they do on unit links.
   /// Returns +inf when u ≥ 1 (the slow link's physical capacity is
   /// exceeded — this is how the model saturates on a tapered tier, even at
-  /// L = 1), and exactly 1 at L = 1 below capacity or with the
-  /// virtual_channels switch off.
-  double lane_share_factor(int lanes, double lambda_link, double bandwidth,
-                           int buffer_depth) const;
-
-  /// Blocking-probability correction P(i|j) of Eq. 9/10 in per-link form:
-  ///     P = 1 − (λ_in / λ_out) · R(i|j),   clamped into [0, 1],
-  /// where `servers` is m of the TARGET bundle.  With per-link rates the m
-  /// of Eq. 10 cancels; when the multi-server treatment is ablated the worm
-  /// commits to one specific link out of m uniformly, so R divides by m.
-  /// Returns 1 when the correction is ablated or the target carries no load.
-  double blocking_factor(int servers, double lambda_in_link,
-                         double lambda_out_link, double route_prob) const;
-
-  /// Lane-aware form: `lanes` is L of the TARGET channel.  A worm entering
-  /// an L-lane channel waits only when every lane is held, modeled as the
-  /// single-lane blocking probability divided by L (the lanes are
-  /// statistically identical, so each additional lane is an independent
-  /// escape from the head-of-line wait).  Degenerates to the single-lane
-  /// form when L == 1 or the virtual_channels switch is off.
-  double blocking_factor(int servers, int lanes, double lambda_in_link,
-                         double lambda_out_link, double route_prob) const;
-
-  /// Buffer-aware form: the TARGET channel's finite per-lane depth B keeps
-  /// only B flits of an arriving worm moving before credit backpressure
-  /// couples it to the downstream drain, so the "the worm ahead is my own
-  /// traffic" credit R(i|j) is discounted by θ = B/(B + b) — exactly the
-  /// effective-bandwidth ratio b_eff/b.  Implemented as route_prob·θ into
-  /// the lane-aware form above; θ is exactly 1 (no arithmetic) at B = ∞ or
-  /// with the finite_buffers switch off.
-  double blocking_factor(int servers, int lanes, double lambda_in_link,
-                         double lambda_out_link, double route_prob,
-                         double bandwidth, int buffer_depth) const;
+  /// L = 1), and exactly 1 at L = 1 below capacity.
+  double lane_share_factor(const ChannelAttributes& ch, double lambda_link) const;
 
   /// The guarded product p·W̄ used when composing service times (Eq. 11/18/
   /// 20/22): p == 0 means the correction proves this input never waits

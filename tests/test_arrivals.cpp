@@ -125,11 +125,6 @@ TEST(ScvPropagationBatch, ResidualAddsLoadIndependentSourceWait) {
   // At 20% load the epoch-queue wait is small, but a mean-4 batch still
   // serializes ~3 worm services at the source — the residual dominates.
   EXPECT_GT(batch.inj_wait, poisson.inj_wait + 2.5 * poisson.inj_service);
-  // The ablation switch removes the whole extension, residual included.
-  core::SolveOptions off = net.opts;
-  off.bursty_arrivals = false;
-  const core::LatencyEstimate ablated = core::model_latency(net, lam, off);
-  EXPECT_EQ(ablated.latency, poisson.latency);
 }
 
 TEST(ArrivalSpecTest, OnOffMatchesIppClosedForm) {
@@ -264,14 +259,12 @@ TEST(AllenCunneen, WormholeWaitGgBitIdenticalAtPoissonAndScalesAbove) {
   }
 }
 
-TEST(AllenCunneen, ChannelSolverHonorsAblationSwitch) {
-  queueing::AblationOptions off;
-  off.bursty_arrivals = false;
-  const queueing::ChannelSolver burst(16.0), poisson_only(16.0, off);
-  const double base = burst.bundle_wait(2, 1, 0.01, 20.0);
-  EXPECT_GT(burst.bundle_wait(2, 1, 0.01, 20.0, 6.0), base);
-  EXPECT_EQ(poisson_only.bundle_wait(2, 1, 0.01, 20.0, 6.0), base);
-  EXPECT_EQ(burst.bundle_wait(2, 1, 0.01, 20.0, 1.0), base);
+TEST(AllenCunneen, ChannelSolverScalesByChannelScv) {
+  const queueing::ChannelSolver solver(16.0);
+  const double base = solver.bundle_wait({.servers = 2}, 0.01, 20.0);
+  EXPECT_EQ(base, queueing::wormhole_wait(2, 0.02, 20.0, 16.0));
+  EXPECT_GT(solver.bundle_wait({.servers = 2, .ca2 = 6.0}, 0.01, 20.0), base);
+  EXPECT_EQ(solver.bundle_wait({.servers = 2, .ca2 = 1.0}, 0.01, 20.0), base);
 }
 
 // --- QNA propagation through the traffic-model builder. -------------------

@@ -21,19 +21,23 @@ using core::FatTreeModelOptions;
 using core::GeneralModel;
 using core::SolveResult;
 using queueing::AblationOptions;
+using queueing::ChannelAttributes;
 using queueing::ChannelSolver;
+
+/// The paper's channel with an m-link output bundle.
+ChannelAttributes bundle(int servers) { return {.servers = servers}; }
 
 TEST(ChannelSolver, BundleWaitDispatchesOnServerCount) {
   const ChannelSolver solver(16.0);
   const double lam = 0.01, x = 24.0;
   // m = 1 → M/G/1 (Eq. 6).
-  EXPECT_DOUBLE_EQ(solver.bundle_wait(1, lam, x),
+  EXPECT_DOUBLE_EQ(solver.bundle_wait(bundle(1), lam, x),
                    queueing::mg1_wait_wormhole(lam, x, 16.0));
   // m = 2 → Hokstad M/G/2 at the TOTAL rate 2λ (Eq. 8 + erratum).
-  EXPECT_DOUBLE_EQ(solver.bundle_wait(2, lam, x),
+  EXPECT_DOUBLE_EQ(solver.bundle_wait(bundle(2), lam, x),
                    queueing::mg2_wait_wormhole(2.0 * lam, x, 16.0));
   // m = 3 → generalized M/G/m at the total rate.
-  EXPECT_DOUBLE_EQ(solver.bundle_wait(3, lam, x),
+  EXPECT_DOUBLE_EQ(solver.bundle_wait(bundle(3), lam, x),
                    queueing::mgm_wait_wormhole(3, 3.0 * lam, x, 16.0));
 }
 
@@ -43,7 +47,7 @@ TEST(ChannelSolver, ErratumSwitchSelectsPerLinkRate) {
   const ChannelSolver typo(16.0, abl);
   const double lam = 0.01, x = 24.0;
   // As typeset: the M/G/2 sees only the per-link rate.
-  EXPECT_DOUBLE_EQ(typo.bundle_wait(2, lam, x),
+  EXPECT_DOUBLE_EQ(typo.bundle_wait(bundle(2), lam, x),
                    queueing::mg2_wait_wormhole(lam, x, 16.0));
 }
 
@@ -53,35 +57,36 @@ TEST(ChannelSolver, MultiServerSwitchFallsBackToMg1) {
   const ChannelSolver split(16.0, abl);
   const double lam = 0.01, x = 24.0;
   // Every bundle treated as independent M/G/1 links at the per-link rate.
-  EXPECT_DOUBLE_EQ(split.bundle_wait(2, lam, x),
+  EXPECT_DOUBLE_EQ(split.bundle_wait(bundle(2), lam, x),
                    queueing::mg1_wait_wormhole(lam, x, 16.0));
-  EXPECT_DOUBLE_EQ(split.bundle_wait(4, lam, x),
+  EXPECT_DOUBLE_EQ(split.bundle_wait(bundle(4), lam, x),
                    queueing::mg1_wait_wormhole(lam, x, 16.0));
 }
 
 TEST(ChannelSolver, BlockingFactorMatchesEq10) {
   const ChannelSolver solver(16.0);
   // P = 1 - (λ_in/λ_out)·R, clamped into [0, 1].
-  EXPECT_DOUBLE_EQ(solver.blocking_factor(1, 0.01, 0.02, 0.5), 0.75);
-  EXPECT_DOUBLE_EQ(solver.blocking_factor(2, 0.01, 0.01, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(solver.blocking_factor(1, 0.05, 0.01, 1.0), 0.0);  // clamped
+  EXPECT_DOUBLE_EQ(solver.blocking_factor(bundle(1), 0.01, 0.02, 0.5), 0.75);
+  EXPECT_DOUBLE_EQ(solver.blocking_factor(bundle(2), 0.01, 0.01, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(solver.blocking_factor(bundle(1), 0.05, 0.01, 1.0), 0.0);  // clamped
   // No load on the target: vacuous correction.
-  EXPECT_DOUBLE_EQ(solver.blocking_factor(1, 0.01, 0.0, 0.5), 1.0);
+  EXPECT_DOUBLE_EQ(solver.blocking_factor(bundle(1), 0.01, 0.0, 0.5), 1.0);
 }
 
 TEST(ChannelSolver, BlockingFactorAblations) {
   AblationOptions off;
   off.blocking_correction = false;
-  EXPECT_DOUBLE_EQ(ChannelSolver(16.0, off).blocking_factor(1, 0.05, 0.01, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(ChannelSolver(16.0, off).blocking_factor(bundle(1), 0.05, 0.01, 1.0),
+                   1.0);
 
   // With independent single-server links the worm commits to one specific
   // link of m uniformly: R divides by m for multi-server targets only.
   AblationOptions split;
   split.multi_server = false;
   const ChannelSolver s(16.0, split);
-  EXPECT_DOUBLE_EQ(s.blocking_factor(2, 0.01, 0.02, 0.5),
+  EXPECT_DOUBLE_EQ(s.blocking_factor(bundle(2), 0.01, 0.02, 0.5),
                    1.0 - (0.01 / 0.02) * 0.25);
-  EXPECT_DOUBLE_EQ(s.blocking_factor(1, 0.01, 0.02, 0.5),
+  EXPECT_DOUBLE_EQ(s.blocking_factor(bundle(1), 0.01, 0.02, 0.5),
                    1.0 - (0.01 / 0.02) * 0.5);
 }
 
@@ -95,10 +100,10 @@ TEST(ChannelSolver, UtilizationUsesTrueTotalRate) {
   AblationOptions typo;
   typo.erratum_2lambda = false;  // must NOT affect utilization
   const ChannelSolver a(16.0), b(16.0, typo);
-  EXPECT_DOUBLE_EQ(a.bundle_utilization(2, 0.01, 24.0),
+  EXPECT_DOUBLE_EQ(a.bundle_utilization(bundle(2), 0.01, 24.0),
                    queueing::utilization(0.02, 24.0, 2));
-  EXPECT_DOUBLE_EQ(b.bundle_utilization(2, 0.01, 24.0),
-                   a.bundle_utilization(2, 0.01, 24.0));
+  EXPECT_DOUBLE_EQ(b.bundle_utilization(bundle(2), 0.01, 24.0),
+                   a.bundle_utilization(bundle(2), 0.01, 24.0));
 }
 
 TEST(ChannelSolver, RejectsNonPositiveWormLength) {
@@ -118,16 +123,14 @@ TEST_P(KernelParity, ClosedFormAndGraphSolverAgreeThroughKernel) {
   const double sf = 16.0;
 
   FatTreeModelOptions fo{.levels = levels, .worm_flits = sf};
-  fo.multi_server = (mask & 1) != 0;
-  fo.blocking_correction = (mask & 2) != 0;
-  fo.erratum_2lambda = (mask & 4) != 0;
+  fo.ablation.multi_server = (mask & 1) != 0;
+  fo.ablation.blocking_correction = (mask & 2) != 0;
+  fo.ablation.erratum_2lambda = (mask & 4) != 0;
   const FatTreeModel closed(fo);
 
   GeneralModel net = core::build_fattree_collapsed(levels);
   net.opts.worm_flits = sf;
-  net.opts.multi_server = fo.multi_server;
-  net.opts.blocking_correction = fo.blocking_correction;
-  net.opts.erratum_2lambda = fo.erratum_2lambda;
+  net.opts.ablation = fo.ablation;
 
   // Machine precision: both implementations run the identical kernel, so
   // any disagreement beyond last-ulp rounding (the closed form scales rates

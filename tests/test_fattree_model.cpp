@@ -147,7 +147,7 @@ TEST(FatTreeModel, ErratumMattersAtModerateLoad) {
   // formula) must under-predict waiting versus the corrected 2λ form.
   FatTreeModelOptions good{.levels = 5, .worm_flits = 16.0};
   FatTreeModelOptions typo = good;
-  typo.erratum_2lambda = false;
+  typo.ablation.erratum_2lambda = false;
   FatTreeModel m_good(good), m_typo(typo);
   const double load = 0.03;
   EXPECT_GT(m_good.evaluate_load_detail(load).latency, m_typo.evaluate_load_detail(load).latency);
@@ -156,7 +156,7 @@ TEST(FatTreeModel, ErratumMattersAtModerateLoad) {
 TEST(FatTreeModel, MultiServerAblationChangesPrediction) {
   FatTreeModelOptions mg2{.levels = 5, .worm_flits = 16.0};
   FatTreeModelOptions mg1 = mg2;
-  mg1.multi_server = false;
+  mg1.ablation.multi_server = false;
   const double load = 0.03;
   const double latency_mg2 = FatTreeModel(mg2).evaluate_load_detail(load).latency;
   const double latency_mg1 = FatTreeModel(mg1).evaluate_load_detail(load).latency;
@@ -168,7 +168,7 @@ TEST(FatTreeModel, MultiServerAblationChangesPrediction) {
 TEST(FatTreeModel, BlockingAblationChangesPrediction) {
   FatTreeModelOptions with{.levels = 5, .worm_flits = 16.0};
   FatTreeModelOptions without = with;
-  without.blocking_correction = false;
+  without.ablation.blocking_correction = false;
   const double load = 0.03;
   const double latency_with = FatTreeModel(with).evaluate_load_detail(load).latency;
   const double latency_without = FatTreeModel(without).evaluate_load_detail(load).latency;

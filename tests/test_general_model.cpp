@@ -109,7 +109,7 @@ TEST(GeneralModel, BlockingOffRestoresFullWait) {
   SolveOptions with;
   with.worm_flits = 16.0;
   SolveOptions without = with;
-  without.blocking_correction = false;
+  without.ablation.blocking_correction = false;
   const double lambda0 = 0.03;
   const SolveResult a = model_solve(net, lambda0, with);
   const SolveResult b = model_solve(net, lambda0, without);
@@ -165,9 +165,10 @@ TEST(GeneralModel, AblationFlagsMatchClosedFormAblations) {
     FatTreeModelOptions fo{.levels = levels, .worm_flits = sf};
     SolveOptions so;
     so.worm_flits = sf;
-    fo.multi_server = so.multi_server = (mask & 1) != 0;
-    fo.blocking_correction = so.blocking_correction = (mask & 2) != 0;
-    fo.erratum_2lambda = so.erratum_2lambda = (mask & 4) != 0;
+    fo.ablation.multi_server = (mask & 1) != 0;
+    fo.ablation.blocking_correction = (mask & 2) != 0;
+    fo.ablation.erratum_2lambda = (mask & 4) != 0;
+    so.ablation = fo.ablation;
     const FatTreeEvaluation ev = FatTreeModel(fo).evaluate_detail(lambda0);
     const LatencyEstimate est = model_latency(net, lambda0, so);
     ASSERT_EQ(ev.stable, est.stable) << "mask=" << mask;

@@ -267,27 +267,6 @@ TEST(HeteroSaturation, BufferDepthShiftDirectionMatchesSim) {
 // Bit-identity: defaulted attributes must reproduce the paper path exactly.
 // ---------------------------------------------------------------------------
 
-// The finite_buffers ablation bit is inert on uniform attributes: switching
-// it off changes nothing, bit for bit.
-TEST(HeteroBitIdentity, FiniteBufferBitInertOnUniformAttributes) {
-  topo::ButterflyFatTree topo(2);
-  const traffic::TrafficSpec spec = traffic::TrafficSpec::uniform();
-  core::SolveOptions on;
-  on.worm_flits = 16.0;
-  core::SolveOptions off = on;
-  off.finite_buffers = false;
-  const core::GeneralModel m_on = core::build_traffic_model(topo, spec, on);
-  const core::GeneralModel m_off = core::build_traffic_model(topo, spec, off);
-  const double sat = core::model_saturation_rate(m_on, on);
-  EXPECT_EQ(sat, core::model_saturation_rate(m_off, off));
-  for (const double frac : {0.1, 0.5, 0.9}) {
-    const core::LatencyEstimate a = core::model_latency(m_on, sat * frac, on);
-    const core::LatencyEstimate b = core::model_latency(m_off, sat * frac, off);
-    EXPECT_EQ(a.latency, b.latency) << "frac " << frac;
-    EXPECT_EQ(a.inj_wait, b.inj_wait) << "frac " << frac;
-  }
-}
-
 // Buffer / bandwidth retunes round-trip the content digest bitwise: tuning
 // away and back restores the exact resident the caches keyed on.
 TEST(HeteroBitIdentity, AttributeRetuneRoundTripsContentDigest) {

@@ -75,18 +75,18 @@ TEST(Saturation, AblationsShiftSaturationTheRightWay) {
   const double sat_full = FatTreeModel(base).saturation_load();
 
   FatTreeModelOptions no_ms = base;
-  no_ms.multi_server = false;
+  no_ms.ablation.multi_server = false;
   // Ignoring the pooled two-server bundles makes queues look worse:
   // saturation moves DOWN.
   EXPECT_LT(FatTreeModel(no_ms).saturation_load(), sat_full);
 
   FatTreeModelOptions no_block = base;
-  no_block.blocking_correction = false;
+  no_block.ablation.blocking_correction = false;
   // Charging full waits (P = 1) also predicts earlier saturation.
   EXPECT_LT(FatTreeModel(no_block).saturation_load(), sat_full);
 
   FatTreeModelOptions typo = base;
-  typo.erratum_2lambda = false;
+  typo.ablation.erratum_2lambda = false;
   // The typo'd M/G/2 under-counts arrivals: optimistically late saturation.
   EXPECT_GT(FatTreeModel(typo).saturation_load(), sat_full);
 }

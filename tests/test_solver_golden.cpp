@@ -595,9 +595,8 @@ Observed observe(std::string tag, const core::NetworkModel& model) {
 }
 
 /// Apply ablation mask bits (1 multi_server, 2 blocking_correction,
-/// 4 erratum_2lambda) to any options struct carrying the three switches.
-template <class Options>
-void apply_mask(Options& o, int mask) {
+/// 4 erratum_2lambda).
+void apply_mask(queueing::AblationOptions& o, int mask) {
   o.multi_server = (mask & 1) != 0;
   o.blocking_correction = (mask & 2) != 0;
   o.erratum_2lambda = (mask & 4) != 0;
@@ -665,7 +664,7 @@ std::vector<Observed> general_ablations() {
     for (int lanes : {1, 4}) {
       for (int depth : {util::kInfiniteBufferDepth, 4}) {
         core::GeneralModel m = base;
-        apply_mask(m.opts, mask);
+        apply_mask(m.opts.ablation, mask);
         m.set_uniform_lanes(lanes);
         m.set_uniform_buffers(depth);
         out.push_back(observe("bft2 hot0.2 mask" + std::to_string(mask) + " L" +
@@ -682,7 +681,7 @@ std::vector<Observed> closed_form_ablations() {
   for (int mask = 0; mask < 8; ++mask) {
     for (int lanes : {1, 2}) {
       core::FatTreeModelOptions fo{.levels = 3, .worm_flits = 16.0};
-      apply_mask(fo, mask);
+      apply_mask(fo.ablation, mask);
       fo.lanes = lanes;
       out.push_back(observe("fattree3 mask" + std::to_string(mask) + " L" +
                                 std::to_string(lanes),

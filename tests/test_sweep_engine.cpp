@@ -102,7 +102,7 @@ TEST(SweepEngine, AblationFlipOnLiveModelMissesCache) {
   SweepEngine engine;
   const double lambda0 = net.saturation_rate() * 0.8;
   const double with = engine.evaluate(net, lambda0).latency;
-  net.opts.blocking_correction = false;
+  net.opts.ablation.blocking_correction = false;
   const double without = engine.evaluate(net, lambda0).latency;
   EXPECT_NE(with, without);
   EXPECT_EQ(engine.cache_size(), 2u);

@@ -355,11 +355,11 @@ TEST(TrafficModel, OptionsAndNamingPropagate) {
   topo::Hypercube hc(2);
   SolveOptions opts;
   opts.worm_flits = 32.0;
-  opts.multi_server = false;
+  opts.ablation.multi_server = false;
   const GeneralModel net =
       build_traffic_model(hc, traffic::TrafficSpec::hotspot(0.2), opts);
   EXPECT_DOUBLE_EQ(net.opts.worm_flits, 32.0);
-  EXPECT_FALSE(net.opts.multi_server);
+  EXPECT_FALSE(net.opts.ablation.multi_server);
   EXPECT_NE(net.model_name.find("hotspot"), std::string::npos);
   EXPECT_NE(net.model_name.find(hc.name()), std::string::npos);
 }

@@ -1,9 +1,9 @@
 // Virtual-channel (multi-lane) extension tests.  Three guarantees:
 //
-//  * lanes == 1 is provably unchanged — the solver reproduces the paper's
-//    single-lane recurrence bit-for-bit for every topology x pattern, and
-//    seeded simulator runs are bit-identical to golden traces captured from
-//    the pre-virtual-channel simulator;
+//  * lanes == 1 is provably unchanged — the kernel at L = 1 is the paper's
+//    channel (test_solver_golden.cpp pins the solver's bits across lane
+//    counts), and seeded simulator runs are bit-identical to golden traces
+//    captured from the pre-virtual-channel simulator;
 //  * the lane-aware kernel behaves physically — blocking discounts L-fold,
 //    the multiplexing excess grows with link utilization and diverges at
 //    the wire's one flit/cycle, closed form and collapsed-graph solver
@@ -22,6 +22,7 @@
 #include "core/fattree_model.hpp"
 #include "core/traffic_model.hpp"
 #include "queueing/channel_solver.hpp"
+#include "queueing/queueing.hpp"
 #include "sim/simulator.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/hypercube.hpp"
@@ -32,7 +33,6 @@ namespace {
 
 using core::GeneralModel;
 using core::SolveOptions;
-using queueing::AblationOptions;
 using queueing::ChannelSolver;
 
 // ---------------------------------------------------------------------------
@@ -40,10 +40,10 @@ using queueing::ChannelSolver;
 
 TEST(VirtualChannelKernel, BlockingFactorDiscountsLFold) {
   const ChannelSolver solver(16.0);
-  const double base = solver.blocking_factor(1, 0.01, 0.02, 0.5);
+  const double base = solver.blocking_factor({}, 0.01, 0.02, 0.5);
   ASSERT_GT(base, 0.0);
   for (int lanes : {1, 2, 3, 4, 8}) {
-    EXPECT_DOUBLE_EQ(solver.blocking_factor(1, lanes, 0.01, 0.02, 0.5),
+    EXPECT_DOUBLE_EQ(solver.blocking_factor({.lanes = lanes}, 0.01, 0.02, 0.5),
                      base / lanes)
         << "lanes=" << lanes;
   }
@@ -51,28 +51,25 @@ TEST(VirtualChannelKernel, BlockingFactorDiscountsLFold) {
   // the head-of-line wait.
   double prev = base;
   for (int lanes = 2; lanes <= 16; ++lanes) {
-    const double p = solver.blocking_factor(2, lanes, 0.01, 0.02, 0.5);
+    const double p =
+        solver.blocking_factor({.servers = 2, .lanes = lanes}, 0.01, 0.02, 0.5);
     EXPECT_LE(p, prev);
     prev = p;
   }
 }
 
-TEST(VirtualChannelKernel, SwitchOffRestoresSingleLaneForms) {
-  AblationOptions abl;
-  abl.virtual_channels = false;
-  const ChannelSolver off(16.0, abl);
-  const ChannelSolver on(16.0);
-  // With the switch off, lane counts are ignored entirely.
-  EXPECT_DOUBLE_EQ(off.blocking_factor(1, 4, 0.01, 0.02, 0.5),
-                   off.blocking_factor(1, 0.01, 0.02, 0.5));
-  EXPECT_DOUBLE_EQ(off.bundle_wait(2, 4, 0.01, 20.0), off.bundle_wait(2, 0.01, 20.0));
-  EXPECT_DOUBLE_EQ(off.lane_excess(4, 0.02), 0.0);
-  // With the switch on but L == 1, the lane-aware forms coincide with the
-  // paper's exactly.
-  EXPECT_DOUBLE_EQ(on.blocking_factor(2, 1, 0.01, 0.02, 0.5),
-                   on.blocking_factor(2, 0.01, 0.02, 0.5));
-  EXPECT_DOUBLE_EQ(on.bundle_wait(2, 1, 0.01, 20.0), on.bundle_wait(2, 0.01, 20.0));
-  EXPECT_DOUBLE_EQ(on.lane_excess(1, 0.02), 0.0);
+TEST(VirtualChannelKernel, SingleLaneIsThePaperForm) {
+  const ChannelSolver solver(16.0);
+  // At L = 1 the lane-aware kernel is the paper's channel exactly: the
+  // Eq. 10 factor, Hokstad's M/G/2 at the total rate (Eq. 8 + erratum), and
+  // no multiplexing stretch.
+  EXPECT_EQ(solver.blocking_factor({.servers = 2, .lanes = 1}, 0.01, 0.02, 0.5),
+            util::clamp01(1.0 - (0.01 / 0.02) * 0.5));
+  EXPECT_EQ(solver.bundle_wait({.servers = 2, .lanes = 1}, 0.01, 20.0),
+            queueing::mg2_wait_wormhole(0.02, 20.0, 16.0));
+  EXPECT_EQ(solver.bundle_wait({.servers = 1, .lanes = 1}, 0.01, 20.0),
+            queueing::mg1_wait_wormhole(0.01, 20.0, 16.0));
+  EXPECT_DOUBLE_EQ(solver.lane_excess(1, 0.02), 0.0);
 }
 
 TEST(VirtualChannelKernel, LaneExcessTracksTheWire) {
@@ -97,75 +94,16 @@ TEST(VirtualChannelKernel, LaneExcessTracksTheWire) {
 TEST(VirtualChannelKernel, LaneWaitDivergesAtLaneOccupancy) {
   const ChannelSolver solver(16.0);
   // λ·x̄ = 1.2 > 1: a single-lane channel is saturated...
-  EXPECT_TRUE(std::isinf(solver.bundle_wait(1, 1, 0.06, 20.0)));
+  EXPECT_TRUE(std::isinf(solver.bundle_wait({.lanes = 1}, 0.06, 20.0)));
   // ...but two lane latches hold it comfortably (occupancy 0.6 < 2)...
-  EXPECT_TRUE(std::isfinite(solver.bundle_wait(1, 2, 0.06, 20.0)));
+  EXPECT_TRUE(std::isfinite(solver.bundle_wait({.lanes = 2}, 0.06, 20.0)));
   // ...until occupancy reaches the lane pool.
-  EXPECT_TRUE(std::isinf(solver.bundle_wait(1, 2, 0.11, 20.0)));
+  EXPECT_TRUE(std::isinf(solver.bundle_wait({.lanes = 2}, 0.11, 20.0)));
 }
 
 // ---------------------------------------------------------------------------
-// lanes == 1 parity: the virtual_channels switch must be invisible for every
-// topology x pattern — same solve, machine-identical latencies.
-
-std::vector<traffic::TrafficSpec> patterns_for(int n) {
-  std::vector<traffic::TrafficSpec> all{
-      traffic::TrafficSpec::uniform(),
-      traffic::TrafficSpec::hotspot(0.2),
-      traffic::TrafficSpec::bit_complement(),
-      traffic::TrafficSpec::transpose(),
-      traffic::TrafficSpec::nearest_neighbor(0.5),
-  };
-  std::vector<int> shift(static_cast<std::size_t>(n));
-  for (int s = 0; s < n; ++s) shift[static_cast<std::size_t>(s)] = (s + 1) % n;
-  all.push_back(traffic::TrafficSpec::permutation(shift));
-  std::vector<traffic::TrafficSpec> usable;
-  for (traffic::TrafficSpec& spec : all) {
-    if (spec.check(n).empty()) usable.push_back(spec);
-  }
-  return usable;
-}
-
-TEST(VirtualChannelParity, SingleLaneSolvesBitForBitForEveryTopologyPattern) {
-  const topo::ButterflyFatTree ft(2);
-  const topo::Hypercube hc(3);
-  const topo::Mesh mesh(3, 3);
-  for (const topo::Topology* topo :
-       std::initializer_list<const topo::Topology*>{&ft, &hc, &mesh}) {
-    ASSERT_EQ(topo->uniform_lanes(), 1);
-    for (const traffic::TrafficSpec& spec : patterns_for(topo->num_processors())) {
-      SolveOptions on;
-      on.worm_flits = 16.0;
-      on.virtual_channels = true;
-      SolveOptions off = on;
-      off.virtual_channels = false;
-      const GeneralModel m_on = core::build_traffic_model(*topo, spec, on);
-      const GeneralModel m_off = core::build_traffic_model(*topo, spec, off);
-      for (double lambda0 : {0.0005, 0.004, 0.01}) {
-        const core::LatencyEstimate a = m_on.evaluate(lambda0);
-        const core::LatencyEstimate b = m_off.evaluate(lambda0);
-        // Bitwise equality, not a tolerance: at L = 1 the lane-aware code
-        // path must be the paper's code path.
-        EXPECT_EQ(a.latency, b.latency)
-            << topo->name() << " " << spec.name() << " lambda0=" << lambda0;
-        EXPECT_EQ(a.inj_wait, b.inj_wait);
-        EXPECT_EQ(a.inj_service, b.inj_service);
-      }
-    }
-  }
-}
-
-TEST(VirtualChannelParity, ClosedFormSingleLaneUnchangedByTheSwitch) {
-  core::FatTreeModelOptions on{.levels = 3, .worm_flits = 16.0};
-  on.virtual_channels = true;
-  core::FatTreeModelOptions off = on;
-  off.virtual_channels = false;
-  const core::FatTreeModel a(on), b(off);
-  for (double lambda0 : {0.001, 0.005, 0.009}) {
-    EXPECT_EQ(a.evaluate(lambda0).latency, b.evaluate(lambda0).latency);
-  }
-  EXPECT_EQ(a.saturation_rate(), b.saturation_rate());
-}
+// Closed form vs collapsed graph per lane count.  (lanes == 1 bit identity
+// with the paper path is pinned by SolverGolden in test_solver_golden.cpp.)
 
 TEST(VirtualChannelParity, ClosedFormMatchesCollapsedGraphForEveryLaneCount) {
   // The closed-form recurrence and the general solver on the collapsed
