@@ -111,6 +111,46 @@ TEST(SweepEngine, AblationFlipOnLiveModelMissesCache) {
   EXPECT_EQ(engine.cache_size(), 3u);
 }
 
+TEST(SweepEngine, AblatedTwinNeverSharesCacheEntries) {
+  // Every remaining ablation switch is part of the content digest: a twin
+  // differing in one switch hashes differently, and a shared engine warmed
+  // on the original returns the twin's own answer, never the original's.
+  topo::ButterflyFatTree ft(2);
+  ft.set_tier_bandwidth(1, 0.5);  // tapered: link attributes in play too
+  core::SolveOptions opts;
+  opts.worm_flits = 16.0;
+  const core::GeneralModel tapered =
+      core::build_traffic_model(ft, traffic::TrafficSpec::uniform(), opts);
+  const core::FatTreeModel closed({.levels = 3, .worm_flits = 16.0});
+
+  SweepEngine engine;
+  const auto expect_separate = [&](const core::NetworkModel& base,
+                                   const core::NetworkModel& twin,
+                                   const char* what) {
+    EXPECT_NE(twin.content_digest(), base.content_digest()) << what;
+    const double lambda0 = 0.5 * base.saturation_rate();
+    const double own_base = base.evaluate(lambda0).latency;
+    const double own_twin = twin.evaluate(lambda0).latency;
+    ASSERT_NE(own_base, own_twin) << what << ": the flip must matter here";
+    EXPECT_EQ(engine.evaluate(base, lambda0).latency, own_base) << what;
+    EXPECT_EQ(engine.evaluate(twin, lambda0).latency, own_twin) << what;
+  };
+  using queueing::AblationOptions;
+  const std::pair<bool AblationOptions::*, const char*> fields[] = {
+      {&AblationOptions::multi_server, "multi_server"},
+      {&AblationOptions::blocking_correction, "blocking_correction"},
+      {&AblationOptions::erratum_2lambda, "erratum_2lambda"}};
+  for (const auto& [field, what] : fields) {
+    core::GeneralModel general_twin = tapered;
+    general_twin.opts.ablation.*field = !(tapered.opts.ablation.*field);
+    expect_separate(tapered, general_twin, what);
+
+    core::FatTreeModelOptions fo = closed.options();
+    fo.ablation.*field = !(fo.ablation.*field);
+    expect_separate(closed, core::FatTreeModel(fo), what);
+  }
+}
+
 TEST(SweepEngine, IdenticalContentSharesCacheEntries) {
   // The content-keyed cache: two distinct model OBJECTS with identical
   // configuration share entries — the second evaluation is a pure hit.
