@@ -60,8 +60,10 @@ double ChannelSolver::bundle_wait(const ChannelAttributes& ch,
         ablation_.erratum_2lambda ? lambda_link * ch.servers : lambda_link;
     wait = wormhole_wait(ch.servers * lanes, lambda_arg, xbar, worm_flits_);
   }
-  // scaled_wait_gg owns the guard rules (ca2 == 1 bit identity, 0/inf
-  // passthrough) shared with the standalone wormhole_wait_gg kernel.
+  // Poisson channels (the closed form's only case) skip the C_b² work;
+  // scaled_wait_gg owns the remaining guard rules (0/inf passthrough)
+  // shared with the standalone wormhole_wait_gg kernel.
+  if (ch.ca2 == 1.0) return wait;
   return scaled_wait_gg(wait, ch.ca2, cb2(xbar));
 }
 
