@@ -124,7 +124,9 @@ class SweepEngine {
   /// find each member's saturation rate, and evaluate it at the given
   /// fractions of ITS OWN saturation.  Members are returned in parameter
   /// order and own their models; each member's sweep runs through the same
-  /// memoizing parallel machinery as the single-model entry points.
+  /// memoizing parallel machinery as the single-model entry points.  The
+  /// factory is called once per parameter, in order, on the calling thread
+  /// (sweep_burstiness relies on this).
   /// Lifetime: none to worry about — the cache keys on model content, so
   /// members may be dropped (or rebuilt identically later, hitting the warm
   /// cache) without clear_cache().

@@ -106,6 +106,31 @@ TEST(ChannelSolver, UtilizationUsesTrueTotalRate) {
                    a.bundle_utilization(bundle(2), 0.01, 24.0));
 }
 
+TEST(ChannelSolver, SlowLinkQueuesSingleLaneButKeepsLaneBlockingRelief) {
+  // On a slow (b < 1) or credit-limited (B < ∞) link extra lanes add no
+  // queueing capacity, so the wait and occupancy see one lane; the Eq. 9/10
+  // discount still divides by the true lane count, and finite buffers
+  // discount R(i|j) by θ = B/(B + b).
+  const ChannelSolver solver(16.0);
+  const double lam = 0.01, x = 40.0;
+  for (const ChannelAttributes& slow :
+       {ChannelAttributes{.lanes = 4, .bandwidth = 0.5},
+        ChannelAttributes{.lanes = 4, .buffer_depth = 8}}) {
+    ChannelAttributes one_lane = slow;
+    one_lane.lanes = 1;
+    EXPECT_EQ(solver.bundle_wait(slow, lam, x), solver.bundle_wait(one_lane, lam, x));
+    EXPECT_EQ(solver.bundle_utilization(slow, lam, x),
+              queueing::utilization(lam, x, 1));
+    EXPECT_EQ(solver.blocking_factor(slow, 0.01, 0.02, 0.5),
+              solver.blocking_factor(one_lane, 0.01, 0.02, 0.5) / 4.0);
+  }
+  EXPECT_EQ(solver.blocking_factor({.buffer_depth = 4}, 0.01, 0.02, 0.5),
+            util::clamp01(1.0 - (0.01 / 0.02) * (0.5 * (4.0 / (4.0 + 1.0)))));
+  // A unit link keeps all its lanes in the queue: M/G/4 occupancy.
+  EXPECT_EQ(solver.bundle_utilization({.lanes = 4}, lam, x),
+            queueing::utilization(lam, x, 4));
+}
+
 TEST(ChannelSolver, RejectsNonPositiveWormLength) {
   EXPECT_DEATH(ChannelSolver(0.0), "precondition");
 }
