@@ -12,6 +12,8 @@
 //    perf-trajectory file (see README "Performance").
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "bench_common.hpp"
 
 namespace {
@@ -404,6 +406,40 @@ void BM_QueryEngineFaultRetune(benchmark::State& state) {
                  " N-1 up-link delta");
 }
 BENCHMARK(BM_QueryEngineFaultRetune)->Unit(benchmark::kMillisecond);
+
+void BM_QueryEngineAvailabilityN1(benchmark::State& state) {
+  // The whole N−1 sweep at N = 256 under uniform traffic: 224 single-link
+  // failures through QueryEngine::availability_n_minus_1, each iteration at
+  // a fresh λ₀ so no answer comes from the result cache.  Orbit mates share
+  // their representative's variant, so the sweep does one fault retune per
+  // link orbit (retunes/op, 3 here) and the other rows are Symmetric —
+  // compare rows/op × BM_QueryEngineFaultRetune for one retune per link.
+  topo::ButterflyFatTree ft(4);
+  harness::QueryEngine engine(ft, traffic::TrafficSpec::uniform());
+  harness::WhatIfQuery sat_q;
+  sat_q.metric = harness::QueryMetric::Saturation;
+  const double sat = engine.run(sat_q).saturation_rate;
+  const std::uint64_t retunes0 = engine.served_retune();
+  long rows = 0;
+  long iter = 0;
+  for (auto _ : state) {
+    // Golden-ratio steps spread the loads over [0.2, 0.7) of saturation.
+    const double frac = 0.6180339887498949 * static_cast<double>(++iter);
+    const double lambda0 = sat * (0.2 + 0.5 * (frac - std::floor(frac)));
+    const harness::AvailabilityReport report =
+        engine.availability_n_minus_1(0, lambda0);
+    rows += static_cast<long>(report.rows.size());
+    benchmark::DoNotOptimize(report.rows.front().est.latency);
+  }
+  state.counters["rows/op"] = benchmark::Counter(
+      static_cast<double>(rows), benchmark::Counter::kAvgIterations);
+  state.counters["retunes/op"] = benchmark::Counter(
+      static_cast<double>(engine.served_retune() - retunes0),
+      benchmark::Counter::kAvgIterations);
+  state.SetLabel("N=" + std::to_string(ft.num_processors()) + " uniform N-1 sweep");
+}
+// UseRealTime: the variants are prepared on the engine's pool threads.
+BENCHMARK(BM_QueryEngineAvailabilityN1)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_QueryEngineRetuneLanes(benchmark::State& state) {
   // The lane delta axis: set_uniform_lanes is one O(channels) sweep over

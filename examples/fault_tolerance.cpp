@@ -31,6 +31,7 @@ namespace {
 const char* cost_name(wormnet::harness::QueryCost c) {
   switch (c) {
     case wormnet::harness::QueryCost::Memoized: return "memoized";
+    case wormnet::harness::QueryCost::Symmetric: return "symmetric";
     case wormnet::harness::QueryCost::Reevaluate: return "reevaluate";
     case wormnet::harness::QueryCost::Retune: return "retune";
     case wormnet::harness::QueryCost::Rebuild: return "rebuild";
@@ -72,10 +73,17 @@ int main(int argc, char** argv) {
               "Δ vs base", "cost");
   for (std::size_t i = 0; i < n1.rows.size() && i < 5; ++i) {
     const harness::AvailabilityRow& row = n1.rows[i];
+    char cost[64];
+    if (row.representative) {
+      const auto [node, port] = row.representative->failed_links().front();
+      std::snprintf(cost, sizeof cost, "%s (≡ link %d:%d)", cost_name(row.cost),
+                    node, port);
+    } else {
+      std::snprintf(cost, sizeof cost, "%s", cost_name(row.cost));
+    }
     std::printf("  %-4zu %-22s %10.3f %8.2f%% %s\n", i + 1, row.label.c_str(),
                 row.est.latency,
-                100.0 * (row.est.latency / n1.baseline.latency - 1.0),
-                cost_name(row.cost));
+                100.0 * (row.est.latency / n1.baseline.latency - 1.0), cost);
   }
   std::printf("  ... every scenario status Ok: %d/%zu (N-1 severs nothing "
               "on a fat-tree)\n\n",

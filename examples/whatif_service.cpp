@@ -29,6 +29,7 @@ namespace {
 const char* cost_name(wormnet::harness::QueryCost c) {
   switch (c) {
     case wormnet::harness::QueryCost::Memoized: return "memoized";
+    case wormnet::harness::QueryCost::Symmetric: return "symmetric";
     case wormnet::harness::QueryCost::Reevaluate: return "reevaluate";
     case wormnet::harness::QueryCost::Retune: return "retune";
     case wormnet::harness::QueryCost::Rebuild: return "rebuild";
@@ -102,12 +103,13 @@ int main(int argc, char** argv) {
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 
   // Per-cost-class accounting.
-  int count[4] = {0, 0, 0, 0};
+  constexpr int kCostClasses = 5;
+  int count[kCostClasses] = {};
   for (const auto& r : results) count[static_cast<int>(r.cost)]++;
   util::Table table({"cost class", "queries", "share(%)"});
   table.set_precision(1, 0);
   table.set_precision(2, 1);
-  for (int c = 0; c < 4; ++c) {
+  for (int c = 0; c < kCostClasses; ++c) {
     table.add_row({cost_name(static_cast<harness::QueryCost>(c)),
                    static_cast<double>(count[c]),
                    100.0 * count[c] / static_cast<double>(results.size())});

@@ -8,6 +8,8 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "topo/channels.hpp"
+#include "topo/symmetry.hpp"
 #include "util/assert.hpp"
 #include "util/hash.hpp"
 #include "util/thread_pool.hpp"
@@ -36,14 +38,15 @@ std::uint64_t spec_digest(const traffic::TrafficSpec& spec, int procs) {
   return h;
 }
 
-/// Variant key: which prepared model a query needs.  Starts from the
-/// resident baseline's content digest so keys never collide across
+/// Variant key: which prepared model a query needs, run under `faults`
+/// (the query's own fault set, or its link orbit's representative).  Starts
+/// from the resident baseline's content digest so keys never collide across
 /// residents; the arrival axis folds the (effective SCV, batch residual)
 /// pair the model actually consumes — two processes indistinguishable to
 /// the solver correctly share a variant, and Bernoulli's rate-dependent SCV
 /// separates by λ₀ on its own.
 std::uint64_t variant_key(std::uint64_t baseline_digest, const WhatIfQuery& q,
-                          int procs) {
+                          const topo::FaultSet* faults, int procs) {
   std::uint64_t h = baseline_digest;
   h = util::hash_mix(h, q.traffic ? spec_digest(*q.traffic, procs) : 0);
   h = util::hash_mix_double(h, q.load_scale);
@@ -57,8 +60,7 @@ std::uint64_t variant_key(std::uint64_t baseline_digest, const WhatIfQuery& q,
   }
   // Content digest, not pointer identity: two FaultSets failing the same
   // links share a variant, and an empty set IS the healthy baseline.
-  h = util::hash_mix(
-      h, q.faults && !q.faults->empty() ? q.faults->digest() : 0);
+  h = util::hash_mix(h, faults && !faults->empty() ? faults->digest() : 0);
   return h;
 }
 
@@ -68,6 +70,39 @@ std::uint64_t answer_key(std::uint64_t vkey, const WhatIfQuery& q) {
   if (q.metric != QueryMetric::Saturation)
     h = util::hash_mix_double(h, q.lambda0);
   return h;
+}
+
+/// True when the orbit rule applies to `q`: it fails exactly one link, no
+/// switch, and keeps the resident's traffic (every other delta is uniform,
+/// so it commutes with the automorphisms).
+bool single_link_fault(const WhatIfQuery& q) {
+  return q.faults && q.faults->failed_links().size() == 1 &&
+         q.faults->failed_switches().empty() && !q.traffic;
+}
+
+/// The failable (switch-to-switch) undirected links of `t`, each once from
+/// its canonical (lower) endpoint, in (node, port) order: the N−1
+/// enumeration order, which also picks every link orbit's representative.
+std::vector<std::pair<int, int>> failable_links(const topo::Topology& t) {
+  std::vector<std::pair<int, int>> links;
+  for (int node = 0; node < t.num_nodes(); ++node) {
+    if (t.is_processor(node)) continue;
+    for (int port = 0; port < t.num_ports(node); ++port) {
+      const int peer = t.neighbor(node, port);
+      if (peer == topo::kNoNode || t.is_processor(peer)) continue;
+      if (std::make_pair(peer, t.neighbor_port(node, port)) <
+          std::make_pair(node, port))
+        continue;
+      links.emplace_back(node, port);
+    }
+  }
+  return links;
+}
+
+/// Map key of a (node, port) link or of a channel-class pair.
+std::uint64_t pair_key(std::pair<int, int> p) {
+  return (static_cast<std::uint64_t>(p.first) << 32) |
+         static_cast<std::uint64_t>(p.second);
 }
 
 bool is_identity(const WhatIfQuery& q) {
@@ -95,10 +130,54 @@ struct QueryEngine::Impl {
     core::RetunableTrafficModel baseline;
     std::uint64_t digest = 0;  ///< baseline model content digest
 
+    /// Link-orbit table (built by build_link_orbits on the first single-link
+    /// fault query): canonical link → its orbit representative's fault set.
+    /// Empty when the resident declares no fault symmetry, which leaves
+    /// every link its own orbit.
+    bool orbits_built = false;
+    std::unordered_map<std::uint64_t, std::shared_ptr<const topo::FaultSet>>
+        orbit_rep;
+
     Resident(const topo::Topology& t, const traffic::TrafficSpec& spec,
              const Options& o)
         : topo(&t), baseline(t, spec, o.solve, o.build) {
       digest = baseline.model().content_digest();
+    }
+
+    /// The fault set single-link query `q` is planned under: its orbit
+    /// representative, or its own set when the link is its own orbit.
+    std::shared_ptr<const topo::FaultSet> orbit_representative(
+        const WhatIfQuery& q) {
+      if (!orbits_built) build_link_orbits();
+      const auto it = orbit_rep.find(pair_key(q.faults->failed_links().front()));
+      return it == orbit_rep.end() ? q.faults : it->second;
+    }
+
+    void build_link_orbits() {
+      orbits_built = true;
+      std::vector<int> pins;
+      if (!baseline.spec().symmetric(pins) || !topo->has_fault_symmetry(pins))
+        return;
+      const topo::ChannelTable ct(*topo);
+      topo::SymmetryClasses sym;
+      if (!topo::topology_symmetry(*topo, ct, pins, sym)) return;
+      // The classes are orbits, and an automorphism carries a link's two
+      // directions together, so the unordered class pair of a link names
+      // its orbit.
+      std::unordered_map<std::uint64_t, std::shared_ptr<const topo::FaultSet>>
+          by_orbit;
+      for (const std::pair<int, int>& link : failable_links(*topo)) {
+        const int c = ct.from(link.first, link.second);
+        const int a = sym.channel_class[static_cast<std::size_t>(c)];
+        const int b = sym.channel_class[static_cast<std::size_t>(ct.reverse(c))];
+        auto& rep = by_orbit[pair_key(std::minmax(a, b))];
+        if (!rep) {
+          auto fs = std::make_shared<topo::FaultSet>(*topo);
+          fs->fail_link(link.first, link.second);
+          rep = std::move(fs);
+        }
+        orbit_rep.emplace(pair_key(link), rep);
+      }
     }
   };
 
@@ -107,6 +186,9 @@ struct QueryEngine::Impl {
   struct Variant {
     std::uint64_t key = 0;
     int rep_query = -1;  ///< first query index needing this variant
+    /// The fault set it runs under: the query's own, or the representative
+    /// of the query's link orbit.
+    std::shared_ptr<const topo::FaultSet> faults;
     std::unique_ptr<core::RetunableTrafficModel> clone;
     core::RetuneReport report;
     QueryCost basis = QueryCost::Reevaluate;
@@ -119,8 +201,8 @@ struct QueryEngine::Impl {
   SweepEngine sweep;  ///< serial: evaluate() is called from our own workers
   std::unordered_map<std::uint64_t, QueryResult> answers;
 
-  std::uint64_t served = 0, n_memoized = 0, n_reevaluate = 0, n_retune = 0,
-                n_rebuild = 0, n_variants = 0;
+  std::uint64_t served = 0, n_memoized = 0, n_symmetric = 0, n_reevaluate = 0,
+                n_retune = 0, n_rebuild = 0, n_variants = 0;
   double batch_seconds = 0.0;  ///< wall time inside run_batch, for queries/sec
 
   explicit Impl(Options o)
@@ -132,10 +214,10 @@ struct QueryEngine::Impl {
   void prepare(const Resident& r, Variant& v, const WhatIfQuery& q) {
     if (is_identity(q)) return;  // basis stays Reevaluate, clone stays null
     v.clone = std::make_unique<core::RetunableTrafficModel>(r.baseline);
-    if (q.faults && !q.faults->empty()) {
+    if (v.faults && !v.faults->empty()) {
       // Fault delta first, so a traffic retune in the same query already
       // runs under the degraded routing — the two deltas compose.
-      v.report = v.clone->retune_faults(q.faults);
+      v.report = v.clone->retune_faults(v.faults);
       v.basis = v.report.rebuilt ? QueryCost::Rebuild : QueryCost::Retune;
     }
     if (q.traffic) {
@@ -161,7 +243,6 @@ struct QueryEngine::Impl {
         v.clone ? v.clone->model() : r.baseline.model();
     QueryResult res;
     res.metric = q.metric;
-    res.cost = v.basis;
     res.retune = v.report;
     switch (q.metric) {
       case QueryMetric::Latency:
@@ -239,18 +320,21 @@ std::vector<QueryResult> QueryEngine::run_batch(
                   resident_id < static_cast<int>(impl_->residents.size()));
   Impl& im = *impl_;
   const auto batch_t0 = std::chrono::steady_clock::now();
-  const Impl::Resident& r = *im.residents[static_cast<std::size_t>(resident_id)];
+  Impl::Resident& r = *im.residents[static_cast<std::size_t>(resident_id)];
   const int procs = r.topo->num_processors();
   const std::size_t n = queries.size();
   std::vector<QueryResult> results(n);
 
   // Plan (serial, deterministic): group queries into model variants, split
-  // them into cached answers, in-batch duplicates and fresh jobs.
+  // them into cached answers, in-batch duplicates and fresh jobs.  A
+  // single-link fault query is planned under its link orbit's representative
+  // fault set; own_link keeps the link it asked about.
   enum class Serve { Cached, Dup, Job };
   std::vector<Serve> serve(n, Serve::Job);
   std::vector<int> variant_of(n, -1);
   std::vector<std::size_t> rep_of(n, 0);  // Dup: index holding the answer
   std::vector<std::uint64_t> akeys(n, 0);
+  std::vector<std::pair<int, int>> own_link(n, {-1, -1});
   std::vector<Impl::Variant> variants;
   std::unordered_map<std::uint64_t, int> variant_index;
   std::unordered_map<std::uint64_t, std::size_t> first_with_answer;
@@ -269,7 +353,12 @@ std::vector<QueryResult> QueryEngine::run_batch(
     // A fault set validates its links against ONE topology; a set built
     // against some other fabric would index this resident's ports wrongly.
     WORMNET_EXPECTS(!q.faults || &q.faults->topology() == r.topo);
-    const std::uint64_t vkey = variant_key(r.digest, q, procs);
+    std::shared_ptr<const topo::FaultSet> faults = q.faults;
+    if (single_link_fault(q)) {
+      own_link[i] = q.faults->failed_links().front();
+      faults = r.orbit_representative(q);
+    }
+    const std::uint64_t vkey = variant_key(r.digest, q, faults.get(), procs);
     const std::uint64_t akey = answer_key(vkey, q);
     akeys[i] = akey;
     if (im.opts.memoize) {
@@ -281,6 +370,7 @@ std::vector<QueryResult> QueryEngine::run_batch(
       if (!fresh) {
         serve[i] = Serve::Dup;
         rep_of[i] = it->second;
+        variant_of[i] = variant_of[it->second];
         continue;
       }
     }
@@ -290,6 +380,7 @@ std::vector<QueryResult> QueryEngine::run_batch(
       variants.emplace_back();
       variants.back().key = vkey;
       variants.back().rep_query = static_cast<int>(i);
+      variants.back().faults = std::move(faults);
     }
     variant_of[i] = vit->second;
     jobs.push_back(i);
@@ -325,27 +416,44 @@ std::vector<QueryResult> QueryEngine::run_batch(
       eval_one(static_cast<std::int64_t>(j));
   }
 
-  // Fill cached answers and duplicates; commit fresh answers to the cache
-  // (serial, input order — deterministic).
+  // Fill cached answers and duplicates, assign cost classes, and commit
+  // fresh answers to the cache (serial, input order — deterministic).
+  const auto memoized = [](QueryResult& res) {
+    res.cost = QueryCost::Memoized;
+    res.retune = core::RetuneReport{};
+    res.representative = nullptr;
+  };
+  // Symmetric when the variant runs under another link than the query's
+  // own; otherwise the variant's own preparation cost.
+  const auto own_cost = [&](QueryResult& res, std::size_t i) {
+    const Impl::Variant& v = variants[static_cast<std::size_t>(variant_of[i])];
+    const bool moved = own_link[i].first >= 0 &&
+                       own_link[i] != v.faults->failed_links().front();
+    res.cost = moved ? QueryCost::Symmetric : v.basis;
+    res.representative = moved ? v.faults : nullptr;
+  };
   for (std::size_t i = 0; i < n; ++i) {
     switch (serve[i]) {
       case Serve::Cached:
         results[i] = im.answers.at(akeys[i]);
-        results[i].cost = QueryCost::Memoized;
-        results[i].retune = core::RetuneReport{};
+        memoized(results[i]);
         break;
       case Serve::Dup:
+        // The same answer key; the identical question only when it also
+        // asked about the same link (orbit mates share the key).
         results[i] = results[rep_of[i]];
-        results[i].cost = QueryCost::Memoized;
-        results[i].retune = core::RetuneReport{};
+        if (own_link[i] == own_link[rep_of[i]]) memoized(results[i]);
+        else own_cost(results[i], i);
         break;
       case Serve::Job:
+        own_cost(results[i], i);
         if (im.opts.memoize) im.answers.emplace(akeys[i], results[i]);
         break;
     }
     ++im.served;
     switch (results[i].cost) {
       case QueryCost::Memoized: ++im.n_memoized; break;
+      case QueryCost::Symmetric: ++im.n_symmetric; break;
       case QueryCost::Reevaluate: ++im.n_reevaluate; break;
       case QueryCost::Retune: ++im.n_retune; break;
       case QueryCost::Rebuild: ++im.n_rebuild; break;
@@ -377,20 +485,11 @@ AvailabilityReport QueryEngine::availability_n_minus_1(int resident_id,
       *impl_->residents[static_cast<std::size_t>(resident_id)]->topo;
   std::vector<std::shared_ptr<const topo::FaultSet>> scenarios;
   std::vector<std::string> labels;
-  for (int node = 0; node < t.num_nodes(); ++node) {
-    if (t.is_processor(node)) continue;
-    for (int port = 0; port < t.num_ports(node); ++port) {
-      const int peer = t.neighbor(node, port);
-      if (peer == topo::kNoNode || t.is_processor(peer)) continue;
-      // Visit each undirected link once, from its canonical (lower) endpoint.
-      if (std::make_pair(peer, t.neighbor_port(node, port)) <
-          std::make_pair(node, port))
-        continue;
-      auto fs = std::make_shared<topo::FaultSet>(t);
-      fs->fail_link(node, port);
-      labels.push_back(fault_label(*fs));
-      scenarios.push_back(std::move(fs));
-    }
+  for (const auto& [node, port] : failable_links(t)) {
+    auto fs = std::make_shared<topo::FaultSet>(t);
+    fs->fail_link(node, port);
+    labels.push_back(fault_label(*fs));
+    scenarios.push_back(std::move(fs));
   }
   return availability_scenarios(resident_id, lambda0, std::move(scenarios),
                                 std::move(labels));
@@ -425,6 +524,7 @@ AvailabilityReport QueryEngine::availability_scenarios(
     row.faults = scenarios[s];
     row.est = res[s + 1].est;
     row.cost = res[s + 1].cost;
+    row.representative = res[s + 1].representative;
     if (row.est.status == core::SolveStatus::Ok) ++report.scenarios_ok;
   }
   // Worst-first: unroutable demand dominates, then latency.  The status
@@ -441,6 +541,9 @@ AvailabilityReport QueryEngine::availability_scenarios(
 
 std::uint64_t QueryEngine::queries_served() const { return impl_->served; }
 std::uint64_t QueryEngine::served_memoized() const { return impl_->n_memoized; }
+std::uint64_t QueryEngine::served_symmetric() const {
+  return impl_->n_symmetric;
+}
 std::uint64_t QueryEngine::served_reevaluate() const {
   return impl_->n_reevaluate;
 }
@@ -474,6 +577,8 @@ void QueryEngine::publish_metrics(obs::Registry& reg,
   // QueryCost, same metric name, so text exporters group them.
   reg.gauge("wormnet_query_served", l + ",cost=memoized")
       .set(static_cast<double>(im.n_memoized));
+  reg.gauge("wormnet_query_served", l + ",cost=symmetric")
+      .set(static_cast<double>(im.n_symmetric));
   reg.gauge("wormnet_query_served", l + ",cost=reevaluate")
       .set(static_cast<double>(im.n_reevaluate));
   reg.gauge("wormnet_query_served", l + ",cost=retune")

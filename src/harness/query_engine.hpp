@@ -30,6 +30,21 @@
 // repeated (variant, metric, λ₀) questions — within a batch or across
 // batches — are served from a result cache and reported as Memoized.
 //
+// Link orbits.  A query that fails exactly one link, fails no switch and has
+// no traffic delta is planned under the representative fault set of that
+// link's ORBIT instead of its own.  Its other deltas (load, lanes, buffers,
+// bandwidth, arrivals) are uniform, so they commute with the automorphisms.  The orbits come from the resident's
+// declared symmetry (topo::topology_symmetry with the pins of its base
+// spec): a link's orbit is the unordered pair of channel classes of its two
+// directions, and the representative is the orbit's first link in
+// availability_n_minus_1's enumeration order.  Orbit mates therefore share
+// one prepared variant and one answer-cache entry, so an N−1 sweep on
+// BFT(4) under uniform traffic does 3 fault retunes instead of 224.  The
+// table is built lazily, on a resident's first single-link fault query.
+// Only topologies whose symmetry survives fault routing opt in
+// (Topology::has_fault_symmetry); every other resident keeps singleton
+// orbits, i.e. one retune per distinct fault set.
+//
 // Batches fan out on a util::ThreadPool.  Every evaluation is a pure
 // function of (model content, λ₀), so a parallel batch is BITWISE-identical
 // to a serial one (tested in test_query_engine.cpp); the engine only
@@ -37,10 +52,16 @@
 // through a content-keyed SweepEngine, so what-if answers and ordinary
 // sweeps share one memo pool.
 //
-// Observability: every answer carries a QueryCost class (Memoized /
-// Reevaluate / Retune / Rebuild) and the core::RetuneReport of its
-// variant's preparation, so a service can meter exactly how much work each
-// question bought.
+// Observability: every answer carries a QueryCost class and the
+// core::RetuneReport of its variant's preparation, so a service can meter
+// exactly how much work each question bought.  The classes, in order of
+// precedence:
+//  * Memoized   — a result-cache hit from an earlier batch, or an in-batch
+//    duplicate of the identical question;
+//  * Symmetric  — a single-link fault query answered by the retune of a
+//    different link in its orbit (the result names that link);
+//  * Reevaluate / Retune / Rebuild — what preparing the query's own variant
+//    took.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +95,10 @@ enum class QueryCost {
   /// Answered from the result cache (a duplicate within the batch, or the
   /// same question asked in an earlier batch).  No model work at all.
   Memoized,
+  /// A single-link fault query answered by the variant of another link in
+  /// the same orbit (QueryResult::representative names it).  Symmetry fixes
+  /// the answer, so no retune was done for this link.
+  Symmetric,
   /// The resident model was reused as-is or reached by O(channels) tunes
   /// only (lanes / load / arrival); the cost is one solve.
   Reevaluate,
@@ -139,6 +164,9 @@ struct QueryResult {
   /// What preparing this query's model variant did (zeroed for Memoized
   /// answers and for queries with no pattern delta).
   core::RetuneReport retune;
+  /// Symmetric answers only: the orbit representative's fault set, whose
+  /// retune served this query (null for every other cost class).
+  std::shared_ptr<const topo::FaultSet> representative;
 };
 
 /// One availability scenario's outcome, ranked into an AvailabilityReport.
@@ -147,6 +175,9 @@ struct AvailabilityRow {
   std::shared_ptr<const topo::FaultSet> faults;
   core::LatencyEstimate est;  ///< at the report's λ₀, under the failure
   QueryCost cost = QueryCost::Reevaluate;  ///< how the engine served it
+  /// Symmetric rows: the fault set of the link whose retune answered this
+  /// row (see QueryResult::representative); null otherwise.
+  std::shared_ptr<const topo::FaultSet> representative;
 };
 
 /// An N−1 / N−k availability what-if: the healthy baseline plus every
@@ -207,10 +238,14 @@ class QueryEngine {
   QueryResult run(int resident_id, const WhatIfQuery& query);
 
   /// N−1 availability sweep: one scenario per failable (switch-to-switch)
-  /// undirected link of the resident's topology, each answered as a Latency
-  /// query at λ₀ through the normal batch path — variants dedup, answers
-  /// memoize, and the fault view's stable channel structure keeps every
-  /// dense-resident scenario a Retune or cheaper (no per-scenario rebuild).
+  /// undirected link of the resident's topology, enumerated by (node, port)
+  /// from each link's lower endpoint, each answered as a Latency query at λ₀
+  /// through the normal batch path.  Each link orbit retunes once (its first
+  /// link) and the other rows are Symmetric; without a declared fault
+  /// symmetry every link retunes.  The fault view's stable channel
+  /// structure keeps every dense-resident scenario a Retune or cheaper (no
+  /// per-scenario rebuild).  Orbit mates tie exactly, so they rank in
+  /// enumeration order.
   AvailabilityReport availability_n_minus_1(int resident_id, double lambda0);
   /// General N−k form: the caller supplies the scenarios (each a FaultSet
   /// built against the resident's topology, failing any number of links or
@@ -223,6 +258,7 @@ class QueryEngine {
   // Cost observability (tests; service metering).
   std::uint64_t queries_served() const;
   std::uint64_t served_memoized() const;
+  std::uint64_t served_symmetric() const;
   std::uint64_t served_reevaluate() const;
   std::uint64_t served_retune() const;
   std::uint64_t served_rebuild() const;

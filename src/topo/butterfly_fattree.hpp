@@ -72,6 +72,14 @@ class ButterflyFatTree : public Topology {
   bool has_symmetry(const std::vector<int>& pinned_procs) const override {
     return pinned_procs.size() <= 1;
   }
+  // Faults keep the same orbits, as a checked property rather than a
+  // derived one: the redundant parents form one bundle, so the survivor
+  // router never picks between them by port order, and every orbit mate
+  // matches its own cold build to 1e-9 on every tested case (the spreads
+  // seen are a few ulps; AvailabilitySweep.OrbitRowsMatchTheirOwnColdBuilds).
+  bool has_fault_symmetry(const std::vector<int>& pinned_procs) const override {
+    return has_symmetry(pinned_procs);
+  }
   std::uint64_t proc_symmetry_key(int proc,
                                   const std::vector<int>& pinned_procs) const override;
   std::uint64_t channel_symmetry_key(

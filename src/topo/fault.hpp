@@ -30,10 +30,15 @@
 //    first_unreachable_pair() names a witness — instead of asserting inside
 //    the flow-propagation DP.
 //
-// Faults break a topology's declared symmetry in general, so a non-empty
+// A failure breaks the symmetry WITHIN one degraded fabric, so a non-empty
 // FaultedTopology declares none and the collapsed builder falls back to the
 // dense path; an EMPTY fault set forwards the base symmetry hooks unchanged,
 // keeping collapsed residents valid as the baseline of availability sweeps.
+// ACROSS fabrics the symmetry survives when the base opts in with
+// Topology::has_fault_symmetry: an automorphism that maps link e to link e'
+// maps the view failing e onto the view failing e', so the two give the
+// same answer.  The query engine uses this single-link orbit rule to answer
+// an N−1 sweep with one retune per link orbit (harness/query_engine.hpp).
 #pragma once
 
 #include <cstdint>

@@ -49,6 +49,11 @@ class Hypercube final : public Topology {
   bool has_symmetry(const std::vector<int>& pinned_procs) const override {
     return pinned_procs.empty();
   }
+  // Translations keep every port number, so survivor routing (and its
+  // lowest-port tie-break) maps onto itself: faults keep the symmetry.
+  bool has_fault_symmetry(const std::vector<int>& pinned_procs) const override {
+    return has_symmetry(pinned_procs);
+  }
   std::uint64_t proc_symmetry_key(int proc,
                                   const std::vector<int>& pinned_procs) const override {
     static_cast<void>(proc);

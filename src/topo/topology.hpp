@@ -315,6 +315,25 @@ class Topology {
     return static_cast<std::uint64_t>(node) * 64u + static_cast<std::uint64_t>(port);
   }
 
+  /// True when the symmetry declared for `pinned_procs` also commutes with
+  /// FAULT routing, so that failing one link gives the same answer as
+  /// failing any link in its orbit.  The QueryEngine relies on this when it
+  /// answers a single-link fault query with its orbit representative's
+  /// retune.  Besides has_symmetry(pinned_procs), this needs every
+  /// automorphism to map FaultedTopology's survivor routing onto itself.
+  /// That routing keeps the in-service minimal ports of one output bundle,
+  /// and it breaks ties by port order, so the automorphisms must respect
+  /// port order within those choices.  Mesh is the counterexample.  Its
+  /// reflections swap the + and − ports of an axis, and a detour around a
+  /// failed link prefers the lower port.  On Mesh(4,2) under uniform
+  /// traffic at a quarter of saturation, two links of one reflection orbit
+  /// differ by 0.05 cycles in degraded latency.  The default declares
+  /// nothing, which leaves every link its own orbit.
+  virtual bool has_fault_symmetry(const std::vector<int>& pinned_procs) const {
+    static_cast<void>(pinned_procs);
+    return false;
+  }
+
   /// Convenience: true for processor nodes.
   bool is_processor(int node) const { return kind(node) == NodeKind::Processor; }
 

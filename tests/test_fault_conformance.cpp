@@ -18,9 +18,13 @@
 // Alongside the table: the N−1 availability sweep acceptance — every
 // failable link of a 3-level fat-tree swept through harness::QueryEngine,
 // every scenario served as Retune or cheaper (never a per-scenario rebuild),
-// ranked worst-first, and memoized on repeat.
+// one retune per link orbit, ranked worst-first, and memoized on repeat.
+// The orbit rule is checked by brute force: every orbit-served row against
+// its OWN link's cold build, and topologies that declare no fault symmetry
+// against a one-retune-per-scenario reference, bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <memory>
@@ -32,7 +36,12 @@
 #include "harness/sim_engine.hpp"
 #include "sim/simulator.hpp"
 #include "topo/butterfly_fattree.hpp"
+#include "topo/channels.hpp"
 #include "topo/fault.hpp"
+#include "topo/generalized_fattree.hpp"
+#include "topo/hypercube.hpp"
+#include "topo/mesh.hpp"
+#include "topo/symmetry.hpp"
 
 namespace wormnet {
 namespace {
@@ -260,7 +269,10 @@ TEST(AvailabilitySweep, NMinus1OverEveryLinkIsRetuneOrCheaper) {
         << "rank " << i;
   }
   EXPECT_EQ(engine.served_rebuild(), 0u);
-  EXPECT_GE(engine.served_retune(), 48u);
+  // Two link orbits under uniform traffic (level 1↔2 and level 2↔3): one
+  // retune each, the other 46 rows answered by their orbit's retune.
+  EXPECT_EQ(engine.served_retune(), 2u);
+  EXPECT_EQ(engine.served_symmetric(), 46u);
 
   // The sweep again: every scenario now memoized — the resident service
   // answers availability questions from cache.
@@ -304,6 +316,160 @@ TEST(AvailabilitySweep, NMinusKScenariosRankCutsWorst) {
   EXPECT_EQ(report.rows[1].est.status, core::SolveStatus::Ok);
   EXPECT_EQ(report.scenarios_ok, 1);
   EXPECT_EQ(engine.served_rebuild(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Link orbits: one fault retune per orbit, checked link by link.
+// ---------------------------------------------------------------------------
+
+double rel_diff(double a, double b) {
+  const double mag = std::max(std::abs(a), std::abs(b));
+  return mag == 0.0 ? 0.0 : std::abs(a - b) / mag;
+}
+
+double quarter_saturation(harness::QueryEngine& engine) {
+  harness::WhatIfQuery sat_q;
+  sat_q.metric = harness::QueryMetric::Saturation;
+  return 0.25 * engine.run(sat_q).saturation_rate;
+}
+
+TEST(AvailabilitySweep, OrbitRowsMatchTheirOwnColdBuilds) {
+  topo::ButterflyFatTree bft2(2), bft3(3), bft4(4), tapered3(3);
+  tapered3.set_tier_bandwidth(1, 0.5);
+  tapered3.set_tier_bandwidth(2, 0.25);
+  topo::Hypercube hc3(3), hc5(5);
+  const traffic::TrafficSpec uniform = traffic::TrafficSpec::uniform();
+  const traffic::TrafficSpec hot0 = traffic::TrafficSpec::hotspot(0.2, 0);
+  const traffic::TrafficSpec hot5 = traffic::TrafficSpec::hotspot(0.2, 5);
+  struct Case {
+    const char* tag;
+    const topo::Topology* topo;
+    traffic::TrafficSpec spec;
+    int orbits;  ///< pinned link-orbit count
+  };
+  const Case cases[] = {
+      {"bft2 uniform", &bft2, uniform, 1}, {"bft2 hot0", &bft2, hot0, 2},
+      {"bft2 hot5", &bft2, hot5, 2},       {"bft3 uniform", &bft3, uniform, 2},
+      {"bft3 hot0", &bft3, hot0, 5},       {"bft3 hot5", &bft3, hot5, 5},
+      {"bft3 tapered", &tapered3, uniform, 2},
+      {"bft4 uniform", &bft4, uniform, 3}, {"hc3 uniform", &hc3, uniform, 3},
+      {"hc5 uniform", &hc5, uniform, 5},
+  };
+  for (const Case& c : cases) {
+    harness::QueryEngine engine(*c.topo, c.spec);
+    const double lambda0 = quarter_saturation(engine);
+    const std::uint64_t variants0 = engine.variants_prepared();
+    const std::uint64_t retunes0 = engine.served_retune();
+    const harness::AvailabilityReport report =
+        engine.availability_n_minus_1(0, lambda0);
+    EXPECT_EQ(engine.variants_prepared() - variants0,
+              static_cast<std::uint64_t>(c.orbits + 1))
+        << c.tag;
+    EXPECT_EQ(engine.served_retune() - retunes0,
+              static_cast<std::uint64_t>(c.orbits))
+        << c.tag;
+    EXPECT_EQ(engine.served_symmetric(), report.rows.size() - c.orbits)
+        << c.tag;
+    for (const harness::AvailabilityRow& row : report.rows) {
+      const topo::FaultedTopology view(*c.topo, *row.faults);
+      const core::LatencyEstimate cold =
+          core::build_traffic_model(view, c.spec).evaluate(lambda0);
+      EXPECT_EQ(row.est.status, cold.status) << c.tag << " " << row.label;
+      EXPECT_LE(rel_diff(row.est.latency, cold.latency), 1e-9)
+          << c.tag << " " << row.label;
+      EXPECT_EQ(row.representative != nullptr,
+                row.cost == harness::QueryCost::Symmetric)
+          << c.tag << " " << row.label;
+    }
+  }
+}
+
+TEST(AvailabilitySweep, UndeclaredTopologiesRetuneEveryScenario) {
+  // No fault symmetry declared (meshes, the generalized fat-tree) or none
+  // for the resident's pins (a hypercube hotspot, a permutation): every
+  // row is its own link's retune, bit for bit.
+  topo::Mesh mesh3(3, 2), mesh4(4, 2);
+  topo::GeneralizedFatTree gft(3, 2);
+  topo::Hypercube hc3(3);
+  topo::ButterflyFatTree bft3(3);
+  std::vector<int> dest(static_cast<std::size_t>(bft3.num_processors()));
+  for (int p = 0; p < bft3.num_processors(); ++p)
+    dest[static_cast<std::size_t>(p)] = (p * 5 + 3) % bft3.num_processors();
+  const traffic::TrafficSpec uniform = traffic::TrafficSpec::uniform();
+  struct Case {
+    const char* tag;
+    const topo::Topology* topo;
+    traffic::TrafficSpec spec;
+  };
+  const Case cases[] = {
+      {"mesh3", &mesh3, uniform},
+      {"mesh4", &mesh4, uniform},
+      {"gft(3,2)", &gft, uniform},
+      {"hc3 hotspot", &hc3, traffic::TrafficSpec::hotspot(0.2, 1)},
+      {"bft3 permutation", &bft3, traffic::TrafficSpec::permutation(dest)},
+  };
+  for (const Case& c : cases) {
+    harness::QueryEngine engine(*c.topo, c.spec);
+    const double lambda0 = quarter_saturation(engine);
+    const std::uint64_t variants0 = engine.variants_prepared();
+    const harness::AvailabilityReport report =
+        engine.availability_n_minus_1(0, lambda0);
+    ASSERT_FALSE(report.rows.empty()) << c.tag;
+    EXPECT_EQ(engine.variants_prepared() - variants0, report.rows.size() + 1)
+        << c.tag;
+    EXPECT_EQ(engine.served_symmetric(), 0u) << c.tag;
+    // The reference: one fresh retune of the resident per scenario.
+    const core::RetunableTrafficModel base(*c.topo, c.spec);
+    for (const harness::AvailabilityRow& row : report.rows) {
+      core::RetunableTrafficModel own(base);
+      own.retune_faults(row.faults);
+      const core::LatencyEstimate want = own.model().evaluate(lambda0);
+      EXPECT_NE(row.cost, harness::QueryCost::Symmetric) << c.tag << " " << row.label;
+      EXPECT_EQ(row.est.status, want.status) << c.tag << " " << row.label;
+      EXPECT_EQ(row.est.latency, want.latency) << c.tag << " " << row.label;
+      EXPECT_EQ(row.est.inj_wait, want.inj_wait) << c.tag << " " << row.label;
+    }
+  }
+}
+
+TEST(AvailabilitySweep, MeshReflectionMatesDifferUnderFaults) {
+  // Why Mesh declares no fault symmetry: its reflections are orbits of the
+  // healthy model, but the survivor routing breaks ties by port order, and
+  // a reflection swaps an axis's + and − ports.  Two links of one
+  // reflection orbit give measurably different degraded latencies.
+  const topo::Mesh mesh(4, 2);
+  const traffic::TrafficSpec uniform = traffic::TrafficSpec::uniform();
+  const std::vector<int> no_pins;
+  ASSERT_TRUE(mesh.has_symmetry(no_pins));
+  EXPECT_FALSE(mesh.has_fault_symmetry(no_pins));
+  const topo::ChannelTable ct(mesh);
+  topo::SymmetryClasses sym;
+  ASSERT_TRUE(topo::topology_symmetry(mesh, ct, no_pins, sym));
+
+  const double lambda0 =
+      0.25 * core::build_traffic_model(mesh, uniform).saturation_rate();
+  // Per link orbit (unordered class pair): the range of cold latencies.
+  std::vector<std::pair<double, double>> range;
+  double widest = 0.0;
+  for (int ch = 0; ch < ct.size(); ++ch) {
+    const topo::DirectedChannel& dc = ct.at(ch);
+    if (mesh.is_processor(dc.src_node) || mesh.is_processor(dc.dst_node)) continue;
+    if (ct.reverse(ch) < ch) continue;  // each undirected link once
+    const int a = sym.channel_class[static_cast<std::size_t>(ch)];
+    const int b = sym.channel_class[static_cast<std::size_t>(ct.reverse(ch))];
+    const auto orbit = static_cast<std::size_t>(std::min(a, b) * sym.num_channel_classes +
+                                                std::max(a, b));
+    if (range.size() <= orbit) range.resize(orbit + 1, {HUGE_VAL, -HUGE_VAL});
+    topo::FaultSet fs(mesh);
+    fs.fail_link(dc.src_node, dc.src_port);
+    const double lat = core::build_traffic_model(topo::FaultedTopology(mesh, fs), uniform)
+                           .evaluate(lambda0)
+                           .latency;
+    range[orbit] = {std::min(range[orbit].first, lat),
+                    std::max(range[orbit].second, lat)};
+    widest = std::max(widest, range[orbit].second - range[orbit].first);
+  }
+  EXPECT_GT(widest, 1e-6);
 }
 
 }  // namespace

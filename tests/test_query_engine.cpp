@@ -1,7 +1,8 @@
 // Tests for the what-if layer (ctest label: query): delta-retune vs
 // cold-rebuild parity across topologies × delta axes, the QueryEngine's
 // batch determinism (parallel bitwise-identical to serial), dedup /
-// memoization accounting, and the collapsed-resident retune case.
+// memoization accounting, the collapsed-resident retune case, and the
+// link-orbit contract of single-link fault queries.
 //
 // Parity contract under test (traffic_model.hpp): after any retune
 // sequence the resident agrees with a cold build of the current spec to
@@ -13,11 +14,14 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/traffic_model.hpp"
+#include "obs/metrics.hpp"
 #include "topo/butterfly_fattree.hpp"
+#include "topo/fault.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
 #include "util/rng.hpp"
@@ -561,6 +565,196 @@ TEST(QueryEngine, ClassBreakdownRowsMatchDirectSolve) {
     EXPECT_NEAR(row.wait, sol.wait(id), kMetricTol);
     EXPECT_NEAR(row.rate, cold.graph.at(id).rate_per_link * 0.003, kStateTol);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Link orbits: a single-link fault query is served by its orbit
+// representative's variant, on every path through run_batch.
+// ---------------------------------------------------------------------------
+
+void expect_same_bits(const core::LatencyEstimate& a,
+                      const core::LatencyEstimate& b, const std::string& tag) {
+  EXPECT_EQ(a.status, b.status) << tag;
+  EXPECT_EQ(a.stable, b.stable) << tag;
+  EXPECT_EQ(a.latency, b.latency) << tag;
+  EXPECT_EQ(a.inj_wait, b.inj_wait) << tag;
+  EXPECT_EQ(a.inj_service, b.inj_service) << tag;
+  EXPECT_EQ(a.mean_distance, b.mean_distance) << tag;
+  EXPECT_EQ(a.unroutable_fraction, b.unroutable_fraction) << tag;
+}
+
+std::shared_ptr<const topo::FaultSet> one_link(const topo::Topology& t,
+                                               int node, int port) {
+  auto fs = std::make_shared<topo::FaultSet>(t);
+  fs->fail_link(node, port);
+  return fs;
+}
+
+TEST(QueryEngineOrbits, LoneQueryForAnyOrbitMateEqualsItsSweepRow) {
+  const topo::ButterflyFatTree ft(3);
+  const traffic::TrafficSpec spec = traffic::TrafficSpec::hotspot(0.2, 5);
+  QueryEngine sweeper(ft, spec);
+  const AvailabilityReport report = sweeper.availability_n_minus_1(0, 0.002);
+  QueryEngine::Options o;
+  o.memoize = false;  // every lone query prepares its variant afresh
+  QueryEngine lone(ft, spec, o);
+  for (const AvailabilityRow& row : report.rows) {
+    WhatIfQuery q;
+    q.lambda0 = 0.002;
+    q.faults = row.faults;
+    const QueryResult r = lone.run(q);
+    expect_same_bits(r.est, row.est, row.label);
+    EXPECT_EQ(r.cost, row.cost) << row.label;
+    ASSERT_EQ(r.representative != nullptr, row.representative != nullptr)
+        << row.label;
+    if (r.representative) {
+      EXPECT_EQ(r.representative->failed_links(),
+                row.representative->failed_links())
+          << row.label;
+    }
+  }
+}
+
+TEST(QueryEngineOrbits, ParallelSweepBitwiseEqualsSerialUnmemoized) {
+  const topo::ButterflyFatTree ft(3);
+  const topo::Hypercube hc(5);
+  const traffic::TrafficSpec hot = traffic::TrafficSpec::hotspot(0.2, 5);
+  const traffic::TrafficSpec uniform = traffic::TrafficSpec::uniform();
+  const std::pair<const topo::Topology*, const traffic::TrafficSpec*> cases[] = {
+      {&ft, &hot}, {&ft, &uniform}, {&hc, &uniform}};
+  for (const auto& [topo, spec] : cases) {
+    QueryEngine::Options par;
+    par.threads = 4;
+    QueryEngine::Options ser;
+    ser.parallel = false;
+    ser.memoize = false;
+    QueryEngine qpar(*topo, *spec, par);
+    QueryEngine qser(*topo, *spec, ser);
+    const AvailabilityReport rp = qpar.availability_n_minus_1(0, 0.002);
+    const AvailabilityReport rs = qser.availability_n_minus_1(0, 0.002);
+    ASSERT_EQ(rp.rows.size(), rs.rows.size());
+    for (std::size_t i = 0; i < rp.rows.size(); ++i) {
+      const std::string tag = topo->name() + " " + rp.rows[i].label;
+      EXPECT_EQ(rp.rows[i].label, rs.rows[i].label) << tag;
+      EXPECT_EQ(rp.rows[i].cost, rs.rows[i].cost) << tag;
+      expect_same_bits(rp.rows[i].est, rs.rows[i].est, tag);
+    }
+    EXPECT_EQ(qpar.variants_prepared(), qser.variants_prepared());
+
+    // The sweep again: every row from the result cache.
+    const AvailabilityReport again = qpar.availability_n_minus_1(0, 0.002);
+    for (const AvailabilityRow& row : again.rows) {
+      EXPECT_EQ(row.cost, QueryCost::Memoized) << row.label;
+      EXPECT_EQ(row.representative, nullptr) << row.label;
+    }
+  }
+}
+
+TEST(QueryEngineOrbits, OnlySingleLinkFaultsWithoutTrafficDeltaMove) {
+  const topo::ButterflyFatTree ft(3);
+  const traffic::TrafficSpec uniform = traffic::TrafficSpec::uniform();
+  QueryEngine qe(ft, uniform);
+  // Level 1↔2 links form one orbit under uniform traffic; its
+  // representative is the first in enumeration order, S(1,0)'s parent 0.
+  const int s1 = ft.switch_id(1, 0);
+  const int mate_node = ft.switch_id(1, 3);
+  const auto rep_link = one_link(ft, s1, topo::ButterflyFatTree::kParentPort0);
+  const auto mate = one_link(ft, mate_node, topo::ButterflyFatTree::kParentPort1);
+  auto two = std::make_shared<topo::FaultSet>(ft);
+  two->fail_link(mate_node, topo::ButterflyFatTree::kParentPort1);
+  two->fail_link(ft.switch_id(1, 6), topo::ButterflyFatTree::kParentPort0);
+  auto top = std::make_shared<topo::FaultSet>(ft);
+  top->fail_switch(ft.switch_id(3, 1));
+
+  std::vector<WhatIfQuery> batch(6);
+  for (WhatIfQuery& q : batch) q.lambda0 = 0.002;
+  batch[0].faults = mate;                                    // moved
+  batch[1].faults = mate;                                    // identical
+  batch[2].faults = rep_link;                                // the representative
+  batch[3].faults = mate;                                    // + traffic delta
+  batch[3].traffic = traffic::TrafficSpec::hotspot(0.2, 3);
+  batch[4].faults = two;                                     // two links
+  batch[5].faults = top;                                     // a failed switch
+  const std::vector<QueryResult> res = qe.run_batch(batch);
+
+  EXPECT_EQ(res[0].cost, QueryCost::Symmetric);
+  ASSERT_NE(res[0].representative, nullptr);
+  EXPECT_EQ(res[0].representative->failed_links(), rep_link->failed_links());
+  EXPECT_EQ(res[1].cost, QueryCost::Memoized);
+  EXPECT_EQ(res[1].representative, nullptr);
+  // Same answer key as [0], but its own link IS the representative: the
+  // retune was done for this link.
+  EXPECT_EQ(res[2].cost, QueryCost::Retune);
+  EXPECT_EQ(res[2].representative, nullptr);
+  EXPECT_EQ(res[2].est.latency, res[0].est.latency);
+  // Uniform → hotspot changes every pair weight, so that variant rebuilds,
+  // exactly as it does without the orbit rule.
+  EXPECT_EQ(res[3].cost, QueryCost::Rebuild);
+  EXPECT_EQ(res[4].cost, QueryCost::Retune);
+  EXPECT_EQ(res[5].cost, QueryCost::Retune);
+  for (std::size_t i = 3; i < 6; ++i) EXPECT_EQ(res[i].representative, nullptr) << i;
+  // Healthy-free batch: the orbit variant plus one per unmoved query.
+  EXPECT_EQ(qe.variants_prepared(), 4u);
+
+  // The unmoved queries answer for their OWN fault sets.
+  const auto cold = [&](const topo::FaultSet& fs, const traffic::TrafficSpec& spec) {
+    return core::build_traffic_model(topo::FaultedTopology(ft, fs), spec)
+        .evaluate(0.002);
+  };
+  EXPECT_LE(rel(res[3].est.latency,
+                cold(*mate, traffic::TrafficSpec::hotspot(0.2, 3)).latency),
+            kMetricTol);
+  EXPECT_LE(rel(res[4].est.latency, cold(*two, uniform).latency), kMetricTol);
+  EXPECT_LE(rel(res[5].est.latency, cold(*top, uniform).latency), kMetricTol);
+}
+
+TEST(QueryEngineOrbits, SymmetricRowsNameTheirRepresentative) {
+  const topo::ButterflyFatTree ft(3);
+  QueryEngine qe(ft, traffic::TrafficSpec::hotspot(0.2, 5));
+  const AvailabilityReport report = qe.availability_n_minus_1(0, 0.002);
+  std::vector<const AvailabilityRow*> retuned;
+  for (const AvailabilityRow& row : report.rows)
+    if (row.cost == QueryCost::Retune) retuned.push_back(&row);
+  EXPECT_EQ(retuned.size(), 5u);  // BFT(3) link orbits with one pin
+  std::size_t symmetric = 0;
+  for (const AvailabilityRow& row : report.rows) {
+    if (row.cost != QueryCost::Symmetric) {
+      EXPECT_EQ(row.representative, nullptr) << row.label;
+      continue;
+    }
+    ++symmetric;
+    ASSERT_NE(row.representative, nullptr) << row.label;
+    ASSERT_EQ(row.representative->failed_links().size(), 1u) << row.label;
+    const std::pair<int, int> own = row.faults->failed_links().front();
+    const std::pair<int, int> rep = row.representative->failed_links().front();
+    // The representative is its orbit's first link in enumeration order.
+    EXPECT_LT(rep, own) << row.label;
+    // ...and exactly one retuned row is that link, with the same bits.
+    int matches = 0;
+    for (const AvailabilityRow* r : retuned) {
+      if (r->faults->failed_links().front() != rep) continue;
+      ++matches;
+      expect_same_bits(row.est, r->est, row.label);
+    }
+    EXPECT_EQ(matches, 1) << row.label;
+  }
+  EXPECT_EQ(symmetric, report.rows.size() - retuned.size());
+}
+
+TEST(QueryEngineOrbits, PublishMetricsCountsSymmetricRows) {
+  const topo::ButterflyFatTree ft(3);
+  QueryEngine qe(ft, traffic::TrafficSpec::uniform());
+  const AvailabilityReport report = qe.availability_n_minus_1(0, 0.002);
+  std::uint64_t rows = 0;
+  for (const AvailabilityRow& row : report.rows)
+    rows += row.cost == QueryCost::Symmetric ? 1 : 0;
+  EXPECT_EQ(rows, 46u);
+  EXPECT_EQ(qe.served_symmetric(), rows);
+  obs::Registry reg;
+  qe.publish_metrics(reg, "t");
+  EXPECT_EQ(reg.value("wormnet_query_served", "engine=t,cost=symmetric"),
+            static_cast<double>(rows));
+  EXPECT_EQ(reg.value("wormnet_query_served", "engine=t,cost=retune"), 2.0);
 }
 
 }  // namespace
