@@ -5,7 +5,9 @@
 //
 // Success criterion: single-digit-percent model error in the stable region
 // for n = 6..10 (64..1024 processors), without any hypercube-specific model
-// code beyond the 60-line channel-class builder.
+// code: the symmetry-collapsed traffic builder folds the cube to its dims + 2
+// channel classes (injection, one per dimension, ejection) from the
+// topology's declared symmetry alone.
 //
 //   ./generality_hypercube [--dims=6,8,10] [--worm=16] [--quick]
 #include <cstdio>
@@ -25,7 +27,8 @@ int main(int argc, char** argv) {
   std::vector<core::GeneralModel> models;
   models.reserve(dims_list.size());
   for (long dims : dims_list) {
-    models.push_back(core::build_hypercube_collapsed(static_cast<int>(dims)));
+    models.push_back(core::build_traffic_model_collapsed(
+        topo::Hypercube(static_cast<int>(dims)), traffic::TrafficSpec::uniform()));
     models.back().opts.worm_flits = worm;
   }
 

@@ -1,8 +1,9 @@
 // GEN-MESH — the general model on a network with NO symmetry shortcut: the
 // k-ary 2-mesh under dimension-order routing, whose center channels carry
 // more traffic than its edges.  The model here is the per-physical-channel
-// graph produced by exact flow propagation (core/full_graph.hpp) — several
-// hundred coupled channel classes — solved by the same backward sweep.
+// graph produced by exact flow propagation (core::build_traffic_model under
+// uniform traffic) — several hundred coupled channel classes — solved by the
+// same backward sweep.
 //
 // This stands in for the paper's k-ary n-cube context (Dally); see
 // DESIGN.md "Substitutions" for why the mesh (deadlock-free DOR, acyclic
@@ -31,7 +32,8 @@ int main(int argc, char** argv) {
   std::vector<core::GeneralModel> models;
   for (long radix : radix_list) {
     meshes.push_back(std::make_unique<topo::Mesh>(static_cast<int>(radix), 2));
-    models.push_back(core::build_full_channel_graph(*meshes.back()));
+    models.push_back(core::build_traffic_model(*meshes.back(),
+                                               traffic::TrafficSpec::uniform()));
     models.back().opts.worm_flits = worm;
   }
 

@@ -50,7 +50,8 @@ BENCHMARK(BM_GeneralSolverCollapsedFatTree)->Arg(5)->Arg(8);
 
 void BM_GeneralSolverMeshPerChannel(benchmark::State& state) {
   topo::Mesh mesh(static_cast<int>(state.range(0)), 2);
-  const core::GeneralModel net = core::build_full_channel_graph(mesh);
+  const core::GeneralModel net =
+      core::build_traffic_model(mesh, traffic::TrafficSpec::uniform());
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.evaluate(0.001).latency);
   }
@@ -96,7 +97,8 @@ BENCHMARK(BM_SweepEngineMemoizedSweep)->Unit(benchmark::kMicrosecond);
 void BM_FullGraphBuild(benchmark::State& state) {
   topo::ButterflyFatTree ft(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_full_channel_graph(ft).graph.size());
+    benchmark::DoNotOptimize(
+        core::build_traffic_model(ft, traffic::TrafficSpec::uniform()).graph.size());
   }
 }
 BENCHMARK(BM_FullGraphBuild)->Arg(2)->Arg(3);

@@ -9,10 +9,9 @@ namespace wormnet::core {
 using util::ipow;
 
 GeneralModel build_fattree_collapsed(int levels, int parents,
-                                     bool exact_conditionals, int lanes) {
+                                     bool exact_conditionals) {
   WORMNET_EXPECTS(levels >= 1 && levels <= 10);
   WORMNET_EXPECTS(parents >= 1 && parents <= 4);
-  WORMNET_EXPECTS(lanes >= 1);
   const int n = levels;
   const double num_procs = static_cast<double>(ipow(4, n));
 
@@ -33,20 +32,16 @@ GeneralModel build_fattree_collapsed(int levels, int parents,
     ChannelClass c;
     c.label = "up" + std::to_string(l);
     c.servers = (l == 0) ? 1 : parents;  // injection channel has no redundant twin
-    c.lanes = lanes;
     c.rate_per_link = rate_up(l);
     up[static_cast<std::size_t>(l)] = net.graph.add_channel(c);
-    net.labels[c.label] = up[static_cast<std::size_t>(l)];
   }
   for (int l = 0; l < n; ++l) {
     ChannelClass c;
     c.label = "down" + std::to_string(l);
     c.servers = 1;
-    c.lanes = lanes;
     c.rate_per_link = rate_up(l);  // Eq. 15: down rate mirrors up rate
     c.terminal = (l == 0);         // ejection channel ⟨1,0⟩: x̄ = s_f
     down[static_cast<std::size_t>(l)] = net.graph.add_channel(c);
-    net.labels[c.label] = down[static_cast<std::size_t>(l)];
   }
 
   // Up-channel continuations.  A message on ⟨l, l+1⟩ reaches a switch at

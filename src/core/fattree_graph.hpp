@@ -25,13 +25,11 @@ namespace wormnet::core {
 /// P↑_l with the exact conditional P↑_l / P↑_{l-1} — a message already on
 /// channel ⟨l-1, l⟩ is known not to terminate below level l, a fact Eq. 22
 /// ignores.  With it, the collapsed graph agrees with the exact-flow
-/// per-channel graph (full_graph.hpp) to machine precision; without it, the
-/// two differ by the (sub-0.1%) approximation error the paper accepts.
-/// `lanes` sets a uniform virtual-channel multiplicity on every class (the
-/// closed-form FatTreeModel's `lanes` option is its counterpart); 1 is the
-/// paper's single-lane network.
+/// per-channel graph (build_traffic_model at TrafficSpec::uniform()) to
+/// machine precision; without it, the two differ by the (sub-0.1%)
+/// approximation error the paper accepts.  Every class has one lane (the
+/// paper's network); GeneralModel::set_uniform_lanes retunes the lane count.
 GeneralModel build_fattree_collapsed(int levels, int parents = 2,
-                                     bool exact_conditionals = false,
-                                     int lanes = 1);
+                                     bool exact_conditionals = false);
 
 }  // namespace wormnet::core

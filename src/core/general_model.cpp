@@ -17,6 +17,11 @@ namespace {
 
 using queueing::ChannelSolver;
 
+/// Fixed-point convergence threshold and damping factor in (0, 1] for
+/// cyclic graphs.
+constexpr double kTolerance = 1e-12;
+constexpr double kDamping = 0.5;
+
 /// One evaluation of Eq. 11 for class `i` given current service times, plus
 /// the heterogeneous-link terms of channel i itself: the lane-multiplexing
 /// stretch and pipeline latency add to the composed time, while the
@@ -109,15 +114,15 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
       for (int id = 0; id < n; ++id) {
         const double next = compose_service_time(solver, graph, id, x, waits, scale);
         const double cur = x[static_cast<std::size_t>(id)];
-        double blended = cur + opts.damping * (next - cur);
+        double blended = cur + kDamping * (next - cur);
         if (std::isinf(next)) blended = next;  // saturation dominates damping
         max_delta = std::max(max_delta, std::abs(blended - cur));
         x[static_cast<std::size_t>(id)] = blended;
       }
       result.iterations = it + 1;
       last_delta = max_delta;
-      if (max_delta < opts.tolerance || std::isinf(max_delta) || std::isnan(max_delta)) {
-        result.converged = max_delta < opts.tolerance;
+      if (max_delta < kTolerance || std::isinf(max_delta) || std::isnan(max_delta)) {
+        result.converged = max_delta < kTolerance;
         break;
       }
     }
@@ -239,9 +244,10 @@ LatencyEstimate estimate_latency(const SolveResult& solution,
 }
 
 int GeneralModel::class_id(const std::string& label) const {
-  auto it = labels.find(label);
-  WORMNET_EXPECTS(it != labels.end());
-  return it->second;
+  int id = 0;
+  while (id < graph.size() && graph.at(id).label != label) ++id;
+  WORMNET_EXPECTS(id < graph.size());
+  return id;
 }
 
 void GeneralModel::set_injection_ca2(double ca2) {
@@ -339,10 +345,10 @@ LatencyEstimate apply_unroutable(LatencyEstimate est, double unroutable) {
 
 std::uint64_t GeneralModel::content_digest() const {
   // Base digest covers name, worm length, ablation switches and the arrival
-  // tuning; fold in everything else evaluate() reads.  Labels and
-  // channel_class_of are reporting metadata only, and opts.injection_scale
-  // is overridden by every evaluation's λ₀ — all three are deliberately
-  // excluded.
+  // tuning; fold in everything else evaluate() reads.  ChannelClass::label
+  // and channel_class_of are reporting metadata only, and
+  // opts.injection_scale is overridden by every evaluation's λ₀ — all three
+  // are deliberately excluded.
   std::uint64_t h = NetworkModel::content_digest();
   h = util::hash_mix(h, static_cast<std::uint64_t>(graph.size()));
   for (int id = 0; id < graph.size(); ++id) {
@@ -369,8 +375,6 @@ std::uint64_t GeneralModel::content_digest() const {
   h = util::hash_mix_double(h, mean_distance);
   h = util::hash_mix_double(h, unroutable_fraction);
   h = util::hash_mix(h, static_cast<std::uint64_t>(opts.max_iterations));
-  h = util::hash_mix_double(h, opts.tolerance);
-  h = util::hash_mix_double(h, opts.damping);
   return h;
 }
 

@@ -25,7 +25,6 @@
 // link attributes) are per-class inputs on the graph, not switches.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -41,8 +40,6 @@ struct SolveOptions {
   double injection_scale = 1.0;    ///< λ₀ multiplier applied to all unit rates
   queueing::AblationOptions ablation{};  ///< the paper's three ablation switches
   int max_iterations = 500;        ///< fixed-point cap for cyclic graphs
-  double tolerance = 1e-12;        ///< fixed-point convergence threshold
-  double damping = 0.5;            ///< fixed-point damping factor in (0, 1]
 };
 
 /// Per-class solution values.
@@ -117,9 +114,11 @@ LatencyEstimate estimate_latency(const SolveResult& solution,
 
 /// The general model packaged for one concrete network: the channel graph
 /// (with unit-injection rates), the injection channel classes, the mean
-/// path length, and the solve options.  Builders in fattree_graph.hpp,
-/// hypercube_graph.hpp and full_graph.hpp produce these; as a NetworkModel
-/// it plugs straight into the sweep engine and experiment harness.
+/// path length, and the solve options.  build_traffic_model and
+/// build_traffic_model_collapsed (traffic_model.hpp) produce these for any
+/// topology, build_fattree_collapsed (fattree_graph.hpp) the paper's Eq. 22
+/// fat-tree form; as a NetworkModel it plugs straight into the sweep engine
+/// and experiment harness.
 class GeneralModel final : public NetworkModel {
  public:
   ChannelGraph graph;
@@ -142,8 +141,6 @@ class GeneralModel final : public NetworkModel {
   /// it through LatencyEstimate::unroutable_fraction and downgrades status
   /// to Disconnected when positive.
   double unroutable_fraction = 0.0;
-  /// Builder-provided label → class id map (used by tests and reports).
-  std::map<std::string, int> labels;
   /// Worm length, ablation switches and solver knobs.  `injection_scale`
   /// is overridden per evaluation by the λ₀ argument.
   SolveOptions opts;
@@ -159,7 +156,8 @@ class GeneralModel final : public NetworkModel {
   /// source wait; 0 for every batchless process.
   double injection_batch_residual = 0.0;
 
-  /// Look up a labeled class id; aborts if absent.
+  /// The id of the first class whose ChannelClass::label is `label`
+  /// (O(classes) scan); aborts if absent.
   int class_id(const std::string& label) const;
 
   /// Retune every channel's arrival SCV to an injection process with the

@@ -20,6 +20,11 @@ namespace wormnet::core {
 
 namespace {
 
+/// CollapseMode::Auto falls back to the dense path when the declared quotient
+/// has more classes than this (the O(classes²) transition accumulator stops
+/// being "flat memory" long before it stops being correct).
+constexpr int kMaxSymmetryClasses = 2048;
+
 /// Shared worker pool for the default (threads = 0) builder.  Function-local
 /// static: created on the first parallel build, sized to the hardware, and
 /// reused by every subsequent build so small topologies don't pay a pool
@@ -390,9 +395,7 @@ int add_station(GeneralModel& net, const topo::Topology& topo,
   } else if (rate > 0.0) {
     c.self_frac = std::min(1.0, self / rate);
   }
-  const int id = net.graph.add_channel(c);
-  net.labels[c.label] = id;
-  return id;
+  return net.graph.add_channel(c);
 }
 
 /// The injection channels of every processor that injects (positive
@@ -673,7 +676,7 @@ CollapsePlan plan_collapse(const topo::Topology& topo,
         have = topo::topology_symmetry(topo, ct, pins, plan.sym) &&
                !plan.sym.trivial(procs);
         if (build.collapse == CollapseMode::Auto) {
-          have = have && plan.sym.num_channel_classes <= build.max_symmetry_classes;
+          have = have && plan.sym.num_channel_classes <= kMaxSymmetryClasses;
         }
       }
     }
@@ -1434,10 +1437,12 @@ RetuneReport RetunableTrafficModel::retune_faults(
   if (im.is_collapsed) {
     // A collapsed resident has no dense flow state to delta against; entering
     // a degraded state rebuilds dense (faults void the symmetry), returning
-    // to healthy re-plans and may collapse again.  That dense fallback is the
-    // fault-orbit follow-on's worst symptom (ROADMAP), so it never passes
-    // silently: a Rebuild cost-class counter in the global registry and a
-    // one-shot Warn naming the broken symmetry class.
+    // to healthy re-plans and may collapse again.  QueryEngine serves
+    // single-link faults per link orbit, so an N-1 sweep pays one such dense
+    // rebuild per orbit representative; building the faulted model on the
+    // quotient instead is ROADMAP "Quotient builds".  The fallback never
+    // passes silently: a Rebuild cost-class counter in the global registry
+    // and a one-shot Warn naming the broken symmetry class.
     const std::string broken_name = im.net.model_name;
     const int broken_classes = im.net.graph.size();
     im.fault_set = std::move(faults);
@@ -1457,8 +1462,8 @@ RetuneReport RetunableTrafficModel::retune_faults(
           << "' fell back to a dense rebuild on its first degraded query: "
           << "the fault breaks its declared symmetry (" << broken_classes
           << " quotient classes -> " << im.net.graph.size()
-          << " dense classes); N-1 sweeps on this resident pay dense costs "
-          << "until fault orbits land (ROADMAP)";
+          << " dense classes); N-1 sweeps on this resident pay one dense "
+          << "rebuild per link-orbit representative (ROADMAP: Quotient builds)";
     }
     return report;
   }

@@ -94,7 +94,8 @@ enum class CollapseMode {
   /// class ids coincide with topo::ChannelTable ids).
   Dense,
   /// Best available: symmetric quotient when topology and spec both declare
-  /// the symmetry (and the quotient is genuinely smaller), else Dense.
+  /// the symmetry (and the quotient is genuinely smaller, with at most 2048
+  /// classes), else Dense.
   /// Never changes the model semantics — only its size or build cost.
   Auto,
   /// Demand the symmetric quotient; precondition failure when the topology
@@ -126,10 +127,6 @@ struct TrafficBuildOptions {
   /// the call; sizes must match (num_processors, ChannelTable channels).
   /// Taken on trust — validate with check_collapsed_parity at small N.
   const topo::SymmetryClasses* user_classes = nullptr;
-  /// Auto falls back to the dense path when the declared quotient
-  /// has more classes than this (the O(classes²) transition accumulator
-  /// stops being "flat memory" long before it stops being correct).
-  int max_symmetry_classes = 2048;
   /// Processor count at or below which threads = 0 builds serially.
   static constexpr int kSerialCutoffProcs = 128;
 };

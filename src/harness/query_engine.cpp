@@ -254,17 +254,13 @@ struct QueryEngine::Impl {
       case QueryMetric::ClassBreakdown: {
         const core::SolveResult sol = m.solve(q.lambda0);
         res.est.stable = sol.stable;
-        std::vector<std::string> label_of(
-            static_cast<std::size_t>(m.graph.size()));
-        for (const auto& [label, id] : m.labels)
-          label_of[static_cast<std::size_t>(id)] = label;
         res.breakdown.resize(static_cast<std::size_t>(m.graph.size()));
         for (int id = 0; id < m.graph.size(); ++id) {
           ClassLoadRow& row = res.breakdown[static_cast<std::size_t>(id)];
           const core::ChannelSolution& c =
               sol.channels[static_cast<std::size_t>(id)];
           row.class_id = id;
-          row.label = label_of[static_cast<std::size_t>(id)];
+          row.label = m.graph.at(id).label;
           row.rate = m.graph.at(id).rate_per_link * q.lambda0;
           row.utilization = c.utilization;
           row.wait = c.wait;

@@ -24,13 +24,11 @@ class TraceLog;
 namespace wormnet::sim {
 
 /// Message generation MODE at each processor.  Poisson (the default) is the
-/// open-loop mode whose inter-arrival law is refined by
-/// SimConfig::arrival_process; Bernoulli is the legacy shorthand for
-/// arrivals::ArrivalSpec::bernoulli(); Overload is the closed-loop
-/// saturation probe (no arrival process at all).
+/// open-loop mode whose inter-arrival law is SimConfig::arrival_process
+/// (Bernoulli arrivals are arrivals::ArrivalSpec::bernoulli() there);
+/// Overload is the closed-loop saturation probe (no arrival process at all).
 enum class ArrivalProcess {
   Poisson,    ///< open loop, gaps drawn from SimConfig::arrival_process
-  Bernoulli,  ///< geometric inter-arrival times (one trial per cycle)
   Overload,   ///< source always backlogged: measures saturation throughput
 };
 
@@ -165,9 +163,6 @@ struct SimConfig {
       if (e.cycle < 0) return "sim config: negative fault event cycle";
     if (const std::string problem = arrival_process.check(); !problem.empty())
       return "sim config: " + problem;
-    if (arrivals == ArrivalProcess::Bernoulli && !arrival_process.is_poisson())
-      return "sim config: arrivals == Bernoulli conflicts with a non-Poisson "
-             "arrival_process — set one or the other";
     return "";
   }
 

@@ -15,7 +15,7 @@
 // "blocked in place", the defining wormhole behavior.
 //
 // Each cycle runs three phases:
-//  1. arrivals  — Poisson/Bernoulli message generation (or overload
+//  1. arrivals  — open-loop message generation (or overload
 //                 replenish); a message that reaches the front of its
 //                 source queue registers a request for the injection
 //                 channel;

@@ -25,11 +25,6 @@ TrafficSource::TrafficSource(int num_processors, double lambda0,
     // Arrivals fire at every PE, so silent matrix rows cannot be simulated.
     WORMNET_EXPECTS(spec_.injection_weight(p, num_processors) > 0.0);
   }
-  if (process_ == ArrivalProcess::Bernoulli) {
-    // Legacy shorthand; combining it with a non-Poisson spec is ambiguous.
-    WORMNET_EXPECTS(arrival_.is_poisson());
-    arrival_ = arrivals::ArrivalSpec::bernoulli();
-  }
   rng_.reserve(static_cast<std::size_t>(num_processors));
   next_time_.assign(static_cast<std::size_t>(num_processors), 0.0);
   for (int p = 0; p < num_processors; ++p) {

@@ -43,10 +43,9 @@ class TrafficSource {
   /// plus their own replenish logic.  `spec` must pass check() for
   /// `num_processors` and give every source full injection weight (the
   /// stochastic arrival processes drive every PE at λ₀).  `arrival` is the
-  /// inter-arrival law for open-loop modes (the Bernoulli mode is shorthand
-  /// for ArrivalSpec::bernoulli() and must not be combined with a
-  /// non-Poisson `arrival`); its Poisson default draws exactly the legacy
-  /// sequence, keeping all seeded goldens bit-identical.
+  /// inter-arrival law of the open-loop (Poisson) mode; its Poisson default
+  /// draws exactly the legacy sequence, keeping all seeded goldens
+  /// bit-identical.
   TrafficSource(int num_processors, double lambda0, ArrivalProcess process,
                 std::uint64_t seed,
                 traffic::TrafficSpec spec = traffic::TrafficSpec::uniform(),
@@ -70,8 +69,7 @@ class TrafficSource {
   /// The destination distribution in force.
   const traffic::TrafficSpec& spec() const { return spec_; }
 
-  /// The inter-arrival law in force (ArrivalSpec::bernoulli() when the
-  /// legacy Bernoulli mode was requested; meaningless under Overload).
+  /// The inter-arrival law in force (meaningless under Overload).
   const arrivals::ArrivalSpec& arrival_process() const { return arrival_; }
 
  private:

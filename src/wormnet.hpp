@@ -33,9 +33,7 @@
 #include "core/channel_graph.hpp"      // IWYU pragma: export
 #include "core/fattree_graph.hpp"      // IWYU pragma: export
 #include "core/fattree_model.hpp"      // IWYU pragma: export
-#include "core/full_graph.hpp"         // IWYU pragma: export
 #include "core/general_model.hpp"      // IWYU pragma: export
-#include "core/hypercube_graph.hpp"    // IWYU pragma: export
 #include "core/network_model.hpp"      // IWYU pragma: export
 #include "core/saturation.hpp"         // IWYU pragma: export
 #include "core/traffic_model.hpp"      // IWYU pragma: export

@@ -408,12 +408,6 @@ TEST(SimConfigValidation, RejectsNonsenseLoudly) {
     cfg.arrival_process = ArrivalSpec::batch(0.25);  // invalid batch mean
     EXPECT_THROW(sim::Simulator(net, cfg), std::invalid_argument);
   }
-  {
-    sim::SimConfig cfg = good;
-    cfg.arrivals = sim::ArrivalProcess::Bernoulli;
-    cfg.arrival_process = ArrivalSpec::batch(4.0);  // conflicting modes
-    EXPECT_THROW(sim::Simulator(net, cfg), std::invalid_argument);
-  }
   EXPECT_NO_THROW(sim::Simulator(net, good));
 }
 

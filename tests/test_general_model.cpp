@@ -9,9 +9,11 @@
 #include "core/channel_graph.hpp"
 #include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
-#include "core/hypercube_graph.hpp"
 #include "core/network_model.hpp"
+#include "core/traffic_model.hpp"
 #include "queueing/queueing.hpp"
+#include "topo/channels.hpp"
+#include "topo/hypercube.hpp"
 
 namespace wormnet::core {
 namespace {
@@ -32,7 +34,6 @@ GeneralModel two_channel_line() {
   net.graph.add_transition(inj_id, ej_id, 1.0, 1.0);
   net.injection_classes = {inj_id};
   net.mean_distance = 2.0;
-  net.labels = {{"inj", inj_id}, {"eject", ej_id}};
   return net;
 }
 
@@ -211,8 +212,13 @@ TEST(GeneralModel, CyclicGraphConvergesByFixedPoint) {
   EXPECT_GT(res.service_time(a), 8.0);
 }
 
+GeneralModel hypercube_collapsed(int dims) {
+  return build_traffic_model_collapsed(topo::Hypercube(dims),
+                                       traffic::TrafficSpec::uniform());
+}
+
 TEST(GeneralModel, HypercubeCollapsedBasics) {
-  const GeneralModel net = build_hypercube_collapsed(6);
+  const GeneralModel net = hypercube_collapsed(6);
   SolveOptions opts;
   opts.worm_flits = 16.0;
   const LatencyEstimate zero = model_latency(net, 0.0, opts);
@@ -225,14 +231,18 @@ TEST(GeneralModel, HypercubeCollapsedBasics) {
 TEST(GeneralModel, HypercubeDimensionZeroCarriesLongestService) {
   // E-cube resolves dimension 0 first, so dim-0 channels sit earliest on
   // paths and accumulate the most downstream waiting.
-  const GeneralModel net = build_hypercube_collapsed(8);
+  const topo::Hypercube hc(8);
+  const topo::ChannelTable ct(hc);
+  const GeneralModel net = hypercube_collapsed(8);
   SolveOptions opts;
   opts.worm_flits = 16.0;
   const SolveResult res = model_solve(net, 0.003, opts);
   ASSERT_TRUE(res.stable);
   double prev = std::numeric_limits<double>::infinity();
   for (int d = 0; d < 8; ++d) {
-    const double x = res.service_time(net.class_id("dim" + std::to_string(d)));
+    const int dim_class = net.channel_class_of[static_cast<std::size_t>(
+        ct.from(hc.router_of(0), d))];
+    const double x = res.service_time(dim_class);
     EXPECT_LE(x, prev + 1e-12) << "d=" << d;
     prev = x;
   }

@@ -9,9 +9,8 @@
 
 #include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
-#include "core/full_graph.hpp"
-#include "core/hypercube_graph.hpp"
 #include "core/network_model.hpp"
+#include "core/traffic_model.hpp"
 #include "topo/channels.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
@@ -154,7 +153,18 @@ TEST(GraphProperties, HypercubeTransitionsMatchMonteCarloRouting) {
   // combinatorics) must match empirical e-cube routing statistics.
   const int dims = 6;
   topo::Hypercube hc(dims);
-  const GeneralModel net = build_hypercube_collapsed(dims);
+  const topo::ChannelTable ct(hc);
+  const GeneralModel net =
+      build_traffic_model_collapsed(hc, traffic::TrafficSpec::uniform());
+  // Class id of each dimension's links, and the dimension of each class.
+  std::vector<int> dim_class(static_cast<std::size_t>(dims));
+  std::vector<int> dim_of(static_cast<std::size_t>(net.graph.size()), -1);
+  for (int d = 0; d < dims; ++d) {
+    const int c = net.channel_class_of[static_cast<std::size_t>(
+        ct.from(hc.router_of(0), d))];
+    dim_class[static_cast<std::size_t>(d)] = c;
+    dim_of[static_cast<std::size_t>(c)] = d;
+  }
   util::Rng rng(123);
   std::vector<long> dim_visits(static_cast<std::size_t>(dims), 0);
   std::vector<std::vector<long>> dim_to_dim(
@@ -179,7 +189,7 @@ TEST(GraphProperties, HypercubeTransitionsMatchMonteCarloRouting) {
   }
   for (int d1 = 0; d1 < dims; ++d1) {
     const auto visits = static_cast<double>(dim_visits[static_cast<std::size_t>(d1)]);
-    const ChannelClass& cls = net.graph.at(net.class_id("dim" + std::to_string(d1)));
+    const ChannelClass& cls = net.graph.at(dim_class[static_cast<std::size_t>(d1)]);
     for (const Transition& t : cls.next) {
       double measured;
       if (net.graph.at(t.target).terminal) {
@@ -187,11 +197,8 @@ TEST(GraphProperties, HypercubeTransitionsMatchMonteCarloRouting) {
                        dim_to_dim[static_cast<std::size_t>(d1)][static_cast<std::size_t>(dims)]) /
                    visits;
       } else {
-        // Find the target dim index by matching labels dim0..dim5.
-        int d2 = -1;
-        for (int k = d1 + 1; k < dims; ++k)
-          if (net.class_id("dim" + std::to_string(k)) == t.target) d2 = k;
-        ASSERT_GE(d2, 0);
+        const int d2 = dim_of[static_cast<std::size_t>(t.target)];
+        ASSERT_GT(d2, d1);
         measured = static_cast<double>(
                        dim_to_dim[static_cast<std::size_t>(d1)][static_cast<std::size_t>(d2)]) /
                    visits;
@@ -204,7 +211,7 @@ TEST(GraphProperties, HypercubeTransitionsMatchMonteCarloRouting) {
 TEST(GraphProperties, MeshRatesMatchMonteCarloRouting) {
   // Exact flow propagation vs empirical DOR walks on a 4x4 mesh.
   topo::Mesh mesh(4, 2);
-  const GeneralModel net = build_full_channel_graph(mesh);
+  const GeneralModel net = build_traffic_model(mesh, traffic::TrafficSpec::uniform());
   const topo::ChannelTable ct(mesh);
   util::Rng rng(321);
   std::vector<double> counts(static_cast<std::size_t>(ct.size()), 0.0);

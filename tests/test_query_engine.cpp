@@ -548,22 +548,34 @@ TEST(QueryEngine, ResidentRegistryDedupsByTopologyAndSpec) {
 }
 
 TEST(QueryEngine, ClassBreakdownRowsMatchDirectSolve) {
+  // A dense resident labels its rows "ch<node>:<port>", a collapsed one
+  // "cls<c>@ch<node>:<port>"; either way each row carries its class's own
+  // ChannelClass::label.
   const topo::Hypercube hc(4);
-  QueryEngine qe(hc, traffic::TrafficSpec::uniform());
-  WhatIfQuery q;
-  q.metric = QueryMetric::ClassBreakdown;
-  q.lambda0 = 0.003;
-  const auto res = qe.run(q);
-  const auto cold =
-      core::build_traffic_model(hc, traffic::TrafficSpec::uniform());
-  const auto sol = cold.solve(0.003);
-  ASSERT_EQ(static_cast<int>(res.breakdown.size()), cold.graph.size());
-  for (int id = 0; id < cold.graph.size(); ++id) {
-    const auto& row = res.breakdown[static_cast<std::size_t>(id)];
-    EXPECT_EQ(row.class_id, id);
-    EXPECT_NEAR(row.utilization, sol.utilization(id), kMetricTol);
-    EXPECT_NEAR(row.wait, sol.wait(id), kMetricTol);
-    EXPECT_NEAR(row.rate, cold.graph.at(id).rate_per_link * 0.003, kStateTol);
+  const traffic::TrafficSpec uniform = traffic::TrafficSpec::uniform();
+  for (const core::CollapseMode mode :
+       {core::CollapseMode::Dense, core::CollapseMode::Auto}) {
+    const bool collapsed = mode == core::CollapseMode::Auto;
+    QueryEngine::Options opts;
+    opts.build.collapse = mode;
+    QueryEngine qe(hc, uniform, opts);
+    ASSERT_EQ(qe.resident_model(0).collapsed(), collapsed);
+    WhatIfQuery q;
+    q.metric = QueryMetric::ClassBreakdown;
+    q.lambda0 = 0.003;
+    const auto res = qe.run(q);
+    const auto cold = core::build_traffic_model(hc, uniform, {}, opts.build);
+    const auto sol = cold.solve(0.003);
+    ASSERT_EQ(static_cast<int>(res.breakdown.size()), cold.graph.size());
+    for (int id = 0; id < cold.graph.size(); ++id) {
+      const auto& row = res.breakdown[static_cast<std::size_t>(id)];
+      EXPECT_EQ(row.class_id, id);
+      EXPECT_EQ(row.label, cold.graph.at(id).label);
+      EXPECT_EQ(row.label.rfind(collapsed ? "cls" : "ch", 0), 0u) << row.label;
+      EXPECT_NEAR(row.utilization, sol.utilization(id), kMetricTol);
+      EXPECT_NEAR(row.wait, sol.wait(id), kMetricTol);
+      EXPECT_NEAR(row.rate, cold.graph.at(id).rate_per_link * 0.003, kStateTol);
+    }
   }
 }
 

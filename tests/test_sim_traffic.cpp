@@ -29,7 +29,9 @@ TEST(Traffic, PoissonInterArrivalMeanMatchesRate) {
 
 TEST(Traffic, BernoulliRateMatches) {
   const double lambda0 = 0.05;
-  TrafficSource src(4, lambda0, ArrivalProcess::Bernoulli, 6);
+  TrafficSource src(4, lambda0, ArrivalProcess::Poisson, 6,
+                    traffic::TrafficSpec::uniform(),
+                    arrivals::ArrivalSpec::bernoulli());
   long count = 0;
   const long horizon = 100'000;
   for (long cycle = 0; cycle < horizon; ++cycle) {
@@ -126,7 +128,7 @@ TEST(Traffic, BernoulliSimulationRuns) {
   topo::ButterflyFatTree ft(2);
   SimNetwork net(ft);
   SimConfig cfg;
-  cfg.arrivals = ArrivalProcess::Bernoulli;
+  cfg.arrival_process = arrivals::ArrivalSpec::bernoulli();
   cfg.load_flits = 0.03;
   cfg.worm_flits = 16;
   cfg.seed = 11;

@@ -11,9 +11,8 @@
 #include <tuple>
 
 #include "core/fattree_model.hpp"
-#include "core/full_graph.hpp"
-#include "core/hypercube_graph.hpp"
 #include "core/network_model.hpp"
+#include "core/traffic_model.hpp"
 #include "sim/simulator.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/hypercube.hpp"
@@ -60,7 +59,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(HypercubeAgreement, ModelTracksSimulation) {
   topo::Hypercube hc(4);
-  const core::GeneralModel net = core::build_hypercube_collapsed(4);
+  const core::GeneralModel net = core::build_traffic_model_collapsed(
+      hc, traffic::TrafficSpec::uniform());
   core::SolveOptions opts;
   opts.worm_flits = 16.0;
   const double sat = core::model_saturation_rate(net, opts) * 16.0;
@@ -76,7 +76,8 @@ TEST(HypercubeAgreement, ModelTracksSimulation) {
 
 TEST(MeshAgreement, ModelTracksSimulation) {
   topo::Mesh m(4, 2);
-  const core::GeneralModel net = core::build_full_channel_graph(m);
+  const core::GeneralModel net =
+      core::build_traffic_model(m, traffic::TrafficSpec::uniform());
   core::SolveOptions opts;
   opts.worm_flits = 16.0;
   const double sat = core::model_saturation_rate(net, opts) * 16.0;

@@ -8,9 +8,9 @@
 
 #include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
-#include "core/hypercube_graph.hpp"
 #include "core/traffic_model.hpp"
 #include "topo/butterfly_fattree.hpp"
+#include "topo/hypercube.hpp"
 
 namespace wormnet::harness {
 namespace {
@@ -48,7 +48,8 @@ TEST(SweepEngine, ParallelSweepBitwiseIdenticalToSerial) {
 }
 
 TEST(SweepEngine, ParallelSweepIdenticalOnGeneralModel) {
-  core::GeneralModel net = core::build_hypercube_collapsed(6);
+  core::GeneralModel net = core::build_traffic_model_collapsed(
+      topo::Hypercube(6), traffic::TrafficSpec::uniform());
   const std::vector<double> lambdas = test_lambdas(net);
   SweepEngine parallel({4, true});
   SweepEngine serial({0, false});

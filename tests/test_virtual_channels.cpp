@@ -112,8 +112,8 @@ TEST(VirtualChannelParity, ClosedFormMatchesCollapsedGraphForEveryLaneCount) {
     core::FatTreeModelOptions opts{.levels = 3, .worm_flits = 16.0};
     opts.lanes = lanes;
     const core::FatTreeModel closed(opts);
-    const GeneralModel graph =
-        core::build_fattree_collapsed(3, 2, /*exact_conditionals=*/false, lanes);
+    GeneralModel graph = core::build_fattree_collapsed(3);
+    graph.set_uniform_lanes(lanes);
     SolveOptions sopts;
     sopts.worm_flits = 16.0;
     for (double lambda0 : {0.001, 0.004, 0.008}) {
