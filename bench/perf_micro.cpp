@@ -473,6 +473,33 @@ void BM_QueryEngineRetuneLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryEngineRetuneLoad);
 
+void BM_ChannelTableBuild(benchmark::State& state) {
+  // The fabric index every builder, resident and simulator network starts
+  // from: flat (node, port) -> channel ids plus the output-bundle labels.
+  // Its cost is O(nodes + channels); levels 9 is fabric_scale's largest
+  // design (393k nodes, 1.05M directed channels).
+  topo::ButterflyFatTree ft(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const topo::ChannelTable ct(ft);
+    benchmark::DoNotOptimize(ct.size());
+  }
+  state.SetLabel("N=" + std::to_string(ft.num_processors()));
+}
+BENCHMARK(BM_ChannelTableBuild)->Arg(4)->Arg(7)->Arg(9)->Unit(benchmark::kMicrosecond);
+
+void BM_ResidentClone(benchmark::State& state) {
+  // The per-variant copy QueryEngine::prepare makes of a dense resident:
+  // channel table, spec, flow state and GeneralModel of a uniform BFT(4).
+  topo::ButterflyFatTree ft(4);
+  const core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::uniform());
+  for (auto _ : state) {
+    const core::RetunableTrafficModel clone(rm);
+    benchmark::DoNotOptimize(clone.model().graph.size());
+  }
+  state.SetLabel(std::to_string(rm.model().graph.size()) + " channel classes");
+}
+BENCHMARK(BM_ResidentClone)->Unit(benchmark::kMicrosecond);
+
 void BM_TrafficModelBuildTapered(benchmark::State& state) {
   // The heterogeneous build: a 2:1-tapered fat-tree with 4-flit buffers and
   // unit link latency under the dense hotspot pattern.  Attribute stamping

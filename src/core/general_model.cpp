@@ -34,7 +34,7 @@ constexpr double kDamping = 0.5;
 double compose_service_time(const ChannelSolver& solver, const ChannelGraph& graph,
                             int i, const std::vector<double>& x,
                             const std::vector<double>& waits,
-                            double injection_scale) {
+                            double lambda0) {
   const ChannelClass& cls = graph.at(i);
   double excess = cls.link_latency;  // 0 on the paper's hop
   double xi;
@@ -57,34 +57,34 @@ double compose_service_time(const ChannelSolver& solver, const ChannelGraph& gra
     // and the stretched floor max-composes like the plain one.  The u ≥ 1
     // guard inside the factor (+inf) is what saturates a tapered tier.
     const double shared =
-        floor * solver.lane_share_factor(cls, cls.rate_per_link * injection_scale);
+        floor * solver.lane_share_factor(cls, cls.rate_per_link * lambda0);
     if (shared > xi) xi = shared;  // channel i itself is the path bottleneck
   } else {
-    excess += solver.lane_excess(cls.lanes, cls.rate_per_link * injection_scale);
+    excess += solver.lane_excess(cls.lanes, cls.rate_per_link * lambda0);
   }
   return xi + excess;
 }
 
 }  // namespace
 
-SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& opts) {
+SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& opts,
+                                double lambda0) {
   WORMNET_SPAN("solve_general_model", "solve");
   WORMNET_EXPECTS(opts.worm_flits > 0.0);
-  WORMNET_EXPECTS(opts.injection_scale >= 0.0);
+  WORMNET_EXPECTS(lambda0 >= 0.0);
   WORMNET_EXPECTS(graph.validate().empty());
 
   const ChannelSolver solver(opts.worm_flits, opts.ablation);
-  const double scale = opts.injection_scale;
 
   const int n = graph.size();
   SolveResult result;
   result.channels.assign(static_cast<std::size_t>(n), {});
   std::vector<double> x(static_cast<std::size_t>(n), opts.worm_flits);
   std::vector<double> waits(static_cast<std::size_t>(n), 0.0);
-  // W̄ of class id's bundle at its current x̄ and the solve's injection scale.
+  // W̄ of class id's bundle at its current x̄ and the solve's λ₀.
   const auto wait_at = [&](int id) {
     const ChannelClass& cls = graph.at(id);
-    return solver.bundle_wait(cls, cls.rate_per_link * scale,
+    return solver.bundle_wait(cls, cls.rate_per_link * lambda0,
                               x[static_cast<std::size_t>(id)]);
   };
 
@@ -97,7 +97,7 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
       // Successors are already final; compose this class's x̄ from them,
       // then evaluate the wait of this class's bundle at that final x̄.
       x[static_cast<std::size_t>(id)] =
-          compose_service_time(solver, graph, id, x, waits, scale);
+          compose_service_time(solver, graph, id, x, waits, lambda0);
       waits[static_cast<std::size_t>(id)] = wait_at(id);
     }
     result.iterations = 1;
@@ -112,7 +112,7 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
         waits[static_cast<std::size_t>(id)] = wait_at(id);
       }
       for (int id = 0; id < n; ++id) {
-        const double next = compose_service_time(solver, graph, id, x, waits, scale);
+        const double next = compose_service_time(solver, graph, id, x, waits, lambda0);
         const double cur = x[static_cast<std::size_t>(id)];
         double blended = cur + kDamping * (next - cur);
         if (std::isinf(next)) blended = next;  // saturation dominates damping
@@ -138,7 +138,7 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
     sol.service_time = x[static_cast<std::size_t>(id)];
     sol.wait = waits[static_cast<std::size_t>(id)];
     sol.utilization =
-        solver.bundle_utilization(cls, cls.rate_per_link * scale, sol.service_time);
+        solver.bundle_utilization(cls, cls.rate_per_link * lambda0, sol.service_time);
     sol.cb2 = solver.cb2(sol.service_time);
     sol.ca2 = cls.ca2;
     // Blocking decomposition (diagnostic): the transition-weighted Eq. 9/10
@@ -346,9 +346,8 @@ LatencyEstimate apply_unroutable(LatencyEstimate est, double unroutable) {
 std::uint64_t GeneralModel::content_digest() const {
   // Base digest covers name, worm length, ablation switches and the arrival
   // tuning; fold in everything else evaluate() reads.  ChannelClass::label
-  // and channel_class_of are reporting metadata only, and
-  // opts.injection_scale is overridden by every evaluation's λ₀ — all three
-  // are deliberately excluded.
+  // and channel_class_of are reporting metadata only, so both are
+  // deliberately excluded.
   std::uint64_t h = NetworkModel::content_digest();
   h = util::hash_mix(h, static_cast<std::uint64_t>(graph.size()));
   for (int id = 0; id < graph.size(); ++id) {
@@ -387,8 +386,7 @@ LatencyEstimate GeneralModel::evaluate(double lambda0) const {
 }
 
 SolveResult model_solve(const GeneralModel& net, double lambda0, SolveOptions base) {
-  base.injection_scale = lambda0;
-  return solve_general_model(net.graph, base);
+  return solve_general_model(net.graph, base, lambda0);
 }
 
 LatencyEstimate model_latency(const GeneralModel& net, double lambda0,

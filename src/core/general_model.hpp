@@ -37,7 +37,6 @@ namespace wormnet::core {
 /// Knobs for one solve.
 struct SolveOptions {
   double worm_flits = 16.0;        ///< s_f, worm length in flits
-  double injection_scale = 1.0;    ///< λ₀ multiplier applied to all unit rates
   queueing::AblationOptions ablation{};  ///< the paper's three ablation switches
   int max_iterations = 500;        ///< fixed-point cap for cyclic graphs
 };
@@ -92,9 +91,11 @@ struct SolveResult {
   double utilization(int id) const { return channels.at(static_cast<std::size_t>(id)).utilization; }
 };
 
-/// Solve the general model over `graph`.
-/// Preconditions: graph.validate() is empty.
-SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& opts);
+/// Solve the general model over `graph` at injection rate `lambda0`
+/// (messages/cycle/PE), which scales every class's unit rate_per_link.
+/// Preconditions: graph.validate() is empty, lambda0 >= 0.
+SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& opts,
+                                double lambda0);
 
 /// Average Eq. 1 over the given injection classes with uniform weights.
 /// `injection_classes` lists the class id of each PE's injection channel
@@ -141,8 +142,8 @@ class GeneralModel final : public NetworkModel {
   /// it through LatencyEstimate::unroutable_fraction and downgrades status
   /// to Disconnected when positive.
   double unroutable_fraction = 0.0;
-  /// Worm length, ablation switches and solver knobs.  `injection_scale`
-  /// is overridden per evaluation by the λ₀ argument.
+  /// Worm length, ablation switches and the fixed-point cap; λ₀ is each
+  /// evaluation's own argument.
   SolveOptions opts;
   /// Builder-provided identity for reports.
   std::string model_name = "general";
@@ -190,7 +191,7 @@ class GeneralModel final : public NetworkModel {
 
   /// Scale every channel's per-link rate by `factor` (> 0): the what-if
   /// load axis for resident models.  Because the solver only ever consumes
-  /// rate_per_link · injection_scale, a uniformly scaled model evaluated at
+  /// rate_per_link · λ₀, a uniformly scaled model evaluated at
   /// λ₀ agrees with the unscaled model evaluated at λ₀·factor up to one
   /// ulp per product (the multiplication re-associates) — within the 1e-12
   /// delta-retune parity contract, not bitwise.  Scales compose; rescale by
@@ -236,8 +237,8 @@ class GeneralModel final : public NetworkModel {
   LatencyEstimate evaluate(double lambda0) const override;
 };
 
-/// Full solve at λ₀ (per-channel detail).  `base` supplies worm length and
-/// ablation switches; its injection_scale is overridden by `lambda0`.
+/// Full solve at λ₀ (per-channel detail).  `base` supplies worm length,
+/// ablation switches and the fixed-point cap.
 SolveResult model_solve(const GeneralModel& net, double lambda0, SolveOptions base);
 
 /// Solve the model at injection rate λ₀ (messages/cycle/PE) and report

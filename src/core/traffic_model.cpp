@@ -343,40 +343,20 @@ long propagate_column(const topo::Topology& view, const topo::ChannelTable& ct,
   return walked;
 }
 
-/// Output-bundle membership: bundle_of[channel] is a dense id unique per
-/// (node, bundle); bundle_size[channel] is its server count m.
-void label_bundles(const topo::Topology& topo, const topo::ChannelTable& ct,
-                   std::vector<int>& bundle_of, std::vector<int>& bundle_size) {
-  bundle_of.assign(static_cast<std::size_t>(ct.size()), -1);
-  bundle_size.assign(static_cast<std::size_t>(ct.size()), 1);
-  int next_bundle = 0;
-  for (int node = 0; node < topo.num_nodes(); ++node) {
-    for (const topo::PortBundle& pb : topo.output_bundles(node)) {
-      for (int i = 0; i < pb.count; ++i) {
-        const int ch = ct.from(node, pb[i]);
-        if (ch == topo::kNoChannel) continue;
-        bundle_of[static_cast<std::size_t>(ch)] = next_bundle;
-        bundle_size[static_cast<std::size_t>(ch)] = pb.count;
-      }
-      ++next_bundle;
-    }
-  }
-}
-
 /// Add the queueing station of channel `rep` — or of the class it stands
 /// for, `members` channels carrying `rate` / `self` in total — to `net`,
-/// labelled `prefix` + "ch<node>:<port>"; returns its id.  Servers, lanes,
-/// link attributes and the terminal flag come from the representative
-/// (exact: a class pins them constant across its members).
+/// labelled `prefix` + "ch<node>:<port>"; returns its id.  Servers (the
+/// output bundle's m), lanes, link attributes and the terminal flag come
+/// from the representative (exact: a class pins them constant across its
+/// members).
 int add_station(GeneralModel& net, const topo::Topology& topo,
-                const topo::ChannelTable& ct,
-                const std::vector<int>& bundle_size, int rep, double members,
+                const topo::ChannelTable& ct, int rep, double members,
                 double rate, double self, const std::string& prefix) {
   const topo::DirectedChannel& dc = ct.at(rep);
   ChannelClass c;
   c.label = prefix + "ch" + std::to_string(dc.src_node) + ":" +
             std::to_string(dc.src_port);
-  c.servers = bundle_size[static_cast<std::size_t>(rep)];
+  c.servers = ct.bundle_size(rep);
   c.lanes = ct.lanes(rep);
   c.bandwidth = ct.bandwidth(rep);
   c.link_latency = ct.link_latency(rep);
@@ -436,7 +416,7 @@ void finish_model(GeneralModel& net, const ColumnSums& sums, int injecting,
 /// to-class, into-the-return-bundle?).
 struct ClassSink : WholeDag {
   const std::vector<int>& class_of;
-  const std::vector<int>& bundle_of;
+  const topo::ChannelTable& ct;
   const std::vector<int>& rev_bundle;  ///< per channel: its return bundle
   std::size_t ncls;
   std::vector<double> cls_rate;
@@ -444,10 +424,10 @@ struct ClassSink : WholeDag {
   std::vector<double> trans;  ///< ncls × ncls continuation flows
   std::vector<unsigned char> seen_trans;
 
-  ClassSink(const std::vector<int>& classes, const std::vector<int>& bundles,
+  ClassSink(const std::vector<int>& classes, const topo::ChannelTable& table,
             const std::vector<int>& rev, int num_classes)
       : class_of(classes),
-        bundle_of(bundles),
+        ct(table),
         rev_bundle(rev),
         ncls(static_cast<std::size_t>(num_classes)),
         cls_rate(ncls, 0.0),
@@ -470,9 +450,9 @@ struct ClassSink : WholeDag {
     const int ci = class_of[static_cast<std::size_t>(in_ch)];
     const int co = class_of[static_cast<std::size_t>(out_ch)];
     trans[pair(ci, co)] += flow;
-    seen_trans[orbit(ci, co,
-                     bundle_of[static_cast<std::size_t>(out_ch)] ==
-                         rev_bundle[static_cast<std::size_t>(in_ch)])] = 1;
+    const bool to_return =
+        ct.bundle(out_ch) == rev_bundle[static_cast<std::size_t>(in_ch)];
+    seen_trans[orbit(ci, co, to_return)] = 1;
   }
 };
 
@@ -510,9 +490,6 @@ GeneralModel build_collapsed(const topo::Topology& topo,
     orbit_size[static_cast<std::size_t>(o)] += 1.0;
   }
 
-  std::vector<int> bundle_of;
-  std::vector<int> bundle_size;
-  label_bundles(topo, ct, bundle_of, bundle_size);
   // Return-bundle ids: rev_bundle[ch] is the bundle a worm leaving ch would
   // use to go straight back.  Transitions into the return bundle form a
   // transition orbit distinct from same-class transitions away from it (a
@@ -520,11 +497,10 @@ GeneralModel build_collapsed(const topo::Topology& topo,
   // the structural fan-out count k below is tagged by return-ness.
   std::vector<int> rev_bundle(static_cast<std::size_t>(num_channels), -1);
   for (int ch = 0; ch < num_channels; ++ch) {
-    rev_bundle[static_cast<std::size_t>(ch)] =
-        bundle_of[static_cast<std::size_t>(ct.reverse(ch))];
+    rev_bundle[static_cast<std::size_t>(ch)] = ct.bundle(ct.reverse(ch));
   }
 
-  ClassSink sink(sym.channel_class, bundle_of, rev_bundle, ncls);
+  ClassSink sink(sym.channel_class, ct, rev_bundle, ncls);
   ColumnSums sums;  // demand accounting only: the flows land in `sink`
   const std::vector<std::vector<int>> scan_all;
   DestinationPass pass(topo.num_nodes());
@@ -554,8 +530,7 @@ GeneralModel build_collapsed(const topo::Topology& topo,
       cls_rep[static_cast<std::size_t>(c)] = ch;
     cls_count[static_cast<std::size_t>(c)] += 1.0;
     const int rep = cls_rep[static_cast<std::size_t>(c)];
-    WORMNET_EXPECTS(bundle_size[static_cast<std::size_t>(ch)] ==
-                    bundle_size[static_cast<std::size_t>(rep)]);
+    WORMNET_EXPECTS(ct.bundle_size(ch) == ct.bundle_size(rep));
     WORMNET_EXPECTS(ct.lanes(ch) == ct.lanes(rep));
     WORMNET_EXPECTS(ct.bandwidth(ch) == ct.bandwidth(rep));
     WORMNET_EXPECTS(ct.link_latency(ch) == ct.link_latency(rep));
@@ -571,7 +546,7 @@ GeneralModel build_collapsed(const topo::Topology& topo,
     const int rep = cls_rep[static_cast<std::size_t>(c)];
     WORMNET_EXPECTS(rep >= 0);  // every class id must have members
     const int id = add_station(
-        net, topo, ct, bundle_size, rep, cls_count[static_cast<std::size_t>(c)],
+        net, topo, ct, rep, cls_count[static_cast<std::size_t>(c)],
         sink.cls_rate[static_cast<std::size_t>(c)],
         sink.cls_self[static_cast<std::size_t>(c)],
         "cls" + std::to_string(c) + "@");
@@ -603,7 +578,7 @@ GeneralModel build_collapsed(const topo::Topology& topo,
     for (int port = 0; port < topo.num_ports(node); ++port) {
       const int out_ch = ct.from(node, port);
       if (out_ch == topo::kNoChannel) continue;
-      const int b = bundle_of[static_cast<std::size_t>(out_ch)];
+      const int b = ct.bundle(out_ch);
       if (std::find(seen_bundles.begin(), seen_bundles.end(), b) !=
           seen_bundles.end()) {
         continue;
@@ -696,10 +671,8 @@ CollapsePlan plan_collapse(const topo::Topology& topo,
 /// everything a delta-retune needs to update in place when pair weights
 /// change (RetunableTrafficModel).
 struct DenseFlowState {
-  std::vector<int> onward_off;   ///< flat (channel, continuation port) offsets
-  std::vector<int> bundle_of;    ///< output-bundle id per channel
-  std::vector<int> bundle_size;  ///< m of that bundle
-  ColumnSums flow;               ///< every column's sums, unit injection
+  std::vector<int> onward_off;  ///< flat (channel, continuation port) offsets
+  ColumnSums flow;              ///< every column's sums, unit injection
 };
 
 /// Run the sharded per-destination passes for the whole spec, filling
@@ -765,8 +738,6 @@ long propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
   // ascending destination-range) order.
   st.flow.reset(num_channels, st.onward_off.back());
   for (const ColumnSums& acc : accs) st.flow.add(acc);
-
-  label_bundles(topo, ct, st.bundle_of, st.bundle_size);
   long total = 0;
   for (const long w : walked) total += w;
   return total;
@@ -784,11 +755,10 @@ GeneralModel assemble_dense(const topo::Topology& topo,
   const std::vector<double>& rate = st.flow.rate;
   const std::vector<double>& onward = st.flow.onward;
   const std::vector<int>& onward_off = st.onward_off;
-  const std::vector<int>& bundle_of = st.bundle_of;
 
   GeneralModel net;
   for (int ch = 0; ch < num_channels; ++ch) {
-    const int id = add_station(net, topo, ct, st.bundle_size, ch, 1.0,
+    const int id = add_station(net, topo, ct, ch, 1.0,
                                rate[static_cast<std::size_t>(ch)],
                                st.flow.self[static_cast<std::size_t>(ch)], "");
     WORMNET_ENSURES(id == ch);  // 1:1 channel table <-> class ids
@@ -825,7 +795,7 @@ GeneralModel assemble_dense(const topo::Topology& topo,
       const double flow = onward[static_cast<std::size_t>(base + port)];
       if (flow <= 0.0) continue;
       const int next_ch = ct.from(node, port);
-      bundle_total(bundle_of[static_cast<std::size_t>(next_ch)]) += flow;
+      bundle_total(ct.bundle(next_ch)) += flow;
     }
     for (int port = 0; port < num_ports; ++port) {
       const double flow = onward[static_cast<std::size_t>(base + port)];
@@ -834,9 +804,8 @@ GeneralModel assemble_dense(const topo::Topology& topo,
       // min(): after a delta the re-associated Σ onward can overshoot the
       // rate by an ulp; bit-inert whenever the ratio is ≤ 1.
       const double weight = std::min(1.0, flow / total);
-      const double route_prob = std::min(
-          1.0, bundle_total(bundle_of[static_cast<std::size_t>(next_ch)]) /
-                   total);
+      const double route_prob =
+          std::min(1.0, bundle_total(ct.bundle(next_ch)) / total);
       net.graph.add_transition(ch, next_ch, weight, route_prob);
     }
   }

@@ -37,6 +37,12 @@
 // from per-destination source lists instead of scanning all N sources: the
 // same seeds in the same order, so the result is bitwise-identical.
 //
+// Output bundles come from topo::ChannelTable, the one fabric index the
+// simulator shares: a station's server count m is its channel's
+// ChannelTable::bundle_size, and route_prob targets the whole bundle
+// (ChannelTable::bundle) — so the model's M/G/m and the simulator's FCFS
+// bundle arbitration agree on m by construction.
+//
 // The resulting GeneralModel matches the uniform builders under
 // TrafficSpec::uniform() (tested to machine precision) and plugs into the
 // sweep engine like any other NetworkModel.

@@ -27,38 +27,13 @@ int whole_cycles(double v, int ch, const char* what) {
 }  // namespace
 
 SimNetwork::SimNetwork(const topo::Topology& topo) : topo_(&topo), table_(topo) {
-  const int nodes = topo.num_nodes();
-
-  // Port -> bundle mapping, flattened.
-  port_bundle_offset_.assign(static_cast<std::size_t>(nodes) + 1, 0);
-  for (int n = 0; n < nodes; ++n)
-    port_bundle_offset_[static_cast<std::size_t>(n) + 1] =
-        port_bundle_offset_[static_cast<std::size_t>(n)] + topo.num_ports(n);
-  port_bundle_.assign(static_cast<std::size_t>(port_bundle_offset_.back()), -1);
-
   info_.assign(static_cast<std::size_t>(table_.size()), {});
-  for (int n = 0; n < nodes; ++n) {
-    for (const topo::PortBundle& pb : topo.output_bundles(n)) {
-      BundleInfo bi;
-      const int bundle_id = static_cast<int>(bundles_.size());
-      for (int i = 0; i < pb.count; ++i) {
-        const int ch = table_.from(n, pb[i]);
-        if (ch == topo::kNoChannel) continue;
-        bi.channel_ids[static_cast<std::size_t>(bi.num_channels++)] = ch;
-        port_bundle_[static_cast<std::size_t>(
-            port_bundle_offset_[static_cast<std::size_t>(n)] + pb[i])] = bundle_id;
-        info_[static_cast<std::size_t>(ch)].bundle = bundle_id;
-      }
-      if (bi.num_channels > 0) bundles_.push_back(bi);
-    }
-  }
-
   for (int ch = 0; ch < table_.size(); ++ch) {
     const topo::DirectedChannel& dc = table_.at(ch);
     ChannelInfo& ci = info_[static_cast<std::size_t>(ch)];
     ci.dst_node = dc.dst_node;
+    ci.bundle = table_.bundle(ch);
     ci.dst_is_processor = topo.is_processor(dc.dst_node);
-    WORMNET_ENSURES(ci.bundle >= 0);
   }
 
   injection_.assign(static_cast<std::size_t>(topo.num_processors()), -1);
@@ -117,13 +92,6 @@ SimNetwork::SimNetwork(const topo::Topology& topo) : topo_(&topo), table_(topo) 
       has_link_features_ = true;
     }
   }
-}
-
-int SimNetwork::bundle_of_port(int node, int port) const {
-  WORMNET_EXPECTS(node >= 0 && node < topo_->num_nodes());
-  const int idx = port_bundle_offset_[static_cast<std::size_t>(node)] + port;
-  WORMNET_EXPECTS(idx < port_bundle_offset_[static_cast<std::size_t>(node) + 1]);
-  return port_bundle_[static_cast<std::size_t>(idx)];
 }
 
 }  // namespace wormnet::sim

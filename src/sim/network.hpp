@@ -1,8 +1,9 @@
 // wormnet/sim/network.hpp
 //
 // Immutable, flattened view of a Topology prepared for fast simulation:
-// directed channels with dense ids, per-channel virtual-channel LANES with
-// dense ids, output bundles with dense ids, and the port → bundle mapping.
+// the topo::ChannelTable (directed channels and output bundles, the dense
+// ids the analytical builder uses too), per-channel virtual-channel LANES
+// with dense ids, and the per-channel link-attribute snapshot.
 //
 // IMMUTABILITY CONTRACT: a SimNetwork is frozen at construction — every
 // member function is const and no method mutates state, so one SimNetwork
@@ -26,17 +27,10 @@
 
 namespace wormnet::sim {
 
-/// A multi-server output group: the unit of FCFS arbitration.  Fat-tree
-/// parent pairs have two channels; everything else is a singleton.
-struct BundleInfo {
-  std::array<int, 4> channel_ids{};  ///< directed channel ids in the bundle
-  int num_channels = 0;
-};
-
 /// Flattened per-channel facts used in the hot loop.
 struct ChannelInfo {
   int dst_node = -1;        ///< node the channel feeds
-  int bundle = -1;          ///< owning bundle id
+  int bundle = -1;          ///< owning output bundle (ChannelTable::bundle)
   bool dst_is_processor = false;
 };
 
@@ -60,19 +54,13 @@ class SimNetwork {
 
   /// Number of directed channels.
   int num_channels() const { return table_.size(); }
-  /// Number of output bundles.
-  int num_bundles() const { return static_cast<int>(bundles_.size()); }
-  /// Bundle record.
-  const BundleInfo& bundle(int id) const {
-    return bundles_[static_cast<std::size_t>(id)];
-  }
+  /// Number of output bundles — the units of FCFS arbitration (the
+  /// fat-tree's parent pair is one two-channel bundle).
+  int num_bundles() const { return table_.num_bundles(); }
   /// Per-channel facts.
   const ChannelInfo& channel(int id) const {
     return info_[static_cast<std::size_t>(id)];
   }
-
-  /// Bundle serving (node, port).
-  int bundle_of_port(int node, int port) const;
 
   /// The injection channel id of a processor.
   int injection_channel(int proc) const {
@@ -98,14 +86,6 @@ class SimNetwork {
   /// Channel owning lane id `lane`.
   int lane_channel(int lane) const {
     return lane_channel_[static_cast<std::size_t>(lane)];
-  }
-  /// Total lanes across a bundle's member channels (its grant capacity).
-  int bundle_lanes(int bundle_id) const {
-    const BundleInfo& bi = bundle(bundle_id);
-    int lanes = 0;
-    for (int i = 0; i < bi.num_channels; ++i)
-      lanes += channel_lanes(bi.channel_ids[static_cast<std::size_t>(i)]);
-    return lanes;
   }
   /// Largest per-channel lane count; 1 means the network is single-lane and
   /// the simulator can take its exact paper-semantics fast path.
@@ -134,10 +114,7 @@ class SimNetwork {
  private:
   const topo::Topology* topo_;
   topo::ChannelTable table_;
-  std::vector<BundleInfo> bundles_;
   std::vector<ChannelInfo> info_;
-  std::vector<int> port_bundle_;        // flattened [node][port]
-  std::vector<int> port_bundle_offset_; // per node offset into port_bundle_
   std::vector<int> injection_;          // per processor
   std::vector<int> lane_begin_;         // per channel; size num_channels()+1
   std::vector<int> lane_channel_;       // per lane: owning channel

@@ -53,9 +53,12 @@ Simulator::Simulator(const SimNetwork& net, SimConfig cfg)
     result_.latency_hist.emplace(0.0, cfg_.histogram_max, cfg_.histogram_bins);
   }
   lane_state_.assign(static_cast<std::size_t>(net.num_lanes()), {});
+  // A bundle's grant capacity: every lane of every member channel.
   bundle_state_.assign(static_cast<std::size_t>(net.num_bundles()), {});
-  for (int b = 0; b < net.num_bundles(); ++b)
-    bundle_state_[static_cast<std::size_t>(b)].free_count = net.bundle_lanes(b);
+  for (int ch = 0; ch < net.num_channels(); ++ch) {
+    bundle_state_[static_cast<std::size_t>(net.channel(ch).bundle)].free_count +=
+        net.channel_lanes(ch);
+  }
   // Statically degraded topologies (a FaultedTopology with no scripted
   // events): dead links still enumerate as channels, so retire their lanes
   // up front — the routing never picks them, but grant()'s same-bundle
@@ -176,16 +179,17 @@ void Simulator::register_next_hop(int worm_id, int node, long cycle) {
   int pick = 0;
   if (opts.size() > 1)
     pick = static_cast<int>(route_rng_.uniform_int(static_cast<std::uint64_t>(opts.size())));
-  const int preferred = net_.channels().from(node, opts[pick]);
-  const int bundle = net_.bundle_of_port(node, opts[0]);
-  // All route candidates must share one bundle (they are the redundant links
-  // the multi-server queue models).
-  for (int i = 1; i < opts.size(); ++i)
-    WORMNET_ENSURES(net_.bundle_of_port(node, opts[i]) == bundle);
-  Request req{worm_id, preferred};
+  Request req{worm_id, net_.channels().from(node, opts[pick])};
   for (int i = 0; i < opts.size(); ++i)
     req.candidates[static_cast<std::size_t>(i)] = net_.channels().from(node, opts[i]);
   req.num_candidates = opts.size();
+  // All route candidates must share one bundle (they are the redundant links
+  // the multi-server queue models).
+  const int bundle = net_.channel(req.candidates[0]).bundle;
+  for (int i = 1; i < opts.size(); ++i) {
+    const int ch = req.candidates[static_cast<std::size_t>(i)];
+    WORMNET_ENSURES(net_.channel(ch).bundle == bundle);
+  }
   bundle_state_[static_cast<std::size_t>(bundle)].requests.push_back(req);
   w.waiting_alloc = true;
   mark_dirty(bundle);
@@ -585,17 +589,18 @@ void Simulator::phase_advance_lanes(long cycle) {
   // within a bounded number of cycles, so the watchdog still holds.
   const std::size_t n = active_.size();
   if (n == 0) return;
-  advance_order_.assign(active_.begin(), active_.end());
+  // active_ is stable during the pass (grants happen in phase_allocate,
+  // fault drops above, retirement below), so the visit reads it in place.
   const std::size_t start = static_cast<std::size_t>(rr_cursor_++ % n);
   for (std::size_t i = 0; i < n; ++i) {
-    const int id = advance_order_[(start + i) % n];
+    const int id = active_[(start + i) % n];
     Worm& w = worms_[static_cast<std::size_t>(id)];
     if (w.waiting_alloc) continue;
     if (w.stall_until > cycle) continue;  // head mid-flight on a slow link
     if (!claim_bandwidth(w, cycle)) continue;
     advance_worm(id, cycle);
   }
-  // Retire completed worms after the pass (the snapshot visits each id once,
+  // Retire completed worms after the pass (the pass visits each id once,
   // so a worm completing mid-pass is never re-advanced).
   for (std::size_t i = 0; i < active_.size();) {
     const int id = active_[i];
@@ -792,10 +797,18 @@ std::string Simulator::debug_state() const {
     for (int c : w.path) out << c << " ";
     out << "]\n";
   }
+  // Member channels and grant capacity per bundle (diagnostic path only).
+  std::vector<std::vector<int>> members(static_cast<std::size_t>(net_.num_bundles()));
+  std::vector<int> capacity(static_cast<std::size_t>(net_.num_bundles()), 0);
+  for (int ch = 0; ch < net_.num_channels(); ++ch) {
+    const auto b = static_cast<std::size_t>(net_.channel(ch).bundle);
+    members[b].push_back(ch);
+    capacity[b] += net_.channel_lanes(ch);
+  }
   for (int b = 0; b < net_.num_bundles(); ++b) {
     const BundleState& bs = bundle_state_[static_cast<std::size_t>(b)];
-    const BundleInfo& bi = net_.bundle(b);
-    if (bs.requests.empty() && bs.free_count == net_.bundle_lanes(b)) continue;
+    if (bs.requests.empty() && bs.free_count == capacity[static_cast<std::size_t>(b)])
+      continue;
     out << "  bundle " << b << " free=" << bs.free_count
         << (bs.dirty ? " dirty" : "") << " requests=[";
     for (std::size_t i = 0; i < bs.requests.size(); ++i) {
@@ -803,8 +816,7 @@ std::string Simulator::debug_state() const {
       out << "{w" << r.worm << " pref=" << r.preferred_channel << "} ";
     }
     out << "] channels=[";
-    for (int i = 0; i < bi.num_channels; ++i) {
-      const int ch = bi.channel_ids[static_cast<std::size_t>(i)];
+    for (const int ch : members[static_cast<std::size_t>(b)]) {
       out << ch << ":owners=";
       for (int lane = net_.lane_begin(ch); lane < net_.lane_begin(ch + 1); ++lane) {
         if (lane > net_.lane_begin(ch)) out << "/";

@@ -263,7 +263,18 @@ class Simulator {
   // -- per-cycle phases ---------------------------------------------------
   void step_arrivals(long cycle);
   void phase_allocate(long cycle);
-  void phase_advance(long cycle);        // dispatches on SimNetwork::max_lanes
+  /// The advance phase keeps two loops on purpose: each one's visit order
+  /// is pinned by published numbers.  The single-lane loop walks active_ in
+  /// place and swap-removes a completed worm mid-pass, so the moved worm is
+  /// visited next — the order the seeded golden traces pin
+  /// (VirtualChannelSim.SingleLaneSeededRunsBitIdenticalToGoldenTraces).
+  /// The lane loop starts at a cursor that rotates every cycle, claims link
+  /// bandwidth per worm and retires completed worms after the pass — the
+  /// order the EXPERIMENTS.md lane tables pin.  One merged loop (rotation
+  /// and claims in lane mode only, retirement after the pass) moves the
+  /// fattree2-uniform golden latency mean from 28.9886 to 28.4893 and adds
+  /// a steady-state heap allocation (AllocationGuard).
+  void phase_advance(long cycle);        // dispatches on lane_mode_
   void phase_advance_lanes(long cycle);  // round-robin bandwidth arbitration
 
   /// Idle-cycle fast-forward target: the first future cycle at which
@@ -308,16 +319,14 @@ class Simulator {
   std::vector<int> alloc_scratch_;  // phase_allocate's swap buffer, reused
   std::vector<SourceState> sources_;
 
-  // Lane mode (max_lanes > 1) only: per-physical-channel cycle stamp of the
-  // last bandwidth claim, the rotating arbitration cursor, and the scratch
-  // iteration order (kept allocated across cycles).  The claim table is
+  // Lane mode only: per-physical-channel cycle stamp of the last bandwidth
+  // claim and the rotating arbitration cursor.  The claim table is
   // epoch-free: a slot is "claimed" iff it equals the CURRENT cycle, so it
   // is never cleared between cycles — advancing the clock (including a
   // fast-forward jump, which only moves it further) invalidates every stale
   // stamp for free.
   std::vector<long> channel_claim_;
   std::uint64_t rr_cursor_ = 0;
-  std::vector<int> advance_order_;
   // Finite-buffer credit state (allocated only when some channel has a
   // finite depth): per lane, the cycle of the last flit accepted and the
   // length of the current native-rate streak.  A streak continues iff the

@@ -4,27 +4,38 @@ namespace wormnet::topo {
 
 ChannelTable::ChannelTable(const Topology& topo) : topo_(&topo) {
   const int nodes = topo.num_nodes();
-  out_id_.resize(static_cast<std::size_t>(nodes));
+  port_offset_.assign(static_cast<std::size_t>(nodes) + 1, 0);
   for (int n = 0; n < nodes; ++n) {
-    const int ports = topo.num_ports(n);
-    out_id_[static_cast<std::size_t>(n)].assign(static_cast<std::size_t>(ports),
-                                                kNoChannel);
-    for (int p = 0; p < ports; ++p) {
+    port_offset_[static_cast<std::size_t>(n) + 1] =
+        port_offset_[static_cast<std::size_t>(n)] + topo.num_ports(n);
+  }
+  out_id_.assign(static_cast<std::size_t>(port_offset_.back()), kNoChannel);
+  channels_.reserve(out_id_.size());
+  bundle_.reserve(out_id_.size());
+  for (int n = 0; n < nodes; ++n) {
+    const int base = port_offset_[static_cast<std::size_t>(n)];
+    for (int p = 0; p < topo.num_ports(n); ++p) {
       const int peer = topo.neighbor(n, p);
       if (peer == kNoNode) continue;
-      const int peer_port = topo.neighbor_port(n, p);
-      out_id_[static_cast<std::size_t>(n)][static_cast<std::size_t>(p)] =
-          static_cast<int>(channels_.size());
-      channels_.push_back({n, p, peer, peer_port});
+      out_id_[static_cast<std::size_t>(base + p)] = size();
+      channels_.push_back({n, p, peer, topo.neighbor_port(n, p)});
+      bundle_.push_back(-1);
+    }
+    // The node's output bundles: each of its channels must land in exactly
+    // one.
+    for (const PortBundle& pb : topo.output_bundles(n)) {
+      int members = 0;
+      for (int i = 0; i < pb.count; ++i) {
+        const int ch = from(n, pb[i]);
+        if (ch == kNoChannel) continue;
+        WORMNET_EXPECTS(bundle_[static_cast<std::size_t>(ch)] < 0);
+        bundle_[static_cast<std::size_t>(ch)] = num_bundles();
+        ++members;
+      }
+      if (members > 0) bundle_size_.push_back(members);
     }
   }
-}
-
-int ChannelTable::from(int node, int port) const {
-  WORMNET_EXPECTS(node >= 0 && node < static_cast<int>(out_id_.size()));
-  WORMNET_EXPECTS(port >= 0 &&
-                  port < static_cast<int>(out_id_[static_cast<std::size_t>(node)].size()));
-  return out_id_[static_cast<std::size_t>(node)][static_cast<std::size_t>(port)];
+  for (const int b : bundle_) WORMNET_EXPECTS(b >= 0);
 }
 
 int ChannelTable::into(int node, int port) const {

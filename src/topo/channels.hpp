@@ -1,12 +1,19 @@
 // wormnet/topo/channels.hpp
 //
-// Dense enumeration of the DIRECTED channels of a topology.  Both the
-// simulator (per-channel worm ownership, flit latches) and the full
-// per-channel analytical graph builder index channels through this table.
+// The one flattened index of a topology's fabric: dense ids for its
+// DIRECTED channels and its OUTPUT BUNDLES.  The simulator (flit latches,
+// FCFS bundle arbitration) and the analytical builders (per-channel
+// stations, M/G/m server counts) both read this table, so they agree on
+// which channels form a bundle, and on its m, by construction.
 //
 // A directed channel is one direction of a (node, port) <-> (node, port)
 // link.  The channel from node A's port p carries flits A -> B where
 // B = neighbor(A, p); the opposite direction is a distinct channel.
+//
+// An output bundle is the connected ports of one Topology::output_bundles
+// group: one multi-server queue (the fat-tree's parent pair is the paper's
+// M/G/2).  Ids run densely in (node, output_bundles) order; construction
+// checks that every channel belongs to exactly one bundle.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +34,13 @@ struct DirectedChannel {
   int dst_port = -1;       ///< port on the downstream node
 };
 
-/// Immutable directed-channel index for a topology.
+/// Immutable directed-channel and output-bundle index for a topology.
 class ChannelTable {
  public:
-  /// Enumerate every connected (node, port) pair of `topo`.
-  /// The topology reference must outlive the table.
+  /// Enumerate every connected (node, port) pair of `topo` and label its
+  /// output bundles.  The topology reference must outlive the table.
+  /// Precondition: topo.output_bundles() puts every connected port of a
+  /// node in exactly one bundle.
   explicit ChannelTable(const Topology& topo);
 
   /// Number of directed channels.
@@ -45,13 +54,35 @@ class ChannelTable {
 
   /// Id of the outgoing channel from (node, port); kNoChannel if the port is
   /// unconnected.
-  int from(int node, int port) const;
+  int from(int node, int port) const {
+    WORMNET_EXPECTS(node >= 0 &&
+                    node + 1 < static_cast<int>(port_offset_.size()));
+    const auto n = static_cast<std::size_t>(node);
+    const int slot = port_offset_[n] + port;
+    WORMNET_EXPECTS(port >= 0 && slot < port_offset_[n + 1]);
+    return out_id_[static_cast<std::size_t>(slot)];
+  }
 
   /// Id of the incoming channel into (node, port); kNoChannel if unconnected.
   int into(int node, int port) const;
 
   /// Id of the channel opposite to `id` (same link, reverse direction).
   int reverse(int id) const;
+
+  /// Number of output bundles.
+  int num_bundles() const { return static_cast<int>(bundle_size_.size()); }
+
+  /// Output-bundle id of channel `id`, dense in [0, num_bundles()).
+  int bundle(int id) const {
+    WORMNET_EXPECTS(id >= 0 && id < size());
+    return bundle_[static_cast<std::size_t>(id)];
+  }
+
+  /// Member-channel count m of channel `id`'s output bundle: the server
+  /// count of its M/G/m queue.
+  int bundle_size(int id) const {
+    return bundle_size_[static_cast<std::size_t>(bundle(id))];
+  }
 
   /// Virtual-channel (lane) multiplicity of channel `id`, as declared by the
   /// topology for the channel's upstream (node, port).
@@ -85,7 +116,10 @@ class ChannelTable {
  private:
   const Topology* topo_;
   std::vector<DirectedChannel> channels_;
-  std::vector<std::vector<int>> out_id_;  // [node][port] -> channel id
+  std::vector<int> port_offset_;  // per node + 1: first flat (node, port) slot
+  std::vector<int> out_id_;       // flat (node, port) slot -> channel id
+  std::vector<int> bundle_;       // per channel: output-bundle id
+  std::vector<int> bundle_size_;  // per bundle: member channel count
 };
 
 }  // namespace wormnet::topo

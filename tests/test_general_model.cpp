@@ -202,8 +202,7 @@ TEST(GeneralModel, CyclicGraphConvergesByFixedPoint) {
 
   SolveOptions opts;
   opts.worm_flits = 8.0;
-  opts.injection_scale = 0.004;
-  const SolveResult res = solve_general_model(g, opts);
+  const SolveResult res = solve_general_model(g, opts, 0.004);
   EXPECT_TRUE(res.converged);
   EXPECT_TRUE(res.stable);
   EXPECT_GT(res.iterations, 1);
@@ -267,8 +266,7 @@ TEST(EstimateLatency, AveragesInjectionClasses) {
   g.add_transition(i2, e2, 1.0, 1.0);
   SolveOptions opts;
   opts.worm_flits = 10.0;
-  opts.injection_scale = 0.02;
-  const SolveResult res = solve_general_model(g, opts);
+  const SolveResult res = solve_general_model(g, opts, 0.02);
   const LatencyEstimate est = estimate_latency(res, {i1, i2}, 2.0);
   EXPECT_NEAR(est.inj_wait, 0.5 * (res.wait(i1) + res.wait(i2)), 1e-12);
   EXPECT_NEAR(est.latency, est.inj_wait + est.inj_service + 1.0, 1e-12);

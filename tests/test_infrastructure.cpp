@@ -92,6 +92,7 @@ TEST(SimNetwork, FlattensFatTreeStructure) {
   sim::SimNetwork net(ft);
   const topo::ChannelTable& ct = net.channels();
   EXPECT_EQ(net.num_channels(), ct.size());
+  EXPECT_EQ(net.num_bundles(), ct.num_bundles());
   // Every processor's injection channel starts at the processor.
   for (int p = 0; p < ft.num_processors(); ++p) {
     const int inj = net.injection_channel(p);
@@ -104,30 +105,35 @@ TEST(SimNetwork, FlattensFatTreeStructure) {
   const int up0 = ct.from(sw, topo::ButterflyFatTree::kParentPort0);
   const int up1 = ct.from(sw, topo::ButterflyFatTree::kParentPort1);
   EXPECT_EQ(net.channel(up0).bundle, net.channel(up1).bundle);
-  EXPECT_EQ(net.bundle(net.channel(up0).bundle).num_channels, 2);
+  EXPECT_EQ(ct.bundle_size(up0), 2);
   const int d0 = ct.from(sw, 0);
   const int d1 = ct.from(sw, 1);
   EXPECT_NE(net.channel(d0).bundle, net.channel(d1).bundle);
-  EXPECT_EQ(net.bundle(net.channel(d0).bundle).num_channels, 1);
-  // bundle_of_port round-trips.
-  EXPECT_EQ(net.bundle_of_port(sw, topo::ButterflyFatTree::kParentPort1),
-            net.channel(up1).bundle);
+  EXPECT_EQ(ct.bundle_size(d0), 1);
+  // The simulator arbitrates the table's bundle ids.
+  for (int ch = 0; ch < net.num_channels(); ++ch)
+    EXPECT_EQ(net.channel(ch).bundle, ct.bundle(ch)) << "ch=" << ch;
 }
 
 TEST(SimNetwork, EveryChannelBelongsToExactlyOneBundle) {
   topo::Mesh m(4, 2);
   sim::SimNetwork net(m);
-  std::vector<int> seen(static_cast<std::size_t>(net.num_channels()), 0);
-  for (int b = 0; b < net.num_bundles(); ++b) {
-    const sim::BundleInfo& bi = net.bundle(b);
-    for (int i = 0; i < bi.num_channels; ++i) {
-      const int ch = bi.channel_ids[static_cast<std::size_t>(i)];
-      ++seen[static_cast<std::size_t>(ch)];
-      EXPECT_EQ(net.channel(ch).bundle, b);
-    }
+  // Each channel names one bundle; the per-bundle member counts cover every
+  // bundle id and match its declared size.
+  std::vector<int> members(static_cast<std::size_t>(net.num_bundles()), 0);
+  for (int ch = 0; ch < net.num_channels(); ++ch) {
+    const int b = net.channel(ch).bundle;
+    ASSERT_GE(b, 0) << "ch=" << ch;
+    ASSERT_LT(b, net.num_bundles()) << "ch=" << ch;
+    ++members[static_cast<std::size_t>(b)];
   }
-  for (int ch = 0; ch < net.num_channels(); ++ch)
-    EXPECT_EQ(seen[static_cast<std::size_t>(ch)], 1) << "ch=" << ch;
+  for (int ch = 0; ch < net.num_channels(); ++ch) {
+    EXPECT_EQ(members[static_cast<std::size_t>(net.channel(ch).bundle)],
+              net.channels().bundle_size(ch))
+        << "ch=" << ch;
+  }
+  for (int b = 0; b < net.num_bundles(); ++b)
+    EXPECT_GE(members[static_cast<std::size_t>(b)], 1) << "bundle=" << b;
 }
 
 TEST(Log, ThresholdFilters) {
