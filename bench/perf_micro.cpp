@@ -487,6 +487,26 @@ void BM_ChannelTableBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelTableBuild)->Arg(4)->Arg(7)->Arg(9)->Unit(benchmark::kMicrosecond);
 
+void BM_FaultedTopologyBuild(benchmark::State& state) {
+  // The fault view one N−1 scenario builds before its delta: one failed
+  // switch up-link on a BFT(levels), so the view labels its base's channel
+  // table and runs the survivor BFS and repair for every destination whose
+  // base routes crossed the link (affected/op).  At BFT(5) this is most of
+  // a fault retune.
+  topo::ButterflyFatTree ft(static_cast<int>(state.range(0)));
+  topo::FaultSet faults(ft);
+  faults.fail_link(ft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort0);
+  std::size_t affected = 0;
+  for (auto _ : state) {
+    const topo::FaultedTopology view(ft, faults);
+    affected = view.affected_destinations().size();
+    benchmark::DoNotOptimize(view.mean_distance());
+  }
+  state.counters["affected/op"] = static_cast<double>(affected);
+  state.SetLabel("N=" + std::to_string(ft.num_processors()) + " one up-link");
+}
+BENCHMARK(BM_FaultedTopologyBuild)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
+
 void BM_ResidentClone(benchmark::State& state) {
   // The per-variant copy QueryEngine::prepare makes of a dense resident:
   // channel table, spec, flow state and GeneralModel of a uniform BFT(4).

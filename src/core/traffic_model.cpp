@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "topo/channels.hpp"
+#include "topo/symmetry.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
@@ -518,9 +519,9 @@ GeneralModel build_collapsed(const topo::Topology& topo,
   if (nodes_visited != nullptr) *nodes_visited += walked;
 
   // Class representatives and member counts; a class must be one queueing
-  // station, so structural disagreement inside a class is a hard error even
-  // for user-declared partitions (rate disagreement — a partition that is
-  // no routing symmetry — is what check_collapsed_parity reports).
+  // station, so structural disagreement inside a class is a hard error
+  // (rate disagreement — a partition that is no routing symmetry — is what
+  // check_collapsed_parity reports).
   std::vector<int> cls_rep(static_cast<std::size_t>(ncls), -1);
   std::vector<double> cls_count(static_cast<std::size_t>(ncls), 0.0);
   for (int ch = 0; ch < num_channels; ++ch) {
@@ -630,8 +631,7 @@ struct CollapsePlan {
   std::vector<std::vector<int>> dest_sources;
 };
 
-/// Collapse strategy: symmetric quotient first (a user-declared partition
-/// wins over the topology's own hooks), dense — sparse-seeded for
+/// Collapse strategy: symmetric quotient first, dense — sparse-seeded for
 /// fixed-destination specs — otherwise.  Precondition failure when
 /// Symmetric was demanded but nothing declares a quotient.
 CollapsePlan plan_collapse(const topo::Topology& topo,
@@ -642,17 +642,12 @@ CollapsePlan plan_collapse(const topo::Topology& topo,
   CollapsePlan plan;
   if (build.collapse != CollapseMode::Dense) {
     bool have = false;
-    if (build.user_classes != nullptr) {
-      plan.sym = *build.user_classes;
-      have = true;
-    } else {
-      std::vector<int> pins;
-      if (spec.symmetric(pins)) {
-        have = topo::topology_symmetry(topo, ct, pins, plan.sym) &&
-               !plan.sym.trivial(procs);
-        if (build.collapse == CollapseMode::Auto) {
-          have = have && plan.sym.num_channel_classes <= kMaxSymmetryClasses;
-        }
+    std::vector<int> pins;
+    if (spec.symmetric(pins)) {
+      have = topo::topology_symmetry(topo, ct, pins, plan.sym) &&
+             !plan.sym.trivial(procs);
+      if (build.collapse == CollapseMode::Auto) {
+        have = have && plan.sym.num_channel_classes <= kMaxSymmetryClasses;
       }
     }
     if (have) {

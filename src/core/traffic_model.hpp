@@ -79,16 +79,16 @@
 // Exactness: with classes that are true orbits, every dense channel of a
 // class carries the same rate/self_frac/ca2 and the quotient recurrence is
 // the dense recurrence folded — the two models agree to machine precision
-// (tested across topology × pattern × lanes × arrival process).  User-
-// declared partitions are taken on trust; check_collapsed_parity() rebuilds
-// densely at small N and reports the first class whose members disagree.
+// (tested across topology × pattern × lanes × arrival process).
+// check_collapsed_parity() rebuilds densely at small N and reports the first
+// class whose members disagree, so a partition that is no routing symmetry
+// cannot pass for one.
 #pragma once
 
 #include <memory>
 
 #include "core/general_model.hpp"
 #include "topo/fault.hpp"
-#include "topo/symmetry.hpp"
 #include "topo/topology.hpp"
 #include "traffic/traffic_spec.hpp"
 
@@ -105,7 +105,7 @@ enum class CollapseMode {
   /// Never changes the model semantics — only its size or build cost.
   Auto,
   /// Demand the symmetric quotient; precondition failure when the topology
-  /// or spec declares none (supply user_classes for irregular topologies).
+  /// or spec declares none.
   Symmetric,
 };
 
@@ -128,11 +128,6 @@ struct TrafficBuildOptions {
   unsigned threads = 0;
   /// Channel-class strategy; Dense preserves the historical behavior.
   CollapseMode collapse = CollapseMode::Dense;
-  /// Hand-declared partition for irregular topologies (used by Auto /
-  /// Symmetric when set, bypassing the topology's own hooks).  Must outlive
-  /// the call; sizes must match (num_processors, ChannelTable channels).
-  /// Taken on trust — validate with check_collapsed_parity at small N.
-  const topo::SymmetryClasses* user_classes = nullptr;
   /// Processor count at or below which threads = 0 builds serially.
   static constexpr int kSerialCutoffProcs = 128;
 };
@@ -166,7 +161,7 @@ GeneralModel build_traffic_model_collapsed(const topo::Topology& topo,
 /// and compare every physical channel's rate and self_frac against its
 /// class's values (1e-9 relative / 1e-12 absolute).  Returns the empty
 /// string on agreement, else a message naming the first disagreeing class —
-/// the check that rejects asymmetric user-declared partitions.  Dense
+/// the check that rejects a partition that is no routing symmetry.  Dense
 /// rebuild cost: only call at small N.
 /// Precondition: `collapsed` has channel_class_of (was built collapsed).
 std::string check_collapsed_parity(const topo::Topology& topo,

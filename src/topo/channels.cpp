@@ -10,10 +10,12 @@ ChannelTable::ChannelTable(const Topology& topo) : topo_(&topo) {
         port_offset_[static_cast<std::size_t>(n)] + topo.num_ports(n);
   }
   out_id_.assign(static_cast<std::size_t>(port_offset_.back()), kNoChannel);
+  first_out_.assign(static_cast<std::size_t>(nodes) + 1, 0);
   channels_.reserve(out_id_.size());
   bundle_.reserve(out_id_.size());
   for (int n = 0; n < nodes; ++n) {
     const int base = port_offset_[static_cast<std::size_t>(n)];
+    first_out_[static_cast<std::size_t>(n)] = size();
     for (int p = 0; p < topo.num_ports(n); ++p) {
       const int peer = topo.neighbor(n, p);
       if (peer == kNoNode) continue;
@@ -35,6 +37,7 @@ ChannelTable::ChannelTable(const Topology& topo) : topo_(&topo) {
       if (members > 0) bundle_size_.push_back(members);
     }
   }
+  first_out_[static_cast<std::size_t>(nodes)] = size();
   for (const int b : bundle_) WORMNET_EXPECTS(b >= 0);
 }
 

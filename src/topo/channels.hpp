@@ -2,13 +2,16 @@
 //
 // The one flattened index of a topology's fabric: dense ids for its
 // DIRECTED channels and its OUTPUT BUNDLES.  The simulator (flit latches,
-// FCFS bundle arbitration) and the analytical builders (per-channel
-// stations, M/G/m server counts) both read this table, so they agree on
-// which channels form a bundle, and on its m, by construction.
+// FCFS bundle arbitration), the analytical builders (per-channel stations,
+// M/G/m server counts) and the fault view (topo::FaultedTopology: survivor
+// BFS, single-bundle detours) all read this table, so they agree on which
+// channels form a bundle, and on its m, by construction.
 //
 // A directed channel is one direction of a (node, port) <-> (node, port)
 // link.  The channel from node A's port p carries flits A -> B where
-// B = neighbor(A, p); the opposite direction is a distinct channel.
+// B = neighbor(A, p); the opposite direction is a distinct channel.  Ids run
+// in (node, port) order, so a node's outgoing channels are one contiguous
+// id range (out_channels).
 //
 // An output bundle is the connected ports of one Topology::output_bundles
 // group: one multi-server queue (the fat-tree's parent pair is the paper's
@@ -61,6 +64,26 @@ class ChannelTable {
     const int slot = port_offset_[n] + port;
     WORMNET_EXPECTS(port >= 0 && slot < port_offset_[n + 1]);
     return out_id_[static_cast<std::size_t>(slot)];
+  }
+
+  /// The outgoing channels of one node: ids [first, last), in ascending
+  /// port order.  operator[] reads a record WITHOUT a range check, for ids
+  /// in [first, last) only — the node was checked once, so the whole range
+  /// is valid by construction and per-edge loops pay no contract per edge.
+  struct OutChannels {
+    int first = 0;
+    int last = 0;
+    const DirectedChannel* records = nullptr;  // the record of channel id 0
+    const DirectedChannel& operator[](int id) const {
+      return records[static_cast<std::size_t>(id)];
+    }
+  };
+
+  /// The outgoing channels of `node` (see OutChannels).
+  OutChannels out_channels(int node) const {
+    WORMNET_EXPECTS(node >= 0 && node + 1 < static_cast<int>(first_out_.size()));
+    const auto n = static_cast<std::size_t>(node);
+    return {first_out_[n], first_out_[n + 1], channels_.data()};
   }
 
   /// Id of the incoming channel into (node, port); kNoChannel if unconnected.
@@ -118,6 +141,7 @@ class ChannelTable {
   std::vector<DirectedChannel> channels_;
   std::vector<int> port_offset_;  // per node + 1: first flat (node, port) slot
   std::vector<int> out_id_;       // flat (node, port) slot -> channel id
+  std::vector<int> first_out_;    // per node + 1: its first outgoing channel
   std::vector<int> bundle_;       // per channel: output-bundle id
   std::vector<int> bundle_size_;  // per bundle: member channel count
 };

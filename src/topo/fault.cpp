@@ -22,16 +22,6 @@ std::string link_name(int node, int port) {
 
 // -- FaultSet ----------------------------------------------------------------
 
-FaultSet::FaultSet(const Topology& topo) : topo_(&topo) {
-  const int nodes = topo.num_nodes();
-  port_offset_.assign(static_cast<std::size_t>(nodes) + 1, 0);
-  for (int n = 0; n < nodes; ++n)
-    port_offset_[static_cast<std::size_t>(n) + 1] =
-        port_offset_[static_cast<std::size_t>(n)] + topo.num_ports(n);
-  dead_.assign(static_cast<std::size_t>(port_offset_[static_cast<std::size_t>(nodes)]),
-               0);
-}
-
 std::pair<int, int> FaultSet::canonical(int node, int port) const {
   const int peer = topo_->neighbor(node, port);
   const int peer_port = topo_->neighbor_port(node, port);
@@ -62,14 +52,7 @@ void FaultSet::check_link(int node, int port) const {
 
 void FaultSet::fail_link(int node, int port) {
   check_link(node, port);
-  const auto canon = canonical(node, port);
-  links_.push_back(canon);
-  dead_[static_cast<std::size_t>(port_offset_[static_cast<std::size_t>(node)] +
-                                 port)] = 1;
-  const int peer = topo_->neighbor(node, port);
-  const int peer_port = topo_->neighbor_port(node, port);
-  dead_[static_cast<std::size_t>(port_offset_[static_cast<std::size_t>(peer)] +
-                                 peer_port)] = 1;
+  links_.push_back(canonical(node, port));
 }
 
 void FaultSet::fail_switch(int node) {
@@ -89,8 +72,11 @@ void FaultSet::fail_switch(int node) {
 }
 
 bool FaultSet::link_failed(int node, int port) const {
-  return dead_[static_cast<std::size_t>(
-             port_offset_[static_cast<std::size_t>(node)] + port)] != 0;
+  WORMNET_EXPECTS(node >= 0 && node < topo_->num_nodes());
+  WORMNET_EXPECTS(port >= 0 && port < topo_->num_ports(node));
+  if (topo_->neighbor(node, port) == kNoNode) return false;
+  return std::find(links_.begin(), links_.end(), canonical(node, port)) !=
+         links_.end();
 }
 
 std::uint64_t FaultSet::digest() const {
@@ -108,7 +94,7 @@ std::uint64_t FaultSet::digest() const {
 // -- FaultedTopology ---------------------------------------------------------
 
 FaultedTopology::FaultedTopology(const Topology& base, const FaultSet& faults)
-    : base_(&base), faults_(&faults) {
+    : base_(&base), faults_(&faults), table_(base) {
   WORMNET_EXPECTS(&faults.topology() == &base);
   // Inherit the base's uniform attribute defaults so the decorator's own
   // default virtuals (never called — all overridden) stay consistent.
@@ -118,34 +104,15 @@ FaultedTopology::FaultedTopology(const Topology& base, const FaultSet& faults)
   const int nodes = base.num_nodes();
   affected_index_.assign(static_cast<std::size_t>(procs), -1);
 
-  // Flat per-(node, port) neighbor / failed-link / bundle tables: the BFS
-  // and route() read these instead of a virtual call per edge.
-  port_offset_.assign(static_cast<std::size_t>(nodes) + 1, 0);
-  for (int n = 0; n < nodes; ++n)
-    port_offset_[static_cast<std::size_t>(n) + 1] =
-        port_offset_[static_cast<std::size_t>(n)] + base.num_ports(n);
-  const auto slots =
-      static_cast<std::size_t>(port_offset_[static_cast<std::size_t>(nodes)]);
-  nbr_.assign(slots, kNoNode);
-  dead_.assign(slots, 0);
-  port_bundle_.assign(slots, -1);
-  for (int n = 0; n < nodes; ++n) {
-    const int off = port_offset_[static_cast<std::size_t>(n)];
-    for (int p = 0; p < base.num_ports(n); ++p) {
-      const int v = base.neighbor(n, p);
-      nbr_[static_cast<std::size_t>(off + p)] = v;
-      if (v != kNoNode && faults.link_failed(n, p))
-        dead_[static_cast<std::size_t>(off + p)] = 1;
-    }
-    const auto bundles = base.output_bundles(n);
-    for (std::size_t b = 0; b < bundles.size(); ++b)
-      for (int i = 0; i < bundles[b].count; ++i)
-        port_bundle_[static_cast<std::size_t>(off + bundles[b][i])] =
-            static_cast<int>(b);
-  }
+  // One dead bit per directed channel: the BFS and route() read neighbours,
+  // ports and bundles from the channel table, and this bit, per edge.
+  dead_.assign(static_cast<std::size_t>(table_.size()), 0);
   for (const auto& [node, port] : faults.failed_links()) {
+    const int ch = table_.from(node, port);
+    dead_[static_cast<std::size_t>(ch)] = 1;
+    dead_[static_cast<std::size_t>(table_.reverse(ch))] = 1;
     failed_ends_.push_back(node);
-    failed_ends_.push_back(base.neighbor(node, port));
+    failed_ends_.push_back(table_.at(ch).dst_node);
   }
   std::sort(failed_ends_.begin(), failed_ends_.end());
   failed_ends_.erase(std::unique(failed_ends_.begin(), failed_ends_.end()),
@@ -212,30 +179,25 @@ void FaultedTopology::build_frontier(int d, Frontier& f,
                                      std::vector<char>& mark) const {
   const int procs = num_processors();
   const int nodes = num_nodes();
-  const auto ports = [&](int v) {
-    return std::pair{port_offset_[static_cast<std::size_t>(v)],
-                     port_offset_[static_cast<std::size_t>(v) + 1]};
-  };
   // A processor other than d never transits traffic.
   const auto transits = [&](int v) { return v >= procs || v == d; };
 
   // 1. Healthy backward BFS: dist[v] = channels from v to consumption at d
   //    (the ejection channel counts, matching Topology::distance's
   //    convention).  Processors other than d are reached from their switch
-  //    and relax nothing further.
+  //    and relax nothing further, so they are never queued.
   dist.assign(static_cast<std::size_t>(nodes), -1);
   dist[static_cast<std::size_t>(d)] = 0;
   queue.assign(1, d);
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const int v = queue[head];
-    if (!transits(v)) continue;
     const int dv = dist[static_cast<std::size_t>(v)];
-    const auto [lo, hi] = ports(v);
-    for (int k = lo; k < hi; ++k) {
-      const int u = nbr_[static_cast<std::size_t>(k)];
-      if (u == kNoNode || dist[static_cast<std::size_t>(u)] >= 0) continue;
+    const auto edges = table_.out_channels(v);
+    for (int k = edges.first; k < edges.last; ++k) {
+      const int u = edges[k].dst_node;
+      if (dist[static_cast<std::size_t>(u)] >= 0) continue;
       dist[static_cast<std::size_t>(u)] = dv + 1;
-      queue.push_back(u);
+      if (transits(u)) queue.push_back(u);
     }
   }
 
@@ -262,21 +224,20 @@ void FaultedTopology::build_frontier(int d, Frontier& f,
     const auto [level, v] = heap.top();
     heap.pop();
     bool kept = false;
-    const auto [lo, hi] = ports(v);
-    for (int k = lo; k < hi && !kept; ++k) {
-      const int u = nbr_[static_cast<std::size_t>(k)];
-      kept = u != kNoNode && !dead_[static_cast<std::size_t>(k)] &&
-             transits(u) && mark[static_cast<std::size_t>(u)] != 2 &&
+    const auto edges = table_.out_channels(v);
+    for (int k = edges.first; k < edges.last && !kept; ++k) {
+      const int u = edges[k].dst_node;
+      kept = !dead_[static_cast<std::size_t>(k)] && transits(u) &&
+             mark[static_cast<std::size_t>(u)] != 2 &&
              dist[static_cast<std::size_t>(u)] == level - 1;
     }
     if (kept) continue;
     mark[static_cast<std::size_t>(v)] = 2;
     lost.push_back(v);
     if (!transits(v)) continue;
-    for (int k = lo; k < hi; ++k) {
-      const int w = nbr_[static_cast<std::size_t>(k)];
-      if (w != kNoNode && dist[static_cast<std::size_t>(w)] == level + 1)
-        suspect(w);
+    for (int k = edges.first; k < edges.last; ++k) {
+      const int w = edges[k].dst_node;
+      if (dist[static_cast<std::size_t>(w)] == level + 1) suspect(w);
     }
   }
 
@@ -286,10 +247,10 @@ void FaultedTopology::build_frontier(int d, Frontier& f,
   for (const int v : lost) dist[static_cast<std::size_t>(v)] = -1;
   for (const int v : lost) {
     int best = -1;
-    const auto [lo, hi] = ports(v);
-    for (int k = lo; k < hi; ++k) {
-      const int u = nbr_[static_cast<std::size_t>(k)];
-      if (u == kNoNode || dead_[static_cast<std::size_t>(k)] || !transits(u) ||
+    const auto edges = table_.out_channels(v);
+    for (int k = edges.first; k < edges.last; ++k) {
+      const int u = edges[k].dst_node;
+      if (dead_[static_cast<std::size_t>(k)] || !transits(u) ||
           mark[static_cast<std::size_t>(u)] == 2)
         continue;
       const int du = dist[static_cast<std::size_t>(u)];
@@ -303,10 +264,10 @@ void FaultedTopology::build_frontier(int d, Frontier& f,
     if (dist[static_cast<std::size_t>(v)] >= 0) continue;  // already final
     dist[static_cast<std::size_t>(v)] = dv;
     if (!transits(v)) continue;
-    const auto [lo, hi] = ports(v);
-    for (int k = lo; k < hi; ++k) {
-      const int w = nbr_[static_cast<std::size_t>(k)];
-      if (w != kNoNode && !dead_[static_cast<std::size_t>(k)] &&
+    const auto edges = table_.out_channels(v);
+    for (int k = edges.first; k < edges.last; ++k) {
+      const int w = edges[k].dst_node;
+      if (!dead_[static_cast<std::size_t>(k)] &&
           mark[static_cast<std::size_t>(w)] == 2 &&
           dist[static_cast<std::size_t>(w)] < 0)
         heap.emplace(dv + 1, w);
@@ -320,11 +281,9 @@ void FaultedTopology::build_frontier(int d, Frontier& f,
   const auto add_neighbours = [&](std::vector<int>& set) {
     const std::size_t members = set.size();
     for (std::size_t i = 0; i < members; ++i) {
-      const auto [lo, hi] = ports(set[i]);
-      for (int k = lo; k < hi; ++k) {
-        const int w = nbr_[static_cast<std::size_t>(k)];
-        if (w != kNoNode) set.push_back(w);
-      }
+      const auto edges = table_.out_channels(set[i]);
+      for (int k = edges.first; k < edges.last; ++k)
+        set.push_back(edges[k].dst_node);
     }
   };
   const auto sort_unique = [](std::vector<int>& set) {
@@ -401,16 +360,15 @@ RouteOptions FaultedTopology::route(int node, int dest) const {
   // arbitration group (the simulator's single-bundle invariant; lowest port
   // first keeps model and simulator deterministic and identical).
   int bundle = -1;
-  const int off = port_offset_[static_cast<std::size_t>(node)];
-  const int end = port_offset_[static_cast<std::size_t>(node) + 1];
-  for (int k = off; k < end; ++k) {
-    const int v = nbr_[static_cast<std::size_t>(k)];
-    if (v == kNoNode || dead_[static_cast<std::size_t>(k)]) continue;
+  const auto edges = table_.out_channels(node);
+  for (int k = edges.first; k < edges.last; ++k) {
+    if (dead_[static_cast<std::size_t>(k)]) continue;
+    const int v = edges[k].dst_node;
     if (v < num_processors() && v != dest) continue;  // never enter a wrong PE
     if (dist_of(v) != dn - 1) continue;
-    const int b = port_bundle_[static_cast<std::size_t>(k)];
+    const int b = table_.bundle(k);
     if (bundle < 0) bundle = b;
-    if (b == bundle && out.size() < 4) out.add(k - off);
+    if (b == bundle && out.size() < 4) out.add(edges[k].src_port);
   }
   WORMNET_ENSURES(out.size() > 0);
   return out;

@@ -48,6 +48,7 @@
 #include <utility>
 #include <vector>
 
+#include "topo/channels.hpp"
 #include "topo/topology.hpp"
 
 namespace wormnet::topo {
@@ -59,7 +60,7 @@ class FaultSet {
  public:
   /// Binds the set to `topo` for validation; the topology must outlive the
   /// fault set.
-  explicit FaultSet(const Topology& topo);
+  explicit FaultSet(const Topology& topo) : topo_(&topo) {}
 
   /// Fail the undirected link attached at (node, port) — both directed
   /// channels over it go out of service.  Throws std::invalid_argument on an
@@ -84,7 +85,8 @@ class FaultSet {
   /// Failed switches, in the order they were recorded.
   const std::vector<int>& failed_switches() const { return switches_; }
   /// True when the undirected link at (node, port) is failed (either
-  /// endpoint may be given).
+  /// endpoint may be given; an unconnected port is never failed).
+  /// Precondition: node and port are in range.  O(failed links).
   bool link_failed(int node, int port) const;
   /// The topology this set was validated against.
   const Topology& topology() const { return *topo_; }
@@ -100,18 +102,18 @@ class FaultSet {
   const Topology* topo_;
   std::vector<std::pair<int, int>> links_;
   std::vector<int> switches_;
-  std::vector<char> dead_;  // flattened per-(node, port) flag
-  std::vector<int> port_offset_;
 };
 
 /// The degraded view of `base` under `faults`.  Same nodes, ports, links and
 /// output bundles (stable channel structure); fault-aware route() /
-/// distance() / reachable() / link_ok().  Construction runs, per affected
-/// destination, one backward BFS over flat per-port tables followed by a
-/// decremental repair that re-derives only the distances the failures
-/// lengthened, and keeps just the frontier's distances (every other node
-/// kept its healthy one); the object is immutable and thread-safe
-/// afterwards.  Base and faults must outlive the decorator.
+/// distance() / reachable() / link_ok().  The view reads its base's
+/// topo::ChannelTable — the one fabric index the builders and the simulator
+/// read — plus one dead bit per channel.  Construction runs, per affected
+/// destination, one backward BFS over that table's per-node channel ranges
+/// followed by a decremental repair that re-derives only the distances the
+/// failures lengthened, and keeps just the frontier's distances (every
+/// other node kept its healthy one); the object is immutable and
+/// thread-safe afterwards.  Base and faults must outlive the decorator.
 class FaultedTopology final : public Topology {
  public:
   FaultedTopology(const Topology& base, const FaultSet& faults);
@@ -131,8 +133,10 @@ class FaultedTopology final : public Topology {
     return base_->output_bundles(node);
   }
 
+  /// Precondition: node and port are in range.
   bool link_ok(int node, int port) const override {
-    return !faults_->link_failed(node, port);
+    const int ch = table_.from(node, port);
+    return ch == kNoChannel || dead_[static_cast<std::size_t>(ch)] == 0;
   }
   bool reachable(int src_proc, int dst_proc) const override;
 
@@ -225,14 +229,11 @@ class FaultedTopology final : public Topology {
 
   const Topology* base_;
   const FaultSet* faults_;
+  ChannelTable table_;               // the base's channels and bundles
+  std::vector<char> dead_;           // per channel: 1 when its link failed
   std::vector<int> affected_;        // affected destination processors
   std::vector<int> affected_index_;  // proc -> index into frontiers_, -1
   std::vector<Frontier> frontiers_;
-  // Flat per-(node, port) tables, indexed port_offset_[node] + port.
-  std::vector<int> port_offset_;
-  std::vector<int> nbr_;          // base neighbor, kNoNode when unconnected
-  std::vector<char> dead_;        // 1 when the link is failed
-  std::vector<int> port_bundle_;  // output-bundle id
   std::vector<int> failed_ends_;  // both endpoints of every failed link
   long unreachable_pairs_ = 0;
   double mean_distance_ = 0.0;

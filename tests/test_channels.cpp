@@ -146,6 +146,30 @@ TEST(ChannelTable, BundlesPartitionChannels) {
     }
     for (int ch = 0; ch < ct.size(); ++ch)
       EXPECT_EQ(seen[static_cast<std::size_t>(ch)], 1) << "ch=" << ch;
+
+    // The per-node outgoing ranges list every channel exactly once, each
+    // under its own source node, in ascending port order, and cover every
+    // connected port of the node.
+    std::vector<int> listed(static_cast<std::size_t>(ct.size()), 0);
+    for (int node = 0; node < t->num_nodes(); ++node) {
+      const ChannelTable::OutChannels out = ct.out_channels(node);
+      int prev_port = -1;
+      for (int ch = out.first; ch < out.last; ++ch) {
+        ASSERT_GE(ch, 0);
+        ASSERT_LT(ch, ct.size());
+        ++listed[static_cast<std::size_t>(ch)];
+        EXPECT_EQ(&out[ch], &ct.at(ch));
+        EXPECT_EQ(out[ch].src_node, node) << "ch=" << ch;
+        EXPECT_GT(out[ch].src_port, prev_port) << "ch=" << ch;
+        prev_port = out[ch].src_port;
+      }
+      int connected = 0;
+      for (int p = 0; p < t->num_ports(node); ++p)
+        connected += ct.from(node, p) != kNoChannel ? 1 : 0;
+      EXPECT_EQ(out.last - out.first, connected) << "node=" << node;
+    }
+    for (int ch = 0; ch < ct.size(); ++ch)
+      EXPECT_EQ(listed[static_cast<std::size_t>(ch)], 1) << "ch=" << ch;
   }
 }
 

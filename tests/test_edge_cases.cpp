@@ -49,6 +49,16 @@ TEST(ContractDeath, TopologyRejectsOutOfRange) {
   EXPECT_DEATH(topo::ButterflyFatTree(0), "precondition");
   EXPECT_DEATH(topo::GeneralizedFatTree(2, 0), "precondition");
   EXPECT_DEATH(topo::GeneralizedFatTree(2, 5), "precondition");
+  // The fault layer's link queries check (node, port) before reading.
+  const topo::FaultSet fs(ft);
+  const topo::FaultedTopology view(ft, fs);
+  const int last = ft.num_nodes() - 1;
+  EXPECT_DEATH(fs.link_failed(0, 1), "precondition");
+  EXPECT_DEATH(fs.link_failed(last, ft.num_ports(last)), "precondition");
+  EXPECT_DEATH(fs.link_failed(ft.num_nodes(), 0), "precondition");
+  EXPECT_DEATH(view.link_ok(0, 1), "precondition");
+  EXPECT_DEATH(view.link_ok(last, ft.num_ports(last)), "precondition");
+  EXPECT_DEATH(view.link_ok(-1, 0), "precondition");
 }
 
 TEST(ContractDeath, ChannelGraphRejectsBadTransitions) {

@@ -116,6 +116,63 @@ TEST(FaultedTopology, ChannelStructureMatchesBase) {
   }
 }
 
+TEST(FaultedTopology, LinkStatusMatchesFaultSet) {
+  // The view answers link_ok from its own per-channel dead bits, the fault
+  // set link_failed from its link list: they must agree at every
+  // (node, port), unconnected ports included, and both endpoints of a link
+  // must agree with each other.
+  const topo::ButterflyFatTree bft(3);
+  const topo::Mesh mesh(4, 2);
+  const topo::Hypercube hc(4);
+  const topo::GeneralizedFatTree gft(3, 2);
+  // The first `count` switch-to-switch links met in (node, port) order,
+  // every other one skipped so the failures spread over the fabric.
+  const auto fail_network_links = [](topo::FaultSet& fs, int count) {
+    const topo::Topology& t = fs.topology();
+    int seen = 0;
+    for (int n = t.num_processors(); n < t.num_nodes() && count > 0; ++n)
+      for (int p = 0; p < t.num_ports(n) && count > 0; ++p) {
+        const int peer = t.neighbor(n, p);
+        if (peer <= n || t.is_processor(peer) || seen++ % 2 != 0) continue;
+        fs.fail_link(n, p);
+        --count;
+      }
+  };
+  std::vector<std::unique_ptr<topo::FaultSet>> sets;
+  sets.push_back(std::make_unique<topo::FaultSet>(bft));
+  sets.back()->fail_link(bft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort0);
+  sets.back()->fail_switch(bft.switch_id(3, 1));
+  for (const topo::Topology* t :
+       std::initializer_list<const topo::Topology*>{&mesh, &hc, &gft}) {
+    sets.push_back(std::make_unique<topo::FaultSet>(*t));
+    fail_network_links(*sets.back(), 2);
+  }
+  for (const auto& fs : sets) {
+    const topo::Topology& t = fs->topology();
+    const topo::FaultedTopology view(t, *fs);
+    SCOPED_TRACE(view.name());
+    ASSERT_FALSE(fs->empty());
+    int dead_ends = 0;
+    for (int n = 0; n < t.num_nodes(); ++n) {
+      for (int p = 0; p < t.num_ports(n); ++p) {
+        const bool ok = view.link_ok(n, p);
+        EXPECT_EQ(ok, !fs->link_failed(n, p)) << "(" << n << ", " << p << ")";
+        dead_ends += ok ? 0 : 1;
+        const int peer = t.neighbor(n, p);
+        if (peer == topo::kNoNode) {
+          EXPECT_TRUE(ok) << "unconnected (" << n << ", " << p << ")";
+          continue;
+        }
+        const int back = t.neighbor_port(n, p);
+        EXPECT_EQ(view.link_ok(peer, back), ok) << "(" << n << ", " << p << ")";
+        EXPECT_EQ(fs->link_failed(peer, back), !ok);
+      }
+    }
+    // Each failed undirected link is dead at exactly its two endpoints.
+    EXPECT_EQ(dead_ends, 2 * static_cast<int>(fs->failed_links().size()));
+  }
+}
+
 TEST(FaultedTopology, SingleUpLinkFailureKeepsEveryPairReachable) {
   const topo::ButterflyFatTree ft = bft2();
   const int s1 = ft.switch_id(1, 0);

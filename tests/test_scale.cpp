@@ -209,52 +209,31 @@ TEST(SymmetryDetection, MeshReflectionOrbits) {
   EXPECT_FALSE(topo::topology_symmetry(mesh, ct, {0}, corner));
 }
 
-TEST(CollapsedRejection, AsymmetricUserPartitionFailsParity) {
-  // A hand-declared "group by port direction" partition on the 3x3 mesh is
-  // structurally consistent (every member has the same bundle size, lanes
-  // and endpoint kinds, so the build succeeds) but is NO routing symmetry
-  // once a hotspot skews the load toward the center: channels of one port
-  // class carry visibly different rates.  check_collapsed_parity must say
-  // so rather than let the quotient silently average them.
+TEST(CollapsedRejection, MisassignedChannelFailsParity) {
+  // The genuine reflection quotient of the 3x3 mesh under a center hotspot
+  // passes the parity check.  Remap ONE channel into a class whose members
+  // carry a different rate and the partition is no routing symmetry any
+  // more: check_collapsed_parity must say so rather than let the quotient
+  // silently average the channel into the wrong class.
   const topo::Mesh mesh(3, 2);
-  const topo::ChannelTable ct(mesh);
   const traffic::TrafficSpec spec = traffic::TrafficSpec::hotspot(0.3, 4);
+  const GeneralModel genuine = build_traffic_model_collapsed(mesh, spec);
+  ASSERT_FALSE(genuine.channel_class_of.empty());
+  EXPECT_EQ(check_collapsed_parity(mesh, spec, genuine), "");
 
-  topo::SymmetryClasses user;
-  user.proc_orbit.resize(static_cast<std::size_t>(mesh.num_processors()));
-  for (int p = 0; p < mesh.num_processors(); ++p)
-    user.proc_orbit[static_cast<std::size_t>(p)] = p;
-  user.num_proc_orbits = mesh.num_processors();
-  user.channel_class.resize(static_cast<std::size_t>(ct.size()));
-  int next = 0;
-  std::vector<int> class_of_key(2 + 2 * 2 + 1, -1);  // inj, eject, 2·dims ports
-  for (int ch = 0; ch < ct.size(); ++ch) {
-    const topo::DirectedChannel& dc = ct.at(ch);
-    int key = 0;
-    if (!mesh.is_processor(dc.src_node)) {
-      key = dc.src_port == 2 * 2 ? 1 : 2 + dc.src_port;
-    }
-    if (class_of_key[static_cast<std::size_t>(key)] < 0)
-      class_of_key[static_cast<std::size_t>(key)] = next++;
-    user.channel_class[static_cast<std::size_t>(ch)] =
-        class_of_key[static_cast<std::size_t>(key)];
-  }
-  user.num_channel_classes = next;
+  GeneralModel broken = genuine;
+  const int from = broken.channel_class_of.front();
+  const double rate = broken.graph.at(from).rate_per_link;
+  int to = -1;
+  for (int c = 0; c < broken.graph.size() && to < 0; ++c)
+    if (std::abs(broken.graph.at(c).rate_per_link - rate) > 1e-6 * rate) to = c;
+  ASSERT_GE(to, 0);
+  broken.channel_class_of.front() = to;
 
-  TrafficBuildOptions build;
-  build.collapse = CollapseMode::Symmetric;
-  build.user_classes = &user;
-  const GeneralModel collapsed = build_traffic_model(mesh, spec, {}, build);
-  EXPECT_EQ(collapsed.graph.size(), next);
-
-  const std::string verdict = check_collapsed_parity(mesh, spec, collapsed);
+  const std::string verdict = check_collapsed_parity(mesh, spec, broken);
   ASSERT_FALSE(verdict.empty());
   EXPECT_NE(verdict.find("not a routing symmetry"), std::string::npos)
       << verdict;
-
-  // The genuine reflection quotient on the same cell passes the same check.
-  const GeneralModel genuine = build_traffic_model_collapsed(mesh, spec);
-  EXPECT_EQ(check_collapsed_parity(mesh, spec, genuine), "");
 }
 
 TEST(CollapseStrategy, AutoPicksTheRightPath) {
