@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "topo/generalized_fattree.hpp"
+#include "topo/butterfly_fattree.hpp"
 
 int main(int argc, char** argv) {
   using namespace wormnet;
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   harness::SweepEngine engine;
   for (const core::FatTreeModel& model : models) {
     const int m = model.options().parents;
-    topo::GeneralizedFatTree ft(levels, m);
+    topo::ButterflyFatTree ft(levels, m);
     const double sat = engine.saturation_load(model);
     const harness::ThroughputRow thr = harness::compare_throughput(
         ft, sat, worm, seed, warmup, measure);

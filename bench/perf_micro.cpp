@@ -473,6 +473,21 @@ void BM_QueryEngineRetuneLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryEngineRetuneLoad);
 
+void BM_FatTreeTopologyBuild(benchmark::State& state) {
+  // The topology every fat-tree build starts from: node layout, the flat
+  // neighbour table and the wiring rule, O(nodes + ports).  Levels 9 is
+  // fabric_scale's largest design (262k processors, 393k nodes).
+  const int levels = static_cast<int>(state.range(0));
+  int nodes = 0;
+  for (auto _ : state) {
+    const topo::ButterflyFatTree ft(levels);
+    nodes = ft.num_nodes();
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.SetLabel("nodes=" + std::to_string(nodes));
+}
+BENCHMARK(BM_FatTreeTopologyBuild)->Arg(7)->Arg(9)->Unit(benchmark::kMillisecond);
+
 void BM_ChannelTableBuild(benchmark::State& state) {
   // The fabric index every builder, resident and simulator network starts
   // from: flat (node, port) -> channel ids plus the output-bundle labels.

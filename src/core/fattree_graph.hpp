@@ -17,9 +17,9 @@ namespace wormnet::core {
 
 /// Build the collapsed fat-tree model for n = `levels` (N = 4^n).
 /// Rates are per physical link at λ₀ = 1 (Eq. 14/15).  `parents` selects
-/// the parent-link multiplicity: 2 is the paper's butterfly fat-tree;
-/// other values model the GeneralizedFatTree (rates scale as (4/m)^l and
-/// up bundles become m-server channels).
+/// the parent-link multiplicity m of topo::ButterflyFatTree(levels, m): 2 is
+/// the paper's fabric; for other m the rates scale as (4/m)^l and up
+/// bundles become m-server channels.
 ///
 /// `exact_conditionals` replaces the paper's Eq. 22 branching probability
 /// P↑_l with the exact conditional P↑_l / P↑_{l-1} — a message already on

@@ -39,9 +39,9 @@ struct FatTreeModelOptions {
   int levels = 3;                  ///< n; N = 4^n processors
   double worm_flits = 16.0;        ///< s_f, worm length in flits
 
-  /// Parent links per switch.  2 is the paper's butterfly fat-tree; other
-  /// values model the GeneralizedFatTree through the M/G/m kernel — the
-  /// ">2-server" extension the paper's conclusion anticipates.  Up-link
+  /// Parent links per switch, the m of topo::ButterflyFatTree(levels, m).
+  /// 2 is the paper's fabric; other values go through the M/G/m kernel —
+  /// the ">2-server" extension the paper's conclusion anticipates.  Up-link
   /// rates become λ₀·P↑_l·(4/m)^l and bundle waits use m servers at total
   /// rate m·λ.
   int parents = 2;

@@ -631,31 +631,21 @@ struct CollapsePlan {
   std::vector<std::vector<int>> dest_sources;
 };
 
-/// Collapse strategy: symmetric quotient first, dense — sparse-seeded for
-/// fixed-destination specs — otherwise.  Precondition failure when
-/// Symmetric was demanded but nothing declares a quotient.
+/// Collapse strategy: under Auto the symmetric quotient first; dense —
+/// sparse-seeded for fixed-destination specs — otherwise.
 CollapsePlan plan_collapse(const topo::Topology& topo,
                            const topo::ChannelTable& ct,
                            const traffic::TrafficSpec& spec,
                            const TrafficBuildOptions& build) {
   const int procs = topo.num_processors();
   CollapsePlan plan;
-  if (build.collapse != CollapseMode::Dense) {
-    bool have = false;
-    std::vector<int> pins;
-    if (spec.symmetric(pins)) {
-      have = topo::topology_symmetry(topo, ct, pins, plan.sym) &&
-             !plan.sym.trivial(procs);
-      if (build.collapse == CollapseMode::Auto) {
-        have = have && plan.sym.num_channel_classes <= kMaxSymmetryClasses;
-      }
-    }
-    if (have) {
-      plan.use_collapsed = true;
-      return plan;
-    }
-    // The quotient was demanded outright but nothing declares one.
-    WORMNET_EXPECTS(build.collapse != CollapseMode::Symmetric);
+  std::vector<int> pins;
+  if (build.collapse == CollapseMode::Auto && spec.symmetric(pins) &&
+      topo::topology_symmetry(topo, ct, pins, plan.sym) &&
+      !plan.sym.trivial(procs) &&
+      plan.sym.num_channel_classes <= kMaxSymmetryClasses) {
+    plan.use_collapsed = true;
+    return plan;
   }
   plan.dest_sources = fixed_destination_sources(spec, procs);
   return plan;

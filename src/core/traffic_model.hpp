@@ -104,9 +104,6 @@ enum class CollapseMode {
   /// classes), else Dense.
   /// Never changes the model semantics — only its size or build cost.
   Auto,
-  /// Demand the symmetric quotient; precondition failure when the topology
-  /// or spec declares none.
-  Symmetric,
 };
 
 /// Concurrency and collapse knobs for build_traffic_model.

@@ -71,7 +71,7 @@ double mmm_wait(int servers, double lambda, double xbar);
 ///     W_{M/G/m} ≈ (1 + C_b²)/2 · W_{M/M/m}.
 /// For m == 1 this is exact (it reduces to Pollaczek–Khinchine).  The paper's
 /// conclusion names >2-server channels as the natural extension of its
-/// framework; this kernel backs the generalized fat-tree in wormnet::core.
+/// framework; this kernel backs the m-parent fat-tree models in wormnet::core.
 double mgm_wait(int servers, double lambda, double xbar, double cb2);
 
 /// Generalized M/G/m with the wormhole variance approximation.

@@ -9,55 +9,59 @@ namespace wormnet::topo {
 using util::base4_digit;
 using util::ipow;
 
-ButterflyFatTree::ButterflyFatTree(int levels) : levels_(levels) {
+ButterflyFatTree::ButterflyFatTree(int levels, int parents)
+    : levels_(levels), parents_(parents) {
   WORMNET_EXPECTS(levels >= 1 && levels <= 10);
+  WORMNET_EXPECTS(parents >= 1 && parents <= 4);
   num_procs_ = static_cast<int>(ipow(4, levels));
 
-  // Node layout: processors [0, N), then switches level by level.
-  level_offset_.assign(static_cast<std::size_t>(levels_ + 1), 0);
+  // Node layout: processors [0, N), then switches level by level;
+  // level_offset_[levels + 1] closes the last level.
+  level_offset_.assign(static_cast<std::size_t>(levels_ + 2), 0);
   int next = num_procs_;
   for (int l = 1; l <= levels_; ++l) {
     level_offset_[static_cast<std::size_t>(l)] = next;
-    next += switches_at(l);
+    next += static_cast<int>(ipow(4, levels_ - l) * ipow(parents_, l - 1));
   }
-  nbr_.assign(static_cast<std::size_t>(next), {});
-  node_level_.assign(static_cast<std::size_t>(next), 0);
-  node_addr_.assign(static_cast<std::size_t>(next), 0);
-  for (int p = 0; p < num_procs_; ++p) node_addr_[static_cast<std::size_t>(p)] = p;
+  level_offset_[static_cast<std::size_t>(levels_ + 1)] = next;
+  num_nodes_ = next;
+  sw_.resize(static_cast<std::size_t>(num_nodes_ - num_procs_));
   for (int l = 1; l <= levels_; ++l) {
-    for (int a = 0; a < switches_at(l); ++a) {
-      const int id = switch_id(l, a);
-      node_level_[static_cast<std::size_t>(id)] = l;
-      node_addr_[static_cast<std::size_t>(id)] = a;
-    }
+    const int group = static_cast<int>(ipow(parents_, l - 1));
+    for (int a = 0; a < switches_at(l); ++a)
+      sw_[static_cast<std::size_t>(switch_id(l, a) - num_procs_)] = {l, a / group};
   }
+  ends_.assign(static_cast<std::size_t>(num_procs_) +
+                   sw_.size() * static_cast<std::size_t>(4 + parents_),
+               End{});
+  for (int p = 0; p < parents_; ++p) up_route_.add(kParentPort0 + p);
 
   // Leaf wiring: processor a <-> child (a mod 4) of S(1, a/4).
   for (int a = 0; a < num_procs_; ++a) {
     connect(a, 0, switch_id(1, a / 4), a % 4);
   }
 
-  // Internal wiring per the paper's rule.  For S(l, a) with l < n:
-  //   parent_p -> S(l+1, floor(a/2^(l+1))*2^l + (a + p*2^(l-1)) mod 2^l)
-  //   at child index floor((a mod 2^(l+1)) / 2^(l-1)).
+  // Internal wiring, the one rule.  For S(l, a) with l < n and block
+  // b = a / m^(l-1):
+  //   parent_p -> S(l+1, (b/4)*m^l + (a + p*m^(l-1)) mod m^l)
+  //   at child index b mod 4.
   for (int l = 1; l < levels_; ++l) {
-    const int two_lm1 = 1 << (l - 1);
-    const int two_l = 1 << l;
-    const int two_lp1 = 1 << (l + 1);
+    const int group = static_cast<int>(ipow(parents_, l - 1));
+    const int group_up = group * parents_;
     for (int a = 0; a < switches_at(l); ++a) {
-      const int child_index = (a % two_lp1) / two_lm1;
-      for (int p = 0; p < 2; ++p) {
-        const int parent_addr = (a / two_lp1) * two_l + (a + p * two_lm1) % two_l;
-        connect(switch_id(l, a), kParentPort0 + p, switch_id(l + 1, parent_addr),
-                child_index);
+      const int id = switch_id(l, a);
+      const int b = info(id).block;
+      for (int p = 0; p < parents_; ++p) {
+        const int parent_addr = (b / 4) * group_up + (a + p * group) % group_up;
+        connect(id, kParentPort0 + p, switch_id(l + 1, parent_addr), b % 4);
       }
     }
   }
 }
 
 void ButterflyFatTree::connect(int node_a, int port_a, int node_b, int port_b) {
-  auto& ea = nbr_[static_cast<std::size_t>(node_a)][static_cast<std::size_t>(port_a)];
-  auto& eb = nbr_[static_cast<std::size_t>(node_b)][static_cast<std::size_t>(port_b)];
+  End& ea = ends_[slot(node_a, port_a)];
+  End& eb = ends_[slot(node_b, port_b)];
   // The wiring rule must never assign two links to one port.
   WORMNET_ENSURES(ea.node == kNoNode);
   WORMNET_ENSURES(eb.node == kNoNode);
@@ -67,13 +71,16 @@ void ButterflyFatTree::connect(int node_a, int port_a, int node_b, int port_b) {
 
 std::string ButterflyFatTree::name() const {
   std::ostringstream out;
-  out << "butterfly-fat-tree(n=" << levels_ << ", N=" << num_procs_ << ")";
+  out << "butterfly-fat-tree(n=" << levels_;
+  if (parents_ != 2) out << ", m=" << parents_;
+  out << ", N=" << num_procs_ << ")";
   return out.str();
 }
 
 int ButterflyFatTree::switches_at(int level) const {
   WORMNET_EXPECTS(level >= 1 && level <= levels_);
-  return num_procs_ / (1 << (level + 1));
+  return level_offset_[static_cast<std::size_t>(level + 1)] -
+         level_offset_[static_cast<std::size_t>(level)];
 }
 
 int ButterflyFatTree::switch_id(int level, int addr) const {
@@ -83,32 +90,33 @@ int ButterflyFatTree::switch_id(int level, int addr) const {
 }
 
 int ButterflyFatTree::node_level(int node) const {
-  WORMNET_EXPECTS(node >= 0 && node < num_nodes());
-  return node_level_[static_cast<std::size_t>(node)];
+  WORMNET_EXPECTS(node >= 0 && node < num_nodes_);
+  return node < num_procs_ ? 0 : info(node).level;
 }
 
 int ButterflyFatTree::switch_addr(int node) const {
-  WORMNET_EXPECTS(node >= num_procs_ && node < num_nodes());
-  return node_addr_[static_cast<std::size_t>(node)];
+  WORMNET_EXPECTS(node >= num_procs_ && node < num_nodes_);
+  return node - level_offset_[static_cast<std::size_t>(info(node).level)];
 }
 
 int ButterflyFatTree::neighbor(int node, int port) const {
-  WORMNET_EXPECTS(node >= 0 && node < num_nodes());
+  WORMNET_EXPECTS(node >= 0 && node < num_nodes_);
   WORMNET_EXPECTS(port >= 0 && port < num_ports(node));
-  return nbr_[static_cast<std::size_t>(node)][static_cast<std::size_t>(port)].node;
+  return ends_[slot(node, port)].node;
 }
 
 int ButterflyFatTree::neighbor_port(int node, int port) const {
-  WORMNET_EXPECTS(node >= 0 && node < num_nodes());
+  WORMNET_EXPECTS(node >= 0 && node < num_nodes_);
   WORMNET_EXPECTS(port >= 0 && port < num_ports(node));
-  return nbr_[static_cast<std::size_t>(node)][static_cast<std::size_t>(port)].port;
+  return ends_[slot(node, port)].port;
 }
 
 bool ButterflyFatTree::covers(int level, int addr, int proc) const {
   WORMNET_EXPECTS(level >= 1 && level <= levels_);
+  WORMNET_EXPECTS(addr >= 0 && addr < switches_at(level));
   WORMNET_EXPECTS(proc >= 0 && proc < num_procs_);
-  // S(l, a) reaches processor block (a >> (l-1)) of size 4^l.
-  return (proc >> (2 * level)) == (addr >> (level - 1));
+  // S(l, a) reaches processor block a / m^(l-1) of size 4^l.
+  return (proc >> (2 * level)) == addr / ipow(parents_, level - 1);
 }
 
 int ButterflyFatTree::down_port(int level, int proc) {
@@ -116,22 +124,20 @@ int ButterflyFatTree::down_port(int level, int proc) {
 }
 
 RouteOptions ButterflyFatTree::route(int node, int dest) const {
+  WORMNET_EXPECTS(node >= 0 && node < num_nodes_);
   WORMNET_EXPECTS(dest >= 0 && dest < num_procs_);
   RouteOptions out;
   if (node < num_procs_) {
     if (node != dest) out.add(0);  // injection channel
     return out;
   }
-  const int l = node_level(node);
-  const int a = switch_addr(node);
-  if (covers(l, a, dest)) {
-    out.add(down_port(l, dest));
-  } else {
-    // Both parent links make minimal progress; the adaptive policy and the
-    // two-server queueing model both treat them as interchangeable.
-    out.add(kParentPort0);
-    out.add(kParentPort1);
+  const SwitchInfo& s = info(node);
+  if ((dest >> (2 * s.level)) != s.block) {
+    // Every parent link makes minimal progress; the adaptive policy and the
+    // m-server queueing model both treat them as interchangeable.
+    return up_route_;
   }
+  out.add(down_port(s.level, dest));
   return out;
 }
 
@@ -167,7 +173,7 @@ double ButterflyFatTree::mean_distance() const {
 long ButterflyFatTree::links_between(int level_lo) const {
   WORMNET_EXPECTS(level_lo >= 0 && level_lo < levels_);
   if (level_lo == 0) return num_procs_;
-  return static_cast<long>(num_procs_) / (1L << level_lo);
+  return static_cast<long>(switches_at(level_lo)) * parents_;
 }
 
 namespace {
@@ -206,8 +212,8 @@ std::uint64_t ButterflyFatTree::channel_symmetry_key(
     return pack_key(up ? kKeyUp : kKeyDown, static_cast<std::uint64_t>(l), 0);
   }
   const int h = pinned_procs.front();
-  const int a = switch_addr(node);
-  const bool covers_h = covers(l, a, h);
+  const int block = info(node).block;
+  const bool covers_h = (h >> (2 * l)) == block;
   if (up) {
     // Up channels out of h-covering switches are one orbit (the redundant-
     // switch permutations fixing every leaf act transitively on them);
@@ -215,7 +221,7 @@ std::uint64_t ButterflyFatTree::channel_symmetry_key(
     const std::uint64_t aux =
         covers_h ? 0
                  : static_cast<std::uint64_t>(
-                       1 + lca_level((a >> (l - 1)) << (2 * l), h));
+                       1 + lca_level(block << (2 * l), h));
     return pack_key(kKeyUp, static_cast<std::uint64_t>(l), aux);
   }
   // Down channel via child port `port`: distinguish the child block holding
@@ -227,7 +233,7 @@ std::uint64_t ButterflyFatTree::channel_symmetry_key(
   } else if (covers_h) {
     aux = 1;
   } else {
-    aux = static_cast<std::uint64_t>(2 + lca_level((a >> (l - 1)) << (2 * l), h));
+    aux = static_cast<std::uint64_t>(2 + lca_level(block << (2 * l), h));
   }
   return pack_key(kKeyDown, static_cast<std::uint64_t>(l), aux);
 }
@@ -246,11 +252,10 @@ std::vector<PortBundle> ButterflyFatTree::output_bundles(int node) const {
     bundles.push_back(child);
   }
   if (neighbor(node, kParentPort0) != kNoNode) {
-    // The redundant parent pair is one two-server bundle — the construct the
-    // paper's M/G/2 treatment models.
+    // The redundant parents are one m-server bundle — at m = 2 the construct
+    // the paper's M/G/2 treatment models.
     PortBundle up;
-    up.add(kParentPort0);
-    up.add(kParentPort1);
+    for (int p = 0; p < parents_; ++p) up.add(kParentPort0 + p);
     bundles.push_back(up);
   }
   return bundles;

@@ -36,6 +36,7 @@ int Hypercube::neighbor_port(int node, int port) const {
 }
 
 RouteOptions Hypercube::route(int node, int dest) const {
+  WORMNET_EXPECTS(node >= 0 && node < num_nodes());
   WORMNET_EXPECTS(dest >= 0 && dest < num_procs_);
   RouteOptions out;
   if (node < num_procs_) {

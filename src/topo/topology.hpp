@@ -33,10 +33,9 @@ inline constexpr int kNoNode = -1;
 /// Whether a node is a processing element or a routing element.
 enum class NodeKind { Processor, Switch };
 
-/// Candidate output ports for a worm's next hop.  All topologies in this
-/// repository offer at most two minimal choices (the fat-tree's redundant
-/// up-links); the capacity is 4 to accommodate extensions such as the
-/// generalized fat-tree.
+/// Candidate output ports for a worm's next hop.  The widest choice in this
+/// repository is the fat-tree's up-route, one candidate per parent link;
+/// the capacity of 4 is its largest parent count.
 class RouteOptions {
  public:
   /// Append a candidate port.
@@ -64,8 +63,8 @@ class RouteOptions {
 };
 
 /// A group of output ports at one node that the router arbitrates as a single
-/// multi-server channel (the fat-tree's two parent ports form one bundle of
-/// size two; everything else is a singleton bundle).
+/// multi-server channel (the fat-tree's m parent ports form one bundle of
+/// size m; everything else is a singleton bundle).
 struct PortBundle {
   std::array<int, 4> ports{};
   int count = 0;

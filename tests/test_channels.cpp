@@ -10,7 +10,6 @@
 #include "sim/network.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/fault.hpp"
-#include "topo/generalized_fattree.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
 #include "traffic/traffic_spec.hpp"
@@ -78,13 +77,13 @@ TEST(ChannelTable, EndpointsWithinRange) {
 }
 
 /// The fabrics the bundle checks run on (every shipped bundle shape: the
-/// BFT's parent pair, tapered tiers, 1–4-parent generalized fat-trees,
+/// BFT's parent pair, tapered tiers, 1–4-parent fat-trees,
 /// singleton-only direct networks, and a fault view, which keeps its base's
 /// channels and bundles).  Owns every topology it lists.
 struct BundleFabrics {
   ButterflyFatTree bft2{2};
   ButterflyFatTree tapered{3};
-  std::vector<std::unique_ptr<GeneralizedFatTree>> gft;
+  std::vector<std::unique_ptr<ButterflyFatTree>> multi;
   Hypercube hc{4};
   Mesh mesh{4, 2};
   ButterflyFatTree fault_base{3};
@@ -95,11 +94,11 @@ struct BundleFabrics {
   BundleFabrics() {
     tapered.set_tier_bandwidth(1, 0.5);
     for (int m = 1; m <= 4; ++m)
-      gft.push_back(std::make_unique<GeneralizedFatTree>(3, m));
+      multi.push_back(std::make_unique<ButterflyFatTree>(3, m));
     faults.fail_link(fault_base.switch_id(1, 0), ButterflyFatTree::kParentPort0);
     faulted = std::make_unique<FaultedTopology>(fault_base, faults);
     all = {&bft2, &tapered, &hc, &mesh, faulted.get()};
-    for (const auto& g : gft) all.push_back(g.get());
+    for (const auto& t : multi) all.push_back(t.get());
   }
 };
 

@@ -16,7 +16,8 @@
 #include "sim/simulator.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/fault.hpp"
-#include "topo/generalized_fattree.hpp"
+#include "topo/hypercube.hpp"
+#include "topo/mesh.hpp"
 #include "util/histogram.hpp"
 #include "util/table.hpp"
 
@@ -46,9 +47,22 @@ TEST(ContractDeath, TopologyRejectsOutOfRange) {
   EXPECT_DEATH(ft.neighbor(0, 1), "precondition");  // processors have one port
   EXPECT_DEATH(ft.route(0, 99), "precondition");
   EXPECT_DEATH(ft.switch_id(3, 0), "precondition");  // only two levels
+  EXPECT_DEATH(ft.covers(1, ft.switches_at(1), 0), "precondition");
   EXPECT_DEATH(topo::ButterflyFatTree(0), "precondition");
-  EXPECT_DEATH(topo::GeneralizedFatTree(2, 0), "precondition");
-  EXPECT_DEATH(topo::GeneralizedFatTree(2, 5), "precondition");
+  EXPECT_DEATH(topo::ButterflyFatTree(2, 0), "precondition");
+  EXPECT_DEATH(topo::ButterflyFatTree(2, 5), "precondition");
+  // route() checks the node as well as the destination.
+  EXPECT_DEATH(ft.route(-1, 5), "precondition");
+  EXPECT_DEATH(ft.route(ft.num_nodes(), 5), "precondition");
+  const topo::ButterflyFatTree ft_m3(2, 3);
+  EXPECT_DEATH(ft_m3.route(-1, 5), "precondition");
+  EXPECT_DEATH(ft_m3.route(ft_m3.num_nodes(), 5), "precondition");
+  const topo::Hypercube hc(3);
+  EXPECT_DEATH(hc.route(-1, 5), "precondition");
+  EXPECT_DEATH(hc.route(hc.num_nodes(), 5), "precondition");
+  const topo::Mesh mesh(3, 2);
+  EXPECT_DEATH(mesh.route(-1, 5), "precondition");
+  EXPECT_DEATH(mesh.route(mesh.num_nodes(), 5), "precondition");
   // The fault layer's link queries check (node, port) before reading.
   const topo::FaultSet fs(ft);
   const topo::FaultedTopology view(ft, fs);

@@ -38,7 +38,6 @@
 #include "topo/butterfly_fattree.hpp"
 #include "topo/channels.hpp"
 #include "topo/fault.hpp"
-#include "topo/generalized_fattree.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
 #include "topo/symmetry.hpp"
@@ -385,11 +384,11 @@ TEST(AvailabilitySweep, OrbitRowsMatchTheirOwnColdBuilds) {
 }
 
 TEST(AvailabilitySweep, UndeclaredTopologiesRetuneEveryScenario) {
-  // No fault symmetry declared (meshes, the generalized fat-tree) or none
+  // No fault symmetry declared (meshes, a fat-tree with m != 2 parents) or none
   // for the resident's pins (a hypercube hotspot, a permutation): every
   // row is its own link's retune, bit for bit.
   topo::Mesh mesh3(3, 2), mesh4(4, 2);
-  topo::GeneralizedFatTree gft(3, 2);
+  topo::ButterflyFatTree bft_m3(3, 3);
   topo::Hypercube hc3(3);
   topo::ButterflyFatTree bft3(3);
   std::vector<int> dest(static_cast<std::size_t>(bft3.num_processors()));
@@ -404,7 +403,7 @@ TEST(AvailabilitySweep, UndeclaredTopologiesRetuneEveryScenario) {
   const Case cases[] = {
       {"mesh3", &mesh3, uniform},
       {"mesh4", &mesh4, uniform},
-      {"gft(3,2)", &gft, uniform},
+      {"bft(3, m=3)", &bft_m3, uniform},
       {"hc3 hotspot", &hc3, traffic::TrafficSpec::hotspot(0.2, 1)},
       {"bft3 permutation", &bft3, traffic::TrafficSpec::permutation(dest)},
   };

@@ -20,7 +20,6 @@
 #include "core/traffic_model.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/channels.hpp"
-#include "topo/generalized_fattree.hpp"
 #include "topo/graph_checks.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
@@ -124,7 +123,7 @@ TEST(FaultedTopology, LinkStatusMatchesFaultSet) {
   const topo::ButterflyFatTree bft(3);
   const topo::Mesh mesh(4, 2);
   const topo::Hypercube hc(4);
-  const topo::GeneralizedFatTree gft(3, 2);
+  const topo::ButterflyFatTree bft_m3(3, 3);
   // The first `count` switch-to-switch links met in (node, port) order,
   // every other one skipped so the failures spread over the fabric.
   const auto fail_network_links = [](topo::FaultSet& fs, int count) {
@@ -143,7 +142,7 @@ TEST(FaultedTopology, LinkStatusMatchesFaultSet) {
   sets.back()->fail_link(bft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort0);
   sets.back()->fail_switch(bft.switch_id(3, 1));
   for (const topo::Topology* t :
-       std::initializer_list<const topo::Topology*>{&mesh, &hc, &gft}) {
+       std::initializer_list<const topo::Topology*>{&mesh, &hc, &bft_m3}) {
     sets.push_back(std::make_unique<topo::FaultSet>(*t));
     fail_network_links(*sets.back(), 2);
   }
@@ -817,14 +816,14 @@ void check_frontier(const topo::Topology& base, const topo::FaultSet& fs,
 TEST(FaultRetune, FrontierCoversEveryRoutingChange) {
   const topo::ButterflyFatTree ft2(2);
   const topo::ButterflyFatTree ft3(3);
-  const topo::GeneralizedFatTree gft(2, 3);
+  const topo::ButterflyFatTree bft_m3(2, 3);
   const topo::Hypercube hc(3);
   const topo::Mesh mesh(3, 2);
   std::uint64_t seed = 4099;
   for (const topo::Topology* t :
        {static_cast<const topo::Topology*>(&ft2),
         static_cast<const topo::Topology*>(&ft3),
-        static_cast<const topo::Topology*>(&gft),
+        static_cast<const topo::Topology*>(&bft_m3),
         static_cast<const topo::Topology*>(&hc),
         static_cast<const topo::Topology*>(&mesh)}) {
     // Every single-link fault.

@@ -1,5 +1,5 @@
-// Tests for the generalized fat-tree (m parent links) and the M/G/m model
-// extension the paper's conclusion anticipates.
+// Tests for the m-parent butterfly fat-tree, ButterflyFatTree(levels, m),
+// and the M/G/m model extension the paper's conclusion anticipates.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,20 +11,19 @@
 #include "core/network_model.hpp"
 #include "sim/simulator.hpp"
 #include "topo/butterfly_fattree.hpp"
-#include "topo/generalized_fattree.hpp"
 #include "topo/graph_checks.hpp"
 #include "util/math.hpp"
 
 namespace wormnet {
 namespace {
 
-using topo::GeneralizedFatTree;
+using topo::ButterflyFatTree;
 using util::ipow;
 
 TEST(GenFatTree, SwitchCounts) {
   for (int n = 1; n <= 3; ++n) {
     for (int m = 1; m <= 4; ++m) {
-      GeneralizedFatTree ft(n, m);
+      ButterflyFatTree ft(n, m);
       for (int l = 1; l <= n; ++l) {
         EXPECT_EQ(ft.switches_at(l), ipow(4, n - l) * ipow(m, l - 1))
             << "n=" << n << " m=" << m << " l=" << l;
@@ -33,15 +32,34 @@ TEST(GenFatTree, SwitchCounts) {
   }
 }
 
-TEST(GenFatTree, TwoParentCountsMatchButterfly) {
-  // m = 2 reproduces the butterfly fat-tree's census (wiring details may
-  // permute within levels; the structure is isomorphic).
-  for (int n = 1; n <= 4; ++n) {
-    GeneralizedFatTree gen(n, 2);
-    topo::ButterflyFatTree bf(n);
-    for (int l = 1; l <= n; ++l)
-      EXPECT_EQ(gen.switches_at(l), bf.switches_at(l)) << "n=" << n << " l=" << l;
-    EXPECT_NEAR(gen.mean_distance(), bf.mean_distance(), 1e-12);
+TEST(GenFatTree, ParentWiringFollowsOneRuleForEveryM) {
+  // With block b = a / m^(l-1), parent p of S(l, a) is
+  // S(l+1, (b/4)*m^l + (a + p*m^(l-1)) mod m^l) on child port b mod 4; the
+  // top level leaves every parent port unconnected.
+  for (int n = 2; n <= 4; ++n) {
+    for (int m = 1; m <= 4; ++m) {
+      ButterflyFatTree ft(n, m);
+      for (int l = 1; l < n; ++l) {
+        const int group = static_cast<int>(ipow(m, l - 1));
+        const int group_up = group * m;
+        for (int a = 0; a < ft.switches_at(l); ++a) {
+          const int me = ft.switch_id(l, a);
+          const int b = a / group;
+          for (int p = 0; p < m; ++p) {
+            const int parent_addr = (b / 4) * group_up + (a + p * group) % group_up;
+            const int parent = ft.switch_id(l + 1, parent_addr);
+            EXPECT_EQ(ft.neighbor(me, ButterflyFatTree::kParentPort0 + p), parent)
+                << "n=" << n << " m=" << m << " l=" << l << " a=" << a;
+            EXPECT_EQ(ft.neighbor_port(me, ButterflyFatTree::kParentPort0 + p),
+                      b % 4);
+          }
+        }
+      }
+      for (int a = 0; a < ft.switches_at(n); ++a)
+        for (int p = 0; p < m; ++p)
+          EXPECT_EQ(ft.neighbor(ft.switch_id(n, a), ButterflyFatTree::kParentPort0 + p),
+                    topo::kNoNode);
+    }
   }
 }
 
@@ -50,7 +68,7 @@ class GenFatTreeStructure
 
 TEST_P(GenFatTreeStructure, VerifierPasses) {
   const auto [n, m] = GetParam();
-  GeneralizedFatTree ft(n, m);
+  ButterflyFatTree ft(n, m);
   const topo::VerifyReport report = topo::verify_topology(ft);
   EXPECT_TRUE(report.ok()) << ft.name() << ": "
                            << (report.ok() ? "" : report.violations[0]);
@@ -58,8 +76,8 @@ TEST_P(GenFatTreeStructure, VerifierPasses) {
 
 TEST_P(GenFatTreeStructure, DistanceIndependentOfParentCount) {
   const auto [n, m] = GetParam();
-  GeneralizedFatTree ft(n, m);
-  GeneralizedFatTree ref(n, 1);
+  ButterflyFatTree ft(n, m);
+  ButterflyFatTree ref(n, 1);
   const int procs = ft.num_processors();
   const int stride = procs > 64 ? procs / 64 : 1;
   for (int s = 0; s < procs; s += stride)
@@ -70,18 +88,18 @@ TEST_P(GenFatTreeStructure, DistanceIndependentOfParentCount) {
 TEST_P(GenFatTreeStructure, UpRouteOffersAllParents) {
   const auto [n, m] = GetParam();
   if (n < 2) return;
-  GeneralizedFatTree ft(n, m);
+  ButterflyFatTree ft(n, m);
   const int sw = ft.switch_id(1, 0);
   const topo::RouteOptions up = ft.route(sw, ft.num_processors() - 1);
   EXPECT_EQ(up.size(), m);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, GenFatTreeStructure,
-                         ::testing::Combine(::testing::Values(1, 2, 3),
+                         ::testing::Combine(::testing::Values(1, 2, 3, 4),
                                             ::testing::Values(1, 2, 3, 4)));
 
 TEST(GenFatTree, CoverageIsBlockStructured) {
-  GeneralizedFatTree ft(2, 3);
+  ButterflyFatTree ft(2, 3);
   for (int l = 1; l <= 2; ++l) {
     for (int a = 0; a < ft.switches_at(l); ++a) {
       std::set<int> reachable;
@@ -159,7 +177,7 @@ class GenFatTreeAgreement : public ::testing::TestWithParam<int> {};
 
 TEST_P(GenFatTreeAgreement, ModelTracksSimulation) {
   const int m = GetParam();
-  GeneralizedFatTree ft(2, m);
+  ButterflyFatTree ft(2, m);
   core::FatTreeModel model({.levels = 2, .worm_flits = 16.0, .parents = m});
   const double load = model.saturation_load() * 0.55;
 
@@ -186,7 +204,7 @@ TEST(GenFatTree, SimulatorOverloadScalesWithParents) {
   // Closed-loop capacity must grow with parent multiplicity.
   double prev = 0.0;
   for (int m = 1; m <= 3; ++m) {
-    GeneralizedFatTree ft(2, m);
+    ButterflyFatTree ft(2, m);
     sim::SimConfig cfg;
     cfg.arrivals = sim::ArrivalProcess::Overload;
     cfg.worm_flits = 16;

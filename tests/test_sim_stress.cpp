@@ -7,7 +7,6 @@
 #include "core/fattree_model.hpp"
 #include "sim/simulator.hpp"
 #include "topo/butterfly_fattree.hpp"
-#include "topo/generalized_fattree.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
 
@@ -77,7 +76,7 @@ TEST(SimStress, AllTopologiesSurviveHighLoad) {
   topo::ButterflyFatTree ft(3);
   topo::Hypercube hc(6);
   topo::Mesh mesh(8, 2);
-  topo::GeneralizedFatTree gen(2, 3);
+  topo::ButterflyFatTree gen(2, 3);
   const Case cases[] = {{&ft, 0.13}, {&hc, 0.38}, {&mesh, 0.15}, {&gen, 0.24}};
   for (const Case& c : cases) {
     SimConfig cfg;
