@@ -4,10 +4,19 @@
 // (m = 2 is the paper's butterfly fat-tree), model them with the M/G/m
 // kernel, and validate each against simulation.
 //
-// Success criteria:
+// Success criteria, with the values the full (non --quick) run prints at
+// seed 1:
 //  * capacity grows with m, and the model's saturation prediction tracks
-//    the simulator's overload throughput for every m;
-//  * mid-load latency error stays in single digits for every m.
+//    the simulator's overload throughput for every m: model/sim is
+//    0.944-1.005 at levels 2 and 0.923-1.026 at levels 3;
+//  * mid-load latency (60% of each m's model saturation): the model sits
+//    below the simulator for every m, by 9.3 / 3.3 / 5.7% for m = 1..3 at
+//    levels 2 and 4.5 / 4.0 / 8.2% at levels 3 — but by 12.0% (levels 2)
+//    and 10.9% (levels 3) at m = 4, outside single digits.  That m = 4 gap
+//    is an open correctness item (ROADMAP): either the M/G/m blocking term
+//    at large m or the simulator's one-cycle arbitration hand-off.  The
+//    --quick windows are too short to read errors from (m = 2 reads
+//    -12.7% there).
 //
 //   ./ext_multiserver_fattree [--levels=3] [--worm=16] [--quick]
 #include <iostream>

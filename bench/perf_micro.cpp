@@ -7,12 +7,14 @@
 //    fast-forward (vs the forced slow path), SimEngine campaign fan-out
 //    (parallel vs serial), and the sharded traffic-model builder (parallel
 //    vs serial);
-//  * `--json <path>` additionally writes {name, ns/op, counters} records —
-//    `./perf_micro --json ../BENCH_perf.json` regenerates the repo-root
-//    perf-trajectory file (see README "Performance").
+//  * `--json <path>` additionally writes one {name, ns/op, counters} record
+//    per benchmark — the median under --benchmark_repetitions=N — from
+//    which BENCH_perf.json snapshots are taken (see README "Performance").
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "bench_common.hpp"
 
@@ -58,6 +60,38 @@ void BM_GeneralSolverMeshPerChannel(benchmark::State& state) {
   state.SetLabel(std::to_string(net.graph.size()) + " channel classes");
 }
 BENCHMARK(BM_GeneralSolverMeshPerChannel)->Arg(8)->Arg(16);
+
+/// The dense uniform BFT(levels) model a QueryEngine resident holds.
+core::GeneralModel dense_uniform_fattree(int levels) {
+  const topo::ButterflyFatTree ft(levels);
+  return core::build_traffic_model(ft, traffic::TrafficSpec::uniform());
+}
+
+void BM_ModelSolveDense(benchmark::State& state) {
+  // One-shot evaluate on the dense uniform resident model: plan the solve
+  // (validate, order, transitions, blocking factors), then one Eq. 11
+  // sweep at half the saturation rate.  Compare BM_ModelSaturationDense,
+  // whose ~57 probes share one plan.
+  const core::GeneralModel net = dense_uniform_fattree(static_cast<int>(state.range(0)));
+  const double lambda0 = 0.5 * net.saturation_rate();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.evaluate(lambda0).latency);
+  }
+  state.SetLabel(std::to_string(net.graph.size()) + " channel classes");
+}
+BENCHMARK(BM_ModelSolveDense)->Arg(4)->Unit(benchmark::kMicrosecond);
+
+void BM_ModelSaturationDense(benchmark::State& state) {
+  // Eq. 26 by bisection on the same model: one plan, ~57 solves through
+  // it.  CI's perf-smoke fails when this row reaches 40x
+  // BM_ModelSolveDense/4 — the sign that each probe re-plans again.
+  const core::GeneralModel net = dense_uniform_fattree(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::model_saturation_rate(net, net.opts));
+  }
+  state.SetLabel(std::to_string(net.graph.size()) + " channel classes");
+}
+BENCHMARK(BM_ModelSaturationDense)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_SweepEngineColdSweep(benchmark::State& state) {
   // A 32-point λ-sweep through the engine with caching disabled: the cost
@@ -473,6 +507,27 @@ void BM_QueryEngineRetuneLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryEngineRetuneLoad);
 
+void BM_QueryEngineSaturationTune(benchmark::State& state) {
+  // A lanes-tuned Saturation query against the dense uniform BFT(4)
+  // resident, unmemoized so every iteration is a fresh batch: clone the
+  // resident, tune it, plan its attribute half on the resident's shared
+  // structure, then bisect through that plan.
+  topo::ButterflyFatTree ft(4);
+  harness::QueryEngine::Options opts;
+  opts.memoize = false;
+  harness::QueryEngine engine(ft, traffic::TrafficSpec::uniform(), opts);
+  harness::WhatIfQuery q;
+  q.metric = harness::QueryMetric::Saturation;
+  const int lanes[2] = {2, 4};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    q.lanes = lanes[i ^= 1];
+    benchmark::DoNotOptimize(engine.run(q).saturation_rate);
+  }
+  state.SetLabel("N=" + std::to_string(ft.num_processors()) + " lanes tune");
+}
+BENCHMARK(BM_QueryEngineSaturationTune)->Unit(benchmark::kMillisecond);
+
 void BM_FatTreeTopologyBuild(benchmark::State& state) {
   // The topology every fat-tree build starts from: node layout, the flat
   // neighbour table and the wiring rule, O(nodes + ports).  Levels 9 is
@@ -676,17 +731,22 @@ void BM_ArrivalGapSampling(benchmark::State& state) {
 BENCHMARK(BM_ArrivalGapSampling)->Arg(0)->Arg(1)->Arg(2);
 
 /// Console reporter that additionally feeds bench::JsonResultWriter: one
-/// {name, ns/op, counters} record per run, written when the run set
-/// finishes.  Implemented as a display-reporter wrapper (not a file
-/// reporter) so it needs no --benchmark_out plumbing, and only uses API
-/// that is stable across the google-benchmark versions in the dev image
-/// (1.7) and CI (1.8).
+/// {name, ns/op, counters} record per benchmark, written when the run set
+/// finishes.  Under --benchmark_repetitions=N (N > 1) the record is the
+/// MEDIAN over the N repetitions — ns/op and each counter taken
+/// separately — with a "repetitions" counter, and the library's own
+/// _mean/_median/_stddev aggregate rows are left out, so a snapshot
+/// carries one row per benchmark either way.  Implemented as a
+/// display-reporter wrapper (not a file reporter) so it needs no
+/// --benchmark_out plumbing, and only uses API that is stable across the
+/// google-benchmark versions in the dev image (1.7) and CI (1.8).
 class JsonTeeReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonTeeReporter(std::string path) : path_(std::move(path)) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
+      if (run.run_type != Run::RT_Iteration) continue;
       std::vector<std::pair<std::string, double>> counters;
       counters.reserve(run.counters.size());
       for (const auto& [name, counter] : run.counters) {
@@ -698,7 +758,16 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
           run.iterations > 0
               ? run.real_accumulated_time / static_cast<double>(run.iterations) * 1e9
               : 0.0;
-      writer_.add(run.benchmark_name(), ns_per_op, std::move(counters));
+      if (run.repetitions <= 1) {
+        writer_.add(run.benchmark_name(), ns_per_op, std::move(counters));
+        continue;
+      }
+      std::vector<Sample>& reps = pending_[run.benchmark_name()];
+      reps.push_back({ns_per_op, std::move(counters)});
+      if (static_cast<std::int64_t>(reps.size()) == run.repetitions) {
+        add_median(run.benchmark_name(), reps);
+        pending_.erase(run.benchmark_name());
+      }
     }
     benchmark::ConsoleReporter::ReportRuns(runs);
   }
@@ -712,8 +781,35 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
   }
 
  private:
+  /// One repetition of a benchmark: ns/op and its counters.
+  struct Sample {
+    double ns_per_op;
+    std::vector<std::pair<std::string, double>> counters;
+  };
+
+  /// Median of `v` (mean of the middle two for an even count).
+  static double median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t h = v.size() / 2;
+    return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+  }
+
+  void add_median(const std::string& name, const std::vector<Sample>& reps) {
+    std::vector<double> ns;
+    for (const Sample& r : reps) ns.push_back(r.ns_per_op);
+    std::vector<std::pair<std::string, double>> counters;
+    for (std::size_t c = 0; c < reps.front().counters.size(); ++c) {
+      std::vector<double> values;
+      for (const Sample& r : reps) values.push_back(r.counters[c].second);
+      counters.push_back({reps.front().counters[c].first, median(values)});
+    }
+    counters.push_back({"repetitions", static_cast<double>(reps.size())});
+    writer_.add(name, median(ns), std::move(counters));
+  }
+
   std::string path_;
   wormnet::bench::JsonResultWriter writer_;
+  std::map<std::string, std::vector<Sample>> pending_;
 };
 
 }  // namespace

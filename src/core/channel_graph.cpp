@@ -71,30 +71,49 @@ std::string ChannelGraph::validate() const {
 }
 
 std::vector<int> ChannelGraph::reverse_topological_order() const {
+  std::vector<int> offsets{0};
+  std::vector<int> targets;
+  for (const ChannelClass& c : classes_) {
+    for (const Transition& t : c.next) targets.push_back(t.target);
+    offsets.push_back(static_cast<int>(targets.size()));
+  }
+  return core::reverse_topological_order(offsets, targets);
+}
+
+std::vector<int> reverse_topological_order(const std::vector<int>& offsets,
+                                           const std::vector<int>& targets) {
   // Kahn's algorithm on the dependency relation "x_i needs x_j" (i -> j for
   // every transition).  Reverse-topological means: emit a class only after
   // every class it depends on has been emitted, i.e. process out-degree-zero
-  // (terminal) classes first.
-  const int n = size();
-  std::vector<int> remaining_deps(static_cast<std::size_t>(n), 0);
-  std::vector<std::vector<int>> dependents(static_cast<std::size_t>(n));
+  // (terminal) classes first.  The dependents of each class sit in one flat
+  // CSR array, in (dependent id, transition) order.
+  WORMNET_EXPECTS(!offsets.empty());
+  const int n = static_cast<int>(offsets.size()) - 1;
+  const auto at = [](int id) { return static_cast<std::size_t>(id); };
+  std::vector<int> remaining_deps(at(n));
+  std::vector<int> start(at(n) + 1, 0);
+  for (int i = 0; i < n; ++i)
+    remaining_deps[at(i)] = offsets[at(i) + 1] - offsets[at(i)];
+  for (int target : targets) ++start[at(target) + 1];
+  for (int i = 0; i < n; ++i) start[at(i) + 1] += start[at(i)];
+  std::vector<int> dependents(targets.size());
+  std::vector<int> fill(start.begin(), start.end() - 1);
   for (int i = 0; i < n; ++i) {
-    for (const Transition& t : at(i).next) {
-      ++remaining_deps[static_cast<std::size_t>(i)];
-      dependents[static_cast<std::size_t>(t.target)].push_back(i);
-    }
+    for (int k = offsets[at(i)]; k < offsets[at(i) + 1]; ++k)
+      dependents[at(fill[at(targets[at(k)])]++)] = i;
   }
   std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(n));
+  order.reserve(at(n));
   std::vector<int> ready;
   for (int i = 0; i < n; ++i)
-    if (remaining_deps[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
+    if (remaining_deps[at(i)] == 0) ready.push_back(i);
   while (!ready.empty()) {
     const int c = ready.back();
     ready.pop_back();
     order.push_back(c);
-    for (int dep : dependents[static_cast<std::size_t>(c)]) {
-      if (--remaining_deps[static_cast<std::size_t>(dep)] == 0) ready.push_back(dep);
+    for (int k = start[at(c)]; k < start[at(c) + 1]; ++k) {
+      const int dep = dependents[at(k)];
+      if (--remaining_deps[at(dep)] == 0) ready.push_back(dep);
     }
   }
   if (static_cast<int>(order.size()) != n) return {};  // cycle

@@ -93,6 +93,9 @@ class ChannelGraph {
   /// the order in which the paper resolves service times "from the last
   /// channel backwards to the injecting channel".  Empty when the graph has
   /// a cycle (the solver then falls back to damped fixed-point iteration).
+  /// The free function below over this graph's transitions;
+  /// O(classes + transitions).  core::SolvePlan computes the order once per
+  /// model structure, on its own transition arrays.
   std::vector<int> reverse_topological_order() const;
 
   /// True if the dependency graph is acyclic.
@@ -101,5 +104,12 @@ class ChannelGraph {
  private:
   std::vector<ChannelClass> classes_;
 };
+
+/// Reverse-topological order of a dependency graph in CSR form: class i's
+/// transitions target targets[k] for k in [offsets[i], offsets[i+1]).
+/// Kahn's algorithm over the dependents in one flat CSR array, terminals
+/// first; empty when the graph has a cycle.
+std::vector<int> reverse_topological_order(const std::vector<int>& offsets,
+                                           const std::vector<int>& targets);
 
 }  // namespace wormnet::core

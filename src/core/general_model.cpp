@@ -13,92 +13,275 @@
 
 namespace wormnet::core {
 
+using queueing::ChannelSolver;
+
 namespace {
 
-using queueing::ChannelSolver;
+/// One digest word per value: the IEEE bits of a double, an id as is.
+std::uint64_t digest_word(double v) { return util::double_bits(v); }
+std::uint64_t digest_word(int v) { return static_cast<std::uint64_t>(v); }
+
+}  // namespace
+
+/// The wiring half of a SolvePlan: everything the plan reads that no lane,
+/// buffer, bandwidth, load or arrival tune can change.  Built once, then
+/// shared read-only (plans of tuned variants hold the same instance).
+class SolveStructure {
+ public:
+  /// Validates `graph` (the only full validate() of a plan) and lays out
+  /// its transitions.  `net` supplies the evaluate() inputs; null for a
+  /// bare graph.
+  SolveStructure(const ChannelGraph& graph, const GeneralModel* net) {
+    WORMNET_EXPECTS(graph.validate().empty());
+    size = graph.size();
+    const auto rows = static_cast<std::size_t>(size);
+    offsets.resize(rows + 1);
+    terminal.resize(rows);
+    self_frac.resize(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const ChannelClass& c = graph.at(static_cast<int>(i));
+      terminal[i] = c.terminal ? 1 : 0;
+      self_frac[i] = c.self_frac;
+      offsets[i + 1] = offsets[i] + static_cast<int>(c.next.size());
+    }
+    const auto transitions = static_cast<std::size_t>(offsets[rows]);
+    targets.resize(transitions);
+    weights.resize(transitions);
+    route_probs.resize(transitions);
+    for (std::size_t i = 0; i < rows; ++i) {
+      auto k = static_cast<std::size_t>(offsets[i]);
+      for (const Transition& t : graph.at(static_cast<int>(i)).next) {
+        targets[k] = t.target;
+        weights[k] = t.weight;
+        route_probs[k++] = t.route_prob;
+      }
+    }
+    order = reverse_topological_order(offsets, targets);
+    if (net) {
+      injection_classes = net->injection_classes;
+      injection_weights = net->injection_class_weights;
+      mean_distance = net->mean_distance;
+      unroutable_fraction = net->unroutable_fraction;
+    }
+  }
+
+  /// The wiring's part of the content digest, computed on first use.
+  std::uint64_t digest() const {
+    std::uint64_t h = digest_.load();
+    if (h != 0) return h;
+    const auto rows = static_cast<std::size_t>(size);
+    h = util::hash_words(0x706c616e77697265ULL, rows, [&](std::size_t i) {
+      return (static_cast<std::uint64_t>(offsets[i + 1] - offsets[i]) << 1) | terminal[i];
+    });
+    const auto column = [&h](const auto& values) {
+      h = util::hash_words(h, values.size(),
+                           [&](std::size_t k) { return digest_word(values[k]); });
+    };
+    column(self_frac);
+    column(targets);
+    column(weights);
+    column(route_probs);
+    column(injection_classes);
+    column(injection_weights);
+    h = util::hash_mix_double(h, mean_distance);
+    h = util::hash_mix_double(h, unroutable_fraction);
+    digest_.store(h);
+    return h;
+  }
+
+  int size = 0;
+  /// Reverse-topological order; empty when the graph is cyclic.
+  std::vector<int> order;
+  /// CSR transitions: class i's run k in [offsets[i], offsets[i+1]).
+  std::vector<int> offsets;
+  std::vector<int> targets;
+  std::vector<double> weights;
+  std::vector<double> route_probs;
+  std::vector<unsigned char> terminal;
+  /// ChannelClass::self_frac (for the digest; tunes derive ca2 from it).
+  std::vector<double> self_frac;
+  std::vector<int> injection_classes;
+  std::vector<double> injection_weights;
+  double mean_distance = 0.0;
+  double unroutable_fraction = 0.0;
+
+ private:
+  mutable std::atomic<std::uint64_t> digest_{0};  ///< 0: not yet computed
+};
+
+namespace {
 
 /// Fixed-point convergence threshold and damping factor in (0, 1] for
 /// cyclic graphs.
 constexpr double kTolerance = 1e-12;
 constexpr double kDamping = 0.5;
 
-/// One evaluation of Eq. 11 for class `i` given current service times, plus
-/// the heterogeneous-link terms of channel i itself: the lane-multiplexing
-/// stretch and pipeline latency add to the composed time, while the
-/// slow/credit-limited drain enters as a FLOOR — a rigid worm pipelines
-/// through consecutive slow links at the bottleneck rate, so the drain
-/// stretch of a path is the max over its channels, never the sum (see
-/// ChannelSolver::drain_floor).  All terms vanish in the paper's uniform
-/// single-lane network — the exact recurrence.  Blocking factors take rates
-/// at unit injection scale: the λ_in/λ_out ratio is scale-invariant.
-double compose_service_time(const ChannelSolver& solver, const ChannelGraph& graph,
-                            int i, const std::vector<double>& x,
-                            const std::vector<double>& waits,
-                            double lambda0) {
-  const ChannelClass& cls = graph.at(i);
-  double excess = cls.link_latency;  // 0 on the paper's hop
-  double xi;
-  if (cls.terminal) {
-    xi = solver.terminal_service();
-  } else {
-    xi = 0.0;
-    for (const Transition& t : cls.next) {
-      const ChannelClass& target = graph.at(t.target);
-      const double p = solver.blocking_factor(target, cls.rate_per_link,
-                                              target.rate_per_link, t.route_prob);
-      const double wait_term =
-          ChannelSolver::wait_term(p, waits[static_cast<std::size_t>(t.target)]);
-      xi += t.weight * (x[static_cast<std::size_t>(t.target)] + wait_term);
-    }
-  }
-  const double floor = solver.drain_floor(cls);
-  if (floor > 0.0) {
-    // Non-default link: lane sharing stretches the bottleneck drain itself,
-    // and the stretched floor max-composes like the plain one.  The u ≥ 1
-    // guard inside the factor (+inf) is what saturates a tapered tier.
-    const double shared =
-        floor * solver.lane_share_factor(cls, cls.rate_per_link * lambda0);
-    if (shared > xi) xi = shared;  // channel i itself is the path bottleneck
-  } else {
-    excess += solver.lane_excess(cls.lanes, cls.rate_per_link * lambda0);
-  }
-  return xi + excess;
+/// Fold the load-independent intra-batch serialization wait into a finished
+/// estimate (the exact M^[X]/G/1 decomposition; see
+/// GeneralModel::injection_batch_residual); 0 for batchless processes.
+LatencyEstimate apply_batch_residual(LatencyEstimate est, double residual) {
+  if (residual <= 0.0 || !std::isfinite(est.inj_service)) return est;
+  const double extra = residual * est.inj_service;
+  est.inj_wait += extra;
+  est.latency += extra;
+  return est;
+}
+
+/// Layer the model's unroutable fraction onto a finished estimate:
+/// Disconnected only when nothing worse already applies (the carried demand
+/// still solved), per the SolveStatus precedence.
+LatencyEstimate apply_unroutable(LatencyEstimate est, double unroutable) {
+  est.unroutable_fraction = unroutable;
+  if (unroutable > 0.0 && est.status == SolveStatus::Ok)
+    est.status = SolveStatus::Disconnected;
+  return est;
 }
 
 }  // namespace
 
-SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& opts,
-                                double lambda0) {
+SolvePlan::SolvePlan(const GeneralModel& net, const SolveOptions& opts)
+    : SolvePlan(net.graph, &net, opts, nullptr) {}
+
+SolvePlan::SolvePlan(const GeneralModel& net) : SolvePlan(net, net.opts) {}
+
+SolvePlan::SolvePlan(const GeneralModel& net,
+                     std::shared_ptr<const SolveStructure> structure)
+    : SolvePlan(net.graph, &net, net.opts, std::move(structure)) {}
+
+SolvePlan::SolvePlan(const ChannelGraph& graph, const SolveOptions& opts)
+    : SolvePlan(graph, nullptr, opts, nullptr) {}
+
+SolvePlan::SolvePlan(const ChannelGraph& graph, const GeneralModel* net,
+                     const SolveOptions& opts,
+                     std::shared_ptr<const SolveStructure> structure)
+    : structure_(structure ? std::move(structure)
+                           : std::make_shared<const SolveStructure>(graph, net)),
+      solver_(opts.worm_flits, opts.ablation),
+      max_iterations_(opts.max_iterations),
+      batch_residual_(net ? net->injection_batch_residual : 0.0),
+      identity_(net ? identity_digest(net->name(), opts.worm_flits, opts.ablation,
+                                      net->injection_ca2,
+                                      net->injection_batch_residual)
+                    : identity_digest("", opts.worm_flits, opts.ablation, 1.0, 0.0)) {
+  const SolveStructure& s = *structure_;
+  WORMNET_EXPECTS(s.size == graph.size());
+  classes_.resize(static_cast<std::size_t>(s.size));
+  for (int id = 0; id < s.size; ++id) {
+    const ChannelClass& c = graph.at(id);
+    // The attribute half of ChannelGraph::validate, re-checked for plans on
+    // a shared structure (whose validate() ran on another model).
+    WORMNET_EXPECTS(c.bandwidth > 0.0);
+    WORMNET_EXPECTS(c.link_latency >= 0.0);
+    WORMNET_EXPECTS(c.buffer_depth >= 1);
+    ClassInputs& in = classes_[static_cast<std::size_t>(id)];
+    static_cast<queueing::ChannelAttributes&>(in) = c;
+    in.rate = c.rate_per_link;
+    in.floor = solver_.drain_floor(in);
+  }
+  // Eq. 9/10 at unit injection: the λ_in/λ_out ratio is scale-invariant,
+  // so each transition's factor holds at every λ₀.
+  factor_.resize(s.targets.size());
+  for (int id = 0; id < s.size; ++id) {
+    const auto row = static_cast<std::size_t>(id);
+    if (s.terminal[row]) continue;
+    ClassInputs& from = classes_[row];
+    double pblock = 0.0;
+    for (int k = s.offsets[row]; k < s.offsets[row + 1]; ++k) {
+      const auto e = static_cast<std::size_t>(k);
+      const ClassInputs& to = classes_[static_cast<std::size_t>(s.targets[e])];
+      factor_[e] = solver_.blocking_factor(to, from.rate, to.rate, s.route_probs[e]);
+      pblock += s.weights[e] * factor_[e];
+    }
+    from.blocking = pblock;
+  }
+}
+
+std::uint64_t SolvePlan::digest() const {
+  std::uint64_t h = digest_.load();
+  if (h != 0) return h;
+  h = util::hash_mix(identity_, structure_->digest());
+  h = util::hash_mix(h, static_cast<std::uint64_t>(max_iterations_));
+  // One column per attribute.
+  const std::size_t n = classes_.size();
+  const auto column = [&](auto word_of) {
+    h = util::hash_words(h, n, [&](std::size_t i) { return word_of(classes_[i]); });
+  };
+  column([](const ClassInputs& c) {
+    return (static_cast<std::uint64_t>(c.servers) << 32) |
+           static_cast<std::uint64_t>(c.lanes);
+  });
+  column([](const ClassInputs& c) { return util::double_bits(c.rate); });
+  column([](const ClassInputs& c) { return util::double_bits(c.ca2); });
+  column([](const ClassInputs& c) { return util::double_bits(c.bandwidth); });
+  column([](const ClassInputs& c) { return util::double_bits(c.link_latency); });
+  column([](const ClassInputs& c) {
+    return static_cast<std::uint64_t>(c.buffer_depth);
+  });
+  digest_.store(h);
+  return h;
+}
+
+SolveResult SolvePlan::solve(double lambda0) const {
   WORMNET_SPAN("solve_general_model", "solve");
-  WORMNET_EXPECTS(opts.worm_flits > 0.0);
   WORMNET_EXPECTS(lambda0 >= 0.0);
-  WORMNET_EXPECTS(graph.validate().empty());
-
-  const ChannelSolver solver(opts.worm_flits, opts.ablation);
-
-  const int n = graph.size();
+  const SolveStructure& s = *structure_;
+  const int n = s.size;
+  const auto at = [](int id) { return static_cast<std::size_t>(id); };
   SolveResult result;
-  result.channels.assign(static_cast<std::size_t>(n), {});
-  std::vector<double> x(static_cast<std::size_t>(n), opts.worm_flits);
-  std::vector<double> waits(static_cast<std::size_t>(n), 0.0);
+  // x̄ and W̄ live in the solution rows from the start: a class's successors
+  // are read as (service_time, wait) pairs from one row each.
+  std::vector<ChannelSolution>& ch = result.channels;
+  ch.assign(at(n), {});
+  for (ChannelSolution& sol : ch) sol.service_time = solver_.worm_flits();
+
+  // Eq. 11 for class i given the current service times, plus the
+  // heterogeneous-link terms of channel i itself: the lane-multiplexing
+  // stretch and pipeline latency add to the composed time, while the
+  // slow/credit-limited drain enters as a FLOOR — a rigid worm pipelines
+  // through consecutive slow links at the bottleneck rate, so the drain
+  // stretch of a path is the max over its channels, never the sum (see
+  // ChannelSolver::drain_floor).  All terms vanish in the paper's uniform
+  // single-lane network — the exact recurrence.
+  const auto compose = [&](int i) {
+    const ClassInputs& c = classes_[at(i)];
+    double excess = c.link_latency;  // 0 on the paper's hop
+    double xi;
+    if (s.terminal[at(i)]) {
+      xi = solver_.terminal_service();
+    } else {
+      xi = 0.0;
+      for (int k = s.offsets[at(i)]; k < s.offsets[at(i) + 1]; ++k) {
+        const ChannelSolution& next = ch[at(s.targets[at(k)])];
+        xi += s.weights[at(k)] *
+              (next.service_time + ChannelSolver::wait_term(factor_[at(k)], next.wait));
+      }
+    }
+    if (c.floor > 0.0) {
+      // Non-default link: lane sharing stretches the bottleneck drain
+      // itself, and the stretched floor max-composes like the plain one.
+      // The u ≥ 1 guard inside the factor (+inf) is what saturates a
+      // tapered tier.
+      const double shared = c.floor * solver_.lane_share_factor(c, c.rate * lambda0);
+      if (shared > xi) xi = shared;  // channel i itself is the path bottleneck
+    } else {
+      excess += solver_.lane_excess(c.lanes, c.rate * lambda0);
+    }
+    return xi + excess;
+  };
   // W̄ of class id's bundle at its current x̄ and the solve's λ₀.
   const auto wait_at = [&](int id) {
-    const ChannelClass& cls = graph.at(id);
-    return solver.bundle_wait(cls, cls.rate_per_link * lambda0,
-                              x[static_cast<std::size_t>(id)]);
+    const ClassInputs& c = classes_[at(id)];
+    return solver_.bundle_wait(c, c.rate * lambda0, ch[at(id)].service_time);
   };
 
-  const std::vector<int> order = graph.reverse_topological_order();
-  if (!order.empty()) {
+  if (!s.order.empty()) {
     // Acyclic: one exact backward sweep, terminals first (the paper's §2.1
     // "service times are resolved in the reverse order of the channels
-    // traversed").
-    for (int id : order) {
-      // Successors are already final; compose this class's x̄ from them,
-      // then evaluate the wait of this class's bundle at that final x̄.
-      x[static_cast<std::size_t>(id)] =
-          compose_service_time(solver, graph, id, x, waits, lambda0);
-      waits[static_cast<std::size_t>(id)] = wait_at(id);
+    // traversed").  Successors are already final; compose this class's x̄
+    // from them, then evaluate the wait of its bundle at that final x̄.
+    for (int id : s.order) {
+      ch[at(id)].service_time = compose(id);
+      ch[at(id)].wait = wait_at(id);
     }
     result.iterations = 1;
     result.converged = true;
@@ -106,18 +289,16 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
     // Cyclic dependency graph: damped fixed-point iteration.
     result.converged = false;
     double last_delta = 0.0;
-    for (int it = 0; it < opts.max_iterations; ++it) {
+    for (int it = 0; it < max_iterations_; ++it) {
       double max_delta = 0.0;
+      for (int id = 0; id < n; ++id) ch[at(id)].wait = wait_at(id);
       for (int id = 0; id < n; ++id) {
-        waits[static_cast<std::size_t>(id)] = wait_at(id);
-      }
-      for (int id = 0; id < n; ++id) {
-        const double next = compose_service_time(solver, graph, id, x, waits, lambda0);
-        const double cur = x[static_cast<std::size_t>(id)];
+        const double next = compose(id);
+        const double cur = ch[at(id)].service_time;
         double blended = cur + kDamping * (next - cur);
         if (std::isinf(next)) blended = next;  // saturation dominates damping
         max_delta = std::max(max_delta, std::abs(blended - cur));
-        x[static_cast<std::size_t>(id)] = blended;
+        ch[at(id)].service_time = blended;
       }
       result.iterations = it + 1;
       last_delta = max_delta;
@@ -127,31 +308,16 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
       }
     }
     result.telemetry.max_residual = last_delta;
-    for (int id = 0; id < n; ++id) {
-      waits[static_cast<std::size_t>(id)] = wait_at(id);
-    }
+    for (int id = 0; id < n; ++id) ch[at(id)].wait = wait_at(id);
   }
 
   for (int id = 0; id < n; ++id) {
-    const ChannelClass& cls = graph.at(id);
-    ChannelSolution& sol = result.channels[static_cast<std::size_t>(id)];
-    sol.service_time = x[static_cast<std::size_t>(id)];
-    sol.wait = waits[static_cast<std::size_t>(id)];
-    sol.utilization =
-        solver.bundle_utilization(cls, cls.rate_per_link * lambda0, sol.service_time);
-    sol.cb2 = solver.cb2(sol.service_time);
-    sol.ca2 = cls.ca2;
-    // Blocking decomposition (diagnostic): the transition-weighted Eq. 9/10
-    // factor — rates are scale-invariant, so this needs no re-solve.
-    if (!cls.terminal) {
-      double pblock = 0.0;
-      for (const Transition& t : cls.next) {
-        const ChannelClass& target = graph.at(t.target);
-        pblock += t.weight * solver.blocking_factor(target, cls.rate_per_link,
-                                                    target.rate_per_link, t.route_prob);
-      }
-      sol.blocking = pblock;
-    }
+    const ClassInputs& c = classes_[at(id)];
+    ChannelSolution& sol = ch[at(id)];
+    sol.utilization = solver_.bundle_utilization(c, c.rate * lambda0, sol.service_time);
+    sol.cb2 = solver_.cb2(sol.service_time);
+    sol.ca2 = c.ca2;
+    sol.blocking = c.blocking;
     if (std::isfinite(sol.utilization) &&
         (result.telemetry.max_utilization_class < 0 ||
          sol.utilization > result.telemetry.max_utilization)) {
@@ -173,7 +339,7 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
     SolveTelemetry& tel = result.telemetry;
     double worst = 0.0;
     for (int id = 0; id < n; ++id) {
-      const ChannelSolution& sol = result.channels[static_cast<std::size_t>(id)];
+      const ChannelSolution& sol = ch[at(id)];
       if (std::isfinite(sol.service_time) && std::isfinite(sol.utilization) &&
           sol.utilization >= 1.0 && sol.utilization >= worst) {
         worst = sol.utilization;
@@ -183,19 +349,37 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
     }
     if (tel.first_saturated_class < 0) {
       for (int id = 0; id < n; ++id) {
-        const ChannelSolution& sol =
-            result.channels[static_cast<std::size_t>(id)];
+        const ChannelSolution& sol = ch[at(id)];
         if (!std::isfinite(sol.service_time) || !std::isfinite(sol.wait)) {
           tel.first_saturated_class = id;
-          const ChannelClass& cls = graph.at(id);
           tel.saturation_cause =
-              solver.drain_floor(cls) > 0.0 ? "drain-capacity" : "divergent-wait";
+              classes_[at(id)].floor > 0.0 ? "drain-capacity" : "divergent-wait";
           break;
         }
       }
     }
   }
   return result;
+}
+
+LatencyEstimate SolvePlan::evaluate(double lambda0) const {
+  const SolveStructure& s = *structure_;
+  return apply_unroutable(
+      apply_batch_residual(estimate_latency(solve(lambda0), s.injection_classes,
+                                            s.injection_weights, s.mean_distance),
+                           batch_residual_),
+      s.unroutable_fraction);
+}
+
+double SolvePlan::saturation_rate() const {
+  return find_saturation_rate(
+      [this](double lambda0) { return evaluate(lambda0).inj_service; },
+      1.0 / worm_flits());
+}
+
+SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& opts,
+                                double lambda0) {
+  return SolvePlan(graph, opts).solve(lambda0);
 }
 
 LatencyEstimate estimate_latency(const SolveResult& solution,
@@ -318,94 +502,35 @@ void GeneralModel::set_injection_process(const arrivals::ArrivalSpec& spec,
   injection_batch_residual = spec.batch_residual();
 }
 
-namespace {
-
-/// Fold the load-independent intra-batch serialization wait into a finished
-/// estimate (the exact M^[X]/G/1 decomposition; see
-/// GeneralModel::injection_batch_residual); 0 for batchless processes.
-LatencyEstimate apply_batch_residual(LatencyEstimate est, double residual) {
-  if (residual <= 0.0 || !std::isfinite(est.inj_service)) return est;
-  const double extra = residual * est.inj_service;
-  est.inj_wait += extra;
-  est.latency += extra;
-  return est;
-}
-
-/// Layer the model's unroutable fraction onto a finished estimate:
-/// Disconnected only when nothing worse already applies (the carried demand
-/// still solved), per the SolveStatus precedence.
-LatencyEstimate apply_unroutable(LatencyEstimate est, double unroutable) {
-  est.unroutable_fraction = unroutable;
-  if (unroutable > 0.0 && est.status == SolveStatus::Ok)
-    est.status = SolveStatus::Disconnected;
-  return est;
-}
-
-}  // namespace
-
 std::uint64_t GeneralModel::content_digest() const {
-  // Base digest covers name, worm length, ablation switches and the arrival
-  // tuning; fold in everything else evaluate() reads.  ChannelClass::label
-  // and channel_class_of are reporting metadata only, so both are
-  // deliberately excluded.
-  std::uint64_t h = NetworkModel::content_digest();
-  h = util::hash_mix(h, static_cast<std::uint64_t>(graph.size()));
-  for (int id = 0; id < graph.size(); ++id) {
-    const ChannelClass& c = graph.at(id);
-    h = util::hash_mix(h, (static_cast<std::uint64_t>(c.servers) << 32) |
-                              (static_cast<std::uint64_t>(c.lanes) << 1) |
-                              static_cast<std::uint64_t>(c.terminal));
-    h = util::hash_mix_double(h, c.rate_per_link);
-    h = util::hash_mix_double(h, c.ca2);
-    h = util::hash_mix_double(h, c.self_frac);
-    h = util::hash_mix_double(h, c.bandwidth);
-    h = util::hash_mix_double(h, c.link_latency);
-    h = util::hash_mix(h, static_cast<std::uint64_t>(c.buffer_depth));
-    for (const Transition& t : c.next) {
-      h = util::hash_mix(h, static_cast<std::uint64_t>(t.target));
-      h = util::hash_mix_double(h, t.weight);
-      h = util::hash_mix_double(h, t.route_prob);
-    }
-  }
-  for (int id : injection_classes) {
-    h = util::hash_mix(h, static_cast<std::uint64_t>(id));
-  }
-  for (double w : injection_class_weights) h = util::hash_mix_double(h, w);
-  h = util::hash_mix_double(h, mean_distance);
-  h = util::hash_mix_double(h, unroutable_fraction);
-  h = util::hash_mix(h, static_cast<std::uint64_t>(opts.max_iterations));
-  return h;
+  // ChannelClass::label and channel_class_of are reporting metadata only, so
+  // the plan's digest deliberately leaves both out.
+  return SolvePlan(*this).digest();
 }
 
 SolveResult GeneralModel::solve(double lambda0) const {
-  return model_solve(*this, lambda0, opts);
+  return SolvePlan(*this).solve(lambda0);
 }
 
 LatencyEstimate GeneralModel::evaluate(double lambda0) const {
-  return model_latency(*this, lambda0, opts);
+  return SolvePlan(*this).evaluate(lambda0);
+}
+
+double GeneralModel::saturation_rate() const {
+  return SolvePlan(*this).saturation_rate();
 }
 
 SolveResult model_solve(const GeneralModel& net, double lambda0, SolveOptions base) {
-  return solve_general_model(net.graph, base, lambda0);
+  return SolvePlan(net, base).solve(lambda0);
 }
 
 LatencyEstimate model_latency(const GeneralModel& net, double lambda0,
                               SolveOptions base) {
-  const SolveResult res = model_solve(net, lambda0, base);
-  return apply_unroutable(
-      apply_batch_residual(
-          estimate_latency(res, net.injection_classes,
-                           net.injection_class_weights, net.mean_distance),
-          net.injection_batch_residual),
-      net.unroutable_fraction);
+  return SolvePlan(net, base).evaluate(lambda0);
 }
 
 double model_saturation_rate(const GeneralModel& net, SolveOptions base) {
-  return find_saturation_rate(
-      [&](double lambda0) {
-        return model_latency(net, lambda0, base).inj_service;
-      },
-      1.0 / base.worm_flits);
+  return SolvePlan(net, base).saturation_rate();
 }
 
 }  // namespace wormnet::core

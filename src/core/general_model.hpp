@@ -19,12 +19,38 @@
 // and DOR mesh).  For cyclic graphs the solver falls back to damped
 // fixed-point iteration.
 //
+// Solve plans.  Only the waits and the lane terms depend on λ₀.  The
+// validation, the reverse-topological order, the transition arrays, the
+// Eq. 9/10 blocking factors P(i|j) (a ratio of per-link rates, so
+// scale-invariant in λ₀), the drain floors and the content digest do not.
+// A SolvePlan computes that set-up once per model content, and
+// SolvePlan::solve(λ₀) runs the one Eq. 11 loop over it; a saturation
+// bisection, a λ-sweep or a what-if variant's several questions all reuse
+// one plan.  Every other entry point here (solve_general_model,
+// model_solve, model_latency, model_saturation_rate, GeneralModel::solve /
+// evaluate / saturation_rate) is a one-shot wrapper that builds a plan and
+// asks it once.  A plan has two halves:
+//  * the STRUCTURE — the wiring: order (or "cyclic"), CSR targets, weights
+//    and route probabilities, terminal flags, self_frac, injection classes
+//    and weights, mean distance and unroutable fraction.  Lane, buffer,
+//    bandwidth, load and arrival tunes leave it alone, so a tuned copy of a
+//    model can share its parent's structure through a shared_ptr;
+//  * the ATTRIBUTES — per-class servers, lanes, bandwidth, buffers, latency,
+//    C_a² and rates, and what the plan derives from them (blocking factors,
+//    drain floors, the diagnostic blocking sums).  Every tune invalidates
+//    this half; a traffic or fault retune invalidates both.
+// A plan is a snapshot: it copies what it reads, so mutating the model
+// afterwards does not change it (build a new one).
+//
 // The ablation switches (queueing::AblationOptions) reproduce the paper's
 // two claimed novelties and the published erratum, so benches can quantify
 // each ingredient's contribution.  The extensions (lanes, arrival SCVs,
 // link attributes) are per-class inputs on the graph, not switches.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,6 +119,7 @@ struct SolveResult {
 
 /// Solve the general model over `graph` at injection rate `lambda0`
 /// (messages/cycle/PE), which scales every class's unit rate_per_link.
+/// One-shot: SolvePlan(graph, opts).solve(lambda0).
 /// Preconditions: graph.validate() is empty, lambda0 >= 0.
 SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& opts,
                                 double lambda0);
@@ -216,7 +243,7 @@ class GeneralModel final : public NetworkModel {
   /// and applies here.
   void set_channel_bandwidths(const std::vector<double>& bw);
 
-  /// Full solve at λ₀ (per-channel detail).
+  /// Full solve at λ₀ (per-channel detail).  One-shot: builds a SolvePlan.
   SolveResult solve(double lambda0) const;
 
   // NetworkModel interface.
@@ -231,14 +258,92 @@ class GeneralModel final : public NetworkModel {
   /// graph (rates, lanes, SCVs, transitions), injection classes/weights,
   /// mean distance and the solver knobs.  Two GeneralModels with equal
   /// digests evaluate bitwise-identically at every λ₀, so memo caches can
-  /// share entries across rebuilt or cloned models.  O(channels +
-  /// transitions).
+  /// share entries across rebuilt or cloned models.  It is
+  /// SolvePlan(*this).digest(): O(channels + transitions) plus the plan's
+  /// set-up, so the engines take it from the plan they evaluate through
+  /// instead.  Precondition: graph.validate() is empty.
   std::uint64_t content_digest() const override;
+  /// One-shot: SolvePlan(*this).evaluate(lambda0).
   LatencyEstimate evaluate(double lambda0) const override;
+  /// Eq. 26 by bisection through one SolvePlan (the same probes as the
+  /// NetworkModel default, without re-planning each one).
+  double saturation_rate() const override;
+};
+
+class SolveStructure;  // the wiring half of a SolvePlan (general_model.cpp)
+
+/// The λ₀-free set-up of solving one model, built once (see the header
+/// comment): validation, order, CSR transitions, blocking factors, drain
+/// floors and the digest.  solve / evaluate / saturation_rate are const
+/// and thread-safe, so parallel sweeps share one plan.  Neither copyable
+/// nor movable (its digest cache is atomic): hold it in place, or behind a
+/// pointer.
+class SolvePlan {
+ public:
+  /// Plan `net` solved under `opts`.  Aborts unless net.graph.validate()
+  /// is empty and opts.worm_flits > 0.
+  SolvePlan(const GeneralModel& net, const SolveOptions& opts);
+  /// Plan `net` under its own options.
+  explicit SolvePlan(const GeneralModel& net);
+  /// Plan `net` under its own options on a structure another plan built.
+  /// Only the attribute half is derived (and its attribute checks run).
+  /// Precondition: `net` has the wiring `structure` was built from — it is
+  /// that model, or a copy changed only by lane, buffer, bandwidth, load
+  /// or arrival tunes.  Checked only by class count.
+  SolvePlan(const GeneralModel& net,
+            std::shared_ptr<const SolveStructure> structure);
+  /// Plan a bare graph (solve_general_model): it has no injection classes,
+  /// so only solve() applies.
+  SolvePlan(const ChannelGraph& graph, const SolveOptions& opts);
+
+  /// The Eq. 11 solve at λ₀ (>= 0): one reverse-topological sweep, or the
+  /// damped fixed point on a cyclic graph.
+  SolveResult solve(double lambda0) const;
+  /// Network latency at λ₀ (Eq. 2/25) with the model's batch residual and
+  /// unroutable fraction applied — GeneralModel::evaluate's answer.
+  LatencyEstimate evaluate(double lambda0) const;
+  /// Saturation rate λ₀* (Eq. 26), every bisection probe through this plan.
+  double saturation_rate() const;
+  /// The content digest of what this plan evaluates; equals
+  /// GeneralModel::content_digest() for a plan of a model under its own
+  /// options.  Computed on first use (O(classes + transitions), the
+  /// structure's part once per structure), then kept.
+  std::uint64_t digest() const;
+  /// s_f of this plan.
+  double worm_flits() const { return solver_.worm_flits(); }
+  /// The structure half, for tuned variants of the same wiring to share.
+  const std::shared_ptr<const SolveStructure>& structure() const {
+    return structure_;
+  }
+
+ private:
+  /// One class's solve inputs: its kernel attributes plus the plan's
+  /// λ₀-free derivations.
+  struct ClassInputs : queueing::ChannelAttributes {
+    double rate = 0.0;      ///< rate_per_link at unit injection
+    double floor = 0.0;     ///< ChannelSolver::drain_floor
+    double blocking = 0.0;  ///< ChannelSolution::blocking
+  };
+
+  /// The one constructor the four public ones forward to: `net` null for a
+  /// bare graph, `structure` null to build one from `graph`.
+  SolvePlan(const ChannelGraph& graph, const GeneralModel* net,
+            const SolveOptions& opts,
+            std::shared_ptr<const SolveStructure> structure);
+
+  std::shared_ptr<const SolveStructure> structure_;
+  queueing::ChannelSolver solver_;
+  int max_iterations_;
+  std::vector<ClassInputs> classes_;
+  std::vector<double> factor_;  ///< P(i|j) per CSR transition
+  double batch_residual_ = 0.0;
+  std::uint64_t identity_ = 0;  ///< name, options and arrival tuning
+  mutable std::atomic<std::uint64_t> digest_{0};  ///< 0: not yet computed
 };
 
 /// Full solve at λ₀ (per-channel detail).  `base` supplies worm length,
-/// ablation switches and the fixed-point cap.
+/// ablation switches and the fixed-point cap.  This and the two below are
+/// one-shot: SolvePlan(net, base) asked once.
 SolveResult model_solve(const GeneralModel& net, double lambda0, SolveOptions base);
 
 /// Solve the model at injection rate λ₀ (messages/cycle/PE) and report

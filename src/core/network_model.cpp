@@ -16,19 +16,25 @@ const char* to_string(SolveStatus status) {
   return "unknown";
 }
 
+std::uint64_t identity_digest(std::string_view name, double worm_flits,
+                              const queueing::AblationOptions& ablation,
+                              double arrival_ca2, double batch_residual) {
+  std::uint64_t h = util::hash_bytes(name);
+  h = util::hash_mix(h, (static_cast<std::uint64_t>(ablation.multi_server) << 2) |
+                           (static_cast<std::uint64_t>(ablation.blocking_correction) << 1) |
+                           static_cast<std::uint64_t>(ablation.erratum_2lambda));
+  h = util::hash_mix_double(h, worm_flits);
+  h = util::hash_mix_double(h, arrival_ca2);
+  h = util::hash_mix_double(h, batch_residual);
+  return h;
+}
+
 std::uint64_t NetworkModel::content_digest() const {
   // The identity the base interface can observe.  Subclasses whose
   // evaluate() depends on more (channel graphs, lane knobs) mix that state
   // on top — see the header contract.
-  const queueing::AblationOptions abl = ablation();
-  std::uint64_t h = util::hash_bytes(name());
-  h = util::hash_mix(h, (static_cast<std::uint64_t>(abl.multi_server) << 2) |
-                           (static_cast<std::uint64_t>(abl.blocking_correction) << 1) |
-                           static_cast<std::uint64_t>(abl.erratum_2lambda));
-  h = util::hash_mix_double(h, worm_flits());
-  h = util::hash_mix_double(h, arrival_ca2());
-  h = util::hash_mix_double(h, arrival_batch_residual());
-  return h;
+  return identity_digest(name(), worm_flits(), ablation(), arrival_ca2(),
+                         arrival_batch_residual());
 }
 
 LatencyEstimate NetworkModel::evaluate_load(double load_flits) const {

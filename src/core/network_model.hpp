@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "queueing/channel_solver.hpp"
 
@@ -49,6 +50,13 @@ struct LatencyEstimate {
   /// fabric is healthy); the latency above describes the carried demand.
   double unroutable_fraction = 0.0;
 };
+
+/// The identity digest NetworkModel::content_digest folds by default (and
+/// core::SolvePlan starts from): model name, worm length, ablation switches
+/// and arrival-process tuning.
+std::uint64_t identity_digest(std::string_view name, double worm_flits,
+                              const queueing::AblationOptions& ablation,
+                              double arrival_ca2, double batch_residual);
 
 /// An analytical wormhole-network model evaluated at an injection rate.
 class NetworkModel {
@@ -91,8 +99,9 @@ class NetworkModel {
   /// overrides to hash its channel graph).
   /// Implementations whose evaluate() depends on state beyond these axes
   /// MUST override and mix that state in, or caches may serve a lookalike's
-  /// estimate.  Called once per cached evaluation (batch sweeps hoist it),
-  /// so overrides should stay O(model size) or better.
+  /// estimate.  The engines call it once per call or prepared variant, never
+  /// per probe (for a GeneralModel they take core::SolvePlan::digest()), so
+  /// overrides should stay O(model size) or better.
   virtual std::uint64_t content_digest() const;
 
   /// Evaluate at λ₀ messages/cycle/processor.

@@ -25,7 +25,8 @@ namespace wormnet::core {
 ///  * `upper_bound` — any rate known to be at/above saturation, e.g. 1/s_f
 ///                    (the injection channel can never serve faster than one
 ///                    worm per s_f cycles);
-///  * `iterations`  — bisection steps (each halves the bracket).
+///  * `iterations`  — bisection steps (each halves the bracket until it is
+///                    one ulp wide; no rate is probed twice).
 double find_saturation_rate(const std::function<double(double)>& service_of,
                             double upper_bound, int iterations = 60);
 

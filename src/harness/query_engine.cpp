@@ -128,7 +128,10 @@ struct QueryEngine::Impl {
   struct Resident {
     const topo::Topology* topo = nullptr;
     core::RetunableTrafficModel baseline;
-    std::uint64_t digest = 0;  ///< baseline model content digest
+    /// The baseline's solve plan, which also carries its content digest.
+    /// Identity variants evaluate through it, and tune variants share its
+    /// structure half.
+    core::SolvePlan plan;
 
     /// Link-orbit table (built by build_link_orbits on the first single-link
     /// fault query): canonical link → its orbit representative's fault set.
@@ -140,9 +143,7 @@ struct QueryEngine::Impl {
 
     Resident(const topo::Topology& t, const traffic::TrafficSpec& spec,
              const Options& o)
-        : topo(&t), baseline(t, spec, o.solve, o.build) {
-      digest = baseline.model().content_digest();
-    }
+        : topo(&t), baseline(t, spec, o.solve, o.build), plan(baseline.model()) {}
 
     /// The fault set single-link query `q` is planned under: its orbit
     /// representative, or its own set when the link is its own orbit.
@@ -182,7 +183,7 @@ struct QueryEngine::Impl {
   };
 
   /// One prepared model variant of a batch (clone == nullptr: the baseline
-  /// itself, untouched).
+  /// itself, untouched, solved through the resident's plan).
   struct Variant {
     std::uint64_t key = 0;
     int rep_query = -1;  ///< first query index needing this variant
@@ -190,6 +191,9 @@ struct QueryEngine::Impl {
     /// of the query's link orbit.
     std::shared_ptr<const topo::FaultSet> faults;
     std::unique_ptr<core::RetunableTrafficModel> clone;
+    /// The clone's solve plan, built once in the prepare phase; every job
+    /// of this variant evaluates through it.  It dies with the batch.
+    std::unique_ptr<const core::SolvePlan> plan;
     core::RetuneReport report;
     QueryCost basis = QueryCost::Reevaluate;
   };
@@ -235,24 +239,33 @@ struct QueryEngine::Impl {
     if (q.bandwidth_scale != 1.0) v.clone->scale_bandwidths(q.bandwidth_scale);
     if (q.load_scale != 1.0) v.clone->scale_injection_rates(q.load_scale);
     if (q.arrival) v.clone->set_injection_process(*q.arrival, q.lambda0);
+    // Tunes leave the wiring alone, so only a traffic or fault delta needs
+    // a structure of its own; the rest derive just the attribute half.
+    const bool rewired = q.traffic || (v.faults && !v.faults->empty());
+    v.plan = rewired ? std::make_unique<const core::SolvePlan>(v.clone->model())
+                     : std::make_unique<const core::SolvePlan>(
+                           v.clone->model(), r.plan.structure());
   }
 
   QueryResult evaluate(const Resident& r, const Variant& v,
                        const WhatIfQuery& q) {
     const core::GeneralModel& m =
         v.clone ? v.clone->model() : r.baseline.model();
+    const core::SolvePlan& plan = v.plan ? *v.plan : r.plan;
     QueryResult res;
     res.metric = q.metric;
     res.retune = v.report;
     switch (q.metric) {
       case QueryMetric::Latency:
-        res.est = sweep.evaluate(m, q.lambda0);
+        res.est = sweep.evaluate(plan, q.lambda0);
         break;
       case QueryMetric::Saturation:
-        res.saturation_rate = sweep.saturation_rate(m);
+        // One bisection through the variant's plan.  The answer cache keeps
+        // the result; its ~57 probes are not memoized one by one.
+        res.saturation_rate = plan.saturation_rate();
         break;
       case QueryMetric::ClassBreakdown: {
-        const core::SolveResult sol = m.solve(q.lambda0);
+        const core::SolveResult sol = plan.solve(q.lambda0);
         res.est.stable = sol.stable;
         res.breakdown.resize(static_cast<std::size_t>(m.graph.size()));
         for (int id = 0; id < m.graph.size(); ++id) {
@@ -354,7 +367,8 @@ std::vector<QueryResult> QueryEngine::run_batch(
       own_link[i] = q.faults->failed_links().front();
       faults = r.orbit_representative(q);
     }
-    const std::uint64_t vkey = variant_key(r.digest, q, faults.get(), procs);
+    const std::uint64_t vkey =
+        variant_key(r.plan.digest(), q, faults.get(), procs);
     const std::uint64_t akey = answer_key(vkey, q);
     akeys[i] = akey;
     if (im.opts.memoize) {

@@ -30,6 +30,16 @@
 // repeated (variant, metric, λ₀) questions — within a batch or across
 // batches — are served from a result cache and reported as Memoized.
 //
+// Solve plans.  Each variant builds its core::SolvePlan once, in the
+// parallel prepare phase, and all of its questions (latency points,
+// saturation bisections, class breakdowns) solve through it.  A variant
+// without a traffic or fault delta shares the resident plan's structure
+// half (order, transitions) and derives only its attributes; a traffic or
+// fault delta rewires the model and builds a fresh plan.  Variant plans die
+// with their batch; only the resident keeps its own.  A saturation
+// bisection runs straight through the plan: the answer cache keeps its
+// result, and its probes stay out of the latency memo pool.
+//
 // Link orbits.  A query that fails exactly one link, fails no switch and has
 // no traffic delta is planned under the representative fault set of that
 // link's ORBIT instead of its own.  Its other deltas (load, lanes, buffers,

@@ -1,8 +1,10 @@
 #include "harness/sweep_engine.hpp"
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 
+#include "core/general_model.hpp"
 #include "core/saturation.hpp"
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
@@ -15,10 +17,33 @@ namespace wormnet::harness {
 // copy here once split them into distinct cache keys).
 using util::double_bits;
 
-SweepEngine::Key SweepEngine::make_key(const core::NetworkModel& model,
-                                       double lambda0) {
-  return Key{model.content_digest(), double_bits(lambda0)};
-}
+/// A model's content bound for one call: the digest, computed once, and the
+/// λ₀ → estimate function.  A GeneralModel is planned once here, so every
+/// probe of the call solves through one SolvePlan; any other model answers
+/// through its own evaluate().
+class SweepEngine::Target {
+ public:
+  explicit Target(const core::NetworkModel& model) : model_(&model) {
+    if (const auto* net = dynamic_cast<const core::GeneralModel*>(&model))
+      plan_ = &own_.emplace(*net);
+    digest = plan_ ? plan_->digest() : model.content_digest();
+    worm_flits = model.worm_flits();
+  }
+  explicit Target(const core::SolvePlan& plan)
+      : digest(plan.digest()), worm_flits(plan.worm_flits()), plan_(&plan) {}
+
+  core::LatencyEstimate evaluate(double lambda0) const {
+    return plan_ ? plan_->evaluate(lambda0) : model_->evaluate(lambda0);
+  }
+
+  std::uint64_t digest = 0;
+  double worm_flits = 0.0;
+
+ private:
+  const core::NetworkModel* model_ = nullptr;
+  const core::SolvePlan* plan_ = nullptr;
+  std::optional<core::SolvePlan> own_;
+};
 
 std::size_t SweepEngine::KeyHash::operator()(const Key& k) const {
   return static_cast<std::size_t>(util::hash_mix(k.digest, k.lambda_bits));
@@ -52,10 +77,19 @@ void SweepEngine::store(const Key& key, const core::LatencyEstimate& est) {
 
 core::LatencyEstimate SweepEngine::evaluate(const core::NetworkModel& model,
                                             double lambda0) {
-  const Key key = make_key(model, lambda0);
+  return evaluate(Target(model), lambda0);
+}
+
+core::LatencyEstimate SweepEngine::evaluate(const core::SolvePlan& plan,
+                                            double lambda0) {
+  return evaluate(Target(plan), lambda0);
+}
+
+core::LatencyEstimate SweepEngine::evaluate(const Target& target, double lambda0) {
+  const Key key{target.digest, double_bits(lambda0)};
   core::LatencyEstimate est;
   if (lookup(key, est)) return est;
-  est = model.evaluate(lambda0);
+  est = target.evaluate(lambda0);
   store(key, est);
   return est;
 }
@@ -67,22 +101,23 @@ core::LatencyEstimate SweepEngine::evaluate_load(const core::NetworkModel& model
 
 std::vector<SweepPoint> SweepEngine::sweep_lambda(const core::NetworkModel& model,
                                                   const std::vector<double>& lambdas) {
-  const double sf = model.worm_flits();
+  return sweep_lambda(Target(model), lambdas);
+}
+
+std::vector<SweepPoint> SweepEngine::sweep_lambda(const Target& target,
+                                                  const std::vector<double>& lambdas) {
   std::vector<SweepPoint> points(lambdas.size());
   for (std::size_t i = 0; i < lambdas.size(); ++i) {
     points[i].lambda0 = lambdas[i];
-    points[i].load_flits = lambdas[i] * sf;
+    points[i].load_flits = lambdas[i] * target.worm_flits;
   }
 
   // Resolve cache hits up front and collect the distinct misses, so each
   // unique λ₀ is looked up and evaluated exactly once no matter how often
   // it appears; duplicates copy from their representative and count as
-  // hits (they are evaluations avoided).  The content digest is computed
-  // ONCE for the whole sweep: it is a pure function of the model's
-  // configuration, which cannot change under this call, and for GeneralModel
-  // it walks the channel graph — rebuilding it per point (twice per miss)
-  // would be the dominant per-point overhead of small cold sweeps.
-  const std::uint64_t digest = model.content_digest();
+  // hits (they are evaluations avoided).  The target carries the digest,
+  // computed once for the whole sweep.
+  const std::uint64_t digest = target.digest;
   std::unordered_map<std::uint64_t, std::size_t> rep;  // λ bits → first index
   std::vector<std::size_t> jobs;                       // uncached unique λ₀
   std::vector<std::size_t> dups;                       // later occurrences
@@ -107,10 +142,10 @@ std::vector<SweepPoint> SweepEngine::sweep_lambda(const core::NetworkModel& mode
     util::parallel_for(*pool_, static_cast<std::int64_t>(jobs.size()),
                        [&](std::int64_t j) {
                          const std::size_t i = jobs[static_cast<std::size_t>(j)];
-                         points[i].est = model.evaluate(lambdas[i]);
+                         points[i].est = target.evaluate(lambdas[i]);
                        });
   } else {
-    for (std::size_t i : jobs) points[i].est = model.evaluate(lambdas[i]);
+    for (std::size_t i : jobs) points[i].est = target.evaluate(lambdas[i]);
   }
   for (std::size_t i : jobs) {
     store(Key{digest, double_bits(lambdas[i])}, points[i].est);
@@ -137,11 +172,12 @@ std::vector<SweepPoint> SweepEngine::sweep_load(const core::NetworkModel& model,
 
 std::vector<SweepPoint> SweepEngine::sweep_saturation_fractions(
     const core::NetworkModel& model, const std::vector<double>& fractions) {
-  const double sat = saturation_rate(model);
+  const Target target(model);
+  const double sat = saturation_rate(target);
   std::vector<double> lambdas;
   lambdas.reserve(fractions.size());
   for (double f : fractions) lambdas.push_back(sat * f);
-  return sweep_lambda(model, lambdas);
+  return sweep_lambda(target, lambdas);
 }
 
 std::vector<FamilyMember> SweepEngine::sweep_family(
@@ -158,13 +194,14 @@ std::vector<FamilyMember> SweepEngine::sweep_family(
     member.parameter = parameter;
     member.model = make(parameter);
     WORMNET_EXPECTS(member.model != nullptr);
-    // One bisection per member; the fraction points reuse it directly
-    // (sweep_saturation_fractions would re-run the search).
-    member.saturation_rate = saturation_rate(*member.model);
+    // One plan and one bisection per member; the fraction points reuse
+    // both (sweep_saturation_fractions would re-run the search).
+    const Target target(*member.model);
+    member.saturation_rate = saturation_rate(target);
     std::vector<double> lambdas;
     lambdas.reserve(saturation_fractions.size());
     for (double f : saturation_fractions) lambdas.push_back(member.saturation_rate * f);
-    member.points = sweep_lambda(*member.model, lambdas);
+    member.points = sweep_lambda(target, lambdas);
     family.push_back(std::move(member));
   }
   return family;
@@ -193,14 +230,17 @@ std::vector<FamilyMember> SweepEngine::sweep_burstiness(
 }
 
 double SweepEngine::saturation_rate(const core::NetworkModel& model) {
-  const double sf = model.worm_flits();
-  WORMNET_EXPECTS(sf > 0.0);
+  return saturation_rate(Target(model));
+}
+
+double SweepEngine::saturation_rate(const Target& target) {
+  WORMNET_EXPECTS(target.worm_flits > 0.0);
   // The same Eq. 26 bisection the models run themselves, but with every
   // probe routed through the cache: repeating the search is free, and the
   // probes seed the cache for later sweeps near saturation.
   return core::find_saturation_rate(
-      [&](double lambda0) { return evaluate(model, lambda0).inj_service; },
-      1.0 / sf);
+      [&](double lambda0) { return evaluate(target, lambda0).inj_service; },
+      1.0 / target.worm_flits);
 }
 
 double SweepEngine::saturation_load(const core::NetworkModel& model) {

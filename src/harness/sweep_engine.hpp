@@ -19,7 +19,10 @@
 // configuration axis that can change evaluate()'s result (for GeneralModel
 // the full channel graph, injection classes, solver knobs and arrival
 // tuning; see the digest's own contract) — combined with the λ₀ bit
-// pattern, hoisted once per batch sweep.  Consequences:
+// pattern.  Each call computes the digest once: a GeneralModel is bound to
+// one core::SolvePlan per call (its set-up and digest built once, every
+// probe of a bisection or sweep solved through it), any other model to its
+// content_digest() and evaluate().  Consequences:
 //  * two model OBJECTS with identical content share entries: a rebuilt,
 //    cloned or delta-retuned-back model hits the warm cache, which is what
 //    the QueryEngine's resident/evicted model lifecycle needs;
@@ -49,6 +52,10 @@
 
 namespace wormnet::obs {
 class Registry;
+}
+
+namespace wormnet::core {
+class SolvePlan;
 }
 
 namespace wormnet::harness {
@@ -119,6 +126,11 @@ class SweepEngine {
   /// Saturation throughput λ₀* · s_f in flits/cycle/PE.
   double saturation_load(const core::NetworkModel& model);
 
+  /// The same evaluate through a plan the caller already holds (QueryEngine
+  /// variants): cached under plan.digest(), which is the planned model's
+  /// content_digest(), so model- and plan-keyed entries are shared.
+  core::LatencyEstimate evaluate(const core::SolvePlan& plan, double lambda0);
+
   /// Pattern/parameter sweep over a FAMILY of models: build one model per
   /// parameter value (e.g. a hotspot-fraction axis of traffic-aware models),
   /// find each member's saturation rate, and evaluate it at the given
@@ -174,10 +186,14 @@ class SweepEngine {
     std::size_t operator()(const Key& k) const;
   };
 
-  /// Cache key for one (model content, λ₀) evaluation.  The digest is a
-  /// pure function of the model's configuration — batch entry points hoist
-  /// it once per sweep instead of recomputing per point.
-  static Key make_key(const core::NetworkModel& model, double lambda0);
+  /// One model bound for a call: its digest and the λ₀ → estimate function
+  /// (a SolvePlan, or the model's own evaluate()); sweep_engine.cpp.
+  class Target;
+
+  core::LatencyEstimate evaluate(const Target& target, double lambda0);
+  std::vector<SweepPoint> sweep_lambda(const Target& target,
+                                       const std::vector<double>& lambdas);
+  double saturation_rate(const Target& target);
 
   /// Cache lookup; returns true and fills `out` on a hit.
   bool lookup(const Key& key, core::LatencyEstimate& out);

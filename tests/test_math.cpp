@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "util/hash.hpp"
 
@@ -108,6 +110,29 @@ TEST(DoubleBits, DocumentedNanPolicyIsPayloadBits) {
   EXPECT_EQ(double_bits(qnan), double_bits(qnan));
   // ...and a different payload stays distinct.
   EXPECT_NE(double_bits(qnan), double_bits(-qnan));
+}
+
+TEST(HashWords, SeparatesEveryWordPositionAndLength) {
+  // Each word lands in one of four chains; a change to any word, a swap of
+  // two words, or a dropped tail word must all move the digest.
+  std::vector<std::uint64_t> w(11);
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = 3 * i + 1;
+  const auto digest = [](const std::vector<std::uint64_t>& v) {
+    return hash_words(5u, v.size(), [&](std::size_t i) { return v[i]; });
+  };
+  const std::uint64_t base = digest(w);
+  EXPECT_EQ(digest(w), base);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    std::vector<std::uint64_t> v = w;
+    ++v[i];
+    EXPECT_NE(digest(v), base) << "word " << i;
+  }
+  std::vector<std::uint64_t> swapped = w;
+  std::swap(swapped[0], swapped[4]);  // same chain, different order
+  EXPECT_NE(digest(swapped), base);
+  std::vector<std::uint64_t> shorter(w.begin(), w.end() - 1);
+  EXPECT_NE(digest(shorter), base);
+  EXPECT_NE(hash_words(6u, w.size(), [&](std::size_t i) { return w[i]; }), base);
 }
 
 }  // namespace

@@ -447,6 +447,76 @@ TEST(QueryEngine, AnswersMatchColdRebuiltModels) {
   }
 }
 
+TEST(QueryEngine, RewiredVariantsPlanTheirOwnStructure) {
+  // Tune variants solve on the resident's plan structure; a traffic or
+  // fault delta rewires the model, so its plan must be built from the
+  // variant itself.  Every metric of such a variant matches a cold build —
+  // and differs from the resident's own answer, so a plan on the stale
+  // resident wiring could not pass.
+  const topo::ButterflyFatTree ft(3);
+  const int procs = ft.num_processors();
+  std::vector<int> base(static_cast<std::size_t>(procs));
+  std::vector<int> moved(static_cast<std::size_t>(procs));
+  for (int s = 0; s < procs; ++s) {
+    base[static_cast<std::size_t>(s)] = (s + 1) % procs;
+    moved[static_cast<std::size_t>(s)] = (s + 17) % procs;
+  }
+  const traffic::TrafficSpec resident_spec = traffic::TrafficSpec::permutation(base);
+  const traffic::TrafficSpec moved_spec = traffic::TrafficSpec::permutation(moved);
+  QueryEngine qe(ft, resident_spec);
+  auto faults = std::make_shared<topo::FaultSet>(ft);
+  faults->fail_link(ft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort0);
+  const topo::FaultedTopology view(ft, *faults);
+
+  struct Case {
+    const char* tag;
+    WhatIfQuery delta;
+    core::GeneralModel cold;
+  };
+  std::vector<Case> cases;
+  {
+    WhatIfQuery q;
+    q.traffic = moved_spec;
+    q.lanes = 2;  // a tune riding along must not pull in the old structure
+    core::GeneralModel cold = core::build_traffic_model(ft, moved_spec);
+    cold.set_uniform_lanes(2);
+    cases.push_back({"traffic", q, std::move(cold)});
+  }
+  {
+    WhatIfQuery q;
+    q.faults = faults;
+    cases.push_back({"fault", q, core::build_traffic_model(view, resident_spec)});
+  }
+  for (Case& c : cases) {
+    const double lambda0 = 0.4 * c.cold.saturation_rate();
+    std::vector<WhatIfQuery> batch(3, c.delta);
+    batch[0].metric = QueryMetric::Latency;
+    batch[0].lambda0 = lambda0;
+    batch[1].metric = QueryMetric::Saturation;
+    batch[2].metric = QueryMetric::ClassBreakdown;
+    batch[2].lambda0 = lambda0;
+    const std::vector<QueryResult> res = qe.run_batch(batch);
+    ASSERT_EQ(res.size(), 3u);
+    const core::LatencyEstimate cold_est = c.cold.evaluate(lambda0);
+    EXPECT_EQ(res[0].est.status, cold_est.status) << c.tag;
+    EXPECT_LE(rel(res[0].est.latency, cold_est.latency), kMetricTol) << c.tag;
+    EXPECT_NE(res[0].est.latency,
+              qe.resident_model(0).model().evaluate(lambda0).latency)
+        << c.tag;
+    EXPECT_LE(rel(res[1].saturation_rate, c.cold.saturation_rate()), kMetricTol)
+        << c.tag;
+    const core::SolveResult sol = c.cold.solve(lambda0);
+    ASSERT_EQ(res[2].breakdown.size(), sol.channels.size()) << c.tag;
+    for (std::size_t id = 0; id < sol.channels.size(); ++id) {
+      EXPECT_LE(rel(res[2].breakdown[id].service_time, sol.channels[id].service_time),
+                kMetricTol)
+          << c.tag << " class " << id;
+      EXPECT_LE(rel(res[2].breakdown[id].wait, sol.channels[id].wait), kMetricTol)
+          << c.tag << " class " << id;
+    }
+  }
+}
+
 TEST(QueryEngine, CostClassesReflectThePlannedWork) {
   const topo::ButterflyFatTree ft(3);
   QueryEngine qe(ft, traffic::TrafficSpec::hotspot(0.2, 1));

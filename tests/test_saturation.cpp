@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
@@ -44,6 +47,47 @@ TEST(Saturation, GrowsBracketWhenUpperBoundTooSmall) {
   // must find it anyway.
   const double rate = find_saturation_rate([](double) { return 20.0; }, 0.001);
   EXPECT_NEAR(rate, 0.05, 1e-6);
+}
+
+TEST(Saturation, BisectionNeverProbesTheSameRateTwice) {
+  // Once the bracket is an ulp wide the midpoint lands on an endpoint; the
+  // bisection reuses that endpoint's value instead of probing it again,
+  // and lands on the bits of the plain 60-step bisection.
+  const auto reference = [](const std::function<double(double)>& service,
+                            double hi) {
+    auto g = [&](double l) {
+      const double x = service(l);
+      return std::isfinite(x) ? l * x - 1.0 : 1.0;
+    };
+    double lo = 0.0;
+    for (int grow = 0; grow < 64 && g(hi) < 0.0; ++grow) hi *= 2.0;
+    for (int it = 0; it < 60; ++it) {
+      const double mid = 0.5 * (lo + hi);
+      (g(mid) < 0.0 ? lo : hi) = mid;
+    }
+    return 0.5 * (lo + hi);
+  };
+  const std::function<double(double)> services[] = {
+      [](double) { return 20.0; },
+      [](double l) { return 10.0 + 100.0 * l; },
+      [](double l) { return l < 0.04 ? 10.0 / (1.0 - l / 0.04) : util::kInf; },
+      [](double l) { return l < 0.00123 ? 16.0 + 2000.0 * l : util::kInf; },
+  };
+  for (const auto& service : services) {
+    std::vector<double> probes;
+    const double rate = find_saturation_rate(
+        [&](double l) {
+          probes.push_back(l);
+          return service(l);
+        },
+        1.0 / 16.0);
+    EXPECT_EQ(rate, reference(service, 1.0 / 16.0));
+    std::vector<double> sorted = probes;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+        << "a rate was probed twice";
+    EXPECT_LT(probes.size(), 61u);
+  }
 }
 
 TEST(Saturation, FatTreeModelAndGraphAgree) {
