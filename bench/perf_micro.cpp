@@ -180,11 +180,14 @@ void BM_TrafficModelBuild10Cube(benchmark::State& state) {
 BENCHMARK(BM_TrafficModelBuild10Cube)->Unit(benchmark::kMillisecond);
 
 void BM_TrafficModelBuildCollapsed(benchmark::State& state) {
-  // The symmetry-collapsed build of the uniform fat-tree: one route pass per
-  // destination ORBIT (uniform has exactly one) folded to 2·levels classes,
-  // so the cost is O(channels) — the channel-table walk — instead of the
-  // dense path's O(N²·hops).  levels = 10 is the 1,048,576-processor
-  // headline: the dense builder would need ~10⁶ full passes.
+  // The symmetry-collapsed build of the uniform fat-tree, on the orbit
+  // graph: one route pass per destination ORBIT (uniform has exactly one)
+  // over O(levels²) node orbits, folded to 2·levels classes.  What is left
+  // of O(channels) is the one pass numbering channel_class_of, run in
+  // fixed chunks on the builder pool — CI gates this row below half of
+  // BM_ChannelTableBuild/9 (JSON rows are wall time, so the pool's work
+  // counts).  levels = 10 is the 1,048,576-processor headline: the dense
+  // builder would need ~10⁶ full passes.
   topo::ButterflyFatTree ft(static_cast<int>(state.range(0)));
   const traffic::TrafficSpec spec = traffic::TrafficSpec::uniform();
   for (auto _ : state) {
@@ -202,7 +205,8 @@ BENCHMARK(BM_TrafficModelBuildCollapsed)
 
 void BM_TrafficModelBuildCollapsedHotspot(benchmark::State& state) {
   // Hotspot collapse: the pin refines the quotient to levels + 1 destination
-  // orbits (one rep pass each), still orders of magnitude under dense.
+  // orbits, one orbit-graph pass each, and the node orbits by the LCA with
+  // the hotspot; the class-numbering pass is the same one as uniform's.
   topo::ButterflyFatTree ft(static_cast<int>(state.range(0)));
   const traffic::TrafficSpec spec = traffic::TrafficSpec::hotspot(0.1);
   for (auto _ : state) {
@@ -214,6 +218,7 @@ void BM_TrafficModelBuildCollapsedHotspot(benchmark::State& state) {
 BENCHMARK(BM_TrafficModelBuildCollapsedHotspot)
     ->Arg(5)
     ->Arg(8)
+    ->Arg(9)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TrafficModelBuildCollapsed10Cube(benchmark::State& state) {
@@ -544,10 +549,11 @@ void BM_FatTreeTopologyBuild(benchmark::State& state) {
 BENCHMARK(BM_FatTreeTopologyBuild)->Arg(7)->Arg(9)->Unit(benchmark::kMillisecond);
 
 void BM_ChannelTableBuild(benchmark::State& state) {
-  // The fabric index every builder, resident and simulator network starts
-  // from: flat (node, port) -> channel ids plus the output-bundle labels.
-  // Its cost is O(nodes + channels); levels 9 is fabric_scale's largest
-  // design (393k nodes, 1.05M directed channels).
+  // The fabric index every dense or node-built model, resident and
+  // simulator network starts from: flat (node, port) -> channel ids plus
+  // the output-bundle labels.  Its cost is O(nodes + channels); levels 9 is
+  // fabric_scale's largest design (393k nodes, 1.05M directed channels),
+  // whose quotient builds skip it.
   topo::ButterflyFatTree ft(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     const topo::ChannelTable ct(ft);

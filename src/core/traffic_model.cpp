@@ -4,9 +4,11 @@
 #include <array>
 #include <cmath>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -344,24 +346,23 @@ long propagate_column(const topo::Topology& view, const topo::ChannelTable& ct,
   return walked;
 }
 
-/// Add the queueing station of channel `rep` — or of the class it stands
+/// Add the queueing station of channel `dc` — or of the class it stands
 /// for, `members` channels carrying `rate` / `self` in total — to `net`,
-/// labelled `prefix` + "ch<node>:<port>"; returns its id.  Servers (the
-/// output bundle's m), lanes, link attributes and the terminal flag come
+/// labelled `prefix` + "ch<node>:<port>"; returns its id.  `servers` is the
+/// output bundle's m; lanes, link attributes and the terminal flag come
 /// from the representative (exact: a class pins them constant across its
 /// members).
 int add_station(GeneralModel& net, const topo::Topology& topo,
-                const topo::ChannelTable& ct, int rep, double members,
+                const topo::DirectedChannel& dc, int servers, double members,
                 double rate, double self, const std::string& prefix) {
-  const topo::DirectedChannel& dc = ct.at(rep);
   ChannelClass c;
   c.label = prefix + "ch" + std::to_string(dc.src_node) + ":" +
             std::to_string(dc.src_port);
-  c.servers = ct.bundle_size(rep);
-  c.lanes = ct.lanes(rep);
-  c.bandwidth = ct.bandwidth(rep);
-  c.link_latency = ct.link_latency(rep);
-  c.buffer_depth = ct.buffer_depth(rep);
+  c.servers = servers;
+  c.lanes = topo.lanes(dc.src_node, dc.src_port);
+  c.bandwidth = topo.bandwidth(dc.src_node, dc.src_port);
+  c.link_latency = topo.link_latency(dc.src_node, dc.src_port);
+  c.buffer_depth = topo.buffer_depth(dc.src_node, dc.src_port);
   c.rate_per_link = rate / members;
   c.terminal = topo.is_processor(dc.dst_node);
   // QNA burstiness retention.  Injection channels carry their source's
@@ -396,7 +397,7 @@ std::vector<int> injection_channels(const topo::Topology& topo,
   return out;
 }
 
-/// The tail both assemblies share: traffic-weighted D̄ over the `injecting`
+/// The tail every assembly shares: traffic-weighted D̄ over the `injecting`
 /// processors, the unroutable demand share, name and solver options — then
 /// the graph must validate.
 void finish_model(GeneralModel& net, const ColumnSums& sums, int injecting,
@@ -411,28 +412,39 @@ void finish_model(GeneralModel& net, const ColumnSums& sums, int injecting,
   WORMNET_ENSURES(problems.empty());
 }
 
-/// The collapsed builder's column sink: contributions fold onto channel
-/// CLASSES — per-class rate / self-mass, the (class → class) continuation
-/// flows, and which transition orbits occurred, keyed (from-class,
-/// to-class, into-the-return-bundle?).
-struct ClassSink : WholeDag {
-  const std::vector<int>& class_of;
-  const topo::ChannelTable& ct;
-  const std::vector<int>& rev_bundle;  ///< per channel: its return bundle
+/// Which path built a collapsed model: on the orbit graph (the topology
+/// answers Topology::route_orbits) or node by node over the fabric.
+void count_collapsed_build(bool quotient) {
+  static obs::Counter& on_orbits = obs::Registry::global().counter(
+      "wormnet_collapsed_builds_total", "path=quotient");
+  static obs::Counter& on_nodes = obs::Registry::global().counter(
+      "wormnet_collapsed_builds_total", "path=node");
+  (quotient ? on_orbits : on_nodes).inc();
+}
+
+/// Index of the bundle in `bundles` that holds `port`; -1 when none does.
+int bundle_index(const std::vector<topo::PortBundle>& bundles, int port) {
+  for (std::size_t b = 0; b < bundles.size(); ++b) {
+    for (int i = 0; i < bundles[b].count; ++i)
+      if (bundles[b][i] == port) return static_cast<int>(b);
+  }
+  return -1;
+}
+
+/// Per-class flow totals of a collapsed build: rate and self-mass, the
+/// (class → class) continuation flows, and which transition orbits
+/// occurred, keyed (from-class, to-class, into-the-return-bundle?).
+struct ClassSums {
   std::size_t ncls;
-  std::vector<double> cls_rate;
-  std::vector<double> cls_self;
+  std::vector<double> rate;
+  std::vector<double> self;
   std::vector<double> trans;  ///< ncls × ncls continuation flows
   std::vector<unsigned char> seen_trans;
 
-  ClassSink(const std::vector<int>& classes, const topo::ChannelTable& table,
-            const std::vector<int>& rev, int num_classes)
-      : class_of(classes),
-        ct(table),
-        rev_bundle(rev),
-        ncls(static_cast<std::size_t>(num_classes)),
-        cls_rate(ncls, 0.0),
-        cls_self(ncls, 0.0),
+  explicit ClassSums(std::size_t num_classes)
+      : ncls(num_classes),
+        rate(ncls, 0.0),
+        self(ncls, 0.0),
         trans(ncls * ncls, 0.0),
         seen_trans(ncls * ncls * 2, 0) {}
 
@@ -442,30 +454,137 @@ struct ClassSink : WholeDag {
   std::size_t orbit(int ci, int co, bool to_return) const {
     return pair(ci, co) * 2 + (to_return ? 1 : 0);
   }
-  void rate(int ch, double flow, double self) {
-    const auto co = static_cast<std::size_t>(class_of[static_cast<std::size_t>(ch)]);
-    cls_rate[co] += flow;
-    cls_self[co] += self;
-  }
-  void onward(int in_ch, int out_ch, int /*port*/, double flow) {
-    const int ci = class_of[static_cast<std::size_t>(in_ch)];
-    const int co = class_of[static_cast<std::size_t>(out_ch)];
+  void onward(int ci, int co, bool to_return, double flow) {
     trans[pair(ci, co)] += flow;
-    const bool to_return =
-        ct.bundle(out_ch) == rev_bundle[static_cast<std::size_t>(in_ch)];
     seen_trans[orbit(ci, co, to_return)] = 1;
   }
 };
 
-/// The symmetry-collapsed builder: one column pass per destination ORBIT,
-/// seeded at the orbit size, accumulated per channel CLASS.  With
-/// classes that are true orbits of a routing-preserving group fixing the
-/// spec's pins, Σ_{ch∈C} rate_d(ch) is the same for every destination d in
-/// one orbit (the group maps the pass for d to the pass for g·d while
-/// permuting C onto itself), so |orbit| × (representative pass) equals the
-/// dense sum over the class exactly — the identity the parity tests pin
-/// down.  Work and memory are O(orbits · channels) and O(classes²) instead
-/// of the dense path's O(N · channels) passes and O(channels) state.
+/// One channel class of a collapsed model: its representative (the first
+/// member in ChannelTable id order), its member count, and how many
+/// injecting processors' injection channels it holds.
+struct ClassRep {
+  topo::DirectedChannel ch;
+  double members = 0.0;
+  double injecting = 0.0;
+};
+
+/// The assembly both collapsed builders share: one station per class, the
+/// class transitions, and one injection entry per injection class.
+/// `class_of(node, port)` names the class of any channel.
+template <typename ClassOf>
+GeneralModel assemble_collapsed(const topo::Topology& topo,
+                                const std::vector<ClassRep>& reps,
+                                const ClassSums& cs, const ClassOf& class_of) {
+  const int ncls = static_cast<int>(reps.size());
+  GeneralModel net;
+  for (int c = 0; c < ncls; ++c) {
+    const ClassRep& r = reps[static_cast<std::size_t>(c)];
+    WORMNET_EXPECTS(r.members > 0.0);  // every class id must have members
+    const std::vector<topo::PortBundle> bundles =
+        topo.output_bundles(r.ch.src_node);
+    const topo::PortBundle& own =
+        bundles[static_cast<std::size_t>(bundle_index(bundles, r.ch.src_port))];
+    int servers = 0;
+    for (int i = 0; i < own.count; ++i)
+      if (topo.neighbor(r.ch.src_node, own[i]) != topo::kNoNode) ++servers;
+    const int id = add_station(net, topo, r.ch, servers, r.members,
+                               cs.rate[static_cast<std::size_t>(c)],
+                               cs.self[static_cast<std::size_t>(c)],
+                               "cls" + std::to_string(c) + "@");
+    WORMNET_ENSURES(id == c);
+  }
+
+  // Transitions.  weight(C→C') folds the dense per-channel weights; the
+  // dense route_prob targets ONE output bundle, so divide by the structural
+  // fan-out k = how many distinct bundles of class C' the representative
+  // member feeds.  k is counted at the representative's far-end node against
+  // the transition orbits observed in the passes — e.g. a fat-tree up
+  // channel turning down feeds 3 of the 4 child bundles (never the one it
+  // climbed out of, which is why return-ness tags the orbits), so k = 3 and
+  // route_prob = weight/3, the dense pd/3.  Orbit transitivity spreads the
+  // class flow equally over those k bundles, so weight/k is the dense
+  // per-bundle probability exactly.
+  std::vector<int> fanout(static_cast<std::size_t>(ncls), 0);
+  std::vector<int> touched;
+  std::vector<int> seen_bundles;
+  for (int ci = 0; ci < ncls; ++ci) {
+    if (net.graph.at(ci).terminal) continue;
+    const double total = cs.rate[static_cast<std::size_t>(ci)];
+    if (total <= 0.0) continue;
+    const topo::DirectedChannel& rep = reps[static_cast<std::size_t>(ci)].ch;
+    const int node = rep.dst_node;
+    const std::vector<topo::PortBundle> bundles = topo.output_bundles(node);
+    const int ret = bundle_index(bundles, rep.dst_port);
+    touched.clear();
+    seen_bundles.clear();
+    for (int port = 0; port < topo.num_ports(node); ++port) {
+      if (topo.neighbor(node, port) == topo::kNoNode) continue;
+      const int b = bundle_index(bundles, port);
+      if (std::find(seen_bundles.begin(), seen_bundles.end(), b) !=
+          seen_bundles.end()) {
+        continue;
+      }
+      seen_bundles.push_back(b);
+      const int cj = class_of(node, port);
+      if (cs.seen_trans[cs.orbit(ci, cj, b == ret)]) {
+        if (fanout[static_cast<std::size_t>(cj)] == 0) touched.push_back(cj);
+        ++fanout[static_cast<std::size_t>(cj)];
+      }
+    }
+    for (int cj = 0; cj < ncls; ++cj) {
+      const double flow = cs.trans[cs.pair(ci, cj)];
+      if (flow <= 0.0) continue;
+      const double weight = std::min(1.0, flow / total);
+      const int k = std::max(1, fanout[static_cast<std::size_t>(cj)]);
+      net.graph.add_transition(ci, cj, weight, weight / static_cast<double>(k));
+    }
+    for (int cj : touched) fanout[static_cast<std::size_t>(cj)] = 0;
+  }
+
+  // One injection entry per injection class, weighted by how many
+  // processors it stands for — the weighted latency average then equals the
+  // dense per-processor uniform average.
+  for (int c = 0; c < ncls; ++c) {
+    const double w = reps[static_cast<std::size_t>(c)].injecting;
+    if (w <= 0.0) continue;
+    net.injection_classes.push_back(c);
+    net.injection_class_weights.push_back(w);
+  }
+  return net;
+}
+
+/// The node-built collapsed column sink: contributions fold onto channel
+/// CLASSES in `sums`.
+struct ClassSink : WholeDag {
+  const std::vector<int>& class_of;
+  const topo::ChannelTable& ct;
+  const std::vector<int>& rev_bundle;  ///< per channel: its return bundle
+  ClassSums& sums;
+
+  void rate(int ch, double flow, double self) {
+    const auto co = static_cast<std::size_t>(class_of[static_cast<std::size_t>(ch)]);
+    sums.rate[co] += flow;
+    sums.self[co] += self;
+  }
+  void onward(int in_ch, int out_ch, int /*port*/, double flow) {
+    sums.onward(class_of[static_cast<std::size_t>(in_ch)],
+                class_of[static_cast<std::size_t>(out_ch)],
+                ct.bundle(out_ch) == rev_bundle[static_cast<std::size_t>(in_ch)],
+                flow);
+  }
+};
+
+/// The node-built collapsed builder, for topologies without route orbits:
+/// one column pass per destination ORBIT over the whole fabric, seeded at
+/// the orbit size, accumulated per channel CLASS.  With classes that are
+/// true orbits of a routing-preserving group fixing the spec's pins,
+/// Σ_{ch∈C} rate_d(ch) is the same for every destination d in one orbit
+/// (the group maps the pass for d to the pass for g·d while permuting C onto
+/// itself), so |orbit| × (representative pass) equals the dense sum over the
+/// class exactly — the identity the parity tests pin down.  Work and memory
+/// are O(orbits · channels) and O(classes²) instead of the dense path's
+/// O(N · channels) passes and O(channels) state.
 GeneralModel build_collapsed(const topo::Topology& topo,
                              const topo::ChannelTable& ct,
                              const traffic::TrafficSpec& spec,
@@ -495,13 +614,14 @@ GeneralModel build_collapsed(const topo::Topology& topo,
   // use to go straight back.  Transitions into the return bundle form a
   // transition orbit distinct from same-class transitions away from it (a
   // fat-tree LCA turn never descends into the block it climbed out of), so
-  // the structural fan-out count k below is tagged by return-ness.
+  // the structural fan-out count k is tagged by return-ness.
   std::vector<int> rev_bundle(static_cast<std::size_t>(num_channels), -1);
   for (int ch = 0; ch < num_channels; ++ch) {
     rev_bundle[static_cast<std::size_t>(ch)] = ct.bundle(ct.reverse(ch));
   }
 
-  ClassSink sink(sym.channel_class, ct, rev_bundle, ncls);
+  ClassSums cs(static_cast<std::size_t>(ncls));
+  ClassSink sink{{}, sym.channel_class, ct, rev_bundle, cs};
   ColumnSums sums;  // demand accounting only: the flows land in `sink`
   const std::vector<std::vector<int>> scan_all;
   DestinationPass pass(topo.num_nodes());
@@ -522,15 +642,17 @@ GeneralModel build_collapsed(const topo::Topology& topo,
   // station, so structural disagreement inside a class is a hard error
   // (rate disagreement — a partition that is no routing symmetry — is what
   // check_collapsed_parity reports).
-  std::vector<int> cls_rep(static_cast<std::size_t>(ncls), -1);
-  std::vector<double> cls_count(static_cast<std::size_t>(ncls), 0.0);
+  std::vector<ClassRep> reps(static_cast<std::size_t>(ncls));
+  std::vector<int> rep_ch(static_cast<std::size_t>(ncls), -1);
   for (int ch = 0; ch < num_channels; ++ch) {
     const int c = sym.channel_class[static_cast<std::size_t>(ch)];
     WORMNET_EXPECTS(c >= 0 && c < ncls);
-    if (cls_rep[static_cast<std::size_t>(c)] < 0)
-      cls_rep[static_cast<std::size_t>(c)] = ch;
-    cls_count[static_cast<std::size_t>(c)] += 1.0;
-    const int rep = cls_rep[static_cast<std::size_t>(c)];
+    int& rep = rep_ch[static_cast<std::size_t>(c)];
+    if (rep < 0) {
+      rep = ch;
+      reps[static_cast<std::size_t>(c)].ch = ct.at(ch);
+    }
+    reps[static_cast<std::size_t>(c)].members += 1.0;
     WORMNET_EXPECTS(ct.bundle_size(ch) == ct.bundle_size(rep));
     WORMNET_EXPECTS(ct.lanes(ch) == ct.lanes(rep));
     WORMNET_EXPECTS(ct.bandwidth(ch) == ct.bandwidth(rep));
@@ -541,98 +663,343 @@ GeneralModel build_collapsed(const topo::Topology& topo,
     WORMNET_EXPECTS(topo.is_processor(ct.at(ch).src_node) ==
                     topo.is_processor(ct.at(rep).src_node));
   }
-
-  GeneralModel net;
-  for (int c = 0; c < ncls; ++c) {
-    const int rep = cls_rep[static_cast<std::size_t>(c)];
-    WORMNET_EXPECTS(rep >= 0);  // every class id must have members
-    const int id = add_station(
-        net, topo, ct, rep, cls_count[static_cast<std::size_t>(c)],
-        sink.cls_rate[static_cast<std::size_t>(c)],
-        sink.cls_self[static_cast<std::size_t>(c)],
-        "cls" + std::to_string(c) + "@");
-    WORMNET_ENSURES(id == c);
-  }
-
-  // Transitions.  weight(C→C') folds the dense per-channel weights; the
-  // dense route_prob targets ONE output bundle, so divide by the structural
-  // fan-out k = how many distinct bundles of class C' the representative
-  // member feeds.  k is counted at the representative's far-end node against
-  // the transition orbits observed above — e.g. a fat-tree up channel
-  // turning down feeds 3 of the 4 child bundles (never the one it climbed
-  // out of, which is why return-ness tags the orbits), so k = 3 and
-  // route_prob = weight/3, the dense pd/3.  Orbit transitivity spreads the
-  // class flow equally over those k bundles, so weight/k is the dense
-  // per-bundle probability exactly.
-  std::vector<int> fanout(static_cast<std::size_t>(ncls), 0);
-  std::vector<int> touched;
-  std::vector<int> seen_bundles;
-  for (int ci = 0; ci < ncls; ++ci) {
-    if (net.graph.at(ci).terminal) continue;
-    const double total = sink.cls_rate[static_cast<std::size_t>(ci)];
-    if (total <= 0.0) continue;
-    const int rep = cls_rep[static_cast<std::size_t>(ci)];
-    const int node = ct.at(rep).dst_node;
-    const int ret = rev_bundle[static_cast<std::size_t>(rep)];
-    touched.clear();
-    seen_bundles.clear();
-    for (int port = 0; port < topo.num_ports(node); ++port) {
-      const int out_ch = ct.from(node, port);
-      if (out_ch == topo::kNoChannel) continue;
-      const int b = ct.bundle(out_ch);
-      if (std::find(seen_bundles.begin(), seen_bundles.end(), b) !=
-          seen_bundles.end()) {
-        continue;
-      }
-      seen_bundles.push_back(b);
-      const int cj = sym.channel_class[static_cast<std::size_t>(out_ch)];
-      if (sink.seen_trans[sink.orbit(ci, cj, b == ret)]) {
-        if (fanout[static_cast<std::size_t>(cj)] == 0) touched.push_back(cj);
-        ++fanout[static_cast<std::size_t>(cj)];
-      }
-    }
-    for (int cj = 0; cj < ncls; ++cj) {
-      const double flow = sink.trans[sink.pair(ci, cj)];
-      if (flow <= 0.0) continue;
-      const double weight = std::min(1.0, flow / total);
-      const int k = std::max(1, fanout[static_cast<std::size_t>(cj)]);
-      net.graph.add_transition(ci, cj, weight, weight / static_cast<double>(k));
-    }
-    for (int cj : touched) fanout[static_cast<std::size_t>(cj)] = 0;
-  }
-
-  // One injection entry per injection class, weighted by how many
-  // processors it stands for — the weighted latency average then equals the
-  // dense per-processor uniform average.
   const std::vector<int> inj = injection_channels(topo, ct, spec);
-  std::vector<double> inj_weight(static_cast<std::size_t>(ncls), 0.0);
   for (int ch : inj) {
-    inj_weight[static_cast<std::size_t>(
-        sym.channel_class[static_cast<std::size_t>(ch)])] += 1.0;
+    reps[static_cast<std::size_t>(sym.channel_class[static_cast<std::size_t>(ch)])]
+        .injecting += 1.0;
   }
-  for (int c = 0; c < ncls; ++c) {
-    if (inj_weight[static_cast<std::size_t>(c)] <= 0.0) continue;
-    net.injection_classes.push_back(c);
-    net.injection_class_weights.push_back(inj_weight[static_cast<std::size_t>(c)]);
-  }
+
+  GeneralModel net = assemble_collapsed(topo, reps, cs, [&](int node, int port) {
+    return sym.channel_class[static_cast<std::size_t>(ct.from(node, port))];
+  });
   net.channel_class_of = sym.channel_class;
   finish_model(net, sums, static_cast<int>(inj.size()),
                "traffic-sym(" + topo.name() + ", " + spec.name() + ")", opts);
+  count_collapsed_build(false);
   return net;
 }
 
-/// The resolved build strategy of one (spec, build-options) pair — the
-/// ladder build_traffic_model historically ran in-line, extracted so the
-/// delta-retune path can re-plan against a NEW spec with identical rules.
+/// What a quotient build knows of the fabric, from its one O(channels)
+/// pass: the channel classes, numbered first-seen in ChannelTable id order
+/// as topology_symmetry numbers them, and the destination orbits.
+struct QuotientIndex {
+  std::vector<int> class_of;  ///< per ChannelTable id: the channel_class_of
+  std::vector<ClassRep> reps;
+  std::unordered_map<std::uint64_t, int> class_of_key;
+  std::vector<int> dest_rep;  ///< per destination orbit: first member
+  std::vector<double> dest_size;
+  int injecting = 0;  ///< processors with positive injection weight
+};
+
+/// Run `job(j)` for every shard j in [0, num_shards) under the build's
+/// threading options: serially when threads = 1, or at or below the serial
+/// cutoff under threads = 0; else on the shared builder pool (threads = 0)
+/// or a private pool of `threads` workers.  Shard results must not depend
+/// on which of these ran them.
+template <typename Job>
+void run_shards(const TrafficBuildOptions& build, int procs, int num_shards,
+                const Job& job) {
+  if (build.threads == 1 || num_shards == 1 ||
+      (build.threads == 0 &&
+       procs <= TrafficBuildOptions::kSerialCutoffProcs)) {
+    for (int j = 0; j < num_shards; ++j) job(j);
+  } else if (build.threads == 0) {
+    util::parallel_for(builder_pool(), num_shards, job);
+  } else {
+    util::ThreadPool pool(build.threads);
+    util::parallel_for(pool, num_shards, job);
+  }
+}
+
+/// The quotient build's one O(channels) pass: walk (node, port) in
+/// ChannelTable id order and class every channel by its symmetry key.
+/// Returns false — the build goes dense, as topology_symmetry's refusal
+/// sends it — when a channel's bandwidth, link latency or buffer depth
+/// differs from its class representative's, and when the quotient is
+/// trivial or has more than kMaxSymmetryClasses classes.
+///
+/// The walk runs as 16 fixed node-range chunks, each numbering its classes
+/// first-seen; merging the chunks in order numbers them first-seen over the
+/// whole walk, so the result is the serial walk's for any thread count.
+bool index_quotient(const topo::Topology& topo, const traffic::TrafficSpec& spec,
+                    const std::vector<int>& pins, const TrafficBuildOptions& build,
+                    QuotientIndex& q) {
+  struct Attributes {
+    double bandwidth;
+    double link_latency;
+    int buffer_depth;
+    int lanes;
+  };
+  /// Keys numbered first-seen, with a one-entry cache: a node's ports, and
+  /// neighbouring processors, mostly share a key.
+  struct Numbering {
+    std::unordered_map<std::uint64_t, int> id_of;
+    std::vector<std::uint64_t> keys;
+    std::uint64_t last_key = 0;
+    int last = -1;
+    bool added = false;
+    int id(std::uint64_t key) {
+      added = false;
+      if (last >= 0 && key == last_key) return last;
+      last_key = key;
+      const auto it = id_of.find(key);
+      if (it != id_of.end()) return last = it->second;
+      added = true;
+      last = static_cast<int>(keys.size());
+      keys.push_back(key);
+      id_of.emplace(key, last);
+      return last;
+    }
+  };
+  struct Chunk {
+    Numbering classes, dests;
+    std::vector<int> class_of;  ///< per channel, chunk-local class ids
+    std::vector<ClassRep> reps;
+    std::vector<Attributes> attr;
+    std::vector<int> dest_rep;
+    std::vector<double> dest_size;
+    std::vector<int> global;  ///< chunk-local class id -> merged id
+    int injecting = 0;
+    bool refused = false;
+  };
+  const auto attributes = [&](int node, int port) {
+    return Attributes{topo.bandwidth(node, port), topo.link_latency(node, port),
+                      topo.buffer_depth(node, port), topo.lanes(node, port)};
+  };
+  const auto differ = [](const Attributes& a, const Attributes& b) {
+    return a.bandwidth != b.bandwidth || a.link_latency != b.link_latency ||
+           a.buffer_depth != b.buffer_depth;
+  };
+  const int nodes = topo.num_nodes();
+  const int procs = topo.num_processors();
+  const int num_chunks = std::min(nodes, 16);
+  std::vector<Chunk> chunks(static_cast<std::size_t>(num_chunks));
+  run_shards(build, procs, num_chunks, [&](std::int64_t j) {
+    Chunk& k = chunks[static_cast<std::size_t>(j)];
+    const int lo = static_cast<int>(j * nodes / num_chunks);
+    const int hi = static_cast<int>((j + 1) * nodes / num_chunks);
+    k.class_of.reserve(2 * static_cast<std::size_t>(hi - lo));
+    for (int node = lo; node < hi; ++node) {
+      const bool injects =
+          node < procs && spec.injection_weight(node, procs) > 0.0;
+      if (node < procs) {
+        const int o = k.dests.id(topo.proc_symmetry_key(node, pins));
+        if (k.dests.added) {
+          k.dest_rep.push_back(node);
+          k.dest_size.push_back(0.0);
+        }
+        k.dest_size[static_cast<std::size_t>(o)] += 1.0;
+        if (injects) ++k.injecting;
+      }
+      const int ports = topo.num_ports(node);
+      for (int port = 0; port < ports; ++port) {
+        const int far = topo.neighbor(node, port);
+        if (far == topo::kNoNode) continue;
+        const int c = k.classes.id(topo.channel_symmetry_key(node, port, pins));
+        const Attributes a = attributes(node, port);
+        if (k.classes.added) {
+          k.reps.push_back(
+              {{node, port, far, topo.neighbor_port(node, port)}, 0.0, 0.0});
+          k.attr.push_back(a);
+        }
+        ClassRep& rep = k.reps[static_cast<std::size_t>(c)];
+        rep.members += 1.0;
+        if (injects && port == 0) rep.injecting += 1.0;
+        const Attributes& ra = k.attr[static_cast<std::size_t>(c)];
+        if (differ(a, ra)) {
+          k.refused = true;
+          return;
+        }
+        WORMNET_EXPECTS(a.lanes == ra.lanes);
+        k.class_of.push_back(c);
+      }
+    }
+  });
+
+  Numbering classes;
+  Numbering dests;
+  std::vector<Attributes> attr;
+  std::size_t channels = 0;
+  for (Chunk& k : chunks) {
+    if (k.refused) return false;
+    for (std::size_t i = 0; i < k.dest_rep.size(); ++i) {
+      const int o = dests.id(k.dests.keys[i]);
+      if (dests.added) {
+        q.dest_rep.push_back(k.dest_rep[i]);
+        q.dest_size.push_back(0.0);
+      }
+      q.dest_size[static_cast<std::size_t>(o)] += k.dest_size[i];
+    }
+    for (std::size_t i = 0; i < k.reps.size(); ++i) {
+      const int c = classes.id(k.classes.keys[i]);
+      if (classes.added) {
+        q.reps.push_back({k.reps[i].ch, 0.0, 0.0});
+        attr.push_back(k.attr[i]);
+      } else if (differ(k.attr[i], attr[static_cast<std::size_t>(c)])) {
+        return false;
+      }
+      WORMNET_EXPECTS(k.attr[i].lanes == attr[static_cast<std::size_t>(c)].lanes);
+      q.reps[static_cast<std::size_t>(c)].members += k.reps[i].members;
+      q.reps[static_cast<std::size_t>(c)].injecting += k.reps[i].injecting;
+      k.global.push_back(c);
+    }
+    q.injecting += k.injecting;
+    channels += k.class_of.size();
+  }
+  WORMNET_EXPECTS(q.injecting > 0);
+  if (static_cast<int>(q.dest_rep.size()) >= procs ||
+      static_cast<int>(q.reps.size()) > kMaxSymmetryClasses)
+    return false;
+
+  q.class_of_key = std::move(classes.id_of);
+  q.class_of.resize(channels);
+  std::vector<std::size_t> offset(chunks.size() + 1, 0);
+  for (std::size_t j = 0; j < chunks.size(); ++j)
+    offset[j + 1] = offset[j] + chunks[j].class_of.size();
+  run_shards(build, procs, num_chunks, [&](std::int64_t j) {
+    const Chunk& k = chunks[static_cast<std::size_t>(j)];
+    int* out = q.class_of.data() + offset[static_cast<std::size_t>(j)];
+    for (std::size_t i = 0; i < k.class_of.size(); ++i)
+      out[i] = k.global[static_cast<std::size_t>(k.class_of[i])];
+  });
+  return true;
+}
+
+/// The quotient collapsed builder: the column pass of each destination
+/// orbit runs on the route graph's node orbits (Topology::route_orbits)
+/// instead of on the fabric.  Every member of a node orbit carries the same
+/// flow and self-mass, and splitting and merging are linear, so the pass
+/// propagates orbit TOTALS: a source orbit seeds its member count × one
+/// source's seed, and an orbit's total splits over its representative's
+/// candidates into their target orbits.  A candidate's flow lands on its
+/// channel's class; its continuation flows are those of the representative
+/// channel's far end, which stands for every channel of its orbit.  Work is
+/// a few route calls per node orbit and destination orbit, plus the one
+/// O(channels) pass that numbers the classes; no ChannelTable, no per-node
+/// pass state.  Returns
+/// nullopt when the topology offers no route orbits for the spec's pins or
+/// the index pass refuses (see index_quotient).
+std::optional<GeneralModel> build_quotient(const topo::Topology& topo,
+                                           const traffic::TrafficSpec& spec,
+                                           const SolveOptions& opts,
+                                           const TrafficBuildOptions& build,
+                                           long* nodes_visited = nullptr,
+                                           int* passes = nullptr) {
+  std::vector<int> pins;
+  if (!spec.symmetric(pins) || !topo.has_symmetry(pins)) return std::nullopt;
+  // Processor 0 heads the first destination orbit (orbit ids run first-
+  // seen), so this probe's orbits serve that orbit's pass.
+  std::vector<topo::RouteOrbit> orbits;
+  if (!topo.route_orbits(pins, 0, orbits)) return std::nullopt;
+  QuotientIndex q;
+  if (!index_quotient(topo, spec, pins, build, q)) return std::nullopt;
+
+  const int procs = topo.num_processors();
+  const auto class_of = [&](int node, int port) {
+    return q.class_of_key.at(topo.channel_symmetry_key(node, port, pins));
+  };
+  ClassSums cs(q.reps.size());
+  ColumnSums sums;  // demand accounting only
+  std::vector<double> flow;
+  std::vector<double> self;
+  std::vector<char> fed;
+  long walked = 0;
+  for (std::size_t o = 0; o < q.dest_rep.size(); ++o) {
+    const int d = q.dest_rep[o];
+    if (o > 0) WORMNET_ENSURES(topo.route_orbits(pins, d, orbits));
+    const std::size_t n = orbits.size();
+    flow.assign(n, 0.0);
+    self.assign(n, 0.0);
+    fed.assign(n, 0);
+    // The seed rule of seed_column, once per source orbit: every member
+    // sends the same weight toward d.
+    for (std::size_t x = 0; x < n; ++x) {
+      const int s = orbits[x].rep;
+      if (s == d || !topo.is_processor(s)) continue;
+      const double w = spec.pair_weight(s, d, procs);
+      if (w <= 0.0) continue;
+      const double members =
+          q.dest_size[o] * static_cast<double>(orbits[x].size);
+      sums.total_weight += members * w;
+      if (!topo.reachable(s, d)) {
+        sums.unroutable_weight += members * w;
+        continue;
+      }
+      sums.weighted_distance += members * w * topo.distance(s, d);
+      const Seed unit = source_seed(spec, s, w, procs);
+      flow[x] += members * unit.flow;
+      self[x] += members * unit.self;
+      fed[x] = 1;
+    }
+    for (std::size_t x = 0; x < n; ++x) {
+      if (!fed[x]) continue;
+      const topo::RouteOrbit& ox = orbits[x];
+      ++walked;
+      if (ox.count == 0)
+        throw std::runtime_error(
+            "build_traffic_model: flow toward destination " + std::to_string(d) +
+            " dead-ends at node " + std::to_string(ox.rep) +
+            " (no route candidates; malformed route orbits)");
+      for (int i = 0; i < ox.count; ++i) {
+        const topo::RouteOrbit::Candidate& cand =
+            ox.candidates[static_cast<std::size_t>(i)];
+        const double p = cand.split;
+        if (p <= 0.0) continue;
+        const double f = flow[x] * p;
+        const double m = self[x] * p * p;
+        const int ci = class_of(ox.rep, cand.port);
+        cs.rate[static_cast<std::size_t>(ci)] += f;
+        cs.self[static_cast<std::size_t>(ci)] += m;
+        const int y = topo.neighbor(ox.rep, cand.port);
+        if (y == d) continue;  // ejection channel: consumed at the destination
+        WORMNET_EXPECTS(cand.target > static_cast<int>(x) &&
+                        cand.target < static_cast<int>(n));
+        // Continuation flows at the far end y, as the node pass would split
+        // this fragment there.
+        const topo::RouteOptions next = topo.route(y, d);
+        if (next.size() > 0) {
+          const std::array<double, 4> split = topo.route_split(y, d, next);
+          const std::vector<topo::PortBundle> bundles = topo.output_bundles(y);
+          const int ret =
+              bundle_index(bundles, topo.neighbor_port(ox.rep, cand.port));
+          for (int j = 0; j < next.size(); ++j) {
+            const double pj = split[static_cast<std::size_t>(j)];
+            if (pj <= 0.0) continue;
+            cs.onward(ci, class_of(y, next[j]),
+                      bundle_index(bundles, next[j]) == ret, f * pj);
+          }
+        }
+        const auto t = static_cast<std::size_t>(cand.target);
+        flow[t] += f;
+        self[t] += m;
+        fed[t] = 1;
+      }
+    }
+  }
+  if (nodes_visited != nullptr) *nodes_visited += walked;
+  if (passes != nullptr) *passes = static_cast<int>(q.dest_rep.size());
+
+  GeneralModel net = assemble_collapsed(topo, q.reps, cs, class_of);
+  net.channel_class_of = std::move(q.class_of);
+  finish_model(net, sums, q.injecting,
+               "traffic-sym(" + topo.name() + ", " + spec.name() + ")", opts);
+  count_collapsed_build(true);
+  return net;
+}
+
+/// The resolved build strategy of one (spec, build-options) pair once the
+/// quotient build has declined — the ladder build_traffic_model
+/// historically ran in-line, extracted so the delta-retune path can re-plan
+/// against a NEW spec with identical rules.
 struct CollapsePlan {
-  bool use_collapsed = false;       ///< symmetric quotient applies
+  bool use_collapsed = false;       ///< node-built symmetric quotient applies
   topo::SymmetryClasses sym;        ///< valid when use_collapsed
   /// Dense seeding (see fixed_destination_sources); empty: scan.
   std::vector<std::vector<int>> dest_sources;
 };
 
-/// Collapse strategy: under Auto the symmetric quotient first; dense —
-/// sparse-seeded for fixed-destination specs — otherwise.
+/// Collapse strategy: under Auto the node-built symmetric quotient first;
+/// dense — sparse-seeded for fixed-destination specs — otherwise.
 CollapsePlan plan_collapse(const topo::Topology& topo,
                            const topo::ChannelTable& ct,
                            const traffic::TrafficSpec& spec,
@@ -708,16 +1075,7 @@ long propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
   // the fork/join overhead exceeds the whole build, and the fixed-shard
   // contract makes the fallback bitwise-invisible (tested either side of
   // the boundary).
-  if (build.threads == 1 || num_shards == 1 ||
-      (build.threads == 0 &&
-       procs <= TrafficBuildOptions::kSerialCutoffProcs)) {
-    for (int j = 0; j < num_shards; ++j) shard_job(j);
-  } else if (build.threads == 0) {
-    util::parallel_for(builder_pool(), num_shards, shard_job);
-  } else {
-    util::ThreadPool pool(build.threads);
-    util::parallel_for(pool, num_shards, shard_job);
-  }
+  run_shards(build, procs, num_shards, shard_job);
 
   // Deterministic reduction: shard partials added back in shard (i.e.
   // ascending destination-range) order.
@@ -743,7 +1101,7 @@ GeneralModel assemble_dense(const topo::Topology& topo,
 
   GeneralModel net;
   for (int ch = 0; ch < num_channels; ++ch) {
-    const int id = add_station(net, topo, ct, ch, 1.0,
+    const int id = add_station(net, topo, ct.at(ch), ct.bundle_size(ch), 1.0,
                                rate[static_cast<std::size_t>(ch)],
                                st.flow.self[static_cast<std::size_t>(ch)], "");
     WORMNET_ENSURES(id == ch);  // 1:1 channel table <-> class ids
@@ -812,6 +1170,10 @@ GeneralModel build_traffic_model(const topo::Topology& topo,
   WORMNET_EXPECTS(procs >= 2);
   WORMNET_EXPECTS(spec.check(procs).empty());
 
+  if (build.collapse == CollapseMode::Auto) {
+    if (std::optional<GeneralModel> q = build_quotient(topo, spec, opts, build))
+      return std::move(*q);
+  }
   const topo::ChannelTable ct(topo);
   CollapsePlan plan = plan_collapse(topo, ct, spec, build);
   if (plan.use_collapsed)
@@ -1152,6 +1514,25 @@ struct RetunableTrafficModel::Impl {
     net.set_channel_bandwidths(bw);
   }
 
+  /// Collapsed build of `new_spec` on the orbit graph, when the routing
+  /// topology offers one and the options allow collapsing: replaces the
+  /// resident model and drops the dense flow state.  False: nothing done.
+  bool rebuild_quotient(const traffic::TrafficSpec& new_spec,
+                        RetuneReport* report = nullptr) {
+    if (build.collapse != CollapseMode::Auto) return false;
+    std::optional<GeneralModel> q =
+        build_quotient(routing_topo(), new_spec, opts, build,
+                       report ? &report->nodes_visited : nullptr,
+                       report ? &report->passes : nullptr);
+    if (!q) return false;
+    net = std::move(*q);
+    is_collapsed = true;
+    state = DenseFlowState{};
+    spec = new_spec;
+    apply_tunes();
+    return true;
+  }
+
   /// Cold build for `new_spec` along the planned strategy, replacing the
   /// resident model and flow state.  Returns the nodes its passes walked.
   long rebuild_cold(const traffic::TrafficSpec& new_spec,
@@ -1182,8 +1563,9 @@ RetunableTrafficModel::RetunableTrafficModel(const topo::Topology& topo,
   const int procs = topo.num_processors();
   WORMNET_EXPECTS(procs >= 2);
   WORMNET_EXPECTS(impl_->spec.check(procs).empty());
-  impl_->rebuild_cold(impl_->spec,
-                      plan_collapse(topo, impl_->ct, impl_->spec, build));
+  if (!impl_->rebuild_quotient(impl_->spec))
+    impl_->rebuild_cold(impl_->spec,
+                        plan_collapse(topo, impl_->ct, impl_->spec, build));
 }
 
 RetunableTrafficModel::~RetunableTrafficModel() = default;
@@ -1250,18 +1632,17 @@ RetuneReport RetunableTrafficModel::retune_traffic(
   WORMNET_EXPECTS(new_spec.check(procs).empty());
 
   RetuneReport report;
+  if (im.rebuild_quotient(new_spec, &report)) {
+    report.collapsed = true;
+    return report;
+  }
   const topo::Topology& rt = im.routing_topo();
   const CollapsePlan plan = plan_collapse(rt, im.ct, new_spec, im.build);
   if (plan.use_collapsed) {
-    // The PR 6 composition: the new spec still respects the symmetry, so
-    // "retune" is one pass per destination orbit against O(classes) state —
-    // not a dense rebuild, whatever mode the resident was in before.
-    im.net = build_collapsed(rt, im.ct, new_spec, plan.sym, im.opts,
-                             &report.nodes_visited);
-    im.is_collapsed = true;
-    im.state = DenseFlowState{};
-    im.spec = new_spec;
-    im.apply_tunes();
+    // The new spec still respects the symmetry, so "retune" is one pass per
+    // destination orbit against O(classes) state — not a dense rebuild,
+    // whatever mode the resident was in before.
+    report.nodes_visited = im.rebuild_cold(new_spec, plan);
     report.collapsed = true;
     report.passes = plan.sym.num_proc_orbits;
     return report;

@@ -76,6 +76,24 @@
 // processors, ~4.2M channels) folds to 20 classes and builds in well under a
 // second; the dense path would need terabytes of pass work.
 //
+// Build path: which of two ways builds a collapsed model is decided by the
+// topology, not by an option.
+//   * On the orbit graph, when the topology answers Topology::route_orbits
+//     (ButterflyFatTree at m = 2).  Each destination orbit's pass runs over
+//     the O(levels²) node orbits of the route graph, propagating orbit flow
+//     totals, and reads continuation flows off each candidate channel's far
+//     end.  What stays O(channels) is one pass, in fixed chunks on the
+//     builder pool, that numbers channel_class_of from the symmetry keys in
+//     ChannelTable id order and refuses class-nonuniform link attributes.
+//     No ChannelTable, no per-node pass state: BFT(9) builds in a few ms.
+//   * Node by node over the fabric otherwise (Mesh, Hypercube, any
+//     FaultedTopology): a ChannelTable, topo::topology_symmetry, and one
+//     full column pass per destination orbit.
+// Both number classes and pick representatives the same way, so their
+// models agree in structure exactly and in value to rounding (tests/
+// test_quotient_build.cpp).  The global counter
+// wormnet_collapsed_builds_total{path="quotient"|"node"} says which ran.
+//
 // Exactness: with classes that are true orbits, every dense channel of a
 // class carries the same rate/self_frac/ca2 and the quotient recurrence is
 // the dense recurrence folded — the two models agree to machine precision

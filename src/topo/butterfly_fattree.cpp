@@ -1,5 +1,6 @@
 #include "topo/butterfly_fattree.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/math.hpp"
@@ -236,6 +237,107 @@ std::uint64_t ButterflyFatTree::channel_symmetry_key(
     aux = static_cast<std::uint64_t>(2 + lca_level(block << (2 * l), h));
   }
   return pack_key(kKeyDown, static_cast<std::uint64_t>(l), aux);
+}
+
+bool ButterflyFatTree::route_orbits(const std::vector<int>& pinned_procs,
+                                    int dest, std::vector<RouteOrbit>& out) const {
+  out.clear();
+  if (!has_symmetry(pinned_procs)) return false;
+  WORMNET_EXPECTS(dest >= 0 && dest < num_procs_);
+  const int h = pinned_procs.empty() ? dest : pinned_procs.front();
+
+  // Blocks: the processors one level-l switch group covers (level 0: one
+  // processor).  Fixing dest and h, the stabilizer permutes the sibling
+  // blocks that hold neither, so walking down from the root and splitting
+  // each block orbit's children into the one holding dest, the one holding
+  // h and the rest visits every block orbit once, with its member count.
+  struct BlockOrbit {
+    int level;
+    int block;  // representative block
+    long blocks;
+  };
+  std::vector<BlockOrbit> blocks{{levels_, 0, 1}};
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const BlockOrbit b = blocks[i];
+    if (b.level == 0) continue;
+    const int first = 4 * b.block;
+    const auto child_holding = [&](int t) {
+      return (t >> (2 * b.level)) == b.block ? first + down_port(b.level, t) : -1;
+    };
+    const int cd = child_holding(dest);
+    const int ch = child_holding(h);
+    int rest = 4;
+    if (cd >= 0) {
+      blocks.push_back({b.level - 1, cd, b.blocks});
+      --rest;
+    }
+    if (ch >= 0 && ch != cd) {
+      blocks.push_back({b.level - 1, ch, b.blocks});
+      --rest;
+    }
+    for (int c = first; c < first + 4; ++c) {
+      if (c == cd || c == ch) continue;
+      blocks.push_back({b.level - 1, c, b.blocks * rest});
+      break;
+    }
+  }
+
+  // A block's relation to a leaf t: their LCA level, clamped to the block's
+  // own level when it covers t.  (level, relation to dest, relation to h)
+  // names the orbit of every node of the block's level.
+  const auto rel = [&](int level, int block, int t) {
+    return std::max(level, lca_level(block << (2 * level), t));
+  };
+  const std::size_t span = static_cast<std::size_t>(levels_) + 1;
+  const auto key = [&](int level, int block) {
+    return (static_cast<std::size_t>(level) * span +
+            static_cast<std::size_t>(rel(level, block, dest))) * span +
+           static_cast<std::size_t>(rel(level, block, h));
+  };
+  // Distance to dest: 2a from a processor at LCA level a, l down from a
+  // covering level-l switch, 2a − l up-then-down from any other.
+  const auto distance_to_dest = [&](int level, int block) {
+    const int a = rel(level, block, dest);
+    return level == 0 ? 2 * a : (a == level ? level : 2 * a - level);
+  };
+  std::stable_sort(blocks.begin(), blocks.end(),
+                   [&](const BlockOrbit& x, const BlockOrbit& y) {
+                     return distance_to_dest(x.level, x.block) >
+                            distance_to_dest(y.level, y.block);
+                   });
+
+  std::vector<int> index(span * span * span, -1);
+  out.resize(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const BlockOrbit& b = blocks[i];
+    index[key(b.level, b.block)] = static_cast<int>(i);
+    RouteOrbit& o = out[i];
+    if (b.level == 0) {
+      o.rep = b.block;
+      o.size = b.blocks;
+    } else {
+      // The m^(l-1) switches of one block are one orbit: the redundant-
+      // parent permutations fix every leaf.
+      const long group = ipow(parents_, b.level - 1);
+      o.rep = switch_id(b.level, static_cast<int>(b.block * group));
+      o.size = b.blocks * group;
+    }
+  }
+  for (RouteOrbit& o : out) {
+    const RouteOptions opts = route(o.rep, dest);
+    o.count = opts.size();
+    if (o.count == 0) continue;
+    const std::array<double, 4> split = route_split(o.rep, dest, opts);
+    for (int i = 0; i < o.count; ++i) {
+      const int port = opts[i];
+      const int y = neighbor(o.rep, port);
+      const int level = node_level(y);
+      o.candidates[static_cast<std::size_t>(i)] = {
+          port, split[static_cast<std::size_t>(i)],
+          index[key(level, level == 0 ? y : info(y).block)]};
+    }
+  }
+  return true;
 }
 
 std::vector<PortBundle> ButterflyFatTree::output_bundles(int node) const {

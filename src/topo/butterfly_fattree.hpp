@@ -98,6 +98,12 @@ class ButterflyFatTree : public Topology {
                                   const std::vector<int>& pinned_procs) const override;
   std::uint64_t channel_symmetry_key(
       int node, int port, const std::vector<int>& pinned_procs) const override;
+  // The quotient hook, declared where the keys are.  Fixing dest and the
+  // pin h, a node's orbit is its level plus the LCA levels of its block
+  // with dest and with h: O(levels²) orbits, listed by decreasing distance
+  // to dest, at any N.
+  bool route_orbits(const std::vector<int>& pinned_procs, int dest,
+                    std::vector<RouteOrbit>& out) const override;
 
   // -- Fat-tree specific structure ----------------------------------------
   /// Number of switch levels n (N = 4^n).

@@ -79,6 +79,22 @@ struct PortBundle {
   }
 };
 
+/// One node orbit of the route graph toward a destination: the unit of a
+/// quotient build (Topology::route_orbits).
+struct RouteOrbit {
+  /// One route candidate of the representative: its output port, its
+  /// route_split probability and the index of the orbit it leads into.
+  struct Candidate {
+    int port = -1;
+    double split = 0.0;
+    int target = -1;
+  };
+  int rep = kNoNode;  ///< representative member node
+  long size = 0;      ///< number of member nodes
+  std::array<Candidate, 4> candidates{};
+  int count = 0;  ///< route(rep, dest).size(); 0 only for dest's own orbit
+};
+
 /// Abstract interconnection topology with minimal-path routing.
 ///
 /// Invariants checked by graph_checks.hpp's verify_topology():
@@ -288,7 +304,9 @@ class Topology {
   //    depth) — validated by the builder; topology_symmetry() additionally
   //    refuses (falls back to dense) when declared classes mix attributes.
   // The defaults declare no symmetry (singleton orbits), which makes the
-  // collapsed builder fall back to the dense per-channel path.
+  // collapsed builder fall back to the dense per-channel path.  A topology
+  // that also answers route_orbits() below gets its collapsed builds on the
+  // orbit graph; the keys still name the channel classes.
 
   /// True when this topology can supply symmetry keys for the given pinned
   /// processors.  The default knows no symmetry.
@@ -330,6 +348,38 @@ class Topology {
   /// nothing, which leaves every link its own orbit.
   virtual bool has_fault_symmetry(const std::vector<int>& pinned_procs) const {
     static_cast<void>(pinned_procs);
+    return false;
+  }
+
+  /// Quotient hook: the node orbits of the route graph toward processor
+  /// `dest` under the automorphisms that fix `dest` and every pinned
+  /// processor, so a collapsed build can run its flow pass on the orbits
+  /// instead of on the fabric.  Fills `out` and returns true, or returns
+  /// false (the default) to leave collapsed builds on the node-built path.
+  ///
+  /// Contract, on top of has_symmetry(pinned_procs), which must hold:
+  ///  * the orbits partition every node, and each is an orbit of a group of
+  ///    automorphisms that commute with route()/route_split(), preserve
+  ///    output bundles and link attributes, keep channel_symmetry_key(·,
+  ///    pinned_procs) and fix dest and the pins.  Such a partition is
+  ///    routing-equitable: every member of an orbit routes toward dest into
+  ///    the same channel classes and target orbits with the same splits;
+  ///  * `size` is the member count.  Every member of an orbit carries the
+  ///    same flow, so size × the representative's flow is the orbit total;
+  ///  * `candidates` are route(rep, dest) in order with route_split(rep,
+  ///    dest, ·), each naming the orbit of neighbor(rep, port);
+  ///  * orbits are listed in topological order of the route graph: every
+  ///    target comes after its source (decreasing distance to dest does it).
+  /// Any topology may leave the hook out; its collapsed builds are then
+  /// node-built, as exact and only slower.  Leave it out where naming the
+  /// orbits would walk the fabric anyway (the node-built path does that
+  /// already), and never forward it from a decorator that may change
+  /// routing (FaultedTopology).
+  virtual bool route_orbits(const std::vector<int>& pinned_procs, int dest,
+                            std::vector<RouteOrbit>& out) const {
+    static_cast<void>(pinned_procs);
+    static_cast<void>(dest);
+    out.clear();
     return false;
   }
 

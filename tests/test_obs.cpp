@@ -21,6 +21,7 @@
 #include "sim/simulator.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/fault.hpp"
+#include "topo/mesh.hpp"
 #include "traffic/traffic_spec.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
@@ -327,6 +328,28 @@ TEST(ObsTelemetry, CollapsedFaultFallbackCountsRebuild) {
   const double after = obs::Registry::global().value(
       "wormnet_collapsed_fault_dense_rebuilds_total", "reason=broken-symmetry");
   EXPECT_DOUBLE_EQ(after, before + 1.0);
+}
+
+// Every collapsed build says which path built it: the fat-tree answers the
+// quotient hook, the mesh declares symmetry keys only and builds node by
+// node over its fabric.
+TEST(ObsTelemetry, CollapsedBuildsCountTheirPath) {
+  const obs::Registry& reg = obs::Registry::global();
+  const auto count = [&](const char* labels) {
+    return reg.value("wormnet_collapsed_builds_total", labels);
+  };
+  const double quotient = count("path=quotient");
+  const double node = count("path=node");
+  const core::GeneralModel ft = core::build_traffic_model_collapsed(
+      topo::ButterflyFatTree(3), traffic::TrafficSpec::uniform());
+  ASSERT_FALSE(ft.channel_class_of.empty());
+  EXPECT_DOUBLE_EQ(count("path=quotient"), quotient + 1.0);
+  EXPECT_DOUBLE_EQ(count("path=node"), node);
+  const core::GeneralModel mesh = core::build_traffic_model_collapsed(
+      topo::Mesh(3, 3), traffic::TrafficSpec::uniform());
+  ASSERT_FALSE(mesh.channel_class_of.empty());
+  EXPECT_DOUBLE_EQ(count("path=quotient"), quotient + 1.0);
+  EXPECT_DOUBLE_EQ(count("path=node"), node + 1.0);
 }
 
 // ---------------------------------------------- zero-overhead-off goldens
