@@ -420,16 +420,19 @@ void BM_QueryEngineFaultRetune(benchmark::State& state) {
   // retune_faults.  The FaultedTopology decorator keeps the channel table
   // index-aligned, and in each destination column whose routing changed
   // only the flow downstream of the changed nodes re-propagates (nodes/op:
-  // route-DAG nodes walked) — compare BM_TrafficModelBuildFatTreeSerial/4,
-  // the single-threaded cold FaultedTopology rebuild each availability
-  // scenario would otherwise cost (the N−1 sweep in
+  // route-DAG nodes walked) — compare BM_TrafficModelBuildFatTree/4, the
+  // cold FaultedTopology rebuild each availability scenario would
+  // otherwise cost (the N−1 sweep in
   // harness::QueryEngine::availability_n_minus_1 asks this question once per
-  // failable link).  CI's perf-smoke fails when this row is not faster.
+  // link orbit).  Both fan out over the builder pool; CI's perf-smoke fails
+  // when this row is not faster.
   topo::ButterflyFatTree ft(4);
   core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::hotspot(0.2, 3));
   auto faults = std::make_shared<topo::FaultSet>(ft);
   faults->fail_link(ft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort0);
-  const std::shared_ptr<const topo::FaultSet> scenarios[2] = {faults, nullptr};
+  // i ^= 1 reads index 1 first: every iteration, the first one included,
+  // moves the resident between the two states.
+  const std::shared_ptr<const topo::FaultSet> scenarios[2] = {nullptr, faults};
   std::size_t i = 0;
   long passes = 0;
   long nodes = 0;
@@ -446,7 +449,40 @@ void BM_QueryEngineFaultRetune(benchmark::State& state) {
   state.SetLabel("N=" + std::to_string(ft.num_processors()) +
                  " N-1 up-link delta");
 }
-BENCHMARK(BM_QueryEngineFaultRetune)->Unit(benchmark::kMillisecond);
+// UseRealTime: each column's frontier discovery runs on the builder pool.
+BENCHMARK(BM_QueryEngineFaultRetune)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_QueryEngineFaultRetuneTopLink(benchmark::State& state) {
+  // The critical path of an N−1 sweep: the top-level link orbit's retune,
+  // whose fault reroutes the most destination columns.  A uniform dense
+  // resident on BFT(levels) alternates between a failed level-(levels−1)
+  // up-link and the healthy fabric; both directions rebuild the fault view
+  // of the incoming state and re-propagate the same affected columns.
+  const int levels = static_cast<int>(state.range(0));
+  topo::ButterflyFatTree ft(levels);
+  core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::uniform());
+  auto faults = std::make_shared<topo::FaultSet>(ft);
+  faults->fail_link(ft.switch_id(levels - 1, 0),
+                    topo::ButterflyFatTree::kParentPort0);
+  const std::shared_ptr<const topo::FaultSet> scenarios[2] = {nullptr, faults};
+  std::size_t i = 0;
+  long columns = 0;
+  for (auto _ : state) {
+    columns += rm.retune_faults(scenarios[i ^= 1]).changed_pairs;
+    benchmark::DoNotOptimize(rm.model().mean_distance);
+  }
+  state.counters["columns/op"] = benchmark::Counter(
+      static_cast<double>(columns), benchmark::Counter::kAvgIterations);
+  state.SetLabel("N=" + std::to_string(ft.num_processors()) +
+                 " N-1 top-level link");
+}
+// UseRealTime: the view's frontiers and the columns' deltas run on the
+// builder pool.
+BENCHMARK(BM_QueryEngineFaultRetuneTopLink)
+    ->Arg(4)
+    ->Arg(5)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_QueryEngineAvailabilityN1(benchmark::State& state) {
   // The whole N−1 sweep at N = 256 under uniform traffic: 224 single-link
@@ -567,8 +603,8 @@ void BM_FaultedTopologyBuild(benchmark::State& state) {
   // The fault view one N−1 scenario builds before its delta: one failed
   // switch up-link on a BFT(levels), so the view labels its base's channel
   // table and runs the survivor BFS and repair for every destination whose
-  // base routes crossed the link (affected/op).  At BFT(5) this is most of
-  // a fault retune.
+  // base routes crossed the link (affected/op), one frontier per affected
+  // destination in fixed shards on the builder pool.
   topo::ButterflyFatTree ft(static_cast<int>(state.range(0)));
   topo::FaultSet faults(ft);
   faults.fail_link(ft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort0);
@@ -581,7 +617,12 @@ void BM_FaultedTopologyBuild(benchmark::State& state) {
   state.counters["affected/op"] = static_cast<double>(affected);
   state.SetLabel("N=" + std::to_string(ft.num_processors()) + " one up-link");
 }
-BENCHMARK(BM_FaultedTopologyBuild)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
+// UseRealTime: the per-destination frontiers run on the builder pool.
+BENCHMARK(BM_FaultedTopologyBuild)
+    ->Arg(4)
+    ->Arg(5)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ResidentClone(benchmark::State& state) {
   // The per-variant copy QueryEngine::prepare makes of a dense resident:

@@ -28,17 +28,6 @@ namespace {
 /// being "flat memory" long before it stops being correct).
 constexpr int kMaxSymmetryClasses = 2048;
 
-/// Shared worker pool for the default (threads = 0) builder.  Function-local
-/// static: created on the first parallel build, sized to the hardware, and
-/// reused by every subsequent build so small topologies don't pay a pool
-/// spin-up per call.  Builds never run on this pool's own workers (the
-/// builder is only ever called from user threads), so parallel_for's global
-/// wait cannot deadlock.
-util::ThreadPool& builder_pool() {
-  static util::ThreadPool pool;
-  return pool;
-}
-
 /// Cached routing of one node toward the pass destination: candidate ports,
 /// their outgoing channel ids and far-end nodes, and the route_split
 /// probabilities.  Filled once per visited node during the DFS and reused by
@@ -189,8 +178,10 @@ void dfs_route_dag(const topo::Topology& topo, const topo::ChannelTable& ct,
     for (int i = 0; i < nr.count; ++i) {
       const int port = opts[i];
       nr.port[static_cast<std::size_t>(i)] = port;
-      nr.channel[static_cast<std::size_t>(i)] = ct.from(node, port);
-      nr.neighbor[static_cast<std::size_t>(i)] = topo.neighbor(node, port);
+      const int ch = ct.from(node, port);
+      nr.channel[static_cast<std::size_t>(i)] = ch;
+      nr.neighbor[static_cast<std::size_t>(i)] =
+          ch == topo::kNoChannel ? topo::kNoNode : ct.at(ch).dst_node;
       nr.split[static_cast<std::size_t>(i)] = split[static_cast<std::size_t>(i)];
       WORMNET_ENSURES(nr.neighbor[static_cast<std::size_t>(i)] != topo::kNoNode);
     }
@@ -691,26 +682,6 @@ struct QuotientIndex {
   int injecting = 0;  ///< processors with positive injection weight
 };
 
-/// Run `job(j)` for every shard j in [0, num_shards) under the build's
-/// threading options: serially when threads = 1, or at or below the serial
-/// cutoff under threads = 0; else on the shared builder pool (threads = 0)
-/// or a private pool of `threads` workers.  Shard results must not depend
-/// on which of these ran them.
-template <typename Job>
-void run_shards(const TrafficBuildOptions& build, int procs, int num_shards,
-                const Job& job) {
-  if (build.threads == 1 || num_shards == 1 ||
-      (build.threads == 0 &&
-       procs <= TrafficBuildOptions::kSerialCutoffProcs)) {
-    for (int j = 0; j < num_shards; ++j) job(j);
-  } else if (build.threads == 0) {
-    util::parallel_for(builder_pool(), num_shards, job);
-  } else {
-    util::ThreadPool pool(build.threads);
-    util::parallel_for(pool, num_shards, job);
-  }
-}
-
 /// The quotient build's one O(channels) pass: walk (node, port) in
 /// ChannelTable id order and class every channel by its symmetry key.
 /// Returns false — the build goes dense, as topology_symmetry's refusal
@@ -774,7 +745,7 @@ bool index_quotient(const topo::Topology& topo, const traffic::TrafficSpec& spec
   const int procs = topo.num_processors();
   const int num_chunks = std::min(nodes, 16);
   std::vector<Chunk> chunks(static_cast<std::size_t>(num_chunks));
-  run_shards(build, procs, num_chunks, [&](std::int64_t j) {
+  util::run_shards(build.threads, procs, num_chunks, [&](std::int64_t j) {
     Chunk& k = chunks[static_cast<std::size_t>(j)];
     const int lo = static_cast<int>(j * nodes / num_chunks);
     const int hi = static_cast<int>((j + 1) * nodes / num_chunks);
@@ -856,7 +827,7 @@ bool index_quotient(const topo::Topology& topo, const traffic::TrafficSpec& spec
   std::vector<std::size_t> offset(chunks.size() + 1, 0);
   for (std::size_t j = 0; j < chunks.size(); ++j)
     offset[j + 1] = offset[j] + chunks[j].class_of.size();
-  run_shards(build, procs, num_chunks, [&](std::int64_t j) {
+  util::run_shards(build.threads, procs, num_chunks, [&](std::int64_t j) {
     const Chunk& k = chunks[static_cast<std::size_t>(j)];
     int* out = q.class_of.data() + offset[static_cast<std::size_t>(j)];
     for (std::size_t i = 0; i < k.class_of.size(); ++i)
@@ -1075,7 +1046,7 @@ long propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
   // the fork/join overhead exceeds the whole build, and the fixed-shard
   // contract makes the fallback bitwise-invisible (tested either side of
   // the boundary).
-  run_shards(build, procs, num_shards, shard_job);
+  util::run_shards(build.threads, procs, num_shards, shard_job);
 
   // Deterministic reduction: shard partials added back in shard (i.e.
   // ascending destination-range) order.
@@ -1295,14 +1266,15 @@ struct FrontierSink {
                      double /*flow*/) {}
 };
 
-/// Scratch of the fault delta, reused across its columns.
+/// Scratch of the fault delta's first phase, reused across the columns of
+/// one shard.
 struct FrontierScratch {
   std::vector<char> region;     ///< per node
   std::vector<int> marked;      ///< nodes whose region is set this column
   std::vector<int> candidates;  ///< union of both sides' candidates
   std::vector<int> walk;        ///< frontier, then the upstream walk
   std::vector<int> sources;     ///< upstream processors
-  std::vector<Seed> upstream, held, retract, readd;
+  std::vector<Seed> upstream, held;
   DestinationPass pass;
 
   explicit FrontierScratch(int num_nodes)
@@ -1312,6 +1284,17 @@ struct FrontierScratch {
     region[static_cast<std::size_t>(node)] = r;
     marked.push_back(node);
   }
+};
+
+/// What the fault delta of one destination column changes, found without
+/// touching the shared flow state: the signed demand-accounting terms, in
+/// the order they apply, and the seeds to retract along the old routes and
+/// re-add along the new.
+struct ColumnDelta {
+  std::vector<double> distance_terms;    ///< onto weighted_distance
+  std::vector<double> unroutable_terms;  ///< onto unroutable_weight
+  std::vector<Seed> retract, readd;
+  long walked = 0;  ///< nodes the first-hit pass walked
 };
 
 /// True when `a` and `b` route a worm at `node` toward `d` identically:
@@ -1329,28 +1312,29 @@ bool same_routing(const topo::Topology& a, const topo::Topology& b, int node,
   return std::equal(sa.begin(), sa.begin() + ra.size(), sb.begin());
 }
 
-/// The fault delta of destination column `d`: move `sums` from the column's
-/// contribution under `from` to its contribution under `to`, touching only
-/// what the routing change can reach.
+/// Phase 1 of the fault delta of destination column `d`: find what moving
+/// the column from its contribution under `from` to its contribution under
+/// `to` changes, touching only what the routing change can reach.  Reads
+/// the views and writes only `out` and `fs`, so columns run concurrently.
 ///  1. The frontier C: the candidates (either side's) whose routing or
 ///     reachability differs.  Outside the candidates both sides route as
 ///     the base does, so C is every node whose routing changed.  Sources
-///     whose distance or reachability moved get their demand accounting
-///     corrected here; no other source's can move.
+///     whose distance or reachability moved get demand-accounting terms;
+///     no other source's can move.
 ///  2. The upstream walk: backwards over unchanged routing from C, stopping
 ///     at C — the nodes whose flow reaches C first.  Their sources' seeds
 ///     run forward to C without sinking anything: the first-hit fragments
 ///     at C, identical under both views (routing upstream of C is).
 ///  3. The fragments — plus the seeds of frontier sources whose
-///     reachability flipped — run downstream from C: ×−1 under `from`,
-///     ×+1 under `to`.  Flow that never reaches C contributes the same
-///     under both views and is never walked.
-/// Walk orders are fixed functions of (views, d).  Returns the nodes
-/// walked by the column passes.
-long fault_column_delta(const FaultSide& from, const FaultSide& to,
-                        const topo::ChannelTable& ct,
-                        const traffic::TrafficSpec& spec, int d,
-                        DenseFlowState& st, FrontierScratch& fs) {
+///     reachability flipped — become the retract (×−1, run under `from`)
+///     and re-add (×+1, run under `to`) seeds of apply_column_delta.  Flow
+///     that never reaches C contributes the same under both views and is
+///     never walked.
+/// Walk orders are fixed functions of (views, d).
+void find_column_delta(const FaultSide& from, const FaultSide& to,
+                       const topo::ChannelTable& ct,
+                       const traffic::TrafficSpec& spec, int d,
+                       FrontierScratch& fs, ColumnDelta& out) {
   const int procs = from.routing->num_processors();
   const std::vector<int>& ca = from.candidates(d);
   const std::vector<int>& cb = to.candidates(d);
@@ -1372,10 +1356,10 @@ long fault_column_delta(const FaultSide& from, const FaultSide& to,
       const int da = ra ? from.routing->distance(v, d) : -1;
       const int db = rb ? to.routing->distance(v, d) : -1;
       if (w > 0.0 && da != db) {
-        if (ra) st.flow.weighted_distance -= w * da;
-        else st.flow.unroutable_weight -= w;
-        if (rb) st.flow.weighted_distance += w * db;
-        else st.flow.unroutable_weight += w;
+        if (ra) out.distance_terms.push_back(-(w * da));
+        else out.unroutable_terms.push_back(-w);
+        if (rb) out.distance_terms.push_back(w * db);
+        else out.unroutable_terms.push_back(w);
       }
     }
     if (ra != rb || !same_routing(*from.routing, *to.routing, v, d)) {
@@ -1385,24 +1369,24 @@ long fault_column_delta(const FaultSide& from, const FaultSide& to,
   }
   if (fs.walk.empty()) {
     for (const int v : fs.marked) fs.region[static_cast<std::size_t>(v)] = kOutside;
-    return 0;
+    return;
   }
 
   // Upstream walk.  Processors have no in-flows to walk past (only d
   // receives, and d never forwards); an unmarked switch is reachable under
-  // both views, so route() is defined there and agrees between them.
+  // both views, so route() is defined there and agrees between them.  The
+  // channel into x over port q is the reverse of x's channel out of q, so
+  // x's outgoing range lists its in-neighbours in port order.
   const std::size_t frontier_size = fs.walk.size();
   fs.sources.clear();
   for (std::size_t head = 0; head < fs.walk.size(); ++head) {
     const int x = fs.walk[head];
     if (x < procs) continue;
-    for (int q = 0; q < from.routing->num_ports(x); ++q) {
-      const int ch = ct.into(x, q);
-      if (ch == topo::kNoChannel) continue;
-      const topo::DirectedChannel& c = ct.at(ch);
-      const int u = c.src_node;
+    const auto edges = ct.out_channels(x);
+    for (int k = edges.first; k < edges.last; ++k) {
+      const int u = edges[k].dst_node;
       if (u == d || fs.region[static_cast<std::size_t>(u)] != kOutside) continue;
-      if (u >= procs && !from.routing->route(u, d).contains(c.src_port))
+      if (u >= procs && !from.routing->route(u, d).contains(edges[k].dst_port))
         continue;
       fs.set(u, kUpstream);
       fs.walk.push_back(u);
@@ -1410,7 +1394,6 @@ long fault_column_delta(const FaultSide& from, const FaultSide& to,
     }
   }
 
-  long walked = 0;
   std::sort(fs.sources.begin(), fs.sources.end());
   fs.upstream.clear();
   for (const int s : fs.sources) {
@@ -1420,14 +1403,13 @@ long fault_column_delta(const FaultSide& from, const FaultSide& to,
   fs.held.clear();
   if (!fs.upstream.empty()) {
     FrontierSink hits{fs.region, fs.held};
-    walked += propagate_column(*from.routing, ct, d, fs.upstream, fs.pass, hits);
+    out.walked =
+        propagate_column(*from.routing, ct, d, fs.upstream, fs.pass, hits);
   }
 
-  fs.retract.clear();
-  fs.readd.clear();
   for (const Seed& h : fs.held) {
-    fs.retract.push_back({h.node, h.in_ch, -h.flow, -h.self});
-    fs.readd.push_back(h);
+    out.retract.push_back({h.node, h.in_ch, -h.flow, -h.self});
+    out.readd.push_back(h);
   }
   for (std::size_t i = 0; i < frontier_size; ++i) {
     const int v = fs.walk[i];
@@ -1436,16 +1418,29 @@ long fault_column_delta(const FaultSide& from, const FaultSide& to,
     if (w <= 0.0) continue;
     const Seed sd = source_seed(spec, v, w, procs);
     if (from.can_reach(v, d))
-      fs.retract.push_back({v, topo::kNoChannel, -sd.flow, -sd.self});
-    if (to.can_reach(v, d)) fs.readd.push_back(sd);
+      out.retract.push_back({v, topo::kNoChannel, -sd.flow, -sd.self});
+    if (to.can_reach(v, d)) out.readd.push_back(sd);
   }
-  DenseSink sink(st.flow, st.onward_off);
-  if (!fs.retract.empty())
-    walked += propagate_column(*from.routing, ct, d, fs.retract, fs.pass, sink);
-  if (!fs.readd.empty())
-    walked += propagate_column(*to.routing, ct, d, fs.readd, fs.pass, sink);
-
   for (const int v : fs.marked) fs.region[static_cast<std::size_t>(v)] = kOutside;
+}
+
+/// Phase 2 of the fault delta of column `d`: apply `delta` to the shared
+/// flow state — the accounting terms in order, then the retract seeds down
+/// the old routes and the re-add seeds down the new.  Columns apply one at
+/// a time in destination order, so every sum is added in the order of a
+/// serial column loop.  Returns the nodes the two passes walked.
+long apply_column_delta(const FaultSide& from, const FaultSide& to,
+                        const topo::ChannelTable& ct, int d,
+                        const ColumnDelta& delta, DenseFlowState& st,
+                        DestinationPass& pass) {
+  for (const double t : delta.distance_terms) st.flow.weighted_distance += t;
+  for (const double t : delta.unroutable_terms) st.flow.unroutable_weight += t;
+  DenseSink sink(st.flow, st.onward_off);
+  long walked = 0;
+  if (!delta.retract.empty())
+    walked += propagate_column(*from.routing, ct, d, delta.retract, pass, sink);
+  if (!delta.readd.empty())
+    walked += propagate_column(*to.routing, ct, d, delta.readd, pass, sink);
   return walked;
 }
 
@@ -1757,7 +1752,8 @@ RetuneReport RetunableTrafficModel::retune_faults(
 
   std::shared_ptr<const topo::FaultedTopology> new_view;
   if (faults)
-    new_view = std::make_shared<const topo::FaultedTopology>(*im.topo, *faults);
+    new_view = std::make_shared<const topo::FaultedTopology>(*im.topo, *faults,
+                                                             im.build.threads);
 
   // Destinations whose routing differs between the outgoing and incoming
   // views — the union is exactly the set of columns to re-propagate.
@@ -1804,25 +1800,49 @@ RetuneReport RetunableTrafficModel::retune_faults(
   }
 
   // Dense fault delta: per affected destination, a frontier-bounded
-  // retract-and-re-add (fault_column_delta) — the DP is linear in its seeds,
-  // and everything upstream of the nodes whose routing changed contributes
-  // identically under both views.  Never escalates to a rebuild:
-  // availability sweeps rely on the cost class staying Retune for every
-  // scenario.  Total demand is fault-invariant; only its unroutable share
-  // and the distances of the sources whose routes moved change.
+  // retract-and-re-add — the DP is linear in its seeds, and everything
+  // upstream of the nodes whose routing changed contributes identically
+  // under both views.  Phase 1 finds every column's delta
+  // (find_column_delta) in fixed shards, each column into its own slot;
+  // phase 2 applies them serially in destination order, so the flow state
+  // is added to exactly as a serial column loop adds to it, whatever ran
+  // phase 1.  Never escalates to a rebuild: availability sweeps rely on
+  // the cost class staying Retune for every scenario.  Total demand is
+  // fault-invariant; only its unroutable share and the distances of the
+  // sources whose routes moved change.
   const FaultSide from{&im.routing_topo(), im.faulted.get()};
   const FaultSide to{new_view ? static_cast<const topo::Topology*>(new_view.get())
                               : im.topo,
                      new_view.get()};
+  std::vector<int> columns;
+  for (int d = 0; d < procs; ++d)
+    if (is_affected[static_cast<std::size_t>(d)]) columns.push_back(d);
+  const int num_columns = static_cast<int>(columns.size());
+  std::vector<ColumnDelta> deltas(columns.size());
+  // Shard j takes every 16th column from j: neighbouring destinations cost
+  // alike, so striding spreads the expensive ones.  Which shard finds a
+  // column never reaches its delta.
+  const int num_shards = std::min(num_columns, 16);
+  util::run_shards(im.build.threads, procs, num_shards, [&](std::int64_t j) {
+    FrontierScratch scratch(im.topo->num_nodes());
+    for (int k = static_cast<int>(j); k < num_columns; k += num_shards) {
+      find_column_delta(from, to, im.ct, im.spec,
+                        columns[static_cast<std::size_t>(k)], scratch,
+                        deltas[static_cast<std::size_t>(k)]);
+    }
+  });
+
   DenseFlowState& st = im.state;
-  FrontierScratch scratch(im.topo->num_nodes());
-  for (int d = 0; d < procs; ++d) {
-    if (!is_affected[static_cast<std::size_t>(d)]) continue;
-    ++report.changed_pairs;  // here: changed destination COLUMNS
-    report.passes += 2;      // one retract and one re-add per column
+  DestinationPass pass(im.topo->num_nodes());
+  for (int k = 0; k < num_columns; ++k) {
+    const ColumnDelta& delta = deltas[static_cast<std::size_t>(k)];
     report.nodes_visited +=
-        fault_column_delta(from, to, im.ct, im.spec, d, st, scratch);
+        delta.walked + apply_column_delta(from, to, im.ct,
+                                          columns[static_cast<std::size_t>(k)],
+                                          delta, st, pass);
   }
+  report.changed_pairs = num_columns;  // here: changed destination COLUMNS
+  report.passes = 2 * num_columns;     // one retract and one re-add each
   snap_residues(st);
 
   im.fault_set = std::move(faults);

@@ -32,7 +32,9 @@
 //     frontier up to their first hit on it (the same under both routings,
 //     so nothing is accumulated); those fragments then seed the pass
 //     mid-DAG, retracted (× −1) along the old routes and re-added along the
-//     new.  Flow that never reaches the frontier is never walked.
+//     new.  Flow that never reaches the frontier is never walked.  The
+//     first-hit passes write nothing shared, so they run sharded; the
+//     retract and re-add passes run serially in destination order.
 // Fixed-destination specs (bit-complement, transpose, permutations) seed
 // from per-destination source lists instead of scanning all N sources: the
 // same seeds in the same order, so the result is bitwise-identical.
@@ -109,6 +111,7 @@
 #include "topo/fault.hpp"
 #include "topo/topology.hpp"
 #include "traffic/traffic_spec.hpp"
+#include "util/thread_pool.hpp"
 
 namespace wormnet::core {
 
@@ -133,18 +136,19 @@ enum class CollapseMode {
 /// BITWISE-identical for every thread count, including threads = 1
 /// (tested in test_traffic_model.cpp / test_perf_guards.cpp).
 struct TrafficBuildOptions {
-  /// Worker threads for the destination shards: 0 = a shared pool sized to
-  /// the hardware (the default), 1 = run serially on the calling thread,
-  /// n = a private pool of n workers (tests use this to pin a width).
-  /// At or below kSerialCutoffProcs processors, 0 runs serially: the
-  /// fork/join overhead exceeds the whole build there (BENCH_perf.json,
-  /// BM_TrafficModelBuildFatTree/3), and the shard contract makes the
-  /// fallback bitwise-invisible.
+  /// Worker threads for the destination shards (util::run_shards): 0 = the
+  /// shared pool sized to the hardware (the default), 1 = run serially on
+  /// the calling thread, n = a private pool of n workers (tests use this to
+  /// pin a width).  At or below kSerialCutoffProcs processors, 0 runs
+  /// serially: the fork/join overhead exceeds the whole build there
+  /// (BENCH_perf.json, BM_TrafficModelBuildFatTree/3), and the shard
+  /// contract makes the fallback bitwise-invisible.  A resident's fault
+  /// retunes and the fault views they build follow the same rule.
   unsigned threads = 0;
   /// Channel-class strategy; Dense preserves the historical behavior.
   CollapseMode collapse = CollapseMode::Dense;
   /// Processor count at or below which threads = 0 builds serially.
-  static constexpr int kSerialCutoffProcs = 128;
+  static constexpr int kSerialCutoffProcs = util::kSerialCutoffProcs;
 };
 
 /// Build the per-physical-channel general model of `topo` loaded with `spec`.
@@ -280,6 +284,16 @@ class RetunableTrafficModel {
   ///    propagated from the frontier downstream, negated under the OLD
   ///    routing and re-added under the NEW; demand accounting moves only for
   ///    sources whose distance or reachability changed.
+  /// Two phases.  The incoming view's per-destination frontiers, then each
+  /// affected column's frontier set, accounting terms, upstream walk and
+  /// first-hit pass, run as fixed shards under TrafficBuildOptions::threads
+  /// (util::run_shards), each column writing only its own plan; the plans
+  /// are then applied to the flow state serially, in destination order,
+  /// exactly as a one-thread column loop applies them — so the model is
+  /// bit-identical for every thread count.  Under threads = 0 the shards
+  /// run on util::shared_pool(), whose parallel_for waits for the whole
+  /// pool, so never call this from one of that pool's own workers; the
+  /// query engine's pool and user threads are fine.
   /// Never a rebuild.  The report counts affected columns in changed_pairs,
   /// two passes per column, and the nodes the passes walked in
   /// nodes_visited — the work, a fraction of the full columns.  Collapsed

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "util/hash.hpp"
+#include "util/thread_pool.hpp"
 
 namespace wormnet::topo {
 
@@ -93,7 +94,8 @@ std::uint64_t FaultSet::digest() const {
 
 // -- FaultedTopology ---------------------------------------------------------
 
-FaultedTopology::FaultedTopology(const Topology& base, const FaultSet& faults)
+FaultedTopology::FaultedTopology(const Topology& base, const FaultSet& faults,
+                                 unsigned threads)
     : base_(&base), faults_(&faults), table_(base) {
   WORMNET_EXPECTS(&faults.topology() == &base);
   // Inherit the base's uniform attribute defaults so the decorator's own
@@ -140,12 +142,23 @@ FaultedTopology::FaultedTopology(const Topology& base, const FaultSet& faults)
     }
   }
 
+  // One frontier per affected destination, each into its own slot, in 16
+  // fixed shards of consecutive destinations (neighbours share a switch,
+  // and with it most of a healthy BFS — see build_frontier), each with its
+  // own scratch.  A frontier is a function of (base, faults, dest) alone,
+  // so the view is the same whatever ran the shards.
   frontiers_.resize(affected_.size());
-  std::vector<int> dist;
-  std::vector<int> queue;
-  std::vector<char> mark(static_cast<std::size_t>(nodes), 0);
-  for (std::size_t i = 0; i < affected_.size(); ++i)
-    build_frontier(affected_[i], frontiers_[i], dist, queue, mark);
+  const int num_affected = static_cast<int>(affected_.size());
+  const int num_shards = std::min(num_affected, 16);
+  util::run_shards(threads, procs, num_shards, [&](std::int64_t j) {
+    BfsScratch scratch;
+    scratch.mark.assign(static_cast<std::size_t>(nodes), 0);
+    const int lo = static_cast<int>(j) * num_affected / num_shards;
+    const int hi = (static_cast<int>(j) + 1) * num_affected / num_shards;
+    for (int i = lo; i < hi; ++i)
+      build_frontier(affected_[static_cast<std::size_t>(i)],
+                     frontiers_[static_cast<std::size_t>(i)], scratch);
+  });
 
   // Unreachable pairs and the mean survivor distance over reachable ordered
   // pairs: the base total corrected for the processors whose distance
@@ -174,32 +187,48 @@ FaultedTopology::FaultedTopology(const Topology& base, const FaultSet& faults)
 }
 
 void FaultedTopology::build_frontier(int d, Frontier& f,
-                                     std::vector<int>& dist,
-                                     std::vector<int>& queue,
-                                     std::vector<char>& mark) const {
+                                     BfsScratch& s) const {
   const int procs = num_processors();
   const int nodes = num_nodes();
+  std::vector<int>& dist = s.dist;
+  std::vector<int>& queue = s.queue;
+  std::vector<char>& mark = s.mark;
   // A processor other than d never transits traffic.
   const auto transits = [&](int v) { return v >= procs || v == d; };
 
   // 1. Healthy backward BFS: dist[v] = channels from v to consumption at d
   //    (the ejection channel counts, matching Topology::distance's
   //    convention).  Processors other than d are reached from their switch
-  //    and relax nothing further, so they are never queued.
-  dist.assign(static_cast<std::size_t>(nodes), -1);
-  dist[static_cast<std::size_t>(d)] = 0;
-  queue.assign(1, d);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const int v = queue[head];
-    const int dv = dist[static_cast<std::size_t>(v)];
-    const auto edges = table_.out_channels(v);
-    for (int k = edges.first; k < edges.last; ++k) {
-      const int u = edges[k].dst_node;
-      if (dist[static_cast<std::size_t>(u)] >= 0) continue;
-      dist[static_cast<std::size_t>(u)] = dv + 1;
-      if (transits(u)) queue.push_back(u);
+  //    and relax nothing further, so they are never queued.  Hence when the
+  //    scratch holds the distances toward a processor on the same one switch
+  //    as d, only the two processors' entries differ: d's is 0, the other's
+  //    2 (up to the switch, down to d).
+  const auto sole_switch = [&](int p) {
+    const auto edges = table_.out_channels(p);
+    return edges.last - edges.first == 1 ? edges[edges.first].dst_node
+                                         : kNoNode;
+  };
+  if (s.dest >= 0 && sole_switch(d) != kNoNode &&
+      sole_switch(d) == sole_switch(s.dest)) {
+    dist[static_cast<std::size_t>(s.dest)] = 2;
+    dist[static_cast<std::size_t>(d)] = 0;
+  } else {
+    dist.assign(static_cast<std::size_t>(nodes), -1);
+    dist[static_cast<std::size_t>(d)] = 0;
+    queue.assign(1, d);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const int v = queue[head];
+      const int dv = dist[static_cast<std::size_t>(v)];
+      const auto edges = table_.out_channels(v);
+      for (int k = edges.first; k < edges.last; ++k) {
+        const int u = edges[k].dst_node;
+        if (dist[static_cast<std::size_t>(u)] >= 0) continue;
+        dist[static_cast<std::size_t>(u)] = dv + 1;
+        if (transits(u)) queue.push_back(u);
+      }
     }
   }
+  s.dest = d;
 
   // 2. Decremental repair.  Removing links only lengthens distances, and a
   //    node keeps its distance iff an in-service link leads to a transiting
@@ -243,8 +272,13 @@ void FaultedTopology::build_frontier(int d, Frontier& f,
 
   //    Re-derive the lost nodes' distances: unit-weight Dijkstra seeded from
   //    the kept boundary (whose distances are final); a lost node no kept
-  //    node reaches stays -1, unreachable.
-  for (const int v : lost) dist[static_cast<std::size_t>(v)] = -1;
+  //    node reaches stays -1, unreachable.  Their healthy distances are
+  //    restored at the end, for the next destination.
+  std::vector<int> healthy(lost.size());
+  for (std::size_t i = 0; i < lost.size(); ++i) {
+    healthy[i] = dist[static_cast<std::size_t>(lost[i])];
+    dist[static_cast<std::size_t>(lost[i])] = -1;
+  }
   for (const int v : lost) {
     int best = -1;
     const auto edges = table_.out_channels(v);
@@ -306,6 +340,8 @@ void FaultedTopology::build_frontier(int d, Frontier& f,
   for (const int v : read)
     f.dist.emplace_back(v, dist[static_cast<std::size_t>(v)]);
   for (const int v : queue) mark[static_cast<std::size_t>(v)] = 0;
+  for (std::size_t i = 0; i < lost.size(); ++i)
+    dist[static_cast<std::size_t>(lost[i])] = healthy[i];
 }
 
 std::string FaultedTopology::name() const {

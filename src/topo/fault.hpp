@@ -116,7 +116,16 @@ class FaultSet {
 /// thread-safe afterwards.  Base and faults must outlive the decorator.
 class FaultedTopology final : public Topology {
  public:
-  FaultedTopology(const Topology& base, const FaultSet& faults);
+  /// `threads` runs the per-destination frontiers as fixed shards under the
+  /// core::TrafficBuildOptions::threads rule (util::run_shards): 0 = the
+  /// shared pool above util::kSerialCutoffProcs processors, 1 = on the
+  /// calling thread, n = a private pool.  Each destination's frontier lands
+  /// in its own slot and the mean-distance correction is one serial loop
+  /// after them, so the view is bit-identical for every value.  Under 0,
+  /// never construct a view on one of the shared pool's own workers
+  /// (util::shared_pool: parallel_for waits for the whole pool).
+  FaultedTopology(const Topology& base, const FaultSet& faults,
+                  unsigned threads = 0);
 
   std::string name() const override;
   int num_nodes() const override { return base_->num_nodes(); }
@@ -222,10 +231,15 @@ class FaultedTopology final : public Topology {
   const int* frontier_distance(int node, int dest) const;
   /// True when `node` is a frontier candidate of affected destination `dest`.
   bool frontier_candidate(int node, int dest) const;
-  /// Survivor BFS toward `dest` into `f`.  `dist`, `queue` and `mark` (all
-  /// 0, left so) are scratch reused across destinations.
-  void build_frontier(int dest, Frontier& f, std::vector<int>& dist,
-                      std::vector<int>& queue, std::vector<char>& mark) const;
+  /// Scratch of build_frontier, reused across one shard's destinations.
+  struct BfsScratch {
+    std::vector<int> dist;   ///< healthy distances toward `dest` between calls
+    int dest = -1;           ///< whose distances `dist` holds; -1: none yet
+    std::vector<int> queue;
+    std::vector<char> mark;  ///< all 0 between calls
+  };
+  /// Survivor BFS toward `dest` into `f`.
+  void build_frontier(int dest, Frontier& f, BfsScratch& s) const;
 
   const Topology* base_;
   const FaultSet* faults_;

@@ -65,4 +65,9 @@ void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& body)
   parallel_for(pool, n, body);
 }
 
+ThreadPool& shared_pool() {
+  static ThreadPool pool;
+  return pool;
+}
+
 }  // namespace wormnet::util

@@ -10,7 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
@@ -953,6 +958,210 @@ TEST(FaultRetune, ChainedFaultDeltasMatchColdBuilds) {
       EXPECT_GT(walked, 0) << t->name() << "/" << spec.name();
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Sharded fault retunes: thread-count invariance and pinned answers.
+// ---------------------------------------------------------------------------
+
+/// One step of a fault chain: its label and the fault set (null: healthy).
+struct ChainStep {
+  std::string label;
+  std::shared_ptr<const topo::FaultSet> faults;
+};
+
+/// A fault set failing `links`.
+std::shared_ptr<const topo::FaultSet> fail_links(
+    const topo::Topology& t, const std::vector<std::pair<int, int>>& links) {
+  auto fs = std::make_shared<topo::FaultSet>(t);
+  for (const auto& [node, port] : links) fs->fail_link(node, port);
+  return fs;
+}
+
+/// Everything a retuned resident answers, as raw bits: per class the rate,
+/// self_frac, C_a² and every transition; the mean distance and unroutable
+/// share; and its routing view's route()/route_split()/distance() at every
+/// (node, destination) pair the view can route, plus the view's mean
+/// distance.
+std::vector<std::uint64_t> resident_bits(
+    const core::RetunableTrafficModel& rm) {
+  std::vector<std::uint64_t> bits;
+  const auto put = [&](double v) {
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  };
+  const core::GeneralModel& net = rm.model();
+  for (int id = 0; id < net.graph.size(); ++id) {
+    const core::ChannelClass& c = net.graph.at(id);
+    put(c.rate_per_link);
+    put(c.self_frac);
+    put(c.ca2);
+    for (const core::Transition& t : c.next) {
+      bits.push_back(static_cast<std::uint64_t>(t.target));
+      put(t.weight);
+      put(t.route_prob);
+    }
+  }
+  put(net.mean_distance);
+  put(net.unroutable_fraction);
+  const topo::Topology& view = rm.routing_topology();
+  const auto* faulted = dynamic_cast<const topo::FaultedTopology*>(&view);
+  const int procs = view.num_processors();
+  for (int d = 0; d < procs; ++d) {
+    for (int v = 0; v < view.num_nodes(); ++v) {
+      if (faulted != nullptr && !faulted->can_reach(v, d)) {
+        bits.push_back(~0ull);
+        continue;
+      }
+      const topo::RouteOptions r = view.route(v, d);
+      bits.push_back(static_cast<std::uint64_t>(r.size()));
+      if (r.size() == 0) continue;
+      const std::array<double, 4> split = view.route_split(v, d, r);
+      for (int i = 0; i < r.size(); ++i) {
+        bits.push_back(static_cast<std::uint64_t>(r[i]));
+        put(split[static_cast<std::size_t>(i)]);
+      }
+      if (v < procs && v != d)
+        bits.push_back(static_cast<std::uint64_t>(view.distance(v, d)));
+    }
+  }
+  put(view.mean_distance());
+  return bits;
+}
+
+struct PinnedAnswer {
+  const char* tag;
+  double saturation_rate, latency;  ///< latency at 0.4 · saturation_rate
+};
+
+// Answers of the chains below as computed by the serial column loop the
+// sharded retune replaced; any change of these bits is a change of answers.
+// clang-format off
+const PinnedAnswer kChainAnswers[] = {
+    {"butterfly-fat-tree(n=4, N=256) uniform top link",
+     0x1.c6dc4da3fd8b6p-9, 0x1.83d2a1470c46bp+4},
+    {"butterfly-fat-tree(n=4, N=256) uniform level-1 link",
+     0x1.34f351188a50cp-8, 0x1.91622770081a3p+4},
+    {"butterfly-fat-tree(n=4, N=256) uniform N-2",
+     0x1.c6dc4995053aep-9, 0x1.844ebebaaa53fp+4},
+    {"butterfly-fat-tree(n=4, N=256) uniform healthy",
+     0x1.42a30d2402a3ep-8, 0x1.93f5fac17f727p+4},
+    {"butterfly-fat-tree(n=4, N=256) hotspot(f=0.20,node=37) top link",
+     0x1.e968162dd838ap-11, 0x1.783f64a2f1e0ap+4},
+    {"butterfly-fat-tree(n=4, N=256) hotspot(f=0.20,node=37) level-1 link",
+     0x1.ee4740d05299ap-11, 0x1.784d4c451509cp+4},
+    {"butterfly-fat-tree(n=4, N=256) hotspot(f=0.20,node=37) N-2",
+     0x1.eb58d89cd16dcp-11, 0x1.783cab0e51d66p+4},
+    {"butterfly-fat-tree(n=4, N=256) hotspot(f=0.20,node=37) healthy",
+     0x1.ef6fcc6be07b8p-11, 0x1.7859b966f7d6p+4},
+    {"mesh(k=4, d=4, N=256) uniform first link",
+     0x1.1c4dff00a870ep-6, 0x1.abddffc0e71bp+4},
+    {"mesh(k=4, d=4, N=256) uniform middle link",
+     0x1.3709c699db9a8p-6, 0x1.b6ee8f07d312cp+4},
+    {"mesh(k=4, d=4, N=256) uniform N-2",
+     0x1.219cc82c6f144p-6, 0x1.ae7510bbb9502p+4},
+    {"mesh(k=4, d=4, N=256) uniform healthy",
+     0x1.3b31dd01039d6p-6, 0x1.b81d1fcbed648p+4},
+};
+// clang-format on
+
+void print_chain_answers(const std::vector<PinnedAnswer>& got,
+                         const std::vector<std::string>& tags) {
+  std::printf("const PinnedAnswer kChainAnswers[] = {\n");
+  for (std::size_t i = 0; i < got.size(); ++i)
+    std::printf("    {\"%s\",\n     %a, %a},\n", tags[i].c_str(),
+                got[i].saturation_rate, got[i].latency);
+  std::printf("};\n");
+}
+
+TEST(FaultRetune, ShardedChainsAreBitIdenticalForEveryThreadCount) {
+  // A chain of fault retunes — a top-level link, a level-1 link, an N−2
+  // set, back to healthy — on residents whose retunes run serially
+  // (threads = 1), on private pools of 2 and 3 workers, and on the shared
+  // pool (0).  Every step must give the same bits under every width, and
+  // the answers must be the pinned ones.
+  const topo::ButterflyFatTree ft(4);
+  const topo::Mesh mesh(4, 4);
+  const std::vector<std::pair<int, int>> mesh_links = failable_links(mesh);
+  const std::size_t mid = mesh_links.size() / 2;
+  const int up0 = topo::ButterflyFatTree::kParentPort0;
+  const int up1 = topo::ButterflyFatTree::kParentPort1;
+  const std::vector<ChainStep> ft_chain{
+      {"top link", fail_links(ft, {{ft.switch_id(3, 0), up0}})},
+      {"level-1 link", fail_links(ft, {{ft.switch_id(1, 5), up1}})},
+      {"N-2", fail_links(ft, {{ft.switch_id(2, 3), up1},
+                              {ft.switch_id(3, 6), up0}})},
+      {"healthy", nullptr}};
+  const std::vector<ChainStep> mesh_chain{
+      {"first link", fail_links(mesh, {mesh_links.front()})},
+      {"middle link", fail_links(mesh, {mesh_links[mid]})},
+      {"N-2", fail_links(mesh, {mesh_links[mid / 2], mesh_links[mid + 7]})},
+      {"healthy", nullptr}};
+  struct Cell {
+    const topo::Topology* topo;
+    traffic::TrafficSpec spec;
+    const std::vector<ChainStep>* chain;
+  };
+  const std::vector<Cell> cells{
+      {&ft, traffic::TrafficSpec::uniform(), &ft_chain},
+      {&ft, traffic::TrafficSpec::hotspot(0.2, 37), &ft_chain},
+      {&mesh, traffic::TrafficSpec::uniform(), &mesh_chain}};
+  core::SolveOptions opts;
+  opts.worm_flits = 16.0;
+  opts.max_iterations = 100;  // detoured mesh graphs are cyclic
+
+  std::vector<PinnedAnswer> got;
+  std::vector<std::string> tags;
+  for (const Cell& cell : cells) {
+    std::vector<std::vector<std::uint64_t>> serial;  // threads = 1, per step
+    for (const unsigned threads : {1u, 2u, 3u, 0u}) {
+      core::TrafficBuildOptions build;
+      build.threads = threads;
+      core::RetunableTrafficModel rm(*cell.topo, cell.spec, opts, build);
+      for (std::size_t k = 0; k < cell.chain->size(); ++k) {
+        const ChainStep& step = (*cell.chain)[k];
+        const std::string tag =
+            cell.topo->name() + " " + cell.spec.name() + " " + step.label;
+        const core::RetuneReport rep = rm.retune_faults(step.faults);
+        ASSERT_FALSE(rep.rebuilt) << tag;
+        ASSERT_GT(rep.passes, 0) << tag;
+        std::vector<std::uint64_t> bits = resident_bits(rm);
+        if (threads == 1) {
+          serial.push_back(std::move(bits));
+          const double sat = core::model_saturation_rate(rm.model(), opts);
+          const double lat =
+              core::model_latency(rm.model(), 0.4 * sat, opts).latency;
+          got.push_back({nullptr, sat, lat});
+          tags.push_back(tag);
+          continue;
+        }
+        const std::vector<std::uint64_t>& want = serial[k];
+        ASSERT_EQ(bits.size(), want.size()) << tag << " threads=" << threads;
+        const auto diff = std::mismatch(bits.begin(), bits.end(), want.begin());
+        ASSERT_TRUE(diff.first == bits.end())
+            << tag << " threads=" << threads << ": first differing word "
+            << (diff.first - bits.begin()) << " of " << bits.size();
+      }
+    }
+  }
+
+  const std::size_t n = std::size(kChainAnswers);
+  bool ok = got.size() == n;
+  EXPECT_EQ(got.size(), n);
+  for (std::size_t i = 0; i < n && i < got.size(); ++i) {
+    const PinnedAnswer& w = kChainAnswers[i];
+    const bool row_ok =
+        tags[i] == w.tag &&
+        std::bit_cast<std::uint64_t>(got[i].saturation_rate) ==
+            std::bit_cast<std::uint64_t>(w.saturation_rate) &&
+        std::bit_cast<std::uint64_t>(got[i].latency) ==
+            std::bit_cast<std::uint64_t>(w.latency);
+    EXPECT_TRUE(row_ok) << tags[i] << std::hexfloat << ": saturation "
+                        << got[i].saturation_rate << " vs "
+                        << w.saturation_rate << ", latency " << got[i].latency
+                        << " vs " << w.latency;
+    ok = ok && row_ok;
+  }
+  if (!ok) print_chain_answers(got, tags);
 }
 
 TEST(FaultFuzz, RandomFaultsKeepConservationAndFiniteSolves) {

@@ -187,9 +187,14 @@ class Campaign {
 };
 
 std::string cell_label(const Cell& c) {
+  // Appends rather than an operator+ chain: GCC 12's -Wrestrict trips a
+  // false positive on "..." + std::string&& at -O2 and above.
   std::string name = c.taper == Taper::T2to1 ? "Taper2to1" : "Taper4to1";
-  name += c.depth == 0 ? "DepthInf" : "Depth" + std::to_string(c.depth);
-  name += "L" + std::to_string(c.lanes);
+  name += "Depth";
+  if (c.depth == 0) name += "Inf";
+  else name += std::to_string(c.depth);
+  name += 'L';
+  name += std::to_string(c.lanes);
   return name;
 }
 

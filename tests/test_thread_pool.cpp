@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace wormnet::util {
@@ -53,6 +54,30 @@ TEST(ThreadPool, ReusableAcrossBatches) {
   parallel_for(pool, 10, [&](std::int64_t) { ++count; });
   parallel_for(pool, 10, [&](std::int64_t) { ++count; });
   EXPECT_EQ(count.load(), 20);
+}
+
+TEST(ThreadPool, RunShardsFollowsTheThreadsRule) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(16);
+  const auto job = [&](std::int64_t j) {
+    ran[static_cast<std::size_t>(j)] = std::this_thread::get_id();
+  };
+  // threads = 1, and threads = 0 at or below the cutoff: the calling thread.
+  run_shards(1, 1 << 20, 16, job);
+  for (const auto& id : ran) EXPECT_EQ(id, caller);
+  run_shards(0, kSerialCutoffProcs, 16, job);
+  for (const auto& id : ran) EXPECT_EQ(id, caller);
+  // Above it, threads = 0 and a private width run every shard once, off
+  // the calling thread.
+  for (const unsigned threads : {0u, 3u}) {
+    std::vector<std::atomic<int>> hits(16);
+    run_shards(threads, kSerialCutoffProcs + 1, 16, [&](std::int64_t j) {
+      ++hits[static_cast<std::size_t>(j)];
+      ran[static_cast<std::size_t>(j)] = std::this_thread::get_id();
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    for (const auto& id : ran) EXPECT_NE(id, caller);
+  }
 }
 
 }  // namespace
