@@ -8,7 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -204,21 +203,6 @@ void dfs_route_dag(const topo::Topology& topo, const topo::ChannelTable& ct,
   }
 }
 
-/// Sparse seeding: for a fixed-destination spec, each destination's sources
-/// in ascending order (the order the full scan visits them); empty — scan
-/// every source — for any other spec.
-std::vector<std::vector<int>> fixed_destination_sources(
-    const traffic::TrafficSpec& spec, int procs) {
-  std::vector<std::vector<int>> sources;
-  if (spec.fixed_destination(0, procs) < 0) return sources;
-  sources.resize(static_cast<std::size_t>(procs));
-  for (int s = 0; s < procs; ++s) {
-    sources[static_cast<std::size_t>(spec.fixed_destination(s, procs))]
-        .push_back(s);
-  }
-  return sources;
-}
-
 /// The seed of source `s` toward `d` at unit factor: weight w injects w, and
 /// the (s → d) sub-stream is the destination split of s's injection process,
 /// fraction frac = w / injection_weight of it, hence self = w·frac.  The
@@ -229,16 +213,36 @@ Seed source_seed(const traffic::TrafficSpec& spec, int s, double w,
   return {s, topo::kNoChannel, w, w * frac};
 }
 
-/// The one seed rule: fill `seeds` with destination d's column.  Every
-/// source with weight w toward d injects factor·w (see source_seed).  Demand
-/// toward an unreachable destination (faulted fabrics) is dropped at the
-/// source and counted in `sums` — the model degrades instead of asserting.
+/// The one seed rule, per (s, d) pair standing for `factor` such pairs:
+/// weight w injects factor·w (see source_seed), and its demand is counted
+/// in `sums`.  Demand toward an unreachable destination (faulted fabrics) is
+/// dropped at the source — the model degrades instead of asserting.  Returns
+/// the seed, or nothing when the pair carries no weight or no route.
 ///
-/// `factor` is 1 for the dense build and the orbit size for the collapsed
-/// build; 1 is exact, so dense columns reproduce the unscaled products.
-/// `dest_sources` (see fixed_destination_sources) yields the same seeds in
-/// the same order as the full scan — which skips w <= 0 anyway — without
-/// its O(N) cost per destination.
+/// `factor` is 1 for the dense build, the destination-orbit size for the
+/// node-built collapsed build, and that times the source-orbit size for
+/// the quotient build; 1 is exact, so dense columns reproduce the unscaled
+/// products.
+std::optional<Seed> seed_pair(const topo::Topology& view,
+                              const traffic::TrafficSpec& spec, int s, int d,
+                              double factor, ColumnSums& sums) {
+  const int procs = view.num_processors();
+  const double w = spec.pair_weight(s, d, procs);
+  if (w <= 0.0) return std::nullopt;
+  sums.total_weight += factor * w;
+  if (!view.reachable(s, d)) {
+    sums.unroutable_weight += factor * w;
+    return std::nullopt;
+  }
+  sums.weighted_distance += factor * w * view.distance(s, d);
+  const Seed unit = source_seed(spec, s, w, procs);
+  return Seed{s, topo::kNoChannel, factor * unit.flow, factor * unit.self};
+}
+
+/// Fill `seeds` with destination d's column under seed_pair.
+/// `dest_sources` (see propagate_dense) yields the same seeds in the same
+/// order as the full scan — which skips w <= 0 anyway — without its O(N)
+/// cost per destination.
 void seed_column(const topo::Topology& view, const traffic::TrafficSpec& spec,
                  int d, double factor,
                  const std::vector<std::vector<int>>& dest_sources,
@@ -246,16 +250,8 @@ void seed_column(const topo::Topology& view, const traffic::TrafficSpec& spec,
   const int procs = view.num_processors();
   seeds.clear();
   const auto seed = [&](int s) {
-    const double w = spec.pair_weight(s, d, procs);
-    if (w <= 0.0) return;
-    sums.total_weight += factor * w;
-    if (!view.reachable(s, d)) {
-      sums.unroutable_weight += factor * w;
-      return;
-    }
-    sums.weighted_distance += factor * w * view.distance(s, d);
-    const Seed unit = source_seed(spec, s, w, procs);
-    seeds.push_back({s, topo::kNoChannel, factor * unit.flow, factor * unit.self});
+    if (const auto sd = seed_pair(view, spec, s, d, factor, sums))
+      seeds.push_back(*sd);
   };
   if (!dest_sources.empty()) {
     for (int s : dest_sources[static_cast<std::size_t>(d)]) seed(s);
@@ -371,23 +367,6 @@ int add_station(GeneralModel& net, const topo::Topology& topo,
   return net.graph.add_channel(c);
 }
 
-/// The injection channels of every processor that injects (positive
-/// injection weight), in processor order.  At least one must.
-std::vector<int> injection_channels(const topo::Topology& topo,
-                                    const topo::ChannelTable& ct,
-                                    const traffic::TrafficSpec& spec) {
-  const int procs = topo.num_processors();
-  std::vector<int> out;
-  for (int p = 0; p < procs; ++p) {
-    if (spec.injection_weight(p, procs) <= 0.0) continue;
-    const int inj = ct.from(p, 0);
-    WORMNET_ENSURES(inj != topo::kNoChannel);
-    out.push_back(inj);
-  }
-  WORMNET_EXPECTS(!out.empty());
-  return out;
-}
-
 /// The tail every assembly shares: traffic-weighted D̄ over the `injecting`
 /// processors, the unroutable demand share, name and solver options — then
 /// the graph must validate.
@@ -401,16 +380,6 @@ void finish_model(GeneralModel& net, const ColumnSums& sums, int injecting,
   net.opts = opts;
   const std::string problems = net.graph.validate();
   WORMNET_ENSURES(problems.empty());
-}
-
-/// Which path built a collapsed model: on the orbit graph (the topology
-/// answers Topology::route_orbits) or node by node over the fabric.
-void count_collapsed_build(bool quotient) {
-  static obs::Counter& on_orbits = obs::Registry::global().counter(
-      "wormnet_collapsed_builds_total", "path=quotient");
-  static obs::Counter& on_nodes = obs::Registry::global().counter(
-      "wormnet_collapsed_builds_total", "path=node");
-  (quotient ? on_orbits : on_nodes).inc();
 }
 
 /// Index of the bundle in `bundles` that holds `port`; -1 when none does.
@@ -451,37 +420,30 @@ struct ClassSums {
   }
 };
 
-/// One channel class of a collapsed model: its representative (the first
-/// member in ChannelTable id order), its member count, and how many
-/// injecting processors' injection channels it holds.
-struct ClassRep {
-  topo::DirectedChannel ch;
-  double members = 0.0;
-  double injecting = 0.0;
-};
-
-/// The assembly both collapsed builders share: one station per class, the
-/// class transitions, and one injection entry per injection class.
+/// The assembly of a collapsed model: one station per class, the class
+/// transitions, and one injection entry per injection class, `injecting`
+/// naming how many injecting processors each stands for.
 /// `class_of(node, port)` names the class of any channel.
 template <typename ClassOf>
 GeneralModel assemble_collapsed(const topo::Topology& topo,
-                                const std::vector<ClassRep>& reps,
+                                const topo::SymmetryClasses& sym,
+                                const std::vector<double>& injecting,
                                 const ClassSums& cs, const ClassOf& class_of) {
-  const int ncls = static_cast<int>(reps.size());
+  const int ncls = sym.num_channel_classes;
   GeneralModel net;
   for (int c = 0; c < ncls; ++c) {
-    const ClassRep& r = reps[static_cast<std::size_t>(c)];
-    WORMNET_EXPECTS(r.members > 0.0);  // every class id must have members
+    const auto u = static_cast<std::size_t>(c);
+    const topo::DirectedChannel& rep = sym.class_rep[u];
     const std::vector<topo::PortBundle> bundles =
-        topo.output_bundles(r.ch.src_node);
+        topo.output_bundles(rep.src_node);
     const topo::PortBundle& own =
-        bundles[static_cast<std::size_t>(bundle_index(bundles, r.ch.src_port))];
+        bundles[static_cast<std::size_t>(bundle_index(bundles, rep.src_port))];
     int servers = 0;
     for (int i = 0; i < own.count; ++i)
-      if (topo.neighbor(r.ch.src_node, own[i]) != topo::kNoNode) ++servers;
-    const int id = add_station(net, topo, r.ch, servers, r.members,
-                               cs.rate[static_cast<std::size_t>(c)],
-                               cs.self[static_cast<std::size_t>(c)],
+      if (topo.neighbor(rep.src_node, own[i]) != topo::kNoNode) ++servers;
+    const int id = add_station(net, topo, rep, servers,
+                               static_cast<double>(sym.class_size[u]),
+                               cs.rate[u], cs.self[u],
                                "cls" + std::to_string(c) + "@");
     WORMNET_ENSURES(id == c);
   }
@@ -503,7 +465,8 @@ GeneralModel assemble_collapsed(const topo::Topology& topo,
     if (net.graph.at(ci).terminal) continue;
     const double total = cs.rate[static_cast<std::size_t>(ci)];
     if (total <= 0.0) continue;
-    const topo::DirectedChannel& rep = reps[static_cast<std::size_t>(ci)].ch;
+    const topo::DirectedChannel& rep =
+        sym.class_rep[static_cast<std::size_t>(ci)];
     const int node = rep.dst_node;
     const std::vector<topo::PortBundle> bundles = topo.output_bundles(node);
     const int ret = bundle_index(bundles, rep.dst_port);
@@ -537,7 +500,7 @@ GeneralModel assemble_collapsed(const topo::Topology& topo,
   // processors it stands for — the weighted latency average then equals the
   // dense per-processor uniform average.
   for (int c = 0; c < ncls; ++c) {
-    const double w = reps[static_cast<std::size_t>(c)].injecting;
+    const double w = injecting[static_cast<std::size_t>(c)];
     if (w <= 0.0) continue;
     net.injection_classes.push_back(c);
     net.injection_class_weights.push_back(w);
@@ -566,340 +529,83 @@ struct ClassSink : WholeDag {
   }
 };
 
-/// The node-built collapsed builder, for topologies without route orbits:
-/// one column pass per destination ORBIT over the whole fabric, seeded at
-/// the orbit size, accumulated per channel CLASS.  With classes that are
-/// true orbits of a routing-preserving group fixing the spec's pins,
-/// Σ_{ch∈C} rate_d(ch) is the same for every destination d in one orbit
-/// (the group maps the pass for d to the pass for g·d while permuting C onto
-/// itself), so |orbit| × (representative pass) equals the dense sum over the
-/// class exactly — the identity the parity tests pin down.  Work and memory
-/// are O(orbits · channels) and O(classes²) instead of the dense path's
-/// O(N · channels) passes and O(channels) state.
-GeneralModel build_collapsed(const topo::Topology& topo,
-                             const topo::ChannelTable& ct,
-                             const traffic::TrafficSpec& spec,
-                             const topo::SymmetryClasses& sym,
-                             const SolveOptions& opts,
-                             long* nodes_visited = nullptr) {
-  const int procs = topo.num_processors();
+/// The node-built passes, for topologies without route orbits: one full
+/// column pass per destination orbit over the fabric, seeded at the orbit
+/// size, folded onto the classes.  Work is O(orbits · channels).  Returns
+/// the nodes walked.
+long node_passes(const topo::Topology& topo, const topo::ChannelTable& ct,
+                 const traffic::TrafficSpec& spec,
+                 const topo::SymmetryClasses& sym, ClassSums& cs,
+                 ColumnSums& sums) {
   const int num_channels = ct.size();
-  const int ncls = sym.num_channel_classes;
-  const int norb = sym.num_proc_orbits;
-  WORMNET_EXPECTS(static_cast<int>(sym.proc_orbit.size()) == procs);
   WORMNET_EXPECTS(static_cast<int>(sym.channel_class.size()) == num_channels);
-  WORMNET_EXPECTS(ncls > 0 && norb > 0);
-
-  // Destination-orbit representatives (first member) and sizes.
-  std::vector<int> orbit_rep(static_cast<std::size_t>(norb), -1);
-  std::vector<double> orbit_size(static_cast<std::size_t>(norb), 0.0);
-  for (int p = 0; p < procs; ++p) {
-    const int o = sym.proc_orbit[static_cast<std::size_t>(p)];
-    WORMNET_EXPECTS(o >= 0 && o < norb);
-    if (orbit_rep[static_cast<std::size_t>(o)] < 0)
-      orbit_rep[static_cast<std::size_t>(o)] = p;
-    orbit_size[static_cast<std::size_t>(o)] += 1.0;
-  }
-
   // Return-bundle ids: rev_bundle[ch] is the bundle a worm leaving ch would
   // use to go straight back.  Transitions into the return bundle form a
   // transition orbit distinct from same-class transitions away from it (a
   // fat-tree LCA turn never descends into the block it climbed out of), so
-  // the structural fan-out count k is tagged by return-ness.
+  // the structural fan-out count k is tagged by return-ness.  A class is one
+  // queueing station, so its members must share the bundle size too.
   std::vector<int> rev_bundle(static_cast<std::size_t>(num_channels), -1);
   for (int ch = 0; ch < num_channels; ++ch) {
     rev_bundle[static_cast<std::size_t>(ch)] = ct.bundle(ct.reverse(ch));
+    const topo::DirectedChannel& rep = sym.class_rep[static_cast<std::size_t>(
+        sym.channel_class[static_cast<std::size_t>(ch)])];
+    WORMNET_EXPECTS(ct.bundle_size(ch) ==
+                    ct.bundle_size(ct.from(rep.src_node, rep.src_port)));
   }
 
-  ClassSums cs(static_cast<std::size_t>(ncls));
   ClassSink sink{{}, sym.channel_class, ct, rev_bundle, cs};
-  ColumnSums sums;  // demand accounting only: the flows land in `sink`
   const std::vector<std::vector<int>> scan_all;
   DestinationPass pass(topo.num_nodes());
   std::vector<Seed> seeds;
   long walked = 0;
-  for (int o = 0; o < norb; ++o) {
-    // Orbit transitivity extends the representative's column — unroutable
-    // pairs included — to the whole orbit: exact for true routing
-    // symmetries.
-    const int d = orbit_rep[static_cast<std::size_t>(o)];
-    seed_column(topo, spec, d, orbit_size[static_cast<std::size_t>(o)],
+  for (std::size_t o = 0; o < sym.orbit_rep.size(); ++o) {
+    const int d = sym.orbit_rep[o];
+    seed_column(topo, spec, d, static_cast<double>(sym.orbit_size[o]),
                 scan_all, sums, seeds);
     walked += propagate_column(topo, ct, d, seeds, pass, sink);
   }
-  if (nodes_visited != nullptr) *nodes_visited += walked;
-
-  // Class representatives and member counts; a class must be one queueing
-  // station, so structural disagreement inside a class is a hard error
-  // (rate disagreement — a partition that is no routing symmetry — is what
-  // check_collapsed_parity reports).
-  std::vector<ClassRep> reps(static_cast<std::size_t>(ncls));
-  std::vector<int> rep_ch(static_cast<std::size_t>(ncls), -1);
-  for (int ch = 0; ch < num_channels; ++ch) {
-    const int c = sym.channel_class[static_cast<std::size_t>(ch)];
-    WORMNET_EXPECTS(c >= 0 && c < ncls);
-    int& rep = rep_ch[static_cast<std::size_t>(c)];
-    if (rep < 0) {
-      rep = ch;
-      reps[static_cast<std::size_t>(c)].ch = ct.at(ch);
-    }
-    reps[static_cast<std::size_t>(c)].members += 1.0;
-    WORMNET_EXPECTS(ct.bundle_size(ch) == ct.bundle_size(rep));
-    WORMNET_EXPECTS(ct.lanes(ch) == ct.lanes(rep));
-    WORMNET_EXPECTS(ct.bandwidth(ch) == ct.bandwidth(rep));
-    WORMNET_EXPECTS(ct.link_latency(ch) == ct.link_latency(rep));
-    WORMNET_EXPECTS(ct.buffer_depth(ch) == ct.buffer_depth(rep));
-    WORMNET_EXPECTS(topo.is_processor(ct.at(ch).dst_node) ==
-                    topo.is_processor(ct.at(rep).dst_node));
-    WORMNET_EXPECTS(topo.is_processor(ct.at(ch).src_node) ==
-                    topo.is_processor(ct.at(rep).src_node));
-  }
-  const std::vector<int> inj = injection_channels(topo, ct, spec);
-  for (int ch : inj) {
-    reps[static_cast<std::size_t>(sym.channel_class[static_cast<std::size_t>(ch)])]
-        .injecting += 1.0;
-  }
-
-  GeneralModel net = assemble_collapsed(topo, reps, cs, [&](int node, int port) {
-    return sym.channel_class[static_cast<std::size_t>(ct.from(node, port))];
-  });
-  net.channel_class_of = sym.channel_class;
-  finish_model(net, sums, static_cast<int>(inj.size()),
-               "traffic-sym(" + topo.name() + ", " + spec.name() + ")", opts);
-  count_collapsed_build(false);
-  return net;
+  return walked;
 }
 
-/// What a quotient build knows of the fabric, from its one O(channels)
-/// pass: the channel classes, numbered first-seen in ChannelTable id order
-/// as topology_symmetry numbers them, and the destination orbits.
-struct QuotientIndex {
-  std::vector<int> class_of;  ///< per ChannelTable id: the channel_class_of
-  std::vector<ClassRep> reps;
-  std::unordered_map<std::uint64_t, int> class_of_key;
-  std::vector<int> dest_rep;  ///< per destination orbit: first member
-  std::vector<double> dest_size;
-  int injecting = 0;  ///< processors with positive injection weight
-};
-
-/// The quotient build's one O(channels) pass: walk (node, port) in
-/// ChannelTable id order and class every channel by its symmetry key.
-/// Returns false — the build goes dense, as topology_symmetry's refusal
-/// sends it — when a channel's bandwidth, link latency or buffer depth
-/// differs from its class representative's, and when the quotient is
-/// trivial or has more than kMaxSymmetryClasses classes.
-///
-/// The walk runs as 16 fixed node-range chunks, each numbering its classes
-/// first-seen; merging the chunks in order numbers them first-seen over the
-/// whole walk, so the result is the serial walk's for any thread count.
-bool index_quotient(const topo::Topology& topo, const traffic::TrafficSpec& spec,
-                    const std::vector<int>& pins, const TrafficBuildOptions& build,
-                    QuotientIndex& q) {
-  struct Attributes {
-    double bandwidth;
-    double link_latency;
-    int buffer_depth;
-    int lanes;
-  };
-  /// Keys numbered first-seen, with a one-entry cache: a node's ports, and
-  /// neighbouring processors, mostly share a key.
-  struct Numbering {
-    std::unordered_map<std::uint64_t, int> id_of;
-    std::vector<std::uint64_t> keys;
-    std::uint64_t last_key = 0;
-    int last = -1;
-    bool added = false;
-    int id(std::uint64_t key) {
-      added = false;
-      if (last >= 0 && key == last_key) return last;
-      last_key = key;
-      const auto it = id_of.find(key);
-      if (it != id_of.end()) return last = it->second;
-      added = true;
-      last = static_cast<int>(keys.size());
-      keys.push_back(key);
-      id_of.emplace(key, last);
-      return last;
-    }
-  };
-  struct Chunk {
-    Numbering classes, dests;
-    std::vector<int> class_of;  ///< per channel, chunk-local class ids
-    std::vector<ClassRep> reps;
-    std::vector<Attributes> attr;
-    std::vector<int> dest_rep;
-    std::vector<double> dest_size;
-    std::vector<int> global;  ///< chunk-local class id -> merged id
-    int injecting = 0;
-    bool refused = false;
-  };
-  const auto attributes = [&](int node, int port) {
-    return Attributes{topo.bandwidth(node, port), topo.link_latency(node, port),
-                      topo.buffer_depth(node, port), topo.lanes(node, port)};
-  };
-  const auto differ = [](const Attributes& a, const Attributes& b) {
-    return a.bandwidth != b.bandwidth || a.link_latency != b.link_latency ||
-           a.buffer_depth != b.buffer_depth;
-  };
-  const int nodes = topo.num_nodes();
-  const int procs = topo.num_processors();
-  const int num_chunks = std::min(nodes, 16);
-  std::vector<Chunk> chunks(static_cast<std::size_t>(num_chunks));
-  util::run_shards(build.threads, procs, num_chunks, [&](std::int64_t j) {
-    Chunk& k = chunks[static_cast<std::size_t>(j)];
-    const int lo = static_cast<int>(j * nodes / num_chunks);
-    const int hi = static_cast<int>((j + 1) * nodes / num_chunks);
-    k.class_of.reserve(2 * static_cast<std::size_t>(hi - lo));
-    for (int node = lo; node < hi; ++node) {
-      const bool injects =
-          node < procs && spec.injection_weight(node, procs) > 0.0;
-      if (node < procs) {
-        const int o = k.dests.id(topo.proc_symmetry_key(node, pins));
-        if (k.dests.added) {
-          k.dest_rep.push_back(node);
-          k.dest_size.push_back(0.0);
-        }
-        k.dest_size[static_cast<std::size_t>(o)] += 1.0;
-        if (injects) ++k.injecting;
-      }
-      const int ports = topo.num_ports(node);
-      for (int port = 0; port < ports; ++port) {
-        const int far = topo.neighbor(node, port);
-        if (far == topo::kNoNode) continue;
-        const int c = k.classes.id(topo.channel_symmetry_key(node, port, pins));
-        const Attributes a = attributes(node, port);
-        if (k.classes.added) {
-          k.reps.push_back(
-              {{node, port, far, topo.neighbor_port(node, port)}, 0.0, 0.0});
-          k.attr.push_back(a);
-        }
-        ClassRep& rep = k.reps[static_cast<std::size_t>(c)];
-        rep.members += 1.0;
-        if (injects && port == 0) rep.injecting += 1.0;
-        const Attributes& ra = k.attr[static_cast<std::size_t>(c)];
-        if (differ(a, ra)) {
-          k.refused = true;
-          return;
-        }
-        WORMNET_EXPECTS(a.lanes == ra.lanes);
-        k.class_of.push_back(c);
-      }
-    }
-  });
-
-  Numbering classes;
-  Numbering dests;
-  std::vector<Attributes> attr;
-  std::size_t channels = 0;
-  for (Chunk& k : chunks) {
-    if (k.refused) return false;
-    for (std::size_t i = 0; i < k.dest_rep.size(); ++i) {
-      const int o = dests.id(k.dests.keys[i]);
-      if (dests.added) {
-        q.dest_rep.push_back(k.dest_rep[i]);
-        q.dest_size.push_back(0.0);
-      }
-      q.dest_size[static_cast<std::size_t>(o)] += k.dest_size[i];
-    }
-    for (std::size_t i = 0; i < k.reps.size(); ++i) {
-      const int c = classes.id(k.classes.keys[i]);
-      if (classes.added) {
-        q.reps.push_back({k.reps[i].ch, 0.0, 0.0});
-        attr.push_back(k.attr[i]);
-      } else if (differ(k.attr[i], attr[static_cast<std::size_t>(c)])) {
-        return false;
-      }
-      WORMNET_EXPECTS(k.attr[i].lanes == attr[static_cast<std::size_t>(c)].lanes);
-      q.reps[static_cast<std::size_t>(c)].members += k.reps[i].members;
-      q.reps[static_cast<std::size_t>(c)].injecting += k.reps[i].injecting;
-      k.global.push_back(c);
-    }
-    q.injecting += k.injecting;
-    channels += k.class_of.size();
-  }
-  WORMNET_EXPECTS(q.injecting > 0);
-  if (static_cast<int>(q.dest_rep.size()) >= procs ||
-      static_cast<int>(q.reps.size()) > kMaxSymmetryClasses)
-    return false;
-
-  q.class_of_key = std::move(classes.id_of);
-  q.class_of.resize(channels);
-  std::vector<std::size_t> offset(chunks.size() + 1, 0);
-  for (std::size_t j = 0; j < chunks.size(); ++j)
-    offset[j + 1] = offset[j] + chunks[j].class_of.size();
-  util::run_shards(build.threads, procs, num_chunks, [&](std::int64_t j) {
-    const Chunk& k = chunks[static_cast<std::size_t>(j)];
-    int* out = q.class_of.data() + offset[static_cast<std::size_t>(j)];
-    for (std::size_t i = 0; i < k.class_of.size(); ++i)
-      out[i] = k.global[static_cast<std::size_t>(k.class_of[i])];
-  });
-  return true;
-}
-
-/// The quotient collapsed builder: the column pass of each destination
-/// orbit runs on the route graph's node orbits (Topology::route_orbits)
-/// instead of on the fabric.  Every member of a node orbit carries the same
-/// flow and self-mass, and splitting and merging are linear, so the pass
-/// propagates orbit TOTALS: a source orbit seeds its member count × one
-/// source's seed, and an orbit's total splits over its representative's
-/// candidates into their target orbits.  A candidate's flow lands on its
-/// channel's class; its continuation flows are those of the representative
-/// channel's far end, which stands for every channel of its orbit.  Work is
-/// a few route calls per node orbit and destination orbit, plus the one
-/// O(channels) pass that numbers the classes; no ChannelTable, no per-node
-/// pass state.  Returns
-/// nullopt when the topology offers no route orbits for the spec's pins or
-/// the index pass refuses (see index_quotient).
-std::optional<GeneralModel> build_quotient(const topo::Topology& topo,
-                                           const traffic::TrafficSpec& spec,
-                                           const SolveOptions& opts,
-                                           const TrafficBuildOptions& build,
-                                           long* nodes_visited = nullptr,
-                                           int* passes = nullptr) {
-  std::vector<int> pins;
-  if (!spec.symmetric(pins) || !topo.has_symmetry(pins)) return std::nullopt;
-  // Processor 0 heads the first destination orbit (orbit ids run first-
-  // seen), so this probe's orbits serve that orbit's pass.
-  std::vector<topo::RouteOrbit> orbits;
-  if (!topo.route_orbits(pins, 0, orbits)) return std::nullopt;
-  QuotientIndex q;
-  if (!index_quotient(topo, spec, pins, build, q)) return std::nullopt;
-
-  const int procs = topo.num_processors();
-  const auto class_of = [&](int node, int port) {
-    return q.class_of_key.at(topo.channel_symmetry_key(node, port, pins));
-  };
-  ClassSums cs(q.reps.size());
-  ColumnSums sums;  // demand accounting only
+/// The quotient passes: the column pass of each destination orbit runs on
+/// the route graph's node orbits (Topology::route_orbits; `orbits` holds the
+/// first destination orbit's on entry) instead of on the fabric.  Every
+/// member of a node orbit carries the same flow and self-mass, and
+/// splitting and merging are linear, so the pass propagates orbit TOTALS: a
+/// source orbit seeds its member count × one source's seed, and an orbit's
+/// total splits over its representative's candidates into their target
+/// orbits.  A candidate's flow lands on its channel's class; its
+/// continuation flows are those of the representative channel's far end,
+/// which stands for every channel of its orbit.  Work is a few route calls
+/// per node orbit and destination orbit; no ChannelTable, no per-node pass
+/// state.  Returns the node orbits walked.
+template <typename ClassOf>
+long orbit_passes(const topo::Topology& topo, const traffic::TrafficSpec& spec,
+                  const std::vector<int>& pins,
+                  const topo::SymmetryClasses& sym,
+                  std::vector<topo::RouteOrbit>& orbits,
+                  const ClassOf& class_of, ClassSums& cs, ColumnSums& sums) {
   std::vector<double> flow;
   std::vector<double> self;
   std::vector<char> fed;
   long walked = 0;
-  for (std::size_t o = 0; o < q.dest_rep.size(); ++o) {
-    const int d = q.dest_rep[o];
+  for (std::size_t o = 0; o < sym.orbit_rep.size(); ++o) {
+    const int d = sym.orbit_rep[o];
     if (o > 0) WORMNET_ENSURES(topo.route_orbits(pins, d, orbits));
+    const auto dest_size = static_cast<double>(sym.orbit_size[o]);
     const std::size_t n = orbits.size();
     flow.assign(n, 0.0);
     self.assign(n, 0.0);
     fed.assign(n, 0);
-    // The seed rule of seed_column, once per source orbit: every member
-    // sends the same weight toward d.
     for (std::size_t x = 0; x < n; ++x) {
       const int s = orbits[x].rep;
       if (s == d || !topo.is_processor(s)) continue;
-      const double w = spec.pair_weight(s, d, procs);
-      if (w <= 0.0) continue;
-      const double members =
-          q.dest_size[o] * static_cast<double>(orbits[x].size);
-      sums.total_weight += members * w;
-      if (!topo.reachable(s, d)) {
-        sums.unroutable_weight += members * w;
-        continue;
-      }
-      sums.weighted_distance += members * w * topo.distance(s, d);
-      const Seed unit = source_seed(spec, s, w, procs);
-      flow[x] += members * unit.flow;
-      self[x] += members * unit.self;
+      const double members = dest_size * static_cast<double>(orbits[x].size);
+      const std::optional<Seed> sd = seed_pair(topo, spec, s, d, members, sums);
+      if (!sd) continue;
+      flow[x] += sd->flow;
+      self[x] += sd->self;
       fed[x] = 1;
     }
     for (std::size_t x = 0; x < n; ++x) {
@@ -947,46 +653,83 @@ std::optional<GeneralModel> build_quotient(const topo::Topology& topo,
       }
     }
   }
-  if (nodes_visited != nullptr) *nodes_visited += walked;
-  if (passes != nullptr) *passes = static_cast<int>(q.dest_rep.size());
-
-  GeneralModel net = assemble_collapsed(topo, q.reps, cs, class_of);
-  net.channel_class_of = std::move(q.class_of);
-  finish_model(net, sums, q.injecting,
-               "traffic-sym(" + topo.name() + ", " + spec.name() + ")", opts);
-  count_collapsed_build(true);
-  return net;
+  return walked;
 }
 
-/// The resolved build strategy of one (spec, build-options) pair once the
-/// quotient build has declined — the ladder build_traffic_model
-/// historically ran in-line, extracted so the delta-retune path can re-plan
-/// against a NEW spec with identical rules.
-struct CollapsePlan {
-  bool use_collapsed = false;       ///< node-built symmetric quotient applies
-  topo::SymmetryClasses sym;        ///< valid when use_collapsed
-  /// Dense seeding (see fixed_destination_sources); empty: scan.
-  std::vector<std::vector<int>> dest_sources;
-};
-
-/// Collapse strategy: under Auto the node-built symmetric quotient first;
-/// dense — sparse-seeded for fixed-destination specs — otherwise.
-CollapsePlan plan_collapse(const topo::Topology& topo,
-                           const topo::ChannelTable& ct,
-                           const traffic::TrafficSpec& spec,
-                           const TrafficBuildOptions& build) {
+/// The symmetry-collapsed build: one column pass per destination ORBIT,
+/// seeded at the orbit size, accumulated per channel CLASS.  With classes
+/// that are true orbits of a routing-preserving group fixing the spec's
+/// pins, Σ_{ch∈C} rate_d(ch) is the same for every destination d in one
+/// orbit (the group maps the pass for d to the pass for g·d while permuting
+/// C onto itself), so |orbit| × (representative pass) equals the dense sum
+/// over the class exactly — the identity the parity tests pin down.  State
+/// is O(classes²) instead of the dense path's O(channels).
+///
+/// One index names the classes and orbits (topo::topology_symmetry).  The
+/// passes then run on the orbit graph when the topology answers
+/// Topology::route_orbits, else node by node over `ct` (built here when
+/// null).  Returns nullopt — build dense — when the spec or the topology
+/// declares no symmetry, the index refuses, or the quotient is trivial or
+/// has more than kMaxSymmetryClasses classes.  `report`, when given, gains
+/// the passes run and the nodes (or node orbits) they walked.
+std::optional<GeneralModel> build_collapsed(const topo::Topology& topo,
+                                            const topo::ChannelTable* ct,
+                                            const traffic::TrafficSpec& spec,
+                                            const SolveOptions& opts,
+                                            const TrafficBuildOptions& build,
+                                            RetuneReport* report = nullptr) {
   const int procs = topo.num_processors();
-  CollapsePlan plan;
   std::vector<int> pins;
-  if (build.collapse == CollapseMode::Auto && spec.symmetric(pins) &&
-      topo::topology_symmetry(topo, ct, pins, plan.sym) &&
-      !plan.sym.trivial(procs) &&
-      plan.sym.num_channel_classes <= kMaxSymmetryClasses) {
-    plan.use_collapsed = true;
-    return plan;
+  topo::SymmetryClasses sym;
+  if (!spec.symmetric(pins) ||
+      !topo::topology_symmetry(topo, pins, sym, build.threads) ||
+      sym.trivial(procs) || sym.num_channel_classes > kMaxSymmetryClasses)
+    return std::nullopt;
+
+  // Per class: the injecting processors whose injection channel it holds.
+  // A destination orbit's members share their representative's injection
+  // weight (the spec is symmetric) and injection-channel class (channel
+  // p is processor p's), so the representative counts for the orbit.
+  const auto ncls = static_cast<std::size_t>(sym.num_channel_classes);
+  std::vector<double> injecting(ncls, 0.0);
+  long injectors = 0;
+  for (std::size_t o = 0; o < sym.orbit_rep.size(); ++o) {
+    const int p = sym.orbit_rep[o];
+    if (spec.injection_weight(p, procs) <= 0.0) continue;
+    const int c = sym.channel_class[static_cast<std::size_t>(p)];
+    injecting[static_cast<std::size_t>(c)] +=
+        static_cast<double>(sym.orbit_size[o]);
+    injectors += sym.orbit_size[o];
   }
-  plan.dest_sources = fixed_destination_sources(spec, procs);
-  return plan;
+  WORMNET_EXPECTS(injectors > 0);
+
+  const auto class_of = [&](int node, int port) {
+    return sym.class_of_key.at(topo.channel_symmetry_key(node, port, pins));
+  };
+  ClassSums cs(ncls);
+  ColumnSums sums;  // demand accounting only: the flows land in `cs`
+  std::vector<topo::RouteOrbit> orbits;
+  const bool quotient = topo.route_orbits(pins, sym.orbit_rep.front(), orbits);
+  std::optional<topo::ChannelTable> own;
+  const long walked =
+      quotient ? orbit_passes(topo, spec, pins, sym, orbits, class_of, cs, sums)
+               : node_passes(topo, ct != nullptr ? *ct : own.emplace(topo),
+                             spec, sym, cs, sums);
+  if (report != nullptr) {
+    report->nodes_visited += walked;
+    report->passes = sym.num_proc_orbits;
+  }
+
+  GeneralModel net = assemble_collapsed(topo, sym, injecting, cs, class_of);
+  net.channel_class_of = std::move(sym.channel_class);
+  finish_model(net, sums, static_cast<int>(injectors),
+               "traffic-sym(" + topo.name() + ", " + spec.name() + ")", opts);
+  // Which path ran: on the orbit graph, or node by node over the fabric.
+  obs::Registry::global()
+      .counter("wormnet_collapsed_builds_total",
+               quotient ? "path=quotient" : "path=node")
+      .inc();
+  return net;
 }
 
 /// The dense builder's retained intermediate: everything the assembly step
@@ -999,14 +742,23 @@ struct DenseFlowState {
 };
 
 /// Run the sharded per-destination passes for the whole spec, filling
-/// `st` (replacing any previous contents).  Returns the nodes walked.
+/// `st` (replacing any previous contents) — sparse-seeded for
+/// fixed-destination specs.  Returns the nodes walked.
 long propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
                      const traffic::TrafficSpec& spec,
-                     const TrafficBuildOptions& build,
-                     const std::vector<std::vector<int>>& dest_sources,
-                     DenseFlowState& st) {
+                     const TrafficBuildOptions& build, DenseFlowState& st) {
   const int procs = topo.num_processors();
   const int num_channels = ct.size();
+  // Sparse seeding: for a fixed-destination spec, each destination's
+  // sources in ascending order (the order the full scan visits them); empty
+  // — scan every source — for any other spec.
+  std::vector<std::vector<int>> dest_sources;
+  if (spec.fixed_destination(0, procs) >= 0) {
+    dest_sources.resize(static_cast<std::size_t>(procs));
+    for (int s = 0; s < procs; ++s)
+      dest_sources[static_cast<std::size_t>(spec.fixed_destination(s, procs))]
+          .push_back(s);
+  }
 
   // Flat offsets for the per-(channel, continuation port) flows — the
   // continuation port is on the channel's dst node, so one dense slab with
@@ -1124,7 +876,16 @@ GeneralModel assemble_dense(const topo::Topology& topo,
     }
   }
 
-  net.injection_classes = injection_channels(topo, ct, spec);
+  // The injection channel of every processor that injects, in processor
+  // order.  At least one must.
+  const int procs = topo.num_processors();
+  for (int p = 0; p < procs; ++p) {
+    if (spec.injection_weight(p, procs) <= 0.0) continue;
+    const int inj = ct.from(p, 0);
+    WORMNET_ENSURES(inj != topo::kNoChannel);
+    net.injection_classes.push_back(inj);
+  }
+  WORMNET_EXPECTS(!net.injection_classes.empty());
   finish_model(net, st.flow, static_cast<int>(net.injection_classes.size()),
                "traffic(" + topo.name() + ", " + spec.name() + ")", opts);
   return net;
@@ -1142,16 +903,13 @@ GeneralModel build_traffic_model(const topo::Topology& topo,
   WORMNET_EXPECTS(spec.check(procs).empty());
 
   if (build.collapse == CollapseMode::Auto) {
-    if (std::optional<GeneralModel> q = build_quotient(topo, spec, opts, build))
-      return std::move(*q);
+    if (std::optional<GeneralModel> m =
+            build_collapsed(topo, nullptr, spec, opts, build))
+      return std::move(*m);
   }
   const topo::ChannelTable ct(topo);
-  CollapsePlan plan = plan_collapse(topo, ct, spec, build);
-  if (plan.use_collapsed)
-    return build_collapsed(topo, ct, spec, plan.sym, opts);
-
   DenseFlowState st;
-  propagate_dense(topo, ct, spec, build, plan.dest_sources, st);
+  propagate_dense(topo, ct, spec, build, st);
   return assemble_dense(topo, ct, spec, opts, st);
 }
 
@@ -1509,44 +1267,31 @@ struct RetunableTrafficModel::Impl {
     net.set_channel_bandwidths(bw);
   }
 
-  /// Collapsed build of `new_spec` on the orbit graph, when the routing
-  /// topology offers one and the options allow collapsing: replaces the
-  /// resident model and drops the dense flow state.  False: nothing done.
-  bool rebuild_quotient(const traffic::TrafficSpec& new_spec,
-                        RetuneReport* report = nullptr) {
-    if (build.collapse != CollapseMode::Auto) return false;
-    std::optional<GeneralModel> q =
-        build_quotient(routing_topo(), new_spec, opts, build,
-                       report ? &report->nodes_visited : nullptr,
-                       report ? &report->passes : nullptr);
-    if (!q) return false;
-    net = std::move(*q);
-    is_collapsed = true;
-    state = DenseFlowState{};
-    spec = new_spec;
-    apply_tunes();
-    return true;
+  /// The collapsed build of `new_spec` on the routing topology, when the
+  /// options allow collapsing and build_collapsed answers.
+  std::optional<GeneralModel> collapse(const traffic::TrafficSpec& new_spec,
+                                       RetuneReport& report) const {
+    if (build.collapse != CollapseMode::Auto) return std::nullopt;
+    return build_collapsed(routing_topo(), &ct, new_spec, opts, build, &report);
   }
 
-  /// Cold build for `new_spec` along the planned strategy, replacing the
-  /// resident model and flow state.  Returns the nodes its passes walked.
-  long rebuild_cold(const traffic::TrafficSpec& new_spec,
-                    const CollapsePlan& plan) {
-    WORMNET_SPAN("resident_rebuild_cold", "build");
-    const topo::Topology& rt = routing_topo();
-    long walked = 0;
-    if (plan.use_collapsed) {
-      net = build_collapsed(rt, ct, new_spec, plan.sym, opts, &walked);
-      is_collapsed = true;
+  /// Replace the resident model with a cold build of `new_spec`: `collapsed`
+  /// when it holds one, else the dense build, whose flow state the deltas
+  /// then update.  The dense passes' walked nodes land in `report`.
+  void rebuild(const traffic::TrafficSpec& new_spec,
+               std::optional<GeneralModel> collapsed, RetuneReport& report) {
+    is_collapsed = collapsed.has_value();
+    if (collapsed) {
+      net = std::move(*collapsed);
       state = DenseFlowState{};
     } else {
-      walked = propagate_dense(rt, ct, new_spec, build, plan.dest_sources, state);
+      WORMNET_SPAN("resident_rebuild_cold", "build");
+      const topo::Topology& rt = routing_topo();
+      report.nodes_visited += propagate_dense(rt, ct, new_spec, build, state);
       net = assemble_dense(rt, ct, new_spec, opts, state);
-      is_collapsed = false;
     }
     spec = new_spec;
     apply_tunes();
-    return walked;
   }
 };
 
@@ -1558,9 +1303,8 @@ RetunableTrafficModel::RetunableTrafficModel(const topo::Topology& topo,
   const int procs = topo.num_processors();
   WORMNET_EXPECTS(procs >= 2);
   WORMNET_EXPECTS(impl_->spec.check(procs).empty());
-  if (!impl_->rebuild_quotient(impl_->spec))
-    impl_->rebuild_cold(impl_->spec,
-                        plan_collapse(topo, impl_->ct, impl_->spec, build));
+  RetuneReport report;
+  impl_->rebuild(impl_->spec, impl_->collapse(impl_->spec, report), report);
 }
 
 RetunableTrafficModel::~RetunableTrafficModel() = default;
@@ -1627,27 +1371,18 @@ RetuneReport RetunableTrafficModel::retune_traffic(
   WORMNET_EXPECTS(new_spec.check(procs).empty());
 
   RetuneReport report;
-  if (im.rebuild_quotient(new_spec, &report)) {
-    report.collapsed = true;
+  // A spec that still respects the symmetry retunes as one pass per
+  // destination orbit against O(classes) state — not a dense rebuild,
+  // whatever mode the resident was in before.  A collapsed resident moving
+  // to a dense spec has no dense flow state to delta against: it rebuilds.
+  std::optional<GeneralModel> collapsed = im.collapse(new_spec, report);
+  if (collapsed || im.is_collapsed) {
+    im.rebuild(new_spec, std::move(collapsed), report);
+    report.collapsed = im.is_collapsed;
+    report.rebuilt = !im.is_collapsed;
     return report;
   }
   const topo::Topology& rt = im.routing_topo();
-  const CollapsePlan plan = plan_collapse(rt, im.ct, new_spec, im.build);
-  if (plan.use_collapsed) {
-    // The new spec still respects the symmetry, so "retune" is one pass per
-    // destination orbit against O(classes) state — not a dense rebuild,
-    // whatever mode the resident was in before.
-    report.nodes_visited = im.rebuild_cold(new_spec, plan);
-    report.collapsed = true;
-    report.passes = plan.sym.num_proc_orbits;
-    return report;
-  }
-  if (im.is_collapsed) {
-    // Collapsed → dense mode switch: no dense flow state to delta against.
-    report.nodes_visited = im.rebuild_cold(new_spec, plan);
-    report.rebuilt = true;
-    return report;
-  }
 
   // Dense delta: diff the two specs into signed per-destination seeds.  A
   // pair participates when its weight changed OR its source's injection
@@ -1702,7 +1437,7 @@ RetuneReport RetunableTrafficModel::retune_traffic(
   // pass with nearly every seed — at that point the sharded cold rebuild is
   // both faster and residue-free.
   if (changed > static_cast<long>(procs) * procs / 4) {
-    report.nodes_visited = im.rebuild_cold(new_spec, plan);
+    im.rebuild(new_spec, std::nullopt, report);
     report.rebuilt = true;
     return report;
   }
@@ -1768,18 +1503,19 @@ RetuneReport RetunableTrafficModel::retune_faults(
   if (im.is_collapsed) {
     // A collapsed resident has no dense flow state to delta against; entering
     // a degraded state rebuilds dense (faults void the symmetry), returning
-    // to healthy re-plans and may collapse again.  QueryEngine serves
-    // single-link faults per link orbit, so an N-1 sweep pays one such dense
-    // rebuild per orbit representative; building the faulted model on the
-    // quotient instead is ROADMAP "Quotient builds".  The fallback never
-    // passes silently: a Rebuild cost-class counter in the global registry
-    // and a one-shot Warn naming the broken symmetry class.
+    // to healthy rebuilds through the collapsed entry again and may
+    // collapse.  QueryEngine serves single-link faults per link orbit, so an
+    // N-1 sweep pays one such dense rebuild per orbit representative;
+    // building the faulted model collapsed instead is ROADMAP "Collapsed
+    // fault what-ifs".  The fallback never passes silently: a Rebuild
+    // cost-class counter in the global registry and a one-shot Warn naming
+    // the broken symmetry class.
     const std::string broken_name = im.net.model_name;
     const int broken_classes = im.net.graph.size();
     im.fault_set = std::move(faults);
     im.faulted = std::move(new_view);
-    const topo::Topology& rt = im.routing_topo();
-    im.rebuild_cold(im.spec, plan_collapse(rt, im.ct, im.spec, im.build));
+    RetuneReport cold;  // the report counts delta passes only
+    im.rebuild(im.spec, im.collapse(im.spec, cold), cold);
     report.rebuilt = true;
     report.collapsed = im.is_collapsed;
     obs::Registry::global()
@@ -1794,7 +1530,8 @@ RetuneReport RetunableTrafficModel::retune_faults(
           << "the fault breaks its declared symmetry (" << broken_classes
           << " quotient classes -> " << im.net.graph.size()
           << " dense classes); N-1 sweeps on this resident pay one dense "
-          << "rebuild per link-orbit representative (ROADMAP: Quotient builds)";
+          << "rebuild per link-orbit representative (ROADMAP: Collapsed fault "
+          << "what-ifs)";
     }
     return report;
   }

@@ -78,21 +78,21 @@
 // processors, ~4.2M channels) folds to 20 classes and builds in well under a
 // second; the dense path would need terabytes of pass work.
 //
-// Build path: which of two ways builds a collapsed model is decided by the
-// topology, not by an option.
-//   * On the orbit graph, when the topology answers Topology::route_orbits
-//     (ButterflyFatTree at m = 2).  Each destination orbit's pass runs over
+// Build path: every collapsed build indexes the fabric once, with
+// topo::topology_symmetry — one O(channels) walk, in fixed chunks on the
+// builder pool, that numbers the classes and destination orbits, picks
+// their representatives and refuses class-nonuniform link attributes.  The
+// topology, not an option, then picks where the passes run:
+//   * on the orbit graph, when it answers Topology::route_orbits
+//     (ButterflyFatTree at m = 2): each destination orbit's pass runs over
 //     the O(levels²) node orbits of the route graph, propagating orbit flow
 //     totals, and reads continuation flows off each candidate channel's far
-//     end.  What stays O(channels) is one pass, in fixed chunks on the
-//     builder pool, that numbers channel_class_of from the symmetry keys in
-//     ChannelTable id order and refuses class-nonuniform link attributes.
-//     No ChannelTable, no per-node pass state: BFT(9) builds in a few ms.
-//   * Node by node over the fabric otherwise (Mesh, Hypercube, any
-//     FaultedTopology): a ChannelTable, topo::topology_symmetry, and one
-//     full column pass per destination orbit.
-// Both number classes and pick representatives the same way, so their
-// models agree in structure exactly and in value to rounding (tests/
+//     end.  No ChannelTable, no per-node pass state: BFT(9) builds in a few
+//     ms;
+//   * node by node over a ChannelTable otherwise (Mesh, Hypercube, any
+//     FaultedTopology): one full column pass per destination orbit.
+// One index means one numbering, so the two paths' models agree in
+// structure exactly and in value to rounding (tests/
 // test_quotient_build.cpp).  The global counter
 // wormnet_collapsed_builds_total{path="quotient"|"node"} says which ran.
 //
@@ -196,8 +196,8 @@ struct RetuneReport {
   /// or the resident switched from collapsed to dense with no flow state to
   /// delta against).
   bool rebuilt = false;
-  /// Served by the PR 6 symmetric-quotient path: one pass per destination
-  /// ORBIT — O(classes) state — instead of per destination.
+  /// Served by the symmetry-collapsed build (either path): one pass per
+  /// destination ORBIT — O(classes) state — instead of per destination.
   bool collapsed = false;
   /// Destination (or destination-orbit) passes actually run; a fault delta
   /// counts two per affected column (its retract and its re-add).
@@ -224,8 +224,8 @@ struct RetuneReport {
 /// column changed — O(affected destinations) passes, not N — then re-runs
 /// the O(channels) assembly.  When the new spec still respects the
 /// topology's symmetry (and the build options allow collapsing), the
-/// retune composes with the PR 6 quotient path instead: one pass per
-/// destination orbit against O(classes) state.  Whole-matrix changes
+/// retune is a collapsed build instead: one pass per destination orbit
+/// against O(classes) state.  Whole-matrix changes
 /// (uniform → hotspot, a fraction change touching every row) fall back to
 /// a cold rebuild, reported via RetuneReport::rebuilt.
 ///

@@ -161,7 +161,7 @@ struct QueryEngine::Impl {
         return;
       const topo::ChannelTable ct(*topo);
       topo::SymmetryClasses sym;
-      if (!topo::topology_symmetry(*topo, ct, pins, sym)) return;
+      if (!topo::topology_symmetry(*topo, pins, sym)) return;
       // The classes are orbits, and an automorphism carries a link's two
       // directions together, so the unordered class pair of a link names
       // its orbit.

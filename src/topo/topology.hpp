@@ -301,12 +301,13 @@ class Topology {
   //    are only exact on group-closed classes);
   //  * every channel of one class shares bundle size, lane count,
   //    terminal-ness and link attributes (bandwidth / link latency / buffer
-  //    depth) — validated by the builder; topology_symmetry() additionally
-  //    refuses (falls back to dense) when declared classes mix attributes.
+  //    depth) — topology_symmetry() checks them, and refuses (the builder
+  //    falls back to dense) when declared classes mix link attributes.
   // The defaults declare no symmetry (singleton orbits), which makes the
-  // collapsed builder fall back to the dense per-channel path.  A topology
-  // that also answers route_orbits() below gets its collapsed builds on the
-  // orbit graph; the keys still name the channel classes.
+  // collapsed builder fall back to the dense per-channel path.  The keys
+  // name the classes and orbits of every collapsed build; a topology that
+  // also answers route_orbits() below only moves its flow passes onto the
+  // orbit graph.
 
   /// True when this topology can supply symmetry keys for the given pinned
   /// processors.  The default knows no symmetry.
@@ -354,8 +355,11 @@ class Topology {
   /// Quotient hook: the node orbits of the route graph toward processor
   /// `dest` under the automorphisms that fix `dest` and every pinned
   /// processor, so a collapsed build can run its flow pass on the orbits
-  /// instead of on the fabric.  Fills `out` and returns true, or returns
-  /// false (the default) to leave collapsed builds on the node-built path.
+  /// instead of on the fabric.  The build's classes and destination orbits
+  /// come from the symmetry keys (topo::topology_symmetry) either way; the
+  /// hook names only the node orbits each pass walks.  Fills `out` and
+  /// returns true, or returns false (the default) to leave the passes on
+  /// the fabric, node by node.
   ///
   /// Contract, on top of has_symmetry(pinned_procs), which must hold:
   ///  * the orbits partition every node, and each is an orbit of a group of

@@ -443,7 +443,7 @@ TEST(AvailabilitySweep, MeshReflectionMatesDifferUnderFaults) {
   EXPECT_FALSE(mesh.has_fault_symmetry(no_pins));
   const topo::ChannelTable ct(mesh);
   topo::SymmetryClasses sym;
-  ASSERT_TRUE(topo::topology_symmetry(mesh, ct, no_pins, sym));
+  ASSERT_TRUE(topo::topology_symmetry(mesh, no_pins, sym));
 
   const double lambda0 =
       0.25 * core::build_traffic_model(mesh, uniform).saturation_rate();

@@ -387,7 +387,7 @@ TEST(HeteroCollapsed, ClassNonuniformAttributesDisableSymmetry) {
   ParityTaperedFatTree topo(2);
   const topo::ChannelTable ct(topo);
   topo::SymmetryClasses sym;
-  EXPECT_FALSE(topo::topology_symmetry(topo, ct, {}, sym));
+  EXPECT_FALSE(topo::topology_symmetry(topo, {}, sym));
 
   // And the collapsed entry point falls back to the dense model rather than
   // producing a quotient that averages two different bandwidths.
@@ -405,7 +405,7 @@ TEST(HeteroCollapsed, TierUniformAttributesKeepSymmetry) {
   topo.set_tier_bandwidth(1, 0.5);
   const topo::ChannelTable ct(topo);
   topo::SymmetryClasses sym;
-  EXPECT_TRUE(topo::topology_symmetry(topo, ct, {}, sym));
+  EXPECT_TRUE(topo::topology_symmetry(topo, {}, sym));
   EXPECT_GT(sym.num_channel_classes, 0);
 }
 

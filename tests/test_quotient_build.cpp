@@ -17,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "obs/metrics.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/fault.hpp"
+#include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
 
 namespace wormnet::core {
@@ -266,6 +270,205 @@ TEST(QuotientBuild, ResidentRetunesOnTheQuotient) {
   EXPECT_EQ(builds("quotient"), q0 + 1.0);
   expect_same_model(rm.model(), build_traffic_model_collapsed(ft, hot),
                     ft.num_processors(), "resident " + hot.name());
+}
+
+/// One collapsed model's answers, bit for bit: per class rate_per_link and
+/// self_frac, then mean_distance and saturation_rate.
+struct PinnedModel {
+  const char* tag;
+  std::vector<double> values;
+};
+
+// The collapsed models below as built before the two collapsed paths shared
+// one class index; any change of these bits is a change of answers.
+// clang-format off
+const PinnedModel kPinnedModels[] = {
+    {"traffic-sym(butterfly-fat-tree(n=4, N=256), uniform)", {
+      0x1p+0, 0x1p+0,
+      0x1p+0, 0x1.6ad43da71079cp-11,
+      0x1.f9f9f9f9f9fap+0, 0x1.010101010100fp-9,
+      0x1.f9f9f9f9f9fap+0, 0x1.56ac0156ac013p-11,
+      0x1.e1e1e1e1e1e1ep+1, 0x1.010101010101p-10,
+      0x1.e1e1e1e1e1e1ep+1, 0x1.34679ace01346p-11,
+      0x1.8181818181818p+2, 0x1.010101010101p-11,
+      0x1.8181818181818p+2, 0x1.010101010101p-11,
+      0x1.d757575757575p+2, 0x1.42a30d2402a3cp-8}},
+    {"traffic-sym(butterfly-fat-tree(n=4, N=256), hotspot(f=0.10,node=85))", {
+      0x1p+0, 0x1p+0,
+      0x1p+0, 0x1p+0,
+      0x1p+0, 0x1p+0,
+      0x1p+0, 0x1p+0,
+      0x1p+0, 0x1p+0,
+      0x1.cd00336699ccfp-1, 0x1.469dda545a6b5p-11,
+      0x1.fa942dc760fabp+0, 0x1.ca8702f68b26bp-8,
+      0x1.cd00336699cd1p-1, 0x1.46d44c5c0efdbp-11,
+      0x1.fa942dc760fabp+0, 0x1.ca8702f68b26cp-8,
+      0x1.cd00336699cd1p-1, 0x1.4741306b7822ap-11,
+      0x1.fa942dc760fabp+0, 0x1.ca8702f68b26bp-8,
+      0x1.cd00336699ccfp-1, 0x1.481af88a4a6ccp-11,
+      0x1.a666666666667p+4, 0x1.2b557fa9d3fe3p-6,
+      0x1.d4073a6da0d4p+0, 0x1.dc7fc9204df84p-10,
+      0x1.c794612dfac78p+0, 0x1.347be6f92355cp-11,
+      0x1.e4e4e4e4e4e5p+1, 0x1.d9dc67b1ca98ap-9,
+      0x1.c794612dfac7bp+0, 0x1.34b2fedbedafep-11,
+      0x1.e4e4e4e4e4e5p+1, 0x1.d9dc67b1ca98ap-9,
+      0x1.c794612dfac7bp+0, 0x1.35212ea182645p-11,
+      0x1.cc1f5285b8ec2p+3, 0x1.015e44673d8aap-6,
+      0x1.b4b4b4b4b4b4cp+1, 0x1.d226e59297e3bp-11,
+      0x1.b1e5184b7eb1dp+1, 0x1.15a968dee257fp-11,
+      0x1.8e27c15af48e4p+2, 0x1.13f2dfbde4777p-9,
+      0x1.b1e5184b7eb2p+1, 0x1.15e3419fdfcc1p-11,
+      0x1.2c6c6c6c6c6c7p+3, 0x1.569062a6ddfe6p-7,
+      0x1.5b8ec1f5285bap+2, 0x1.cf7f758550c8dp-12,
+      0x1.5b27f4c18e5b3p+2, 0x1.cee78327d4a64p-12,
+      0x1.f48e27c15af4ap+2, 0x1.212a0951f618dp-8,
+      0x1.d757575757575p+2, 0x1.dd9d4ecb8c6eap-10}},
+    {"traffic-sym(butterfly-fat-tree(n=3, N=64), uniform)", {
+      0x1p+0, 0x1p+0,
+      0x1p+0, 0x1.5ac056b015abfp-8,
+      0x1.e79e79e79e79ep+0, 0x1.041041041041p-7,
+      0x1.e79e79e79e79ep+0, 0x1.3813813813813p-8,
+      0x1.8618618618618p+1, 0x1.041041041041p-8,
+      0x1.8618618618618p+1, 0x1.041041041041p-8,
+      0x1.5b6db6db6db6dp+2, 0x1.3dab5f6663d6ep-8}},
+    {"traffic-sym(hypercube(n=6, N=64), uniform)", {
+      0x1.ffffffffffffp-1, 0x1p+0,
+      0x1.041041041041p-1, 0x1.041041041040fp-6,
+      0x1.041041041041p-1, 0x1.041041041040fp-6,
+      0x1.041041041041p-1, 0x1.041041041040fp-6,
+      0x1.041041041041p-1, 0x1.041041041041p-6,
+      0x1.041041041041p-1, 0x1.041041041041p-6,
+      0x1.041041041041p-1, 0x1.041041041041p-6,
+      0x1p+0, 0x1.041041041041p-6,
+      0x1.430c30c30c30ap+2, 0x1.ec3e792f11c5cp-6}},
+    {"traffic-sym(mesh(k=5, d=2, N=25), hotspot(f=0.10,node=12))", {
+      0x1.0000000000002p+0, 0x1p+0,
+      0x1.0000000000002p+0, 0x1p+0,
+      0x1.ffffffffffffep-1, 0x1p+0,
+      0x1.0000000000002p+0, 0x1p+0,
+      0x1.0000000000002p+0, 0x1p+0,
+      0x1.ffffffffffffdp-1, 0x1p+0,
+      0x1.ffffffffffffdp-1, 0x1p+0,
+      0x1.ffffffffffffdp-1, 0x1p+0,
+      0x1p+0, 0x1p+0,
+      0x1.b333333333338p-1, 0x1.b7b7b7b7b7b78p-5,
+      0x1.8p-1, 0x1.3333333333333p-5,
+      0x1.ceeeeeeeeeeefp-1, 0x1.34c5e103397dfp-5,
+      0x1.7ffffffffffffp-1, 0x1.3333333333333p-5,
+      0x1.5333333333334p+0, 0x1.dd38ff08b1c02p-5,
+      0x1.8p-1, 0x1.3333333333333p-5,
+      0x1.ceeeeeeeeeeedp-1, 0x1.34c5e103397ep-5,
+      0x1.2p+0, 0x1.3333333333332p-5,
+      0x1.4p+0, 0x1.7ae147ae147aep-4,
+      0x1.ceeeeeeeeeeedp-1, 0x1.34c5e103397ep-5,
+      0x1.b333333333338p-1, 0x1.b7b7b7b7b7b78p-5,
+      0x1.8222222222222p-1, 0x1.3515f844a4d22p-5,
+      0x1.2p+0, 0x1.3333333333334p-5,
+      0x1.ceeeeeeeeeeefp-1, 0x1.34c5e103397dep-5,
+      0x1.7ffffffffffffp-1, 0x1.3333333333333p-5,
+      0x1.5333333333334p+0, 0x1.dd38ff08b1c02p-5,
+      0x1.822222222222p-1, 0x1.3515f844a4d24p-5,
+      0x1.2p+0, 0x1.3333333333334p-5,
+      0x1.ceeeeeeeeeeedp-1, 0x1.34c5e103397ep-5,
+      0x1.2p+0, 0x1.3333333333332p-5,
+      0x1.8222222222221p-1, 0x1.3515f844a4d22p-5,
+      0x1.1p+1, 0x1.a2a2a2a2a2a2bp-4,
+      0x1.ceeeeeeeeeeeep-1, 0x1.34c5e103397dfp-5,
+      0x1.b333333333331p-1, 0x1.b7b7b7b7b7b7fp-5,
+      0x1.2222222222222p+0, 0x1.35b5b5b5b5b5cp-5,
+      0x1.ceeeeeeeeeeefp-1, 0x1.34c5e103397dep-5,
+      0x1.8aaaaaaaaaaabp-1, 0x1.3c6cdb8f73c6cp-5,
+      0x1.5333333333332p+0, 0x1.dd38ff08b1c06p-5,
+      0x1.2222222222221p+0, 0x1.35b5b5b5b5b5dp-5,
+      0x1.ceeeeeeeeeeeep-1, 0x1.34c5e103397dfp-5,
+      0x1.2aaaaaaaaaaabp+0, 0x1.3f63f63f63f64p-5,
+      0x1.2222222222222p+0, 0x1.35b5b5b5b5b5bp-5,
+      0x1.a666666666666p+1, 0x1.199999999999ap-3,
+      0x1.4fffffffffffdp+2, 0x1.cb797a9ca9818p-7}},
+    {"traffic-sym(butterfly-fat-tree(n=3, N=64) - 0 failed link(s), uniform)", {
+      0x1.ffffffffffffp-1, 0x1p+0,
+      0x1.ffffffffffffep-1, 0x1.5ac056b015acp-8,
+      0x1.e79e79e79e79ep+0, 0x1.041041041040fp-7,
+      0x1.e79e79e79e79ep+0, 0x1.3813813813813p-8,
+      0x1.8618618618618p+1, 0x1.041041041040fp-8,
+      0x1.8618618618618p+1, 0x1.041041041041p-8,
+      0x1.5b6db6db6db6bp+2, 0x1.47224caec7f4ep-7}},
+};
+// clang-format on
+
+std::vector<double> pinned_values(const GeneralModel& m) {
+  std::vector<double> v;
+  for (int c = 0; c < m.graph.size(); ++c) {
+    v.push_back(m.graph.at(c).rate_per_link);
+    v.push_back(m.graph.at(c).self_frac);
+  }
+  v.push_back(m.mean_distance);
+  v.push_back(m.saturation_rate());
+  return v;
+}
+
+void print_pinned_models(const std::vector<std::string>& tags,
+                         const std::vector<std::vector<double>>& got) {
+  std::printf("const PinnedModel kPinnedModels[] = {\n");
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    std::printf("    {\"%s\", {", tags[i].c_str());
+    for (std::size_t k = 0; k < got[i].size(); ++k)
+      std::printf("%s%s%a", k == 0 ? "" : ",", k % 2 == 0 ? "\n      " : " ",
+                  got[i][k]);
+    std::printf("}},\n");
+  }
+  std::printf("};\n");
+}
+
+// Both collapsed paths, pinned: the quotient (BFT(4) under uniform and a
+// hotspot, a tapered BFT(3)) and the node-built (Hypercube(6), Mesh(5,2)
+// with a centre hotspot, an empty fault view over BFT(3)).
+TEST(QuotientBuild, CollapsedAnswersArePinned) {
+  const topo::ButterflyFatTree ft4(4);
+  topo::ButterflyFatTree tapered(3);
+  tapered.set_tier_bandwidth(1, 0.5);
+  const topo::Hypercube hc(6);
+  const topo::Mesh mesh(5, 2);
+  const topo::ButterflyFatTree ft3(3);
+  const topo::FaultSet none(ft3);
+  const topo::FaultedTopology view(ft3, none);
+  struct Case {
+    const topo::Topology* topo;
+    traffic::TrafficSpec spec;
+    const char* path;
+  };
+  const std::vector<Case> cases{
+      {&ft4, traffic::TrafficSpec::uniform(), "quotient"},
+      {&ft4, traffic::TrafficSpec::hotspot(0.1, ft4.num_processors() / 3),
+       "quotient"},
+      {&tapered, traffic::TrafficSpec::uniform(), "quotient"},
+      {&hc, traffic::TrafficSpec::uniform(), "node"},
+      {&mesh, traffic::TrafficSpec::hotspot(0.1, 12), "node"},
+      {&view, traffic::TrafficSpec::uniform(), "node"}};
+
+  std::vector<std::string> tags;
+  std::vector<std::vector<double>> got;
+  for (const Case& c : cases) {
+    const double before = builds(c.path);
+    const GeneralModel m = build_traffic_model_collapsed(*c.topo, c.spec);
+    tags.push_back(m.model_name);
+    EXPECT_EQ(builds(c.path), before + 1.0) << tags.back();
+    got.push_back(pinned_values(m));
+  }
+
+  const std::size_t n = std::size(kPinnedModels);
+  bool ok = got.size() == n;
+  EXPECT_EQ(got.size(), n);
+  for (std::size_t i = 0; i < n && i < got.size(); ++i) {
+    const PinnedModel& want = kPinnedModels[i];
+    bool row_ok = tags[i] == want.tag && got[i].size() == want.values.size();
+    for (std::size_t k = 0; row_ok && k < got[i].size(); ++k)
+      row_ok = std::bit_cast<std::uint64_t>(got[i][k]) ==
+               std::bit_cast<std::uint64_t>(want.values[k]);
+    EXPECT_TRUE(row_ok) << tags[i] << " differs from its pinned answers";
+    ok = ok && row_ok;
+  }
+  if (!ok) print_pinned_models(tags, got);
 }
 
 }  // namespace

@@ -155,7 +155,7 @@ TEST(SymmetryDetection, FatTreeOrbitCounts) {
   const topo::ButterflyFatTree ft(3);  // 64 processors
   const topo::ChannelTable ct(ft);
   topo::SymmetryClasses sym;
-  ASSERT_TRUE(topo::topology_symmetry(ft, ct, {}, sym));
+  ASSERT_TRUE(topo::topology_symmetry(ft, {}, sym));
   // Uniform: every processor is equivalent and the channels fold to the
   // paper's 2n classes — injection/up per climb level plus down per level.
   EXPECT_EQ(sym.num_proc_orbits, 1);
@@ -165,7 +165,7 @@ TEST(SymmetryDetection, FatTreeOrbitCounts) {
   // Pinning a hotspot refines processors by LCA level to the pin:
   // {the pin itself} + one orbit per climb level = levels + 1.
   topo::SymmetryClasses pinned;
-  ASSERT_TRUE(topo::topology_symmetry(ft, ct, {5}, pinned));
+  ASSERT_TRUE(topo::topology_symmetry(ft, {5}, pinned));
   EXPECT_EQ(pinned.num_proc_orbits, 3 + 1);
   EXPECT_GT(pinned.num_channel_classes, sym.num_channel_classes);
   EXPECT_FALSE(pinned.trivial(ft.num_processors()));
@@ -175,7 +175,7 @@ TEST(SymmetryDetection, HypercubeOrbitCounts) {
   const topo::Hypercube hc(4);
   const topo::ChannelTable ct(hc);
   topo::SymmetryClasses sym;
-  ASSERT_TRUE(topo::topology_symmetry(hc, ct, {}, sym));
+  ASSERT_TRUE(topo::topology_symmetry(hc, {}, sym));
   EXPECT_EQ(sym.num_proc_orbits, 1);
   // dims + 2 classes (injection, ejection, one per dimension) — NOT 2·dims:
   // e-cube routing is only equivariant under XOR translations, which fold
@@ -188,14 +188,14 @@ TEST(SymmetryDetection, HypercubeOrbitCounts) {
 
   // A pinned processor kills every XOR translation: no usable symmetry.
   topo::SymmetryClasses pinned;
-  EXPECT_FALSE(topo::topology_symmetry(hc, ct, {3}, pinned));
+  EXPECT_FALSE(topo::topology_symmetry(hc, {3}, pinned));
 }
 
 TEST(SymmetryDetection, MeshReflectionOrbits) {
   const topo::Mesh mesh(3, 2);
   const topo::ChannelTable ct(mesh);
   topo::SymmetryClasses sym;
-  ASSERT_TRUE(topo::topology_symmetry(mesh, ct, {}, sym));
+  ASSERT_TRUE(topo::topology_symmetry(mesh, {}, sym));
   // The 3x3 grid under per-axis reflections: corners, x-edge midpoints,
   // y-edge midpoints, center.
   EXPECT_EQ(sym.num_proc_orbits, 4);
@@ -203,10 +203,10 @@ TEST(SymmetryDetection, MeshReflectionOrbits) {
 
   // The center is fixed by every reflection; a corner by none.
   topo::SymmetryClasses center;
-  ASSERT_TRUE(topo::topology_symmetry(mesh, ct, {4}, center));
+  ASSERT_TRUE(topo::topology_symmetry(mesh, {4}, center));
   EXPECT_EQ(center.num_proc_orbits, 4);
   topo::SymmetryClasses corner;
-  EXPECT_FALSE(topo::topology_symmetry(mesh, ct, {0}, corner));
+  EXPECT_FALSE(topo::topology_symmetry(mesh, {0}, corner));
 }
 
 TEST(CollapsedRejection, MisassignedChannelFailsParity) {

@@ -12,15 +12,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
+#include "obs/metrics.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/channels.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
+#include "topo/symmetry.hpp"
 
 namespace wormnet::core {
 namespace {
@@ -94,6 +99,53 @@ TEST(TrafficModel, FlowConservationAcrossTopologiesAndPatterns) {
   }
 }
 
+/// Every field of a built model, as bits, in a fixed order.
+std::vector<std::uint64_t> model_bits(const GeneralModel& m) {
+  std::vector<std::uint64_t> bits;
+  const auto put = [&](double x) {
+    bits.push_back(std::bit_cast<std::uint64_t>(x));
+  };
+  const auto put_int = [&](int x) {
+    bits.push_back(static_cast<std::uint64_t>(x));
+  };
+  for (int c = 0; c < m.graph.size(); ++c) {
+    const ChannelClass& k = m.graph.at(c);
+    for (const int x : {k.servers, k.lanes, k.buffer_depth, int{k.terminal}})
+      put_int(x);
+    for (const double x : {k.bandwidth, k.link_latency, k.ca2, k.rate_per_link,
+                           k.self_frac})
+      put(x);
+    for (const Transition& t : k.next) {
+      put_int(t.target);
+      put(t.weight);
+      put(t.route_prob);
+    }
+  }
+  for (const int c : m.channel_class_of) put_int(c);
+  for (const int c : m.injection_classes) put_int(c);
+  for (const double w : m.injection_class_weights) put(w);
+  put(m.mean_distance);
+  put(m.unroutable_fraction);
+  return bits;
+}
+
+bool same_classes(const topo::SymmetryClasses& a,
+                  const topo::SymmetryClasses& b) {
+  if (a.class_rep.size() != b.class_rep.size()) return false;
+  for (std::size_t c = 0; c < a.class_rep.size(); ++c) {
+    const topo::DirectedChannel& x = a.class_rep[c];
+    const topo::DirectedChannel& y = b.class_rep[c];
+    if (x.src_node != y.src_node || x.src_port != y.src_port ||
+        x.dst_node != y.dst_node || x.dst_port != y.dst_port)
+      return false;
+  }
+  return a.channel_class == b.channel_class && a.class_size == b.class_size &&
+         a.orbit_rep == b.orbit_rep && a.orbit_size == b.orbit_size &&
+         a.class_of_key == b.class_of_key &&
+         a.num_proc_orbits == b.num_proc_orbits &&
+         a.num_channel_classes == b.num_channel_classes;
+}
+
 TEST(TrafficModel, ParallelBuildBitwiseIdenticalToSerialEverywhere) {
   // The sharded parallel builder must reproduce the serial builder's result
   // BIT FOR BIT for every topology x pattern cell this suite covers: shard
@@ -133,6 +185,55 @@ TEST(TrafficModel, ParallelBuildBitwiseIdenticalToSerialEverywhere) {
       }
       EXPECT_EQ(a.mean_distance, b.mean_distance) << tag;
       EXPECT_EQ(a.injection_classes, b.injection_classes) << tag;
+    }
+  }
+
+  // Collapsed builds past the cutoff, on both paths: BFT(5) on the orbit
+  // graph, Hypercube(8) and Mesh(16,2) node by node.  The model and the
+  // class index under it must be the same bits at every width.
+  const topo::ButterflyFatTree ft5(5);
+  const topo::Hypercube hc8(8);
+  const topo::Mesh mesh16(16, 2);
+  struct Collapsible {
+    const topo::Topology* topo;
+    traffic::TrafficSpec spec;
+    const char* path;
+  };
+  for (const Collapsible& cell :
+       {Collapsible{&ft5, traffic::TrafficSpec::uniform(), "path=quotient"},
+        Collapsible{&ft5, traffic::TrafficSpec::hotspot(0.1, 100),
+                    "path=quotient"},
+        Collapsible{&hc8, traffic::TrafficSpec::uniform(), "path=node"},
+        Collapsible{&mesh16, traffic::TrafficSpec::uniform(), "path=node"}}) {
+    ASSERT_GT(cell.topo->num_processors(),
+              TrafficBuildOptions::kSerialCutoffProcs);
+    std::vector<int> pins;
+    ASSERT_TRUE(cell.spec.symmetric(pins));
+    const std::string tag = cell.topo->name() + " " + cell.spec.name();
+    std::vector<std::uint64_t> want_model;
+    topo::SymmetryClasses want_sym;
+    for (const unsigned threads : {1u, 2u, 4u, 0u}) {
+      TrafficBuildOptions build;
+      build.collapse = CollapseMode::Auto;
+      build.threads = threads;
+      const double before = obs::Registry::global().value(
+          "wormnet_collapsed_builds_total", cell.path);
+      const std::vector<std::uint64_t> model =
+          model_bits(build_traffic_model(*cell.topo, cell.spec, {}, build));
+      EXPECT_EQ(obs::Registry::global().value("wormnet_collapsed_builds_total",
+                                              cell.path),
+                before + 1.0)
+          << tag << " threads=" << threads;
+      topo::SymmetryClasses sym;
+      ASSERT_TRUE(topo::topology_symmetry(*cell.topo, pins, sym, threads))
+          << tag;
+      if (threads == 1) {
+        want_model = model;
+        want_sym = std::move(sym);
+        continue;
+      }
+      EXPECT_EQ(model, want_model) << tag << " threads=" << threads;
+      EXPECT_TRUE(same_classes(sym, want_sym)) << tag << " threads=" << threads;
     }
   }
 }
