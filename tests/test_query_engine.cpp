@@ -12,7 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -647,6 +651,215 @@ TEST(QueryEngine, ClassBreakdownRowsMatchDirectSolve) {
       EXPECT_NEAR(row.rate, cold.graph.at(id).rate_per_link * 0.003, kStateTol);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Tuned variants: pinned answer bits, and a resident no batch ever tunes.
+
+/// What one delta set answers, as pinned bits: Latency's latency and
+/// inj_wait, Saturation's λ₀*, and the ClassBreakdown row sums.
+struct PinnedTune {
+  const char* tag;
+  double latency, inj_wait, saturation_rate;
+  double utilization_sum, wait_sum, service_sum;
+};
+
+// Answers of the two residents below to one query per delta set.
+// clang-format off
+const PinnedTune kTunedAnswers[] = {
+    {"uniform lanes",
+     0x1.a29ab57065b37p+4, 0x1.66199fa6e7282p-6, 0x1.c75ee55a5afdcp-7,
+     0x1.b200e34f6da12p+3, 0x1.66f434afca195p+2, 0x1.0f4f8216ed83bp+12},
+    {"uniform buffers",
+     0x1.f62add304182ep+4, 0x1.9ea8b0420b1bbp+0, 0x1.e779d897ab068p-8,
+     0x1.fe1112e4eedd9p+4, 0x1.4e95bc503beb5p+8, 0x1.3fe6e16b66dbdp+12},
+    {"uniform bandwidth",
+     0x1.79bfd810de0dcp+4, 0x1.7d9975aaa8fbap-1, 0x1.47224caec7f4cp-7,
+     0x1.826e009824f45p+4, 0x1.51fb798247508p+7, 0x1.e53cfd899b753p+11},
+    {"uniform load",
+     0x1.8a4bda2f78545p+4, 0x1.005f18e076abfp+0, 0x1.1152bb91fd604p-7,
+     0x1.dac30e9007924p+4, 0x1.bc8583993f51p+7, 0x1.f08bd8167c2f9p+11},
+    {"uniform arrival",
+     0x1.5c87b5fc19642p+5, 0x1.4ad60f13c0ec8p+4, 0x1.4625dd3015648p-7,
+     0x1.82bde80c6d8cdp+4, 0x1.08735cc24aaaep+8, 0x1.e59d0f4dd9f93p+11},
+    {"uniform traffic+lanes",
+     0x1.fb3d0f564ab26p+4, 0x1.858e5641a92c1p-5, 0x1.239e892432b3ap-8,
+     0x1.0d22c1d6b514ep+4, 0x1.c2218df7b79b7p+5, 0x1.3a9f2dcf6a6e4p+12},
+    {"uniform fault+load",
+     0x1.8e14958820c12p+4, 0x1.072026e78d4dep+0, 0x1.dab1b0d4e804ap-8,
+     0x1.dd2425081b165p+4, 0x1.c6c9d6c462acp+7, 0x1.ee818ab3415a3p+11},
+    {"tapered hotspot lanes",
+     0x1.1e7960d8ccc8ep+6, 0x1.00c5c717a59f7p-4, 0x1.21ad7e30fedf8p-9,
+     0x1.07b9f201f9f89p+4, 0x1.9ab8cde5cc2a7p+8, 0x1.56e514ebfebd8p+13},
+    {"tapered hotspot buffers",
+     0x1.3be77d837c4c4p+6, 0x1.156b39396bdd8p+2, 0x1.364f73247cdcp-9,
+     0x1.3e61eb2cb4142p+4, 0x1.5680c54644f33p+9, 0x1.69a66a5cc3acap+13},
+    {"tapered hotspot bandwidth",
+     0x1.bcf7089584849p+5, 0x1.e767d68163616p+0, 0x1.a7fd4cd54d992p-9,
+     0x1.cb6700d59a5aep+3, 0x1.2f632b27e0cd4p+8, 0x1.04995a1559bbbp+13},
+    {"tapered hotspot load",
+     0x1.30f8334c93b2bp+6, 0x1.3031fbd1e898cp+2, 0x1.1768ee61af8b4p-9,
+     0x1.65726f45d4a3p+4, 0x1.77907cda66a88p+9, 0x1.5075bd549bd37p+13},
+    {"tapered hotspot arrival",
+     0x1.19ec59697b82ep+7, 0x1.2129711e80a69p+6, 0x1.4d6d807196c0ap-9,
+     0x1.22774661ec988p+4, 0x1.a8ccbffc5c57bp+9, 0x1.470731d470807p+13},
+    {"tapered hotspot traffic+lanes",
+     0x1.1e7960d8ccc8fp+6, 0x1.00c5c717a59f4p-4, 0x1.21ad7e30fedf8p-9,
+     0x1.07b9f201f9f89p+4, 0x1.9ab8cde5cc2a7p+8, 0x1.56e514ebfebd7p+13},
+    {"tapered hotspot fault+load",
+     0x1.33d9d6e615037p+6, 0x1.36abf1f7e3e94p+2, 0x1.f418b6bddc85p-10,
+     0x1.67083c3005b9ep+4, 0x1.80561c9c1a008p+9, 0x1.5111ebe7ecb58p+13},
+};
+// clang-format on
+
+void print_tuned_answers(const std::vector<PinnedTune>& got,
+                         const std::vector<std::string>& tags) {
+  std::printf("const PinnedTune kTunedAnswers[] = {\n");
+  for (std::size_t i = 0; i < got.size(); ++i)
+    std::printf("    {\"%s\",\n     %a, %a, %a,\n     %a, %a, %a},\n",
+                tags[i].c_str(), got[i].latency, got[i].inj_wait,
+                got[i].saturation_rate, got[i].utilization_sum,
+                got[i].wait_sum, got[i].service_sum);
+  std::printf("};\n");
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// One query per tune axis, plus traffic + lanes and fault + load, each
+/// tagged; `moved` is the traffic delta and `faults` the fault delta.
+std::vector<std::pair<std::string, WhatIfQuery>> tune_deltas(
+    const traffic::TrafficSpec& moved,
+    std::shared_ptr<const topo::FaultSet> faults) {
+  std::vector<std::pair<std::string, WhatIfQuery>> deltas(7);
+  deltas[0].first = "lanes";
+  deltas[0].second.lanes = 2;
+  deltas[1].first = "buffers";
+  deltas[1].second.buffer_depth = 4;
+  deltas[2].first = "bandwidth";
+  deltas[2].second.bandwidth_scale = 1.25;
+  deltas[3].first = "load";
+  deltas[3].second.load_scale = 1.2;
+  deltas[4].first = "arrival";
+  deltas[4].second.arrival = arrivals::ArrivalSpec::batch(2.0);
+  deltas[5].first = "traffic+lanes";
+  deltas[5].second.traffic = moved;
+  deltas[5].second.lanes = 2;
+  deltas[6].first = "fault+load";
+  deltas[6].second.faults = std::move(faults);
+  deltas[6].second.load_scale = 1.2;
+  return deltas;
+}
+
+TEST(QueryEngine, TunedVariantAnswersArePinned) {
+  // A dense uniform BFT(3) and a dense tapered BFT(3) under a hotspot, each
+  // asked every tune axis and two rewired combinations.  Any change of
+  // these bits is a change of answers.
+  const topo::ButterflyFatTree ft(3);
+  topo::ButterflyFatTree tapered(3);
+  tapered.set_tier_bandwidth(1, 0.5);
+  tapered.set_tier_bandwidth(2, 0.25);
+  struct Cell {
+    const char* tag;
+    const topo::ButterflyFatTree* topo;
+    traffic::TrafficSpec spec, moved;
+  };
+  const std::vector<Cell> cells{
+      {"uniform", &ft, traffic::TrafficSpec::uniform(),
+       traffic::TrafficSpec::hotspot(0.2, 9)},
+      {"tapered hotspot", &tapered, traffic::TrafficSpec::hotspot(0.1, 5),
+       traffic::TrafficSpec::hotspot(0.1, 40)}};
+  QueryEngine qe;
+  std::vector<PinnedTune> got;
+  std::vector<std::string> tags;
+  for (const Cell& cell : cells) {
+    const int id = qe.resident(*cell.topo, cell.spec);
+    WhatIfQuery sat;
+    sat.metric = QueryMetric::Saturation;
+    const double lambda0 = 0.4 * qe.run(id, sat).saturation_rate;
+    auto faults = std::make_shared<topo::FaultSet>(*cell.topo);
+    faults->fail_link(cell.topo->switch_id(1, 2),
+                      topo::ButterflyFatTree::kParentPort1);
+    for (auto& [axis, delta] : tune_deltas(cell.moved, faults)) {
+      std::vector<WhatIfQuery> batch(3, delta);
+      batch[0].metric = QueryMetric::Latency;
+      batch[0].lambda0 = lambda0;
+      batch[1].metric = QueryMetric::Saturation;
+      batch[2].metric = QueryMetric::ClassBreakdown;
+      batch[2].lambda0 = lambda0;
+      const std::vector<QueryResult> res = qe.run_batch(id, batch);
+      PinnedTune p{nullptr, res[0].est.latency, res[0].est.inj_wait,
+                   res[1].saturation_rate, 0.0, 0.0, 0.0};
+      for (const ClassLoadRow& row : res[2].breakdown) {
+        p.utilization_sum += row.utilization;
+        p.wait_sum += row.wait;
+        p.service_sum += row.service_time;
+      }
+      got.push_back(p);
+      tags.push_back(std::string(cell.tag) + " " + axis);
+    }
+  }
+
+  const std::size_t n = std::size(kTunedAnswers);
+  bool ok = got.size() == n;
+  EXPECT_EQ(got.size(), n);
+  for (std::size_t i = 0; i < n && i < got.size(); ++i) {
+    const PinnedTune& w = kTunedAnswers[i];
+    const PinnedTune& g = got[i];
+    const bool row_ok = tags[i] == w.tag && same_bits(g.latency, w.latency) &&
+                        same_bits(g.inj_wait, w.inj_wait) &&
+                        same_bits(g.saturation_rate, w.saturation_rate) &&
+                        same_bits(g.utilization_sum, w.utilization_sum) &&
+                        same_bits(g.wait_sum, w.wait_sum) &&
+                        same_bits(g.service_sum, w.service_sum);
+    EXPECT_TRUE(row_ok) << tags[i];
+    ok = ok && row_ok;
+  }
+  if (!ok) print_tuned_answers(got, tags);
+}
+
+TEST(QueryEngine, BatchesNeverTuneTheResident) {
+  // Every tune axis, a traffic delta and a fault delta in one batch: the
+  // resident model and its identity answers must come out bit-equal.  The
+  // engine does not memoize, so the identity answers are solved afresh.
+  const topo::ButterflyFatTree ft(3);
+  QueryEngine::Options opts;
+  opts.memoize = false;
+  QueryEngine qe(ft, traffic::TrafficSpec::hotspot(0.1, 5), opts);
+  WhatIfQuery identity;
+  identity.metric = QueryMetric::Latency;
+  identity.lambda0 = 0.003;
+  WhatIfQuery identity_sat;
+  identity_sat.metric = QueryMetric::Saturation;
+  const std::uint64_t digest = qe.resident_model(0).model().content_digest();
+  const QueryResult lat = qe.run(identity);
+  const QueryResult sat = qe.run(identity_sat);
+
+  auto faults = std::make_shared<topo::FaultSet>(ft);
+  faults->fail_link(ft.switch_id(1, 2), topo::ButterflyFatTree::kParentPort1);
+  std::vector<WhatIfQuery> batch;
+  for (auto& [axis, delta] :
+       tune_deltas(traffic::TrafficSpec::hotspot(0.1, 40), faults)) {
+    delta.lambda0 = 0.003;
+    batch.push_back(delta);
+  }
+  WhatIfQuery all = batch[5];  // traffic + lanes, then every other axis
+  all.faults = faults;
+  all.buffer_depth = 4;
+  all.bandwidth_scale = 1.25;
+  all.load_scale = 1.2;
+  all.arrival = arrivals::ArrivalSpec::batch(2.0);
+  batch.push_back(all);
+  qe.run_batch(batch);
+
+  EXPECT_EQ(qe.resident_model(0).model().content_digest(), digest);
+  const QueryResult lat_after = qe.run(identity);
+  EXPECT_EQ(lat_after.est.status, lat.est.status);
+  EXPECT_TRUE(same_bits(lat_after.est.latency, lat.est.latency));
+  EXPECT_TRUE(same_bits(lat_after.est.inj_wait, lat.est.inj_wait));
+  EXPECT_TRUE(same_bits(qe.run(identity_sat).saturation_rate,
+                        sat.saturation_rate));
 }
 
 // ---------------------------------------------------------------------------
