@@ -522,14 +522,15 @@ void BM_QueryEngineRetuneLanes(benchmark::State& state) {
   // The lane delta axis: set_uniform_lanes is one O(channels) sweep over
   // ChannelClass::lanes — bitwise-identical to a topology rebuild.
   topo::ButterflyFatTree ft(4);
-  core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::hotspot(0.2, 3));
+  core::GeneralModel m =
+      core::build_traffic_model(ft, traffic::TrafficSpec::hotspot(0.2, 3));
   const int lanes[2] = {4, 2};
   std::size_t i = 0;
   for (auto _ : state) {
-    rm.set_uniform_lanes(lanes[i ^= 1]);
-    benchmark::DoNotOptimize(rm.model().graph.at(0).lanes);
+    m.set_uniform_lanes(lanes[i ^= 1]);
+    benchmark::DoNotOptimize(m.graph.at(0).lanes);
   }
-  state.SetLabel(std::to_string(rm.model().graph.size()) + " channel classes");
+  state.SetLabel(std::to_string(m.graph.size()) + " channel classes");
 }
 BENCHMARK(BM_QueryEngineRetuneLanes);
 
@@ -537,22 +538,23 @@ void BM_QueryEngineRetuneLoad(benchmark::State& state) {
   // The load delta axis: scale_injection_rates multiplies every per-link
   // rate — O(channels), composing across calls.
   topo::ButterflyFatTree ft(4);
-  core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::hotspot(0.2, 3));
+  core::GeneralModel m =
+      core::build_traffic_model(ft, traffic::TrafficSpec::hotspot(0.2, 3));
   const double factors[2] = {1.25, 0.8};
   std::size_t i = 0;
   for (auto _ : state) {
-    rm.scale_injection_rates(factors[i ^= 1]);
-    benchmark::DoNotOptimize(rm.model().graph.at(0).rate_per_link);
+    m.scale_injection_rates(factors[i ^= 1]);
+    benchmark::DoNotOptimize(m.graph.at(0).rate_per_link);
   }
-  state.SetLabel(std::to_string(rm.model().graph.size()) + " channel classes");
+  state.SetLabel(std::to_string(m.graph.size()) + " channel classes");
 }
 BENCHMARK(BM_QueryEngineRetuneLoad);
 
 void BM_QueryEngineSaturationTune(benchmark::State& state) {
   // A lanes-tuned Saturation query against the dense uniform BFT(4)
-  // resident, unmemoized so every iteration is a fresh batch: clone the
-  // resident, tune it, plan its attribute half on the resident's shared
-  // structure, then bisect through that plan.
+  // resident, unmemoized so every iteration is a fresh batch: copy the
+  // resident's model, tune it, plan its attribute half on the resident's
+  // shared structure, then bisect through that plan.
   topo::ButterflyFatTree ft(4);
   harness::QueryEngine::Options opts;
   opts.memoize = false;
@@ -625,8 +627,9 @@ BENCHMARK(BM_FaultedTopologyBuild)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ResidentClone(benchmark::State& state) {
-  // The per-variant copy QueryEngine::prepare makes of a dense resident:
-  // channel table, spec, flow state and GeneralModel of a uniform BFT(4).
+  // The copy QueryEngine::prepare makes of a dense resident for a traffic or
+  // fault variant: channel table, spec, flow state and GeneralModel of a
+  // uniform BFT(4).  Tune-only variants copy just the model (BM_ModelCopy).
   topo::ButterflyFatTree ft(4);
   const core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::uniform());
   for (auto _ : state) {
@@ -636,6 +639,20 @@ void BM_ResidentClone(benchmark::State& state) {
   state.SetLabel(std::to_string(rm.model().graph.size()) + " channel classes");
 }
 BENCHMARK(BM_ResidentClone)->Unit(benchmark::kMicrosecond);
+
+void BM_ModelCopy(benchmark::State& state) {
+  // The copy QueryEngine::prepare makes for a tune-only variant: the
+  // GeneralModel of the same dense uniform BFT(4) resident.
+  topo::ButterflyFatTree ft(4);
+  const core::GeneralModel m =
+      core::build_traffic_model(ft, traffic::TrafficSpec::uniform());
+  for (auto _ : state) {
+    const core::GeneralModel copy(m);
+    benchmark::DoNotOptimize(copy.graph.size());
+  }
+  state.SetLabel(std::to_string(m.graph.size()) + " channel classes");
+}
+BENCHMARK(BM_ModelCopy)->Unit(benchmark::kMicrosecond);
 
 void BM_TrafficModelBuildTapered(benchmark::State& state) {
   // The heterogeneous build: a 2:1-tapered fat-tree with 4-flit buffers and
@@ -660,14 +677,15 @@ void BM_QueryEngineRetuneBuffers(benchmark::State& state) {
   // sweep over ChannelClass::buffer_depth — the QueryEngine's "how shallow
   // can buffers go" axis never rebuilds.
   topo::ButterflyFatTree ft(4);
-  core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::hotspot(0.2, 3));
+  core::GeneralModel m =
+      core::build_traffic_model(ft, traffic::TrafficSpec::hotspot(0.2, 3));
   const int depths[2] = {4, util::kInfiniteBufferDepth};
   std::size_t i = 0;
   for (auto _ : state) {
-    rm.set_uniform_buffers(depths[i ^= 1]);
-    benchmark::DoNotOptimize(rm.model().graph.at(0).buffer_depth);
+    m.set_uniform_buffers(depths[i ^= 1]);
+    benchmark::DoNotOptimize(m.graph.at(0).buffer_depth);
   }
-  state.SetLabel(std::to_string(rm.model().graph.size()) + " channel classes");
+  state.SetLabel(std::to_string(m.graph.size()) + " channel classes");
 }
 BENCHMARK(BM_QueryEngineRetuneBuffers);
 
@@ -676,14 +694,15 @@ void BM_QueryEngineRetuneBandwidth(benchmark::State& state) {
   // class's bandwidth (taper shape preserved) — O(channels), composing.
   topo::ButterflyFatTree ft(4);
   ft.set_tier_bandwidth(1, 0.5);
-  core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::hotspot(0.2, 3));
+  core::GeneralModel m =
+      core::build_traffic_model(ft, traffic::TrafficSpec::hotspot(0.2, 3));
   const double factors[2] = {2.0, 0.5};
   std::size_t i = 0;
   for (auto _ : state) {
-    rm.scale_bandwidths(factors[i ^= 1]);
-    benchmark::DoNotOptimize(rm.model().graph.at(0).bandwidth);
+    m.scale_bandwidths(factors[i ^= 1]);
+    benchmark::DoNotOptimize(m.graph.at(0).bandwidth);
   }
-  state.SetLabel(std::to_string(rm.model().graph.size()) + " channel classes");
+  state.SetLabel(std::to_string(m.graph.size()) + " channel classes");
 }
 BENCHMARK(BM_QueryEngineRetuneBandwidth);
 

@@ -469,11 +469,13 @@ void GeneralModel::set_uniform_buffers(int flits) {
     graph.mutable_at(id).buffer_depth = flits;
 }
 
-void GeneralModel::set_uniform_bandwidth(double bw) {
-  if (!(bw > 0.0) || !std::isfinite(bw))
-    throw std::invalid_argument("model: bandwidth must be > 0 flits/cycle");
+void GeneralModel::scale_bandwidths(double factor) {
+  if (!(factor > 0.0))
+    throw std::invalid_argument("model: bandwidth scale must be > 0");
+  std::vector<double> bw(static_cast<std::size_t>(graph.size()));
   for (int id = 0; id < graph.size(); ++id)
-    graph.mutable_at(id).bandwidth = bw;
+    bw[static_cast<std::size_t>(id)] = graph.at(id).bandwidth * factor;
+  set_channel_bandwidths(bw);
 }
 
 void GeneralModel::set_channel_bandwidths(const std::vector<double>& bw) {

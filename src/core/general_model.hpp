@@ -231,16 +231,16 @@ class GeneralModel final : public NetworkModel {
   /// resident models.  Throws std::invalid_argument on depth < 1.
   void set_uniform_buffers(int flits);
 
-  /// Retune every channel class to bandwidth `bw` flits/cycle (1.0 restores
-  /// the paper's uniform links).  O(channels).  Throws std::invalid_argument
-  /// on bw <= 0.
-  void set_uniform_bandwidth(double bw);
+  /// Multiply every channel class's bandwidth by `factor` (> 0, composes):
+  /// the what-if bandwidth axis.  It scales whatever per-class bandwidths
+  /// the model holds, so a tapered fat-tree keeps its taper shape.
+  /// O(channels).  Throws std::invalid_argument on factor <= 0 or a
+  /// product that set_channel_bandwidths rejects.
+  void scale_bandwidths(double factor);
 
   /// Retune per-class bandwidths: `bw[id]` becomes class id's bandwidth
   /// (size must equal graph.size(); every entry > 0, else
-  /// std::invalid_argument).  The what-if bandwidth axis — a QueryEngine
-  /// bandwidth_scale reads the resident per-class bandwidths, scales them,
-  /// and applies here.
+  /// std::invalid_argument).
   void set_channel_bandwidths(const std::vector<double>& bw);
 
   /// Full solve at λ₀ (per-channel detail).  One-shot: builds a SolvePlan.

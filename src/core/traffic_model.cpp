@@ -1205,8 +1205,7 @@ long apply_column_delta(const FaultSide& from, const FaultSide& to,
 }  // namespace
 
 /// Everything a resident model retains between retunes: the channel table,
-/// the dense flow state (when dense), the current spec, and the recorded
-/// lane/load/arrival tunes to re-apply after any reassembly.
+/// the dense flow state (when dense), the current spec and the fault view.
 struct RetunableTrafficModel::Impl {
   const topo::Topology* topo;
   topo::ChannelTable ct;
@@ -1215,12 +1214,6 @@ struct RetunableTrafficModel::Impl {
   TrafficBuildOptions build;
   bool is_collapsed = false;
   DenseFlowState state;    ///< valid only when !is_collapsed
-  int lanes_override = 0;  ///< 0: the topology's own lane counts
-  int buffers_override = 0;  ///< 0: the topology's own buffer depths
-  double bandwidth_scale = 1.0;  ///< on top of the topology's bandwidths
-  double load_scale = 1.0;
-  double tuned_ca2 = 1.0;
-  double tuned_residual = 0.0;
   /// One-shot warn gate for the collapsed→dense fault fallback below: big
   /// N−1 sweeps trip the branch once per resident, not once per scenario.
   bool warned_collapsed_fault = false;
@@ -1241,30 +1234,6 @@ struct RetunableTrafficModel::Impl {
   /// and every per-channel array stay valid across fault retunes.
   const topo::Topology& routing_topo() const {
     return faulted ? static_cast<const topo::Topology&>(*faulted) : *topo;
-  }
-
-  /// Re-apply the recorded lane/load/arrival tunes onto a freshly
-  /// (re)assembled model.  Order matters only for documentation: each tune
-  /// touches a disjoint ChannelClass field (lanes / rate_per_link / ca2).
-  void apply_tunes() {
-    if (lanes_override >= 1) net.set_uniform_lanes(lanes_override);
-    if (buffers_override >= 1) net.set_uniform_buffers(buffers_override);
-    if (bandwidth_scale != 1.0) scale_model_bandwidths(bandwidth_scale);
-    if (load_scale != 1.0) net.scale_injection_rates(load_scale);
-    if (tuned_ca2 != 1.0 || tuned_residual != 0.0) {
-      net.set_injection_ca2(tuned_ca2);
-      net.injection_batch_residual = tuned_residual;
-    }
-  }
-
-  /// Multiply every resident class's bandwidth by `factor` — applied on top
-  /// of whatever the (possibly tapered) topology assembled, so the taper
-  /// shape survives reassembly.
-  void scale_model_bandwidths(double factor) {
-    std::vector<double> bw(static_cast<std::size_t>(net.graph.size()));
-    for (int id = 0; id < net.graph.size(); ++id)
-      bw[static_cast<std::size_t>(id)] = net.graph.at(id).bandwidth * factor;
-    net.set_channel_bandwidths(bw);
   }
 
   /// The collapsed build of `new_spec` on the routing topology, when the
@@ -1291,7 +1260,6 @@ struct RetunableTrafficModel::Impl {
       net = assemble_dense(rt, ct, new_spec, opts, state);
     }
     spec = new_spec;
-    apply_tunes();
   }
 };
 
@@ -1326,42 +1294,6 @@ const traffic::TrafficSpec& RetunableTrafficModel::spec() const {
   return impl_->spec;
 }
 bool RetunableTrafficModel::collapsed() const { return impl_->is_collapsed; }
-
-void RetunableTrafficModel::set_uniform_lanes(int lanes) {
-  WORMNET_EXPECTS(lanes >= 1);
-  impl_->lanes_override = lanes;
-  impl_->net.set_uniform_lanes(lanes);
-}
-
-void RetunableTrafficModel::set_uniform_buffers(int flits) {
-  impl_->net.set_uniform_buffers(flits);  // throws first on flits < 1
-  impl_->buffers_override = flits;
-}
-
-void RetunableTrafficModel::scale_bandwidths(double factor) {
-  if (!(factor > 0.0))
-    throw std::invalid_argument("scale_bandwidths: factor must be > 0");
-  impl_->scale_model_bandwidths(factor);
-  impl_->bandwidth_scale *= factor;
-}
-
-void RetunableTrafficModel::scale_injection_rates(double factor) {
-  impl_->load_scale *= factor;
-  impl_->net.scale_injection_rates(factor);
-}
-
-void RetunableTrafficModel::set_injection_process(
-    const arrivals::ArrivalSpec& process, double lambda0) {
-  impl_->net.set_injection_process(process, lambda0);
-  impl_->tuned_ca2 = impl_->net.injection_ca2;
-  impl_->tuned_residual = impl_->net.injection_batch_residual;
-}
-
-void RetunableTrafficModel::set_injection_ca2(double ca2) {
-  impl_->net.set_injection_ca2(ca2);
-  impl_->tuned_ca2 = ca2;
-  impl_->tuned_residual = 0.0;
-}
 
 RetuneReport RetunableTrafficModel::retune_traffic(
     const traffic::TrafficSpec& new_spec) {
@@ -1468,7 +1400,6 @@ RetuneReport RetunableTrafficModel::retune_traffic(
   im.net = assemble_dense(rt, im.ct, new_spec, im.opts, st);
   im.is_collapsed = false;
   im.spec = new_spec;
-  im.apply_tunes();
   return report;
 }
 
@@ -1585,7 +1516,6 @@ RetuneReport RetunableTrafficModel::retune_faults(
   im.fault_set = std::move(faults);
   im.faulted = std::move(new_view);
   im.net = assemble_dense(im.routing_topo(), im.ct, im.spec, im.opts, st);
-  im.apply_tunes();
   return report;
 }
 

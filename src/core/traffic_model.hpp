@@ -235,16 +235,13 @@ struct RetuneReport {
 /// sums; residues where the true value is 0 are snapped) and ≤ 1e-9 on
 /// latency / saturation (tested in tests/test_query_engine.cpp).
 ///
-/// Lane, load, arrival-process, buffer-depth and bandwidth tunes
-/// (set_uniform_lanes, scale_injection_rates, set_injection_process,
-/// set_uniform_buffers, scale_bandwidths) are recorded and re-applied
-/// after every retune or rebuild, so the axes compose: a resident tuned
-/// to 4 lanes, 4-flit buffers and MMPP arrivals stays so tuned when the
-/// hotspot moves.
+/// The resident holds wiring only: retunes rebuild model() from the
+/// spec, the fault view and the flow state.  Lane, buffer, bandwidth, load
+/// and arrival tunes are GeneralModel edits on a copy of model().
 ///
-/// Value semantics: copyable (the QueryEngine clones one resident per
-/// what-if variant and retunes the copies in parallel).  The Topology must
-/// outlive every copy.
+/// Value semantics: copyable (the QueryEngine clones the resident for each
+/// traffic or fault variant and retunes the clones in parallel).  The
+/// Topology must outlive every copy.
 class RetunableTrafficModel {
  public:
   RetunableTrafficModel(const topo::Topology& topo, traffic::TrafficSpec spec,
@@ -256,7 +253,7 @@ class RetunableTrafficModel {
   RetunableTrafficModel(RetunableTrafficModel&&) noexcept;
   RetunableTrafficModel& operator=(RetunableTrafficModel&&) noexcept;
 
-  /// The current model (retuned in place by the methods below).
+  /// The current model (retuned in place by the retune methods below).
   const GeneralModel& model() const;
   GeneralModel& model();
   /// The TrafficSpec the model currently reflects.
@@ -310,28 +307,6 @@ class RetunableTrafficModel {
   /// The topology routing currently runs against: the fault view when one
   /// is active, else the base topology passed at construction.
   const topo::Topology& routing_topology() const;
-
-  /// Lane delta: O(channels), recorded and re-applied across retunes.
-  void set_uniform_lanes(int lanes);
-  /// Buffer-depth delta: O(channels), recorded and re-applied
-  /// (util::kInfiniteBufferDepth restores the paper's unbounded buffering).
-  /// Throws std::invalid_argument on flits < 1.
-  void set_uniform_buffers(int flits);
-  /// Bandwidth delta: multiply every channel class's bandwidth by `factor`
-  /// (> 0, composes; recorded and re-applied on top of whatever per-channel
-  /// bandwidths the topology declares — a tapered fat-tree keeps its taper
-  /// shape under a global scale).  Throws std::invalid_argument on
-  /// factor <= 0.
-  void scale_bandwidths(double factor);
-  /// Load delta: multiply all channel rates (composes; recorded).
-  /// Equivalent to evaluating the unscaled model at λ₀·factor — see
-  /// GeneralModel::scale_injection_rates for the 1-ulp caveat.
-  void scale_injection_rates(double factor);
-  /// Arrival-process delta: O(channels), recorded and re-applied.
-  void set_injection_process(const arrivals::ArrivalSpec& process,
-                             double lambda0 = 0.0);
-  /// Raw-SCV variant of the above (batchless processes).
-  void set_injection_ca2(double ca2);
 
  private:
   struct Impl;

@@ -8,7 +8,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "topo/channels.hpp"
 #include "topo/symmetry.hpp"
 #include "util/assert.hpp"
 #include "util/hash.hpp"
@@ -159,18 +158,20 @@ struct QueryEngine::Impl {
       std::vector<int> pins;
       if (!baseline.spec().symmetric(pins) || !topo->has_fault_symmetry(pins))
         return;
-      const topo::ChannelTable ct(*topo);
       topo::SymmetryClasses sym;
       if (!topo::topology_symmetry(*topo, pins, sym)) return;
+      const auto class_of = [&](int node, int port) {
+        return sym.class_of_key.at(topo->channel_symmetry_key(node, port, pins));
+      };
       // The classes are orbits, and an automorphism carries a link's two
       // directions together, so the unordered class pair of a link names
       // its orbit.
       std::unordered_map<std::uint64_t, std::shared_ptr<const topo::FaultSet>>
           by_orbit;
       for (const std::pair<int, int>& link : failable_links(*topo)) {
-        const int c = ct.from(link.first, link.second);
-        const int a = sym.channel_class[static_cast<std::size_t>(c)];
-        const int b = sym.channel_class[static_cast<std::size_t>(ct.reverse(c))];
+        const int a = class_of(link.first, link.second);
+        const int b = class_of(topo->neighbor(link.first, link.second),
+                               topo->neighbor_port(link.first, link.second));
         auto& rep = by_orbit[pair_key(std::minmax(a, b))];
         if (!rep) {
           auto fs = std::make_shared<topo::FaultSet>(*topo);
@@ -182,7 +183,7 @@ struct QueryEngine::Impl {
     }
   };
 
-  /// One prepared model variant of a batch (clone == nullptr: the baseline
+  /// One prepared model variant of a batch (model == nullptr: the baseline
   /// itself, untouched, solved through the resident's plan).
   struct Variant {
     std::uint64_t key = 0;
@@ -190,8 +191,8 @@ struct QueryEngine::Impl {
     /// The fault set it runs under: the query's own, or the representative
     /// of the query's link orbit.
     std::shared_ptr<const topo::FaultSet> faults;
-    std::unique_ptr<core::RetunableTrafficModel> clone;
-    /// The clone's solve plan, built once in the prepare phase; every job
+    std::unique_ptr<core::GeneralModel> model;
+    /// The model's solve plan, built once in the prepare phase; every job
     /// of this variant evaluates through it.  It dies with the batch.
     std::unique_ptr<const core::SolvePlan> plan;
     core::RetuneReport report;
@@ -216,41 +217,49 @@ struct QueryEngine::Impl {
   }
 
   void prepare(const Resident& r, Variant& v, const WhatIfQuery& q) {
-    if (is_identity(q)) return;  // basis stays Reevaluate, clone stays null
-    v.clone = std::make_unique<core::RetunableTrafficModel>(r.baseline);
-    if (v.faults && !v.faults->empty()) {
-      // Fault delta first, so a traffic retune in the same query already
-      // runs under the degraded routing — the two deltas compose.
-      v.report = v.clone->retune_faults(v.faults);
-      v.basis = v.report.rebuilt ? QueryCost::Rebuild : QueryCost::Retune;
+    if (is_identity(q)) return;  // basis stays Reevaluate, model stays null
+    const bool faulted = v.faults && !v.faults->empty();
+    const bool rewired = q.traffic || faulted;
+    if (rewired) {
+      // A traffic or fault delta rewires the model: retune a local clone of
+      // the resident and keep only the model it assembles.
+      core::RetunableTrafficModel clone = r.baseline;
+      if (faulted) {
+        // Fault delta first, so a traffic retune in the same query already
+        // runs under the degraded routing — the two deltas compose.
+        v.report = clone.retune_faults(v.faults);
+        v.basis = v.report.rebuilt ? QueryCost::Rebuild : QueryCost::Retune;
+      }
+      if (q.traffic) {
+        const core::RetuneReport tr = clone.retune_traffic(*q.traffic);
+        v.report.rebuilt = v.report.rebuilt || tr.rebuilt;
+        v.report.collapsed = v.report.collapsed || tr.collapsed;
+        v.report.passes += tr.passes;
+        v.report.changed_pairs += tr.changed_pairs;
+        v.report.nodes_visited += tr.nodes_visited;
+        if (v.basis != QueryCost::Rebuild)
+          v.basis = tr.rebuilt ? QueryCost::Rebuild : QueryCost::Retune;
+      }
+      v.model = std::make_unique<core::GeneralModel>(std::move(clone.model()));
+    } else {
+      v.model = std::make_unique<core::GeneralModel>(r.baseline.model());
     }
-    if (q.traffic) {
-      const core::RetuneReport tr = v.clone->retune_traffic(*q.traffic);
-      v.report.rebuilt = v.report.rebuilt || tr.rebuilt;
-      v.report.collapsed = v.report.collapsed || tr.collapsed;
-      v.report.passes += tr.passes;
-      v.report.changed_pairs += tr.changed_pairs;
-      v.report.nodes_visited += tr.nodes_visited;
-      if (v.basis != QueryCost::Rebuild)
-        v.basis = tr.rebuilt ? QueryCost::Rebuild : QueryCost::Retune;
-    }
-    if (q.lanes != 0) v.clone->set_uniform_lanes(q.lanes);
-    if (q.buffer_depth != 0) v.clone->set_uniform_buffers(q.buffer_depth);
-    if (q.bandwidth_scale != 1.0) v.clone->scale_bandwidths(q.bandwidth_scale);
-    if (q.load_scale != 1.0) v.clone->scale_injection_rates(q.load_scale);
-    if (q.arrival) v.clone->set_injection_process(*q.arrival, q.lambda0);
-    // Tunes leave the wiring alone, so only a traffic or fault delta needs
-    // a structure of its own; the rest derive just the attribute half.
-    const bool rewired = q.traffic || (v.faults && !v.faults->empty());
-    v.plan = rewired ? std::make_unique<const core::SolvePlan>(v.clone->model())
-                     : std::make_unique<const core::SolvePlan>(
-                           v.clone->model(), r.plan.structure());
+    core::GeneralModel& m = *v.model;
+    if (q.lanes != 0) m.set_uniform_lanes(q.lanes);
+    if (q.buffer_depth != 0) m.set_uniform_buffers(q.buffer_depth);
+    if (q.bandwidth_scale != 1.0) m.scale_bandwidths(q.bandwidth_scale);
+    if (q.load_scale != 1.0) m.scale_injection_rates(q.load_scale);
+    if (q.arrival) m.set_injection_process(*q.arrival, q.lambda0);
+    // Tunes leave the wiring alone, so only a rewired variant needs a
+    // structure of its own; the rest derive just the attribute half.
+    v.plan = rewired
+                 ? std::make_unique<const core::SolvePlan>(m)
+                 : std::make_unique<const core::SolvePlan>(m, r.plan.structure());
   }
 
   QueryResult evaluate(const Resident& r, const Variant& v,
                        const WhatIfQuery& q) {
-    const core::GeneralModel& m =
-        v.clone ? v.clone->model() : r.baseline.model();
+    const core::GeneralModel& m = v.model ? *v.model : r.baseline.model();
     const core::SolvePlan& plan = v.plan ? *v.plan : r.plan;
     QueryResult res;
     res.metric = q.metric;
@@ -397,8 +406,8 @@ std::vector<QueryResult> QueryEngine::run_batch(
   }
 
   // Prepare the variants the jobs actually need (parallel: each prep works
-  // on its own baseline clone; determinism rides on the retune APIs' own
-  // thread-count-invariance contract).
+  // on its own copy of the baseline; determinism rides on the retune APIs'
+  // own thread-count-invariance contract).
   const auto prep_one = [&](std::int64_t v) {
     Impl::Variant& variant = variants[static_cast<std::size_t>(v)];
     im.prepare(r, variant, queries[static_cast<std::size_t>(variant.rep_query)]);

@@ -15,17 +15,19 @@
 //    changed (or one pass per orbit when the new spec keeps the topology's
 //    symmetry); falls back to a cold rebuild when the delta touches most of
 //    the matrix, and says so;
-//  * lane delta     → set_uniform_lanes, O(channels), bitwise-exact;
-//  * load delta     → scale_injection_rates, O(channels);
-//  * buffer delta   → set_uniform_buffers, O(channels);
-//  * bandwidth delta→ scale_bandwidths, O(channels);
-//  * arrival delta  → set_injection_process, O(channels);
+//  * lane, buffer, bandwidth, load and arrival deltas → the GeneralModel
+//    tunes set_uniform_lanes, set_uniform_buffers, scale_bandwidths,
+//    scale_injection_rates and set_injection_process, O(channels) each,
+//    applied in that order to the variant's own copy of the model;
 //  * fault delta    → core::RetunableTrafficModel::retune_faults — the
 //    FaultedTopology decorator keeps the channel structure stable, so only
 //    the destination columns whose routing changed are touched, and in each
 //    only the flow downstream of the nodes whose routing changed
 //    re-propagates (dense residents never rebuild for a fault; collapsed
 //    residents rebuild dense once on entering a degraded state and say so).
+// A tune-only variant copies the resident's model; only a traffic or fault
+// variant clones the resident, retunes the clone and keeps its model.  The
+// resident itself is never tuned or retuned.
 // Queries sharing the same delta set share ONE prepared model variant;
 // repeated (variant, metric, λ₀) questions — within a batch or across
 // batches — are served from a result cache and reported as Memoized.
@@ -58,9 +60,10 @@
 // Batches fan out on a util::ThreadPool.  Every evaluation is a pure
 // function of (model content, λ₀), so a parallel batch is BITWISE-identical
 // to a serial one (tested in test_query_engine.cpp); the engine only
-// reorders work, never arithmetic.  Latency points additionally flow
-// through a content-keyed SweepEngine, so what-if answers and ordinary
-// sweeps share one memo pool.
+// reorders work, never arithmetic.  Latency points also pass through the
+// engine's own content-keyed SweepEngine, private to the engine: behind the
+// answer cache it only hits when two variants with different delta sets
+// build models of equal content.
 //
 // Observability: every answer carries a QueryCost class and the
 // core::RetuneReport of its variant's preparation, so a service can meter
@@ -109,8 +112,8 @@ enum class QueryCost {
   /// the same orbit (QueryResult::representative names it).  Symmetry fixes
   /// the answer, so no retune was done for this link.
   Symmetric,
-  /// The resident model was reused as-is or reached by O(channels) tunes
-  /// only (lanes / load / arrival); the cost is one solve.
+  /// The resident model was reused as-is or copied and tuned in O(channels)
+  /// (lanes / buffers / bandwidth / load / arrival); the cost is one solve.
   Reevaluate,
   /// The pattern delta was served by delta propagation — O(affected
   /// destinations) passes, or the collapsed orbit path (see the attached
@@ -274,7 +277,7 @@ class QueryEngine {
   std::uint64_t served_rebuild() const;
   /// Distinct model variants prepared across all batches.
   std::uint64_t variants_prepared() const;
-  /// The shared latency-point memo pool (content-keyed SweepEngine).
+  /// The engine's private latency-point memo (a content-keyed SweepEngine).
   std::uint64_t sweep_cache_hits() const;
   std::uint64_t sweep_cache_misses() const;
   /// Result-cache entries currently held (answers memoized across batches).

@@ -208,8 +208,8 @@ TEST(HeteroValidation, ModelSettersRejectBadAttributes) {
   core::GeneralModel net =
       core::build_traffic_model(ft, traffic::TrafficSpec::uniform());
   EXPECT_THROW(net.set_uniform_buffers(0), std::invalid_argument);
-  EXPECT_THROW(net.set_uniform_bandwidth(0.0), std::invalid_argument);
-  EXPECT_THROW(net.set_uniform_bandwidth(-2.0), std::invalid_argument);
+  EXPECT_THROW(net.scale_bandwidths(0.0), std::invalid_argument);
+  EXPECT_THROW(net.scale_bandwidths(-2.0), std::invalid_argument);
   std::vector<double> bw(static_cast<std::size_t>(net.graph.size()), 1.0);
   bw.pop_back();
   EXPECT_THROW(net.set_channel_bandwidths(bw), std::invalid_argument);  // size
@@ -217,10 +217,10 @@ TEST(HeteroValidation, ModelSettersRejectBadAttributes) {
   EXPECT_THROW(net.set_channel_bandwidths(bw), std::invalid_argument);  // entry
   bw.back() = 0.5;
   EXPECT_NO_THROW(net.set_channel_bandwidths(bw));
-
-  core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::uniform());
-  EXPECT_THROW(rm.scale_bandwidths(0.0), std::invalid_argument);
-  EXPECT_THROW(rm.set_uniform_buffers(0), std::invalid_argument);
+  // A scale multiplies the per-class bandwidths, whatever their shape.
+  EXPECT_NO_THROW(net.scale_bandwidths(2.0));
+  EXPECT_EQ(net.graph.at(0).bandwidth, 2.0);
+  EXPECT_EQ(net.graph.at(net.graph.size() - 1).bandwidth, 1.0);
 }
 
 TEST(HeteroValidation, SimNetworkRejectsUnrealizableAttributes) {

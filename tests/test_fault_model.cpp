@@ -441,27 +441,6 @@ TEST(FaultRetune, DenseResidentRetunesToColdFaultedBuild) {
       opts, "BFT(3) N-1 retune");
 }
 
-TEST(FaultRetune, RecordedTunesSurviveFaultRetunes) {
-  const topo::ButterflyFatTree ft = bft2();
-  core::SolveOptions opts;
-  opts.worm_flits = 16.0;
-  core::RetunableTrafficModel resident(ft, traffic::TrafficSpec::uniform(),
-                                       opts);
-  resident.set_uniform_lanes(2);
-  resident.scale_injection_rates(1.5);
-
-  auto fs = std::make_shared<topo::FaultSet>(ft);
-  fs->fail_link(ft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort1);
-  resident.retune_faults(fs);
-
-  const topo::FaultedTopology view(ft, *fs);
-  core::GeneralModel cold =
-      core::build_traffic_model(view, traffic::TrafficSpec::uniform(), opts);
-  cold.set_uniform_lanes(2);
-  cold.scale_injection_rates(1.5);
-  expect_model_parity(resident.model(), cold, opts, "lanes+load across fault");
-}
-
 TEST(FaultRetune, CollapsedResidentRebuildsDenseAndRecollapses) {
   const topo::ButterflyFatTree ft = bft2();
   core::SolveOptions opts;

@@ -287,9 +287,9 @@ TEST(HeteroBitIdentity, AttributeRetuneRoundTripsContentDigest) {
   m.set_uniform_buffers(util::kInfiniteBufferDepth);
   EXPECT_EQ(m.content_digest(), digest0);
 
-  m.set_uniform_bandwidth(0.5);
+  m.scale_bandwidths(0.5);
   EXPECT_NE(m.content_digest(), digest0);
-  m.set_uniform_bandwidth(1.0);
+  m.scale_bandwidths(2.0);
   EXPECT_EQ(m.content_digest(), digest0);
 
   std::vector<double> bw(static_cast<std::size_t>(m.graph.size()), 1.0);

@@ -183,13 +183,15 @@ TEST(RetunableTrafficModel, JobLocalityChainStaysAValidModel) {
 }
 
 // ---------------------------------------------------------------------------
-// Delta axis 2: lanes (bitwise contract).
+// Tune axes are plain GeneralModel edits.  What a tune does on top of a
+// traffic or fault delta is checked through the QueryEngine below
+// (RewiredVariantsPlanTheirOwnStructure, RewiredVariantsCarryTheirTunes).
 
 TEST(RetunableTrafficModel, LaneDeltaBitwiseIdenticalToTopologyRebuild) {
   for (const TopoCase& tc : parity_topologies()) {
-    core::RetunableTrafficModel rm(*tc.topo,
-                                   traffic::TrafficSpec::hotspot(0.2, 1));
-    rm.set_uniform_lanes(4);
+    core::GeneralModel tuned =
+        core::build_traffic_model(*tc.topo, traffic::TrafficSpec::hotspot(0.2, 1));
+    tuned.set_uniform_lanes(4);
 
     // Cold reference: same topology shape rebuilt with 4 lanes everywhere.
     auto fresh = [&]() -> std::unique_ptr<topo::Topology> {
@@ -204,41 +206,26 @@ TEST(RetunableTrafficModel, LaneDeltaBitwiseIdenticalToTopologyRebuild) {
         *fresh, traffic::TrafficSpec::hotspot(0.2, 1));
 
     // Lanes enter the solve only through ChannelClass::lanes — bitwise.
-    ASSERT_EQ(rm.model().graph.size(), cold.graph.size()) << tc.tag;
+    ASSERT_EQ(tuned.graph.size(), cold.graph.size()) << tc.tag;
     for (int id = 0; id < cold.graph.size(); ++id) {
-      EXPECT_EQ(rm.model().graph.at(id).rate_per_link,
+      EXPECT_EQ(tuned.graph.at(id).rate_per_link,
                 cold.graph.at(id).rate_per_link)
           << tc.tag << " ch " << id;
-      EXPECT_EQ(rm.model().graph.at(id).lanes, cold.graph.at(id).lanes)
+      EXPECT_EQ(tuned.graph.at(id).lanes, cold.graph.at(id).lanes)
           << tc.tag << " ch " << id;
     }
-    EXPECT_EQ(rm.model().evaluate(0.002).latency, cold.evaluate(0.002).latency)
+    EXPECT_EQ(tuned.evaluate(0.002).latency, cold.evaluate(0.002).latency)
         << tc.tag;
   }
 }
 
-TEST(RetunableTrafficModel, LaneTuneSurvivesRetune) {
-  const topo::ButterflyFatTree ft(2);
-  core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::hotspot(0.2, 3));
-  rm.set_uniform_lanes(4);
-  rm.retune_traffic(traffic::TrafficSpec::hotspot(0.2, 9));
-  topo::ButterflyFatTree ft4(2);
-  ft4.set_uniform_lanes(4);
-  const auto cold =
-      core::build_traffic_model(ft4, traffic::TrafficSpec::hotspot(0.2, 9));
-  expect_parity(rm.model(), cold, 0.003, "lanes survive");
-}
-
-// ---------------------------------------------------------------------------
-// Delta axis 3: load (scale_injection_rates).
-
 TEST(RetunableTrafficModel, LoadDeltaMatchesScaledLambdaEvaluation) {
   for (const TopoCase& tc : parity_topologies()) {
-    core::RetunableTrafficModel rm(*tc.topo, traffic::TrafficSpec::uniform());
-    rm.scale_injection_rates(1.25);
     const auto cold =
         core::build_traffic_model(*tc.topo, traffic::TrafficSpec::uniform());
-    const auto scaled = rm.model().evaluate(0.004);
+    core::GeneralModel tuned = cold;
+    tuned.scale_injection_rates(1.25);
+    const auto scaled = tuned.evaluate(0.004);
     const auto ref = cold.evaluate(0.004 * 1.25);
     EXPECT_LE(rel(scaled.latency, ref.latency), kMetricTol) << tc.tag;
     // The channel state is identical up to the scaling, so the injection
@@ -246,38 +233,6 @@ TEST(RetunableTrafficModel, LoadDeltaMatchesScaledLambdaEvaluation) {
     // λ₀* itself does NOT scale by 1/1.25: Eq. 26's λ·x̄_inj(λ) = 1 puts λ
     // on both sides.
     EXPECT_LE(rel(scaled.inj_service, ref.inj_service), kMetricTol) << tc.tag;
-  }
-}
-
-TEST(RetunableTrafficModel, LoadScaleComposesAndSurvivesRetune) {
-  const topo::Hypercube hc(4);
-  core::RetunableTrafficModel rm(hc, traffic::TrafficSpec::hotspot(0.2, 1));
-  rm.scale_injection_rates(1.5);
-  rm.scale_injection_rates(0.8);  // composes to 1.2
-  rm.retune_traffic(traffic::TrafficSpec::hotspot(0.2, 7));
-  const auto cold = core::build_traffic_model(
-      hc, traffic::TrafficSpec::hotspot(0.2, 7));
-  const auto got = rm.model().evaluate(0.004);
-  const auto ref = cold.evaluate(0.004 * 1.2);
-  EXPECT_LE(rel(got.latency, ref.latency), kMetricTol);
-}
-
-// ---------------------------------------------------------------------------
-// Delta axis 4: arrival process.
-
-TEST(RetunableTrafficModel, ArrivalDeltaParityAndSurvivesRetune) {
-  for (const TopoCase& tc : parity_topologies()) {
-    core::RetunableTrafficModel rm(*tc.topo,
-                                   traffic::TrafficSpec::hotspot(0.2, 1));
-    rm.set_injection_process(arrivals::ArrivalSpec::batch(4.0));
-    rm.retune_traffic(traffic::TrafficSpec::hotspot(0.2, 2));
-    auto cold = core::build_traffic_model(
-        *tc.topo, traffic::TrafficSpec::hotspot(0.2, 2));
-    cold.set_injection_process(arrivals::ArrivalSpec::batch(4.0));
-    expect_parity(rm.model(), cold, 0.001, tc.tag);
-    EXPECT_NEAR(rm.model().arrival_ca2(), cold.arrival_ca2(), kStateTol);
-    EXPECT_NEAR(rm.model().arrival_batch_residual(),
-                cold.arrival_batch_residual(), kStateTol);
   }
 }
 
@@ -518,6 +473,75 @@ TEST(QueryEngine, RewiredVariantsPlanTheirOwnStructure) {
       EXPECT_LE(rel(res[2].breakdown[id].wait, sol.channels[id].wait), kMetricTol)
           << c.tag << " class " << id;
     }
+  }
+}
+
+TEST(QueryEngine, RewiredVariantsCarryTheirTunes) {
+  // A tune riding on a traffic or fault delta applies to the rewired model:
+  // each answer matches a cold build of the new wiring carrying the same
+  // tunes.  Traffic + lanes is covered by RewiredVariantsPlanTheirOwnStructure.
+  for (const TopoCase& tc : parity_topologies()) {
+    QueryEngine qe(*tc.topo, traffic::TrafficSpec::hotspot(0.2, 1));
+    {  // traffic + load: engine at λ with scale f ≡ cold at λ·f
+      WhatIfQuery q;
+      q.traffic = traffic::TrafficSpec::hotspot(0.2, 7);
+      q.load_scale = 1.2;
+      q.lambda0 = 0.002;
+      const auto res = qe.run(q);
+      EXPECT_EQ(res.cost, QueryCost::Retune) << tc.tag;
+      const auto cold = core::build_traffic_model(
+          *tc.topo, traffic::TrafficSpec::hotspot(0.2, 7));
+      const auto want = cold.evaluate(0.002 * 1.2);
+      ASSERT_EQ(want.status, core::SolveStatus::Ok) << tc.tag;
+      EXPECT_EQ(res.est.status, want.status) << tc.tag;
+      EXPECT_LE(rel(res.est.latency, want.latency), kMetricTol) << tc.tag;
+    }
+    {  // traffic + arrival
+      WhatIfQuery q;
+      q.traffic = traffic::TrafficSpec::hotspot(0.2, 2);
+      q.arrival = arrivals::ArrivalSpec::batch(4.0);
+      q.lambda0 = 0.001;
+      const auto lat = qe.run(q);
+      q.metric = QueryMetric::Saturation;
+      const auto sat = qe.run(q);
+      auto cold = core::build_traffic_model(
+          *tc.topo, traffic::TrafficSpec::hotspot(0.2, 2));
+      cold.set_injection_process(arrivals::ArrivalSpec::batch(4.0));
+      const auto want = cold.evaluate(0.001);
+      EXPECT_EQ(lat.est.status, want.status) << tc.tag;
+      EXPECT_LE(rel(lat.est.latency, want.latency), kMetricTol) << tc.tag;
+      EXPECT_LE(rel(lat.est.inj_wait, want.inj_wait), kMetricTol) << tc.tag;
+      EXPECT_LE(rel(sat.saturation_rate, cold.saturation_rate()), kMetricTol)
+          << tc.tag;
+    }
+  }
+  {  // fault + lanes + load
+    const topo::ButterflyFatTree ft(2);
+    QueryEngine::Options opts;
+    opts.solve.worm_flits = 16.0;
+    QueryEngine qe(ft, traffic::TrafficSpec::uniform(), opts);
+    auto fs = std::make_shared<topo::FaultSet>(ft);
+    fs->fail_link(ft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort1);
+    WhatIfQuery q;
+    q.faults = fs;
+    q.lanes = 2;
+    q.load_scale = 1.5;
+    q.metric = QueryMetric::Saturation;
+    const auto sat = qe.run(q);
+    const topo::FaultedTopology view(ft, *fs);
+    core::GeneralModel cold =
+        core::build_traffic_model(view, traffic::TrafficSpec::uniform(), opts.solve);
+    cold.set_uniform_lanes(2);
+    cold.scale_injection_rates(1.5);
+    EXPECT_LE(rel(sat.saturation_rate, cold.saturation_rate()), kMetricTol);
+    q.metric = QueryMetric::Latency;
+    q.lambda0 = 0.4 * cold.saturation_rate();
+    const auto lat = qe.run(q);
+    const auto want = cold.evaluate(q.lambda0);
+    EXPECT_EQ(lat.est.status, want.status);
+    EXPECT_LE(rel(lat.est.latency, want.latency), kMetricTol);
+    EXPECT_LE(rel(lat.est.unroutable_fraction, want.unroutable_fraction),
+              kMetricTol);
   }
 }
 

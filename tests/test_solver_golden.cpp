@@ -638,7 +638,7 @@ std::vector<Observed> extension_grid() {
               core::GeneralModel m = base;
               m.set_uniform_lanes(lanes);
               m.set_uniform_buffers(depth);
-              m.set_uniform_bandwidth(bw);
+              m.scale_bandwidths(bw);  // from unit bandwidths: exactly bw
               m.set_injection_process(process);
               out.push_back(observe(std::string(topo_tag) + " " + pattern_tag +
                                         " L" + std::to_string(lanes) + " " +
