@@ -1143,6 +1143,163 @@ TEST(FaultRetune, ShardedChainsAreBitIdenticalForEveryThreadCount) {
   if (!ok) print_chain_answers(got, tags);
 }
 
+// ---------------------------------------------------------------------------
+// Column-pass digests: every consumer of the per-destination column pass.
+// ---------------------------------------------------------------------------
+
+struct PinnedDigest {
+  const char* tag;
+  std::uint64_t digest;
+};
+
+// content_digest() of each step below.  Every sum the column pass feeds is
+// added in a fixed order — per node in arrival order, nodes in the walk's
+// topological order, and the fault delta's frontier seeds in that same
+// order — and reordering any of them moves these bits.
+// clang-format off
+const PinnedDigest kColumnPassDigests[] = {
+    {"dense butterfly-fat-tree(n=3, N=64) uniform", 0xa27f782a676d4e46ull},
+    {"dense hypercube(n=6, N=64) hotspot(f=0.20,node=1)", 0xeac087c16eabd70bull},
+    {"dense mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1)", 0x11d23bfc21199ee6ull},
+    {"butterfly-fat-tree(n=3, N=64) permutation step 0", 0x3965c4adc4a8871cull},
+    {"butterfly-fat-tree(n=3, N=64) permutation step 1", 0xbfca59739e8440d6ull},
+    {"butterfly-fat-tree(n=3, N=64) permutation step 2", 0x56014b9c09f19387ull},
+    {"butterfly-fat-tree(n=3, N=64) permutation step 3", 0xaf6254617f6efee2ull},
+    {"butterfly-fat-tree(n=3, N=64) permutation step 4", 0xc269df7ff2e62afdull},
+    {"butterfly-fat-tree(n=3, N=64) permutation step 5", 0x215cd6fdb7cc1ffcull},
+    {"butterfly-fat-tree(n=3, N=64) permutation step 6", 0x18580f20073ef074ull},
+    {"butterfly-fat-tree(n=3, N=64) permutation step 7", 0xe8b9f7b4cb4a346dull},
+    {"hypercube(n=6, N=64) hotspot(f=0.20,node=1) fault step 0", 0xbff7c51ec92801ccull},
+    {"hypercube(n=6, N=64) hotspot(f=0.20,node=1) fault step 1", 0xd695558ba4a17806ull},
+    {"hypercube(n=6, N=64) hotspot(f=0.20,node=1) fault step 2", 0x2aa7b7e16c98bfe4ull},
+    {"hypercube(n=6, N=64) hotspot(f=0.20,node=1) fault step 3", 0xbed40b143659c895ull},
+    {"hypercube(n=6, N=64) hotspot(f=0.20,node=1) fault step 4", 0x7c990e34ce5f01d3ull},
+    {"hypercube(n=6, N=64) hotspot(f=0.20,node=1) fault step 5", 0x87a592edf7722a85ull},
+    {"hypercube(n=6, N=64) hotspot(f=0.20,node=1) fault step 6", 0x5761bb7d5fb4b1e9ull},
+    {"hypercube(n=6, N=64) hotspot(f=0.20,node=1) fault step 7", 0x07679fababd3ef25ull},
+    {"hypercube(n=6, N=64) hotspot(f=0.20,node=1) fault step 8", 0xe4f0af9ab33f22e1ull},
+    {"hypercube(n=6, N=64) hotspot(f=0.20,node=1) fault step 9", 0x9f47cc866d55b293ull},
+    {"hypercube(n=6, N=64) hotspot(f=0.20,node=1) fault step 10", 0x4f0d0695b073a435ull},
+    {"hypercube(n=6, N=64) hotspot(f=0.20,node=1) fault step 11", 0x9938a3d5c1e34e7aull},
+    {"mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1) fault step 0", 0x9f69270ac85d1127ull},
+    {"mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1) fault step 1", 0xf6b4a1ccbfae6588ull},
+    {"mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1) fault step 2", 0xe974077de1ebfc37ull},
+    {"mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1) fault step 3", 0xd2b8629c6a838707ull},
+    {"mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1) fault step 4", 0xec1c3e956ebad837ull},
+    {"mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1) fault step 5", 0xc913d54453e63be6ull},
+    {"mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1) fault step 6", 0x39725c6789b51135ull},
+    {"mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1) fault step 7", 0x3aacc54e8507597full},
+    {"mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1) fault step 8", 0xcf2f43c59e8b238cull},
+    {"mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1) fault step 9", 0x3faf16f2bb8d75d0ull},
+    {"mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1) fault step 10", 0x2a4cc7eadc792d05ull},
+    {"mesh(k=4, d=2, N=16) hotspot(f=0.20,node=1) fault step 11", 0x212f7863faa06babull},
+};
+// clang-format on
+
+/// A single-cycle derangement of 0..n-1 drawn from `rng`.
+std::vector<int> random_derangement(int n, std::mt19937_64& rng) {
+  std::vector<int> order(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
+  for (int i = n - 1; i > 0; --i)
+    std::swap(order[static_cast<std::size_t>(i)],
+              order[static_cast<std::size_t>(rng() % (i + 1))]);
+  std::vector<int> dest(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i)
+    dest[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] =
+        order[static_cast<std::size_t>((i + 1) % n)];
+  return dest;
+}
+
+TEST(FaultRetune, ColumnPassDigestsArePinned) {
+  // Dense builds, a seeded permutation-delta chain on BFT(3) and seeded
+  // fault-delta chains ending in a heal, all through the column pass.
+  const topo::ButterflyFatTree ft(3);
+  const topo::Hypercube hc(6);
+  const topo::Mesh mesh(4, 2);
+  const traffic::TrafficSpec hot = traffic::TrafficSpec::hotspot(0.2, 1);
+  core::SolveOptions opts;
+  opts.worm_flits = 16.0;
+  std::vector<std::string> tags;
+  std::vector<std::uint64_t> got;
+  const auto record = [&](const std::string& tag, const core::GeneralModel& m) {
+    tags.push_back(tag);
+    got.push_back(m.content_digest());
+  };
+
+  record("dense " + ft.name() + " uniform",
+         core::build_traffic_model(ft, traffic::TrafficSpec::uniform(), opts));
+  record("dense " + hc.name() + " " + hot.name(),
+         core::build_traffic_model(hc, hot, opts));
+  record("dense " + mesh.name() + " " + hot.name(),
+         core::build_traffic_model(mesh, hot, opts));
+
+  std::mt19937_64 rng(4242);
+  const int n = ft.num_processors();
+  std::vector<int> dest = random_derangement(n, rng);
+  core::RetunableTrafficModel perm(ft, traffic::TrafficSpec::permutation(dest),
+                                   opts);
+  for (int step = 0; step < 8; ++step) {
+    // 1-4 swaps of two sources' destinations, keeping the derangement.
+    const int swaps = 1 + static_cast<int>(rng() % 4);
+    for (int k = 0; k < swaps;) {
+      const int a = static_cast<int>(rng() % n);
+      const int b = static_cast<int>(rng() % n);
+      const auto ua = static_cast<std::size_t>(a);
+      const auto ub = static_cast<std::size_t>(b);
+      if (a == b || dest[ua] == b || dest[ub] == a) continue;
+      std::swap(dest[ua], dest[ub]);
+      ++k;
+    }
+    const core::RetuneReport rep =
+        perm.retune_traffic(traffic::TrafficSpec::permutation(dest));
+    EXPECT_FALSE(rep.rebuilt) << "permutation step " << step;
+    record(ft.name() + " permutation step " + std::to_string(step),
+           perm.model());
+  }
+
+  for (const topo::Topology* t : {static_cast<const topo::Topology*>(&hc),
+                                  static_cast<const topo::Topology*>(&mesh)}) {
+    const std::vector<std::pair<int, int>> links = failable_links(*t);
+    core::RetunableTrafficModel rm(*t, hot, opts);
+    for (int step = 0; step < 12; ++step) {
+      std::shared_ptr<const topo::FaultSet> faults;  // the last step heals
+      if (step < 11) {
+        std::vector<std::pair<int, int>> failed;
+        const std::size_t k = 1 + rng() % 3;
+        while (failed.size() < k) {
+          const auto& l = links[rng() % links.size()];
+          if (std::find(failed.begin(), failed.end(), l) == failed.end())
+            failed.push_back(l);
+        }
+        faults = fail_links(*t, failed);
+      }
+      const core::RetuneReport rep = rm.retune_faults(faults);
+      EXPECT_FALSE(rep.rebuilt) << t->name() << " fault step " << step;
+      record(t->name() + " " + hot.name() + " fault step " +
+                 std::to_string(step),
+             rm.model());
+    }
+  }
+
+  const std::size_t want = std::size(kColumnPassDigests);
+  bool ok = got.size() == want;
+  EXPECT_EQ(got.size(), want);
+  for (std::size_t i = 0; i < want && i < got.size(); ++i) {
+    const PinnedDigest& w = kColumnPassDigests[i];
+    const bool row_ok = tags[i] == w.tag && got[i] == w.digest;
+    EXPECT_TRUE(row_ok) << tags[i] << std::hex << ": digest 0x" << got[i]
+                        << " vs 0x" << w.digest;
+    ok = ok && row_ok;
+  }
+  if (!ok) {
+    std::printf("const PinnedDigest kColumnPassDigests[] = {\n");
+    for (std::size_t i = 0; i < got.size(); ++i)
+      std::printf("    {\"%s\", 0x%016llxull},\n", tags[i].c_str(),
+                  static_cast<unsigned long long>(got[i]));
+    std::printf("};\n");
+  }
+}
+
 TEST(FaultFuzz, RandomFaultsKeepConservationAndFiniteSolves) {
   const topo::ButterflyFatTree ft = bft2();
   const topo::Hypercube hc(3);
