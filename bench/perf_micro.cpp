@@ -414,19 +414,10 @@ void BM_QueryEngineRetunePatternCollapsed(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryEngineRetunePatternCollapsed)->Unit(benchmark::kMillisecond);
 
-void BM_QueryEngineFaultRetune(benchmark::State& state) {
-  // The fault delta axis at N = 256: a resident dense model alternates
-  // between an N−1 up-link failure and the healthy fabric via
-  // retune_faults.  The FaultedTopology decorator keeps the channel table
-  // index-aligned, and in each destination column whose routing changed
-  // only the flow downstream of the changed nodes re-propagates (nodes/op:
-  // route-DAG nodes walked) — compare BM_TrafficModelBuildFatTree/4, the
-  // cold FaultedTopology rebuild each availability scenario would
-  // otherwise cost (the N−1 sweep in
-  // harness::QueryEngine::availability_n_minus_1 asks this question once per
-  // link orbit).  Both fan out over the builder pool; CI's perf-smoke fails
-  // when this row is not faster.
-  topo::ButterflyFatTree ft(4);
+/// A resident dense BFT(levels) model under hotspot(0.2, 3) alternating
+/// between a failed level-1 up-link and the healthy fabric.
+void run_level1_fault_retune(benchmark::State& state, int levels) {
+  topo::ButterflyFatTree ft(levels);
   core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::hotspot(0.2, 3));
   auto faults = std::make_shared<topo::FaultSet>(ft);
   faults->fail_link(ft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort0);
@@ -449,8 +440,31 @@ void BM_QueryEngineFaultRetune(benchmark::State& state) {
   state.SetLabel("N=" + std::to_string(ft.num_processors()) +
                  " N-1 up-link delta");
 }
+
+void BM_QueryEngineFaultRetune(benchmark::State& state) {
+  // The fault delta axis at N = 256 (run_level1_fault_retune at levels 4).
+  // The FaultedTopology decorator keeps the channel table index-aligned,
+  // and in each destination column whose routing changed only the flow
+  // downstream of the changed nodes re-propagates (nodes/op: route-DAG
+  // nodes walked) — compare BM_TrafficModelBuildFatTree/4, the cold
+  // FaultedTopology rebuild each availability scenario would otherwise cost
+  // (the N−1 sweep in harness::QueryEngine::availability_n_minus_1 asks
+  // this question once per link orbit).  Both fan out over the builder
+  // pool; CI's perf-smoke fails when this row is not faster.
+  run_level1_fault_retune(state, 4);
+}
 // UseRealTime: each column's frontier discovery runs on the builder pool.
 BENCHMARK(BM_QueryEngineFaultRetune)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_QueryEngineFaultRetuneLevel1(benchmark::State& state) {
+  // The same level-1 link delta on a larger fabric: BFT(levels), next to
+  // the top-link rows below.
+  run_level1_fault_retune(state, static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_QueryEngineFaultRetuneLevel1)
+    ->Arg(5)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_QueryEngineFaultRetuneTopLink(benchmark::State& state) {
   // The critical path of an N−1 sweep: the top-level link orbit's retune,

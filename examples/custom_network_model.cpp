@@ -63,8 +63,7 @@ int main() {
   for (double frac : {0.2, 0.4, 0.6, 0.8, 0.9}) {
     const double lambda0 = sat * frac;
     const core::SolveResult res = net.solve(lambda0);
-    const core::LatencyEstimate est =
-        core::estimate_latency(res, net.injection_classes, net.mean_distance);
+    const core::LatencyEstimate est = net.evaluate(lambda0);
     t.add_row({lambda0, est.latency, est.inj_wait, est.inj_service,
                res.utilization(mid)});
   }

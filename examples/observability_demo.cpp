@@ -163,10 +163,11 @@ int main(int argc, char** argv) {
   sopts.worm_flits = 16.0;
   const core::GeneralModel model =
       core::build_traffic_model(ft, traffic::TrafficSpec::uniform(), sopts);
-  const double sat = core::model_saturation_rate(model, sopts);
-  const core::SolveResult mid = core::model_solve(model, 0.5 * sat, sopts);
+  const core::SolvePlan plan(model, sopts);
+  const double sat = plan.saturation_rate();
+  const core::SolveResult mid = plan.solve(0.5 * sat);
   obs::publish_solve(reg, mid, "fattree_mid");
-  const core::SolveResult over = core::model_solve(model, 1.5 * sat, sopts);
+  const core::SolveResult over = plan.solve(1.5 * sat);
   obs::publish_solve(reg, over, "fattree_over");
   std::printf("solver: λ₀* = %.5f; at 0.5·λ₀* max ρ = %.3f; at 1.5·λ₀* "
               "saturated by class %d (%s)\n",

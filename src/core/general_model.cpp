@@ -28,10 +28,14 @@ std::uint64_t digest_word(int v) { return static_cast<std::uint64_t>(v); }
 /// shared read-only (plans of tuned variants hold the same instance).
 class SolveStructure {
  public:
-  /// Validates `graph` (the only full validate() of a plan) and lays out
-  /// its transitions.  `net` supplies the evaluate() inputs; null for a
-  /// bare graph.
-  SolveStructure(const ChannelGraph& graph, const GeneralModel* net) {
+  /// Validates `net.graph` (the only full validate() of a plan) and lays
+  /// out its transitions and evaluate() inputs.
+  explicit SolveStructure(const GeneralModel& net)
+      : injection_classes(net.injection_classes),
+        injection_weights(net.injection_class_weights),
+        mean_distance(net.mean_distance),
+        unroutable_fraction(net.unroutable_fraction) {
+    const ChannelGraph& graph = net.graph;
     WORMNET_EXPECTS(graph.validate().empty());
     size = graph.size();
     const auto rows = static_cast<std::size_t>(size);
@@ -57,12 +61,6 @@ class SolveStructure {
       }
     }
     order = reverse_topological_order(offsets, targets);
-    if (net) {
-      injection_classes = net->injection_classes;
-      injection_weights = net->injection_class_weights;
-      mean_distance = net->mean_distance;
-      unroutable_fraction = net->unroutable_fraction;
-    }
   }
 
   /// The wiring's part of the content digest, computed on first use.
@@ -89,6 +87,10 @@ class SolveStructure {
     return h;
   }
 
+  std::vector<int> injection_classes;
+  std::vector<double> injection_weights;
+  double mean_distance = 0.0;
+  double unroutable_fraction = 0.0;
   int size = 0;
   /// Reverse-topological order; empty when the graph is cyclic.
   std::vector<int> order;
@@ -100,10 +102,6 @@ class SolveStructure {
   std::vector<unsigned char> terminal;
   /// ChannelClass::self_frac (for the digest; tunes derive ca2 from it).
   std::vector<double> self_frac;
-  std::vector<int> injection_classes;
-  std::vector<double> injection_weights;
-  double mean_distance = 0.0;
-  double unroutable_fraction = 0.0;
 
  private:
   mutable std::atomic<std::uint64_t> digest_{0};  ///< 0: not yet computed
@@ -127,6 +125,47 @@ LatencyEstimate apply_batch_residual(LatencyEstimate est, double residual) {
   return est;
 }
 
+/// Eq. 1 averaged over the structure's injection classes, each weighted by
+/// the processors it stands for (injection_weights, not necessarily
+/// normalized; empty means uniform), so a collapsed model's average equals
+/// the dense per-processor one.
+LatencyEstimate estimate_latency(const SolveResult& solution,
+                                 const SolveStructure& s) {
+  const std::vector<double>& weights = s.injection_weights;
+  WORMNET_EXPECTS(!s.injection_classes.empty());
+  WORMNET_EXPECTS(weights.empty() || weights.size() == s.injection_classes.size());
+  LatencyEstimate est;
+  est.mean_distance = s.mean_distance;
+  est.stable = solution.stable;
+  double wait_sum = 0.0;
+  double service_sum = 0.0;
+  double weight_sum = 0.0;
+  for (std::size_t i = 0; i < s.injection_classes.size(); ++i) {
+    const double w = weights.empty() ? 1.0 : weights[i];
+    const int id = s.injection_classes[i];
+    wait_sum += w * solution.wait(id);
+    service_sum += w * solution.service_time(id);
+    weight_sum += w;
+  }
+  WORMNET_EXPECTS(weight_sum > 0.0);
+  est.inj_wait = wait_sum / weight_sum;
+  est.inj_service = service_sum / weight_sum;
+  est.latency = est.inj_wait + est.inj_service + s.mean_distance - 1.0;
+  if (!std::isfinite(est.latency)) est.stable = false;
+  // Structured status: a fixed point that failed to converge dominates
+  // saturation; apply_unroutable layers Disconnected on top.
+  if (!solution.converged)
+    est.status = SolveStatus::Infeasible;
+  else if (!est.stable)
+    est.status = SolveStatus::Saturated;
+  // NaN never escapes the solver surface: divergence reads as +infinity.
+  const double inf = std::numeric_limits<double>::infinity();
+  if (std::isnan(est.inj_wait)) est.inj_wait = inf;
+  if (std::isnan(est.inj_service)) est.inj_service = inf;
+  if (std::isnan(est.latency)) est.latency = inf;
+  return est;
+}
+
 /// Layer the model's unroutable fraction onto a finished estimate:
 /// Disconnected only when nothing worse already applies (the carried demand
 /// still solved), per the SolveStatus precedence.
@@ -140,34 +179,29 @@ LatencyEstimate apply_unroutable(LatencyEstimate est, double unroutable) {
 }  // namespace
 
 SolvePlan::SolvePlan(const GeneralModel& net, const SolveOptions& opts)
-    : SolvePlan(net.graph, &net, opts, nullptr) {}
+    : SolvePlan(net, opts, nullptr) {}
 
 SolvePlan::SolvePlan(const GeneralModel& net) : SolvePlan(net, net.opts) {}
 
 SolvePlan::SolvePlan(const GeneralModel& net,
                      std::shared_ptr<const SolveStructure> structure)
-    : SolvePlan(net.graph, &net, net.opts, std::move(structure)) {}
+    : SolvePlan(net, net.opts, std::move(structure)) {}
 
-SolvePlan::SolvePlan(const ChannelGraph& graph, const SolveOptions& opts)
-    : SolvePlan(graph, nullptr, opts, nullptr) {}
-
-SolvePlan::SolvePlan(const ChannelGraph& graph, const GeneralModel* net,
-                     const SolveOptions& opts,
+SolvePlan::SolvePlan(const GeneralModel& net, const SolveOptions& opts,
                      std::shared_ptr<const SolveStructure> structure)
     : structure_(structure ? std::move(structure)
-                           : std::make_shared<const SolveStructure>(graph, net)),
+                           : std::make_shared<const SolveStructure>(net)),
       solver_(opts.worm_flits, opts.ablation),
       max_iterations_(opts.max_iterations),
-      batch_residual_(net ? net->injection_batch_residual : 0.0),
-      identity_(net ? identity_digest(net->name(), opts.worm_flits, opts.ablation,
-                                      net->injection_ca2,
-                                      net->injection_batch_residual)
-                    : identity_digest("", opts.worm_flits, opts.ablation, 1.0, 0.0)) {
+      batch_residual_(net.injection_batch_residual),
+      identity_(identity_digest(net.name(), opts.worm_flits, opts.ablation,
+                                net.injection_ca2,
+                                net.injection_batch_residual)) {
   const SolveStructure& s = *structure_;
-  WORMNET_EXPECTS(s.size == graph.size());
+  WORMNET_EXPECTS(s.size == net.graph.size());
   classes_.resize(static_cast<std::size_t>(s.size));
   for (int id = 0; id < s.size; ++id) {
-    const ChannelClass& c = graph.at(id);
+    const ChannelClass& c = net.graph.at(id);
     // The attribute half of ChannelGraph::validate, re-checked for plans on
     // a shared structure (whose validate() ran on another model).
     WORMNET_EXPECTS(c.bandwidth > 0.0);
@@ -365,9 +399,7 @@ SolveResult SolvePlan::solve(double lambda0) const {
 LatencyEstimate SolvePlan::evaluate(double lambda0) const {
   const SolveStructure& s = *structure_;
   return apply_unroutable(
-      apply_batch_residual(estimate_latency(solve(lambda0), s.injection_classes,
-                                            s.injection_weights, s.mean_distance),
-                           batch_residual_),
+      apply_batch_residual(estimate_latency(solve(lambda0), s), batch_residual_),
       s.unroutable_fraction);
 }
 
@@ -375,56 +407,6 @@ double SolvePlan::saturation_rate() const {
   return find_saturation_rate(
       [this](double lambda0) { return evaluate(lambda0).inj_service; },
       1.0 / worm_flits());
-}
-
-SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& opts,
-                                double lambda0) {
-  return SolvePlan(graph, opts).solve(lambda0);
-}
-
-LatencyEstimate estimate_latency(const SolveResult& solution,
-                                 const std::vector<int>& injection_classes,
-                                 double mean_distance) {
-  return estimate_latency(solution, injection_classes, {}, mean_distance);
-}
-
-LatencyEstimate estimate_latency(const SolveResult& solution,
-                                 const std::vector<int>& injection_classes,
-                                 const std::vector<double>& weights,
-                                 double mean_distance) {
-  WORMNET_EXPECTS(!injection_classes.empty());
-  WORMNET_EXPECTS(weights.empty() || weights.size() == injection_classes.size());
-  LatencyEstimate est;
-  est.mean_distance = mean_distance;
-  est.stable = solution.stable;
-  double wait_sum = 0.0;
-  double service_sum = 0.0;
-  double weight_sum = 0.0;
-  for (std::size_t i = 0; i < injection_classes.size(); ++i) {
-    const double w = weights.empty() ? 1.0 : weights[i];
-    const int id = injection_classes[i];
-    wait_sum += w * solution.wait(id);
-    service_sum += w * solution.service_time(id);
-    weight_sum += w;
-  }
-  WORMNET_EXPECTS(weight_sum > 0.0);
-  est.inj_wait = wait_sum / weight_sum;
-  est.inj_service = service_sum / weight_sum;
-  est.latency = est.inj_wait + est.inj_service + mean_distance - 1.0;
-  if (!std::isfinite(est.latency)) est.stable = false;
-  // Structured status: a fixed point that failed to converge dominates
-  // saturation; Disconnected is layered on by callers that know their
-  // model's unroutable fraction (estimate_latency itself cannot).
-  if (!solution.converged)
-    est.status = SolveStatus::Infeasible;
-  else if (!est.stable)
-    est.status = SolveStatus::Saturated;
-  // NaN never escapes the solver surface: divergence reads as +infinity.
-  const double inf = std::numeric_limits<double>::infinity();
-  if (std::isnan(est.inj_wait)) est.inj_wait = inf;
-  if (std::isnan(est.inj_service)) est.inj_service = inf;
-  if (std::isnan(est.latency)) est.latency = inf;
-  return est;
 }
 
 int GeneralModel::class_id(const std::string& label) const {
@@ -520,10 +502,6 @@ LatencyEstimate GeneralModel::evaluate(double lambda0) const {
 
 double GeneralModel::saturation_rate() const {
   return SolvePlan(*this).saturation_rate();
-}
-
-SolveResult model_solve(const GeneralModel& net, double lambda0, SolveOptions base) {
-  return SolvePlan(net, base).solve(lambda0);
 }
 
 LatencyEstimate model_latency(const GeneralModel& net, double lambda0,

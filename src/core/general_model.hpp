@@ -26,10 +26,10 @@
 // A SolvePlan computes that set-up once per model content, and
 // SolvePlan::solve(λ₀) runs the one Eq. 11 loop over it; a saturation
 // bisection, a λ-sweep or a what-if variant's several questions all reuse
-// one plan.  Every other entry point here (solve_general_model,
-// model_solve, model_latency, model_saturation_rate, GeneralModel::solve /
-// evaluate / saturation_rate) is a one-shot wrapper that builds a plan and
-// asks it once.  A plan has two halves:
+// one plan.  A plan is always of a GeneralModel; the only other entry points
+// (GeneralModel::solve / evaluate / saturation_rate, model_latency and
+// model_saturation_rate) are one-shot wrappers that build a plan and ask it
+// once.  A plan has two halves:
 //  * the STRUCTURE — the wiring: order (or "cyclic"), CSR targets, weights
 //    and route probabilities, terminal flags, self_frac, injection classes
 //    and weights, mean distance and unroutable fraction.  Lane, buffer,
@@ -117,29 +117,6 @@ struct SolveResult {
   double utilization(int id) const { return channels.at(static_cast<std::size_t>(id)).utilization; }
 };
 
-/// Solve the general model over `graph` at injection rate `lambda0`
-/// (messages/cycle/PE), which scales every class's unit rate_per_link.
-/// One-shot: SolvePlan(graph, opts).solve(lambda0).
-/// Preconditions: graph.validate() is empty, lambda0 >= 0.
-SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& opts,
-                                double lambda0);
-
-/// Average Eq. 1 over the given injection classes with uniform weights.
-/// `injection_classes` lists the class id of each PE's injection channel
-/// (one entry per symmetric group is fine when all PEs are equivalent).
-LatencyEstimate estimate_latency(const SolveResult& solution,
-                                 const std::vector<int>& injection_classes,
-                                 double mean_distance);
-
-/// Weighted variant for collapsed (quotient) models where each injection
-/// class stands for a whole processor orbit: `weights` (parallel to
-/// `injection_classes`, need not be normalized) carry the orbit sizes, so
-/// the weighted average equals the dense per-processor uniform average.
-LatencyEstimate estimate_latency(const SolveResult& solution,
-                                 const std::vector<int>& injection_classes,
-                                 const std::vector<double>& weights,
-                                 double mean_distance);
-
 /// The general model packaged for one concrete network: the channel graph
 /// (with unit-injection rates), the injection channel classes, the mean
 /// path length, and the solve options.  build_traffic_model and
@@ -151,7 +128,8 @@ class GeneralModel final : public NetworkModel {
  public:
   ChannelGraph graph;
   /// Class ids of the processors' injection channels (one per symmetry
-  /// group; estimate_latency averages them uniformly).
+  /// group; evaluate() averages Eq. 1 over them).  A model without any
+  /// still solves, but evaluate() and saturation_rate() abort.
   std::vector<int> injection_classes;
   /// Orbit sizes parallel to injection_classes for collapsed models where
   /// one entry stands for many processors; empty means uniform weights.
@@ -243,7 +221,8 @@ class GeneralModel final : public NetworkModel {
   /// std::invalid_argument).
   void set_channel_bandwidths(const std::vector<double>& bw);
 
-  /// Full solve at λ₀ (per-channel detail).  One-shot: builds a SolvePlan.
+  /// Full solve at λ₀ (>= 0), which scales every class's unit
+  /// rate_per_link: per-class detail.  One-shot: builds a SolvePlan.
   SolveResult solve(double lambda0) const;
 
   // NetworkModel interface.
@@ -292,15 +271,15 @@ class SolvePlan {
   /// or arrival tunes.  Checked only by class count.
   SolvePlan(const GeneralModel& net,
             std::shared_ptr<const SolveStructure> structure);
-  /// Plan a bare graph (solve_general_model): it has no injection classes,
-  /// so only solve() applies.
-  SolvePlan(const ChannelGraph& graph, const SolveOptions& opts);
 
   /// The Eq. 11 solve at λ₀ (>= 0): one reverse-topological sweep, or the
   /// damped fixed point on a cyclic graph.
   SolveResult solve(double lambda0) const;
-  /// Network latency at λ₀ (Eq. 2/25) with the model's batch residual and
-  /// unroutable fraction applied — GeneralModel::evaluate's answer.
+  /// Network latency at λ₀ (Eq. 2/25): Eq. 1 averaged over the injection
+  /// classes (weighted by injection_class_weights when given), with the
+  /// model's batch residual and unroutable fraction applied —
+  /// GeneralModel::evaluate's answer.  Precondition: the model has
+  /// injection classes.
   LatencyEstimate evaluate(double lambda0) const;
   /// Saturation rate λ₀* (Eq. 26), every bisection probe through this plan.
   double saturation_rate() const;
@@ -325,10 +304,9 @@ class SolvePlan {
     double blocking = 0.0;  ///< ChannelSolution::blocking
   };
 
-  /// The one constructor the four public ones forward to: `net` null for a
-  /// bare graph, `structure` null to build one from `graph`.
-  SolvePlan(const ChannelGraph& graph, const GeneralModel* net,
-            const SolveOptions& opts,
+  /// The one constructor the three public ones forward to: `structure`
+  /// null to build one from `net`.
+  SolvePlan(const GeneralModel& net, const SolveOptions& opts,
             std::shared_ptr<const SolveStructure> structure);
 
   std::shared_ptr<const SolveStructure> structure_;
@@ -341,13 +319,10 @@ class SolvePlan {
   mutable std::atomic<std::uint64_t> digest_{0};  ///< 0: not yet computed
 };
 
-/// Full solve at λ₀ (per-channel detail).  `base` supplies worm length,
-/// ablation switches and the fixed-point cap.  This and the two below are
-/// one-shot: SolvePlan(net, base) asked once.
-SolveResult model_solve(const GeneralModel& net, double lambda0, SolveOptions base);
-
-/// Solve the model at injection rate λ₀ (messages/cycle/PE) and report
-/// network latency, same option handling.
+/// Solve the model at injection rate λ₀ (messages/cycle/PE) under `base`
+/// (worm length, ablation switches and the fixed-point cap) and report
+/// network latency.  This and the one below are one-shot: SolvePlan(net,
+/// base) asked once.
 LatencyEstimate model_latency(const GeneralModel& net, double lambda0,
                               SolveOptions base);
 

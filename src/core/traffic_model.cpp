@@ -40,24 +40,17 @@ struct NodeRoutes {
   std::array<double, 4> split{};
 };
 
-/// One merged flow fragment entering a node: where it came from, its rate,
-/// and its QNA "self-mass" — the Σ flow_i · frac_i over the source
-/// sub-streams it merges, where frac_i is sub-stream i's cumulative split
-/// fraction of its source's original injection process.  Splitting with
-/// probability p maps (flow, self) → (flow·p, self·p²) — each sub-stream's
-/// flow AND frac both scale by p — and merging adds componentwise, so the
-/// self-mass is exactly as shard-additive as the rate.
-struct FlowFragment {
-  int in_ch = 0;      ///< incoming channel; kNoChannel marks injections
-  double flow = 0.0;  ///< message rate at unit injection
-  double self = 0.0;  ///< Σ flow·frac of the merged source sub-streams
-};
-
-/// One seed of a destination column: `flow` carrying QNA self-mass `self`
-/// (see FlowFragment) enters the route DAG at `node` over `in_ch`.  A source
-/// injection enters at its processor with in_ch = kNoChannel; the fault
-/// delta also seeds mid-DAG, at frontier nodes, with the channel the
-/// fragment arrived on.  Signed in the delta passes.
+/// Flow entering a node of a destination column: `flow` carrying QNA
+/// "self-mass" `self` enters `node` over `in_ch`.  The self-mass is the
+/// Σ flow_i · frac_i over the source sub-streams the flow merges, where
+/// frac_i is sub-stream i's cumulative split fraction of its source's
+/// original injection process.  Splitting with probability p maps
+/// (flow, self) → (flow·p, self·p²) — each sub-stream's flow AND frac both
+/// scale by p — and merging adds componentwise, so the self-mass is exactly
+/// as shard-additive as the rate.  A source injection enters at its
+/// processor with in_ch = kNoChannel; the fault delta also seeds mid-DAG, at
+/// frontier nodes, with the channel the flow arrived on.  Signed in the
+/// delta passes.
 struct Seed {
   int node = 0;
   int in_ch = topo::kNoChannel;
@@ -66,28 +59,38 @@ struct Seed {
 };
 
 /// Scratch state for one destination's column pass, reused across columns
-/// so each worker allocates O(nodes + channels) once.
+/// so each worker allocates O(nodes) once.
 struct DestinationPass {
   struct Frame {
     int node;
     int next_candidate;
   };
-  /// Per node: flow fragments accumulated this pass.
-  std::vector<std::vector<FlowFragment>> in_flows;
+  /// Per node: the flow and self-mass that entered it this pass, and
+  /// whether any did.
+  std::vector<double> flow;
+  std::vector<double> self;
+  std::vector<char> fed;
   std::vector<char> visited;
   std::vector<int> order;           ///< DFS postorder of the route DAG toward dst
+  std::vector<int> finish;          ///< per visited node: its index in order
   std::vector<NodeRoutes> routes;   ///< valid for visited nodes only
   std::vector<Frame> stack;         ///< DFS stack, empty between calls
 
   explicit DestinationPass(int num_nodes)
-      : in_flows(static_cast<std::size_t>(num_nodes)),
+      : flow(static_cast<std::size_t>(num_nodes), 0.0),
+        self(static_cast<std::size_t>(num_nodes), 0.0),
+        fed(static_cast<std::size_t>(num_nodes), 0),
         visited(static_cast<std::size_t>(num_nodes), 0),
+        finish(static_cast<std::size_t>(num_nodes), 0),
         routes(static_cast<std::size_t>(num_nodes)) {}
 
   void reset() {
     for (int node : order) {
-      in_flows[static_cast<std::size_t>(node)].clear();
-      visited[static_cast<std::size_t>(node)] = 0;
+      const auto u = static_cast<std::size_t>(node);
+      flow[u] = 0.0;
+      self[u] = 0.0;
+      fed[u] = 0;
+      visited[u] = 0;
     }
     order.clear();
   }
@@ -99,7 +102,7 @@ struct DestinationPass {
 /// scheduling); a dense resident keeps one as the state its deltas update.
 struct ColumnSums {
   std::vector<double> rate;    ///< per channel
-  std::vector<double> self;    ///< per channel, QNA self-mass (see FlowFragment)
+  std::vector<double> self;    ///< per channel, QNA self-mass (see Seed)
   std::vector<double> onward;  ///< flat (channel, continuation port) flows
   double weighted_distance = 0.0;
   double total_weight = 0.0;       ///< Σ pair weights seen (all demand)
@@ -125,13 +128,14 @@ struct ColumnSums {
 };
 
 /// Column sinks also bound the region a pass walks: enters(node) admits flow
-/// into a node, holds(node) keeps a node's in-flows (reported through
-/// hold()) instead of splitting them.  The accumulating sinks walk the whole
-/// route DAG; only the fault delta's first-hit pass (FrontierSink) bounds it.
+/// into a node, holds(node) keeps the flows entering a node (reported
+/// through hold()) instead of splitting them.  The accumulating sinks walk
+/// the whole route DAG; only the fault delta's first-hit pass
+/// (FrontierSink) bounds it.
 struct WholeDag {
   static bool enters(int /*node*/) { return true; }
   static bool holds(int /*node*/) { return false; }
-  static void hold(int /*node*/, const FlowFragment& /*in*/) {}
+  static void hold(const Seed& /*in*/) {}
 };
 
 /// The per-physical-channel column sink: contributions land in `sums`,
@@ -191,6 +195,8 @@ void dfs_route_dag(const topo::Topology& topo, const topo::ChannelTable& ct,
     DestinationPass::Frame& top = pass.stack.back();
     const NodeRoutes& nr = pass.routes[static_cast<std::size_t>(top.node)];
     if (top.next_candidate >= nr.count) {
+      pass.finish[static_cast<std::size_t>(top.node)] =
+          static_cast<int>(pass.order.size());
       pass.order.push_back(top.node);
       pass.stack.pop_back();
       continue;
@@ -203,14 +209,21 @@ void dfs_route_dag(const topo::Topology& topo, const topo::ChannelTable& ct,
   }
 }
 
-/// The seed of source `s` toward `d` at unit factor: weight w injects w, and
-/// the (s → d) sub-stream is the destination split of s's injection process,
-/// fraction frac = w / injection_weight of it, hence self = w·frac.  The
-/// fault delta seeds its upstream sources through here too.
+/// The self-mass of a (s → d) sub-stream of weight w (0 when w <= 0): it is
+/// the destination split of s's injection process, fraction
+/// frac = w / injection_weight of it, hence self = w·frac.
+double pair_self(double w, double injection_weight) {
+  if (w <= 0.0) return 0.0;
+  const double frac = w / injection_weight;
+  return w * frac;
+}
+
+/// The seed of source `s` toward `d` at unit factor: weight w injects w
+/// with self-mass pair_self.  The fault delta seeds its upstream sources
+/// through here too.
 Seed source_seed(const traffic::TrafficSpec& spec, int s, double w,
                  int procs) {
-  const double frac = w / spec.injection_weight(s, procs);
-  return {s, topo::kNoChannel, w, w * frac};
+  return {s, topo::kNoChannel, w, pair_self(w, spec.injection_weight(s, procs))};
 }
 
 /// The one seed rule, per (s, d) pair standing for `factor` such pairs:
@@ -262,38 +275,59 @@ void seed_column(const topo::Topology& view, const traffic::TrafficSpec& spec,
   }
 }
 
+/// The one entry rule of the column pass: `in` enters its node, whose
+/// routing the DFS has cached.  A held node reports it through sink.hold;
+/// any other node adds it to its totals and emits its continuation flows
+/// at once, one per route candidate in candidate order.
+template <typename Sink>
+void enter(const Seed& in, DestinationPass& pass, Sink& sink) {
+  if (sink.holds(in.node)) {
+    sink.hold(in);
+    return;
+  }
+  const auto u = static_cast<std::size_t>(in.node);
+  pass.flow[u] += in.flow;
+  pass.self[u] += in.self;
+  pass.fed[u] = 1;
+  if (in.in_ch == topo::kNoChannel) return;
+  const NodeRoutes& nr = pass.routes[u];
+  for (int i = 0; i < nr.count; ++i) {
+    const double p = nr.split[static_cast<std::size_t>(i)];
+    if (p <= 0.0) continue;
+    sink.onward(in.in_ch, nr.channel[static_cast<std::size_t>(i)],
+                nr.port[static_cast<std::size_t>(i)], in.flow * p);
+  }
+}
+
 /// The column pass: the flow DP of destination `d` over `view`'s route DAG.
 /// Every consumer — the dense shard, the collapsed orbit builder, the
 /// pattern delta and the fault delta — runs its columns through here; they
 /// differ only in their seeds and their sink.  DFSes the DAG from each seed
-/// (a source, or a mid-DAG frontier node), then walks the postorder in
-/// reverse (topological order: a node's in-flows are complete before it
-/// splits them across its route candidates) and reports every accumulation
-/// to the inlined sink, in a fixed order:
+/// (a source, or a mid-DAG frontier node) and enters it, then walks the
+/// postorder in reverse (topological order: a node's totals are complete
+/// before it splits them across its route candidates) and enters each
+/// split flow into its far-end node.  Every accumulation goes to the
+/// inlined sink, each sum in a fixed order:
 ///   sink.rate(ch, flow, self)               — per-channel rate / self-mass
 ///   sink.onward(in_ch, out_ch, port, flow)  — per-(channel, continuation)
-///   sink.hold(node, fragment)               — in-flows of a held node
+///   sink.hold(seed)                         — flow entering a held node
 /// Flow only enters nodes the sink admits (see WholeDag).  Returns the
-/// number of nodes walked and leaves `pass` reset for the next column.
+/// number of nodes walked and leaves `pass` reset for the next column, with
+/// `pass.finish` still naming each walked node's postorder index.
 template <typename Sink>
 long propagate_column(const topo::Topology& view, const topo::ChannelTable& ct,
                       int d, const std::vector<Seed>& seeds,
                       DestinationPass& pass, Sink& sink) {
   for (const Seed& s : seeds) {
-    pass.in_flows[static_cast<std::size_t>(s.node)].push_back(
-        {s.in_ch, s.flow, s.self});
     dfs_route_dag(view, ct, s.node, d, pass, sink);
+    enter(s, pass, sink);
   }
   for (auto it = pass.order.rbegin(); it != pass.order.rend(); ++it) {
     const int node = *it;
-    const auto& inputs = pass.in_flows[static_cast<std::size_t>(node)];
-    if (inputs.empty()) continue;  // d itself, or an unfed DFS visit
-    if (sink.holds(node)) {
-      for (const FlowFragment& in : inputs) sink.hold(node, in);
-      continue;
-    }
-    WORMNET_ENSURES(node != d);    // flows into d are consumed, never split
-    const NodeRoutes& nr = pass.routes[static_cast<std::size_t>(node)];
+    const auto u = static_cast<std::size_t>(node);
+    if (!pass.fed[u]) continue;  // d, a held node, or an unfed DFS visit
+    WORMNET_ENSURES(node != d);  // flows into d are consumed, never split
+    const NodeRoutes& nr = pass.routes[u];
     // A node holding flow toward d with no route candidates would silently
     // drop Kirchhoff mass.  Unroutable demand is filtered at the SEEDS
     // (Topology::reachable), so reaching this state means the topology is
@@ -304,28 +338,18 @@ long propagate_column(const topo::Topology& view, const topo::ChannelTable& ct,
           " dead-ends at node " + std::to_string(node) +
           " (no route candidates; disconnected or malformed topology — run "
           "topo::check_connectivity)");
-    double total = 0.0;
-    double total_self = 0.0;
-    for (const FlowFragment& in : inputs) {
-      total += in.flow;
-      total_self += in.self;
-    }
+    const double total = pass.flow[u];
+    const double total_self = pass.self[u];
     for (int i = 0; i < nr.count; ++i) {
       const double p = nr.split[static_cast<std::size_t>(i)];
       if (p <= 0.0) continue;
-      const int port = nr.port[static_cast<std::size_t>(i)];
       const int ch = nr.channel[static_cast<std::size_t>(i)];
       WORMNET_ENSURES(ch != topo::kNoChannel);
-      sink.rate(ch, total * p, total_self * p * p);
-      for (const FlowFragment& in : inputs) {
-        if (in.in_ch == topo::kNoChannel) continue;
-        sink.onward(in.in_ch, ch, port, in.flow * p);
-      }
-      const int nbr = nr.neighbor[static_cast<std::size_t>(i)];
-      if (nbr == d) continue;  // ejection channel: consumed at the destination
-      if (!sink.enters(nbr)) continue;
-      pass.in_flows[static_cast<std::size_t>(nbr)].push_back(
-          {ch, total * p, total_self * p * p});
+      const Seed out{nr.neighbor[static_cast<std::size_t>(i)], ch, total * p,
+                     total_self * p * p};
+      sink.rate(ch, out.flow, out.self);
+      if (out.node == d) continue;  // ejection channel: consumed at d
+      if (sink.enters(out.node)) enter(out, pass, sink);
     }
   }
   const long walked = static_cast<long>(pass.order.size());
@@ -1002,9 +1026,10 @@ struct FaultSide {
 enum Region : char { kOutside = 0, kUpstream, kFrontier, kDead };
 
 /// The fault delta's first-hit sink: flow moves only through the upstream
-/// region and stops at the frontier, where the fragments it delivers are
+/// region and stops at the frontier, where the flows it delivers are
 /// identical under both views.  Nothing accumulates: upstream of the
-/// frontier both views contribute the same flows.
+/// frontier both views contribute the same flows.  Held flows arrive in
+/// walk order, not grouped by frontier node.
 struct FrontierSink {
   const std::vector<char>& region;
   std::vector<Seed>& held;
@@ -1016,9 +1041,7 @@ struct FrontierSink {
   bool holds(int node) const {
     return region[static_cast<std::size_t>(node)] == kFrontier;
   }
-  void hold(int node, const FlowFragment& in) {
-    held.push_back({node, in.in_ch, in.flow, in.self});
-  }
+  void hold(const Seed& in) { held.push_back(in); }
   static void rate(int /*ch*/, double /*flow*/, double /*self*/) {}
   static void onward(int /*in_ch*/, int /*out_ch*/, int /*port*/,
                      double /*flow*/) {}
@@ -1081,13 +1104,13 @@ bool same_routing(const topo::Topology& a, const topo::Topology& b, int node,
 ///     no other source's can move.
 ///  2. The upstream walk: backwards over unchanged routing from C, stopping
 ///     at C — the nodes whose flow reaches C first.  Their sources' seeds
-///     run forward to C without sinking anything: the first-hit fragments
+///     run forward to C without sinking anything: the first-hit flows held
 ///     at C, identical under both views (routing upstream of C is).
-///  3. The fragments — plus the seeds of frontier sources whose
-///     reachability flipped — become the retract (×−1, run under `from`)
-///     and re-add (×+1, run under `to`) seeds of apply_column_delta.  Flow
-///     that never reaches C contributes the same under both views and is
-///     never walked.
+///  3. Those flows, in walk order — plus the seeds of frontier sources
+///     whose reachability flipped — become the retract (×−1, run under
+///     `from`) and re-add (×+1, run under `to`) seeds of
+///     apply_column_delta.  Flow that never reaches C contributes the same
+///     under both views and is never walked.
 /// Walk orders are fixed functions of (views, d).
 void find_column_delta(const FaultSide& from, const FaultSide& to,
                        const topo::ChannelTable& ct,
@@ -1163,6 +1186,14 @@ void find_column_delta(const FaultSide& from, const FaultSide& to,
     FrontierSink hits{fs.region, fs.held};
     out.walked =
         propagate_column(*from.routing, ct, d, fs.upstream, fs.pass, hits);
+    // Seed the frontier by walk rank — nodes in reverse postorder, each
+    // node's flows in arrival order — so the retract and re-add passes
+    // sum in a fixed order.
+    std::stable_sort(fs.held.begin(), fs.held.end(),
+                     [&](const Seed& a, const Seed& b) {
+                       return fs.pass.finish[static_cast<std::size_t>(a.node)] >
+                              fs.pass.finish[static_cast<std::size_t>(b.node)];
+                     });
   }
 
   for (const Seed& h : fs.held) {
@@ -1343,20 +1374,12 @@ RetuneReport RetunableTrafficModel::retune_traffic(
         d_unroutable += w_new - w_old;
         continue;
       }
-      // Same product order as the cold seeds (frac first, then w·frac) so a
-      // pure sign flip reproduces the original contribution bit for bit.
-      double self_old = 0.0;
-      if (w_old > 0.0) {
-        const double frac = w_old / injw_old[static_cast<std::size_t>(s)];
-        self_old = w_old * frac;
-      }
-      double self_new = 0.0;
-      if (w_new > 0.0) {
-        const double frac = w_new / injw_new[static_cast<std::size_t>(s)];
-        self_new = w_new * frac;
-      }
+      // The cold seeds' self-mass rule, so a pure sign flip reproduces the
+      // original contribution bit for bit.
+      const auto u = static_cast<std::size_t>(s);
       const double dflow = w_new - w_old;
-      const double dself = self_new - self_old;
+      const double dself =
+          pair_self(w_new, injw_new[u]) - pair_self(w_old, injw_old[u]);
       if (dflow == 0.0 && dself == 0.0) continue;
       seeds[static_cast<std::size_t>(d)].push_back(
           {s, topo::kNoChannel, dflow, dself});

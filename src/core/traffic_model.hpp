@@ -18,8 +18,11 @@
 // per pair at LCA level l).
 //
 // That per-destination "column pass" is written once, seeded by one rule
-// (pair weight → reachability → injection split), and has four consumers
-// that differ only in their seeds and where the flows land:
+// (pair weight → reachability → injection split), and lets flow into a node
+// by one rule: the node adds it to its flow totals and emits its
+// continuation flows at once, unless the pass holds the node, which
+// reports the flow instead of splitting it.  It has four consumers that
+// differ only in their seeds and where the flows land:
 //   * the dense build — one column per destination, seeds at weight w, flows
 //     into per-channel sums (sharded, see TrafficBuildOptions);
 //   * the symmetry-collapsed build — one column per destination orbit, seeds
@@ -30,11 +33,12 @@
 //     column, only the flow downstream of its FRONTIER, the nodes whose
 //     routing changed.  One bounded pass carries the sources feeding the
 //     frontier up to their first hit on it (the same under both routings,
-//     so nothing is accumulated); those fragments then seed the pass
-//     mid-DAG, retracted (× −1) along the old routes and re-added along the
-//     new.  Flow that never reaches the frontier is never walked.  The
-//     first-hit passes write nothing shared, so they run sharded; the
-//     retract and re-add passes run serially in destination order.
+//     so nothing is accumulated) and holds the frontier nodes; the held
+//     flows, in walk order, then seed the pass mid-DAG, retracted (× −1)
+//     along the old routes and re-added along the new.  Flow that never
+//     reaches the frontier is never walked.  The first-hit passes write
+//     nothing shared, so they run sharded; the retract and re-add passes
+//     run serially in destination order.
 // Fixed-destination specs (bit-complement, transpose, permutations) seed
 // from per-destination source lists instead of scanning all N sources: the
 // same seeds in the same order, so the result is bitwise-identical.
@@ -74,7 +78,7 @@
 // paper's §3 fat-tree closed form does: run ONE flow-propagation pass per
 // destination ORBIT (scaled by the orbit size) and accumulate per channel
 // CLASS, producing a GeneralModel with O(classes) ChannelClass entries that
-// solve_general_model consumes unchanged.  A levels-10 fat-tree (1,048,576
+// core::SolvePlan solves like any other.  A levels-10 fat-tree (1,048,576
 // processors, ~4.2M channels) folds to 20 classes and builds in well under a
 // second; the dense path would need terabytes of pass work.
 //
@@ -277,7 +281,7 @@ class RetunableTrafficModel {
   ///  * a backward walk over the unchanged routing finds the nodes feeding
   ///    the frontier, and their sources' flow is carried forward to its
   ///    first hit on it — identical under both views;
-  ///  * those fragments (plus sources whose reachability flipped) are
+  ///  * those flows (plus sources whose reachability flipped) are
   ///    propagated from the frontier downstream, negated under the OLD
   ///    routing and re-added under the NEW; demand accounting moves only for
   ///    sources whose distance or reachability changed.

@@ -115,7 +115,7 @@ TEST(EdgeCases, SolveAtExactlyZeroWorm) {
         core::SolveOptions opts;
         opts.worm_flits = 0.0;
         const core::GeneralModel net = core::build_fattree_collapsed(2);
-        core::solve_general_model(net.graph, opts, 1.0);
+        core::SolvePlan(net, opts).solve(1.0);
       }(),
       "precondition");
 }

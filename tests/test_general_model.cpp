@@ -95,7 +95,7 @@ TEST(GeneralModel, TwoChannelLineMatchesHandComputation) {
   SolveOptions opts;
   opts.worm_flits = 16.0;
   const double lambda0 = 0.03;
-  const SolveResult res = model_solve(net, lambda0, opts);
+  const SolveResult res = SolvePlan(net, opts).solve(lambda0);
   ASSERT_TRUE(res.stable);
   EXPECT_DOUBLE_EQ(res.service_time(net.class_id("eject")), 16.0);
   EXPECT_NEAR(res.service_time(net.class_id("inj")), 16.0, 1e-12);
@@ -112,8 +112,8 @@ TEST(GeneralModel, BlockingOffRestoresFullWait) {
   SolveOptions without = with;
   without.ablation.blocking_correction = false;
   const double lambda0 = 0.03;
-  const SolveResult a = model_solve(net, lambda0, with);
-  const SolveResult b = model_solve(net, lambda0, without);
+  const SolveResult a = SolvePlan(net, with).solve(lambda0);
+  const SolveResult b = SolvePlan(net, without).solve(lambda0);
   // With the correction, the single input never waits for itself: x̄ = s_f.
   EXPECT_NEAR(a.service_time(net.class_id("inj")), 16.0, 1e-12);
   // Without it, the ejection wait is charged in full.
@@ -142,7 +142,7 @@ TEST_P(CollapsedVsClosedForm, Agree) {
   EXPECT_NEAR(est.inj_service, ev.inj_service, 1e-9);
 
   // Per-level detail agrees too.
-  const SolveResult res = model_solve(net, lambda0, opts);
+  const SolveResult res = SolvePlan(net, opts).solve(lambda0);
   for (int l = 0; l < levels; ++l) {
     EXPECT_NEAR(res.service_time(net.class_id("up" + std::to_string(l))),
                 ev.x_up[static_cast<std::size_t>(l)], 1e-9);
@@ -182,7 +182,8 @@ TEST(GeneralModel, AblationFlagsMatchClosedFormAblations) {
 TEST(GeneralModel, CyclicGraphConvergesByFixedPoint) {
   // A ring of two channels with a small escape probability to an ejection
   // channel; the dependency graph is cyclic, exercising the damped solver.
-  ChannelGraph g;
+  GeneralModel net;
+  ChannelGraph& g = net.graph;
   ChannelClass ej;
   ej.label = "eject";
   ej.rate_per_link = 1.0;
@@ -202,7 +203,7 @@ TEST(GeneralModel, CyclicGraphConvergesByFixedPoint) {
 
   SolveOptions opts;
   opts.worm_flits = 8.0;
-  const SolveResult res = solve_general_model(g, opts, 0.004);
+  const SolveResult res = SolvePlan(net, opts).solve(0.004);
   EXPECT_TRUE(res.converged);
   EXPECT_TRUE(res.stable);
   EXPECT_GT(res.iterations, 1);
@@ -235,7 +236,7 @@ TEST(GeneralModel, HypercubeDimensionZeroCarriesLongestService) {
   const GeneralModel net = hypercube_collapsed(8);
   SolveOptions opts;
   opts.worm_flits = 16.0;
-  const SolveResult res = model_solve(net, 0.003, opts);
+  const SolveResult res = SolvePlan(net, opts).solve(0.003);
   ASSERT_TRUE(res.stable);
   double prev = std::numeric_limits<double>::infinity();
   for (int d = 0; d < 8; ++d) {
@@ -250,7 +251,8 @@ TEST(GeneralModel, HypercubeDimensionZeroCarriesLongestService) {
 TEST(EstimateLatency, AveragesInjectionClasses) {
   // Two injection classes with different service times: the estimate must
   // average them uniformly (Eq. 2).
-  ChannelGraph g;
+  GeneralModel net;
+  ChannelGraph& g = net.graph;
   ChannelClass ej;
   ej.rate_per_link = 1.0;
   ej.terminal = true;
@@ -264,10 +266,11 @@ TEST(EstimateLatency, AveragesInjectionClasses) {
   const int i2 = g.add_channel(inj2);
   g.add_transition(i1, e1, 1.0, 1.0);
   g.add_transition(i2, e2, 1.0, 1.0);
-  SolveOptions opts;
-  opts.worm_flits = 10.0;
-  const SolveResult res = solve_general_model(g, opts, 0.02);
-  const LatencyEstimate est = estimate_latency(res, {i1, i2}, 2.0);
+  net.injection_classes = {i1, i2};
+  net.mean_distance = 2.0;
+  net.opts.worm_flits = 10.0;
+  const SolveResult res = net.solve(0.02);
+  const LatencyEstimate est = net.evaluate(0.02);
   EXPECT_NEAR(est.inj_wait, 0.5 * (res.wait(i1) + res.wait(i2)), 1e-12);
   EXPECT_NEAR(est.latency, est.inj_wait + est.inj_service + 1.0, 1e-12);
 }
@@ -276,7 +279,7 @@ TEST(GeneralModel, InjectionScaleZeroGivesZeroWaits) {
   const GeneralModel net = build_fattree_collapsed(3);
   SolveOptions opts;
   opts.worm_flits = 16.0;
-  const SolveResult res = model_solve(net, 0.0, opts);
+  const SolveResult res = SolvePlan(net, opts).solve(0.0);
   for (const ChannelSolution& c : res.channels) {
     EXPECT_DOUBLE_EQ(c.wait, 0.0);
     EXPECT_DOUBLE_EQ(c.utilization, 0.0);

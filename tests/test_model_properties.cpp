@@ -287,8 +287,8 @@ TEST(GraphProperties, SolveIsDeterministic) {
   const GeneralModel net = build_fattree_collapsed(4);
   SolveOptions opts;
   opts.worm_flits = 32.0;
-  const SolveResult a = model_solve(net, 0.0007, opts);
-  const SolveResult b = model_solve(net, 0.0007, opts);
+  const SolveResult a = SolvePlan(net, opts).solve(0.0007);
+  const SolveResult b = SolvePlan(net, opts).solve(0.0007);
   for (int i = 0; i < net.graph.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.service_time(i), b.service_time(i));
     EXPECT_DOUBLE_EQ(a.wait(i), b.wait(i));

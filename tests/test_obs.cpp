@@ -280,7 +280,7 @@ TEST(ObsTelemetry, SolveTelemetryAndPublish) {
       core::build_traffic_model(ft, traffic::TrafficSpec::uniform(), opts);
   const double sat = core::model_saturation_rate(model, opts);
 
-  const core::SolveResult mid = core::model_solve(model, 0.5 * sat, opts);
+  const core::SolveResult mid = core::SolvePlan(model, opts).solve(0.5 * sat);
   ASSERT_TRUE(mid.stable);
   EXPECT_GT(mid.telemetry.max_utilization, 0.0);
   EXPECT_LT(mid.telemetry.max_utilization, 1.0);
@@ -288,7 +288,7 @@ TEST(ObsTelemetry, SolveTelemetryAndPublish) {
   EXPECT_EQ(mid.telemetry.first_saturated_class, -1);
   EXPECT_STREQ(mid.telemetry.saturation_cause, "");
 
-  const core::SolveResult over = core::model_solve(model, 1.5 * sat, opts);
+  const core::SolveResult over = core::SolvePlan(model, opts).solve(1.5 * sat);
   ASSERT_FALSE(over.stable);
   EXPECT_GE(over.telemetry.first_saturated_class, 0);
   EXPECT_STRNE(over.telemetry.saturation_cause, "");

@@ -2,8 +2,9 @@
 // built once per model content.  A plan on a shared structure must answer
 // exactly as a freshly built plan of the same model, for every tune axis;
 // the cyclic (fixed-point) path must land on its pinned values; the plan's
-// digest must be the model's content digest; and building a plan must
-// still reject an invalid graph.
+// digest must be the model's content digest; building a plan must still
+// reject an invalid graph; and a model without injection classes solves but
+// does not evaluate.
 #include "core/general_model.hpp"
 
 #include <gtest/gtest.h>
@@ -143,16 +144,19 @@ TEST(SolvePlan, OneShotWrappersAnswerAsThePlan) {
   for (double frac : {0.3, 0.9, 1.1}) {
     const std::string tag = "at " + std::to_string(frac) + " sat";
     expect_same_estimate(m.evaluate(frac * sat), plan.evaluate(frac * sat), tag);
+    expect_same_estimate(model_latency(m, frac * sat, m.opts),
+                         plan.evaluate(frac * sat), tag + " model_latency");
     expect_same_solve(m.solve(frac * sat), plan.solve(frac * sat), tag);
-    expect_same_solve(solve_general_model(m.graph, m.opts, frac * sat),
-                      plan.solve(frac * sat), tag + " graph-only");
   }
 }
 
 /// The two-channel ring of test_general_model.cpp's cyclic case: a and b
 /// feed each other and the ejection channel e with probability 1/2 each.
-ChannelGraph ring_graph(int& e, int& a, int& b) {
-  ChannelGraph g;
+/// It has no injection classes.
+GeneralModel ring_model(int& e, int& a, int& b) {
+  GeneralModel model;
+  model.opts.worm_flits = 8.0;
+  ChannelGraph& g = model.graph;
   ChannelClass ej;
   ej.label = "eject";
   ej.rate_per_link = 1.0;
@@ -167,18 +171,16 @@ ChannelGraph ring_graph(int& e, int& a, int& b) {
   g.add_transition(a, e, 0.5, 0.5);
   g.add_transition(b, a, 0.5, 0.5);
   g.add_transition(b, e, 0.5, 0.5);
-  return g;
+  return model;
 }
 
 TEST(SolvePlan, CyclicGraphMatchesPinnedFixedPoint) {
   // Pinned from the per-call solver the plan replaced: the damped fixed
   // point lands on the same bits, iteration count and residual.
   int e = 0, a = 0, b = 0;
-  const ChannelGraph g = ring_graph(e, a, b);
-  ASSERT_FALSE(g.acyclic());
-  SolveOptions opts;
-  opts.worm_flits = 8.0;
-  const SolvePlan plan(g, opts);
+  const GeneralModel ring = ring_model(e, a, b);
+  ASSERT_FALSE(ring.graph.acyclic());
+  const SolvePlan plan(ring);
 
   const SolveResult low = plan.solve(0.004);
   EXPECT_TRUE(low.stable);
@@ -216,7 +218,7 @@ TEST(SolvePlan, CyclicGraphMatchesPinnedFixedPoint) {
   expect_bits(over.telemetry.max_utilization, 0x1.999999999999ap+0, "over max u");
 
   // The one-shot wrapper is the same loop.
-  expect_same_solve(solve_general_model(g, opts, 0.004), low, "one-shot");
+  expect_same_solve(ring.solve(0.004), low, "one-shot");
 }
 
 TEST(SolvePlan, DigestEqualsContentDigest) {
@@ -266,7 +268,7 @@ TEST(ContractDeath, SolvePlanRejectsInvalidGraph) {
   bad.injection_classes = {i};
   ASSERT_FALSE(bad.graph.validate().empty());
   EXPECT_DEATH(SolvePlan{bad}, "precondition");
-  EXPECT_DEATH(SolvePlan(bad.graph, bad.opts), "precondition");
+  EXPECT_DEATH(SolvePlan(bad, bad.opts), "precondition");
   EXPECT_DEATH(bad.evaluate(0.01), "precondition");
 
   // An attribute the validation rejects on a plan that shares a valid
@@ -277,6 +279,19 @@ TEST(ContractDeath, SolvePlanRejectsInvalidGraph) {
   broken.graph.mutable_at(0).buffer_depth = 0;
   ASSERT_FALSE(broken.graph.validate().empty());
   EXPECT_DEATH(SolvePlan(broken, plan.structure()), "precondition");
+}
+
+TEST(ContractDeath, ModelWithoutInjectionClassesSolvesButDoesNotEvaluate) {
+  // A hand-built graph with no injection classes is a valid model to solve;
+  // only the latency average over injection classes needs them.
+  int e = 0, a = 0, b = 0;
+  const GeneralModel ring = ring_model(e, a, b);
+  ASSERT_TRUE(ring.injection_classes.empty());
+  const SolveResult res = ring.solve(0.004);
+  EXPECT_TRUE(res.converged);
+  EXPECT_TRUE(res.stable);
+  EXPECT_DEATH(ring.evaluate(0.004), "precondition");
+  EXPECT_DEATH(SolvePlan(ring).evaluate(0.004), "precondition");
 }
 
 }  // namespace
