@@ -43,8 +43,9 @@ int main() {
 
   // A message crosses the middle stage, then lands on one of 8 ejection
   // channels (weight 1 into the class; any SPECIFIC output with R = 1/8).
-  net.graph.add_transition(in, mid, 1.0, 1.0);
+  // Transitions go in class by class, so the middle stage's comes first.
   net.graph.add_transition(mid, ej, 1.0, 1.0 / 8.0);
+  net.graph.add_transition(in, mid, 1.0, 1.0);
   net.injection_classes = {in};
   net.mean_distance = 3.0;  // inj + middle + eject
   net.model_name = "dance-hall";

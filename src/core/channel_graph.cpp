@@ -15,16 +15,21 @@ int ChannelGraph::add_channel(ChannelClass c) {
   WORMNET_EXPECTS(c.link_latency >= 0.0);
   WORMNET_EXPECTS(c.buffer_depth >= 1);
   classes_.push_back(std::move(c));
+  runs_.push_back({static_cast<int>(transitions_.size()), 0});
   return static_cast<int>(classes_.size()) - 1;
 }
 
 void ChannelGraph::add_transition(int from, int to, double weight, double route_prob) {
-  WORMNET_EXPECTS(from >= 0 && from < size());
+  WORMNET_EXPECTS(from >= filling_ && from < size());
   WORMNET_EXPECTS(to >= 0 && to < size());
   WORMNET_EXPECTS(weight >= 0.0 && weight <= 1.0);
   if (route_prob < 0.0) route_prob = weight;
   WORMNET_EXPECTS(route_prob >= 0.0 && route_prob <= 1.0);
-  classes_[static_cast<std::size_t>(from)].next.push_back({to, weight, route_prob});
+  Run& run = runs_[static_cast<std::size_t>(from)];
+  if (run.count == 0) run.first = static_cast<int>(transitions_.size());
+  ++run.count;
+  transitions_.push_back({to, weight, route_prob});
+  filling_ = from;
 }
 
 const ChannelClass& ChannelGraph::at(int id) const {
@@ -40,7 +45,8 @@ ChannelClass& ChannelGraph::mutable_at(int id) {
 std::string ChannelGraph::validate() const {
   std::ostringstream problems;
   for (int i = 0; i < size(); ++i) {
-    const ChannelClass& c = at(i);
+    const ChannelClass& c = classes_[static_cast<std::size_t>(i)];
+    const std::span<const Transition> next = transitions(i);
     if (!(c.bandwidth > 0.0))
       problems << "class " << i << " (" << c.label << ") bandwidth <= 0; ";
     if (c.link_latency < 0.0)
@@ -48,22 +54,16 @@ std::string ChannelGraph::validate() const {
     if (c.buffer_depth < 1)
       problems << "class " << i << " (" << c.label << ") buffer depth < 1 flit; ";
     if (c.terminal) {
-      if (!c.next.empty())
+      if (!next.empty())
         problems << "class " << i << " (" << c.label << ") is terminal but has transitions; ";
       continue;
     }
     // A non-terminal class with no traffic and no continuations is legal:
     // pattern-aware builders enumerate every physical channel, and skewed
     // patterns (permutations, hotspots) leave some of them unused.
-    if (c.next.empty() && c.rate_per_link == 0.0) continue;
+    if (next.empty() && c.rate_per_link == 0.0) continue;
     double sum = 0.0;
-    for (const Transition& t : c.next) {
-      if (t.target < 0 || t.target >= size()) {
-        problems << "class " << i << " transition target out of range; ";
-        continue;
-      }
-      sum += t.weight;
-    }
+    for (const Transition& t : next) sum += t.weight;
     if (std::abs(sum - 1.0) > 1e-9)
       problems << "class " << i << " (" << c.label << ") weights sum to " << sum << "; ";
   }
@@ -71,36 +71,22 @@ std::string ChannelGraph::validate() const {
 }
 
 std::vector<int> ChannelGraph::reverse_topological_order() const {
-  std::vector<int> offsets{0};
-  std::vector<int> targets;
-  for (const ChannelClass& c : classes_) {
-    for (const Transition& t : c.next) targets.push_back(t.target);
-    offsets.push_back(static_cast<int>(targets.size()));
-  }
-  return core::reverse_topological_order(offsets, targets);
-}
-
-std::vector<int> reverse_topological_order(const std::vector<int>& offsets,
-                                           const std::vector<int>& targets) {
   // Kahn's algorithm on the dependency relation "x_i needs x_j" (i -> j for
   // every transition).  Reverse-topological means: emit a class only after
   // every class it depends on has been emitted, i.e. process out-degree-zero
   // (terminal) classes first.  The dependents of each class sit in one flat
   // CSR array, in (dependent id, transition) order.
-  WORMNET_EXPECTS(!offsets.empty());
-  const int n = static_cast<int>(offsets.size()) - 1;
+  const int n = size();
   const auto at = [](int id) { return static_cast<std::size_t>(id); };
   std::vector<int> remaining_deps(at(n));
   std::vector<int> start(at(n) + 1, 0);
-  for (int i = 0; i < n; ++i)
-    remaining_deps[at(i)] = offsets[at(i) + 1] - offsets[at(i)];
-  for (int target : targets) ++start[at(target) + 1];
+  for (int i = 0; i < n; ++i) remaining_deps[at(i)] = runs_[at(i)].count;
+  for (const Transition& t : transitions_) ++start[at(t.target) + 1];
   for (int i = 0; i < n; ++i) start[at(i) + 1] += start[at(i)];
-  std::vector<int> dependents(targets.size());
+  std::vector<int> dependents(transitions_.size());
   std::vector<int> fill(start.begin(), start.end() - 1);
   for (int i = 0; i < n; ++i) {
-    for (int k = offsets[at(i)]; k < offsets[at(i) + 1]; ++k)
-      dependents[at(fill[at(targets[at(k)])]++)] = i;
+    for (const Transition& t : transitions(i)) dependents[at(fill[at(t.target)]++)] = i;
   }
   std::vector<int> order;
   order.reserve(at(n));

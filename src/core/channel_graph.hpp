@@ -15,8 +15,14 @@
 //                      keeps saturation search from rebuilding the graph;
 //  * `terminal`      — ejection channels whose service time is exactly the
 //                      worm length s_f (the destination consumes one flit
-//                      per cycle, the paper's assumption 4);
-//  * transitions     — where messages leaving this channel continue.
+//                      per cycle, the paper's assumption 4).
+//
+// The graph keeps every class's transitions — where messages leaving it
+// continue — in one flat array, filled class by class, with each class's
+// run (start index and count) beside it.  ChannelGraph::transitions(id)
+// reads a class's run as a span; validate(), the reverse-topological order
+// and core::SolvePlan read the same array as it is, so copying a graph
+// copies three flat arrays rather than one vector per class.
 //
 // A transition out of class i into class j distinguishes two probabilities:
 //  * `weight`     — the probability that a message on i continues into
@@ -31,6 +37,7 @@
 //                   graph they coincide.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,7 +71,6 @@ struct ChannelClass : queueing::ChannelAttributes {
   /// 0 — full Poissonification — for hand-built graphs, which therefore
   /// ignore injection burstiness.
   double self_frac = 0.0;
-  std::vector<Transition> next;
 };
 
 /// The channel dependency graph the general model solves.
@@ -74,7 +80,9 @@ class ChannelGraph {
   int add_channel(ChannelClass c);
 
   /// Add a continuation from `from` to `to`.  `route_prob` defaults to
-  /// `weight` (the per-physical-channel case).
+  /// `weight` (the per-physical-channel case).  Transitions are added class
+  /// by class: once a class has continuations, none may be added to an
+  /// earlier one.
   void add_transition(int from, int to, double weight, double route_prob = -1.0);
 
   /// Number of classes.
@@ -84,32 +92,43 @@ class ChannelGraph {
   /// Mutable class access (builders fix up rates after wiring).
   ChannelClass& mutable_at(int id);
 
-  /// Check structural sanity: ids in range, weights of every non-terminal
-  /// class sum to 1 (±1e-9), terminal classes have no transitions, rates are
-  /// non-negative.  Returns an explanation or empty string when valid.
+  /// Class id's continuations, in the order they were added.
+  std::span<const Transition> transitions(int id) const {
+    WORMNET_EXPECTS(id >= 0 && id < size());
+    const Run& r = runs_[static_cast<std::size_t>(id)];
+    return {transitions_.data() + r.first, static_cast<std::size_t>(r.count)};
+  }
+  /// Every continuation, class by class: class 0's run, then class 1's, ...
+  std::span<const Transition> transitions() const { return transitions_; }
+
+  /// Check structural sanity: bandwidths positive, link latencies
+  /// non-negative, buffers at least one flit, weights of every non-terminal
+  /// class sum to 1 (±1e-9), terminal classes have no transitions.  Returns
+  /// an explanation or empty string when valid.
   std::string validate() const;
 
   /// Reverse-topological order of the dependency graph (terminals first):
   /// the order in which the paper resolves service times "from the last
   /// channel backwards to the injecting channel".  Empty when the graph has
   /// a cycle (the solver then falls back to damped fixed-point iteration).
-  /// The free function below over this graph's transitions;
-  /// O(classes + transitions).  core::SolvePlan computes the order once per
-  /// model structure, on its own transition arrays.
+  /// Kahn's algorithm, O(classes + transitions); core::SolvePlan computes it
+  /// once per model structure.
   std::vector<int> reverse_topological_order() const;
 
   /// True if the dependency graph is acyclic.
   bool acyclic() const { return !reverse_topological_order().empty() || size() == 0; }
 
  private:
-  std::vector<ChannelClass> classes_;
-};
+  /// A class's run in transitions_: [first, first + count).
+  struct Run {
+    int first = 0;
+    int count = 0;
+  };
 
-/// Reverse-topological order of a dependency graph in CSR form: class i's
-/// transitions target targets[k] for k in [offsets[i], offsets[i+1]).
-/// Kahn's algorithm over the dependents in one flat CSR array, terminals
-/// first; empty when the graph has a cycle.
-std::vector<int> reverse_topological_order(const std::vector<int>& offsets,
-                                           const std::vector<int>& targets);
+  std::vector<ChannelClass> classes_;
+  std::vector<Run> runs_;                ///< parallel to classes_
+  std::vector<Transition> transitions_;  ///< every run, in class order
+  int filling_ = 0;                      ///< the last class given a transition
+};
 
 }  // namespace wormnet::core

@@ -28,8 +28,8 @@ std::uint64_t digest_word(int v) { return static_cast<std::uint64_t>(v); }
 /// shared read-only (plans of tuned variants hold the same instance).
 class SolveStructure {
  public:
-  /// Validates `net.graph` (the only full validate() of a plan) and lays
-  /// out its transitions and evaluate() inputs.
+  /// Validates `net.graph` (the only full validate() of a plan) and copies
+  /// its transitions and evaluate() inputs.
   explicit SolveStructure(const GeneralModel& net)
       : injection_classes(net.injection_classes),
         injection_weights(net.injection_class_weights),
@@ -46,21 +46,12 @@ class SolveStructure {
       const ChannelClass& c = graph.at(static_cast<int>(i));
       terminal[i] = c.terminal ? 1 : 0;
       self_frac[i] = c.self_frac;
-      offsets[i + 1] = offsets[i] + static_cast<int>(c.next.size());
+      offsets[i + 1] = offsets[i] +
+                       static_cast<int>(graph.transitions(static_cast<int>(i)).size());
     }
-    const auto transitions = static_cast<std::size_t>(offsets[rows]);
-    targets.resize(transitions);
-    weights.resize(transitions);
-    route_probs.resize(transitions);
-    for (std::size_t i = 0; i < rows; ++i) {
-      auto k = static_cast<std::size_t>(offsets[i]);
-      for (const Transition& t : graph.at(static_cast<int>(i)).next) {
-        targets[k] = t.target;
-        weights[k] = t.weight;
-        route_probs[k++] = t.route_prob;
-      }
-    }
-    order = reverse_topological_order(offsets, targets);
+    const std::span<const Transition> all = graph.transitions();
+    transitions.assign(all.begin(), all.end());
+    order = graph.reverse_topological_order();
   }
 
   /// The wiring's part of the content digest, computed on first use.
@@ -76,9 +67,14 @@ class SolveStructure {
                            [&](std::size_t k) { return digest_word(values[k]); });
     };
     column(self_frac);
-    column(targets);
-    column(weights);
-    column(route_probs);
+    const auto transition_column = [&](auto word_of) {
+      h = util::hash_words(h, transitions.size(), [&](std::size_t k) {
+        return digest_word(word_of(transitions[k]));
+      });
+    };
+    transition_column([](const Transition& t) { return t.target; });
+    transition_column([](const Transition& t) { return t.weight; });
+    transition_column([](const Transition& t) { return t.route_prob; });
     column(injection_classes);
     column(injection_weights);
     h = util::hash_mix_double(h, mean_distance);
@@ -94,11 +90,10 @@ class SolveStructure {
   int size = 0;
   /// Reverse-topological order; empty when the graph is cyclic.
   std::vector<int> order;
-  /// CSR transitions: class i's run k in [offsets[i], offsets[i+1]).
+  /// ChannelGraph::transitions(): class i's run is k in
+  /// [offsets[i], offsets[i+1]).
   std::vector<int> offsets;
-  std::vector<int> targets;
-  std::vector<double> weights;
-  std::vector<double> route_probs;
+  std::vector<Transition> transitions;
   std::vector<unsigned char> terminal;
   /// ChannelClass::self_frac (for the digest; tunes derive ca2 from it).
   std::vector<double> self_frac;
@@ -214,7 +209,7 @@ SolvePlan::SolvePlan(const GeneralModel& net, const SolveOptions& opts,
   }
   // Eq. 9/10 at unit injection: the λ_in/λ_out ratio is scale-invariant,
   // so each transition's factor holds at every λ₀.
-  factor_.resize(s.targets.size());
+  factor_.resize(s.transitions.size());
   for (int id = 0; id < s.size; ++id) {
     const auto row = static_cast<std::size_t>(id);
     if (s.terminal[row]) continue;
@@ -222,9 +217,10 @@ SolvePlan::SolvePlan(const GeneralModel& net, const SolveOptions& opts,
     double pblock = 0.0;
     for (int k = s.offsets[row]; k < s.offsets[row + 1]; ++k) {
       const auto e = static_cast<std::size_t>(k);
-      const ClassInputs& to = classes_[static_cast<std::size_t>(s.targets[e])];
-      factor_[e] = solver_.blocking_factor(to, from.rate, to.rate, s.route_probs[e]);
-      pblock += s.weights[e] * factor_[e];
+      const Transition& t = s.transitions[e];
+      const ClassInputs& to = classes_[static_cast<std::size_t>(t.target)];
+      factor_[e] = solver_.blocking_factor(to, from.rate, to.rate, t.route_prob);
+      pblock += t.weight * factor_[e];
     }
     from.blocking = pblock;
   }
@@ -285,8 +281,9 @@ SolveResult SolvePlan::solve(double lambda0) const {
     } else {
       xi = 0.0;
       for (int k = s.offsets[at(i)]; k < s.offsets[at(i) + 1]; ++k) {
-        const ChannelSolution& next = ch[at(s.targets[at(k)])];
-        xi += s.weights[at(k)] *
+        const Transition& t = s.transitions[at(k)];
+        const ChannelSolution& next = ch[at(t.target)];
+        xi += t.weight *
               (next.service_time + ChannelSolver::wait_term(factor_[at(k)], next.wait));
       }
     }

@@ -20,7 +20,7 @@
 // fixed-point iteration.
 //
 // Solve plans.  Only the waits and the lane terms depend on λ₀.  The
-// validation, the reverse-topological order, the transition arrays, the
+// validation, the reverse-topological order, the transitions, the
 // Eq. 9/10 blocking factors P(i|j) (a ratio of per-link rates, so
 // scale-invariant in λ₀), the drain floors and the content digest do not.
 // A SolvePlan computes that set-up once per model content, and
@@ -30,11 +30,13 @@
 // (GeneralModel::solve / evaluate / saturation_rate, model_latency and
 // model_saturation_rate) are one-shot wrappers that build a plan and ask it
 // once.  A plan has two halves:
-//  * the STRUCTURE — the wiring: order (or "cyclic"), CSR targets, weights
-//    and route probabilities, terminal flags, self_frac, injection classes
-//    and weights, mean distance and unroutable fraction.  Lane, buffer,
-//    bandwidth, load and arrival tunes leave it alone, so a tuned copy of a
-//    model can share its parent's structure through a shared_ptr;
+//  * the STRUCTURE — the wiring: order (or "cyclic"), a copy of the graph's
+//    one transition array (targets, weights and route probabilities, class
+//    by class) with each class's offset into it, terminal flags, self_frac,
+//    injection classes and weights, mean distance and unroutable fraction.
+//    Lane, buffer, bandwidth, load and arrival tunes leave it alone, so a
+//    tuned copy of a model can share its parent's structure through a
+//    shared_ptr;
 //  * the ATTRIBUTES — per-class servers, lanes, bandwidth, buffers, latency,
 //    C_a² and rates, and what the plan derives from them (blocking factors,
 //    drain floors, the diagnostic blocking sums).  Every tune invalidates
@@ -252,7 +254,7 @@ class GeneralModel final : public NetworkModel {
 class SolveStructure;  // the wiring half of a SolvePlan (general_model.cpp)
 
 /// The λ₀-free set-up of solving one model, built once (see the header
-/// comment): validation, order, CSR transitions, blocking factors, drain
+/// comment): validation, order, transitions, blocking factors, drain
 /// floors and the digest.  solve / evaluate / saturation_rate are const
 /// and thread-safe, so parallel sweeps share one plan.  Neither copyable
 /// nor movable (its digest cache is atomic): hold it in place, or behind a
@@ -313,7 +315,7 @@ class SolvePlan {
   queueing::ChannelSolver solver_;
   int max_iterations_;
   std::vector<ClassInputs> classes_;
-  std::vector<double> factor_;  ///< P(i|j) per CSR transition
+  std::vector<double> factor_;  ///< P(i|j) per transition, in graph order
   double batch_residual_ = 0.0;
   std::uint64_t identity_ = 0;  ///< name, options and arrival tuning
   mutable std::atomic<std::uint64_t> digest_{0};  ///< 0: not yet computed

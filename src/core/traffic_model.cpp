@@ -953,7 +953,7 @@ namespace {
 /// (multiplication by the signed seed distributes identically), so the only
 /// error is re-associated ADDITION: subtracting a subset of a positive sum
 /// in a different order leaves O(n·ulp·magnitude) residue — including tiny
-/// NEGATIVE rates, which ChannelGraph::validate() rejects, and phantom
+/// NEGATIVE rates, which ChannelGraph::add_channel() rejects, and phantom
 /// onward flows that would fabricate transitions into rate-0 channels.
 /// Snap rate/onward values below a scale-aware epsilon to exactly 0; clamp
 /// self-mass negatives only (tiny positive self is harmless and may be
@@ -1368,6 +1368,9 @@ RetuneReport RetunableTrafficModel::retune_traffic(
       const double w_old = old_spec.pair_weight(s, d, procs);
       const double w_new = new_spec.pair_weight(s, d, procs);
       d_total += w_new - w_old;
+      // An unchanged pair moves neither demand nor flow nor self-mass.
+      const auto u = static_cast<std::size_t>(s);
+      if (w_new == w_old && injw_new[u] == injw_old[u]) continue;
       // The cold build never seeded unreachable pairs (faulted fabrics), so
       // the delta must not either — only their demand accounting moves.
       if (!rt.reachable(s, d)) {
@@ -1376,7 +1379,6 @@ RetuneReport RetunableTrafficModel::retune_traffic(
       }
       // The cold seeds' self-mass rule, so a pure sign flip reproduces the
       // original contribution bit for bit.
-      const auto u = static_cast<std::size_t>(s);
       const double dflow = w_new - w_old;
       const double dself =
           pair_self(w_new, injw_new[u]) - pair_self(w_old, injw_old[u]);

@@ -577,9 +577,6 @@ std::uint64_t QueryEngine::sweep_cache_hits() const {
 std::uint64_t QueryEngine::sweep_cache_misses() const {
   return impl_->sweep.cache_misses();
 }
-std::size_t QueryEngine::answer_cache_size() const {
-  return impl_->answers.size();
-}
 double QueryEngine::batch_seconds() const { return impl_->batch_seconds; }
 
 void QueryEngine::clear_cache() {

@@ -280,8 +280,6 @@ class QueryEngine {
   /// The engine's private latency-point memo (a content-keyed SweepEngine).
   std::uint64_t sweep_cache_hits() const;
   std::uint64_t sweep_cache_misses() const;
-  /// Result-cache entries currently held (answers memoized across batches).
-  std::size_t answer_cache_size() const;
   /// Wall-clock seconds spent inside run_batch across this engine's
   /// lifetime (one steady_clock pair per batch — negligible, and results
   /// are unaffected); queries_served() / batch_seconds() is the engine's

@@ -121,8 +121,7 @@ class SimEngine {
   /// for the shared-network guarantee (cells over one topology share one).
   std::uint64_t networks_built() const { return networks_built_; }
 
-  /// Campaign totals across this engine's lifetime.
-  std::uint64_t cells_run() const { return cells_run_; }
+  /// Replications run across this engine's lifetime.
   std::uint64_t replications_run() const { return replications_run_; }
 
   /// Publish networks-built / cells / replications / thread-count gauges

@@ -115,33 +115,6 @@ double allen_cunneen_scale(double ca2, double cs2) {
   return (ca2 + cs2) / (1.0 + cs2);
 }
 
-double gg1_wait(double lambda, double xbar, double ca2, double cs2) {
-  WORMNET_EXPECTS(ca2 >= 0.0);
-  WORMNET_EXPECTS(cs2 >= 0.0);
-  if (lambda == 0.0 || xbar == 0.0) return 0.0;
-  if (!stable(lambda, xbar, 1)) return kInf;
-  const double rho = lambda * xbar;
-  return rho * xbar * (ca2 + cs2) / (2.0 * (1.0 - rho));
-}
-
-double ggm_wait(int servers, double lambda, double xbar, double ca2, double cs2) {
-  WORMNET_EXPECTS(ca2 >= 0.0);
-  WORMNET_EXPECTS(cs2 >= 0.0);
-  if (lambda == 0.0 || xbar == 0.0) return 0.0;
-  if (!stable(lambda, xbar, servers)) return kInf;
-  return 0.5 * (ca2 + cs2) * mmm_wait(servers, lambda, xbar);
-}
-
-double blocking_probability(int servers, double lambda_in, double lambda_out_total,
-                            double route_prob) {
-  WORMNET_EXPECTS(servers >= 1);
-  WORMNET_EXPECTS(lambda_in >= 0.0);
-  WORMNET_EXPECTS(route_prob >= 0.0 && route_prob <= 1.0);
-  if (lambda_out_total <= 0.0) return 1.0;  // vacuous: no contention either way
-  const double p = 1.0 - servers * (lambda_in / lambda_out_total) * route_prob;
-  return util::clamp01(p);
-}
-
 double wormhole_wait(int servers, double lambda_total, double xbar, double worm_flits) {
   switch (servers) {
     case 1:
@@ -162,12 +135,6 @@ double scaled_wait_gg(double poisson_wait, double ca2, double cs2) {
   // C_a² = 0 scale of an infinite wait would otherwise produce 0·inf = NaN).
   if (poisson_wait == 0.0 || !std::isfinite(poisson_wait)) return poisson_wait;
   return poisson_wait * allen_cunneen_scale(ca2, cs2);
-}
-
-double wormhole_wait_gg(int servers, double lambda_total, double xbar,
-                        double worm_flits, double ca2) {
-  return scaled_wait_gg(wormhole_wait(servers, lambda_total, xbar, worm_flits),
-                        ca2, wormhole_cb2(xbar, worm_flits));
 }
 
 }  // namespace wormnet::queueing

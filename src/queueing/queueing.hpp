@@ -85,48 +85,20 @@ double mgm_wait_wormhole(int servers, double lambda, double xbar, double worm_fl
 /// through it, though callers short-circuit anyway).
 double allen_cunneen_scale(double ca2, double cs2);
 
-/// G/G/1 mean wait (Allen–Cunneen / Kingman form of Pollaczek–Khinchine):
-///     W = rho * x̄ * (C_a² + C_s²) / (2 (1 - rho)).
-/// Reduces to mg1_wait at C_a² = 1.  Returns +inf when unstable.
-double gg1_wait(double lambda, double xbar, double ca2, double cs2);
-
-/// G/G/m mean wait, Allen–Cunneen:  W ≈ (C_a² + C_s²)/2 · W_{M/M/m}.
-/// Reduces to mgm_wait at C_a² = 1.  `lambda` is the total rate.
-double ggm_wait(int servers, double lambda, double xbar, double ca2, double cs2);
-
 /// The one home of the guard-and-scale rule for retrofitting a Poisson wait
-/// to arrival SCV `ca2`: ca2 == 1 returns `poisson_wait` untouched (bit
-/// identity, never a multiply-by-computed-1), a zero or diverged wait stays
-/// as is (saturation dominates variability; 0·inf must not make NaN), and
-/// everything else scales by allen_cunneen_scale(ca2, cs2).  Both
-/// wormhole_wait_gg and ChannelSolver::bundle_wait route through this.
+/// to arrival SCV `ca2` — the G/G/m wait of Allen–Cunneen:
+///     W_{G/G/m} ≈ W_{M/G/m} · (C_a² + C_s²)/(1 + C_s²),
+/// so over mg1_wait it is the Kingman G/G/1 form and over mgm_wait the
+/// G/G/m one.  ca2 == 1 returns `poisson_wait` untouched (bit identity,
+/// never a multiply-by-computed-1), a zero or diverged wait stays as is
+/// (saturation dominates variability; 0·inf must not make NaN), and
+/// everything else scales by allen_cunneen_scale(ca2, cs2).
+/// ChannelSolver::bundle_wait routes through this.
 double scaled_wait_gg(double poisson_wait, double ca2, double cs2);
-
-/// Wormhole blocking-probability correction, Eq. 10:
-///     P(i|j) = 1 - m * (lambda_in / lambda_out_total) * R_ij
-/// the probability that the messages "in service" at outgoing channel j in
-/// the M/G/m model emanate from inputs other than i (a link already occupied
-/// by a worm cannot present another arrival).  Clamped into [0, 1]: the
-/// formula is itself an approximation and can go negative at extreme rate
-/// ratios.
-///
-///  * `servers`            m, the number of physical links in bundle j
-///  * `lambda_in`          total message rate on incoming physical link i
-///  * `lambda_out_total`   total message rate into bundle j (all m links)
-///  * `route_prob`         R(i|j), probability a message from i heads to j
-double blocking_probability(int servers, double lambda_in, double lambda_out_total,
-                            double route_prob);
 
 /// Mean waiting time of an m-server wormhole channel evaluated with the
 /// kernels above: dispatches to Eq. 6 (m=1), Eq. 8 (m=2) or the generalized
 /// M/G/m (m>2).  `lambda_total` is the whole bundle's rate.
 double wormhole_wait(int servers, double lambda_total, double xbar, double worm_flits);
-
-/// Bursty-arrivals form: the paper's wormhole wait scaled by the
-/// Allen–Cunneen factor for an arrival stream of SCV `ca2` (the QNA-style
-/// extension the arrivals subsystem threads through the model).  Returns
-/// wormhole_wait unchanged — bit for bit — when ca2 == 1.
-double wormhole_wait_gg(int servers, double lambda_total, double xbar,
-                        double worm_flits, double ca2);
 
 }  // namespace wormnet::queueing

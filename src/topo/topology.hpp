@@ -277,10 +277,8 @@ class Topology {
     uniform_buffer_depth_ = flits;
   }
 
-  /// The uniform attribute values (what the default virtuals return).
+  /// The uniform bandwidth (what the default bandwidth() returns).
   double uniform_bandwidth() const { return uniform_bandwidth_; }
-  double uniform_link_latency() const { return uniform_link_latency_; }
-  int uniform_buffer_depth() const { return uniform_buffer_depth_; }
 
   // -- Symmetry hooks (the channel-class collapse, core::build_traffic_model
   //    collapsed mode) ------------------------------------------------------

@@ -232,30 +232,42 @@ TEST(AllenCunneen, ScaleAndReductions) {
   using namespace queueing;
   EXPECT_DOUBLE_EQ(allen_cunneen_scale(1.0, 0.37), 1.0);
   EXPECT_DOUBLE_EQ(allen_cunneen_scale(3.0, 1.0), 2.0);
-  // G/G/1 at C_a² = 1 is Pollaczek–Khinchine.
-  EXPECT_DOUBLE_EQ(gg1_wait(0.02, 10.0, 1.0, 0.5), mg1_wait(0.02, 10.0, 0.5));
-  // G/G/m at C_a² = 1 is the M/G/m kernel.
-  EXPECT_DOUBLE_EQ(ggm_wait(3, 0.1, 10.0, 1.0, 0.5), mgm_wait(3, 0.1, 10.0, 0.5));
-  // M/D/1 (C_a² = 1, C_s² = 0) is half the M/M/1-variance wait.
-  EXPECT_DOUBLE_EQ(gg1_wait(0.02, 10.0, 1.0, 0.0),
-                   0.5 * gg1_wait(0.02, 10.0, 1.0, 1.0));
+  // G/G/1 and G/G/m are scaled_wait_gg over the M/G/1 and M/G/m kernels;
+  // at C_a² = 1 they are those kernels, bit for bit.
+  EXPECT_EQ(scaled_wait_gg(mg1_wait(0.02, 10.0, 0.5), 1.0, 0.5),
+            mg1_wait(0.02, 10.0, 0.5));
+  EXPECT_EQ(scaled_wait_gg(mgm_wait(3, 0.1, 10.0, 0.5), 1.0, 0.5),
+            mgm_wait(3, 0.1, 10.0, 0.5));
+  // G/G/1 is Kingman's W = ρ x̄ (C_a² + C_s²) / (2 (1 − ρ)).
+  const double rho = 0.02 * 10.0;
+  EXPECT_DOUBLE_EQ(scaled_wait_gg(mg1_wait(0.02, 10.0, 0.5), 3.0, 0.5),
+                   rho * 10.0 * (3.0 + 0.5) / (2.0 * (1.0 - rho)));
+  // G/G/m is (C_a² + C_s²)/2 · W_{M/M/m}.
+  EXPECT_DOUBLE_EQ(scaled_wait_gg(mgm_wait(3, 0.1, 10.0, 0.5), 3.0, 0.5),
+                   0.5 * (3.0 + 0.5) * mmm_wait(3, 0.1, 10.0));
+  // D/D/1 (C_a² = C_s² = 0) never waits.
+  EXPECT_EQ(scaled_wait_gg(mg1_wait(0.02, 10.0, 0.0), 0.0, 0.0), 0.0);
   // Saturation still diverges.
-  EXPECT_TRUE(std::isinf(gg1_wait(0.2, 10.0, 4.0, 1.0)));
+  EXPECT_TRUE(std::isinf(scaled_wait_gg(mg1_wait(0.2, 10.0, 1.0), 4.0, 1.0)));
 }
 
-TEST(AllenCunneen, WormholeWaitGgBitIdenticalAtPoissonAndScalesAbove) {
+TEST(AllenCunneen, BundleWaitBitIdenticalAtPoissonAndScalesAbove) {
   using namespace queueing;
+  const ChannelSolver solver(16.0);
   for (int m : {1, 2, 4}) {
-    const double lam = 0.01 * m, xbar = 20.0, sf = 16.0;
-    const double base = wormhole_wait(m, lam, xbar, sf);
-    EXPECT_EQ(wormhole_wait_gg(m, lam, xbar, sf, 1.0), base) << "m=" << m;
+    const double lam = 0.01, xbar = 20.0, sf = 16.0;  // per-link rate
+    const double base = wormhole_wait(m, lam * m, xbar, sf);
+    EXPECT_EQ(solver.bundle_wait({.servers = m}, lam, xbar), base) << "m=" << m;
+    EXPECT_EQ(solver.bundle_wait({.servers = m, .ca2 = 1.0}, lam, xbar), base)
+        << "m=" << m;
     const double cb2 = wormhole_cb2(xbar, sf);
-    EXPECT_DOUBLE_EQ(wormhole_wait_gg(m, lam, xbar, sf, 5.0),
+    EXPECT_DOUBLE_EQ(solver.bundle_wait({.servers = m, .ca2 = 5.0}, lam, xbar),
                      base * (5.0 + cb2) / (1.0 + cb2))
         << "m=" << m;
     // Smoother-than-Poisson arrivals shrink the wait, never below zero.
-    EXPECT_LT(wormhole_wait_gg(m, lam, xbar, sf, 0.0), base) << "m=" << m;
-    EXPECT_GE(wormhole_wait_gg(m, lam, xbar, sf, 0.0), 0.0) << "m=" << m;
+    const double smooth = solver.bundle_wait({.servers = m, .ca2 = 0.0}, lam, xbar);
+    EXPECT_LT(smooth, base) << "m=" << m;
+    EXPECT_GE(smooth, 0.0) << "m=" << m;
   }
 }
 

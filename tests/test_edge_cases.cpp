@@ -30,7 +30,6 @@ TEST(ContractDeath, QueueingRejectsNegativeRates) {
   EXPECT_DEATH(queueing::mg1_wait(-0.1, 10.0, 0.5), "precondition");
   EXPECT_DEATH(queueing::mgm_wait(0, 0.1, 10.0, 0.5), "precondition");
   EXPECT_DEATH(queueing::wormhole_cb2(10.0, 0.0), "precondition");
-  EXPECT_DEATH(queueing::blocking_probability(1, 0.1, 0.1, 1.5), "precondition");
 }
 
 TEST(ContractDeath, FatTreeModelRejectsBadOptions) {
@@ -82,6 +81,27 @@ TEST(ContractDeath, ChannelGraphRejectsBadTransitions) {
   EXPECT_DEATH(g.add_transition(id, 7, 1.0), "precondition");
   EXPECT_DEATH(g.add_transition(id, id, 1.5), "precondition");
   EXPECT_DEATH(g.at(3), "precondition");
+}
+
+TEST(ContractDeath, ChannelGraphRejectsTransitionsOutOfClassOrder) {
+  // The transitions are one flat array filled class by class: once class 1
+  // has continuations, class 0 can get no more.
+  core::ChannelGraph g;
+  core::ChannelClass c;
+  const int a = g.add_channel(c);
+  const int b = g.add_channel(c);
+  const int e = g.add_channel(c);
+  g.add_transition(a, e, 0.5);
+  g.add_transition(b, e, 1.0);
+  EXPECT_DEATH(g.add_transition(a, b, 0.5), "precondition");
+}
+
+TEST(ContractDeath, ChannelGraphRejectsRouteProbAboveOne) {
+  core::ChannelGraph g;
+  core::ChannelClass c;
+  const int a = g.add_channel(c);
+  const int e = g.add_channel(c);
+  EXPECT_DEATH(g.add_transition(a, e, 1.0, 1.5), "precondition");
 }
 
 TEST(ContractDeath, NetworkModelUnknownLabel) {

@@ -974,7 +974,7 @@ std::vector<std::uint64_t> resident_bits(
     put(c.rate_per_link);
     put(c.self_frac);
     put(c.ca2);
-    for (const core::Transition& t : c.next) {
+    for (const core::Transition& t : net.graph.transitions(id)) {
       bits.push_back(static_cast<std::uint64_t>(t.target));
       put(t.weight);
       put(t.route_prob);

@@ -169,9 +169,9 @@ TEST(FullGraph, HypercubeCollapsedMatchesECubeClosedForms) {
     for (int from = 0; from < net.graph.size(); ++from) {
       int edges = 0;
       for (double w : expected[static_cast<std::size_t>(from)]) edges += w > 0.0;
-      ASSERT_EQ(static_cast<int>(net.graph.at(from).next.size()), edges)
+      ASSERT_EQ(static_cast<int>(net.graph.transitions(from).size()), edges)
           << "n=" << n << " class " << from;
-      for (const Transition& t : net.graph.at(from).next) {
+      for (const Transition& t : net.graph.transitions(from)) {
         const double want = expected[static_cast<std::size_t>(from)]
                                     [static_cast<std::size_t>(t.target)];
         EXPECT_TRUE(rel_near(t.weight, want))

@@ -189,8 +189,8 @@ TEST(GraphProperties, HypercubeTransitionsMatchMonteCarloRouting) {
   }
   for (int d1 = 0; d1 < dims; ++d1) {
     const auto visits = static_cast<double>(dim_visits[static_cast<std::size_t>(d1)]);
-    const ChannelClass& cls = net.graph.at(dim_class[static_cast<std::size_t>(d1)]);
-    for (const Transition& t : cls.next) {
+    for (const Transition& t :
+         net.graph.transitions(dim_class[static_cast<std::size_t>(d1)])) {
       double measured;
       if (net.graph.at(t.target).terminal) {
         measured = static_cast<double>(

@@ -6,6 +6,9 @@
 //    has reached its concurrency high-water mark (the reused scratch
 //    buffers, ring queues and pooled worm paths are load-bearing, not
 //    decorative);
+//  * flat model copies — copying a GeneralModel costs a handful of heap
+//    allocations whatever its class count, because the channel graph keeps
+//    its transitions in one flat array;
 //  * SimEngine determinism — a campaign's results are bitwise-identical
 //    parallel vs serial, the same contract SweepEngine carries.
 //
@@ -19,6 +22,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/traffic_model.hpp"
 #include "harness/sim_engine.hpp"
 #include "sim/simulator.hpp"
 #include "topo/butterfly_fattree.hpp"
@@ -92,6 +96,23 @@ TEST(AllocationGuard, SteadyStateCycleLoopAllocatesNothing) {
   EXPECT_EQ(seg.latency.mean(), full.latency.mean());
   EXPECT_EQ(seg.delivered_flits, full.delivered_flits);
   EXPECT_EQ(seg.throughput_flits_per_pe, full.throughput_flits_per_pe);
+}
+
+TEST(AllocationGuard, ModelCopyIsFlat) {
+  // A tune-only what-if variant starts as a copy of the resident model.  A
+  // dense uniform BFT(4) has 960 channel classes; its copy must not make an
+  // allocation per class (their labels fit the small-string buffer), only
+  // one per array the model holds.
+  const topo::ButterflyFatTree ft(4);
+  const core::GeneralModel m =
+      core::build_traffic_model(ft, traffic::TrafficSpec::uniform());
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const core::GeneralModel copy(m);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(copy.graph.size(), m.graph.size());
+  EXPECT_LE(after - before, 8u)
+      << (after - before) << " heap allocations to copy "
+      << m.graph.size() << " channel classes";
 }
 
 void expect_bitwise_equal(const sim::SimResult& a, const sim::SimResult& b) {

@@ -53,7 +53,8 @@ void expect_parity(const core::GeneralModel& got, const core::GeneralModel& want
     EXPECT_NEAR(a.self_frac, b.self_frac, kStateTol) << tag << " ch " << id;
     EXPECT_NEAR(a.ca2, b.ca2, kStateTol) << tag << " ch " << id;
     EXPECT_EQ(a.lanes, b.lanes) << tag << " ch " << id;
-    ASSERT_EQ(a.next.size(), b.next.size()) << tag << " ch " << id;
+    ASSERT_EQ(got.graph.transitions(id).size(), want.graph.transitions(id).size())
+        << tag << " ch " << id;
   }
   EXPECT_NEAR(got.mean_distance, want.mean_distance, kStateTol) << tag;
   const auto ea = got.evaluate(lambda0);

@@ -7,6 +7,7 @@
 //    the M/M/2 Erlang-C closed form W = a²x̄ / ((2+a)(2-a)) applies.
 //  * The generalized M/G/m kernel must coincide with M/G/1 at m=1 and with
 //    Hokstad at m=2.
+#include "queueing/channel_solver.hpp"
 #include "queueing/queueing.hpp"
 
 #include <gtest/gtest.h>
@@ -166,29 +167,38 @@ TEST(Mgm, MoreServersLessWaitAtFixedTotalRate) {
   EXPECT_GT(mgm_wait(3, lambda, xbar, cb2), mgm_wait(4, lambda, xbar, cb2));
 }
 
+// Eq. 10, P(i|j) = 1 - m (λ_in / λ_out,total) R(i|j), is
+// ChannelSolver::blocking_factor at per-link rates, where the m cancels.
+
 TEST(BlockingProbability, ExactSingleInputCase) {
   // One input feeding one output exclusively: a worm never waits for itself.
-  EXPECT_DOUBLE_EQ(blocking_probability(1, 0.1, 0.1, 1.0), 0.0);
+  const ChannelSolver solver(16.0);
+  EXPECT_DOUBLE_EQ(solver.blocking_factor({}, 0.1, 0.1, 1.0), 0.0);
 }
 
 TEST(BlockingProbability, PaperDownChannelForm) {
   // Eq. 18's factor: 1 - (1/4) lambda_in/lambda_out with m = 1.
-  const double p = blocking_probability(1, 0.08, 0.04, 0.25);
+  const ChannelSolver solver(16.0);
+  const double p = solver.blocking_factor({}, 0.08, 0.04, 0.25);
   EXPECT_NEAR(p, 1.0 - 0.25 * 2.0, 1e-12);
 }
 
 TEST(BlockingProbability, MultiServerUsesTotalRate) {
-  // m = 2, lambda_out_total = 2*per-link: P = 1 - (lambda_in/per-link)*R.
-  const double p = blocking_probability(2, 0.03, 0.12, 0.5);
+  // m = 2, lambda_out_total = 0.12, so 0.06 per link: the per-link form
+  // 1 - (lambda_in/per-link)*R equals Eq. 10's 1 - m (lambda_in/total)*R.
+  const ChannelSolver solver(16.0);
+  const double p = solver.blocking_factor({.servers = 2}, 0.03, 0.06, 0.5);
   EXPECT_NEAR(p, 1.0 - 2.0 * (0.03 / 0.12) * 0.5, 1e-12);
 }
 
 TEST(BlockingProbability, ClampsToZero) {
-  EXPECT_DOUBLE_EQ(blocking_probability(2, 1.0, 0.5, 1.0), 0.0);
+  const ChannelSolver solver(16.0);
+  EXPECT_DOUBLE_EQ(solver.blocking_factor({.servers = 2}, 1.0, 0.25, 1.0), 0.0);
 }
 
 TEST(BlockingProbability, VacuousWhenOutputIdle) {
-  EXPECT_DOUBLE_EQ(blocking_probability(1, 0.1, 0.0, 0.5), 1.0);
+  const ChannelSolver solver(16.0);
+  EXPECT_DOUBLE_EQ(solver.blocking_factor({}, 0.1, 0.0, 0.5), 1.0);
 }
 
 TEST(WormholeWait, DispatchesOnServerCount) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "queueing/channel_solver.hpp"
 #include "queueing/queueing.hpp"
 
 namespace wormnet::queueing {
@@ -137,26 +138,30 @@ TEST(KernelLimits, WaitDivergesApproachingSaturation) {
 TEST(BlockingProperties, MonotoneInRateRatioAndRouteProb) {
   // More of the output's traffic coming from this input => less waiting for
   // others (smaller P).
+  // Eq. 10 is ChannelSolver::blocking_factor at per-link rates.
+  const ChannelSolver solver(16.0);
   double prev = 2.0;
   for (double ratio = 0.1; ratio <= 1.0; ratio += 0.1) {
-    const double p = blocking_probability(1, ratio, 1.0, 0.8);
+    const double p = solver.blocking_factor({}, ratio, 1.0, 0.8);
     EXPECT_LT(p, prev);
     prev = p;
   }
   prev = 2.0;
   for (double r = 0.1; r <= 1.0; r += 0.1) {
-    const double p = blocking_probability(1, 0.7, 1.0, r);
+    const double p = solver.blocking_factor({}, 0.7, 1.0, r);
     EXPECT_LT(p, prev);
     prev = p;
   }
 }
 
 TEST(BlockingProperties, BoundedInUnitInterval) {
+  const ChannelSolver solver(16.0);
   for (int m : {1, 2, 3, 4}) {
     for (double lin : {0.0, 0.3, 1.0, 3.0}) {
       for (double lout : {0.1, 1.0, 5.0}) {
         for (double r : {0.0, 0.25, 1.0}) {
-          const double p = blocking_probability(m, lin, lout, r);
+          // lout is the bundle's total rate; the kernel takes it per link.
+          const double p = solver.blocking_factor({.servers = m}, lin, lout / m, r);
           EXPECT_GE(p, 0.0);
           EXPECT_LE(p, 1.0);
         }

@@ -83,8 +83,8 @@ void expect_same_model(const GeneralModel& q, const GeneralModel& n, int procs,
     EXPECT_EQ(a.bandwidth, b.bandwidth) << ctag;
     expect_rel(a.rate_per_link, b.rate_per_link, rel, ctag + " rate");
     expect_rel(a.self_frac, b.self_frac, rel, ctag + " self_frac");
-    const std::vector<Transition>& ta = a.next;
-    const std::vector<Transition>& tb = b.next;
+    const std::span<const Transition> ta = q.graph.transitions(c);
+    const std::span<const Transition> tb = n.graph.transitions(c);
     ASSERT_EQ(ta.size(), tb.size()) << ctag;
     for (std::size_t i = 0; i < ta.size(); ++i) {
       EXPECT_EQ(ta[i].target, tb[i].target) << ctag;

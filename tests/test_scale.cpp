@@ -309,11 +309,13 @@ TEST(CollapseStrategy, SparseSeedingIsBitwiseDense) {
       const ChannelClass& b = dense.graph.at(ch);
       EXPECT_EQ(a.rate_per_link, b.rate_per_link) << tag << " ch " << ch;
       EXPECT_EQ(a.self_frac, b.self_frac) << tag << " ch " << ch;
-      ASSERT_EQ(a.next.size(), b.next.size()) << tag << " ch " << ch;
-      for (std::size_t t = 0; t < a.next.size(); ++t) {
-        EXPECT_EQ(a.next[t].target, b.next[t].target) << tag;
-        EXPECT_EQ(a.next[t].weight, b.next[t].weight) << tag;
-        EXPECT_EQ(a.next[t].route_prob, b.next[t].route_prob) << tag;
+      const auto ta = sparse.graph.transitions(ch);
+      const auto tb = dense.graph.transitions(ch);
+      ASSERT_EQ(ta.size(), tb.size()) << tag << " ch " << ch;
+      for (std::size_t t = 0; t < ta.size(); ++t) {
+        EXPECT_EQ(ta[t].target, tb[t].target) << tag;
+        EXPECT_EQ(ta[t].weight, tb[t].weight) << tag;
+        EXPECT_EQ(ta[t].route_prob, tb[t].route_prob) << tag;
       }
     }
   }

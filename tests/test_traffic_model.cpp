@@ -115,7 +115,7 @@ std::vector<std::uint64_t> model_bits(const GeneralModel& m) {
     for (const double x : {k.bandwidth, k.link_latency, k.ca2, k.rate_per_link,
                            k.self_frac})
       put(x);
-    for (const Transition& t : k.next) {
+    for (const Transition& t : m.graph.transitions(c)) {
       put_int(t.target);
       put(t.weight);
       put(t.route_prob);
@@ -176,11 +176,13 @@ TEST(TrafficModel, ParallelBuildBitwiseIdenticalToSerialEverywhere) {
         const ChannelClass& ca = a.graph.at(ch);
         const ChannelClass& cb = b.graph.at(ch);
         EXPECT_EQ(ca.rate_per_link, cb.rate_per_link) << tag << " ch " << ch;
-        ASSERT_EQ(ca.next.size(), cb.next.size()) << tag << " ch " << ch;
-        for (std::size_t t = 0; t < ca.next.size(); ++t) {
-          EXPECT_EQ(ca.next[t].target, cb.next[t].target) << tag;
-          EXPECT_EQ(ca.next[t].weight, cb.next[t].weight) << tag;
-          EXPECT_EQ(ca.next[t].route_prob, cb.next[t].route_prob) << tag;
+        const auto ta = a.graph.transitions(ch);
+        const auto tb = b.graph.transitions(ch);
+        ASSERT_EQ(ta.size(), tb.size()) << tag << " ch " << ch;
+        for (std::size_t t = 0; t < ta.size(); ++t) {
+          EXPECT_EQ(ta[t].target, tb[t].target) << tag;
+          EXPECT_EQ(ta[t].weight, tb[t].weight) << tag;
+          EXPECT_EQ(ta[t].route_prob, tb[t].route_prob) << tag;
         }
       }
       EXPECT_EQ(a.mean_distance, b.mean_distance) << tag;
