@@ -394,6 +394,49 @@ void BM_QueryEngineRetunePattern(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryEngineRetunePattern)->Unit(benchmark::kMillisecond);
 
+void BM_QueryEngineRetunePermutation(benchmark::State& state) {
+  // The permutation delta whatif_retune asks, on dense BFT(levels): the
+  // resident alternates between a seeded derangement and the same one after
+  // two swaps, which move 8 (source, destination) pairs in 4 columns.  A
+  // column-delta retune costs those columns' passes plus the O(channels)
+  // assembly; a diff of all N² pairs would grow 16x per level.  CI's
+  // perf-smoke compares the /5 row with the /4 row.
+  topo::ButterflyFatTree ft(static_cast<int>(state.range(0)));
+  const int n = ft.num_processors();
+  util::Rng rng(0x7065726dULL);
+  std::vector<int> dest(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) dest[static_cast<std::size_t>(i)] = i;
+  for (int i = n - 1; i > 0; --i)  // Sattolo: one cycle, no fixed point
+    std::swap(dest[static_cast<std::size_t>(i)],
+              dest[rng.uniform_int(static_cast<std::uint64_t>(i))]);
+  const traffic::TrafficSpec base = traffic::TrafficSpec::permutation(dest);
+  for (int done = 0; done < 2;) {
+    const auto a = rng.uniform_int(static_cast<std::uint64_t>(n));
+    const auto b = rng.uniform_int(static_cast<std::uint64_t>(n));
+    if (a == b || dest[b] == static_cast<int>(a) || dest[a] == static_cast<int>(b))
+      continue;
+    std::swap(dest[a], dest[b]);
+    ++done;
+  }
+  const traffic::TrafficSpec targets[2] = {
+      traffic::TrafficSpec::permutation(dest), base};
+  core::RetunableTrafficModel rm(ft, base);
+  std::size_t i = 0;
+  long passes = 0;
+  for (auto _ : state) {
+    const auto report = rm.retune_traffic(targets[i ^= 1]);
+    passes += report.passes;
+    benchmark::DoNotOptimize(rm.model().mean_distance);
+  }
+  state.counters["passes/op"] = benchmark::Counter(
+      static_cast<double>(passes), benchmark::Counter::kAvgIterations);
+  state.SetLabel("N=" + std::to_string(n) + " 2-swap delta");
+}
+BENCHMARK(BM_QueryEngineRetunePermutation)
+    ->Arg(4)
+    ->Arg(5)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_QueryEngineRetunePatternCollapsed(benchmark::State& state) {
   // The same moving hotspot against a COLLAPSED resident: the new spec
   // keeps the fat-tree symmetry, so each retune is one pass per destination

@@ -1300,6 +1300,213 @@ TEST(FaultRetune, ColumnPassDigestsArePinned) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Pattern-delta answers: retune_traffic steps the digests above miss.
+// ---------------------------------------------------------------------------
+
+struct PinnedPatternStep {
+  const char* tag;
+  std::uint64_t digest;
+  double saturation_rate;
+  double latency;  ///< at 0.5 x saturation_rate
+};
+
+// content_digest(), saturation rate and latency at half of it after each
+// pattern delta below: a custom-matrix chain with non-dyadic weights and
+// silent rows, pattern deltas on a resident whose cut switch leaves
+// unroutable demand, and steps between a permutation (sparse columns) and
+// a matrix (scanned columns).
+// clang-format off
+const PinnedPatternStep kPatternSteps[] = {
+    {"butterfly-fat-tree(n=3, N=64) matrix step 0",
+     0x97a5993fd17cff87ull, 0x1.409346be2dda2p-7, 0x1.8d417dee4cd1p+4},
+    {"butterfly-fat-tree(n=3, N=64) matrix step 1",
+     0x314301eb9df17bdcull, 0x1.445da391a3f26p-7, 0x1.8cedda3375be9p+4},
+    {"butterfly-fat-tree(n=3, N=64) matrix step 2",
+     0xe9300621eb2eec33ull, 0x1.44cd322a7f082p-7, 0x1.8ce2cd211e581p+4},
+    {"butterfly-fat-tree(n=3, N=64) matrix step 3",
+     0xd1f5c609cb057c91ull, 0x1.46f63411c14d4p-7, 0x1.8d3fd72fa3e3cp+4},
+    {"butterfly-fat-tree(n=3, N=64) matrix step 4",
+     0x2fafde7fa530cebdull, 0x1.4be2108cffe96p-7, 0x1.8ea0c9899c97ep+4},
+    {"butterfly-fat-tree(n=3, N=64) matrix step 5",
+     0x94443ce14cdc32d0ull, 0x1.4cb621d21922cp-7, 0x1.8ed3d5b666f89p+4},
+    {"mesh(k=4, d=4, N=256) cut hotspot(f=0.20,node=3)",
+     0xa1eb2e1b1d8b7388ull, 0x1.cd86abb462f7ep-11, 0x1.747ec93be8e7cp+4},
+    {"mesh(k=4, d=4, N=256) cut hotspot(f=0.20,node=37)",
+     0x816188c32317276eull, 0x1.265bf56f5cbcap-6, 0x1.9816773f3705ap+4},
+    {"mesh(k=4, d=4, N=256) cut hotspot(f=0.20,node=200)",
+     0x4f8fbc9d131d4b72ull, 0x1.ce55c808b34f4p-11, 0x1.72de947bd1b89p+4},
+    {"mesh(k=4, d=4, N=256) cut permutation (rebuilt)",
+     0x240eba1c90d4a90aull, 0x1.0a89989293b32p-7, 0x1.7dcae158c8c8ap+4},
+    {"mesh(k=4, d=4, N=256) cut permutation step 0",
+     0x58f5ead6bcafd30cull, 0x1.0a8998b936dd4p-7, 0x1.7d9568436f5efp+4},
+    {"mesh(k=4, d=4, N=256) cut permutation step 1",
+     0x6d9b403284080a19ull, 0x1.0a8998539644cp-7, 0x1.7de521fed8da8p+4},
+    {"mesh(k=4, d=4, N=256) cut permutation step 2",
+     0x0e3a67cebec4df10ull, 0x1.0a8998d52c24ep-7, 0x1.7d8106bed1c4ap+4},
+    {"butterfly-fat-tree(n=3, N=64) permutation -> matrix",
+     0xf4cfa7ae022d18d2ull, 0x1.37d52ba041e9ep-7, 0x1.84f32eef26438p+4},
+    {"butterfly-fat-tree(n=3, N=64) matrix -> permutation",
+     0x1e862298b2f0886full, 0x1.40a6b8981278cp-7, 0x1.86083689ec16ep+4},
+};
+// clang-format on
+
+/// A row-stochastic matrix over n processors with non-dyadic weights drawn
+/// from `rng`; rows listed in `silent` stay all-zero.
+traffic::TrafficMatrix random_matrix(int n, std::mt19937_64& rng,
+                                     const std::vector<int>& silent = {}) {
+  traffic::TrafficMatrix m(n);
+  for (int s = 0; s < n; ++s) {
+    if (std::find(silent.begin(), silent.end(), s) != silent.end()) continue;
+    for (int d = 0; d < n; ++d)
+      if (d != s && rng() % 3 == 0) m.set(s, d, 1.0 + static_cast<double>(rng() % 7));
+  }
+  m.normalize_rows();
+  return m;
+}
+
+/// `m` with row `s` redrawn from `rng` (all-zero when `silent`).
+traffic::TrafficMatrix redraw_row(traffic::TrafficMatrix m, int s,
+                                  std::mt19937_64& rng, bool silent) {
+  const int n = m.size();
+  double sum = 0.0;
+  std::vector<double> row(static_cast<std::size_t>(n), 0.0);
+  if (!silent) {
+    for (int d = 0; d < n; ++d) {
+      if (d == s || rng() % 4 != 0) continue;
+      row[static_cast<std::size_t>(d)] = 1.0 + static_cast<double>(rng() % 5);
+      sum += row[static_cast<std::size_t>(d)];
+    }
+    if (sum == 0.0) {
+      row[static_cast<std::size_t>((s + 1) % n)] = 1.0;
+      sum = 1.0;
+    }
+  }
+  for (int d = 0; d < n; ++d)
+    if (d != s) m.set(s, d, silent ? 0.0 : row[static_cast<std::size_t>(d)] / sum);
+  return m;
+}
+
+TEST(PatternRetune, DeltaAnswersArePinned) {
+  const topo::ButterflyFatTree ft(3);
+  const topo::Mesh mesh(4, 4);
+  core::SolveOptions opts;
+  opts.worm_flits = 16.0;
+  opts.max_iterations = 100;  // detoured mesh graphs are cyclic
+  std::vector<PinnedPatternStep> got;
+  std::vector<std::string> tags;
+  const auto record = [&](const std::string& tag,
+                          const core::RetunableTrafficModel& rm,
+                          const core::RetuneReport& rep) {
+    const core::GeneralModel& m = rm.model();
+    const double sat = core::model_saturation_rate(m, opts);
+    got.push_back({nullptr, m.content_digest(), sat,
+                   core::model_latency(m, 0.5 * sat, opts).latency});
+    tags.push_back(tag + (rep.rebuilt ? " (rebuilt)" : ""));
+  };
+  std::mt19937_64 rng(9091);
+
+  // A custom-matrix chain on dense BFT(3): each step redraws one to three
+  // rows, one of them silenced or revived now and then.
+  const int n = ft.num_processors();
+  traffic::TrafficMatrix m = random_matrix(n, rng, {5});
+  core::RetunableTrafficModel chain(ft, traffic::TrafficSpec::matrix(m), opts);
+  for (int step = 0; step < 6; ++step) {
+    const int rows = 1 + static_cast<int>(rng() % 3);
+    for (int k = 0; k < rows; ++k) {
+      const int s = static_cast<int>(rng() % n);
+      m = redraw_row(std::move(m), s, rng, step % 3 == 1 && k == 0);
+    }
+    if (step == 4) m = redraw_row(std::move(m), 5, rng, false);
+    const core::RetuneReport rep =
+        chain.retune_traffic(traffic::TrafficSpec::matrix(m));
+    EXPECT_FALSE(rep.rebuilt) << "matrix step " << step;
+    record(ft.name() + " matrix step " + std::to_string(step), chain, rep);
+  }
+
+  // Pattern deltas on a resident with a cut switch: the cut processor's
+  // demand is unroutable, and deltas that move it change only that share.
+  const int cut_pe = 37;
+  const traffic::TrafficSpec hot = traffic::TrafficSpec::hotspot(0.2, 3);
+  core::RetunableTrafficModel cut(mesh, hot, opts);
+  cut.retune_faults(cut_switch(mesh, mesh.neighbor(cut_pe, 0)));
+  EXPECT_GT(cut.model().unroutable_fraction, 0.0);
+  record(mesh.name() + " cut " + hot.name(), cut, {});
+  const traffic::TrafficSpec mesh_steps[] = {
+      traffic::TrafficSpec::hotspot(0.2, cut_pe),
+      traffic::TrafficSpec::hotspot(0.2, 200),
+  };
+  for (const traffic::TrafficSpec& spec : mesh_steps) {
+    const core::RetuneReport rep = cut.retune_traffic(spec);
+    EXPECT_FALSE(rep.rebuilt) << spec.name();
+    record(mesh.name() + " cut " + spec.name(), cut, rep);
+  }
+  const int mn = mesh.num_processors();
+  std::vector<int> dest = random_derangement(mn, rng);
+  record(mesh.name() + " cut permutation",
+         cut, cut.retune_traffic(traffic::TrafficSpec::permutation(dest)));
+  for (int step = 0; step < 3; ++step) {
+    // Swap the cut processor's destination with another source's.
+    const int b = (cut_pe + 1 + static_cast<int>(rng() % (mn - 1))) % mn;
+    const auto ua = static_cast<std::size_t>(cut_pe);
+    const auto ub = static_cast<std::size_t>(b);
+    if (dest[ua] == b || dest[ub] == cut_pe) continue;
+    std::swap(dest[ua], dest[ub]);
+    const core::RetuneReport rep =
+        cut.retune_traffic(traffic::TrafficSpec::permutation(dest));
+    EXPECT_FALSE(rep.rebuilt) << "cut permutation step " << step;
+    record(mesh.name() + " cut permutation step " + std::to_string(step), cut,
+           rep);
+  }
+
+  // Permutation <-> matrix on dense BFT(3): the matrix is the permutation
+  // with two rows redrawn, so one side's columns are sparse and the other's
+  // are scanned.
+  const std::vector<int> perm = random_derangement(n, rng);
+  core::RetunableTrafficModel mixed(ft, traffic::TrafficSpec::permutation(perm),
+                                    opts);
+  traffic::TrafficMatrix pm = traffic::TrafficSpec::permutation(perm).materialize(n);
+  pm = redraw_row(std::move(pm), 11, rng, false);
+  pm = redraw_row(std::move(pm), 40, rng, false);
+  core::RetuneReport rep = mixed.retune_traffic(traffic::TrafficSpec::matrix(pm));
+  EXPECT_FALSE(rep.rebuilt);
+  record(ft.name() + " permutation -> matrix", mixed, rep);
+  std::vector<int> back = perm;
+  std::swap(back[3], back[17]);
+  if (back[3] == 3 || back[17] == 17) std::swap(back[3], back[17]);
+  rep = mixed.retune_traffic(traffic::TrafficSpec::permutation(back));
+  EXPECT_FALSE(rep.rebuilt);
+  record(ft.name() + " matrix -> permutation", mixed, rep);
+
+  const std::size_t want = std::size(kPatternSteps);
+  bool ok = got.size() == want;
+  EXPECT_EQ(got.size(), want);
+  for (std::size_t i = 0; i < want && i < got.size(); ++i) {
+    const PinnedPatternStep& w = kPatternSteps[i];
+    const bool row_ok =
+        tags[i] == w.tag && got[i].digest == w.digest &&
+        std::bit_cast<std::uint64_t>(got[i].saturation_rate) ==
+            std::bit_cast<std::uint64_t>(w.saturation_rate) &&
+        std::bit_cast<std::uint64_t>(got[i].latency) ==
+            std::bit_cast<std::uint64_t>(w.latency);
+    EXPECT_TRUE(row_ok) << tags[i] << std::hex << ": digest 0x" << got[i].digest
+                        << " vs 0x" << w.digest << std::hexfloat
+                        << ", saturation " << got[i].saturation_rate << " vs "
+                        << w.saturation_rate << ", latency " << got[i].latency
+                        << " vs " << w.latency;
+    ok = ok && row_ok;
+  }
+  if (!ok) {
+    std::printf("const PinnedPatternStep kPatternSteps[] = {\n");
+    for (std::size_t i = 0; i < got.size(); ++i)
+      std::printf("    {\"%s\",\n     0x%016llxull, %a, %a},\n",
+                  tags[i].c_str(),
+                  static_cast<unsigned long long>(got[i].digest),
+                  got[i].saturation_rate, got[i].latency);
+    std::printf("};\n");
+  }
+}
+
 TEST(FaultFuzz, RandomFaultsKeepConservationAndFiniteSolves) {
   const topo::ButterflyFatTree ft = bft2();
   const topo::Hypercube hc(3);
