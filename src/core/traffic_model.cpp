@@ -4,7 +4,9 @@
 #include <array>
 #include <cmath>
 #include <iterator>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -218,19 +220,12 @@ double pair_self(double w, double injection_weight) {
   return w * frac;
 }
 
-/// The seed of source `s` toward `d` at unit factor: weight w injects w
-/// with self-mass pair_self.  The fault delta seeds its upstream sources
-/// through here too.
-Seed source_seed(const traffic::TrafficSpec& spec, int s, double w,
-                 int procs) {
-  return {s, topo::kNoChannel, w, pair_self(w, spec.injection_weight(s, procs))};
-}
-
 /// The one seed rule, per (s, d) pair standing for `factor` such pairs:
-/// weight w injects factor·w (see source_seed), and its demand is counted
-/// in `sums`.  Demand toward an unreachable destination (faulted fabrics) is
-/// dropped at the source — the model degrades instead of asserting.  Returns
-/// the seed, or nothing when the pair carries no weight or no route.
+/// weight w injects factor·w with factor·pair_self(w, injection_weight)
+/// self-mass, and its demand is counted in `sums`.  Demand toward an
+/// unreachable destination (faulted fabrics) is dropped at the source — the
+/// model degrades instead of asserting.  Returns the seed, or nothing when
+/// the pair carries no weight or no route.
 ///
 /// `factor` is 1 for the dense build, the destination-orbit size for the
 /// node-built collapsed build, and that times the source-orbit size for
@@ -238,9 +233,9 @@ Seed source_seed(const traffic::TrafficSpec& spec, int s, double w,
 /// products.
 std::optional<Seed> seed_pair(const topo::Topology& view,
                               const traffic::TrafficSpec& spec, int s, int d,
-                              double factor, ColumnSums& sums) {
-  const int procs = view.num_processors();
-  const double w = spec.pair_weight(s, d, procs);
+                              double injection_weight, double factor,
+                              ColumnSums& sums) {
+  const double w = spec.pair_weight(s, d, view.num_processors());
   if (w <= 0.0) return std::nullopt;
   sums.total_weight += factor * w;
   if (!view.reachable(s, d)) {
@@ -248,30 +243,55 @@ std::optional<Seed> seed_pair(const topo::Topology& view,
     return std::nullopt;
   }
   sums.weighted_distance += factor * w * view.distance(s, d);
-  const Seed unit = source_seed(spec, s, w, procs);
-  return Seed{s, topo::kNoChannel, factor * unit.flow, factor * unit.self};
+  return Seed{s, topo::kNoChannel, factor * w,
+              factor * pair_self(w, injection_weight)};
 }
 
+/// The sources each destination column seeds, ascending, and each source's
+/// injection weight (a matrix row sum is O(N): read it once).  A
+/// fixed-destination spec lists each column's own sources, O(N) in all;
+/// any other spec lists every processor (d's own weight is 0).
+struct ColumnSources {
+  std::vector<int> source;  ///< grouped by destination unless scanning
+  std::vector<int> start;   ///< per destination, into source; empty: scan
+  std::vector<double> injection;  ///< per source
+
+  ColumnSources(const traffic::TrafficSpec& spec, int procs)
+      : source(static_cast<std::size_t>(procs)), injection(source.size()) {
+    std::iota(source.begin(), source.end(), 0);
+    for (int s = 0; s < procs; ++s)
+      injection[static_cast<std::size_t>(s)] = spec.injection_weight(s, procs);
+    if (spec.fixed_destination(0, procs) < 0) return;
+    // Counting sort: counted at d + 2, d's first slot ends up at d + 1.
+    start.assign(static_cast<std::size_t>(procs) + 2, 0);
+    const auto slot = [&](int s, int shift) -> int& {
+      return start[static_cast<std::size_t>(spec.fixed_destination(s, procs) +
+                                            shift)];
+    };
+    for (int s = 0; s < procs; ++s) ++slot(s, 2);
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (int s = 0; s < procs; ++s)
+      source[static_cast<std::size_t>(slot(s, 1)++)] = s;
+    start.pop_back();
+  }
+
+  bool scans() const { return start.empty(); }
+  std::span<const int> of(int d) const {
+    if (scans()) return source;
+    const auto u = static_cast<std::size_t>(d);
+    return {source.data() + start[u], source.data() + start[u + 1]};
+  }
+};
+
 /// Fill `seeds` with destination d's column under seed_pair.
-/// `dest_sources` (see propagate_dense) yields the same seeds in the same
-/// order as the full scan — which skips w <= 0 anyway — without its O(N)
-/// cost per destination.
 void seed_column(const topo::Topology& view, const traffic::TrafficSpec& spec,
-                 int d, double factor,
-                 const std::vector<std::vector<int>>& dest_sources,
+                 int d, double factor, const ColumnSources& sources,
                  ColumnSums& sums, std::vector<Seed>& seeds) {
-  const int procs = view.num_processors();
   seeds.clear();
-  const auto seed = [&](int s) {
-    if (const auto sd = seed_pair(view, spec, s, d, factor, sums))
+  for (const int s : sources.of(d)) {
+    const double injw = sources.injection[static_cast<std::size_t>(s)];
+    if (const auto sd = seed_pair(view, spec, s, d, injw, factor, sums))
       seeds.push_back(*sd);
-  };
-  if (!dest_sources.empty()) {
-    for (int s : dest_sources[static_cast<std::size_t>(d)]) seed(s);
-  } else {
-    for (int s = 0; s < procs; ++s) {
-      if (s != d) seed(s);
-    }
   }
 }
 
@@ -579,14 +599,14 @@ long node_passes(const topo::Topology& topo, const topo::ChannelTable& ct,
   }
 
   ClassSink sink{{}, sym.channel_class, ct, rev_bundle, cs};
-  const std::vector<std::vector<int>> scan_all;
+  const ColumnSources sources(spec, topo.num_processors());
   DestinationPass pass(topo.num_nodes());
   std::vector<Seed> seeds;
   long walked = 0;
   for (std::size_t o = 0; o < sym.orbit_rep.size(); ++o) {
     const int d = sym.orbit_rep[o];
     seed_column(topo, spec, d, static_cast<double>(sym.orbit_size[o]),
-                scan_all, sums, seeds);
+                sources, sums, seeds);
     walked += propagate_column(topo, ct, d, seeds, pass, sink);
   }
   return walked;
@@ -626,7 +646,9 @@ long orbit_passes(const topo::Topology& topo, const traffic::TrafficSpec& spec,
       const int s = orbits[x].rep;
       if (s == d || !topo.is_processor(s)) continue;
       const double members = dest_size * static_cast<double>(orbits[x].size);
-      const std::optional<Seed> sd = seed_pair(topo, spec, s, d, members, sums);
+      const std::optional<Seed> sd = seed_pair(
+          topo, spec, s, d, spec.injection_weight(s, topo.num_processors()),
+          members, sums);
       if (!sd) continue;
       flow[x] += sd->flow;
       self[x] += sd->self;
@@ -773,16 +795,7 @@ long propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
                      const TrafficBuildOptions& build, DenseFlowState& st) {
   const int procs = topo.num_processors();
   const int num_channels = ct.size();
-  // Sparse seeding: for a fixed-destination spec, each destination's
-  // sources in ascending order (the order the full scan visits them); empty
-  // — scan every source — for any other spec.
-  std::vector<std::vector<int>> dest_sources;
-  if (spec.fixed_destination(0, procs) >= 0) {
-    dest_sources.resize(static_cast<std::size_t>(procs));
-    for (int s = 0; s < procs; ++s)
-      dest_sources[static_cast<std::size_t>(spec.fixed_destination(s, procs))]
-          .push_back(s);
-  }
+  const ColumnSources sources(spec, procs);
 
   // Flat offsets for the per-(channel, continuation port) flows — the
   // continuation port is on the channel's dst node, so one dense slab with
@@ -813,7 +826,7 @@ long propagate_dense(const topo::Topology& topo, const topo::ChannelTable& ct,
     DestinationPass pass(topo.num_nodes());
     std::vector<Seed> seeds;
     for (int d = lo; d < hi; ++d) {
-      seed_column(topo, spec, d, 1.0, dest_sources, acc, seeds);
+      seed_column(topo, spec, d, 1.0, sources, acc, seeds);
       walked[static_cast<std::size_t>(j)] +=
           propagate_column(topo, ct, d, seeds, pass, sink);
     }
@@ -1006,6 +1019,8 @@ void snap_residues(DenseFlowState& st) {
   }
 }
 
+const std::vector<int> kNone;
+
 /// One side of a fault delta: the routing view and, when that side is
 /// degraded, its fault decorator (null: the healthy base, where every node
 /// reaches every destination and no node is a frontier candidate).
@@ -1013,8 +1028,11 @@ struct FaultSide {
   const topo::Topology* routing;
   const topo::FaultedTopology* faulted;
 
+  /// The destinations whose routing differs from the base, ascending.
+  const std::vector<int>& affected() const {
+    return faulted != nullptr ? faulted->affected_destinations() : kNone;
+  }
   const std::vector<int>& candidates(int d) const {
-    static const std::vector<int> kNone;
     return faulted != nullptr ? faulted->frontier_candidates(d) : kNone;
   }
   bool can_reach(int node, int d) const {
@@ -1067,11 +1085,12 @@ struct FrontierScratch {
   }
 };
 
-/// What the fault delta of one destination column changes, found without
-/// touching the shared flow state: the signed demand-accounting terms, in
-/// the order they apply, and the seeds to retract along the old routes and
-/// re-add along the new.
+/// What a delta changes in one destination column, found without touching
+/// the shared flow state: the signed demand-accounting terms, in the order
+/// they apply, and the seeds to retract along the old routes and re-add
+/// along the new (a pattern delta only re-adds).
 struct ColumnDelta {
+  int column = 0;                        ///< the destination
   std::vector<double> distance_terms;    ///< onto weighted_distance
   std::vector<double> unroutable_terms;  ///< onto unroutable_weight
   std::vector<Seed> retract, readd;
@@ -1108,15 +1127,15 @@ bool same_routing(const topo::Topology& a, const topo::Topology& b, int node,
 ///     at C, identical under both views (routing upstream of C is).
 ///  3. Those flows, in walk order — plus the seeds of frontier sources
 ///     whose reachability flipped — become the retract (×−1, run under
-///     `from`) and re-add (×+1, run under `to`) seeds of
-///     apply_column_delta.  Flow that never reaches C contributes the same
-///     under both views and is never walked.
+///     `from`) and re-add (×+1, run under `to`) seeds.  Flow that never
+///     reaches C contributes the same under both views and is never walked.
 /// Walk orders are fixed functions of (views, d).
 void find_column_delta(const FaultSide& from, const FaultSide& to,
                        const topo::ChannelTable& ct,
                        const traffic::TrafficSpec& spec, int d,
                        FrontierScratch& fs, ColumnDelta& out) {
   const int procs = from.routing->num_processors();
+  out.column = d;
   const std::vector<int>& ca = from.candidates(d);
   const std::vector<int>& cb = to.candidates(d);
   fs.candidates.clear();
@@ -1148,16 +1167,13 @@ void find_column_delta(const FaultSide& from, const FaultSide& to,
       fs.walk.push_back(v);
     }
   }
-  if (fs.walk.empty()) {
-    for (const int v : fs.marked) fs.region[static_cast<std::size_t>(v)] = kOutside;
-    return;
-  }
 
-  // Upstream walk.  Processors have no in-flows to walk past (only d
-  // receives, and d never forwards); an unmarked switch is reachable under
-  // both views, so route() is defined there and agrees between them.  The
-  // channel into x over port q is the reverse of x's channel out of q, so
-  // x's outgoing range lists its in-neighbours in port order.
+  // Upstream walk, from no node when no routing changed.  Processors have
+  // no in-flows to walk past (only d receives, and d never forwards); an
+  // unmarked switch is reachable under both views, so route() is defined
+  // there and agrees between them.  The channel into x over port q is the
+  // reverse of x's channel out of q, so x's outgoing range lists its
+  // in-neighbours in port order.
   const std::size_t frontier_size = fs.walk.size();
   fs.sources.clear();
   for (std::size_t head = 0; head < fs.walk.size(); ++head) {
@@ -1179,22 +1195,22 @@ void find_column_delta(const FaultSide& from, const FaultSide& to,
   fs.upstream.clear();
   for (const int s : fs.sources) {
     const double w = spec.pair_weight(s, d, procs);
-    if (w > 0.0) fs.upstream.push_back(source_seed(spec, s, w, procs));
+    if (w > 0.0)
+      fs.upstream.push_back({s, topo::kNoChannel, w,
+                             pair_self(w, spec.injection_weight(s, procs))});
   }
   fs.held.clear();
-  if (!fs.upstream.empty()) {
-    FrontierSink hits{fs.region, fs.held};
-    out.walked =
-        propagate_column(*from.routing, ct, d, fs.upstream, fs.pass, hits);
-    // Seed the frontier by walk rank — nodes in reverse postorder, each
-    // node's flows in arrival order — so the retract and re-add passes
-    // sum in a fixed order.
-    std::stable_sort(fs.held.begin(), fs.held.end(),
-                     [&](const Seed& a, const Seed& b) {
-                       return fs.pass.finish[static_cast<std::size_t>(a.node)] >
-                              fs.pass.finish[static_cast<std::size_t>(b.node)];
-                     });
-  }
+  FrontierSink hits{fs.region, fs.held};
+  out.walked =
+      propagate_column(*from.routing, ct, d, fs.upstream, fs.pass, hits);
+  // Seed the frontier by walk rank — nodes in reverse postorder, each node's
+  // flows in arrival order — so the retract and re-add passes sum in a
+  // fixed order.
+  std::stable_sort(fs.held.begin(), fs.held.end(),
+                   [&](const Seed& a, const Seed& b) {
+                     return fs.pass.finish[static_cast<std::size_t>(a.node)] >
+                            fs.pass.finish[static_cast<std::size_t>(b.node)];
+                   });
 
   for (const Seed& h : fs.held) {
     out.retract.push_back({h.node, h.in_ch, -h.flow, -h.self});
@@ -1205,32 +1221,13 @@ void find_column_delta(const FaultSide& from, const FaultSide& to,
     if (v >= procs) continue;
     const double w = spec.pair_weight(v, d, procs);
     if (w <= 0.0) continue;
-    const Seed sd = source_seed(spec, v, w, procs);
+    const Seed sd{v, topo::kNoChannel, w,
+                  pair_self(w, spec.injection_weight(v, procs))};
     if (from.can_reach(v, d))
       out.retract.push_back({v, topo::kNoChannel, -sd.flow, -sd.self});
     if (to.can_reach(v, d)) out.readd.push_back(sd);
   }
   for (const int v : fs.marked) fs.region[static_cast<std::size_t>(v)] = kOutside;
-}
-
-/// Phase 2 of the fault delta of column `d`: apply `delta` to the shared
-/// flow state — the accounting terms in order, then the retract seeds down
-/// the old routes and the re-add seeds down the new.  Columns apply one at
-/// a time in destination order, so every sum is added in the order of a
-/// serial column loop.  Returns the nodes the two passes walked.
-long apply_column_delta(const FaultSide& from, const FaultSide& to,
-                        const topo::ChannelTable& ct, int d,
-                        const ColumnDelta& delta, DenseFlowState& st,
-                        DestinationPass& pass) {
-  for (const double t : delta.distance_terms) st.flow.weighted_distance += t;
-  for (const double t : delta.unroutable_terms) st.flow.unroutable_weight += t;
-  DenseSink sink(st.flow, st.onward_off);
-  long walked = 0;
-  if (!delta.retract.empty())
-    walked += propagate_column(*from.routing, ct, d, delta.retract, pass, sink);
-  if (!delta.readd.empty())
-    walked += propagate_column(*to.routing, ct, d, delta.readd, pass, sink);
-  return walked;
 }
 
 }  // namespace
@@ -1292,6 +1289,31 @@ struct RetunableTrafficModel::Impl {
     }
     spec = new_spec;
   }
+
+  /// The tail both dense deltas end in: apply the column deltas in order
+  /// (terms, then retract seeds down `from`'s routes, re-add seeds down
+  /// `to`'s), as a serial column loop adds them; snap the residues and
+  /// re-derive the model under `to` and `new_spec`.  Returns nodes walked.
+  long apply_columns(const topo::Topology& from, const topo::Topology& to,
+                     const std::vector<ColumnDelta>& deltas,
+                     const traffic::TrafficSpec& new_spec) {
+    DenseSink sink(state.flow, state.onward_off);
+    DestinationPass pass(topo->num_nodes());
+    long walked = 0;
+    for (const ColumnDelta& delta : deltas) {
+      for (const double t : delta.distance_terms)
+        state.flow.weighted_distance += t;
+      for (const double t : delta.unroutable_terms)
+        state.flow.unroutable_weight += t;
+      walked += delta.walked;
+      walked += propagate_column(from, ct, delta.column, delta.retract, pass,
+                                 sink);
+      walked += propagate_column(to, ct, delta.column, delta.readd, pass, sink);
+    }
+    snap_residues(state);
+    net = assemble_dense(to, ct, new_spec, opts, state);
+    return walked;
+  }
 };
 
 RetunableTrafficModel::RetunableTrafficModel(const topo::Topology& topo,
@@ -1347,24 +1369,34 @@ RetuneReport RetunableTrafficModel::retune_traffic(
   }
   const topo::Topology& rt = im.routing_topo();
 
-  // Dense delta: diff the two specs into signed per-destination seeds.  A
-  // pair participates when its weight changed OR its source's injection
-  // split changed (frac = w / injection_weight enters the QNA self-mass
-  // even where the weight itself did not move).
+  // Dense delta: per column, the two specs' source lists (the cold build's)
+  // merge into signed seeds.  A pair participates when its weight OR its
+  // source's injection split changed (frac = w / injection_weight enters
+  // the QNA self-mass even where the weight itself did not move).
   const traffic::TrafficSpec& old_spec = im.spec;
-  std::vector<double> injw_old(static_cast<std::size_t>(procs), 0.0);
-  std::vector<double> injw_new(static_cast<std::size_t>(procs), 0.0);
-  for (int s = 0; s < procs; ++s) {
-    injw_old[static_cast<std::size_t>(s)] = old_spec.injection_weight(s, procs);
-    injw_new[static_cast<std::size_t>(s)] = new_spec.injection_weight(s, procs);
-  }
-  std::vector<std::vector<Seed>> seeds(static_cast<std::size_t>(procs));
-  long changed = 0;
+  const ColumnSources old_sources(old_spec, procs);
+  const ColumnSources new_sources(new_spec, procs);
+  const std::vector<double>& injw_old = old_sources.injection;
+  const std::vector<double>& injw_new = new_sources.injection;
+  std::vector<ColumnDelta> deltas;
   double d_total = 0.0;       // Σ (w_new − w_old) over all pairs
   double d_unroutable = 0.0;  // same, over pairs with no surviving path
+  ColumnDelta delta;  // one column's scratch, kept as an exact-size copy
+  std::vector<int> merged;
   for (int d = 0; d < procs; ++d) {
-    for (int s = 0; s < procs; ++s) {
-      if (s == d) continue;
+    // A scanning side lists every source; two short lists merge.
+    const std::span<const int> a = old_sources.of(d), b = new_sources.of(d);
+    std::span<const int> column = old_sources.scans() ? a : b;
+    if (!old_sources.scans() && !new_sources.scans()) {
+      merged.clear();
+      std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                     std::back_inserter(merged));
+      column = merged;
+    }
+    delta.column = d;
+    delta.readd.clear();
+    delta.distance_terms.clear();
+    for (const int s : column) {
       const double w_old = old_spec.pair_weight(s, d, procs);
       const double w_new = new_spec.pair_weight(s, d, procs);
       d_total += w_new - w_old;
@@ -1383,47 +1415,28 @@ RetuneReport RetunableTrafficModel::retune_traffic(
       const double dself =
           pair_self(w_new, injw_new[u]) - pair_self(w_old, injw_old[u]);
       if (dflow == 0.0 && dself == 0.0) continue;
-      seeds[static_cast<std::size_t>(d)].push_back(
-          {s, topo::kNoChannel, dflow, dself});
-      ++changed;
+      delta.readd.push_back({s, topo::kNoChannel, dflow, dself});
+      if (dflow != 0.0)
+        delta.distance_terms.push_back(dflow * rt.distance(s, d));
     }
+    if (delta.readd.empty()) continue;
+    report.changed_pairs += static_cast<long>(delta.readd.size());
+    deltas.push_back(delta);
   }
-  report.changed_pairs = changed;
 
   // A delta touching most of the matrix re-runs nearly every destination
   // pass with nearly every seed — at that point the sharded cold rebuild is
   // both faster and residue-free.
-  if (changed > static_cast<long>(procs) * procs / 4) {
+  if (report.changed_pairs > static_cast<long>(procs) * procs / 4) {
     im.rebuild(new_spec, std::nullopt, report);
     report.rebuilt = true;
     return report;
   }
 
-  DenseFlowState& st = im.state;
-  st.flow.total_weight += d_total;
-  st.flow.unroutable_weight += d_unroutable;
-  if (changed > 0) {
-    DestinationPass pass(im.topo->num_nodes());
-    DenseSink sink{st.flow, st.onward_off};
-    for (int d = 0; d < procs; ++d) {
-      const std::vector<Seed>& dseeds = seeds[static_cast<std::size_t>(d)];
-      if (dseeds.empty()) continue;
-      for (const Seed& sd : dseeds) {
-        if (sd.flow != 0.0) {
-          st.flow.weighted_distance += sd.flow * rt.distance(sd.node, d);
-        }
-      }
-      report.nodes_visited += propagate_column(rt, im.ct, d, dseeds, pass, sink);
-      ++report.passes;
-    }
-    snap_residues(st);
-  }
-
-  // Cheap O(channels + transitions) tail: re-derive the model from the
-  // updated flow state (also refreshes the spec-dependent name, injection
-  // classes and mean distance).
-  im.net = assemble_dense(rt, im.ct, new_spec, im.opts, st);
-  im.is_collapsed = false;
+  im.state.flow.total_weight += d_total;
+  im.state.flow.unroutable_weight += d_unroutable;
+  report.nodes_visited += im.apply_columns(rt, rt, deltas, new_spec);
+  report.passes = static_cast<int>(deltas.size());
   im.spec = new_spec;
   return report;
 }
@@ -1445,16 +1458,6 @@ RetuneReport RetunableTrafficModel::retune_faults(
   if (faults)
     new_view = std::make_shared<const topo::FaultedTopology>(*im.topo, *faults,
                                                              im.build.threads);
-
-  // Destinations whose routing differs between the outgoing and incoming
-  // views — the union is exactly the set of columns to re-propagate.
-  std::vector<char> is_affected(static_cast<std::size_t>(procs), 0);
-  if (im.faulted)
-    for (int d : im.faulted->affected_destinations())
-      is_affected[static_cast<std::size_t>(d)] = 1;
-  if (new_view)
-    for (int d : new_view->affected_destinations())
-      is_affected[static_cast<std::size_t>(d)] = 1;
 
   if (im.is_collapsed) {
     // A collapsed resident has no dense flow state to delta against; entering
@@ -1492,24 +1495,21 @@ RetuneReport RetunableTrafficModel::retune_faults(
     return report;
   }
 
-  // Dense fault delta: per affected destination, a frontier-bounded
-  // retract-and-re-add — the DP is linear in its seeds, and everything
-  // upstream of the nodes whose routing changed contributes identically
-  // under both views.  Phase 1 finds every column's delta
-  // (find_column_delta) in fixed shards, each column into its own slot;
-  // phase 2 applies them serially in destination order, so the flow state
-  // is added to exactly as a serial column loop adds to it, whatever ran
-  // phase 1.  Never escalates to a rebuild: availability sweeps rely on
-  // the cost class staying Retune for every scenario.  Total demand is
-  // fault-invariant; only its unroutable share and the distances of the
-  // sources whose routes moved change.
+  // Dense fault delta (see the header): phase 1 finds every affected
+  // column's delta (find_column_delta) in fixed shards, each into its own
+  // slot; phase 2 is the column tail the pattern delta shares.  Never
+  // escalates to a rebuild: availability sweeps rely on the cost class
+  // staying Retune for every scenario.
   const FaultSide from{&im.routing_topo(), im.faulted.get()};
   const FaultSide to{new_view ? static_cast<const topo::Topology*>(new_view.get())
                               : im.topo,
                      new_view.get()};
+  // Destinations whose routing differs between the outgoing and incoming
+  // views (each list ascending) — exactly the columns to re-propagate.
   std::vector<int> columns;
-  for (int d = 0; d < procs; ++d)
-    if (is_affected[static_cast<std::size_t>(d)]) columns.push_back(d);
+  std::set_union(from.affected().begin(), from.affected().end(),
+                 to.affected().begin(), to.affected().end(),
+                 std::back_inserter(columns));
   const int num_columns = static_cast<int>(columns.size());
   std::vector<ColumnDelta> deltas(columns.size());
   // Shard j takes every 16th column from j: neighbouring destinations cost
@@ -1525,22 +1525,12 @@ RetuneReport RetunableTrafficModel::retune_faults(
     }
   });
 
-  DenseFlowState& st = im.state;
-  DestinationPass pass(im.topo->num_nodes());
-  for (int k = 0; k < num_columns; ++k) {
-    const ColumnDelta& delta = deltas[static_cast<std::size_t>(k)];
-    report.nodes_visited +=
-        delta.walked + apply_column_delta(from, to, im.ct,
-                                          columns[static_cast<std::size_t>(k)],
-                                          delta, st, pass);
-  }
+  report.nodes_visited +=
+      im.apply_columns(*from.routing, *to.routing, deltas, im.spec);
   report.changed_pairs = num_columns;  // here: changed destination COLUMNS
   report.passes = 2 * num_columns;     // one retract and one re-add each
-  snap_residues(st);
-
   im.fault_set = std::move(faults);
   im.faulted = std::move(new_view);
-  im.net = assemble_dense(im.routing_topo(), im.ct, im.spec, im.opts, st);
   return report;
 }
 

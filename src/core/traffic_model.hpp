@@ -28,7 +28,7 @@
 //   * the symmetry-collapsed build — one column per destination orbit, seeds
 //     scaled by the orbit size, flows folded onto channel classes;
 //   * the pattern delta (RetunableTrafficModel::retune_traffic) — signed
-//     seeds from the old/new spec diff;
+//     seeds, per column, from merging the old and new spec's sources;
 //   * the fault delta (RetunableTrafficModel::retune_faults) — per affected
 //     column, only the flow downstream of its FRONTIER, the nodes whose
 //     routing changed.  One bounded pass carries the sources feeding the
@@ -37,11 +37,12 @@
 //     flows, in walk order, then seed the pass mid-DAG, retracted (× −1)
 //     along the old routes and re-added along the new.  Flow that never
 //     reaches the frontier is never walked.  The first-hit passes write
-//     nothing shared, so they run sharded; the retract and re-add passes
-//     run serially in destination order.
-// Fixed-destination specs (bit-complement, transpose, permutations) seed
-// from per-destination source lists instead of scanning all N sources: the
-// same seeds in the same order, so the result is bitwise-identical.
+//     nothing shared, so they run sharded.
+// Both deltas end in one tail: apply the changed columns serially in
+// destination order, snap the residues, re-assemble.  Fixed-destination
+// specs (bit-complement, transpose, permutations) list each destination's
+// sources instead of scanning all N: the same seeds in the same order, so
+// a cold build is bitwise-identical and a permutation step diffs O(N) pairs.
 //
 // Output bundles come from topo::ChannelTable, the one fabric index the
 // simulator shares: a station's server count m is its channel's
@@ -226,7 +227,8 @@ struct RetuneReport {
 /// edited), retune_traffic re-propagates only SIGNED DELTA seeds
 /// (Δflow = w' − w, Δself = w'²/i' − w²/i) for the destinations whose
 /// column changed — O(affected destinations) passes, not N — then re-runs
-/// the O(channels) assembly.  When the new spec still respects the
+/// the O(channels) assembly.  A permutation step finds its changed pairs in
+/// O(N); other specs scan the N² pairs.  When the new spec still respects the
 /// topology's symmetry (and the build options allow collapsing), the
 /// retune is a collapsed build instead: one pass per destination orbit
 /// against O(classes) state.  Whole-matrix changes

@@ -20,8 +20,9 @@ namespace {
 /// Structural digest of a TrafficSpec delta for variant grouping.  Folds the
 /// exact parameter bit patterns (never the lossy name() rendering, so nearby
 /// hotspot fractions stay distinct); Permutation folds its full destination
-/// map, Matrix its payload identity (two equal-but-distinct matrices simply
-/// miss the dedup — never alias it).
+/// map, Matrix every weight.  Content, not address: the answer cache
+/// outlives the query's spec, so equal matrices share a variant and a later
+/// matrix at a recycled address cannot alias an earlier one.
 std::uint64_t spec_digest(const traffic::TrafficSpec& spec, int procs) {
   std::uint64_t h = util::hash_mix(0x7261666669637173ULL,
                                    static_cast<std::uint64_t>(spec.pattern()));
@@ -32,8 +33,13 @@ std::uint64_t spec_digest(const traffic::TrafficSpec& spec, int procs) {
       h = util::hash_mix(
           h, static_cast<std::uint64_t>(spec.fixed_destination(src, procs)));
   }
-  if (const traffic::TrafficMatrix* m = spec.matrix_payload())
-    h = util::hash_mix(h, reinterpret_cast<std::uintptr_t>(m));
+  if (const traffic::TrafficMatrix* m = spec.matrix_payload()) {
+    const auto n = static_cast<std::size_t>(m->size());
+    h = util::hash_words(h, n * n, [&](std::size_t i) {
+      return util::double_bits(m->at(static_cast<int>(i / n),
+                                     static_cast<int>(i % n)));
+    });
+  }
   return h;
 }
 
@@ -363,11 +369,7 @@ std::vector<QueryResult> QueryEngine::run_batch(
     WORMNET_EXPECTS(q.lanes >= 0);
     WORMNET_EXPECTS(q.buffer_depth >= 0);
     WORMNET_EXPECTS(q.bandwidth_scale > 0.0);
-    if (!q.traffic) {
-      // spec change validity is checked by retune_traffic itself
-    } else {
-      WORMNET_EXPECTS(q.traffic->check(procs).empty());
-    }
+    WORMNET_EXPECTS(!q.traffic || q.traffic->check(procs).empty());
     // A fault set validates its links against ONE topology; a set built
     // against some other fabric would index this resident's ports wrongly.
     WORMNET_EXPECTS(!q.faults || &q.faults->topology() == r.topo);

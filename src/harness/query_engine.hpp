@@ -10,11 +10,12 @@
 // Each WhatIfQuery is a set of DELTAS against a resident baseline
 // (topology, base TrafficSpec) plus the metric asked for.  The engine plans
 // every query as cheapest-applicable-delta-else-rebuild:
-//  * pattern delta  → core::RetunableTrafficModel::retune_traffic — signed
-//    delta propagation over only the destinations whose pair weights
-//    changed (or one pass per orbit when the new spec keeps the topology's
-//    symmetry); falls back to a cold rebuild when the delta touches most of
-//    the matrix, and says so;
+//  * pattern delta  → core::RetunableTrafficModel::retune_traffic — each
+//    destination column merges the old and new spec's sources into signed
+//    seeds (O(N) in all for permutation steps), and only the columns that
+//    changed re-propagate (or one pass per orbit when the new spec keeps
+//    the topology's symmetry); falls back to a cold rebuild when the delta
+//    touches most of the matrix, and says so;
 //  * lane, buffer, bandwidth, load and arrival deltas → the GeneralModel
 //    tunes set_uniform_lanes, set_uniform_buffers, scale_bandwidths,
 //    scale_injection_rates and set_injection_process, O(channels) each,

@@ -610,6 +610,48 @@ TEST(QueryEngine, DedupSharesVariantsAndMemoizesAcrossBatches) {
   EXPECT_EQ(res2[1].est.latency, res[1].est.latency);
 }
 
+/// The permutation s -> s + shift (mod n) as a custom matrix.
+traffic::TrafficSpec shift_matrix(int n, int shift) {
+  traffic::TrafficMatrix m(n);
+  for (int s = 0; s < n; ++s) m.set(s, (s + shift) % n, 1.0);
+  return traffic::TrafficSpec::matrix(std::move(m));
+}
+
+TEST(QueryEngine, EqualMatricesShareOneVariant) {
+  // Two separately built matrix specs of equal content are one delta.
+  const topo::ButterflyFatTree ft(3);
+  QueryEngine qe(ft, traffic::TrafficSpec::uniform());
+  std::vector<WhatIfQuery> batch(2);
+  batch[0].traffic = shift_matrix(ft.num_processors(), 5);
+  batch[1].traffic = shift_matrix(ft.num_processors(), 5);
+  batch[0].lambda0 = 0.002;
+  batch[1].lambda0 = 0.003;
+  const auto res = qe.run_batch(batch);
+  EXPECT_EQ(qe.variants_prepared(), 1u);
+  EXPECT_NE(res[0].cost, QueryCost::Memoized);
+  EXPECT_NE(res[1].cost, QueryCost::Memoized);
+}
+
+TEST(QueryEngine, MatrixAnswersOutliveTheirSpecs) {
+  // A matrix asked about and then destroyed must not answer for a later
+  // matrix of other content, wherever the allocator puts the new payload.
+  const topo::ButterflyFatTree ft(3);
+  const int n = ft.num_processors();
+  QueryEngine qe(ft, traffic::TrafficSpec::uniform());
+  WhatIfQuery q;
+  q.metric = QueryMetric::Saturation;
+  q.traffic = shift_matrix(n, 1);
+  const double first = qe.run(q).saturation_rate;
+  q.traffic.reset();
+  q.traffic = shift_matrix(n, 32);
+  const QueryResult second = qe.run(q);
+  EXPECT_NE(second.cost, QueryCost::Memoized);
+  const double cold =
+      core::build_traffic_model(ft, *q.traffic).saturation_rate();
+  EXPECT_LE(rel(second.saturation_rate, cold), kMetricTol);
+  EXPECT_GT(rel(second.saturation_rate, first), 0.5);
+}
+
 TEST(QueryEngine, CollapsedResidentServesSymmetricDeltasOnOrbitPath) {
   const topo::ButterflyFatTree ft(3);
   QueryEngine::Options opts;
