@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
     const long n_procs = util::ipow(4, static_cast<int>(levels));
     topo::ButterflyFatTree ft(static_cast<int>(levels));
     for (const PatternCase& pc : patterns) {
-      engine.clear_cache();  // previous pattern's family models were dropped
       // ONE routed model per (N, pattern); each family member is an
       // O(channels) C_a² retune of a copy — the burstiness axis never
       // re-runs the O(N²·hops) route enumeration.

@@ -24,8 +24,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "wormnet.hpp"
@@ -34,49 +32,14 @@ namespace {
 
 using namespace wormnet;
 
-/// The 18-cell topology x pattern x lanes grid of the conformance suite
-/// (test_model_vs_sim_conformance.cpp), run as closed-loop overload probes:
+/// The 18 overload probes of the accuracy map's uniform suite (the
+/// topology x pattern x lanes grid of test_model_vs_sim_conformance.cpp):
 /// the campaign the <2%-overhead acceptance number is measured on.
 double run_conformance_campaign(bool publish, obs::Registry* reg) {
-  struct Cell {
-    int kind;  // 0 fat-tree(3), 1 mesh(3,3), 2 hypercube(4)
-    double hotspot;
-    int lanes;
-  };
-  std::vector<Cell> grid;
-  for (int kind = 0; kind < 3; ++kind)
-    for (double hs : {0.0, 0.1})
-      for (int lanes : {1, 2, 4}) grid.push_back({kind, hs, lanes});
-
-  std::map<int, std::unique_ptr<topo::Topology>> topos;
-  auto topo_of = [&](const Cell& c) -> const topo::Topology* {
-    const int key = c.kind * 8 + c.lanes;
-    auto it = topos.find(key);
-    if (it == topos.end()) {
-      std::unique_ptr<topo::Topology> t;
-      if (c.kind == 0) t = std::make_unique<topo::ButterflyFatTree>(3);
-      else if (c.kind == 1) t = std::make_unique<topo::Mesh>(3, 3);
-      else t = std::make_unique<topo::Hypercube>(4);
-      t->set_uniform_lanes(c.lanes);
-      it = topos.emplace(key, std::move(t)).first;
-    }
-    return it->second.get();
-  };
-
+  harness::AccuracyFabrics fabrics;
   std::vector<harness::SimCell> cells;
-  for (const Cell& c : grid) {
-    harness::SimCell sc;
-    sc.topology = topo_of(c);
-    sc.cfg.arrivals = sim::ArrivalProcess::Overload;
-    sc.cfg.worm_flits = 16;
-    sc.cfg.seed = 7;
-    sc.cfg.traffic = c.hotspot > 0.0 ? traffic::TrafficSpec::hotspot(c.hotspot)
-                                     : traffic::TrafficSpec::uniform();
-    sc.cfg.warmup_cycles = 5000;
-    sc.cfg.measure_cycles = 20000;
-    sc.cfg.channel_stats = false;
-    cells.push_back(std::move(sc));
-  }
+  for (const harness::AccuracyCell& c : harness::accuracy_suite("uniform"))
+    cells.push_back(harness::probe_sim_cell(c, fabrics.of(c)));
 
   const auto t0 = std::chrono::steady_clock::now();
   harness::SimEngine engine;

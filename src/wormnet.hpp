@@ -37,6 +37,7 @@
 #include "core/network_model.hpp"      // IWYU pragma: export
 #include "core/saturation.hpp"         // IWYU pragma: export
 #include "core/traffic_model.hpp"      // IWYU pragma: export
+#include "harness/accuracy_map.hpp"    // IWYU pragma: export
 #include "harness/experiment.hpp"      // IWYU pragma: export
 #include "harness/query_engine.hpp"    // IWYU pragma: export
 #include "harness/sim_engine.hpp"      // IWYU pragma: export

@@ -11,173 +11,57 @@
 // optimistic under batch traffic at the same loads, which this suite pins
 // with a lower bound on the Poisson model's undershoot.
 //
-// Every cell uses a fixed seed; like the main conformance table, the whole
-// suite is one shared SimEngine campaign computed lazily on first use.
+// Every cell uses a fixed seed; the table is the "bursty" slice of the
+// accuracy map (harness/accuracy_map.hpp), run like the main conformance
+// table as one shared SimEngine campaign computed lazily on first use.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cmath>
-#include <memory>
+#include <cstddef>
 #include <string>
-#include <vector>
 
-#include "arrivals/arrival_process.hpp"
+#include "accuracy_slice.hpp"
+#include "core/general_model.hpp"
 #include "core/traffic_model.hpp"
-#include "harness/sim_engine.hpp"
-#include "topo/butterfly_fattree.hpp"
-#include "topo/hypercube.hpp"
 
 namespace wormnet {
 namespace {
 
-enum class Topo { FatTree3, Hypercube4 };
-
-struct Cell {
-  Topo topo;
-  arrivals::ArrivalSpec process;
-  // Relative latency error bounds at 20% / 50% of model saturation (the
-  // acceptance criterion: <= 0.20 everywhere).
-  double bound20;
-  double bound50;
-};
-
-const Cell kCells[] = {
-    {Topo::FatTree3, arrivals::ArrivalSpec::batch(4.0), 0.20, 0.20},
-    {Topo::FatTree3, arrivals::ArrivalSpec::mmpp2(0.3, 0.1, 8.0), 0.20, 0.20},
-    {Topo::Hypercube4, arrivals::ArrivalSpec::batch(4.0), 0.20, 0.20},
-    {Topo::Hypercube4, arrivals::ArrivalSpec::mmpp2(0.3, 0.1, 8.0), 0.20, 0.20},
-};
-constexpr std::size_t kNumCells = std::size(kCells);
-constexpr double kFracs[2] = {0.2, 0.5};
-
-std::unique_ptr<topo::Topology> make_topology(Topo t) {
-  switch (t) {
-    case Topo::FatTree3:
-      return std::make_unique<topo::ButterflyFatTree>(3);
-    case Topo::Hypercube4:
-      return std::make_unique<topo::Hypercube>(4);
-  }
-  return nullptr;
+const AccuracySlice& slice() {
+  static const AccuracySlice s("bursty");
+  return s;
 }
-
-class Campaign {
- public:
-  struct CellData {
-    std::string name;
-    double model_sat = 0.0;  ///< λ₀* of the bursty-tuned model
-    std::array<core::LatencyEstimate, 2> model{};    ///< bursty-aware
-    std::array<core::LatencyEstimate, 2> poisson{};  ///< untuned, same λ
-    std::array<sim::SimResult, 2> sim{};
-  };
-
-  static const Campaign& get() {
-    static Campaign instance;
-    return instance;
-  }
-
-  const CellData& cell(std::size_t i) const { return cells_[i]; }
-
- private:
-  Campaign() {
-    for (Topo t : {Topo::FatTree3, Topo::Hypercube4}) {
-      topos_.push_back(make_topology(t));
-    }
-    const auto topo_of = [&](Topo t) -> const topo::Topology* {
-      return topos_[static_cast<std::size_t>(t)].get();
-    };
-
-    core::SolveOptions opts;
-    opts.worm_flits = 16.0;
-    cells_.resize(kNumCells);
-    std::vector<harness::SimCell> sim_cells;
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      const Cell& cell = kCells[i];
-      core::GeneralModel model = core::build_traffic_model(
-          *topo_of(cell.topo), traffic::TrafficSpec::uniform(), opts);
-      CellData& out = cells_[i];
-      const core::GeneralModel poisson = model;  // untuned baseline
-      model.set_injection_process(cell.process);
-      out.name = model.name() + "/" + cell.process.name();
-      out.model_sat = core::model_saturation_rate(model, opts);
-      for (std::size_t j = 0; j < 2; ++j) {
-        const double lam = out.model_sat * kFracs[j];
-        out.model[j] = core::model_latency(model, lam, opts);
-        out.poisson[j] = core::model_latency(poisson, lam, opts);
-
-        harness::SimCell sc;
-        sc.topology = topo_of(cell.topo);
-        sc.cfg.load_flits = lam * 16.0;
-        sc.cfg.worm_flits = 16;
-        sc.cfg.seed = 2000 + static_cast<std::uint64_t>(i);
-        sc.cfg.arrival_process = cell.process;
-        sc.cfg.warmup_cycles = 8000;
-        sc.cfg.measure_cycles = 40000;
-        sc.cfg.max_cycles = 600000;
-        sc.cfg.channel_stats = false;
-        sim_cells.push_back(std::move(sc));
-      }
-    }
-
-    harness::SimEngine engine;
-    const std::vector<harness::SimCellResult> results = engine.run_cells(sim_cells);
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      for (std::size_t j = 0; j < 2; ++j) {
-        cells_[i].sim[j] = results[i * 2 + j].runs.front();
-      }
-    }
-  }
-
-  std::vector<std::unique_ptr<topo::Topology>> topos_;
-  std::vector<CellData> cells_;
-};
 
 class BurstyConformance : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BurstyConformance, LatencyWithin20PercentAt20And50OfSaturation) {
-  const Cell& cell = kCells[GetParam()];
-  const Campaign::CellData& data = Campaign::get().cell(GetParam());
-  ASSERT_GT(data.model_sat, 0.0);
-
-  const double bounds[] = {cell.bound20, cell.bound50};
-  for (std::size_t j = 0; j < 2; ++j) {
-    ASSERT_TRUE(data.model[j].stable) << data.name << " frac=" << kFracs[j];
-    const sim::SimResult& r = data.sim[j];
-    ASSERT_TRUE(r.completed) << data.name << " frac=" << kFracs[j];
-    ASSERT_FALSE(r.saturated) << data.name << " frac=" << kFracs[j];
-    ASSERT_GT(r.latency.count(), 0);
-    const double sim_latency = r.latency.mean();
-    const double rel_err =
-        std::abs(data.model[j].latency - sim_latency) / sim_latency;
-    EXPECT_LE(rel_err, bounds[j])
-        << data.name << " frac=" << kFracs[j]
-        << ": model=" << data.model[j].latency << " sim=" << sim_latency;
-  }
+  const harness::AccuracyRow& row = slice().rows()[GetParam()];
+  ASSERT_GT(row.saturation_rate, 0.0);
+  check_points(row, row.model_name + "/" + row.cell.arrivals.name());
 }
 
 TEST_P(BurstyConformance, PoissonModelIsOptimisticUnderBatchTraffic) {
   // The motivating claim: assuming Poisson under batch injection undershoots
   // the simulated latency by far more than the bursty model's error band.
-  const Cell& cell = kCells[GetParam()];
-  if (cell.process.batch_residual() == 0.0) return;  // batch cells only
-  const Campaign::CellData& data = Campaign::get().cell(GetParam());
-  for (std::size_t j = 0; j < 2; ++j) {
-    const double sim_latency = data.sim[j].latency.mean();
-    EXPECT_LT(data.poisson[j].latency, 0.6 * sim_latency)
-        << data.name << " frac=" << kFracs[j];
+  const harness::AccuracyRow& row = slice().rows()[GetParam()];
+  if (row.cell.arrivals.batch_residual() == 0.0) return;  // batch cells only
+  // The same model left untuned (C_a² = 1), at the bursty model's loads.
+  harness::AccuracyFabrics fabrics;
+  core::SolveOptions opts;
+  opts.worm_flits = 16.0;
+  const core::GeneralModel poisson =
+      core::build_traffic_model(fabrics.of(row.cell), row.cell.traffic, opts);
+  for (const harness::AccuracyPoint& p : row.points) {
+    const double sim_latency = p.sim.latency.mean();
+    EXPECT_LT(poisson.evaluate(p.lambda0).latency, 0.6 * sim_latency)
+        << row.cell.label << " frac=" << p.load.frac;
   }
 }
 
-std::string cell_name(const ::testing::TestParamInfo<std::size_t>& info) {
-  const Cell& c = kCells[info.param];
-  std::string name =
-      c.topo == Topo::FatTree3 ? "FatTree3" : "Hypercube4";
-  name += c.process.batch_residual() > 0.0 ? "Batch4" : "Mmpp2";
-  return name;
-}
-
-INSTANTIATE_TEST_SUITE_P(Cells, BurstyConformance,
-                         ::testing::Range<std::size_t>(0, kNumCells),
-                         cell_name);
+INSTANTIATE_TEST_SUITE_P(
+    Cells, BurstyConformance, ::testing::Range<std::size_t>(0, slice().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return slice().label(info.param);
+    });
 
 }  // namespace
 }  // namespace wormnet

@@ -13,7 +13,9 @@
 //  * load     — 20% and 50% of the DEGRADED model's own saturation point.
 // The relative latency error |model − sim| / sim must stay within 10% at
 // the 20% point and 15% at 50% — the same below-80%-load contract as the
-// healthy and heterogeneous tables (raw errors in EXPERIMENTS.md).
+// healthy and heterogeneous tables (raw errors in EXPERIMENTS.md).  The
+// table is the "fault" slice of the accuracy map (harness/accuracy_map.hpp),
+// run as one SimEngine campaign over four degraded fabrics.
 //
 // Alongside the table: the N−1 availability sweep acceptance — every
 // failable link of a 3-level fat-tree swept through harness::QueryEngine,
@@ -25,16 +27,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "accuracy_slice.hpp"
 #include "core/traffic_model.hpp"
 #include "harness/query_engine.hpp"
-#include "harness/sim_engine.hpp"
-#include "sim/simulator.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/channels.hpp"
 #include "topo/fault.hpp"
@@ -45,157 +46,32 @@
 namespace wormnet {
 namespace {
 
-enum class Taper { T1to1, T2to1 };
-enum class Failure { UpLink, MidSwitch };
-
-struct Cell {
-  Taper taper;
-  Failure failure;
-  double frac;   ///< fraction of the degraded model's saturation rate
-  double bound;  ///< relative latency error bound
-};
-
-// The below-80%-load contract: <= 0.10 at 20%, <= 0.15 at 50%.
-const Cell kCells[] = {
-    {Taper::T1to1, Failure::UpLink, 0.2, 0.10},
-    {Taper::T1to1, Failure::UpLink, 0.5, 0.15},
-    {Taper::T1to1, Failure::MidSwitch, 0.2, 0.10},
-    {Taper::T1to1, Failure::MidSwitch, 0.5, 0.15},
-    {Taper::T2to1, Failure::UpLink, 0.2, 0.10},
-    {Taper::T2to1, Failure::UpLink, 0.5, 0.15},
-    {Taper::T2to1, Failure::MidSwitch, 0.2, 0.10},
-    {Taper::T2to1, Failure::MidSwitch, 0.5, 0.15},
-};
-constexpr std::size_t kNumCells = std::size(kCells);
-
-std::string cell_label(const Cell& c) {
-  std::string name = c.taper == Taper::T1to1 ? "Taper1to1" : "Taper2to1";
-  name += c.failure == Failure::UpLink ? "UpLink" : "MidSwitch";
-  name += c.frac == 0.2 ? "Load20" : "Load50";
-  return name;
+const AccuracySlice& slice() {
+  static const AccuracySlice s("fault");
+  return s;
 }
-
-/// One live (base, faults, view) triple per taper x failure combination;
-/// the view must outlive both the model and the SimNetwork.
-struct DegradedFabric {
-  std::unique_ptr<topo::ButterflyFatTree> base;
-  std::unique_ptr<topo::FaultSet> faults;
-  std::unique_ptr<topo::FaultedTopology> view;
-};
-
-DegradedFabric make_fabric(Taper taper, Failure failure) {
-  DegradedFabric f;
-  f.base = std::make_unique<topo::ButterflyFatTree>(2);  // 16 processors
-  if (taper == Taper::T2to1) f.base->set_tier_bandwidth(1, 0.5);
-  f.faults = std::make_unique<topo::FaultSet>(*f.base);
-  if (failure == Failure::UpLink) {
-    f.faults->fail_link(f.base->switch_id(1, 0),
-                        topo::ButterflyFatTree::kParentPort0);
-  } else {
-    f.faults->fail_switch(f.base->switch_id(2, 0));
-  }
-  f.view = std::make_unique<topo::FaultedTopology>(*f.base, *f.faults);
-  return f;
-}
-
-class Campaign {
- public:
-  struct CellData {
-    double model_sat = 0.0;
-    core::LatencyEstimate model;
-    sim::SimResult sim;
-  };
-
-  static const Campaign& get() {
-    static Campaign instance;
-    return instance;
-  }
-
-  const CellData& cell(std::size_t i) const { return cells_[i]; }
-
- private:
-  Campaign() {
-    // Four degraded fabrics, shared by their two load points each.
-    for (const Taper taper : {Taper::T1to1, Taper::T2to1})
-      for (const Failure failure : {Failure::UpLink, Failure::MidSwitch})
-        fabrics_.push_back(make_fabric(taper, failure));
-    const auto fabric_of = [](const Cell& c) -> std::size_t {
-      return static_cast<std::size_t>(c.taper == Taper::T2to1) * 2 +
-             static_cast<std::size_t>(c.failure == Failure::MidSwitch);
-    };
-
-    const traffic::TrafficSpec spec = traffic::TrafficSpec::uniform();
-    core::SolveOptions opts;
-    opts.worm_flits = 16.0;
-    cells_.resize(kNumCells);
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      const topo::FaultedTopology& view = *fabrics_[fabric_of(kCells[i])].view;
-      const core::GeneralModel model =
-          core::build_traffic_model(view, spec, opts);
-      CellData& out = cells_[i];
-      out.model_sat = core::model_saturation_rate(model, opts);
-      out.model =
-          core::model_latency(model, out.model_sat * kCells[i].frac, opts);
-    }
-
-    std::vector<harness::SimCell> sim_cells;
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      harness::SimCell sc;
-      sc.topology = fabrics_[fabric_of(kCells[i])].view.get();
-      sc.cfg.load_flits = cells_[i].model_sat * kCells[i].frac * 16.0;
-      sc.cfg.worm_flits = 16;
-      sc.cfg.seed = 9100 + static_cast<std::uint64_t>(i);
-      sc.cfg.traffic = spec;
-      sc.cfg.warmup_cycles = 8000;
-      sc.cfg.measure_cycles = 40000;
-      sc.cfg.max_cycles = 600000;
-      sc.cfg.channel_stats = false;
-      sc.label = cell_label(kCells[i]);
-      sim_cells.push_back(std::move(sc));
-    }
-    harness::SimEngine engine;
-    const std::vector<harness::SimCellResult> results =
-        engine.run_cells(sim_cells);
-    for (std::size_t i = 0; i < kNumCells; ++i)
-      cells_[i].sim = results[i].runs.front();
-  }
-
-  std::vector<DegradedFabric> fabrics_;
-  std::vector<CellData> cells_;
-};
 
 class FaultConformance : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FaultConformance, DegradedLatencyWithinCellBounds) {
-  const Cell& cell = kCells[GetParam()];
-  const Campaign::CellData& data = Campaign::get().cell(GetParam());
-  ASSERT_GT(data.model_sat, 0.0);
-  ASSERT_EQ(data.model.status, core::SolveStatus::Ok) << cell_label(cell);
-  ASSERT_TRUE(data.model.stable) << cell_label(cell);
-
-  ASSERT_TRUE(data.sim.completed) << cell_label(cell);
-  ASSERT_FALSE(data.sim.saturated) << cell_label(cell);
-  ASSERT_GT(data.sim.latency.count(), 0);
-  // A single failure on BFT(2) severs nothing: no demand is unroutable in
-  // the model, no message is discarded in the simulator.
-  EXPECT_EQ(data.model.unroutable_fraction, 0.0) << cell_label(cell);
-  EXPECT_EQ(data.sim.unroutable_messages, 0) << cell_label(cell);
-
-  const double sim_latency = data.sim.latency.mean();
-  const double rel_err =
-      std::abs(data.model.latency - sim_latency) / sim_latency;
-  EXPECT_LE(rel_err, cell.bound)
-      << cell_label(cell) << ": model=" << data.model.latency
-      << " sim=" << sim_latency;
+  const harness::AccuracyRow& row = slice().rows()[GetParam()];
+  const std::string& tag = row.cell.label;
+  ASSERT_GT(row.saturation_rate, 0.0);
+  for (const harness::AccuracyPoint& p : row.points) {
+    ASSERT_EQ(p.model.status, core::SolveStatus::Ok) << tag;
+    // A single failure on BFT(2) severs nothing: no demand is unroutable in
+    // the model, no message is discarded in the simulator.
+    EXPECT_EQ(p.model.unroutable_fraction, 0.0) << tag;
+    EXPECT_EQ(p.sim.unroutable_messages, 0) << tag;
+  }
+  check_points(row, tag);
 }
 
-std::string cell_name(const ::testing::TestParamInfo<std::size_t>& info) {
-  return cell_label(kCells[info.param]);
-}
-
-INSTANTIATE_TEST_SUITE_P(Cells, FaultConformance,
-                         ::testing::Range<std::size_t>(0, kNumCells),
-                         cell_name);
+INSTANTIATE_TEST_SUITE_P(
+    Cells, FaultConformance, ::testing::Range<std::size_t>(0, slice().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return slice().label(info.param);
+    });
 
 // Failures cost capacity in the model the way they cost it in the fabric:
 // degraded saturation below healthy, and the wholesale top-switch failure
@@ -204,21 +80,22 @@ TEST(FaultConformanceShape, FailureSeverityOrdersSaturation) {
   const traffic::TrafficSpec spec = traffic::TrafficSpec::uniform();
   core::SolveOptions opts;
   opts.worm_flits = 16.0;
-  for (const Taper taper : {Taper::T1to1, Taper::T2to1}) {
+  for (const double taper : {1.0, 0.5}) {
     topo::ButterflyFatTree healthy(2);
-    if (taper == Taper::T2to1) healthy.set_tier_bandwidth(1, 0.5);
+    if (taper != 1.0) healthy.set_tier_bandwidth(1, taper);
     const double sat_healthy = core::model_saturation_rate(
         core::build_traffic_model(healthy, spec, opts), opts);
 
-    const DegradedFabric uplink = make_fabric(taper, Failure::UpLink);
-    const DegradedFabric midsw = make_fabric(taper, Failure::MidSwitch);
-    const double sat_uplink = core::model_saturation_rate(
-        core::build_traffic_model(*uplink.view, spec, opts), opts);
-    const double sat_midsw = core::model_saturation_rate(
-        core::build_traffic_model(*midsw.view, spec, opts), opts);
+    // The degraded models' λ₀*, as the map solved them for the table.
+    double sat_uplink = std::nan(""), sat_midsw = std::nan("");
+    for (const harness::AccuracyRow& row : slice().rows()) {
+      if (row.cell.taper != taper) continue;
+      (row.cell.fault == harness::FaultKind::UpLink ? sat_uplink : sat_midsw) =
+          row.saturation_rate;
+    }
 
-    EXPECT_LT(sat_uplink, sat_healthy) << "taper " << static_cast<int>(taper);
-    EXPECT_LT(sat_midsw, sat_uplink) << "taper " << static_cast<int>(taper);
+    EXPECT_LT(sat_uplink, sat_healthy) << "taper " << taper;
+    EXPECT_LT(sat_midsw, sat_uplink) << "taper " << taper;
   }
 }
 

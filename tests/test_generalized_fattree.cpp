@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <tuple>
 
+#include "accuracy_slice.hpp"
 #include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
 #include "core/network_model.hpp"
@@ -176,26 +178,15 @@ TEST(GenFatTreeModel, ZeroLoadIndependentOfM) {
 class GenFatTreeAgreement : public ::testing::TestWithParam<int> {};
 
 TEST_P(GenFatTreeAgreement, ModelTracksSimulation) {
+  // The "m_parent" slice of the accuracy map: BFT(2, m) at 55% of the
+  // closed-form model's saturation, all four cells as one SimEngine campaign.
+  static const AccuracySlice slice("m_parent");
   const int m = GetParam();
-  ButterflyFatTree ft(2, m);
-  core::FatTreeModel model({.levels = 2, .worm_flits = 16.0, .parents = m});
-  const double load = model.saturation_load() * 0.55;
-
-  sim::SimConfig cfg;
-  cfg.load_flits = load;
-  cfg.worm_flits = 16;
-  cfg.seed = 31 + static_cast<std::uint64_t>(m);
-  cfg.warmup_cycles = 6'000;
-  cfg.measure_cycles = 30'000;
-  cfg.max_cycles = 400'000;
-  cfg.channel_stats = false;
-  const sim::SimResult r = sim::simulate(ft, cfg);
-  ASSERT_TRUE(r.completed);
-  const double model_latency = model.evaluate_load(load).latency;
-  // 12%: at high parent multiplicity on a small network the simulator's
-  // one-cycle arbitration hand-off is a visible fraction of each (short)
-  // queueing episode, which the model idealizes away.
-  EXPECT_NEAR(r.latency.mean(), model_latency, model_latency * 0.12) << "m=" << m;
+  const harness::AccuracyPoint& p = slice.point("FatTree2M" + std::to_string(m), 0.55);
+  ASSERT_TRUE(p.sim.completed);
+  const double model_latency = p.model.latency;
+  EXPECT_NEAR(p.sim.latency.mean(), model_latency, model_latency * p.load.bound)
+      << "m=" << m;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, GenFatTreeAgreement, ::testing::Values(1, 2, 3, 4));

@@ -4,8 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "core/fattree_model.hpp"
+#include "harness/accuracy_map.hpp"
 #include "topo/butterfly_fattree.hpp"
 
 namespace wormnet::harness {
@@ -135,6 +141,27 @@ TEST(Harness, FractionLoadsCoverKneeAndPastSaturation) {
   const auto stable_only = fraction_loads(1.0, /*include_past_saturation=*/false);
   ASSERT_EQ(stable_only.size(), 10u);
   EXPECT_LT(stable_only.back(), 1.0);
+}
+
+// The accuracy map's table: the latency points and overload probes of each
+// conformance suite are pinned, so a cell cannot drop out of (or slip into)
+// a suite unnoticed, and every (suite, label, frac) names one point.
+TEST(AccuracyMap, TableShapeIsPinned) {
+  std::map<std::string, std::pair<int, int>> shape;  // suite → (points, probes)
+  std::set<std::tuple<std::string, std::string, double>> keys;
+  for (const AccuracyCell& c : accuracy_cells()) {
+    shape[c.suite].first += static_cast<int>(c.points.size());
+    shape[c.suite].second += c.has_probe() ? 1 : 0;
+    for (const LoadPoint& p : c.points)
+      EXPECT_TRUE(keys.emplace(c.suite, c.label, p.frac).second)
+          << c.suite << " " << c.label << " frac=" << p.frac;
+  }
+  const std::map<std::string, std::pair<int, int>> want = {
+      {"uniform", {54, 18}}, {"hetero", {36, 12}}, {"fault", {8, 0}},
+      {"bursty", {8, 0}},    {"m_parent", {4, 0}}, {"paper", {17, 1}},
+  };
+  EXPECT_EQ(shape, want);
+  EXPECT_EQ(keys.size(), 127u);
 }
 
 }  // namespace

@@ -29,19 +29,18 @@
 // content digest), collapsed-vs-dense parity on a tapered topology, and the
 // symmetry fallback when attributes break the declared channel classes.
 //
-// Every cell uses a fixed seed; the whole table runs as one shared
-// harness::SimEngine campaign, like the uniform suite.
+// Every cell uses a fixed seed; the table is the "hetero" slice of the
+// accuracy map (harness/accuracy_map.hpp), run as one shared
+// harness::SimEngine campaign like the uniform suite.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cmath>
+#include <cstddef>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "accuracy_slice.hpp"
 #include "core/traffic_model.hpp"
-#include "harness/sim_engine.hpp"
 #include "sim/simulator.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/symmetry.hpp"
@@ -50,212 +49,47 @@
 namespace wormnet {
 namespace {
 
-enum class Taper { T2to1, T4to1 };
-
-struct Cell {
-  Taper taper;
-  int depth;  ///< per-lane flit-buffer depth; 0 = infinite
-  int lanes;
-  // Relative latency error bounds at 20% / 50% / 80% of model saturation.
-  double bound20;
-  double bound50;
-  double bound80;
-};
-
-// Measured errors (recorded in EXPERIMENTS.md) plus regression margin.
-// The below-80%-load contract: bound20 <= 0.10, bound50 <= 0.15 everywhere.
-// At 80% the model is conservative in EVERY cell (it predicts the knee a
-// little early — the safe direction for capacity planning), matching the
-// uniform suite's multi-lane 80% bounds of 0.42-0.50.
-const Cell kCells[] = {
-    // taper          depth  L   20%   50%   80%
-    {Taper::T2to1,       2,  1, 0.10, 0.15, 0.35},
-    {Taper::T2to1,       2,  2, 0.10, 0.15, 0.55},
-    {Taper::T2to1,       8,  1, 0.10, 0.15, 0.20},
-    {Taper::T2to1,       8,  2, 0.10, 0.15, 0.40},
-    {Taper::T2to1,       0,  1, 0.10, 0.15, 0.20},
-    {Taper::T2to1,       0,  2, 0.10, 0.15, 0.20},
-    {Taper::T4to1,       2,  1, 0.10, 0.15, 0.45},
-    {Taper::T4to1,       2,  2, 0.10, 0.15, 0.45},
-    {Taper::T4to1,       8,  1, 0.10, 0.15, 0.38},
-    {Taper::T4to1,       8,  2, 0.10, 0.15, 0.38},
-    {Taper::T4to1,       0,  1, 0.10, 0.15, 0.33},
-    {Taper::T4to1,       0,  2, 0.10, 0.15, 0.20},
-};
-constexpr std::size_t kNumCells = std::size(kCells);
-constexpr double kFracs[3] = {0.2, 0.5, 0.8};
-
-double taper_bandwidth(Taper t) { return t == Taper::T2to1 ? 0.5 : 0.25; }
-
-int cell_depth(const Cell& c) {
-  return c.depth == 0 ? util::kInfiniteBufferDepth : c.depth;
-}
-
-std::unique_ptr<topo::ButterflyFatTree> make_tapered(Taper taper, int depth,
-                                                     int lanes) {
-  auto topo = std::make_unique<topo::ButterflyFatTree>(2);  // 16 processors
-  topo->set_tier_bandwidth(1, taper_bandwidth(taper));
-  topo->set_uniform_buffer_depth(depth);
-  topo->set_uniform_lanes(lanes);
-  return topo;
-}
-
-/// Everything the tests assert on, computed once for the whole table.
-class Campaign {
- public:
-  struct CellData {
-    double model_sat = 0.0;  ///< λ₀* (messages/cycle/PE)
-    std::array<core::LatencyEstimate, 3> model{};
-    std::array<sim::SimResult, 3> sim{};  ///< latency runs at kFracs
-    sim::SimResult overload;              ///< closed-loop saturation probe
-  };
-
-  static const Campaign& get() {
-    static Campaign instance;
-    return instance;
-  }
-
-  const CellData& cell(std::size_t i) const { return cells_[i]; }
-
- private:
-  Campaign() {
-    // One live topology per cell: a SimNetwork snapshots lanes AND link
-    // attributes at construction.
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      const Cell& c = kCells[i];
-      topos_.push_back(make_tapered(c.taper, cell_depth(c), c.lanes));
-    }
-
-    const traffic::TrafficSpec spec = traffic::TrafficSpec::uniform();
-    cells_.resize(kNumCells);
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      core::SolveOptions opts;
-      opts.worm_flits = 16.0;
-      const core::GeneralModel model =
-          core::build_traffic_model(*topos_[i], spec, opts);
-      CellData& out = cells_[i];
-      out.model_sat = core::model_saturation_rate(model, opts);
-      for (int j = 0; j < 3; ++j) {
-        out.model[static_cast<std::size_t>(j)] =
-            core::model_latency(model, out.model_sat * kFracs[j], opts);
-      }
-    }
-
-    std::vector<harness::SimCell> sim_cells;
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      for (int j = 0; j < 3; ++j) {
-        harness::SimCell sc;
-        sc.topology = topos_[i].get();
-        sc.cfg.load_flits = cells_[i].model_sat * kFracs[j] * 16.0;
-        sc.cfg.worm_flits = 16;
-        sc.cfg.seed = 4200 + static_cast<std::uint64_t>(i);
-        sc.cfg.traffic = spec;
-        sc.cfg.warmup_cycles = 8000;
-        sc.cfg.measure_cycles = 40000;
-        sc.cfg.max_cycles = 600000;
-        sc.cfg.channel_stats = false;
-        sim_cells.push_back(std::move(sc));
-      }
-    }
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      harness::SimCell sc;
-      sc.topology = topos_[i].get();
-      sc.cfg.arrivals = sim::ArrivalProcess::Overload;
-      sc.cfg.worm_flits = 16;
-      sc.cfg.seed = 7;
-      sc.cfg.traffic = spec;
-      sc.cfg.warmup_cycles = 5000;
-      sc.cfg.measure_cycles = 20000;
-      sc.cfg.channel_stats = false;
-      sim_cells.push_back(std::move(sc));
-    }
-
-    harness::SimEngine engine;
-    const std::vector<harness::SimCellResult> results =
-        engine.run_cells(sim_cells);
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      for (int j = 0; j < 3; ++j) {
-        cells_[i].sim[static_cast<std::size_t>(j)] =
-            results[i * 3 + static_cast<std::size_t>(j)].runs.front();
-      }
-      cells_[i].overload = results[kNumCells * 3 + i].runs.front();
-    }
-  }
-
-  std::vector<std::unique_ptr<topo::ButterflyFatTree>> topos_;
-  std::vector<CellData> cells_;
-};
-
-std::string cell_label(const Cell& c) {
-  // Appends rather than an operator+ chain: GCC 12's -Wrestrict trips a
-  // false positive on "..." + std::string&& at -O2 and above.
-  std::string name = c.taper == Taper::T2to1 ? "Taper2to1" : "Taper4to1";
-  name += "Depth";
-  if (c.depth == 0) name += "Inf";
-  else name += std::to_string(c.depth);
-  name += 'L';
-  name += std::to_string(c.lanes);
-  return name;
-}
-
-void check_cell(std::size_t index) {
-  const Cell& cell = kCells[index];
-  const Campaign::CellData& data = Campaign::get().cell(index);
-  ASSERT_GT(data.model_sat, 0.0);
-
-  const double bounds[] = {cell.bound20, cell.bound50, cell.bound80};
-  for (int i = 0; i < 3; ++i) {
-    const core::LatencyEstimate& est = data.model[static_cast<std::size_t>(i)];
-    ASSERT_TRUE(est.stable) << cell_label(cell) << " frac=" << kFracs[i];
-
-    const sim::SimResult& r = data.sim[static_cast<std::size_t>(i)];
-    ASSERT_TRUE(r.completed) << cell_label(cell) << " frac=" << kFracs[i];
-    ASSERT_FALSE(r.saturated) << cell_label(cell) << " frac=" << kFracs[i];
-    ASSERT_GT(r.latency.count(), 0);
-
-    const double sim_latency = r.latency.mean();
-    const double rel_err = std::abs(est.latency - sim_latency) / sim_latency;
-    EXPECT_LE(rel_err, bounds[i])
-        << cell_label(cell) << " frac=" << kFracs[i]
-        << ": model=" << est.latency << " sim=" << sim_latency;
-  }
+const AccuracySlice& slice() {
+  static const AccuracySlice s("hetero");
+  return s;
 }
 
 class HeteroConformance : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(HeteroConformance, LatencyWithinCellBounds) { check_cell(GetParam()); }
-
-std::string cell_name(const ::testing::TestParamInfo<std::size_t>& info) {
-  return cell_label(kCells[info.param]);
+TEST_P(HeteroConformance, LatencyWithinCellBounds) {
+  const harness::AccuracyRow& row = slice().rows()[GetParam()];
+  ASSERT_GT(row.saturation_rate, 0.0);
+  check_points(row, row.cell.label);
 }
 
-INSTANTIATE_TEST_SUITE_P(Cells, HeteroConformance,
-                         ::testing::Range<std::size_t>(0, kNumCells),
-                         cell_name);
+INSTANTIATE_TEST_SUITE_P(
+    Cells, HeteroConformance, ::testing::Range<std::size_t>(0, slice().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return slice().label(info.param);
+    });
 
 // The acceptance direction claim: finite buffers MOVE the saturation point
 // down, and deeper buffers move it back up — in the model AND in the
 // closed-loop simulation, for every taper × lane combination.  (Magnitudes
 // are cell-bound territory; here only the ordering is contractual.)
 TEST(HeteroSaturation, BufferDepthShiftDirectionMatchesSim) {
-  // Cells are laid out depth-major per (taper, lanes): find the triple
-  // (depth 2, depth 8, depth ∞) for each combination.
-  for (const Taper taper : {Taper::T2to1, Taper::T4to1}) {
+  // Find the triple (depth 2, depth 8, depth ∞) for each combination.
+  for (const double taper : {0.5, 0.25}) {
     for (const int lanes : {1, 2}) {
-      std::map<int, std::size_t> by_depth;
-      for (std::size_t i = 0; i < kNumCells; ++i) {
-        if (kCells[i].taper == taper && kCells[i].lanes == lanes)
-          by_depth[kCells[i].depth] = i;
+      std::map<int, const harness::AccuracyRow*> by_depth;
+      for (const harness::AccuracyRow& row : slice().rows()) {
+        if (row.cell.taper == taper && row.cell.lanes == lanes)
+          by_depth[row.cell.buffer_depth] = &row;
       }
       ASSERT_EQ(by_depth.size(), 3u);
-      const Campaign::CellData& d2 = Campaign::get().cell(by_depth.at(2));
-      const Campaign::CellData& d8 = Campaign::get().cell(by_depth.at(8));
-      const Campaign::CellData& dinf = Campaign::get().cell(by_depth.at(0));
-      const std::string tag = cell_label(kCells[by_depth.at(2)]);
+      const harness::AccuracyRow& d2 = *by_depth.at(2);
+      const harness::AccuracyRow& d8 = *by_depth.at(8);
+      const harness::AccuracyRow& dinf = *by_depth.at(util::kInfiniteBufferDepth);
+      const std::string& tag = d2.cell.label;
 
       // Model: strictly increasing saturation with depth.
-      EXPECT_LT(d2.model_sat, d8.model_sat) << tag;
-      EXPECT_LT(d8.model_sat, dinf.model_sat) << tag;
+      EXPECT_LT(d2.saturation_rate, d8.saturation_rate) << tag;
+      EXPECT_LT(d8.saturation_rate, dinf.saturation_rate) << tag;
 
       // Simulator: the overload throughput shifts the same direction.
       const double t2 = d2.overload.throughput_flits_per_pe;

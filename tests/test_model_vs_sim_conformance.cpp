@@ -20,254 +20,52 @@
 // Every cell uses a fixed seed, so the suite is deterministic: a bound
 // violation is a code regression, not noise.
 //
-// Execution: the whole table — 54 latency runs and 18 overload runs — is
-// ONE harness::SimEngine campaign, computed lazily on first use and shared
-// by every test.  The engine builds one SimNetwork per (topology, lanes)
-// configuration (9, not 72) and fans the runs across the thread pool, so
-// the suite's wall time scales with the core count; per-cell seeds and
-// configs are unchanged from the serial version, so the measured numbers
-// are bit-identical to running each cell by hand.
+// Execution: the table is the "uniform" slice of the accuracy map
+// (harness/accuracy_map.hpp) — 54 latency runs and 18 overload runs as ONE
+// harness::SimEngine campaign, computed lazily on first use and shared by
+// every test.  The map builds one live topology per (topology, lanes)
+// configuration (9, not 72) and fans the runs across the thread pool; each
+// run keeps its cell's own seed and config, so the measured numbers are
+// bit-identical to running each cell by hand.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cmath>
-#include <memory>
+#include <cstddef>
 #include <string>
-#include <vector>
 
-#include "core/traffic_model.hpp"
-#include "harness/sim_engine.hpp"
-#include "sim/simulator.hpp"
-#include "topo/butterfly_fattree.hpp"
-#include "topo/hypercube.hpp"
-#include "topo/mesh.hpp"
+#include "accuracy_slice.hpp"
 
 namespace wormnet {
 namespace {
 
-enum class Topo { FatTree3, Mesh3ary3d, Hypercube4 };
-enum class Pattern { Uniform, Hotspot10 };
-
-struct Cell {
-  Topo topo;
-  Pattern pattern;
-  int lanes;
-  // Relative latency error bounds at 20% / 50% / 80% of model saturation.
-  double bound20;
-  double bound50;
-  double bound80;
-};
-
-// Measured errors (recorded in EXPERIMENTS.md) plus regression margin.
-// The below-80%-load contract: bound20 <= 0.10, bound50 <= 0.15 everywhere.
-const Cell kCells[] = {
-    // topo              pattern             L   20%   50%   80%
-    {Topo::FatTree3,   Pattern::Uniform,    1, 0.10, 0.15, 0.20},
-    {Topo::FatTree3,   Pattern::Uniform,    2, 0.10, 0.15, 0.50},
-    {Topo::FatTree3,   Pattern::Uniform,    4, 0.10, 0.15, 0.50},
-    {Topo::FatTree3,   Pattern::Hotspot10,  1, 0.10, 0.15, 0.15},
-    {Topo::FatTree3,   Pattern::Hotspot10,  2, 0.10, 0.15, 0.42},
-    {Topo::FatTree3,   Pattern::Hotspot10,  4, 0.10, 0.15, 0.30},
-    {Topo::Mesh3ary3d,    Pattern::Uniform,    1, 0.10, 0.15, 0.30},
-    {Topo::Mesh3ary3d,    Pattern::Uniform,    2, 0.10, 0.15, 0.45},
-    {Topo::Mesh3ary3d,    Pattern::Uniform,    4, 0.10, 0.15, 0.25},
-    {Topo::Mesh3ary3d,    Pattern::Hotspot10,  1, 0.10, 0.15, 0.15},
-    {Topo::Mesh3ary3d,    Pattern::Hotspot10,  2, 0.10, 0.15, 0.35},
-    {Topo::Mesh3ary3d,    Pattern::Hotspot10,  4, 0.10, 0.15, 0.35},
-    {Topo::Hypercube4, Pattern::Uniform,    1, 0.10, 0.15, 0.33},
-    {Topo::Hypercube4, Pattern::Uniform,    2, 0.10, 0.15, 0.45},
-    {Topo::Hypercube4, Pattern::Uniform,    4, 0.10, 0.15, 0.28},
-    {Topo::Hypercube4, Pattern::Hotspot10,  1, 0.10, 0.15, 0.20},
-    {Topo::Hypercube4, Pattern::Hotspot10,  2, 0.10, 0.15, 0.42},
-    {Topo::Hypercube4, Pattern::Hotspot10,  4, 0.10, 0.15, 0.37},
-};
-constexpr std::size_t kNumCells = std::size(kCells);
-constexpr double kFracs[3] = {0.2, 0.5, 0.8};
-
-std::unique_ptr<topo::Topology> make_topology(Topo t) {
-  switch (t) {
-    case Topo::FatTree3:
-      return std::make_unique<topo::ButterflyFatTree>(3);
-    case Topo::Mesh3ary3d:
-      return std::make_unique<topo::Mesh>(3, 3);
-    case Topo::Hypercube4:
-      return std::make_unique<topo::Hypercube>(4);
-  }
-  return nullptr;
-}
-
-traffic::TrafficSpec make_pattern(Pattern p) {
-  switch (p) {
-    case Pattern::Uniform:
-      return traffic::TrafficSpec::uniform();
-    case Pattern::Hotspot10:
-      return traffic::TrafficSpec::hotspot(0.1);
-  }
-  return traffic::TrafficSpec::uniform();
-}
-
-/// Everything the tests assert on, computed once for the whole table.
-class Campaign {
- public:
-  struct CellData {
-    std::string model_name;
-    double model_sat = 0.0;  ///< λ₀* (messages/cycle/PE)
-    std::array<core::LatencyEstimate, 3> model{};
-    std::array<sim::SimResult, 3> sim{};  ///< latency runs at kFracs
-    sim::SimResult overload;              ///< closed-loop saturation probe
-  };
-
-  static const Campaign& get() {
-    static Campaign instance;
-    return instance;
-  }
-
-  const CellData& cell(std::size_t i) const { return cells_[i]; }
-
- private:
-  Campaign() {
-    // One topology object per (kind, lanes) — a SimNetwork snapshots the
-    // lane count at construction, so each lane configuration needs its own
-    // live topology for the shared-network campaign.
-    auto topo_of = [this](Topo t, int lanes) -> const topo::Topology* {
-      const std::size_t key =
-          static_cast<std::size_t>(t) * 8 + static_cast<std::size_t>(lanes);
-      auto it = topos_.find(key);
-      if (it == topos_.end()) {
-        std::unique_ptr<topo::Topology> topo = make_topology(t);
-        topo->set_uniform_lanes(lanes);
-        it = topos_.emplace(key, std::move(topo)).first;
-      }
-      return it->second.get();
-    };
-
-    // Model side: build + saturation + the three latency points per cell.
-    cells_.resize(kNumCells);
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      const Cell& cell = kCells[i];
-      const topo::Topology* topo = topo_of(cell.topo, cell.lanes);
-      const traffic::TrafficSpec spec = make_pattern(cell.pattern);
-      core::SolveOptions opts;
-      opts.worm_flits = 16.0;
-      const core::GeneralModel model = core::build_traffic_model(*topo, spec, opts);
-      CellData& out = cells_[i];
-      out.model_name = model.name();
-      out.model_sat = core::model_saturation_rate(model, opts);
-      for (int j = 0; j < 3; ++j) {
-        out.model[static_cast<std::size_t>(j)] =
-            core::model_latency(model, out.model_sat * kFracs[j], opts);
-      }
-    }
-
-    // Simulation side: one campaign of 54 latency cells + 18 overload
-    // cells.  Seeds and configs are exactly the pre-SimEngine per-cell
-    // values, so every SimResult is bit-identical to the serial suite.
-    std::vector<harness::SimCell> sim_cells;
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      const Cell& cell = kCells[i];
-      const topo::Topology* topo = topo_of(cell.topo, cell.lanes);
-      for (int j = 0; j < 3; ++j) {
-        harness::SimCell sc;
-        sc.topology = topo;
-        sc.cfg.load_flits = cells_[i].model_sat * kFracs[j] * 16.0;
-        sc.cfg.worm_flits = 16;
-        sc.cfg.seed = 1000 + static_cast<std::uint64_t>(cell.lanes);
-        sc.cfg.traffic = make_pattern(cell.pattern);
-        sc.cfg.warmup_cycles = 8000;
-        sc.cfg.measure_cycles = 40000;
-        sc.cfg.max_cycles = 600000;
-        sc.cfg.channel_stats = false;
-        sim_cells.push_back(std::move(sc));
-      }
-    }
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      const Cell& cell = kCells[i];
-      harness::SimCell sc;
-      sc.topology = topo_of(cell.topo, cell.lanes);
-      sc.cfg.arrivals = sim::ArrivalProcess::Overload;
-      sc.cfg.worm_flits = 16;
-      sc.cfg.seed = 7;
-      sc.cfg.traffic = make_pattern(cell.pattern);
-      sc.cfg.warmup_cycles = 5000;
-      sc.cfg.measure_cycles = 20000;
-      sc.cfg.channel_stats = false;
-      sim_cells.push_back(std::move(sc));
-    }
-
-    harness::SimEngine engine;
-    const std::vector<harness::SimCellResult> results = engine.run_cells(sim_cells);
-    for (std::size_t i = 0; i < kNumCells; ++i) {
-      for (int j = 0; j < 3; ++j) {
-        cells_[i].sim[static_cast<std::size_t>(j)] =
-            results[i * 3 + static_cast<std::size_t>(j)].runs.front();
-      }
-      cells_[i].overload = results[kNumCells * 3 + i].runs.front();
-    }
-  }
-
-  std::map<std::size_t, std::unique_ptr<topo::Topology>> topos_;
-  std::vector<CellData> cells_;
-};
-
-void check_cell(std::size_t index) {
-  const Cell& cell = kCells[index];
-  const Campaign::CellData& data = Campaign::get().cell(index);
-  ASSERT_GT(data.model_sat, 0.0);
-
-  const double bounds[] = {cell.bound20, cell.bound50, cell.bound80};
-  for (int i = 0; i < 3; ++i) {
-    const core::LatencyEstimate& est = data.model[static_cast<std::size_t>(i)];
-    ASSERT_TRUE(est.stable)
-        << data.model_name << " lanes=" << cell.lanes << " frac=" << kFracs[i];
-
-    const sim::SimResult& r = data.sim[static_cast<std::size_t>(i)];
-    ASSERT_TRUE(r.completed)
-        << data.model_name << " lanes=" << cell.lanes << " frac=" << kFracs[i];
-    ASSERT_FALSE(r.saturated)
-        << data.model_name << " lanes=" << cell.lanes << " frac=" << kFracs[i];
-    ASSERT_GT(r.latency.count(), 0);
-
-    const double sim_latency = r.latency.mean();
-    const double rel_err = std::abs(est.latency - sim_latency) / sim_latency;
-    EXPECT_LE(rel_err, bounds[i])
-        << data.model_name << " lanes=" << cell.lanes << " frac=" << kFracs[i]
-        << ": model=" << est.latency << " sim=" << sim_latency;
-  }
+const AccuracySlice& slice() {
+  static const AccuracySlice s("uniform");
+  return s;
 }
 
 class Conformance : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(Conformance, LatencyWithinCellBounds) { check_cell(GetParam()); }
-
-std::string cell_name(const ::testing::TestParamInfo<std::size_t>& info) {
-  const Cell& c = kCells[info.param];
-  std::string name;
-  switch (c.topo) {
-    case Topo::FatTree3: name = "FatTree3"; break;
-    case Topo::Mesh3ary3d: name = "Mesh3ary3d"; break;
-    case Topo::Hypercube4: name = "Hypercube4"; break;
-  }
-  name += c.pattern == Pattern::Uniform ? "Uniform" : "Hotspot10";
-  name += "L";
-  name += std::to_string(c.lanes);
-  return name;
+TEST_P(Conformance, LatencyWithinCellBounds) {
+  const harness::AccuracyRow& row = slice().rows()[GetParam()];
+  ASSERT_GT(row.saturation_rate, 0.0);
+  check_points(row, row.model_name + " lanes=" + std::to_string(row.cell.lanes));
 }
 
-INSTANTIATE_TEST_SUITE_P(Cells, Conformance,
-                         ::testing::Range<std::size_t>(0, kNumCells),
-                         cell_name);
+INSTANTIATE_TEST_SUITE_P(
+    Cells, Conformance, ::testing::Range<std::size_t>(0, slice().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return slice().label(info.param);
+    });
 
 // The saturation points themselves must agree: the model's Eq. 26 rate vs
 // the simulator's overload throughput, per lane count.  Looser than the
 // latency bounds (one is an asymptote, the other a closed-loop measurement)
 // but tight enough to catch a broken lane model.
 TEST(ConformanceSaturation, ModelSaturationTracksOverloadThroughputPerLane) {
-  for (std::size_t i = 0; i < kNumCells; ++i) {
-    const Campaign::CellData& data = Campaign::get().cell(i);
-    const double model_sat = data.model_sat * 16.0;
-    const double sim_sat = data.overload.throughput_flits_per_pe;
+  for (const harness::AccuracyRow& row : slice().rows()) {
+    const double model_sat = row.saturation_rate * 16.0;
+    const double sim_sat = row.overload.throughput_flits_per_pe;
     EXPECT_NEAR(model_sat, sim_sat, 0.30 * sim_sat)
-        << data.model_name << " lanes=" << kCells[i].lanes;
+        << row.model_name << " lanes=" << row.cell.lanes;
   }
 }
 
