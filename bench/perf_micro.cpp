@@ -71,7 +71,7 @@ void BM_ModelSolveDense(benchmark::State& state) {
   // One-shot evaluate on the dense uniform resident model: plan the solve
   // (validate, order, transitions, blocking factors), then one Eq. 11
   // sweep at half the saturation rate.  Compare BM_ModelSaturationDense,
-  // whose ~57 probes share one plan.
+  // whose probes (its `probes` counter) share one plan.
   const core::GeneralModel net = dense_uniform_fattree(static_cast<int>(state.range(0)));
   const double lambda0 = 0.5 * net.saturation_rate();
   for (auto _ : state) {
@@ -82,13 +82,24 @@ void BM_ModelSolveDense(benchmark::State& state) {
 BENCHMARK(BM_ModelSolveDense)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 void BM_ModelSaturationDense(benchmark::State& state) {
-  // Eq. 26 by bisection on the same model: one plan, ~57 solves through
-  // it.  CI's perf-smoke fails when this row reaches 40x
-  // BM_ModelSolveDense/4 — the sign that each probe re-plans again.
+  // Eq. 26 on the same model: one plan, `probes` solves through it (21 on
+  // BFT(4): the bracket step, then the bisection replay; a blind 60-step
+  // bisection made 57).  CI's perf-smoke fails when this row reaches 15x
+  // BM_ModelSolveDense/4 — the sign that each probe re-plans again, or
+  // that the search is back to probing every midpoint.
   const core::GeneralModel net = dense_uniform_fattree(static_cast<int>(state.range(0)));
+  int probes = 0;
+  const core::SolvePlan plan(net);
+  core::find_saturation_rate(
+      [&](double lambda0) {
+        ++probes;
+        return plan.evaluate(lambda0).inj_service;
+      },
+      1.0 / net.worm_flits());
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::model_saturation_rate(net, net.opts));
   }
+  state.counters["probes"] = probes;
   state.SetLabel(std::to_string(net.graph.size()) + " channel classes");
 }
 BENCHMARK(BM_ModelSaturationDense)->Arg(4)->Unit(benchmark::kMillisecond);

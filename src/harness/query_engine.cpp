@@ -275,8 +275,9 @@ struct QueryEngine::Impl {
         res.est = sweep.evaluate(plan, q.lambda0);
         break;
       case QueryMetric::Saturation:
-        // One bisection through the variant's plan.  The answer cache keeps
-        // the result; its ~57 probes are not memoized one by one.
+        // One Eq. 26 search through the variant's plan.  The answer cache
+        // keeps the result; its probes (about 20) are not memoized one by
+        // one.
         res.saturation_rate = plan.saturation_rate();
         break;
       case QueryMetric::ClassBreakdown: {

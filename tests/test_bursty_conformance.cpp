@@ -6,7 +6,8 @@
 // 20% relative latency error at 20% and 50% of the model's own saturation.
 //
 // The companion table (bench/ext_bursty_arrivals.cpp, recorded in
-// EXPERIMENTS.md) shows the measured errors are far tighter (≤ ~10%), and —
+// EXPERIMENTS.md) shows the measured errors are tighter (≤ 13%: the worst,
+// MMPP-2 on the 4-cube at 20% load, reads +12.8%), and —
 // the point of the subsystem — that the Poisson-assumption model is ~70%
 // optimistic under batch traffic at the same loads, which this suite pins
 // with a lower bound on the Poisson model's undershoot.
