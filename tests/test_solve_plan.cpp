@@ -3,18 +3,28 @@
 // exactly as a freshly built plan of the same model, for every tune axis;
 // the cyclic (fixed-point) path must land on its pinned values; the plan's
 // digest must be the model's content digest; building a plan must still
-// reject an invalid graph; and a model without injection classes solves but
-// does not evaluate.
+// reject an invalid graph; a model without injection classes solves but
+// does not evaluate; and the latency and saturation answers, which read no
+// solution rows, must equal what the full solve's rows give.
 #include "core/general_model.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fattree_graph.hpp"
+#include "core/saturation.hpp"
 #include "core/traffic_model.hpp"
 #include "topo/butterfly_fattree.hpp"
+#include "topo/fault.hpp"
+#include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
 #include "util/hash.hpp"
 
@@ -219,6 +229,138 @@ TEST(SolvePlan, CyclicGraphMatchesPinnedFixedPoint) {
 
   // The one-shot wrapper is the same loop.
   expect_same_solve(ring.solve(0.004), low, "one-shot");
+}
+
+/// Eq. 1 averaged over `net`'s injection classes from a full solve's rows,
+/// with its batch residual and unroutable fraction applied: the latency
+/// answer as it was computed from SolveResult rows, verbatim.
+LatencyEstimate estimate_from_rows(const SolveResult& solution,
+                                   const GeneralModel& net) {
+  const std::vector<double>& weights = net.injection_class_weights;
+  LatencyEstimate est;
+  est.mean_distance = net.mean_distance;
+  est.stable = solution.stable;
+  double wait_sum = 0.0;
+  double service_sum = 0.0;
+  double weight_sum = 0.0;
+  for (std::size_t i = 0; i < net.injection_classes.size(); ++i) {
+    const double w = weights.empty() ? 1.0 : weights[i];
+    const int id = net.injection_classes[i];
+    wait_sum += w * solution.wait(id);
+    service_sum += w * solution.service_time(id);
+    weight_sum += w;
+  }
+  est.inj_wait = wait_sum / weight_sum;
+  est.inj_service = service_sum / weight_sum;
+  est.latency = est.inj_wait + est.inj_service + net.mean_distance - 1.0;
+  if (!std::isfinite(est.latency)) est.stable = false;
+  if (!solution.converged)
+    est.status = SolveStatus::Infeasible;
+  else if (!est.stable)
+    est.status = SolveStatus::Saturated;
+  const double inf = std::numeric_limits<double>::infinity();
+  if (std::isnan(est.inj_wait)) est.inj_wait = inf;
+  if (std::isnan(est.inj_service)) est.inj_service = inf;
+  if (std::isnan(est.latency)) est.latency = inf;
+  // The batch residual, then the unroutable fraction.
+  const double residual = net.injection_batch_residual;
+  if (residual > 0.0 && std::isfinite(est.inj_service)) {
+    const double extra = residual * est.inj_service;
+    est.inj_wait += extra;
+    est.latency += extra;
+  }
+  est.unroutable_fraction = net.unroutable_fraction;
+  if (net.unroutable_fraction > 0.0 && est.status == SolveStatus::Ok)
+    est.status = SolveStatus::Disconnected;
+  return est;
+}
+
+/// A derangement drawn from `rng` (no processor sends to itself).
+std::vector<int> derangement(int n, std::mt19937_64& rng) {
+  std::vector<int> order(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
+  std::shuffle(order.begin(), order.end(), rng);
+  std::vector<int> dest(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i)
+    dest[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] =
+        order[static_cast<std::size_t>((i + 1) % n)];
+  return dest;
+}
+
+/// The model inputs of Saturation.BracketedSearchMatchesPlainBisection
+/// (test_saturation.cpp), the cyclic ring injecting at class a, and a
+/// batch-arrival tune (C_a² ≠ 1 and a positive batch residual).
+std::vector<ModelCase> row_free_cases() {
+  std::vector<ModelCase> cases;
+  const auto uniform = traffic::TrafficSpec::uniform();
+  cases.push_back({"dense BFT(4) uniform",
+                   build_traffic_model(topo::ButterflyFatTree(4), uniform)});
+  {
+    topo::ButterflyFatTree tapered(3);
+    tapered.set_tier_bandwidth(1, 0.5);
+    tapered.set_uniform_lanes(2);
+    tapered.set_uniform_buffer_depth(2);
+    cases.push_back({"BFT(3) 2:1 taper L=2 B=2", build_traffic_model(tapered, uniform)});
+  }
+  cases.push_back({"BFT(3) hotspot",
+                   build_traffic_model(topo::ButterflyFatTree(3),
+                                       traffic::TrafficSpec::hotspot(0.2, 5))});
+  cases.push_back({"Mesh(4,4) uniform", build_traffic_model(topo::Mesh(4, 2), uniform)});
+  cases.push_back({"Hypercube(6) bit-complement",
+                   build_traffic_model(topo::Hypercube(6),
+                                       traffic::TrafficSpec::bit_complement())});
+  cases.push_back({"BFT(3) m=4",
+                   build_traffic_model(topo::ButterflyFatTree(3, 4), uniform)});
+  {
+    const topo::ButterflyFatTree ft(3);
+    topo::FaultSet faults(ft);
+    faults.fail_link(ft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort0);
+    cases.push_back({"BFT(3) one failed link",
+                     build_traffic_model(topo::FaultedTopology(ft, faults), uniform)});
+  }
+  {
+    const topo::ButterflyFatTree ft(3);
+    std::mt19937_64 rng(2718);
+    std::vector<int> dest = derangement(ft.num_processors(), rng);
+    RetunableTrafficModel resident(ft, traffic::TrafficSpec::permutation(dest));
+    std::swap(dest[3], dest[40]);
+    resident.retune_traffic(traffic::TrafficSpec::permutation(dest));
+    cases.push_back({"BFT(3) retuned derangement", resident.model()});
+  }
+  {
+    int e = 0, a = 0, b = 0;
+    GeneralModel ring = ring_model(e, a, b);
+    ring.injection_classes = {a};
+    cases.push_back({"cyclic ring", std::move(ring)});
+  }
+  {
+    GeneralModel batch = build_traffic_model(topo::ButterflyFatTree(3), uniform);
+    batch.set_injection_process(arrivals::ArrivalSpec::batch(3.0));
+    cases.push_back({"BFT(3) batch arrivals", std::move(batch)});
+  }
+  return cases;
+}
+
+TEST(SolvePlan, RowFreeAnswersMatchTheFullSolve) {
+  for (const ModelCase& c : row_free_cases()) {
+    const SolvePlan plan(c.model);
+    const double sat = plan.saturation_rate();
+    ASSERT_GT(sat, 0.0) << c.tag;
+    // The saturation answer is the bisection over evaluate's x̄_inj.
+    expect_bits(sat,
+                find_saturation_rate(
+                    [&plan](double l) { return plan.evaluate(l).inj_service; },
+                    1.0 / plan.worm_flits()),
+                c.tag + " saturation");
+    std::vector<double> loads;
+    for (double frac : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0, 1.2}) loads.push_back(frac * sat);
+    loads.push_back(2.0 / plan.worm_flits());
+    for (double lambda0 : loads) {
+      const std::string at = c.tag + " at " + std::to_string(lambda0);
+      expect_same_estimate(plan.evaluate(lambda0),
+                           estimate_from_rows(plan.solve(lambda0), c.model), at);
+    }
+  }
 }
 
 TEST(SolvePlan, DigestEqualsContentDigest) {
