@@ -104,6 +104,35 @@ void BM_ModelSaturationDense(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelSaturationDense)->Arg(4)->Unit(benchmark::kMillisecond);
 
+void BM_PlanEvaluateDense(benchmark::State& state) {
+  // The latency answer of a held plan: one Eq. 11 sweep into the thread's
+  // rows, the stability test and the Eq. 1 average, with no per-class
+  // solution rows built.  Compare BM_PlanSolveDense, the same sweep plus
+  // the rows and telemetry.
+  const core::GeneralModel net = dense_uniform_fattree(static_cast<int>(state.range(0)));
+  const core::SolvePlan plan(net);
+  const double lambda0 = 0.5 * plan.saturation_rate();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(plan.evaluate(lambda0).latency);
+  }
+  state.SetLabel(std::to_string(net.graph.size()) + " channel classes");
+}
+BENCHMARK(BM_PlanEvaluateDense)->Arg(4)->Unit(benchmark::kMicrosecond);
+
+void BM_PlanSolveDense(benchmark::State& state) {
+  // The full solve of a held plan at the same load: the sweep, then every
+  // class's ChannelSolution row (utilization, C_b², blocking) and the
+  // telemetry, in a fresh row vector per call.
+  const core::GeneralModel net = dense_uniform_fattree(static_cast<int>(state.range(0)));
+  const core::SolvePlan plan(net);
+  const double lambda0 = 0.5 * plan.saturation_rate();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(plan.solve(lambda0).channels.data());
+  }
+  state.SetLabel(std::to_string(net.graph.size()) + " channel classes");
+}
+BENCHMARK(BM_PlanSolveDense)->Arg(4)->Unit(benchmark::kMicrosecond);
+
 void BM_SweepEngineColdSweep(benchmark::State& state) {
   // A 32-point λ-sweep through the engine with caching disabled: the cost
   // of batched dispatch itself.

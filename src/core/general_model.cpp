@@ -52,6 +52,7 @@ class SolveStructure {
     const std::span<const Transition> all = graph.transitions();
     transitions.assign(all.begin(), all.end());
     order = graph.reverse_topological_order();
+    for (int id : injection_classes) WORMNET_EXPECTS(id >= 0 && id < size);
   }
 
   /// The wiring's part of the content digest, computed on first use.
@@ -117,47 +118,6 @@ LatencyEstimate apply_batch_residual(LatencyEstimate est, double residual) {
   const double extra = residual * est.inj_service;
   est.inj_wait += extra;
   est.latency += extra;
-  return est;
-}
-
-/// Eq. 1 averaged over the structure's injection classes, each weighted by
-/// the processors it stands for (injection_weights, not necessarily
-/// normalized; empty means uniform), so a collapsed model's average equals
-/// the dense per-processor one.
-LatencyEstimate estimate_latency(const SolveResult& solution,
-                                 const SolveStructure& s) {
-  const std::vector<double>& weights = s.injection_weights;
-  WORMNET_EXPECTS(!s.injection_classes.empty());
-  WORMNET_EXPECTS(weights.empty() || weights.size() == s.injection_classes.size());
-  LatencyEstimate est;
-  est.mean_distance = s.mean_distance;
-  est.stable = solution.stable;
-  double wait_sum = 0.0;
-  double service_sum = 0.0;
-  double weight_sum = 0.0;
-  for (std::size_t i = 0; i < s.injection_classes.size(); ++i) {
-    const double w = weights.empty() ? 1.0 : weights[i];
-    const int id = s.injection_classes[i];
-    wait_sum += w * solution.wait(id);
-    service_sum += w * solution.service_time(id);
-    weight_sum += w;
-  }
-  WORMNET_EXPECTS(weight_sum > 0.0);
-  est.inj_wait = wait_sum / weight_sum;
-  est.inj_service = service_sum / weight_sum;
-  est.latency = est.inj_wait + est.inj_service + s.mean_distance - 1.0;
-  if (!std::isfinite(est.latency)) est.stable = false;
-  // Structured status: a fixed point that failed to converge dominates
-  // saturation; apply_unroutable layers Disconnected on top.
-  if (!solution.converged)
-    est.status = SolveStatus::Infeasible;
-  else if (!est.stable)
-    est.status = SolveStatus::Saturated;
-  // NaN never escapes the solver surface: divergence reads as +infinity.
-  const double inf = std::numeric_limits<double>::infinity();
-  if (std::isnan(est.inj_wait)) est.inj_wait = inf;
-  if (std::isnan(est.inj_service)) est.inj_service = inf;
-  if (std::isnan(est.latency)) est.latency = inf;
   return est;
 }
 
@@ -251,18 +211,18 @@ std::uint64_t SolvePlan::digest() const {
   return h;
 }
 
-SolveResult SolvePlan::solve(double lambda0) const {
+SolvePlan::Sweep SolvePlan::sweep(double lambda0) const {
   WORMNET_SPAN("solve_general_model", "solve");
   WORMNET_EXPECTS(lambda0 >= 0.0);
   const SolveStructure& s = *structure_;
   const int n = s.size;
   const auto at = [](int id) { return static_cast<std::size_t>(id); };
-  SolveResult result;
-  // x̄ and W̄ live in the solution rows from the start: a class's successors
-  // are read as (service_time, wait) pairs from one row each.
-  std::vector<ChannelSolution>& ch = result.channels;
-  ch.assign(at(n), {});
-  for (ChannelSolution& sol : ch) sol.service_time = solver_.worm_flits();
+  // The calling thread's rows keep their capacity from sweep to sweep, so
+  // a thread that has swept a model this large allocates nothing here.
+  // Every caller reads them before its thread sweeps again.
+  thread_local std::vector<SweepRow> rows;
+  rows.assign(at(n), {solver_.worm_flits(), 0.0});
+  Sweep out{{}, true, 1, 0.0};
 
   // Eq. 11 for class i given the current service times, plus the
   // heterogeneous-link terms of channel i itself: the lane-multiplexing
@@ -282,7 +242,7 @@ SolveResult SolvePlan::solve(double lambda0) const {
       xi = 0.0;
       for (int k = s.offsets[at(i)]; k < s.offsets[at(i) + 1]; ++k) {
         const Transition& t = s.transitions[at(k)];
-        const ChannelSolution& next = ch[at(t.target)];
+        const SweepRow& next = rows[at(t.target)];
         xi += t.weight *
               (next.service_time + ChannelSolver::wait_term(factor_[at(k)], next.wait));
       }
@@ -299,10 +259,10 @@ SolveResult SolvePlan::solve(double lambda0) const {
     }
     return xi + excess;
   };
-  // W̄ of class id's bundle at its current x̄ and the solve's λ₀.
+  // W̄ of class id's bundle at its current x̄ and the sweep's λ₀.
   const auto wait_at = [&](int id) {
     const ClassInputs& c = classes_[at(id)];
-    return solver_.bundle_wait(c, c.rate * lambda0, ch[at(id)].service_time);
+    return solver_.bundle_wait(c, c.rate * lambda0, rows[at(id)].service_time);
   };
 
   if (!s.order.empty()) {
@@ -311,40 +271,92 @@ SolveResult SolvePlan::solve(double lambda0) const {
     // traversed").  Successors are already final; compose this class's x̄
     // from them, then evaluate the wait of its bundle at that final x̄.
     for (int id : s.order) {
-      ch[at(id)].service_time = compose(id);
-      ch[at(id)].wait = wait_at(id);
+      rows[at(id)].service_time = compose(id);
+      rows[at(id)].wait = wait_at(id);
     }
-    result.iterations = 1;
-    result.converged = true;
   } else {
     // Cyclic dependency graph: damped fixed-point iteration.
-    result.converged = false;
-    double last_delta = 0.0;
+    out.converged = false;
+    out.iterations = 0;
     for (int it = 0; it < max_iterations_; ++it) {
       double max_delta = 0.0;
-      for (int id = 0; id < n; ++id) ch[at(id)].wait = wait_at(id);
+      for (int id = 0; id < n; ++id) rows[at(id)].wait = wait_at(id);
       for (int id = 0; id < n; ++id) {
         const double next = compose(id);
-        const double cur = ch[at(id)].service_time;
+        const double cur = rows[at(id)].service_time;
         double blended = cur + kDamping * (next - cur);
         if (std::isinf(next)) blended = next;  // saturation dominates damping
         max_delta = std::max(max_delta, std::abs(blended - cur));
-        ch[at(id)].service_time = blended;
+        rows[at(id)].service_time = blended;
       }
-      result.iterations = it + 1;
-      last_delta = max_delta;
+      out.iterations = it + 1;
+      out.residual = max_delta;
       if (max_delta < kTolerance || std::isinf(max_delta) || std::isnan(max_delta)) {
-        result.converged = max_delta < kTolerance;
+        out.converged = max_delta < kTolerance;
         break;
       }
     }
-    result.telemetry.max_residual = last_delta;
-    for (int id = 0; id < n; ++id) ch[at(id)].wait = wait_at(id);
+    for (int id = 0; id < n; ++id) rows[at(id)].wait = wait_at(id);
   }
+  out.rows = rows;
+  return out;
+}
 
+LatencyEstimate SolvePlan::estimate_latency(const Sweep& sweep, bool stable) const {
+  // Each injection class weighs as the processors it stands for
+  // (injection_weights, not necessarily normalized; empty means uniform),
+  // so a collapsed model's average equals the dense per-processor one.
+  const SolveStructure& s = *structure_;
+  const std::vector<double>& weights = s.injection_weights;
+  WORMNET_EXPECTS(!s.injection_classes.empty());
+  WORMNET_EXPECTS(weights.empty() || weights.size() == s.injection_classes.size());
+  LatencyEstimate est;
+  est.mean_distance = s.mean_distance;
+  est.stable = stable;
+  double wait_sum = 0.0;
+  double service_sum = 0.0;
+  double weight_sum = 0.0;
+  for (std::size_t i = 0; i < s.injection_classes.size(); ++i) {
+    const double w = weights.empty() ? 1.0 : weights[i];
+    const SweepRow& row = sweep.rows[static_cast<std::size_t>(s.injection_classes[i])];
+    wait_sum += w * row.wait;
+    service_sum += w * row.service_time;
+    weight_sum += w;
+  }
+  WORMNET_EXPECTS(weight_sum > 0.0);
+  est.inj_wait = wait_sum / weight_sum;
+  est.inj_service = service_sum / weight_sum;
+  est.latency = est.inj_wait + est.inj_service + s.mean_distance - 1.0;
+  if (!std::isfinite(est.latency)) est.stable = false;
+  // Structured status: a fixed point that failed to converge dominates
+  // saturation; apply_unroutable layers Disconnected on top.
+  if (!sweep.converged)
+    est.status = SolveStatus::Infeasible;
+  else if (!est.stable)
+    est.status = SolveStatus::Saturated;
+  // NaN never escapes the solver surface: divergence reads as +infinity.
+  const double inf = std::numeric_limits<double>::infinity();
+  if (std::isnan(est.inj_wait)) est.inj_wait = inf;
+  if (std::isnan(est.inj_service)) est.inj_service = inf;
+  if (std::isnan(est.latency)) est.latency = inf;
+  return est;
+}
+
+SolveResult SolvePlan::solve(double lambda0) const {
+  const Sweep sweep = this->sweep(lambda0);
+  const int n = structure_->size;
+  const auto at = [](int id) { return static_cast<std::size_t>(id); };
+  SolveResult result;
+  result.converged = sweep.converged;
+  result.iterations = sweep.iterations;
+  result.telemetry.max_residual = sweep.residual;
+  std::vector<ChannelSolution>& ch = result.channels;
+  ch.resize(at(n));
   for (int id = 0; id < n; ++id) {
     const ClassInputs& c = classes_[at(id)];
     ChannelSolution& sol = ch[at(id)];
+    sol.service_time = sweep.rows[at(id)].service_time;
+    sol.wait = sweep.rows[at(id)].wait;
     sol.utilization = solver_.bundle_utilization(c, c.rate * lambda0, sol.service_time);
     sol.cb2 = solver_.cb2(sol.service_time);
     sol.ca2 = c.ca2;
@@ -394,15 +406,28 @@ SolveResult SolvePlan::solve(double lambda0) const {
 }
 
 LatencyEstimate SolvePlan::evaluate(double lambda0) const {
-  const SolveStructure& s = *structure_;
+  const Sweep sweep = this->sweep(lambda0);
+  // solve()'s stability verdict on the same rows: every x̄ and W̄ finite
+  // and every bundle below saturation.
+  bool stable = true;
+  for (std::size_t id = 0; id < classes_.size() && stable; ++id) {
+    const ClassInputs& c = classes_[id];
+    const SweepRow& row = sweep.rows[id];
+    stable = std::isfinite(row.service_time) && std::isfinite(row.wait) &&
+             !(solver_.bundle_utilization(c, c.rate * lambda0, row.service_time) >= 1.0);
+  }
   return apply_unroutable(
-      apply_batch_residual(estimate_latency(solve(lambda0), s), batch_residual_),
-      s.unroutable_fraction);
+      apply_batch_residual(estimate_latency(sweep, stable), batch_residual_),
+      structure_->unroutable_fraction);
 }
 
 double SolvePlan::saturation_rate() const {
+  // A probe needs only evaluate's x̄_inj, which no stability verdict,
+  // batch residual or unroutable fraction changes.
   return find_saturation_rate(
-      [this](double lambda0) { return evaluate(lambda0).inj_service; },
+      [this](double lambda0) {
+        return estimate_latency(sweep(lambda0), true).inj_service;
+      },
       1.0 / worm_flits());
 }
 

@@ -23,10 +23,14 @@
 // validation, the reverse-topological order, the transitions, the
 // Eq. 9/10 blocking factors P(i|j) (a ratio of per-link rates, so
 // scale-invariant in λ₀), the drain floors and the content digest do not.
-// A SolvePlan computes that set-up once per model content, and
-// SolvePlan::solve(λ₀) runs the one Eq. 11 loop over it; a saturation
-// bisection, a λ-sweep or a what-if variant's several questions all reuse
-// one plan.  A plan is always of a GeneralModel; the only other entry points
+// A SolvePlan computes that set-up once per model content, and each of its
+// three answers runs the one Eq. 11 sweep over it; a saturation search, a
+// λ-sweep or a what-if variant's several questions all reuse one plan.
+// Only solve(λ₀) builds per-class rows (ChannelSolution: utilization, C_b²,
+// blocking, telemetry), for the readers that want that detail.  evaluate
+// (λ₀) and each probe of saturation_rate() read the sweep's x̄ and W̄ from
+// rows the calling thread keeps between calls (16 bytes a class), so once a
+// thread has solved a model that large they allocate nothing.  A plan is always of a GeneralModel; the only other entry points
 // (GeneralModel::solve / evaluate / saturation_rate, model_latency and
 // model_saturation_rate) are one-shot wrappers that build a plan and ask it
 // once.  A plan has two halves:
@@ -53,6 +57,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -275,7 +280,8 @@ class SolvePlan {
             std::shared_ptr<const SolveStructure> structure);
 
   /// The Eq. 11 solve at λ₀ (>= 0): one reverse-topological sweep, or the
-  /// damped fixed point on a cyclic graph.
+  /// damped fixed point on a cyclic graph, with every class's solution row
+  /// and the telemetry.  The only answer that builds rows.
   SolveResult solve(double lambda0) const;
   /// Network latency at λ₀ (Eq. 2/25): Eq. 1 averaged over the injection
   /// classes (weighted by injection_class_weights when given), with the
@@ -284,6 +290,7 @@ class SolvePlan {
   /// injection classes.
   LatencyEstimate evaluate(double lambda0) const;
   /// Saturation rate λ₀* (Eq. 26), every bisection probe through this plan.
+  /// A probe reads only evaluate's x̄_inj (its weighted injection x̄).
   double saturation_rate() const;
   /// The content digest of what this plan evaluates; equals
   /// GeneralModel::content_digest() for a plan of a model under its own
@@ -306,10 +313,31 @@ class SolvePlan {
     double blocking = 0.0;  ///< ChannelSolution::blocking
   };
 
+  /// x̄ and W̄ of one class, as a sweep leaves them.
+  struct SweepRow {
+    double service_time;
+    double wait;
+  };
+  /// One sweep's rows, which are the calling thread's until its next
+  /// sweep, and how the sweep ended.
+  struct Sweep {
+    std::span<const SweepRow> rows;
+    bool converged;
+    int iterations;
+    double residual;  ///< final fixed-point max |Δx̄| (0 on acyclic graphs)
+  };
+
   /// The one constructor the three public ones forward to: `structure`
   /// null to build one from `net`.
   SolvePlan(const GeneralModel& net, const SolveOptions& opts,
             std::shared_ptr<const SolveStructure> structure);
+
+  /// The Eq. 11 sweep at λ₀ into the calling thread's rows.
+  Sweep sweep(double lambda0) const;
+  /// Eq. 1 averaged over the injection classes of a sweep's rows, with
+  /// the stability verdict `stable` (evaluate's answer before the batch
+  /// residual and the unroutable fraction).
+  LatencyEstimate estimate_latency(const Sweep& sweep, bool stable) const;
 
   std::shared_ptr<const SolveStructure> structure_;
   queueing::ChannelSolver solver_;

@@ -9,62 +9,6 @@ namespace wormnet::queueing {
 
 using util::kInf;
 
-namespace {
-// Utilizations within kStabilityMargin of 1 are treated as saturated: the
-// 1/(1-rho) terms would otherwise produce astronomically large but finite
-// waits that destabilize the saturation bisection's bracketing.
-constexpr double kStabilityMargin = 1e-9;
-}  // namespace
-
-double utilization(double lambda, double xbar, int servers) {
-  WORMNET_EXPECTS(servers >= 1);
-  WORMNET_EXPECTS(lambda >= 0.0);
-  WORMNET_EXPECTS(xbar >= 0.0);
-  return lambda * xbar / servers;
-}
-
-bool stable(double lambda, double xbar, int servers) {
-  return utilization(lambda, xbar, servers) < 1.0 - kStabilityMargin;
-}
-
-double wormhole_cb2(double xbar, double worm_flits) {
-  WORMNET_EXPECTS(worm_flits > 0.0);
-  if (xbar <= 0.0) return 0.0;
-  // Past saturation x̄ diverges; (x̄ - s_f)²/x̄² → 1 in the limit, and the
-  // wait kernels return +inf regardless, so report the limit instead of the
-  // NaN that inf/inf arithmetic would produce.
-  if (!std::isfinite(xbar)) return 1.0;
-  const double blocked = xbar - worm_flits;
-  return (blocked * blocked) / (xbar * xbar);
-}
-
-double mg1_wait(double lambda, double xbar, double cb2) {
-  WORMNET_EXPECTS(lambda >= 0.0);
-  WORMNET_EXPECTS(cb2 >= 0.0);
-  if (lambda == 0.0 || xbar == 0.0) return 0.0;
-  if (!stable(lambda, xbar, 1)) return kInf;
-  const double rho = lambda * xbar;
-  return rho * xbar * (1.0 + cb2) / (2.0 * (1.0 - rho));
-}
-
-double mg1_wait_wormhole(double lambda, double xbar, double worm_flits) {
-  return mg1_wait(lambda, xbar, wormhole_cb2(xbar, worm_flits));
-}
-
-double mg2_wait_hokstad(double lambda, double xbar, double cb2) {
-  WORMNET_EXPECTS(lambda >= 0.0);
-  WORMNET_EXPECTS(cb2 >= 0.0);
-  if (lambda == 0.0 || xbar == 0.0) return 0.0;
-  if (!stable(lambda, xbar, 2)) return kInf;
-  const double lx = lambda * xbar;
-  // Eq. 7: the denominator 4 - lambda^2 x̄^2 vanishes exactly at rho = 1.
-  return lambda * lambda * xbar * xbar * xbar * (1.0 + cb2) / (2.0 * (4.0 - lx * lx));
-}
-
-double mg2_wait_wormhole(double lambda, double xbar, double worm_flits) {
-  return mg2_wait_hokstad(lambda, xbar, wormhole_cb2(xbar, worm_flits));
-}
-
 double erlang_c(int servers, double offered_load) {
   WORMNET_EXPECTS(servers >= 1);
   WORMNET_EXPECTS(offered_load >= 0.0);
@@ -97,33 +41,10 @@ double mmm_wait(int servers, double lambda, double xbar) {
   return c * xbar / (servers - a);
 }
 
-double mgm_wait(int servers, double lambda, double xbar, double cb2) {
-  WORMNET_EXPECTS(servers >= 1);
-  WORMNET_EXPECTS(cb2 >= 0.0);
-  if (lambda == 0.0 || xbar == 0.0) return 0.0;
-  if (!stable(lambda, xbar, servers)) return kInf;
-  return 0.5 * (1.0 + cb2) * mmm_wait(servers, lambda, xbar);
-}
-
-double mgm_wait_wormhole(int servers, double lambda, double xbar, double worm_flits) {
-  return mgm_wait(servers, lambda, xbar, wormhole_cb2(xbar, worm_flits));
-}
-
 double allen_cunneen_scale(double ca2, double cs2) {
   WORMNET_EXPECTS(ca2 >= 0.0);
   WORMNET_EXPECTS(cs2 >= 0.0);
   return (ca2 + cs2) / (1.0 + cs2);
-}
-
-double wormhole_wait(int servers, double lambda_total, double xbar, double worm_flits) {
-  switch (servers) {
-    case 1:
-      return mg1_wait_wormhole(lambda_total, xbar, worm_flits);
-    case 2:
-      return mg2_wait_wormhole(lambda_total, xbar, worm_flits);
-    default:
-      return mgm_wait_wormhole(servers, lambda_total, xbar, worm_flits);
-  }
 }
 
 double scaled_wait_gg(double poisson_wait, double ca2, double cs2) {

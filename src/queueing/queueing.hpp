@@ -17,16 +17,38 @@
 //  * Unstable inputs (utilization >= 1) return +infinity rather than a
 //    negative value from the raw formula; the saturation solver relies on
 //    this monotone blow-up.
+//
+// The wormhole wait chain (utilization, stable, wormhole_cb2, the M/G/1,
+// M/G/2 and M/G/m waits and wormhole_wait) is defined inline here: the
+// channel solver calls it once per channel class per solve, see
+// channel_solver.hpp.
 #pragma once
+
+#include <cmath>
+
+#include "util/assert.hpp"
+#include "util/math.hpp"
 
 namespace wormnet::queueing {
 
+/// Utilizations within kStabilityMargin of 1 are treated as saturated: the
+/// 1/(1-rho) terms would otherwise produce astronomically large but finite
+/// waits that destabilize the saturation bisection's bracketing.
+inline constexpr double kStabilityMargin = 1e-9;
+
 /// Server utilization rho = lambda * xbar / m.
-double utilization(double lambda, double xbar, int servers = 1);
+inline double utilization(double lambda, double xbar, int servers = 1) {
+  WORMNET_EXPECTS(servers >= 1);
+  WORMNET_EXPECTS(lambda >= 0.0);
+  WORMNET_EXPECTS(xbar >= 0.0);
+  return lambda * xbar / servers;
+}
 
 /// True when the queue is stable (rho < 1, with a tiny safety margin so the
 /// downstream 1/(1-rho) terms stay finite in double arithmetic).
-bool stable(double lambda, double xbar, int servers = 1);
+inline bool stable(double lambda, double xbar, int servers = 1) {
+  return utilization(lambda, xbar, servers) < 1.0 - kStabilityMargin;
+}
 
 /// Squared coefficient of variation of wormhole channel service time, Eq. 5:
 ///     C_b^2 = (x̄ - s_f)^2 / x̄^2
@@ -35,24 +57,52 @@ bool stable(double lambda, double xbar, int servers = 1);
 /// transmission; all variance comes from the blocking term (x̄ - s_f), and
 /// approximating the blocking time's standard deviation by its mean gives
 /// sigma_b = x̄ - s_f.
-double wormhole_cb2(double xbar, double worm_flits);
+inline double wormhole_cb2(double xbar, double worm_flits) {
+  WORMNET_EXPECTS(worm_flits > 0.0);
+  if (xbar <= 0.0) return 0.0;
+  // Past saturation x̄ diverges; (x̄ - s_f)²/x̄² → 1 in the limit, and the
+  // wait kernels return +inf regardless, so report the limit instead of the
+  // NaN that inf/inf arithmetic would produce.
+  if (!std::isfinite(xbar)) return 1.0;
+  const double blocked = xbar - worm_flits;
+  return (blocked * blocked) / (xbar * xbar);
+}
 
 /// M/G/1 mean wait, Eq. 4:  W = rho * x̄ * (1 + C_b²) / (2 (1 - rho)).
 /// Returns +inf when unstable, 0 when lambda == 0.
-double mg1_wait(double lambda, double xbar, double cb2);
+inline double mg1_wait(double lambda, double xbar, double cb2) {
+  WORMNET_EXPECTS(lambda >= 0.0);
+  WORMNET_EXPECTS(cb2 >= 0.0);
+  if (lambda == 0.0 || xbar == 0.0) return 0.0;
+  if (!stable(lambda, xbar, 1)) return util::kInf;
+  const double rho = lambda * xbar;
+  return rho * xbar * (1.0 + cb2) / (2.0 * (1.0 - rho));
+}
 
 /// M/G/1 mean wait with the wormhole variance approximation folded in
 /// (the paper's Eq. 6).
-double mg1_wait_wormhole(double lambda, double xbar, double worm_flits);
+inline double mg1_wait_wormhole(double lambda, double xbar, double worm_flits) {
+  return mg1_wait(lambda, xbar, wormhole_cb2(xbar, worm_flits));
+}
 
 /// Hokstad's M/G/2 mean-wait approximation as used by the paper, Eq. 7:
 ///     W = lambda² x̄³ (1 + C_b²) / (2 (4 - lambda² x̄²))
 /// `lambda` is the TOTAL rate offered to the two-server channel.
 /// Returns +inf when unstable (lambda * x̄ >= 2), 0 when lambda == 0.
-double mg2_wait_hokstad(double lambda, double xbar, double cb2);
+inline double mg2_wait_hokstad(double lambda, double xbar, double cb2) {
+  WORMNET_EXPECTS(lambda >= 0.0);
+  WORMNET_EXPECTS(cb2 >= 0.0);
+  if (lambda == 0.0 || xbar == 0.0) return 0.0;
+  if (!stable(lambda, xbar, 2)) return util::kInf;
+  const double lx = lambda * xbar;
+  // Eq. 7: the denominator 4 - lambda^2 x̄^2 vanishes exactly at rho = 1.
+  return lambda * lambda * xbar * xbar * xbar * (1.0 + cb2) / (2.0 * (4.0 - lx * lx));
+}
 
 /// Hokstad M/G/2 with the wormhole variance approximation (Eq. 8).
-double mg2_wait_wormhole(double lambda, double xbar, double worm_flits);
+inline double mg2_wait_wormhole(double lambda, double xbar, double worm_flits) {
+  return mg2_wait_hokstad(lambda, xbar, wormhole_cb2(xbar, worm_flits));
+}
 
 /// Erlang-C: probability an arrival to an M/M/m queue with offered load
 /// a = lambda * x̄ (in Erlangs) must wait.  Exact; used both by the
@@ -72,10 +122,19 @@ double mmm_wait(int servers, double lambda, double xbar);
 /// For m == 1 this is exact (it reduces to Pollaczek–Khinchine).  The paper's
 /// conclusion names >2-server channels as the natural extension of its
 /// framework; this kernel backs the m-parent fat-tree models in wormnet::core.
-double mgm_wait(int servers, double lambda, double xbar, double cb2);
+inline double mgm_wait(int servers, double lambda, double xbar, double cb2) {
+  WORMNET_EXPECTS(servers >= 1);
+  WORMNET_EXPECTS(cb2 >= 0.0);
+  if (lambda == 0.0 || xbar == 0.0) return 0.0;
+  if (!stable(lambda, xbar, servers)) return util::kInf;
+  return 0.5 * (1.0 + cb2) * mmm_wait(servers, lambda, xbar);
+}
 
 /// Generalized M/G/m with the wormhole variance approximation.
-double mgm_wait_wormhole(int servers, double lambda, double xbar, double worm_flits);
+inline double mgm_wait_wormhole(int servers, double lambda, double xbar,
+                                double worm_flits) {
+  return mgm_wait(servers, lambda, xbar, wormhole_cb2(xbar, worm_flits));
+}
 
 /// Allen–Cunneen G/G/m correction relative to the M/G/m kernels above:
 ///     W_{G/G/m} ≈ (C_a² + C_s²)/2 · W_{M/M/m}
@@ -99,6 +158,16 @@ double scaled_wait_gg(double poisson_wait, double ca2, double cs2);
 /// Mean waiting time of an m-server wormhole channel evaluated with the
 /// kernels above: dispatches to Eq. 6 (m=1), Eq. 8 (m=2) or the generalized
 /// M/G/m (m>2).  `lambda_total` is the whole bundle's rate.
-double wormhole_wait(int servers, double lambda_total, double xbar, double worm_flits);
+inline double wormhole_wait(int servers, double lambda_total, double xbar,
+                            double worm_flits) {
+  switch (servers) {
+    case 1:
+      return mg1_wait_wormhole(lambda_total, xbar, worm_flits);
+    case 2:
+      return mg2_wait_wormhole(lambda_total, xbar, worm_flits);
+    default:
+      return mgm_wait_wormhole(servers, lambda_total, xbar, worm_flits);
+  }
+}
 
 }  // namespace wormnet::queueing

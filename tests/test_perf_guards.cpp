@@ -9,6 +9,9 @@
 //  * flat model copies — copying a GeneralModel costs a handful of heap
 //    allocations whatever its class count, because the channel graph keeps
 //    its transitions in one flat array;
+//  * row-free plan answers — a SolvePlan's latency answers and saturation
+//    probes sweep into rows the thread keeps, so once the thread has solved
+//    a model that large they allocate nothing;
 //  * SimEngine determinism — a campaign's results are bitwise-identical
 //    parallel vs serial, the same contract SweepEngine carries.
 //
@@ -22,6 +25,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/general_model.hpp"
 #include "core/traffic_model.hpp"
 #include "harness/sim_engine.hpp"
 #include "sim/simulator.hpp"
@@ -113,6 +117,34 @@ TEST(AllocationGuard, ModelCopyIsFlat) {
   EXPECT_LE(after - before, 8u)
       << (after - before) << " heap allocations to copy "
       << m.graph.size() << " channel classes";
+}
+
+TEST(AllocationGuard, PlanAnswersAllocateNothing) {
+  // A what-if answer is a handful of evaluate() calls and a saturation
+  // search of ~20 probes on one plan.  None of them builds solution rows:
+  // after one warm-up call has sized this thread's sweep rows, a hundred
+  // latency answers across the whole load range (stable and saturated)
+  // and a full saturation search make no heap allocation.
+  const topo::ButterflyFatTree ft(4);
+  const core::GeneralModel m =
+      core::build_traffic_model(ft, traffic::TrafficSpec::uniform());
+  const core::SolvePlan plan(m);
+  const double top = 1.0 / plan.worm_flits();
+  ASSERT_TRUE(plan.evaluate(0.0).stable);  // warm-up: sizes the rows
+  double latency_sum = 0.0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; ++i) {
+    const core::LatencyEstimate est = plan.evaluate(top * i / 100.0);
+    if (est.stable) latency_sum += est.latency;
+  }
+  const double sat = plan.saturation_rate();
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_GT(latency_sum, 0.0);
+  EXPECT_GT(sat, 0.0);
+  EXPECT_LT(sat, top);
+  EXPECT_EQ(after, before)
+      << (after - before) << " heap allocations in 100 evaluate() calls and "
+      << "one saturation_rate() on " << m.graph.size() << " channel classes";
 }
 
 void expect_bitwise_equal(const sim::SimResult& a, const sim::SimResult& b) {
