@@ -302,7 +302,7 @@ SolvePlan::Sweep SolvePlan::sweep(double lambda0) const {
   return out;
 }
 
-LatencyEstimate SolvePlan::estimate_latency(const Sweep& sweep, bool stable) const {
+LatencyEstimate SolvePlan::estimate_latency(const Sweep& swept, bool stable) const {
   // Each injection class weighs as the processors it stands for
   // (injection_weights, not necessarily normalized; empty means uniform),
   // so a collapsed model's average equals the dense per-processor one.
@@ -318,7 +318,7 @@ LatencyEstimate SolvePlan::estimate_latency(const Sweep& sweep, bool stable) con
   double weight_sum = 0.0;
   for (std::size_t i = 0; i < s.injection_classes.size(); ++i) {
     const double w = weights.empty() ? 1.0 : weights[i];
-    const SweepRow& row = sweep.rows[static_cast<std::size_t>(s.injection_classes[i])];
+    const SweepRow& row = swept.rows[static_cast<std::size_t>(s.injection_classes[i])];
     wait_sum += w * row.wait;
     service_sum += w * row.service_time;
     weight_sum += w;
@@ -330,7 +330,7 @@ LatencyEstimate SolvePlan::estimate_latency(const Sweep& sweep, bool stable) con
   if (!std::isfinite(est.latency)) est.stable = false;
   // Structured status: a fixed point that failed to converge dominates
   // saturation; apply_unroutable layers Disconnected on top.
-  if (!sweep.converged)
+  if (!swept.converged)
     est.status = SolveStatus::Infeasible;
   else if (!est.stable)
     est.status = SolveStatus::Saturated;
@@ -343,20 +343,20 @@ LatencyEstimate SolvePlan::estimate_latency(const Sweep& sweep, bool stable) con
 }
 
 SolveResult SolvePlan::solve(double lambda0) const {
-  const Sweep sweep = this->sweep(lambda0);
+  const Sweep swept = sweep(lambda0);
   const int n = structure_->size;
   const auto at = [](int id) { return static_cast<std::size_t>(id); };
   SolveResult result;
-  result.converged = sweep.converged;
-  result.iterations = sweep.iterations;
-  result.telemetry.max_residual = sweep.residual;
+  result.converged = swept.converged;
+  result.iterations = swept.iterations;
+  result.telemetry.max_residual = swept.residual;
   std::vector<ChannelSolution>& ch = result.channels;
   ch.resize(at(n));
   for (int id = 0; id < n; ++id) {
     const ClassInputs& c = classes_[at(id)];
     ChannelSolution& sol = ch[at(id)];
-    sol.service_time = sweep.rows[at(id)].service_time;
-    sol.wait = sweep.rows[at(id)].wait;
+    sol.service_time = swept.rows[at(id)].service_time;
+    sol.wait = swept.rows[at(id)].wait;
     sol.utilization = solver_.bundle_utilization(c, c.rate * lambda0, sol.service_time);
     sol.cb2 = solver_.cb2(sol.service_time);
     sol.ca2 = c.ca2;
@@ -406,18 +406,18 @@ SolveResult SolvePlan::solve(double lambda0) const {
 }
 
 LatencyEstimate SolvePlan::evaluate(double lambda0) const {
-  const Sweep sweep = this->sweep(lambda0);
+  const Sweep swept = sweep(lambda0);
   // solve()'s stability verdict on the same rows: every x̄ and W̄ finite
   // and every bundle below saturation.
   bool stable = true;
   for (std::size_t id = 0; id < classes_.size() && stable; ++id) {
     const ClassInputs& c = classes_[id];
-    const SweepRow& row = sweep.rows[id];
+    const SweepRow& row = swept.rows[id];
     stable = std::isfinite(row.service_time) && std::isfinite(row.wait) &&
              !(solver_.bundle_utilization(c, c.rate * lambda0, row.service_time) >= 1.0);
   }
   return apply_unroutable(
-      apply_batch_residual(estimate_latency(sweep, stable), batch_residual_),
+      apply_batch_residual(estimate_latency(swept, stable), batch_residual_),
       structure_->unroutable_fraction);
 }
 

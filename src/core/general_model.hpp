@@ -27,10 +27,11 @@
 // three answers runs the one Eq. 11 sweep over it; a saturation search, a
 // λ-sweep or a what-if variant's several questions all reuse one plan.
 // Only solve(λ₀) builds per-class rows (ChannelSolution: utilization, C_b²,
-// blocking, telemetry), for the readers that want that detail.  evaluate
-// (λ₀) and each probe of saturation_rate() read the sweep's x̄ and W̄ from
-// rows the calling thread keeps between calls (16 bytes a class), so once a
-// thread has solved a model that large they allocate nothing.  A plan is always of a GeneralModel; the only other entry points
+// blocking, telemetry), for the readers that want that detail.
+// evaluate(λ₀) and each probe of saturation_rate() read the sweep's x̄ and
+// W̄ from rows the calling thread keeps between calls (16 bytes a class),
+// so once a thread has solved a model that large they allocate nothing.
+// A plan is always of a GeneralModel; the only other entry points
 // (GeneralModel::solve / evaluate / saturation_rate, model_latency and
 // model_saturation_rate) are one-shot wrappers that build a plan and ask it
 // once.  A plan has two halves:
@@ -337,7 +338,7 @@ class SolvePlan {
   /// Eq. 1 averaged over the injection classes of a sweep's rows, with
   /// the stability verdict `stable` (evaluate's answer before the batch
   /// residual and the unroutable fraction).
-  LatencyEstimate estimate_latency(const Sweep& sweep, bool stable) const;
+  LatencyEstimate estimate_latency(const Sweep& swept, bool stable) const;
 
   std::shared_ptr<const SolveStructure> structure_;
   queueing::ChannelSolver solver_;

@@ -31,10 +31,12 @@
 
 namespace wormnet::queueing {
 
+namespace detail {
 /// Utilizations within kStabilityMargin of 1 are treated as saturated: the
 /// 1/(1-rho) terms would otherwise produce astronomically large but finite
 /// waits that destabilize the saturation bisection's bracketing.
 inline constexpr double kStabilityMargin = 1e-9;
+}  // namespace detail
 
 /// Server utilization rho = lambda * xbar / m.
 inline double utilization(double lambda, double xbar, int servers = 1) {
@@ -47,7 +49,7 @@ inline double utilization(double lambda, double xbar, int servers = 1) {
 /// True when the queue is stable (rho < 1, with a tiny safety margin so the
 /// downstream 1/(1-rho) terms stay finite in double arithmetic).
 inline bool stable(double lambda, double xbar, int servers = 1) {
-  return utilization(lambda, xbar, servers) < 1.0 - kStabilityMargin;
+  return utilization(lambda, xbar, servers) < 1.0 - detail::kStabilityMargin;
 }
 
 /// Squared coefficient of variation of wormhole channel service time, Eq. 5:
