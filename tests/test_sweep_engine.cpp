@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
 
 #include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
@@ -208,6 +210,79 @@ TEST(SweepEngine, SaturationMatchesModelsOwnSolver) {
   const std::uint64_t misses = engine.cache_misses();
   engine.saturation_rate(model);
   EXPECT_EQ(engine.cache_misses(), misses);
+}
+
+void expect_same_estimate(const core::LatencyEstimate& got,
+                          const core::LatencyEstimate& want, double lambda0) {
+  EXPECT_EQ(got.stable, want.stable) << "lambda0=" << lambda0;
+  EXPECT_EQ(got.status, want.status) << "lambda0=" << lambda0;
+  EXPECT_EQ(got.latency, want.latency) << "lambda0=" << lambda0;
+  EXPECT_EQ(got.inj_wait, want.inj_wait) << "lambda0=" << lambda0;
+  EXPECT_EQ(got.inj_service, want.inj_service) << "lambda0=" << lambda0;
+  EXPECT_EQ(got.mean_distance, want.mean_distance) << "lambda0=" << lambda0;
+  EXPECT_EQ(got.unroutable_fraction, want.unroutable_fraction)
+      << "lambda0=" << lambda0;
+}
+
+TEST(SweepEngine, AnswersAreTheModelsOwn) {
+  // λ₀* and the fraction-of-saturation points the engine reports are, bit
+  // for bit, the model's own saturation_rate() and evaluate(): closed form,
+  // dense, collapsed, and a tapered multi-lane finite-buffer fabric.
+  core::SolveOptions opts;
+  opts.worm_flits = 16.0;
+  topo::ButterflyFatTree bft3(3), bft5(5), tapered(3);
+  tapered.set_tier_bandwidth(1, 0.5);
+  tapered.set_uniform_lanes(2);
+  tapered.set_uniform_buffer_depth(2);
+  using Build = std::function<std::unique_ptr<core::NetworkModel>()>;
+  const std::vector<Build> builds{
+      [] {
+        return std::make_unique<core::FatTreeModel>(
+            core::FatTreeModelOptions{.levels = 3});
+      },
+      [&] {
+        return std::make_unique<core::GeneralModel>(
+            core::build_traffic_model(bft3, traffic::TrafficSpec::uniform(), opts));
+      },
+      [&] {
+        return std::make_unique<core::GeneralModel>(core::build_traffic_model_collapsed(
+            bft5, traffic::TrafficSpec::hotspot(0.1), opts));
+      },
+      [&] {
+        return std::make_unique<core::GeneralModel>(
+            core::build_traffic_model(tapered, traffic::TrafficSpec::uniform(), opts));
+      },
+  };
+
+  const std::vector<double> fractions{0.1, 0.5, 0.9, 1.05};
+  for (const Build& build : builds) {
+    const std::unique_ptr<core::NetworkModel> m = build();
+    SCOPED_TRACE(m->name());
+    const double sat = m->saturation_rate();
+    SweepEngine engine({2, true});
+    EXPECT_EQ(engine.saturation_rate(*m), sat);
+    EXPECT_EQ(engine.saturation_load(*m), sat * m->worm_flits());
+
+    const std::vector<SweepPoint> points =
+        engine.sweep_saturation_fractions(*m, fractions);
+    ASSERT_EQ(points.size(), fractions.size());
+    for (std::size_t i = 0; i < fractions.size(); ++i) {
+      const double lambda0 = sat * fractions[i];
+      EXPECT_EQ(points[i].lambda0, lambda0);
+      expect_same_estimate(points[i].est, m->evaluate(lambda0), lambda0);
+    }
+
+    const std::vector<FamilyMember> family =
+        engine.sweep_family([&](double) { return build(); }, {1.0}, fractions);
+    ASSERT_EQ(family.size(), 1u);
+    EXPECT_EQ(family[0].saturation_rate, sat);
+    ASSERT_EQ(family[0].points.size(), fractions.size());
+    for (std::size_t i = 0; i < fractions.size(); ++i) {
+      const double lambda0 = sat * fractions[i];
+      EXPECT_EQ(family[0].points[i].lambda0, lambda0);
+      expect_same_estimate(family[0].points[i].est, m->evaluate(lambda0), lambda0);
+    }
+  }
 }
 
 TEST(SweepEngine, SweepLoadConvertsUnits) {
