@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
   table.set_precision(5, 5);
   table.set_precision(6, 1);
 
-  // Every cell's model stays alive for the engine's lifetime (the memo
-  // cache keys on model addresses).
+  // One closed-form model per table cell.  The engine's memo keys on model
+  // content, not addresses, so the models' lifetimes do not matter to it.
   std::vector<core::FatTreeModel> models;
   for (int levels = 1; levels <= max_levels; ++levels)
     for (long worm : worms)

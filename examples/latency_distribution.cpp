@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   // fraction of THAT process's model saturation.
   harness::SweepEngine sweeps;
   harness::SimEngine engine;
-  std::vector<core::GeneralModel> models;  // keep alive for the sweep cache
+  std::vector<core::GeneralModel> models;  // one per process, for the model column
   models.reserve(processes.size());
   std::vector<harness::SimCell> cells;
   for (const arrivals::ArrivalSpec& process : processes) {

@@ -13,40 +13,15 @@
 
 namespace wormnet::harness {
 
-namespace {
-
-/// Copy one engine point into the model half of a comparison row.
-void fill_model_side(ComparisonRow& row, const SweepPoint& pt) {
-  row.model_latency = pt.est.latency;
-  row.model_inj_wait = pt.est.inj_wait;
-  row.model_inj_service = pt.est.inj_service;
-  row.model_stable = pt.est.stable;
-}
-
-}  // namespace
-
 std::vector<ComparisonRow> compare_latency(const topo::Topology& topo,
                                            const core::NetworkModel& model,
                                            const SweepConfig& cfg,
                                            SweepEngine* engine,
                                            SimEngine* sims) {
   WORMNET_EXPECTS(!cfg.loads.empty());
-  std::vector<ComparisonRow> rows(cfg.loads.size());
-
-  // Model side: one batched engine sweep (memoized across calls).  A
-  // private engine lives only for this block so its worker pool is gone
-  // before the simulation campaign below spins up.
-  {
-    std::unique_ptr<SweepEngine> local;
-    if (!engine)
-      local = std::make_unique<SweepEngine>(SweepEngine::Options{cfg.threads});
-    SweepEngine& eng = engine ? *engine : *local;
-    const std::vector<SweepPoint> points = eng.sweep_load(model, cfg.loads);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      rows[i].load = cfg.loads[i];
-      fill_model_side(rows[i], points[i]);
-    }
-  }
+  // Model side: model_only_sweep's rows.  Its private engine, if any, dies
+  // inside that call, before the simulation campaign below spins up.
+  std::vector<ComparisonRow> rows = model_only_sweep(model, cfg, engine);
 
   // Simulation side: one SimEngine campaign — every load point an
   // independent deterministic cell over ONE shared SimNetwork.
@@ -89,8 +64,12 @@ std::vector<ComparisonRow> model_only_sweep(const core::NetworkModel& model,
   const std::vector<SweepPoint> points = eng.sweep_load(model, cfg.loads);
   std::vector<ComparisonRow> rows(cfg.loads.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
+    const core::LatencyEstimate& est = points[i].est;
     rows[i].load = cfg.loads[i];
-    fill_model_side(rows[i], points[i]);
+    rows[i].model_latency = est.latency;
+    rows[i].model_inj_wait = est.inj_wait;
+    rows[i].model_inj_service = est.inj_service;
+    rows[i].model_stable = est.stable;
     rows[i].sim_latency = util::kNaN;
   }
   return rows;

@@ -59,20 +59,6 @@ void fill_aggregates(SimCellResult& out) {
 
 }  // namespace
 
-std::vector<SimCell> burstiness_cells(
-    const SimCell& base, const std::vector<arrivals::ArrivalSpec>& processes) {
-  std::vector<SimCell> cells;
-  cells.reserve(processes.size());
-  for (const arrivals::ArrivalSpec& process : processes) {
-    SimCell cell = base;
-    cell.cfg.arrival_process = process;
-    cell.label =
-        base.label.empty() ? process.name() : base.label + "/" + process.name();
-    cells.push_back(std::move(cell));
-  }
-  return cells;
-}
-
 SimEngine::SimEngine(Options opts) : opts_(opts) {
   if (opts_.parallel) pool_ = std::make_unique<util::ThreadPool>(opts_.threads);
 }

@@ -32,7 +32,6 @@
 #include <string_view>
 #include <vector>
 
-#include "arrivals/arrival_process.hpp"
 #include "sim/config.hpp"
 #include "sim/metrics.hpp"
 #include "topo/topology.hpp"
@@ -58,14 +57,6 @@ struct SimCell {
   /// into a classified cell outcome instead of a hung campaign.
   long cycle_budget = 0;
 };
-
-/// Burstiness axis for simulation campaigns: one cell per arrival process,
-/// each a copy of `base` with cfg.arrival_process swapped in and labeled by
-/// the process name (prefixed with base.label when set).  SimConfig carries
-/// the spec, so the cells run through run_cells like any others — the
-/// SweepEngine::sweep_burstiness twin for the simulator side.
-std::vector<SimCell> burstiness_cells(
-    const SimCell& base, const std::vector<arrivals::ArrivalSpec>& processes);
 
 /// Mean and spread of one statistic across a cell's replications.
 /// ci95 is the normal-approximation half-width 1.96·s/√n (NaN when n < 2,

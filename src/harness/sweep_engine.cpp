@@ -2,10 +2,8 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "core/general_model.hpp"
-#include "core/saturation.hpp"
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/hash.hpp"
@@ -18,9 +16,9 @@ namespace wormnet::harness {
 using util::double_bits;
 
 /// A model's content bound for one call: the digest, computed once, and the
-/// λ₀ → estimate function.  A GeneralModel is planned once here, so every
-/// probe of the call solves through one SolvePlan; any other model answers
-/// through its own evaluate().
+/// model's answers.  A GeneralModel is planned once here, so the call's
+/// saturation search and every point solve through one SolvePlan; any other
+/// model answers through its own evaluate() and saturation_rate().
 class SweepEngine::Target {
  public:
   explicit Target(const core::NetworkModel& model) : model_(&model) {
@@ -34,6 +32,11 @@ class SweepEngine::Target {
 
   core::LatencyEstimate evaluate(double lambda0) const {
     return plan_ ? plan_->evaluate(lambda0) : model_->evaluate(lambda0);
+  }
+  /// λ₀* (Eq. 26) from the search the model owns: the plan's row-free one
+  /// for a GeneralModel, which is GeneralModel::saturation_rate()'s.
+  double saturation_rate() const {
+    return plan_ ? plan_->saturation_rate() : model_->saturation_rate();
   }
 
   std::uint64_t digest = 0;
@@ -112,32 +115,15 @@ std::vector<SweepPoint> SweepEngine::sweep_lambda(const Target& target,
     points[i].load_flits = lambdas[i] * target.worm_flits;
   }
 
-  // Resolve cache hits up front and collect the distinct misses, so each
-  // unique λ₀ is looked up and evaluated exactly once no matter how often
-  // it appears; duplicates copy from their representative and count as
-  // hits (they are evaluations avoided).  The target carries the digest,
-  // computed once for the whole sweep.
-  const std::uint64_t digest = target.digest;
-  std::unordered_map<std::uint64_t, std::size_t> rep;  // λ bits → first index
-  std::vector<std::size_t> jobs;                       // uncached unique λ₀
-  std::vector<std::size_t> dups;                       // later occurrences
+  // Resolve cache hits up front, then evaluate the misses — on the pool
+  // when parallel, in order when serial.  Each job is a pure function of
+  // (model, λ₀), so the schedule cannot change any result bit.  The target
+  // carries the digest, computed once for the whole sweep.
+  std::vector<std::size_t> jobs;  // uncached λ₀
   for (std::size_t i = 0; i < lambdas.size(); ++i) {
-    if (!rep.emplace(double_bits(lambdas[i]), i).second) {
-      dups.push_back(i);
-      continue;
-    }
-    if (!lookup(Key{digest, double_bits(lambdas[i])}, points[i].est)) {
+    if (!lookup(Key{target.digest, double_bits(lambdas[i])}, points[i].est))
       jobs.push_back(i);
-    }
   }
-  if (!dups.empty() && opts_.memoize) {
-    std::lock_guard<std::mutex> lock(mu_);
-    hits_ += dups.size();
-  }
-
-  // Evaluate the unique misses — on the pool when parallel, in order when
-  // serial.  Each job is a pure function of (model, λ₀), so the schedule
-  // cannot change any result bit.
   if (pool_ && jobs.size() > 1) {
     util::parallel_for(*pool_, static_cast<std::int64_t>(jobs.size()),
                        [&](std::int64_t j) {
@@ -148,12 +134,7 @@ std::vector<SweepPoint> SweepEngine::sweep_lambda(const Target& target,
     for (std::size_t i : jobs) points[i].est = target.evaluate(lambdas[i]);
   }
   for (std::size_t i : jobs) {
-    store(Key{digest, double_bits(lambdas[i])}, points[i].est);
-  }
-
-  // Fill duplicates from their representative (cached or freshly computed).
-  for (std::size_t i : dups) {
-    points[i].est = points[rep.at(double_bits(lambdas[i]))].est;
+    store(Key{target.digest, double_bits(lambdas[i])}, points[i].est);
   }
   return points;
 }
@@ -170,14 +151,22 @@ std::vector<SweepPoint> SweepEngine::sweep_load(const core::NetworkModel& model,
   return points;
 }
 
-std::vector<SweepPoint> SweepEngine::sweep_saturation_fractions(
-    const core::NetworkModel& model, const std::vector<double>& fractions) {
+FamilyMember SweepEngine::saturation_curve(const core::NetworkModel& model,
+                                          const std::vector<double>& fractions) {
+  // One plan for the search and the points.
   const Target target(model);
-  const double sat = saturation_rate(target);
+  FamilyMember curve;
+  curve.saturation_rate = target.saturation_rate();
   std::vector<double> lambdas;
   lambdas.reserve(fractions.size());
-  for (double f : fractions) lambdas.push_back(sat * f);
-  return sweep_lambda(target, lambdas);
+  for (double f : fractions) lambdas.push_back(curve.saturation_rate * f);
+  curve.points = sweep_lambda(target, lambdas);
+  return curve;
+}
+
+std::vector<SweepPoint> SweepEngine::sweep_saturation_fractions(
+    const core::NetworkModel& model, const std::vector<double>& fractions) {
+  return saturation_curve(model, fractions).points;
 }
 
 std::vector<FamilyMember> SweepEngine::sweep_family(
@@ -190,18 +179,11 @@ std::vector<FamilyMember> SweepEngine::sweep_family(
   // thus output order) deterministic.  The cache keys on model content, so
   // member lifetime never interacts with cache validity.
   for (double parameter : parameters) {
-    FamilyMember member;
+    std::unique_ptr<core::NetworkModel> model = make(parameter);
+    WORMNET_EXPECTS(model != nullptr);
+    FamilyMember member = saturation_curve(*model, saturation_fractions);
     member.parameter = parameter;
-    member.model = make(parameter);
-    WORMNET_EXPECTS(member.model != nullptr);
-    // One plan and one bisection per member; the fraction points reuse
-    // both (sweep_saturation_fractions would re-run the search).
-    const Target target(*member.model);
-    member.saturation_rate = saturation_rate(target);
-    std::vector<double> lambdas;
-    lambdas.reserve(saturation_fractions.size());
-    for (double f : saturation_fractions) lambdas.push_back(member.saturation_rate * f);
-    member.points = sweep_lambda(target, lambdas);
+    member.model = std::move(model);
     family.push_back(std::move(member));
   }
   return family;
@@ -230,17 +212,7 @@ std::vector<FamilyMember> SweepEngine::sweep_burstiness(
 }
 
 double SweepEngine::saturation_rate(const core::NetworkModel& model) {
-  return saturation_rate(Target(model));
-}
-
-double SweepEngine::saturation_rate(const Target& target) {
-  WORMNET_EXPECTS(target.worm_flits > 0.0);
-  // The same Eq. 26 bisection the models run themselves, but with every
-  // probe routed through the cache: repeating the search is free, and the
-  // probes seed the cache for later sweeps near saturation.
-  return core::find_saturation_rate(
-      [&](double lambda0) { return evaluate(target, lambda0).inj_service; },
-      1.0 / target.worm_flits);
+  return model.saturation_rate();
 }
 
 double SweepEngine::saturation_load(const core::NetworkModel& model) {

@@ -1,8 +1,8 @@
 // wormnet/harness/sweep_engine.hpp
 //
 // Batched evaluation engine for analytical models: λ-sweeps, load-sweeps
-// and saturation bisections over any core::NetworkModel, executed as
-// parallel jobs on a util::ThreadPool with per-(model, λ₀) memoization.
+// and fraction-of-saturation curves over any core::NetworkModel, executed
+// as parallel jobs on a util::ThreadPool with per-(model, λ₀) memoization.
 //
 // Why an engine instead of a for-loop:
 //  * every bench used to hand-roll its own sweep loop; the engine is the
@@ -10,9 +10,10 @@
 //  * model evaluations are pure functions of (model, λ₀), so parallel and
 //    serial execution produce BITWISE-identical results (tested) — the
 //    engine just reorders work, never arithmetic;
-//  * saturation searches and fraction-of-saturation sweeps re-evaluate the
-//    same points repeatedly across benches; the memo cache collapses those
-//    into one solve each.
+//  * λ₀* comes from the model's own Eq. 26 search (for a GeneralModel the
+//    SolvePlan's, run on the plan the call's points also use); the memo
+//    holds only the points callers asked for, so asking a point again
+//    reads it back instead of solving it.
 //
 // Cache contract: entries key on the model's CONTENT, not its address.
 // The key is core::NetworkModel::content_digest() — a hash over every
@@ -20,9 +21,9 @@
 // the full channel graph, injection classes, solver knobs and arrival
 // tuning; see the digest's own contract) — combined with the λ₀ bit
 // pattern.  Each call computes the digest once: a GeneralModel is bound to
-// one core::SolvePlan per call (its set-up and digest built once, every
-// probe of a bisection or sweep solved through it), any other model to its
-// content_digest() and evaluate().  Consequences:
+// one core::SolvePlan per call (its set-up and digest built once, the
+// call's search and every point solved through it), any other model to its
+// content_digest(), evaluate() and saturation_rate().  Consequences:
 //  * two model OBJECTS with identical content share entries: a rebuilt,
 //    cloned or delta-retuned-back model hits the warm cache, which is what
 //    the QueryEngine's resident/evicted model lifecycle needs;
@@ -120,8 +121,8 @@ class SweepEngine {
   std::vector<SweepPoint> sweep_saturation_fractions(
       const core::NetworkModel& model, const std::vector<double>& fractions);
 
-  /// Saturation rate λ₀* (Eq. 26), with every bisection probe memoized so
-  /// repeated searches over the same model are free.
+  /// Saturation rate λ₀* (Eq. 26): the model's own saturation_rate(), bit
+  /// for bit.  The search's probes never enter the memo.
   double saturation_rate(const core::NetworkModel& model);
   /// Saturation throughput λ₀* · s_f in flits/cycle/PE.
   double saturation_load(const core::NetworkModel& model);
@@ -135,10 +136,10 @@ class SweepEngine {
   /// parameter value (e.g. a hotspot-fraction axis of traffic-aware models),
   /// find each member's saturation rate, and evaluate it at the given
   /// fractions of ITS OWN saturation.  Members are returned in parameter
-  /// order and own their models; each member's sweep runs through the same
-  /// memoizing parallel machinery as the single-model entry points.  The
-  /// factory is called once per parameter, in order, on the calling thread
-  /// (sweep_burstiness relies on this).
+  /// order and own their models; each member is what
+  /// sweep_saturation_fractions computes (one plan, one search, one memoized
+  /// parallel sweep).  The factory is called once per parameter, in order,
+  /// on the calling thread (sweep_burstiness relies on this).
   /// Lifetime: none to worry about — the cache keys on model content, so
   /// members may be dropped (or rebuilt identically later, hitting the warm
   /// cache) without clear_cache().
@@ -193,7 +194,10 @@ class SweepEngine {
   core::LatencyEstimate evaluate(const Target& target, double lambda0);
   std::vector<SweepPoint> sweep_lambda(const Target& target,
                                        const std::vector<double>& lambdas);
-  double saturation_rate(const Target& target);
+  /// One Target, one search, one sweep at `fractions` of λ₀*: the member
+  /// of sweep_family and sweep_saturation_fractions (model left null).
+  FamilyMember saturation_curve(const core::NetworkModel& model,
+                                const std::vector<double>& fractions);
 
   /// Cache lookup; returns true and fills `out` on a hit.
   bool lookup(const Key& key, core::LatencyEstimate& out);

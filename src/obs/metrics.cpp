@@ -21,27 +21,6 @@ std::string num(double v) {
   return buf;
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 const char* kind_name(MetricKind k) {
   switch (k) {
     case MetricKind::Counter: return "counter";
@@ -84,6 +63,27 @@ std::string prometheus_labels(std::string_view labels, std::string_view extra) {
 }
 
 }  // namespace
+
+void append_json_escaped(std::string& out, std::string_view s) {
+  out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
 
 HistogramMetric::HistogramMetric(std::vector<double> edges)
     : edges_(std::move(edges)) {

@@ -150,4 +150,9 @@ std::string to_json(const Snapshot& snap);
 std::string to_csv(const Snapshot& snap);
 std::string to_prometheus(const Snapshot& snap);
 
+/// Append `s` to `out` as a quoted JSON string: quote, backslash, \n and \t
+/// escaped by name, every other control character as \u00XX.  to_json and
+/// TraceLog::chrome_json both write through it.
+void append_json_escaped(std::string& out, std::string_view s);
+
 }  // namespace wormnet::obs

@@ -4,28 +4,13 @@
 #include <chrono>
 #include <cstdio>
 
+#include "obs/metrics.hpp"
+
 namespace wormnet::obs {
 
 namespace {
 
 std::atomic<bool> g_tracing{false};
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += ' ';
-        else
-          out += c;
-    }
-  }
-  out += '"';
-}
 
 }  // namespace
 
@@ -66,9 +51,9 @@ std::string TraceLog::chrome_json() const {
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const TraceEvent& e = events_[i];
     out += "  {\"name\": ";
-    append_escaped(out, e.name);
+    append_json_escaped(out, e.name);
     out += ", \"cat\": ";
-    append_escaped(out, e.cat);
+    append_json_escaped(out, e.cat);
     if (e.ph == 'X') {
       std::snprintf(buf, sizeof buf,
                     ", \"ph\": \"X\", \"ts\": %lld, \"dur\": %lld, "

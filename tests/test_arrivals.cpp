@@ -378,19 +378,6 @@ TEST(BurstinessSweep, FamilyIsOrderedByCa2AndCacheKeysSeparate) {
   }
 }
 
-TEST(BurstinessSweep, SimEngineBurstinessCellsCarryTheProcess) {
-  harness::SimCell base;
-  base.cfg.seed = 5;
-  base.label = "ft2";
-  const auto cells = harness::burstiness_cells(
-      base, {ArrivalSpec::poisson(), ArrivalSpec::batch(4.0)});
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(cells[0].label, "ft2/poisson");
-  EXPECT_EQ(cells[1].label, "ft2/batch(b=4)");
-  EXPECT_TRUE(cells[0].cfg.arrival_process.is_poisson());
-  EXPECT_EQ(cells[1].cfg.arrival_process.kind(), arrivals::Kind::Batch);
-}
-
 // --- SimConfig fail-fast validation. --------------------------------------
 
 TEST(SimConfigValidation, RejectsNonsenseLoudly) {

@@ -238,6 +238,15 @@ TEST(ObsTrace, ChromeJsonWellFormed) {
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
 }
 
+TEST(ObsTrace, ChromeJsonEscapesControlCharacters) {
+  // Spans and metrics share one JSON escaper: a tab is "\t", not a space.
+  obs::TraceLog log;
+  log.complete("a\tb", "c\x01", 0, 1);
+  const std::string json = log.chrome_json();
+  EXPECT_NE(json.find("\"a\\tb\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"c\\u0001\""), std::string::npos) << json;
+}
+
 // --------------------------------------------------------------- log sinks
 
 TEST(ObsLog, PerSubsystemLevelsAndCountingSink) {
